@@ -31,8 +31,6 @@ from .gain import (
     stationarity_residual,
 )
 from .kernels import (
-    FORM_REDERIVED,
-    FORM_TRANSCRIBED,
     DerivativeKernels,
     GainSchedule,
     KernelBundle,

@@ -17,12 +17,23 @@ import numpy as np
 
 from . import __version__
 from .covariance import cost_gradient, covariance_profile, drift_profile, fd_cost_slope
-from .gain import build_filter, optimize_gain, riccati_classical, riccati_normal_flow
+from .gain import build_filter, optimize_gain
 from .kernels import GainSchedule, kernel_bundle
-from .scenarios import resolve_scenario, scenario_hash
+from .scenarios import resolve_scenario
 from .simulation import empirical_statistics, simulate_ensemble
 from .system_model import measure_averages
-from .validation import DEFAULT_SEED, ValidationSuite, write_csv
+from .validation import (
+    DEFAULT_SEED,
+    ValidationSuite,
+    _dump_kernels,
+    _dump_optimizer,
+    _meta,
+    _rate_residual,
+    _rate_residuals,
+    _reference,
+    _smooth_directions,
+    write_csv,
+)
 
 _DEFAULT_OUT = "mfk-out"
 
@@ -107,25 +118,10 @@ def _require_scalar(scenario, stage: str):
 def _gain_for(args, scenario) -> GainSchedule:
     if args.gain == "zero":
         return GainSchedule.constant(scenario.grid, 0.0, scenario.n, scenario.m)
-    if args.scenario == "classical":
-        ref = riccati_classical(0.0, 1.0, 1.0, 1.0, scenario.grid)
-    elif args.scenario == "normal-flow":
-        ref = riccati_normal_flow(0.0, 1.0, scenario.grid)
-    else:
+    ref = _reference(args.scenario, scenario.grid)
+    if ref is None:
         raise CliError("gain", "--gain reference is only defined for bundled scenarios")
     return ref.gain()
-
-
-def _meta(scenario, seed, extra=None):
-    meta = {
-        "scenario_hash": scenario_hash(scenario),
-        "seed": seed,
-        "grid": f"T={scenario.grid.horizon:g},N={scenario.grid.n_steps}",
-        "version": __version__,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _write_report(path: Path, scenario, seed, lines: list[str]) -> None:
@@ -163,15 +159,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _dump_triangle(path, scenario, kernel, seed):
-    nodes = scenario.grid.nodes
-    rows = []
-    for i in range(scenario.grid.n_nodes):
-        for j in range(i + 1):
-            rows.append((float(nodes[i]), float(nodes[j]), float(kernel.values[i, j])))
-    write_csv(path, "t,s,value", rows, _meta(scenario, seed))
-
-
 def _cmd_kernels(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "kernels")
@@ -179,21 +166,8 @@ def _cmd_kernels(args) -> int:
     out = _prepare_out(args.out, names, args.force)
     gain = _gain_for(args, scenario)
     bundle = kernel_bundle(scenario, gain)
-    _dump_triangle(out / "kernel_phi.csv", scenario, bundle.phi, args.seed)
-    _dump_triangle(out / "kernel_psi.csv", scenario, bundle.psi, args.seed)
-    _dump_triangle(out / "kernel_f.csv", scenario, bundle.f, args.seed)
-    dt = scenario.grid.dt
-    Fv, Pv, Sv = bundle.f.values, bundle.phi.values, bundle.psi.values
-    M = bundle.M.reshape(-1)
-    H = bundle.H.reshape(-1)
-    f_resid = 0.0
-    psi_resid = 0.0
-    for i in range(1, scenario.grid.n_steps):
-        js = np.arange(0, i)
-        f_resid = max(f_resid, float(np.max(np.abs(
-            (Fv[i + 1, js] - Fv[i - 1, js]) / (2 * dt) - M[i] * Pv[i, js] - H[i] * Fv[i, js]))))
-        psi_resid = max(psi_resid, float(np.max(np.abs(
-            (Sv[i + 1, js] - Sv[i - 1, js]) / (2 * dt) - H[i] * Sv[i, js]))))
+    _dump_kernels(out, scenario, bundle, args.seed)
+    f_resid, psi_resid = _rate_residuals(bundle, scenario.grid.dt)
     _write_report(out / "kernels_report.txt", scenario, args.seed, [
         f"mixed-kernel rate residual (sup, interior): {f_resid:.6e}",
         f"point-kernel rate residual (sup, interior): {psi_resid:.6e}",
@@ -217,10 +191,7 @@ def _cmd_covariance(args) -> int:
         K1 = drift_profile(scenario, bundle, bars, a)
         for j in range(scenario.grid.n_nodes):
             rows.append((a, float(nodes[j]), float(K[j])))
-        fd = (K[2:] - K[:-2]) / (2 * scenario.grid.dt)
-        scale = float(np.max(np.abs(2 * K1[1:-1])))
-        if scale > 1e-13:
-            worst = max(worst, float(np.max(np.abs(fd - 2 * K1[1:-1]))) / scale)
+        worst = max(worst, _rate_residual(K, K1, scenario.grid.dt))
     write_csv(out / "covariance.csv", "atom,t,K", rows, _meta(scenario, args.seed))
     _write_report(out / "covariance_report.txt", scenario, args.seed, [
         f"rate-consistency relative residual (sup, interior): {worst:.6e}",
@@ -239,15 +210,9 @@ def _cmd_gradcheck(args) -> int:
     bars = measure_averages(scenario)
     bundle = kernel_bundle(scenario, gain)
     g = cost_gradient(scenario, bundle, bars)
-    rng = np.random.default_rng(args.seed)
-    t = scenario.grid.nodes / scenario.grid.horizon
-    directions = [np.ones(scenario.grid.n_nodes)]
-    for _ in range(max(0, args.directions - 1)):
-        a, b, c = rng.uniform(-1.0, 1.0, 3)
-        w = rng.integers(1, 4)
-        directions.append(a + b * np.sin(np.pi * w * t) + c * np.cos(2 * np.pi * t))
     rows = []
-    for k, beta_vals in enumerate(directions):
+    for k, beta_vals in enumerate(_smooth_directions(scenario.grid, args.directions,
+                                                     args.seed)):
         beta = GainSchedule(scenario.grid, beta_vals[:, None, None])
         pairing = g.pair(beta_vals)
         fd = fd_cost_slope(scenario, gain, beta, args.eps, bars)
@@ -269,14 +234,7 @@ def _cmd_optimize(args) -> int:
              "optimizer_report.txt"]
     out = _prepare_out(args.out, names, args.force)
     report = optimize_gain(scenario, grad_tol=args.grad_tol, max_iter=args.max_iter)
-    rows = [(i, J, gn) for i, (J, gn) in enumerate(
-        zip(report.cost_trajectory, report.gradient_trajectory))]
-    write_csv(out / "optimizer_trajectory.csv", "iter,J,grad_norm", rows,
-              _meta(scenario, args.seed))
-    write_csv(out / "optimizer_gain.csv", "t,gain",
-              [(float(t), float(v)) for t, v in
-               zip(scenario.grid.nodes, report.gain.scalar)],
-              _meta(scenario, args.seed))
+    _dump_optimizer(out, scenario, report, args.seed)
     coeffs = build_filter(scenario, report.gain)
     write_csv(out / "filter.csv", "t,h,m,gain",
               [(float(t), float(coeffs.h[j, 0, 0]), float(coeffs.m[j, 0, 0]),
@@ -289,12 +247,8 @@ def _cmd_optimize(args) -> int:
         f"final cost: {report.final_cost:.12g}",
         f"stationarity residual: {report.stationarity:.6e}",
     ]
-    if args.scenario == "classical":
-        ref = riccati_classical(0.0, 1.0, 1.0, 1.0, scenario.grid)
-        dev = float(np.max(np.abs(report.gain.scalar - ref.gain_values)))
-        lines.append(f"max gain deviation from closed-form reference: {dev:.6e}")
-    elif args.scenario == "normal-flow":
-        ref = riccati_normal_flow(0.0, 1.0, scenario.grid)
+    ref = _reference(args.scenario, scenario.grid)
+    if ref is not None:
         dev = float(np.max(np.abs(report.gain.scalar - ref.gain_values)))
         lines.append(f"max gain deviation from closed-form reference: {dev:.6e}")
     _write_report(out / "optimizer_report.txt", scenario, args.seed, lines)

@@ -7,18 +7,15 @@ transition kernels with the diffusion loadings. The functional ODE
 dK/dt = drift + drift' is implemented as a consistency check, not as the
 solver.
 
-Two transcription questions are settled by oracles and are switchable via
-``form`` for arbitration:
+Two formulas are fixed by oracles:
 
 * the cross terms pairing the observation loading with an averaged
   loading under the observation-noise covariance: independence of the two
-  driving noises forces the gamma-bar pairing (``rederived``); the
-  ``transcribed`` variant keeps the sigma-bar pairing and fails the Monte
-  Carlo check;
-* the sensitivity kernel's scale and cross weights: the ``rederived``
-  form is fixed by requiring the pairing of the kernel with a direction
-  to reproduce central differences of K; the ``transcribed`` variant
-  keeps the printed weights.
+  driving noises forces the gamma-bar pairing, which the Monte Carlo
+  check confirms;
+* the sensitivity kernel's scale and cross weights, fixed by requiring
+  the pairing of the kernel with a direction to reproduce central
+  differences of K.
 
 Scalar mode computes everything from one-dimensional cumulative tables in
 O(N) per profile and O(N^2) for the full sensitivity triangle; matrix
@@ -32,8 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (
-    FORM_REDERIVED,
-    FORM_TRANSCRIBED,
     GainSchedule,
     KernelBundle,
     ScalarTables,
@@ -104,8 +99,9 @@ class _ScalarWeights:
         wbar = q sbar^2 + G^2 q0 gbar^2        (mean-error diffusion)
         w2   = (sigma Q sigma')-bar + G^2 (gamma Q0 gamma')-bar
         w_u  = q s_u^2 + G^2 q0 g_u^2
-        x_u  = q sbar s_u + G^2 q0 gbar g_u    (cross weight, rederived)
-        x_u' = q sbar s_u + G  q0 sbar g_u     (cross weight, transcribed)
+        x_u  = q sbar s_u + G^2 q0 gbar g_u    (cross weight)
+
+    The measure averages of w_u and x_u are w2 and wbar.
     """
 
     def __init__(self, scenario: Scenario, bars: BarQuantities, gain: GainSchedule):
@@ -114,24 +110,23 @@ class _ScalarWeights:
         self.G = gain.scalar
         self.sbar = bars.flat("sigma_bar")
         self.gbar = bars.flat("gamma_bar")
-        self.s2q = bars.flat("sigma2_bar")
         self.g2q0 = bars.flat("gamma2_bar")
         self.wbar = self.q * self.sbar**2 + self.G**2 * self.q0 * self.gbar**2
-        self.w2 = self.s2q + self.G**2 * self.g2q0
+        self.w2 = bars.flat("sigma2_bar") + self.G**2 * self.g2q0
         self.scenario = scenario
 
     def atom(self, i: int):
+        """Pointwise weight w_u, cross weight x_u and the sensitivity
+        kernel's boundary loadings q0 g_u^2 and gbar g_u of one atom."""
         s_u = self.scenario.flat_atom("sigma", i)
         g_u = self.scenario.flat_atom("gamma", i)
         w_u = self.q * s_u**2 + self.G**2 * self.q0 * g_u**2
-        return s_u, g_u, w_u
+        x_u = self.q * self.sbar * s_u + self.G**2 * self.q0 * self.gbar * g_u
+        return w_u, x_u, self.q0 * g_u**2, self.gbar * g_u
 
-    def cross(self, s_u, g_u, form: str) -> np.ndarray:
-        if form == FORM_REDERIVED:
-            return self.q * self.sbar * s_u + self.G**2 * self.q0 * self.gbar * g_u
-        if form == FORM_TRANSCRIBED:
-            return self.q * self.sbar * s_u + self.G * self.q0 * self.sbar * g_u
-        raise ScenarioError(f"unknown form {form!r}")
+    def averaged(self):
+        """Measure averages of the four per-atom arrays of :meth:`atom`."""
+        return self.w2, self.wbar, self.g2q0, self.gbar**2
 
 
 def _require_scalar_bundle(bundle: KernelBundle) -> ScalarTables:
@@ -140,29 +135,29 @@ def _require_scalar_bundle(bundle: KernelBundle) -> ScalarTables:
     return bundle.tables
 
 
-def _profile_from_weights(tb: ScalarTables, wbar, w_mid, x_mid) -> np.ndarray:
-    """K-profile over all nodes from the factored cumulative integrals."""
+def _quadrature_tables(tb: ScalarTables, wbar, w_mid, x_mid) -> tuple:
+    """Running integrals T0..T5 of the factored quadrature terms."""
     dt = tb.grid.dt
     ephi, epsi, c = tb.ephi, tb.epsi, tb.c_mix
-    T0 = cumulative_trapezoid(wbar / ephi**2, dt)
-    T1 = cumulative_trapezoid(c * wbar / ephi**2, dt)
-    T2 = cumulative_trapezoid(c**2 * wbar / ephi**2, dt)
-    T3 = cumulative_trapezoid(w_mid / epsi**2, dt)
-    T4 = cumulative_trapezoid(x_mid / (epsi * ephi), dt)
-    T5 = cumulative_trapezoid(c * x_mid / (epsi * ephi), dt)
-    return epsi**2 * (c**2 * T0 - 2 * c * T1 + T2 + T3 + 2 * (c * T4 - T5))
+    return (cumulative_trapezoid(wbar / ephi**2, dt),
+            cumulative_trapezoid(c * wbar / ephi**2, dt),
+            cumulative_trapezoid(c**2 * wbar / ephi**2, dt),
+            cumulative_trapezoid(w_mid / epsi**2, dt),
+            cumulative_trapezoid(x_mid / (epsi * ephi), dt),
+            cumulative_trapezoid(c * x_mid / (epsi * ephi), dt))
+
+
+def _profile_from_weights(tb: ScalarTables, wbar, w_mid, x_mid) -> np.ndarray:
+    """K-profile over all nodes from the factored cumulative integrals."""
+    T0, T1, T2, T3, T4, T5 = _quadrature_tables(tb, wbar, w_mid, x_mid)
+    c = tb.c_mix
+    return tb.epsi**2 * (c**2 * T0 - 2 * c * T1 + T2 + T3 + 2 * (c * T4 - T5))
 
 
 def _drift_from_weights(tb: ScalarTables, wbar, w_mid, x_mid, w_point) -> np.ndarray:
     """One-sided covariance rate: dK/dt = drift + drift (scalar: 2*drift)."""
-    dt = tb.grid.dt
+    T0, T1, T2, T3, T4, T5 = _quadrature_tables(tb, wbar, w_mid, x_mid)
     ephi, epsi, c = tb.ephi, tb.epsi, tb.c_mix
-    T0 = cumulative_trapezoid(wbar / ephi**2, dt)
-    T1 = cumulative_trapezoid(c * wbar / ephi**2, dt)
-    T2 = cumulative_trapezoid(c**2 * wbar / ephi**2, dt)
-    T3 = cumulative_trapezoid(w_mid / epsi**2, dt)
-    T4 = cumulative_trapezoid(x_mid / (epsi * ephi), dt)
-    T5 = cumulative_trapezoid(c * x_mid / (epsi * ephi), dt)
     H, M = tb.H, tb.M
     ep2 = epsi**2
     integral = (M * ephi * epsi * (c * T0 - T1)        # M phi . f wbar
@@ -176,8 +171,13 @@ def _drift_from_weights(tb: ScalarTables, wbar, w_mid, x_mid, w_point) -> np.nda
     return out
 
 
+def _check_node(scenario: Scenario, node: int) -> None:
+    if not 0 <= node <= scenario.grid.n_steps:
+        raise ScenarioError(f"node {node} outside the grid [0, {scenario.grid.n_steps}]")
+
+
 def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                       atom, form: str = FORM_REDERIVED) -> np.ndarray:
+                       atom) -> np.ndarray:
     """K(u, t_j) at every node for one atom.
 
     Scalar mode returns shape (N+1,); matrix mode (N+1, n, n).
@@ -186,17 +186,17 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
     if scenario.scalar_mode:
         tb = _require_scalar_bundle(bundle)
         w = _ScalarWeights(scenario, bars, bundle.gain)
-        s_u, g_u, w_u = w.atom(i)
-        return _profile_from_weights(tb, w.wbar, w_u, w.cross(s_u, g_u, form))
+        w_u, x_u = w.atom(i)[:2]
+        return _profile_from_weights(tb, w.wbar, w_u, x_u)
     nn = scenario.grid.n_nodes
     out = np.zeros((nn, scenario.n, scenario.n))
     for j in range(1, nn):
-        out[j] = _matrix_covariance_at(scenario, bundle, bars, i, j, form)
+        out[j] = _matrix_covariance_at(scenario, bundle, bars, i, j)
     return out
 
 
 def error_covariance(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                     atom, node: int, form: str = FORM_REDERIVED) -> np.ndarray:
+                     atom, node: int) -> np.ndarray:
     """Error covariance K(u, t_node), an (n, n) symmetric PSD matrix.
 
     Sum of the eight quadratures over [0, t]: the mean-transport kernel
@@ -204,14 +204,15 @@ def error_covariance(scenario: Scenario, bundle: KernelBundle, bars: BarQuantiti
     atom's loadings, and the four cross pairings; output symmetrized.
     """
     i = _atom_index(scenario, atom)
+    _check_node(scenario, node)
     if scenario.scalar_mode:
-        prof = covariance_profile(scenario, bundle, bars, i, form)
+        prof = covariance_profile(scenario, bundle, bars, i)
         return np.array([[prof[node]]])
-    return _matrix_covariance_at(scenario, bundle, bars, i, node, form)
+    return _matrix_covariance_at(scenario, bundle, bars, i, node)
 
 
 def _matrix_mids(scenario: Scenario, bars: BarQuantities, gain: GainSchedule,
-                 atom: int, upto: int, form: str):
+                 atom: int, upto: int):
     """Per-node middle factors of the eight quadrature terms."""
     sl = slice(0, upto + 1)
     G = gain.values[sl]
@@ -227,19 +228,14 @@ def _matrix_mids(scenario: Scenario, bars: BarQuantities, gain: GainSchedule,
     m_atom = (np.einsum("jad,de,jbe->jab", su, Q, su)
               + np.einsum("jad,de,jbe->jab", Ggu, Q0, Ggu))
     m_cross_w = np.einsum("jad,de,jbe->jab", su, Q, sb)       # sigma(u) Q sigma-bar'
-    if form == FORM_REDERIVED:
-        m_cross_v = np.einsum("jad,de,jbe->jab", Ggu, Q0, Ggb)
-    elif form == FORM_TRANSCRIBED:
-        m_cross_v = np.einsum("jad,de,jbe->jab", Ggu, Q0, sb)
-    else:
-        raise ScenarioError(f"unknown form {form!r}")
+    m_cross_v = np.einsum("jad,de,jbe->jab", Ggu, Q0, Ggb)
     return m_bar, m_atom, m_cross_w, m_cross_v
 
 
-def _matrix_covariance_at(scenario, bundle, bars, atom: int, node: int, form: str):
+def _matrix_covariance_at(scenario, bundle, bars, atom: int, node: int):
     if node == 0:
         return np.zeros((scenario.n, scenario.n))
-    m_bar, m_atom, m_cw, m_cv = _matrix_mids(scenario, bars, bundle.gain, atom, node, form)
+    m_bar, m_atom, m_cw, m_cv = _matrix_mids(scenario, bars, bundle.gain, atom, node)
     Fr = bundle.f.values[node, : node + 1]
     Pr = bundle.psi.values[node, : node + 1]
     term_ff = np.einsum("jab,jbc,jdc->jad", Fr, m_bar, Fr)
@@ -250,275 +246,155 @@ def _matrix_covariance_at(scenario, bundle, bars, atom: int, node: int, form: st
     return 0.5 * (K + K.T)
 
 
-def covariance_field(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                     form: str = FORM_REDERIVED) -> CovarianceField:
+def covariance_field(scenario: Scenario, bundle: KernelBundle,
+                     bars: BarQuantities) -> CovarianceField:
     """K(u, t) for all atoms and nodes."""
     nn = scenario.grid.n_nodes
     vals = np.zeros((scenario.n_atoms, nn, scenario.n, scenario.n))
     for i in range(scenario.n_atoms):
-        prof = covariance_profile(scenario, bundle, bars, i, form)
-        if scenario.scalar_mode:
-            vals[i, :, 0, 0] = prof
-        else:
-            vals[i] = prof
+        vals[i] = covariance_profile(scenario, bundle, bars, i).reshape(vals.shape[1:])
     return CovarianceField(grid=scenario.grid, gain=bundle.gain, values=vals)
 
 
 def covariance_drift(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                     atom, node: int, form: str = FORM_REDERIVED) -> np.ndarray:
+                     atom, node: int) -> np.ndarray:
     """One-sided half of the covariance rate: dK/dt = drift + drift'.
 
-    The rederived form carries the instantaneous diffusion boundary
-    (half of sigma Q sigma' + gain gamma Q0 gamma' gain') and pairs the
-    mixed-kernel rate M phi + H f throughout; the transcribed variant
-    reproduces the printed expression (no boundary, M phi + H bracket on
-    the mean terms) and fails the central-difference check of K.
+    Carries the instantaneous diffusion boundary (half of
+    sigma Q sigma' + gain gamma Q0 gamma' gain') and pairs the
+    mixed-kernel rate M phi + H f throughout.
     """
     i = _atom_index(scenario, atom)
+    _check_node(scenario, node)
     if scenario.scalar_mode:
-        prof = drift_profile(scenario, bundle, bars, i, form)
+        prof = drift_profile(scenario, bundle, bars, i)
         return np.array([[prof[node]]])
     return _matrix_drift_at(scenario, bundle, bars, i, node)
 
 
 def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                  atom, form: str = FORM_REDERIVED) -> np.ndarray:
+                  atom) -> np.ndarray:
     """Scalar-mode drift at every node (shape (N+1,))."""
     i = _atom_index(scenario, atom)
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    s_u, g_u, w_u = w.atom(i)
-    if form == FORM_REDERIVED:
-        return _drift_from_weights(tb, w.wbar, w_u, w.cross(s_u, g_u, form), w_u)
-    if form == FORM_TRANSCRIBED:
-        return _drift_transcribed(tb, w, s_u, g_u, w_u)
-    raise ScenarioError(f"unknown form {form!r}")
-
-
-def _drift_transcribed(tb: ScalarTables, w: _ScalarWeights, s_u, g_u, w_u) -> np.ndarray:
-    """Printed drift: [M phi + H] bracket on the mean terms, sigma-bar
-    cross pairing, no diffusion boundary. Kept only for arbitration."""
-    dt = tb.grid.dt
-    ephi, epsi, c = tb.ephi, tb.epsi, tb.c_mix
-    x_p = w.cross(s_u, g_u, FORM_TRANSCRIBED)
-    T0 = cumulative_trapezoid(w.wbar / ephi**2, dt)
-    T1 = cumulative_trapezoid(c * w.wbar / ephi**2, dt)
-    T3 = cumulative_trapezoid(w_u / epsi**2, dt)
-    T4 = cumulative_trapezoid(x_p / (epsi * ephi), dt)
-    T5 = cumulative_trapezoid(c * x_p / (epsi * ephi), dt)
-    # the bare-H mean term carries a single f factor: int f(t,s) wbar(s) ds
-    V0 = cumulative_trapezoid(w.wbar / ephi, dt)
-    V1 = cumulative_trapezoid(c * w.wbar / ephi, dt)
-    H, M = tb.H, tb.M
-    ep2 = epsi**2
-    return (M * ephi * epsi * (c * T0 - T1)      # M phi . f wbar
-            + H * epsi * (c * V0 - V1)           # bare H . f wbar (printed bracket)
-            + H * ep2 * T3                       # H psi . psi w_u
-            + H * ep2 * (c * T4 - T5)            # H psi . f x_p
-            + M * ephi * epsi * T4               # psi x_p . M phi
-            + H * ep2 * (c * T4 - T5))           # psi x_p . H f
+    w_u, x_u = w.atom(i)[:2]
+    return _drift_from_weights(tb, w.wbar, w_u, x_u, w_u)
 
 
 def covariance_sensitivity(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                           atom, t_node: int, s_node: int,
-                           form: str = FORM_REDERIVED) -> float:
+                           atom, t_node: int, s_node: int) -> float:
     """Sensitivity kernel at (t, s): the derivative of K(u, t) with respect
     to the gain is the trapezoid pairing of this kernel (in s) with the
     direction over [0, t]. Scalar mode only; requires s_node <= t_node."""
     if not 0 <= s_node <= t_node <= scenario.grid.n_steps:
         raise ScenarioError(f"need s <= t on the grid, got (t={t_node}, s={s_node})")
-    row = sensitivity_profile(scenario, bundle, bars, atom, t_node, form)
+    row = sensitivity_profile(scenario, bundle, bars, atom, t_node)
     return float(row[s_node])
 
 
 def sensitivity_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                        atom, t_node: int, form: str = FORM_REDERIVED) -> np.ndarray:
+                        atom, t_node: int) -> np.ndarray:
     """k2(u, t_node, s_j) for all j <= t_node (scalar mode)."""
     i = _atom_index(scenario, atom)
+    _check_node(scenario, t_node)
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    s_u, g_u, w_u = w.atom(i)
-    return _sensitivity_row(tb, w, t_node, w_u, s_u, g_u, form)
+    return _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.f_row(t_node), *w.atom(i))
 
 
-def _sensitivity_row(tb: ScalarTables, w: _ScalarWeights, t_node: int,
-                     w_mid, s_mid, g_mid, form: str) -> np.ndarray:
-    """Shared row evaluator; ``s_mid``/``g_mid`` are the atom loadings (or
-    their averages for the mean kernel), ``w_mid`` the pointwise weight."""
-    i = t_node
+def _sensitivity_quadratures(tb: ScalarTables, w: _ScalarWeights, psi, f, w_mid, x):
+    """Running integrals U1..U5 of the sensitivity kernel and the bracket
+    of its D-term. ``psi``/``f`` are either row i of the kernels (length
+    i+1) or the masked (N+1, N+1) triangles; every cumulative quadrature
+    runs along the last axis. ``w_mid`` is the pointwise weight and ``x``
+    the cross weight (full-length arrays)."""
     dt = tb.grid.dt
-    sl = slice(0, i + 1)
-    psi_r = tb.psi_row(i)
-    f_r = tb.f_row(i)
+    n = psi.shape[-1]
+    sl = slice(0, n)
+    upper = np.s_[:, None] if psi.ndim == 2 else n - 1  # index of t
     wbar = w.wbar[sl]
     ephi = tb.ephi[sl]
-    x = (w.cross(s_mid, g_mid, form))[sl]
-    U1 = cumulative_trapezoid(f_r**2 * wbar, dt)
-    U2 = cumulative_trapezoid(psi_r**2 * w_mid[sl], dt)
-    U3 = cumulative_trapezoid(psi_r * f_r * x, dt)
-    U4 = cumulative_trapezoid(f_r * wbar / ephi, dt)
-    U5 = cumulative_trapezoid(psi_r * x / ephi, dt)
-    q_bracket = tb.epsi[i] * ((tb.c_mix[i] - tb.c_mix[sl]) + tb.ephi[sl] / tb.epsi[sl])
-    C = tb.C[sl]
-    D = tb.D[sl]
+    x = x[sl]
+    U1 = cumulative_trapezoid(f**2 * wbar, dt)
+    U2 = cumulative_trapezoid(psi**2 * w_mid[sl], dt)
+    U3 = cumulative_trapezoid(psi * f * x, dt)
+    U4 = cumulative_trapezoid(f * (wbar / ephi), dt)
+    U5 = cumulative_trapezoid(psi * (x / ephi), dt)
+    q_bracket = tb.epsi[upper] * ((tb.c_mix[upper] - tb.c_mix[sl])
+                                  + tb.ephi[sl] / tb.epsi[sl])
+    return U1, U2, U3, U4, U5, q_bracket
+
+
+def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, psi, f,
+                        w_mid, x, g_point, g_cross) -> np.ndarray:
+    """The one sensitivity-kernel evaluator, on a row or a triangle (see
+    :func:`_sensitivity_quadratures`). ``w_mid``, ``x`` and the boundary
+    loadings ``g_point``/``g_cross`` (q0 g^2 and gbar g) are one atom's
+    values or their measure averages, see :class:`_ScalarWeights`.
+    Triangle entries above the diagonal are meaningless; callers mask them.
+    """
+    U1, U2, U3, U4, U5, q_bracket = _sensitivity_quadratures(tb, w, psi, f, w_mid, x)
+    sl = slice(0, psi.shape[-1])
     G = tb.gain[sl]
-    gbar = w.gbar[sl]
-    if form == FORM_REDERIVED:
-        boundary = (f_r**2 * G * w.q0 * gbar**2
-                    + psi_r**2 * G * w.q0 * g_mid[sl] ** 2
-                    + 2 * psi_r * f_r * G * w.q0 * gbar * g_mid[sl])
-        half = -C * (U1 + U2 + 2 * U3) - D * q_bracket * (U4 + U5) + boundary
-        return 2.0 * half
-    if form == FORM_TRANSCRIBED:
-        boundary = (f_r**2 * G * w.q0 * gbar**2
-                    + psi_r**2 * G * w.q0 * g_mid[sl] ** 2
-                    + 0.5 * psi_r * f_r * w.q0 * w.sbar[sl] * g_mid[sl])
-        half = (-C * (0.5 * U1 + U2 + 2 * U3)
-                - D * q_bracket * (0.5 * U4 + U5) + boundary)
-        return 2.0 * half
-    raise ScenarioError(f"unknown form {form!r}")
+    boundary = (f**2 * G * w.q0 * w.gbar[sl]**2
+                + psi**2 * G * g_point[sl]
+                + 2 * psi * f * G * w.q0 * g_cross[sl])
+    half = -tb.C[sl] * (U1 + U2 + 2 * U3) - tb.D[sl] * q_bracket * (U4 + U5) + boundary
+    return 2.0 * half
 
 
 def mean_sensitivity(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                     t_node: int, s_node: int, form: str = FORM_REDERIVED,
-                     via: str = "bars") -> float:
-    """Measure-averaged sensitivity kernel at one (t, s) pair.
-
-    ``via="bars"`` evaluates the averaged weights directly; ``via="atoms"``
-    sums the per-atom kernel — the two paths agree to round-off because
-    the kernel is affine in the atom loadings and their squares.
-    """
+                     t_node: int, s_node: int) -> float:
+    """Measure-averaged sensitivity kernel at one (t, s) pair. The kernel
+    is affine in the atom loadings and their squares, so this equals the
+    measure-weighted sum of the per-atom kernels."""
     if not 0 <= s_node <= t_node <= scenario.grid.n_steps:
         raise ScenarioError(f"need s <= t on the grid, got (t={t_node}, s={s_node})")
-    if via == "atoms":
-        ws = scenario.measure.weights
-        return float(sum(
-            ws[a] * covariance_sensitivity(scenario, bundle, bars, a, t_node, s_node, form)
-            for a in range(scenario.n_atoms)
-        ))
-    if via != "bars":
-        raise ScenarioError(f"unknown evaluation path {via!r}")
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    row = _mean_sensitivity_row(tb, w, t_node, form)
+    row = _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.f_row(t_node), *w.averaged())
     return float(row[s_node])
 
 
-def _mean_sensitivity_row(tb: ScalarTables, w: _ScalarWeights, t_node: int,
-                          form: str) -> np.ndarray:
-    """Averaged-kernel row: pointwise weight w2, cross weight wbar, and the
-    averaged square in the boundary term."""
-    i = t_node
-    dt = tb.grid.dt
-    sl = slice(0, i + 1)
-    psi_r = tb.psi_row(i)
-    f_r = tb.f_row(i)
-    wbar = w.wbar[sl]
-    ephi = tb.ephi[sl]
-    U1 = cumulative_trapezoid(f_r**2 * wbar, dt)
-    U2 = cumulative_trapezoid(psi_r**2 * w.w2[sl], dt)
-    q_bracket = tb.epsi[i] * ((tb.c_mix[i] - tb.c_mix[sl]) + tb.ephi[sl] / tb.epsi[sl])
-    C = tb.C[sl]
-    D = tb.D[sl]
-    G = tb.gain[sl]
-    gbar = w.gbar[sl]
-    if form == FORM_REDERIVED:
-        U3 = cumulative_trapezoid(psi_r * f_r * wbar, dt)
-        U4 = cumulative_trapezoid(f_r * wbar / ephi, dt)
-        U5 = cumulative_trapezoid(psi_r * wbar / ephi, dt)
-        boundary = (f_r**2 * G * w.q0 * gbar**2
-                    + psi_r**2 * G * w.g2q0[sl]
-                    + 2 * psi_r * f_r * G * w.q0 * gbar**2)
-        half = -C * (U1 + U2 + 2 * U3) - D * q_bracket * (U4 + U5) + boundary
-        return 2.0 * half
-    if form == FORM_TRANSCRIBED:
-        x_p = w.q * w.sbar[sl] ** 2 + w.q0 * G * w.sbar[sl] * gbar
-        U3 = cumulative_trapezoid(psi_r * f_r * x_p, dt)
-        U4 = cumulative_trapezoid(f_r * wbar / ephi, dt)
-        U5 = cumulative_trapezoid(psi_r * x_p / ephi, dt)
-        boundary = (f_r**2 * G * w.q0 * gbar**2
-                    + psi_r**2 * G * w.g2q0[sl]
-                    + 0.5 * psi_r * f_r * w.q0 * w.sbar[sl] * gbar)
-        half = (-C * (0.5 * U1 + U2 + 2 * U3)
-                - D * q_bracket * (0.5 * U4 + U5) + boundary)
-        return 2.0 * half
-    raise ScenarioError(f"unknown form {form!r}")
-
-
 def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
-                              bars: BarQuantities,
-                              form: str = FORM_REDERIVED) -> np.ndarray:
+                              bars: BarQuantities) -> np.ndarray:
     """Averaged sensitivity kernel on the whole triangle: (N+1, N+1) array
     with entry [i, j] = mean kernel at (t_i, s_j), zero above the diagonal.
 
     Vectorized over both indices; cost O(N^2)."""
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    dt = tb.grid.dt
-    mask = tb.mask
-    psi = tb.psi_triangle()
-    f = tb.f_triangle()
-    wbar = w.wbar
-    ephi = tb.ephi
-    U1 = cumulative_trapezoid(f**2 * wbar[None, :] * mask, dt, axis=1)
-    U2 = cumulative_trapezoid(psi**2 * w.w2[None, :] * mask, dt, axis=1)
-    q_bracket = tb.epsi[:, None] * ((tb.c_mix[:, None] - tb.c_mix[None, :])
-                                    + (tb.ephi / tb.epsi)[None, :])
-    C = tb.C[None, :]
-    D = tb.D[None, :]
-    G = tb.gain[None, :]
-    gbar = w.gbar[None, :]
-    if form == FORM_REDERIVED:
-        U3 = cumulative_trapezoid(psi * f * wbar[None, :] * mask, dt, axis=1)
-        U4 = cumulative_trapezoid(f * (wbar / ephi)[None, :] * mask, dt, axis=1)
-        U5 = cumulative_trapezoid(psi * (wbar / ephi)[None, :] * mask, dt, axis=1)
-        boundary = (f**2 * G * w.q0 * gbar**2
-                    + psi**2 * G * w.g2q0[None, :]
-                    + 2 * psi * f * G * w.q0 * gbar**2)
-        half = -C * (U1 + U2 + 2 * U3) - D * q_bracket * (U4 + U5) + boundary
-    elif form == FORM_TRANSCRIBED:
-        x_p = w.q * w.sbar**2 + w.q0 * tb.gain * w.sbar * w.gbar
-        U3 = cumulative_trapezoid(psi * f * x_p[None, :] * mask, dt, axis=1)
-        U4 = cumulative_trapezoid(f * (wbar / ephi)[None, :] * mask, dt, axis=1)
-        U5 = cumulative_trapezoid(psi * (x_p / ephi)[None, :] * mask, dt, axis=1)
-        boundary = (f**2 * G * w.q0 * gbar**2
-                    + psi**2 * G * w.g2q0[None, :]
-                    + 0.5 * psi * f * w.q0 * (w.sbar * w.gbar)[None, :])
-        half = (-C * (0.5 * U1 + U2 + 2 * U3)
-                - D * q_bracket * (0.5 * U4 + U5) + boundary)
-    else:
-        raise ScenarioError(f"unknown form {form!r}")
-    return 2.0 * half * mask
+    kernel = _sensitivity_kernel(tb, w, tb.psi_triangle(), tb.f_triangle(), *w.averaged())
+    return kernel * tb.mask
 
 
-def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-               form: str = FORM_REDERIVED) -> float:
+def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
     """Cost J: the atom-averaged time integral of trace(Sigma(t) K(u, t))."""
     if scenario.scalar_mode:
         tb = _require_scalar_bundle(bundle)
         w = _ScalarWeights(scenario, bars, bundle.gain)
-        if form == FORM_REDERIVED:
-            kbar = _profile_from_weights(tb, w.wbar, w.w2, w.wbar)
-        else:
-            x_p = w.q * w.sbar**2 + w.q0 * tb.gain * w.sbar * w.gbar
-            kbar = _profile_from_weights(tb, w.wbar, w.w2, x_p)
+        kbar = _profile_from_weights(tb, w.wbar, w.w2, w.wbar)
         return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
     total = 0.0
     for a in range(scenario.n_atoms):
-        prof = covariance_profile(scenario, bundle, bars, a, form)
+        prof = covariance_profile(scenario, bundle, bars, a)
         traces = np.einsum("jab,jba->j", scenario.Sigma, prof)
         total += scenario.measure.weights[a] * float(trapezoid(traces, scenario.grid.dt))
     return total
 
 
-def cost_gradient(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                  form: str = FORM_REDERIVED) -> GradientField:
+def cost_gradient(scenario: Scenario, bundle: KernelBundle,
+                  bars: BarQuantities) -> GradientField:
     """Gradient density g(t_j): the tail integral over s in [t_j, T] of
     Sigma(s) times the averaged sensitivity kernel at (s, t_j).
 
     g vanishes at the horizon by construction. Scalar mode only."""
-    tb = _require_scalar_bundle(bundle)
-    kb2 = mean_sensitivity_triangle(scenario, bundle, bars, form)
+    return _gradient_from_kernel(scenario, mean_sensitivity_triangle(scenario, bundle, bars))
+
+
+def _gradient_from_kernel(scenario: Scenario, kb2: np.ndarray) -> GradientField:
+    """Gradient density from an averaged sensitivity triangle."""
     W = scenario.flat("Sigma")[:, None] * kb2
     n = scenario.grid.n_steps
     # column-wise trapezoid over rows i in [j, N]
@@ -549,7 +425,7 @@ def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedu
 
 
 def _matrix_drift_at(scenario, bundle, bars, atom: int, node: int):
-    """Matrix-mode drift at one node (rederived form only)."""
+    """Matrix-mode drift at one node."""
     n = scenario.n
     if node == 0:
         return np.zeros((n, n))
@@ -558,8 +434,7 @@ def _matrix_drift_at(scenario, bundle, bars, atom: int, node: int):
     gu_t = scenario.gamma[atom][node]
     Ggu_t = G[node] @ gu_t
     point = 0.5 * (su_t @ scenario.Q @ su_t.T + Ggu_t @ scenario.Q0 @ Ggu_t.T)
-    m_bar, m_atom, m_cw, m_cv = _matrix_mids(scenario, bars, bundle.gain, atom, node,
-                                             FORM_REDERIVED)
+    m_bar, m_atom, m_cw, m_cv = _matrix_mids(scenario, bars, bundle.gain, atom, node)
     Fr = bundle.f.values[node, : node + 1]
     Pr = bundle.psi.values[node, : node + 1]
     Phir = bundle.phi.values[node, : node + 1]

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import cost_gradient, trace_cost
-from .kernels import GainSchedule, kernel_bundle
+from .covariance import _ScalarWeights, cost_gradient, trace_cost
+from .kernels import GainSchedule, _closed_loop_drifts, _scalar_tables, kernel_bundle
 from .numerics import TimeGrid, trapezoid
 from .system_model import BarQuantities, Scenario, ScenarioError, measure_averages
 
@@ -121,13 +121,10 @@ def _diagonal_update(scenario: Scenario, bars: BarQuantities, values: np.ndarray
     so a couple of sweeps converge. Nodes with vanishing observation
     energy are left untouched.
     """
-    from .covariance import _ScalarWeights  # shared weight assembly
-    from .kernels import ScalarTables
-
     out = values.copy()
     for _ in range(3):
         gain = GainSchedule(scenario.grid, out[:, None, None])
-        tb = ScalarTables(scenario, gain)
+        tb = _scalar_tables(scenario, gain)
         w = _ScalarWeights(scenario, bars, gain)
         dt = scenario.grid.dt
         for j in nodes:
@@ -252,8 +249,9 @@ def _as_time_fn(value):
     return lambda t, _v=float(value): _v
 
 
-def _rk4_scalar(rhs, y0: float, grid: TimeGrid, blowup: float = 1e8) -> np.ndarray:
-    out = np.empty(grid.n_nodes)
+def _rk4(rhs, y0: np.ndarray, grid: TimeGrid, blowup: float = 1e8) -> np.ndarray:
+    """Classical RK4 of y' = rhs(t, y) on the grid; returns (N+1, len(y0))."""
+    out = np.empty((grid.n_nodes, len(y0)))
     out[0] = y0
     h = grid.dt
     for i in range(grid.n_steps):
@@ -264,7 +262,7 @@ def _rk4_scalar(rhs, y0: float, grid: TimeGrid, blowup: float = 1e8) -> np.ndarr
         k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
         k4 = rhs(t + h, y + h * k3)
         out[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(out[i + 1]) or abs(out[i + 1]) > blowup:
+        if not np.all(np.isfinite(out[i + 1])) or np.any(np.abs(out[i + 1]) > blowup):
             raise ScenarioError(f"Riccati state blew up near t = {t + h:g}")
     return out
 
@@ -286,7 +284,7 @@ def riccati_classical(A, C, sigma0, gamma0, grid: TimeGrid) -> RiccatiSolution:
         g2 = g_f(t) ** 2
         return 2.0 * A_f(t) * s - (C_f(t) ** 2 / g2) * s * s + s_f(t) ** 2
 
-    S = _rk4_scalar(rhs, 0.0, grid)
+    S = _rk4(rhs, np.zeros(1), grid)[:, 0]
     gain = np.array([C_f(t) * S[i] / g_f(t) ** 2 for i, t in enumerate(grid.nodes)])
     return RiccatiSolution(grid=grid, state=S, gain_values=gain)
 
@@ -305,10 +303,6 @@ def riccati_normal_flow(A, C, grid: TimeGrid) -> RiccatiSolution:
         if abs(C_f(t)) < 1e-12:
             raise ScenarioError(f"C vanishes at t = {t:g}")
 
-    state = np.empty((grid.n_nodes, 2))
-    state[0] = 0.0
-    h = grid.dt
-
     def rhs(t, y):
         m, kb = y
         a, c2 = A_f(t), C_f(t) ** 2
@@ -316,17 +310,7 @@ def riccati_normal_flow(A, C, grid: TimeGrid) -> RiccatiSolution:
         dkb = 1.0 + c2 * m * m + 2.0 * (a - c2 * m) * kb
         return np.array([dm, dkb])
 
-    for i in range(grid.n_steps):
-        t = grid.nodes[i]
-        y = state[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        state[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state[i + 1])) or np.any(np.abs(state[i + 1]) > 1e8):
-            raise ScenarioError(f"Riccati state blew up near t = {t + h:g}")
-
+    state = _rk4(rhs, np.zeros(2), grid)
     M = state[:, 0]
     gain = np.array([C_f(t) for t in grid.nodes]) * M
     return RiccatiSolution(grid=grid, state=M, gain_values=gain,
@@ -335,8 +319,5 @@ def riccati_normal_flow(A, C, grid: TimeGrid) -> RiccatiSolution:
 
 def build_filter(scenario: Scenario, gain: GainSchedule) -> FilterCoefficients:
     """Closed-loop coefficients H = A - gain C, M = B - gain D at the nodes."""
-    if not scenario.grid.same_as(gain.grid):
-        raise ScenarioError("gain and scenario live on different grids")
-    H = scenario.A - np.einsum("jnm,jmk->jnk", gain.values, scenario.C)
-    M = scenario.B - np.einsum("jnm,jmk->jnk", gain.values, scenario.D)
+    H, M = _closed_loop_drifts(scenario, gain)
     return FilterCoefficients(grid=scenario.grid, h=H, m=M, gain=gain)

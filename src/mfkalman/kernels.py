@@ -17,12 +17,9 @@ and agrees with the defining quadratures to round-off. Matrix mode
 integrates the operator ODEs column-wise with classical Runge-Kutta.
 
 The directional (Gateaux) derivatives with respect to the gain are
-available in scalar mode through :class:`DerivativeKernels`. For the mixed
-kernel two algebraic forms are kept: a transcribed variant
-(``form="transcribed"``) and the form obtained by re-deriving the
-variation term by term (``form="rederived"``). They disagree; the
-central-difference oracle of ``f`` arbitrates in favour of the rederived
-form, and the validation suite reports the measured discrepancy.
+available in scalar mode through :class:`DerivativeKernels`. The mixed
+kernel's derivative is the form obtained by re-deriving the variation
+term by term; it agrees with the central-difference oracle of ``f``.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from .numerics import (
     TimeGrid,
     TriangularKernel,
     cumulative_trapezoid,
-    lower_triangle_mask,
     trapezoid,
 )
 from .system_model import Scenario, ScenarioError
@@ -49,12 +45,7 @@ __all__ = [
     "compute_f",
     "kernel_bundle",
     "derivative_kernels",
-    "FORM_REDERIVED",
-    "FORM_TRANSCRIBED",
 ]
-
-FORM_REDERIVED = "rederived"
-FORM_TRANSCRIBED = "transcribed"
 
 
 @dataclass(frozen=True)
@@ -115,8 +106,9 @@ class GainSchedule:
 class ScalarTables:
     """Cumulative-integral tables for the scalar exponential kernel algebra.
 
-    ``lh``/``lhm`` are running integrals of H and H + M, ``epsi``/``ephi``
-    their exponentials (the operators anchored at time 0), and ``c_mix``
+    ``H``/``M`` are the closed-loop drifts from :func:`_closed_loop_drifts`,
+    ``lh``/``lhm`` their running integrals (of H and H + M), ``epsi``/``ephi``
+    the exponentials (the operators anchored at time 0), and ``c_mix``
     the running integral of M * ephi / epsi, so that
 
         psi(t_i, t_j) = epsi[i] / epsi[j]
@@ -127,46 +119,32 @@ class ScalarTables:
     defining integral (trapezoid is linear, and the integrand factors).
     """
 
-    def __init__(self, scenario: Scenario, gain: GainSchedule):
+    def __init__(self, scenario: Scenario, gain: GainSchedule, H: np.ndarray,
+                 M: np.ndarray):
         if not scenario.scalar_mode:
             raise ScenarioError("scalar kernel tables require a scalar scenario")
-        if not scenario.grid.same_as(gain.grid):
-            raise ScenarioError("gain and scenario live on different grids")
         grid = scenario.grid
-        g = gain.scalar
-        A = scenario.flat("A")
-        B = scenario.flat("B")
-        C = scenario.flat("C")
-        Dc = scenario.flat("D")
         self.grid = grid
-        self.gain = g
-        self.C = C
-        self.D = Dc
-        self.H = A - g * C
-        self.M = B - g * Dc
+        self.gain = gain.scalar
+        self.C = scenario.flat("C")
+        self.D = scenario.flat("D")
+        self.H = H.reshape(grid.n_nodes)
+        self.M = M.reshape(grid.n_nodes)
         dt = grid.dt
         self.lh = cumulative_trapezoid(self.H, dt)
         self.lhm = cumulative_trapezoid(self.H + self.M, dt)
         self.epsi = np.exp(self.lh)
         self.ephi = np.exp(self.lhm)
         self.c_mix = cumulative_trapezoid(self.M * self.ephi / self.epsi, dt)
-        self._c_mix_rev = None
         self._mask = None
 
     @property
     def mask(self) -> np.ndarray:
+        """(N+1, N+1) array with ones on j <= i."""
         if self._mask is None:
-            self._mask = lower_triangle_mask(self.grid.n_nodes)
+            n = self.grid.n_nodes
+            self._mask = np.tril(np.ones((n, n)))
         return self._mask
-
-    @property
-    def c_mix_reversed(self) -> np.ndarray:
-        """Running integral of M / (epsi * ephi); transcribed-form helper."""
-        if self._c_mix_rev is None:
-            self._c_mix_rev = cumulative_trapezoid(
-                self.M / (self.epsi * self.ephi), self.grid.dt
-            )
-        return self._c_mix_rev
 
     def psi_value(self, i: int, j: int) -> float:
         return float(np.exp(self.lh[i] - self.lh[j]))
@@ -196,11 +174,17 @@ class ScalarTables:
 
 
 def _closed_loop_drifts(scenario: Scenario, gain: GainSchedule):
-    """H = A - gain C and M = B - gain D at every node."""
+    """H = A - gain C and M = B - gain D at every node, shape (N+1, n, n)."""
+    if not scenario.grid.same_as(gain.grid):
+        raise ScenarioError("gain and scenario live on different grids")
     G = gain.values
     H = scenario.A - np.einsum("jnm,jmk->jnk", G, scenario.C)
     M = scenario.B - np.einsum("jnm,jmk->jnk", G, scenario.D)
     return H, M
+
+
+def _scalar_tables(scenario: Scenario, gain: GainSchedule) -> ScalarTables:
+    return ScalarTables(scenario, gain, *_closed_loop_drifts(scenario, gain))
 
 
 def _generator_at(scenario: Scenario, gain: GainSchedule, j: int, which: str):
@@ -256,16 +240,14 @@ def compute_phi(scenario: Scenario, gain: GainSchedule) -> TriangularKernel:
     matrix mode integrates the operator ODE with RK4, column by column.
     """
     if scenario.scalar_mode:
-        tables = ScalarTables(scenario, gain)
-        return TriangularKernel(scenario.grid, tables.phi_triangle())
+        return TriangularKernel(scenario.grid, _scalar_tables(scenario, gain).phi_triangle())
     return TriangularKernel(scenario.grid, _rk4_transition(scenario, gain, "phi"))
 
 
 def compute_psi(scenario: Scenario, gain: GainSchedule) -> TriangularKernel:
     """Transition operator of the pointwise error dynamics (generator H)."""
     if scenario.scalar_mode:
-        tables = ScalarTables(scenario, gain)
-        return TriangularKernel(scenario.grid, tables.psi_triangle())
+        return TriangularKernel(scenario.grid, _scalar_tables(scenario, gain).psi_triangle())
     return TriangularKernel(scenario.grid, _rk4_transition(scenario, gain, "psi"))
 
 
@@ -280,8 +262,7 @@ def compute_f(scenario: Scenario, gain: GainSchedule,
     if not scenario.grid.same_as(phi.grid) or not scenario.grid.same_as(psi.grid):
         raise ScenarioError("phi/psi triangles live on a different grid")
     if scenario.scalar_mode:
-        tables = ScalarTables(scenario, gain)
-        return TriangularKernel(scenario.grid, tables.f_triangle())
+        return TriangularKernel(scenario.grid, _scalar_tables(scenario, gain).f_triangle())
     _, M = _closed_loop_drifts(scenario, gain)
     nn = scenario.grid.n_nodes
     n = scenario.n
@@ -315,18 +296,12 @@ class KernelBundle:
     f: TriangularKernel
     tables: ScalarTables | None = field(repr=False, default=None)
 
-    @property
-    def scalar(self) -> bool:
-        return self.tables is not None
-
 
 def kernel_bundle(scenario: Scenario, gain: GainSchedule) -> KernelBundle:
     """Compute H, M, phi, psi and f at the given gain."""
-    if not scenario.grid.same_as(gain.grid):
-        raise ScenarioError("gain and scenario live on different grids")
     H, M = _closed_loop_drifts(scenario, gain)
     if scenario.scalar_mode:
-        tables = ScalarTables(scenario, gain)
+        tables = ScalarTables(scenario, gain, H, M)
         phi = TriangularKernel(scenario.grid, tables.phi_triangle())
         psi = TriangularKernel(scenario.grid, tables.psi_triangle())
         f = TriangularKernel(scenario.grid, tables.f_triangle())
@@ -365,66 +340,47 @@ class DerivativeKernels:
                 f"derivative time must satisfy j <= k <= i, got (i={i}, j={j}, k={k})"
             )
 
-    def phi1(self, i: int, j: int, k: int) -> float:
-        self._check(i, j, k)
-        return -(self.C[k] + self.D[k]) * self.tables.phi_value(i, j)
-
     def psi1(self, i: int, j: int, k: int) -> float:
         self._check(i, j, k)
         return -self.C[k] * self.tables.psi_value(i, j)
 
-    def f1(self, i: int, j: int, k: int, form: str = FORM_REDERIVED) -> float:
+    def f1(self, i: int, j: int, k: int) -> float:
         """Derivative density of the mixed kernel.
 
-        The rederived form splits the variation into the psi-leg on
-        [theta, t], the phi-leg on [s, theta] and the pointwise M term:
+        The variation splits into the psi-leg on [theta, t], the phi-leg
+        on [s, theta] and the pointwise M term:
 
             f1(t, s, theta) = -C(theta) f(t, s)
                               - D(theta) [ int_theta^t psi(t,r) M(r) phi(r,s) dr
                                            + psi(t, theta) phi(theta, s) ].
-
-        The transcribed form is kept verbatim for arbitration; it fails
-        the central-difference oracle of ``f``.
         """
         self._check(i, j, k)
         tb = self.tables
-        if form == FORM_REDERIVED:
-            tail = tb.epsi[i] * (tb.c_mix[i] - tb.c_mix[k]) / tb.ephi[j]
-            point = tb.psi_value(i, k) * tb.phi_value(k, j)
-            return -self.C[k] * tb.f_value(i, j) - self.D[k] * (tail + point)
-        if form == FORM_TRANSCRIBED:
-            # -C(th) int_s^th psi(t,r) M phi(r,s) dr + psi(t,th) D phi(th,s)
-            # - (C+D)(th) int_s^th psi(t,r) M phi(t,r) dr
-            head = tb.epsi[i] * (tb.c_mix[k] - tb.c_mix[j]) / tb.ephi[j]
-            point = tb.psi_value(i, k) * self.D[k] * tb.phi_value(k, j)
-            rev = tb.epsi[i] * tb.ephi[i] * (tb.c_mix_reversed[k] - tb.c_mix_reversed[j])
-            return -self.C[k] * head + point - (self.C[k] + self.D[k]) * rev
-        raise ScenarioError(f"unknown derivative form {form!r}")
+        tail = tb.epsi[i] * (tb.c_mix[i] - tb.c_mix[k]) / tb.ephi[j]
+        point = tb.psi_value(i, k) * tb.phi_value(k, j)
+        return -self.C[k] * tb.f_value(i, j) - self.D[k] * (tail + point)
 
     # direction contractions ---------------------------------------------
     def psi_direction(self, i: int, j: int, beta: np.ndarray) -> float:
         """Trapezoid of psi1(i, j, .) * beta over [t_j, t_i]."""
+        self._check(i, j, j)
         ks = np.arange(j, i + 1)
         density = -self.C[ks] * self.tables.psi_value(i, j)
         return float(trapezoid(density * beta[ks], self.grid.dt))
 
     def phi_direction(self, i: int, j: int, beta: np.ndarray) -> float:
+        self._check(i, j, j)
         ks = np.arange(j, i + 1)
         density = -(self.C[ks] + self.D[ks]) * self.tables.phi_value(i, j)
         return float(trapezoid(density * beta[ks], self.grid.dt))
 
-    def f_direction(self, i: int, j: int, beta: np.ndarray,
-                    form: str = FORM_REDERIVED) -> float:
+    def f_direction(self, i: int, j: int, beta: np.ndarray) -> float:
+        self._check(i, j, j)
         tb = self.tables
         ks = np.arange(j, i + 1)
-        if form == FORM_REDERIVED:
-            tail = tb.epsi[i] * (tb.c_mix[i] - tb.c_mix[ks]) / tb.ephi[j]
-            point = np.exp(tb.lh[i] - tb.lh[ks] + tb.lhm[ks] - tb.lhm[j])
-            density = -self.C[ks] * tb.f_value(i, j) - self.D[ks] * (tail + point)
-        elif form == FORM_TRANSCRIBED:
-            density = np.array([self.f1(i, j, int(k), form=form) for k in ks])
-        else:
-            raise ScenarioError(f"unknown derivative form {form!r}")
+        tail = tb.epsi[i] * (tb.c_mix[i] - tb.c_mix[ks]) / tb.ephi[j]
+        point = np.exp(tb.lh[i] - tb.lh[ks] + tb.lhm[ks] - tb.lhm[j])
+        density = -self.C[ks] * tb.f_value(i, j) - self.D[ks] * (tail + point)
         return float(trapezoid(density * beta[ks], self.grid.dt))
 
 

@@ -153,18 +153,7 @@ class TriangularKernel:
             raise GridError(f"(i={i}, j={j}) outside the lower triangle")
         return self.values[i, j]
 
-    def row(self, i: int) -> np.ndarray:
-        """All entries G(t_i, s_j) for j = 0..i."""
-        if not (0 <= i <= self.grid.n_steps):
-            raise GridError(f"row index {i} outside the grid")
-        return self.values[i, : i + 1]
-
     def diagonal(self) -> np.ndarray:
         if self.values.ndim == 2:
             return np.diagonal(self.values)
         return np.einsum("iiab->iab", self.values)
-
-
-def lower_triangle_mask(n_nodes: int) -> np.ndarray:
-    """Convenience (n, n) mask with ones on j <= i."""
-    return np.tril(np.ones((n_nodes, n_nodes)))

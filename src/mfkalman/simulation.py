@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GainSchedule
+from .kernels import GainSchedule, _closed_loop_drifts
 from .numerics import TimeGrid
-from .system_model import Scenario, ScenarioError
+from .system_model import Scenario
 
 __all__ = [
     "PathEnsemble",
@@ -151,11 +151,8 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     """
     if n_paths < 1:
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
-    if not scenario.grid.same_as(gain.grid):
-        raise ScenarioError("gain and scenario live on different grids")
     grid = scenario.grid
-    H = scenario.A - np.einsum("jnm,jmk->jnk", gain.values, scenario.C)
-    M = scenario.B - np.einsum("jnm,jmk->jnk", gain.values, scenario.D)
+    H, M = _closed_loop_drifts(scenario, gain)
     chol_q = np.linalg.cholesky(scenario.Q)
     chol_q0 = np.linalg.cholesky(scenario.Q0)
 

@@ -21,9 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .arbitration import (
+    TranscribedDerivativeKernels,
+    cost_gradient_transcribed,
+    covariance_profile_transcribed,
+)
 from .covariance import (
-    FORM_REDERIVED,
-    FORM_TRANSCRIBED,
     cost_gradient,
     covariance_profile,
     drift_profile,
@@ -88,6 +91,63 @@ def _meta(scenario: Scenario, seed: int, extra: dict | None = None) -> dict:
     return meta
 
 
+def _dump_kernels(out: Path, scenario: Scenario, bundle, seed: int) -> None:
+    """Lower triangles of phi, psi and f as t,s,value rows."""
+    nodes = scenario.grid.nodes
+    for name, kernel in (("kernel_phi.csv", bundle.phi), ("kernel_psi.csv", bundle.psi),
+                         ("kernel_f.csv", bundle.f)):
+        rows = []
+        for i in range(scenario.grid.n_nodes):
+            for j in range(i + 1):
+                rows.append((float(nodes[i]), float(nodes[j]), float(kernel.values[i, j])))
+        write_csv(out / name, "t,s,value", rows, _meta(scenario, seed))
+
+
+def _dump_optimizer(out: Path, scenario: Scenario, report, seed: int) -> None:
+    """Cost/gradient trajectory and final gain of one optimizer run."""
+    rows = [(i, J, gn) for i, (J, gn) in enumerate(
+        zip(report.cost_trajectory, report.gradient_trajectory))]
+    write_csv(out / "optimizer_trajectory.csv", "iter,J,grad_norm", rows,
+              _meta(scenario, seed))
+    rows = [(float(t), float(v)) for t, v in zip(scenario.grid.nodes, report.gain.scalar)]
+    write_csv(out / "optimizer_gain.csv", "t,gain", rows, _meta(scenario, seed))
+
+
+def _rate_residuals(bundle, dt: float) -> tuple[float, float]:
+    """Sup over interior nodes of the central-difference residuals of the
+    scalar rate equations d/dt f = M phi + H f and d/dt psi = H psi."""
+    Fv, Pv, Sv = bundle.f.values, bundle.phi.values, bundle.psi.values
+    M = bundle.M.reshape(-1)
+    H = bundle.H.reshape(-1)
+    f_resid = 0.0
+    psi_resid = 0.0
+    for i in range(1, len(H) - 1):
+        js = np.arange(0, i)
+        f_resid = max(f_resid, float(np.max(np.abs(
+            (Fv[i + 1, js] - Fv[i - 1, js]) / (2 * dt) - M[i] * Pv[i, js] - H[i] * Fv[i, js]))))
+        psi_resid = max(psi_resid, float(np.max(np.abs(
+            (Sv[i + 1, js] - Sv[i - 1, js]) / (2 * dt) - H[i] * Sv[i, js]))))
+    return f_resid, psi_resid
+
+
+def _rate_residual(K: np.ndarray, K1: np.ndarray, dt: float) -> float:
+    """Sup over interior nodes of |central difference of K - 2 K1|, relative
+    to sup |2 K1|; 0 where the drift vanishes."""
+    scale = float(np.max(np.abs(2.0 * K1[1:-1])))
+    if scale < 1e-13:
+        return 0.0
+    return float(np.max(np.abs((K[2:] - K[:-2]) / (2 * dt) - 2.0 * K1[1:-1]))) / scale
+
+
+def _reference(name: str, grid):
+    """Closed-form Riccati reference of a bundled scenario, else None."""
+    if name == "classical":
+        return riccati_classical(0.0, 1.0, 1.0, 1.0, grid)
+    if name == "normal-flow":
+        return riccati_normal_flow(0.0, 1.0, grid)
+    return None
+
+
 def _smooth_directions(grid, count: int, seed: int) -> list[np.ndarray]:
     """Deterministic smooth probing directions; direction 0 is constant 1."""
     rng = np.random.default_rng(seed)
@@ -108,19 +168,9 @@ class ValidationSuite:
         self.seed = int(seed)
 
     # -- helpers ----------------------------------------------------------
-    def _path(self, name: str) -> Path | None:
-        return None if self.out is None else self.out / name
-
-    def _dump_triangle(self, name: str, scenario, kernel, seed_tag: int):
-        path = self._path(name)
-        if path is None:
-            return
-        nodes = scenario.grid.nodes
-        rows = []
-        for i in range(scenario.grid.n_nodes):
-            for j in range(i + 1):
-                rows.append((float(nodes[i]), float(nodes[j]), float(kernel.values[i, j])))
-        write_csv(path, "t,s,value", rows, _meta(scenario, seed_tag))
+    def _write(self, name: str, header: str, rows, meta: dict) -> None:
+        if self.out is not None:
+            write_csv(self.out / name, header, rows, meta)
 
     # -- criteria ---------------------------------------------------------
     def criterion_kernels(self) -> CriterionResult:
@@ -143,23 +193,12 @@ class ValidationSuite:
 
         rough = random_smooth_scenario(seed=self.seed + 11, steps=200)
         rgain = GainSchedule.from_callable(rough.grid, lambda t: 0.4 + 0.2 * np.cos(2 * np.pi * t))
-        rb = kernel_bundle(rough, rgain)
-        dt = rough.grid.dt
-        Fv, Pv = rb.f.values, rb.phi.values
-        M = rb.M.reshape(-1)
-        H = rb.H.reshape(-1)
-        resid = 0.0
-        for i in range(1, rough.grid.n_steps):
-            js = np.arange(0, i)
-            dF = (Fv[i + 1, js] - Fv[i - 1, js]) / (2 * dt)
-            rhs = M[i] * Pv[i, js] + H[i] * Fv[i, js]
-            resid = max(resid, float(np.max(np.abs(dF - rhs))))
+        resid = _rate_residuals(kernel_bundle(rough, rgain), rough.grid.dt)[0]
         pde_ok = resid <= 1e-3
         details.append(f"mixed-kernel rate residual {resid:.3e} (tol 1e-3)")
 
-        self._dump_triangle("kernel_phi.csv", scen, bundle.phi, self.seed)
-        self._dump_triangle("kernel_psi.csv", scen, bundle.psi, self.seed)
-        self._dump_triangle("kernel_f.csv", scen, bundle.f, self.seed)
+        if self.out is not None:
+            _dump_kernels(self.out, scen, bundle, self.seed)
         return CriterionResult("C1", "kernel correctness", semigroup_ok and pde_ok, details)
 
     def criterion_rate_consistency(self) -> CriterionResult:
@@ -172,18 +211,9 @@ class ValidationSuite:
             gain = GainSchedule(scen.grid, gain_values[:, None, None])
             bundle = kernel_bundle(scen, gain)
             bars = measure_averages(scen)
-            dt = scen.grid.dt
-            worst = 0.0
-            for a in range(scen.n_atoms):
-                K = covariance_profile(scen, bundle, bars, a)
-                K1 = drift_profile(scen, bundle, bars, a)
-                fd = (K[2:] - K[:-2]) / (2 * dt)
-                resid = np.abs(fd - 2.0 * K1[1:-1])
-                scale = float(np.max(np.abs(2.0 * K1[1:-1])))
-                if scale < 1e-13:
-                    continue
-                worst = max(worst, float(np.max(resid)) / scale)
-            return worst
+            return max(_rate_residual(covariance_profile(scen, bundle, bars, a),
+                                      drift_profile(scen, bundle, bars, a), scen.grid.dt)
+                       for a in range(scen.n_atoms))
 
         rows = []
         for name, build in (("classical", classical_scenario),
@@ -191,11 +221,7 @@ class ValidationSuite:
             rels = {}
             for steps in (400, 800):
                 scen = build(steps=steps)
-                if name == "classical":
-                    ref = riccati_classical(0.0, 1.0, 1.0, 1.0, scen.grid)
-                else:
-                    ref = riccati_normal_flow(0.0, 1.0, scen.grid)
-                rels[steps] = worst_rel(scen, ref.gain_values)
+                rels[steps] = worst_rel(scen, _reference(name, scen.grid).gain_values)
                 rows.append((name, steps, rels[steps]))
             ok_tol = rels[400] <= 0.02
             ratio = rels[400] / max(rels[800], 1e-300)
@@ -210,11 +236,10 @@ class ValidationSuite:
         gain = GainSchedule.from_callable(scen.grid, np.tanh)
         bundle = kernel_bundle(scen, gain)
         bars = measure_averages(scen)
-        path = self._path("covariance_classical.csv")
-        if path is not None:
-            K = covariance_profile(scen, bundle, bars, 0)
-            out_rows = [(0, float(t), float(k)) for t, k in zip(scen.grid.nodes, K)]
-            write_csv(path, "atom,t,K", out_rows, _meta(scen, self.seed))
+        K = covariance_profile(scen, bundle, bars, 0)
+        self._write("covariance_classical.csv", "atom,t,K",
+                    [(0, float(t), float(k)) for t, k in zip(scen.grid.nodes, K)],
+                    _meta(scen, self.seed))
         return CriterionResult("C2", "covariance rate consistency", passed, details)
 
     def criterion_gradient(self) -> CriterionResult:
@@ -250,15 +275,11 @@ class ValidationSuite:
                           f"(err {spot_err:.2e}, tol 1e-5); fd gap {fd0_diff:.2e}")
         details.append(f"max fd gap over {len(directions)} directions: "
                        f"{max(r[3] for r in rows):.3e}")
-        path = self._path("gradcheck.csv")
-        if path is not None:
-            write_csv(path, "direction,pairing,fd_oracle,abs_diff", rows,
-                      _meta(scen, self.seed, {"eps": _fmt(eps)}))
-        gpath = self._path("gradient.csv")
-        if gpath is not None:
-            write_csv(gpath, "t,g",
-                      [(float(t), float(v)) for t, v in zip(scen.grid.nodes, g.values)],
-                      _meta(scen, self.seed))
+        self._write("gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
+                    _meta(scen, self.seed, {"eps": _fmt(eps)}))
+        self._write("gradient.csv", "t,g",
+                    [(float(t), float(v)) for t, v in zip(scen.grid.nodes, g.values)],
+                    _meta(scen, self.seed))
         return CriterionResult("C3", "gradient correctness", passed, details)
 
     def criterion_classical_reference(self) -> CriterionResult:
@@ -282,16 +303,8 @@ class ValidationSuite:
             f"(tol 5e-3), stationarity {report.stationarity:.2e} (tol 1e-3), "
             f"descent monotone: {mono}"
         )
-        path = self._path("optimizer_trajectory.csv")
-        if path is not None:
-            rows = [(i, J, gn) for i, (J, gn) in enumerate(
-                zip(report.cost_trajectory, report.gradient_trajectory))]
-            write_csv(path, "iter,J,grad_norm", rows, _meta(scen, self.seed))
-        gpath = self._path("optimizer_gain.csv")
-        if gpath is not None:
-            rows = [(float(t), float(v)) for t, v in
-                    zip(scen.grid.nodes, report.gain.scalar)]
-            write_csv(gpath, "t,gain", rows, _meta(scen, self.seed))
+        if self.out is not None:
+            _dump_optimizer(self.out, scen, report, self.seed)
         return CriterionResult("C4", "classical benchmark reproduction",
                                s_ok and dev_ok and res_ok and mono, details)
 
@@ -340,27 +353,23 @@ class ValidationSuite:
             details.append(
                 f"t={t_probe}: var z-score {z_var:+.2f}, mean z-score {z_mean:+.2f}"
             )
-        path = self._path("monte_carlo_stats.csv")
-        if path is not None:
-            write_csv(path, "t,mean,var,analytic,z_var,z_mean", rows,
-                      _meta(scen, self.seed, {"n_paths": n_paths}))
-        ppath = self._path("paths_sample.csv")
-        if ppath is not None:
-            rows = []
-            for r in range(min(5, ens.n_paths)):
-                for j in range(0, scen.grid.n_nodes, 20):
-                    rows.append((r, 0, float(scen.grid.nodes[j]),
-                                 float(ens.x[r, 0, j, 0]), float(ens.y[r, 0, j, 0]),
-                                 float(ens.z[r, 0, j, 0]), float(ens.e[r, 0, j, 0])))
-            write_csv(ppath, "rep,atom,t,x,y,z,e", rows,
-                      _meta(scen, self.seed, {"n_paths": n_paths}))
+        self._write("monte_carlo_stats.csv", "t,mean,var,analytic,z_var,z_mean", rows,
+                    _meta(scen, self.seed, {"n_paths": n_paths}))
+        rows = []
+        for r in range(min(5, ens.n_paths)):
+            for j in range(0, scen.grid.n_nodes, 20):
+                rows.append((r, 0, float(scen.grid.nodes[j]),
+                             float(ens.x[r, 0, j, 0]), float(ens.y[r, 0, j, 0]),
+                             float(ens.z[r, 0, j, 0]), float(ens.e[r, 0, j, 0])))
+        self._write("paths_sample.csv", "rep,atom,t,x,y,z,e", rows,
+                    _meta(scen, self.seed, {"n_paths": n_paths}))
         return CriterionResult("C6", "Monte Carlo validation", passed, details)
 
     def criterion_arbitration(self) -> CriterionResult:
         """Transcription arbitration: for each flagged formula, report which
         of the two algebraic forms the oracles support, with the measured
         discrepancies. Fails if the adopted (rederived) form disagrees with
-        its oracle."""
+        its oracle. The printed forms come from :mod:`mfkalman.arbitration`."""
         details = []
         rows = []
         passed = True
@@ -375,8 +384,8 @@ class ValidationSuite:
         worst_printed = 0.0
         for a in range(probe.n_atoms):
             st = empirical_statistics(ens, a, probe.grid.n_steps)
-            k_re = covariance_profile(probe, bundle, bars, a, FORM_REDERIVED)[-1]
-            k_tr = covariance_profile(probe, bundle, bars, a, FORM_TRANSCRIBED)[-1]
+            k_re = covariance_profile(probe, bundle, bars, a)[-1]
+            k_tr = covariance_profile_transcribed(probe, bundle, bars, a)[-1]
             worst_adopted = max(worst_adopted, abs(k_re - st.cov[0, 0]) / st.var_se[0])
             worst_printed = max(worst_printed, abs(k_tr - st.cov[0, 0]) / st.var_se[0])
         ok_a = worst_adopted <= 3.0
@@ -402,8 +411,8 @@ class ValidationSuite:
         dn = kernel_bundle(rough, base.with_values(
             (base_vals - eps * beta_vals)[:, None, None]))
         fd = (up.f.values[i, j] - dn.f.values[i, j]) / (2 * eps)
-        d_re = abs(dk.f_direction(i, j, beta_vals, FORM_REDERIVED) - fd)
-        d_tr = abs(dk.f_direction(i, j, beta_vals, FORM_TRANSCRIBED) - fd)
+        d_re = abs(dk.f_direction(i, j, beta_vals) - fd)
+        d_tr = abs(TranscribedDerivativeKernels(rb, rough).f_direction(i, j, beta_vals) - fd)
         tol_b = 1e-3 * (1.0 + abs(fd))
         ok_b = d_re <= tol_b
         passed = passed and ok_b
@@ -415,8 +424,8 @@ class ValidationSuite:
 
         # (c) sensitivity-kernel scaling, arbitrated by the cost-slope oracle
         bars_r = measure_averages(rough)
-        g_re = cost_gradient(rough, rb, bars_r, FORM_REDERIVED)
-        g_tr = cost_gradient(rough, rb, bars_r, FORM_TRANSCRIBED)
+        g_re = cost_gradient(rough, rb, bars_r)
+        g_tr = cost_gradient_transcribed(rough, rb, bars_r)
         beta = GainSchedule(rough.grid, beta_vals[:, None, None])
         fd_j = fd_cost_slope(rough, base, beta, eps, bars_r)
         d_re_j = abs(g_re.pair(beta_vals) - fd_j)
@@ -430,10 +439,8 @@ class ValidationSuite:
             f"(printed form gap {d_tr_j:.2e})"
         )
 
-        path = self._path("arbitration.csv")
-        if path is not None:
-            write_csv(path, "formula,adopted,discrepancy_adopted,discrepancy_printed",
-                      rows, _meta(probe, self.seed))
+        self._write("arbitration.csv", "formula,adopted,discrepancy_adopted,discrepancy_printed",
+                    rows, _meta(probe, self.seed))
         return CriterionResult("C7", "transcription arbitration", passed, details)
 
     # (method, wall-clock budget in seconds; None = no stated budget)

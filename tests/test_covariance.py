@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from mfkalman import (
-    FORM_REDERIVED,
-    FORM_TRANSCRIBED,
     GainSchedule,
     ScenarioError,
     build_scenario,
@@ -23,9 +21,30 @@ from mfkalman import (
     sensitivity_profile,
     trace_cost,
 )
-from mfkalman.covariance import drift_profile
+from mfkalman.covariance import drift_profile, mean_sensitivity_triangle
 
 from conftest import scalar_scenario
+
+
+def _coupled_matrix_scenario(steps):
+    """2x2 diagonal system with mean coupling on, at gain diag(0.5, 0.2)."""
+    grid = make_grid(1.0, steps)
+    scen = build_scenario(
+        grid, measure=dirac_measure([0.0, 0.0]),
+        A=lambda t: np.diag([-0.4, 0.3]),
+        B=lambda t: np.diag([0.5, -0.2]),
+        C=lambda t: np.eye(2),
+        D=lambda t: np.diag([0.3, 0.1]),
+        sigma=lambda u, t: np.diag([0.9, 1.1]),
+        gamma=lambda u, t: np.eye(2),
+        Q=np.eye(2), Q0=np.eye(2), Sigma=lambda t: np.eye(2))
+    gain = GainSchedule.constant(grid, np.diag([0.5, 0.2]), 2, 2)
+    return scen, measure_averages(scen), kernel_bundle(scen, gain)
+
+
+@pytest.fixture(scope="module")
+def matrix_pack():
+    return _coupled_matrix_scenario(steps=20)
 
 
 class TestErrorCovariance:
@@ -60,20 +79,8 @@ class TestErrorCovariance:
 
     def test_matrix_mode_block_diagonal(self):
         # mean coupling on, so the mixed kernel and cross quadratures are live
-        grid = make_grid(1.0, 80)
-        scen2 = build_scenario(
-            grid, measure=dirac_measure([0.0, 0.0]),
-            A=lambda t: np.diag([-0.4, 0.3]),
-            B=lambda t: np.diag([0.5, -0.2]),
-            C=lambda t: np.eye(2),
-            D=lambda t: np.diag([0.3, 0.1]),
-            sigma=lambda u, t: np.diag([0.9, 1.1]),
-            gamma=lambda u, t: np.eye(2),
-            Q=np.eye(2), Q0=np.eye(2), Sigma=lambda t: np.eye(2))
-        gvals = np.diag([0.5, 0.2])
-        gain2 = GainSchedule.constant(grid, gvals, 2, 2)
-        bars2 = measure_averages(scen2)
-        bundle2 = kernel_bundle(scen2, gain2)
+        scen2, bars2, bundle2 = _coupled_matrix_scenario(steps=80)
+        grid = scen2.grid
         K2 = error_covariance(scen2, bundle2, bars2, 0, 80)
         assert K2.shape == (2, 2)
         np.testing.assert_allclose(K2, K2.T, atol=1e-12)
@@ -99,6 +106,14 @@ class TestErrorCovariance:
         assert field.values.shape == (2, scen.grid.n_nodes, 1, 1)
         np.testing.assert_allclose(field.values[:, 0], 0.0, atol=0)
 
+    @pytest.mark.parametrize("mode", ["scalar", "matrix"])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_rejects_node_off_the_grid(self, classical_pack, matrix_pack, mode, offset):
+        scen, bars, bundle = classical_pack if mode == "scalar" else matrix_pack
+        node = -1 if offset < 0 else scen.grid.n_steps + 1
+        with pytest.raises(ScenarioError):
+            error_covariance(scen, bundle, bars, 0, node)
+
 
 class TestCovarianceDrift:
     def test_zero_at_start(self, classical_pack):
@@ -121,31 +136,21 @@ class TestCovarianceDrift:
             assert np.max(resid) <= 0.02 * np.max(np.abs(2 * K1[1:-1]))
 
     def test_matrix_drift_matches_scalar(self):
-        grid = make_grid(1.0, 60)
-        scen2 = build_scenario(
-            grid, measure=dirac_measure([0.0, 0.0]),
-            A=lambda t: np.diag([-0.4, 0.3]),
-            B=lambda t: np.diag([0.5, -0.2]),
-            C=lambda t: np.eye(2),
-            D=lambda t: np.diag([0.3, 0.1]),
-            sigma=lambda u, t: np.diag([0.9, 1.1]),
-            gamma=lambda u, t: np.eye(2),
-            Q=np.eye(2), Q0=np.eye(2), Sigma=lambda t: np.eye(2))
-        gain2 = GainSchedule.constant(grid, np.diag([0.5, 0.2]), 2, 2)
-        bars2 = measure_averages(scen2)
-        bundle2 = kernel_bundle(scen2, gain2)
+        scen2, bars2, bundle2 = _coupled_matrix_scenario(steps=60)
+        grid = scen2.grid
         K1m = covariance_drift(scen2, bundle2, bars2, 0, 60)
         scen1 = scalar_scenario(grid=grid, A=-0.4, B=0.5, D=0.3, sigma=0.9)
         b1 = kernel_bundle(scen1, GainSchedule.constant(grid, 0.5))
         K1s = drift_profile(scen1, b1, measure_averages(scen1), 0)
         assert K1m[0, 0] == pytest.approx(K1s[-1], abs=1e-7)
 
-    def test_transcribed_form_misses_boundary(self, classical_pack):
-        # without the instantaneous-diffusion boundary the drift cannot
-        # account for dK/dt = 1 at zero gain
-        scen, bars, bundle = classical_pack
-        prof = drift_profile(scen, bundle, bars, 0, form=FORM_TRANSCRIBED)
-        assert abs(prof[50]) < 1e-12  # printed form gives 0, truth is 1/2
+    @pytest.mark.parametrize("mode", ["scalar", "matrix"])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_rejects_node_off_the_grid(self, classical_pack, matrix_pack, mode, offset):
+        scen, bars, bundle = classical_pack if mode == "scalar" else matrix_pack
+        node = -1 if offset < 0 else scen.grid.n_steps + 1
+        with pytest.raises(ScenarioError):
+            covariance_drift(scen, bundle, bars, 0, node)
 
 
 class TestSensitivityKernel:
@@ -212,12 +217,17 @@ class TestMeanSensitivity:
             got = mean_sensitivity(scen, bundle, bars, i, j)
             assert got == pytest.approx(expected, abs=1e-10)
 
-    def test_atom_sum_equals_bars_path(self, rough_pack):
+    def test_triangle_row_equals_row_path_and_atom_sum(self, rough_pack):
         scen, bars, _, bundle = rough_pack
-        for (i, j) in [(200, 100), (150, 150), (120, 7)]:
-            via_bars = mean_sensitivity(scen, bundle, bars, i, j, via="bars")
-            via_atoms = mean_sensitivity(scen, bundle, bars, i, j, via="atoms")
-            assert via_bars == pytest.approx(via_atoms, abs=1e-10)
+        tri = mean_sensitivity_triangle(scen, bundle, bars)
+        ws = scen.measure.weights
+        for i in (200, 150, 120):
+            row = np.array([mean_sensitivity(scen, bundle, bars, i, j) for j in range(i + 1)])
+            atoms = sum(ws[a] * sensitivity_profile(scen, bundle, bars, a, i)
+                        for a in range(scen.n_atoms))
+            np.testing.assert_allclose(tri[i, : i + 1], row, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(row, atoms, rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(tri[i, i + 1:], 0.0)
 
 
 class TestCost:
@@ -279,16 +289,6 @@ class TestGradient:
         gain = GainSchedule.from_callable(scen.grid, np.tanh)
         g = cost_gradient(scen, kernel_bundle(scen, gain), bars)
         assert np.max(np.abs(g.values)) <= 1e-3
-
-    def test_transcribed_form_disagrees_with_oracle(self, rough_pack):
-        scen, bars, gain, bundle = rough_pack
-        beta_vals = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
-        beta = GainSchedule(scen.grid, beta_vals[:, None, None])
-        fd = fd_cost_slope(scen, gain, beta, 1e-4, bars)
-        good = cost_gradient(scen, bundle, bars, FORM_REDERIVED).pair(beta_vals)
-        bad = cost_gradient(scen, bundle, bars, FORM_TRANSCRIBED).pair(beta_vals)
-        assert abs(good - fd) <= 1e-3 * (1 + abs(fd))
-        assert abs(bad - fd) > 10 * abs(good - fd)
 
 
 class TestFdOracle:

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from mfkalman import (
-    FORM_REDERIVED,
-    FORM_TRANSCRIBED,
     GainSchedule,
     ScenarioError,
     build_scenario,
@@ -253,21 +251,14 @@ class TestDerivativeKernels:
                 assert dk.f_direction(i, j, beta) == pytest.approx(
                     fd_f, abs=1e-4 * (1 + abs(fd_f)))
 
-    def test_transcribed_form_fails_oracle(self, rough_pack):
-        scen, _, gain, bundle = rough_pack
+    @pytest.mark.parametrize("method", ["psi_direction", "phi_direction", "f_direction"])
+    @pytest.mark.parametrize("i, j", [(10, 20), (-1, 0), (5, -1), (201, 0)])
+    def test_direction_rejects_indices_off_the_triangle(self, rough_pack, method, i, j):
+        scen, _, _, bundle = rough_pack  # N = 200
         dk = derivative_kernels(bundle, scen)
-        eps = 1e-4
-        beta = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
-        up = kernel_bundle(scen, gain.with_values(
-            (gain.scalar + eps * beta)[:, None, None]))
-        dn = kernel_bundle(scen, gain.with_values(
-            (gain.scalar - eps * beta)[:, None, None]))
-        i = scen.grid.n_steps
-        fd = (up.f.values[i, 0] - dn.f.values[i, 0]) / (2 * eps)
-        good = dk.f_direction(i, 0, beta, FORM_REDERIVED)
-        bad = dk.f_direction(i, 0, beta, FORM_TRANSCRIBED)
-        assert abs(good - fd) < 1e-5 * (1 + abs(fd))
-        assert abs(bad - fd) > 100 * abs(good - fd)
+        beta = np.ones(scen.grid.n_nodes)
+        with pytest.raises(ScenarioError):
+            getattr(dk, method)(i, j, beta)
 
     def test_zero_when_no_coupling(self, classical_pack):
         scen, _, bundle = classical_pack  # M = 0 and D = 0
