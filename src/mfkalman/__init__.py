@@ -68,6 +68,7 @@ from .system_model import (
     Scenario,
     ScenarioError,
     build_scenario,
+    check_finite,
     dirac_measure,
     discrete_measure,
     gauss_hermite_measure,

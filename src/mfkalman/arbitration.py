@@ -59,11 +59,10 @@ def drift_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
     cross pairing, no diffusion boundary."""
     tb, w, w_u, x_p = _transcribed_weights(scenario, bundle, bars, atom)
     T0, T1, _, T3, T4, T5 = _quadrature_tables(tb, w.wbar, w_u, x_p)
-    dt = tb.grid.dt
-    ephi, epsi, c = tb.ephi, tb.epsi, tb.c_mix
+    fr = tb.frames
+    ephi, epsi, c = fr.ephi, fr.epsi, fr.c
     # the bare-H mean term carries a single f factor: int f(t,s) wbar(s) ds
-    V0 = cumulative_trapezoid(w.wbar / ephi, dt)
-    V1 = cumulative_trapezoid(c * w.wbar / ephi, dt)
+    V0, V1 = fr.cumulative(w.wbar / ephi, (0, -1), degree=1)
     H, M = tb.H, tb.M
     ep2 = epsi**2
     return (M * ephi * epsi * (c * T0 - T1)      # M phi . f wbar

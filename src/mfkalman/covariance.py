@@ -17,9 +17,18 @@ Two formulas are fixed by oracles:
   the pairing of the kernel with a direction to reproduce central
   differences of K.
 
-Scalar mode computes everything from one-dimensional cumulative tables in
-O(N) per profile and O(N^2) for the full sensitivity triangle; matrix
-mode evaluates the defining quadratures cell by cell.
+Scalar mode computes every profile, the cost and the cost gradient from
+one-dimensional cumulative tables in O(N) time and memory: the averaged
+sensitivity kernel factors as 2 epsi(t)^2 times a quadratic in c_mix(t)
+whose coefficients depend on s alone, so its tail integral in t is three
+reverse running sums. The tables are kept in anchored frames
+(:class:`~mfkalman.kernels.Frames`) that bound the exponentials and c_mix
+frame by frame, so a stable system stays finite and accurate on long
+horizons, with or without mean coupling; a value that still overflows
+(an unstable system) raises :class:`ScenarioError` naming the stage and
+node. Only :func:`mean_sensitivity_triangle`, the test oracle, builds
+the O(N^2) triangle. Matrix mode evaluates the defining quadratures cell
+by cell.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .kernels import (
     kernel_bundle,
 )
 from .numerics import TimeGrid, cumulative_trapezoid, trapezoid
-from .system_model import BarQuantities, Scenario, ScenarioError
+from .system_model import BarQuantities, Scenario, ScenarioError, check_finite
 
 __all__ = [
     "CovarianceField",
@@ -136,28 +145,31 @@ def _require_scalar_bundle(bundle: KernelBundle) -> ScalarTables:
 
 
 def _quadrature_tables(tb: ScalarTables, wbar, w_mid, x_mid) -> tuple:
-    """Running integrals T0..T5 of the factored quadrature terms."""
-    dt = tb.grid.dt
-    ephi, epsi, c = tb.ephi, tb.epsi, tb.c_mix
-    return (cumulative_trapezoid(wbar / ephi**2, dt),
-            cumulative_trapezoid(c * wbar / ephi**2, dt),
-            cumulative_trapezoid(c**2 * wbar / ephi**2, dt),
-            cumulative_trapezoid(w_mid / epsi**2, dt),
-            cumulative_trapezoid(x_mid / (epsi * ephi), dt),
-            cumulative_trapezoid(c * x_mid / (epsi * ephi), dt))
+    """Running integrals T0..T5 of the factored quadrature terms, each
+    node's value in its own frame (see :class:`~mfkalman.kernels.Frames`);
+    they pair with ``tb.frames.epsi``/``.ephi``/``.c``."""
+    fr = tb.frames
+    T0, T1, T2 = fr.cumulative(wbar / fr.ephi**2, (0, -2), degree=2)
+    (T3,) = fr.cumulative(w_mid / fr.epsi**2, (-2, 0))
+    T4, T5 = fr.cumulative(x_mid / (fr.epsi * fr.ephi), (-1, -1), degree=1)
+    return T0, T1, T2, T3, T4, T5
+
+
+def _profile_from_tables(tb: ScalarTables, tables: tuple) -> np.ndarray:
+    T0, T1, T2, T3, T4, T5 = tables
+    c = tb.frames.c
+    return tb.frames.epsi**2 * (c**2 * T0 - 2 * c * T1 + T2 + T3 + 2 * (c * T4 - T5))
 
 
 def _profile_from_weights(tb: ScalarTables, wbar, w_mid, x_mid) -> np.ndarray:
     """K-profile over all nodes from the factored cumulative integrals."""
-    T0, T1, T2, T3, T4, T5 = _quadrature_tables(tb, wbar, w_mid, x_mid)
-    c = tb.c_mix
-    return tb.epsi**2 * (c**2 * T0 - 2 * c * T1 + T2 + T3 + 2 * (c * T4 - T5))
+    return _profile_from_tables(tb, _quadrature_tables(tb, wbar, w_mid, x_mid))
 
 
 def _drift_from_weights(tb: ScalarTables, wbar, w_mid, x_mid, w_point) -> np.ndarray:
     """One-sided covariance rate: dK/dt = drift + drift (scalar: 2*drift)."""
     T0, T1, T2, T3, T4, T5 = _quadrature_tables(tb, wbar, w_mid, x_mid)
-    ephi, epsi, c = tb.ephi, tb.epsi, tb.c_mix
+    ephi, epsi, c = tb.frames.ephi, tb.frames.epsi, tb.frames.c
     H, M = tb.H, tb.M
     ep2 = epsi**2
     integral = (M * ephi * epsi * (c * T0 - T1)        # M phi . f wbar
@@ -187,12 +199,13 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
         tb = _require_scalar_bundle(bundle)
         w = _ScalarWeights(scenario, bars, bundle.gain)
         w_u, x_u = w.atom(i)[:2]
-        return _profile_from_weights(tb, w.wbar, w_u, x_u)
-    nn = scenario.grid.n_nodes
-    out = np.zeros((nn, scenario.n, scenario.n))
-    for j in range(1, nn):
-        out[j] = _matrix_covariance_at(scenario, bundle, bars, i, j)
-    return out
+        prof = _profile_from_weights(tb, w.wbar, w_u, x_u)
+    else:
+        prof = np.zeros((scenario.grid.n_nodes, scenario.n, scenario.n))
+        for j in range(1, scenario.grid.n_nodes):
+            prof[j] = _matrix_covariance_at(scenario, bundle, bars, i, j)
+    check_finite("covariance_profile", prof)
+    return prof
 
 
 def error_covariance(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
@@ -372,10 +385,7 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
 def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
     """Cost J: the atom-averaged time integral of trace(Sigma(t) K(u, t))."""
     if scenario.scalar_mode:
-        tb = _require_scalar_bundle(bundle)
-        w = _ScalarWeights(scenario, bars, bundle.gain)
-        kbar = _profile_from_weights(tb, w.wbar, w.w2, w.wbar)
-        return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
+        return _scalar_cost(scenario, bundle, bars)
     total = 0.0
     for a in range(scenario.n_atoms):
         prof = covariance_profile(scenario, bundle, bars, a)
@@ -384,17 +394,60 @@ def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) ->
     return total
 
 
+def _scalar_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
+    """Scalar-mode :func:`trace_cost`: the trapezoid of Sigma times the
+    averaged K-profile, in O(N)."""
+    tb = _require_scalar_bundle(bundle)
+    w = _ScalarWeights(scenario, bars, bundle.gain)
+    kbar = _profile_from_weights(tb, w.wbar, w.w2, w.wbar)
+    check_finite("trace_cost", kbar)
+    return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
+
+
 def cost_gradient(scenario: Scenario, bundle: KernelBundle,
                   bars: BarQuantities) -> GradientField:
     """Gradient density g(t_j): the tail integral over s in [t_j, T] of
     Sigma(s) times the averaged sensitivity kernel at (s, t_j).
 
+    The averaged kernel factors exactly as
+
+        kernel(s_i, t_j) = 2 epsi_i^2 (a0_j + a1_j c_i + a2_j c_i^2),
+
+    c = c_mix, with a0..a2 combinations of the T0..T5 tables of the
+    averaged profile and of the boundary loadings at t_j. So g_j is
+    sum_k a_k[j] R_k[j], where R_k are reverse trapezoid sums of
+    Sigma epsi^2 c^k: O(N) time and memory, and equal to the trapezoid
+    tail of :func:`mean_sensitivity_triangle` up to round-off. epsi, c
+    and the sums are anchored per frame (the polynomial in c is invariant
+    under the frames' shift and scale of c), so a long stable horizon
+    stays finite; a gradient that overflows raises :class:`ScenarioError`.
+
     g vanishes at the horizon by construction. Scalar mode only."""
-    return _gradient_from_kernel(scenario, mean_sensitivity_triangle(scenario, bundle, bars))
+    tb = _require_scalar_bundle(bundle)
+    w = _ScalarWeights(scenario, bars, bundle.gain)
+    T0, T1, T2, T3, T4, T5 = _quadrature_tables(tb, w.wbar, w.w2, w.wbar)
+    fr = tb.frames
+    epsi, ephi, c = fr.epsi, fr.ephi, fr.c
+    C, D, G = tb.C, tb.D, tb.gain
+    X = T4 - T1
+    e = ephi / epsi - c                       # D-term bracket minus c_i
+    fb = w.q0 * w.gbar**2 / ephi**2           # boundary loadings of f^2,
+    pb = w.g2q0 / epsi**2                     # psi^2
+    xb = 2 * w.q0 * w.gbar**2 / (epsi * ephi)  # and psi f
+    a2 = -(C + D) * T0 + G * fb
+    a1 = -2 * C * X - D * (X + e * T0) + G * (xb - 2 * c * fb)
+    a0 = -C * (T2 + T3 - 2 * T5) - D * e * X + G * (fb * c**2 + pb - xb * c)
+    R0, R1, R2 = fr.cumulative(scenario.flat("Sigma") * epsi**2, (2, 0), degree=2,
+                               reverse=True)
+    g = 2.0 * (a0 * R0 + a1 * R1 + a2 * R2)
+    g[-1] = 0.0
+    check_finite("cost_gradient", g)
+    return GradientField(grid=scenario.grid, values=g)
 
 
 def _gradient_from_kernel(scenario: Scenario, kb2: np.ndarray) -> GradientField:
-    """Gradient density from an averaged sensitivity triangle."""
+    """Gradient density from an averaged sensitivity triangle (the
+    O(N^2) oracle of :func:`cost_gradient`)."""
     W = scenario.flat("Sigma")[:, None] * kb2
     n = scenario.grid.n_steps
     # column-wise trapezoid over rows i in [j, N]

@@ -13,7 +13,9 @@ Three kernels drive everything:
 In scalar mode the operators are plain exponentials of running integrals,
 so every kernel value reduces to one-dimensional cumulative trapezoid
 tables; the dense lower-triangle storage is generated from those tables
-and agrees with the defining quadratures to round-off. Matrix mode
+only when a caller asks for it, and agrees with the defining quadratures
+to round-off. Long horizons are handled by anchoring the exponentials
+frame by frame (:class:`Frames`). Matrix mode
 integrates the operator ODEs column-wise with classical Runge-Kutta.
 
 The directional (Gateaux) derivatives with respect to the gain are
@@ -24,6 +26,7 @@ term by term; it agrees with the central-difference oracle of ``f``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +106,134 @@ class GainSchedule:
         return 0.5 * (self.values[j] + self.values[j + 1])
 
 
+# Largest move of the running exponents lh and lhm away from a frame's
+# anchor: inside one frame the anchored exponentials stay within
+# [e^-128, e^128], so their products in the covariance tables stay inside
+# float64 range (about e^709); what a table carries over from earlier
+# frames is bounded only when the system is stable.
+FRAME_SPAN = 128.0
+# Largest move of the running integral of M away from a frame's anchor,
+# which keeps the anchored c within [e^-2 - 1, e^2 - 1]. The factored
+# formulas expand (c_i - c_r)^2, which costs about e^(2 MIX_SPAN) ulps
+# where c_i and c_r nearly agree.
+MIX_SPAN = 2.0
+
+
+def _shift_matrix(degree: int, delta: float) -> np.ndarray:
+    """[p, q] entry binom(p, q) delta^(p - q): maps the integrals of c^q x
+    to those of (c + delta)^p x."""
+    p = np.arange(degree + 1)
+    d = p[:, None] - p[None, :]
+    comb = np.array([[math.comb(i, j) for j in p] for i in p], dtype=float)
+    return np.where(d >= 0, comb * float(delta) ** np.maximum(d, 0), 0.0)
+
+
+class Frames:
+    """Anchored copies of the scalar exponentials and of the mixed
+    coupling integral, for long horizons.
+
+    ``epsi = exp(lh)`` and ``ephi = exp(lhm)`` under- or overflow once a
+    running exponent passes about 700, while the kernels, which are ratios
+    of them, stay finite; and ``c_mix``, which tends to -1 when M < 0,
+    loses its late increments to round-off. So the grid is cut into
+    frames: the nodes ``starts[k] <= i < starts[k+1]`` are expressed
+    relative to the anchor ``a = starts[k]``,
+
+        epsi = exp(lh - lh_a),  ephi = exp(lhm - lhm_a),
+        c    = (c_mix - c_mix[a]) * exp(lh_a - lhm_a),
+
+    with c summed from the anchor, so that it starts at 0 there. psi and
+    phi are ratios of epsi and of ephi, and f pairs a ratio with a
+    difference of c, so all three are unchanged, and with them every
+    formula of the covariance module that pairs nodes of one frame. A
+    frame ends before the first node where lh or lhm has moved more than
+    ``FRAME_SPAN`` from the anchor, or their difference (the integral of
+    M) more than ``MIX_SPAN``; running integrals cross a frame boundary
+    through a small linear map (:meth:`cumulative`). When nothing moves
+    that far there is one frame, anchored at node 0, and epsi, ephi and c
+    equal the plain ``ScalarTables`` arrays bit for bit.
+    """
+
+    def __init__(self, lh: np.ndarray, lhm: np.ndarray, M: np.ndarray, dt: float):
+        n = len(lh) - 1
+        mix = lhm - lh
+        starts = [0]
+        while True:
+            a = starts[-1]
+            far = np.flatnonzero((np.abs(lh[a:] - lh[a]) > FRAME_SPAN)
+                                 | (np.abs(lhm[a:] - lhm[a]) > FRAME_SPAN)
+                                 | (np.abs(mix[a:] - mix[a]) > MIX_SPAN))
+            if far.size == 0:
+                break
+            nxt = a + max(1, int(far[0]) - 1)
+            if nxt >= n:
+                break
+            starts.append(nxt)
+        self.starts = starts
+        self.ends = starts[1:] + [n]   # the next anchor, or the last node
+        self.dt = dt
+        anchor = np.repeat(starts, np.diff(starts + [n + 1]))
+        self.epsi = np.exp(lh - lh[anchor])
+        self.ephi = np.exp(lhm - lhm[anchor])
+        # each frame's c runs on to the frame's end node, where the next
+        # frame restarts it at 0; the value there, ``shift[k]``, is the
+        # offset of the next frame's c
+        self.c = np.empty(n + 1)
+        self.shift = np.empty(len(starts))
+        for k, (a, b) in enumerate(zip(starts, self.ends)):
+            self.c[a:b + 1] = cumulative_trapezoid(M[a:b + 1] * np.exp(mix[a:b + 1] - mix[a]), dt)
+            self.shift[k] = self.c[b]
+        # moves of lh and lhm from each anchor to the frame's end node
+        self.dlh = lh[self.ends] - lh[starts]
+        self.dlhm = lhm[self.ends] - lhm[starts]
+
+    def cumulative(self, x: np.ndarray, powers: tuple[int, int], degree: int = 0,
+                   reverse: bool = False) -> tuple[np.ndarray, ...]:
+        """Running trapezoid integrals of c^p x, p = 0..degree, from node 0
+        (or, with ``reverse``, to the last node).
+
+        ``x`` holds each node's integrand in that node's frame, and so do
+        the results. ``powers = (u, v)`` are the exponents of epsi and ephi
+        in ``x``, e.g. (0, -2) for w / ephi^2: at a boundary x scales by
+        sigma = exp(-u dlh - v dlhm), c moves to rho (c - shift) with
+        rho = exp(dlh - dlhm), and the integrals of the powers of c mix
+        accordingly.
+        """
+        u, v = powers
+        n = len(x) - 1
+        half = 0.5 * self.dt
+        p = np.arange(degree + 1)
+        cx = np.empty((degree + 1, n + 1))   # c^p x
+        cx[0] = x
+        for q in range(degree):
+            np.multiply(cx[q], self.c, out=cx[q + 1])
+        out = np.zeros((degree + 1, n + 1))
+        last = len(self.starts) - 1
+        for k in (range(last, -1, -1) if reverse else range(last + 1)):
+            a, b = self.starts[k], self.ends[k]
+            if k < last:
+                sigma = np.exp(-u * self.dlh[k] - v * self.dlhm[k])
+                rho = np.exp(self.dlh[k] - self.dlhm[k])
+                end = x[b] / sigma * self.shift[k] ** p   # node b, moved into frame k
+            else:
+                end = cx[:, b]
+            # the run over [a, b - 1] and the panel [b - 1, b]
+            panel = half * (cx[:, b - 1] + end)
+            if reverse:
+                carry = out[:, b]
+                if k < last:
+                    carry = (_shift_matrix(degree, self.shift[k]) * rho ** -p) @ carry / sigma
+                run = cumulative_trapezoid(cx[:, a:b][:, ::-1], self.dt)[:, ::-1]
+                out[:, a:b] = (carry + panel)[:, None] + run
+            else:
+                out[:, a:b] = out[:, a:a + 1] + cumulative_trapezoid(cx[:, a:b], self.dt)
+                out[:, b] = out[:, b - 1] + panel
+                if k < last:
+                    out[:, b] = sigma * rho ** p * (_shift_matrix(degree, -self.shift[k])
+                                                    @ out[:, b])
+        return tuple(out)
+
+
 class ScalarTables:
     """Cumulative-integral tables for the scalar exponential kernel algebra.
 
@@ -135,7 +266,10 @@ class ScalarTables:
         self.lhm = cumulative_trapezoid(self.H + self.M, dt)
         self.epsi = np.exp(self.lh)
         self.ephi = np.exp(self.lhm)
-        self.c_mix = cumulative_trapezoid(self.M * self.ephi / self.epsi, dt)
+        # ephi / epsi = exp(int M): taken from the exponents, so it stays
+        # finite where epsi and ephi under- or overflow
+        self.c_mix = cumulative_trapezoid(self.M * np.exp(self.lhm - self.lh), dt)
+        self.frames = Frames(self.lh, self.lhm, self.M, dt)
         self._mask = None
 
     @property
@@ -285,31 +419,50 @@ def compute_f(scenario: Scenario, gain: GainSchedule,
 
 @dataclass(frozen=True)
 class KernelBundle:
-    """Closed-loop drifts and the three kernels at one gain."""
+    """Closed-loop drifts and the three kernels at one gain.
+
+    In scalar mode the cost, its gradient and the optimizer read only the
+    O(N) ``tables``; the dense (N+1) x (N+1) triangles ``phi``, ``psi``
+    and ``f`` are built from them on first access and then kept. Matrix
+    mode has no tables and stores the RK4 triangles it was given.
+    """
 
     grid: TimeGrid
     gain: GainSchedule
     H: np.ndarray                       # (N+1, n, n)
     M: np.ndarray                       # (N+1, n, n)
-    phi: TriangularKernel
-    psi: TriangularKernel
-    f: TriangularKernel
     tables: ScalarTables | None = field(repr=False, default=None)
+    triangles: dict = field(repr=False, default_factory=dict)  # name -> TriangularKernel
+
+    def _triangle(self, name: str) -> TriangularKernel:
+        if name not in self.triangles:
+            build = getattr(self.tables, f"{name}_triangle")
+            self.triangles[name] = TriangularKernel(self.grid, build())
+        return self.triangles[name]
+
+    @property
+    def phi(self) -> TriangularKernel:
+        return self._triangle("phi")
+
+    @property
+    def psi(self) -> TriangularKernel:
+        return self._triangle("psi")
+
+    @property
+    def f(self) -> TriangularKernel:
+        return self._triangle("f")
 
 
 def kernel_bundle(scenario: Scenario, gain: GainSchedule) -> KernelBundle:
-    """Compute H, M, phi, psi and f at the given gain."""
+    """Compute H, M and the kernels at the given gain (scalar mode: their
+    tables, with the triangles deferred to first access)."""
     H, M = _closed_loop_drifts(scenario, gain)
     if scenario.scalar_mode:
-        tables = ScalarTables(scenario, gain, H, M)
-        phi = TriangularKernel(scenario.grid, tables.phi_triangle())
-        psi = TriangularKernel(scenario.grid, tables.psi_triangle())
-        f = TriangularKernel(scenario.grid, tables.f_triangle())
-        return KernelBundle(scenario.grid, gain, H, M, phi, psi, f, tables)
+        return KernelBundle(scenario.grid, gain, H, M, ScalarTables(scenario, gain, H, M))
     phi = compute_phi(scenario, gain)
     psi = compute_psi(scenario, gain)
     f = compute_f(scenario, gain, phi, psi)
-    return KernelBundle(scenario.grid, gain, H, M, phi, psi, f, None)
+    return KernelBundle(scenario.grid, gain, H, M, None, {"phi": phi, "psi": psi, "f": f})
 
 
 class DerivativeKernels:

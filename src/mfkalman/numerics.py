@@ -110,15 +110,13 @@ def trapezoid_integrate(samples, grid: TimeGrid, a: int, b: int):
 def cumulative_trapezoid(values: np.ndarray, dt: float, axis: int = -1) -> np.ndarray:
     """Running trapezoid integral along ``axis``; entry 0 is 0."""
     values = np.asarray(values, dtype=float)
-    n = values.shape[axis]
     out = np.zeros_like(values)
-    if n < 2:
-        return out
-    upper = np.take(values, np.arange(1, n), axis=axis)
-    lower = np.take(values, np.arange(0, n - 1), axis=axis)
-    idx = [slice(None)] * values.ndim
-    idx[axis] = slice(1, None)
-    out[tuple(idx)] = np.cumsum(0.5 * (upper + lower), axis=axis) * dt
+    if values.shape[axis] > 1:
+        lead = (slice(None),) * (axis % values.ndim)
+        run = out[lead + (slice(1, None),)]
+        np.cumsum(0.5 * (values[lead + (slice(1, None),)] + values[lead + (slice(None, -1),)]),
+                  axis=axis, out=run)
+        run *= dt
     return out
 
 

@@ -19,6 +19,7 @@ from .numerics import TimeGrid
 
 __all__ = [
     "ScenarioError",
+    "check_finite",
     "InitialMeasure",
     "Scenario",
     "BarQuantities",
@@ -35,6 +36,15 @@ _WEIGHT_TOL = 1e-12
 
 class ScenarioError(ValueError):
     """Invalid scenario data (dimensions, definiteness, finiteness)."""
+
+
+def check_finite(stage: str, array: np.ndarray) -> None:
+    """Raise :class:`ScenarioError` naming ``stage`` and the first node
+    (index along axis 0) where ``array`` holds a NaN or an infinity."""
+    bad = ~np.isfinite(array)
+    if bad.any():
+        node = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+        raise ScenarioError(f"{stage}: non-finite value at node {node}")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from mfkalman import (
     GainSchedule,
     ScenarioError,
     build_scenario,
+    check_finite,
+    classical_scenario,
     cost_gradient,
     covariance_drift,
     covariance_field,
@@ -18,10 +22,18 @@ from mfkalman import (
     mean_sensitivity,
     measure_averages,
     normal_flow_scenario,
+    optimize_gain,
     sensitivity_profile,
     trace_cost,
+    trapezoid,
 )
-from mfkalman.covariance import drift_profile, mean_sensitivity_triangle
+from mfkalman.covariance import (
+    _ScalarWeights,
+    _gradient_from_kernel,
+    drift_profile,
+    mean_sensitivity_triangle,
+)
+from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import scalar_scenario
 
@@ -40,6 +52,99 @@ def _coupled_matrix_scenario(steps):
         Q=np.eye(2), Q0=np.eye(2), Sigma=lambda t: np.eye(2))
     gain = GainSchedule.constant(grid, np.diag([0.5, 0.2]), 2, 2)
     return scen, measure_averages(scen), kernel_bundle(scen, gain)
+
+
+def _ou_scenario(A, steps, horizon=200.0, **coeffs):
+    """Scalar Ornstein-Uhlenbeck signal, unit noises, on a long horizon;
+    ``coeffs`` adds mean coupling (B, D)."""
+    return scalar_scenario(grid=make_grid(horizon, steps), A=A, **coeffs)
+
+
+def _quadrature_cost(scen, gain):
+    """trace_cost from the defining row quadratures of the averaged
+    profile, with f built row by row from the trapezoid recursion
+    f(i+1, r) = psi(i+1, i) f(i, r) + dt/2 (M_i psi(i+1, i) phi(i, r)
+    + M_{i+1} phi(i+1, r)): every term is a ratio of exponentials, so
+    nothing cancels or overflows when M keeps one sign. O(N^2)."""
+    bars = measure_averages(scen)
+    tb = kernel_bundle(scen, gain).tables
+    w = _ScalarWeights(scen, bars, gain)
+    n, dt = scen.grid.n_nodes, scen.grid.dt
+    low = np.tri(n, dtype=bool)
+    psi = np.exp(np.where(low, tb.lh[:, None] - tb.lh[None, :], -np.inf))
+    phi = np.exp(np.where(low, tb.lhm[:, None] - tb.lhm[None, :], -np.inf))
+    f = np.zeros((n, n))
+    for i in range(n - 1):
+        step = psi[i + 1, i]
+        f[i + 1, :i + 1] = (step * f[i, :i + 1] + 0.5 * dt * (
+            tb.M[i] * step * phi[i, :i + 1] + tb.M[i + 1] * phi[i + 1, :i + 1]))
+    rows = (f**2 + 2 * psi * f) * w.wbar + psi**2 * w.w2
+    kbar = [trapezoid(rows[i, :i + 1], dt) for i in range(n)]
+    return float(trapezoid(scen.flat("Sigma") * np.array(kbar), dt))
+
+
+def _exact_factored(mp, scen, gain):
+    """Cost and gradient of the factored formulas (the averaged profile
+    and the three reverse sums), evaluated in ``mpmath`` at its working
+    precision from the same float drifts and weights: the float
+    evaluation must match it however far the exponentials and c_mix
+    range."""
+    bars = measure_averages(scen)
+    tb = kernel_bundle(scen, gain).tables
+    w = _ScalarWeights(scen, bars, gain)
+    dt = mp.mpf(scen.grid.dt)
+    n = scen.grid.n_nodes
+
+    def arr(a):
+        return [mp.mpf(float(v)) for v in np.broadcast_to(a, (n,))]
+
+    def run(vals, reverse=False):
+        out = [mp.mpf(0)] * n
+        steps = range(n - 2, -1, -1) if reverse else range(1, n)
+        for k in steps:
+            prev = k + 1 if reverse else k - 1
+            out[k] = out[prev] + (vals[k] + vals[prev]) / 2 * dt
+        return out
+
+    H, M, C, D, G = arr(tb.H), arr(tb.M), arr(tb.C), arr(tb.D), arr(tb.gain)
+    wbar, w2, gbar, g2q0, sig = (arr(w.wbar), arr(w.w2), arr(w.gbar), arr(w.g2q0),
+                                 arr(scen.flat("Sigma")))
+    q0 = mp.mpf(w.q0)
+    epsi = [mp.exp(v) for v in run(H)]
+    ephi = [mp.exp(v) for v in run([h + m for h, m in zip(H, M)])]
+    c = run([M[k] * ephi[k] / epsi[k] for k in range(n)])
+    T0, T1, T2 = (run([c[k]**p * wbar[k] / ephi[k]**2 for k in range(n)]) for p in range(3))
+    T3 = run([w2[k] / epsi[k]**2 for k in range(n)])
+    T4 = run([wbar[k] / (epsi[k] * ephi[k]) for k in range(n)])
+    T5 = run([c[k] * wbar[k] / (epsi[k] * ephi[k]) for k in range(n)])
+    kbar = [epsi[k]**2 * (c[k]**2 * T0[k] - 2 * c[k] * T1[k] + T2[k] + T3[k]
+                          + 2 * (c[k] * T4[k] - T5[k])) for k in range(n)]
+    cost = sum((sig[k] * kbar[k] + sig[k + 1] * kbar[k + 1]) / 2 * dt for k in range(n - 1))
+    R = [run([sig[k] * epsi[k]**2 * c[k]**p for k in range(n)], reverse=True)
+         for p in range(3)]
+    g = np.zeros(n)
+    for k in range(n - 1):
+        X = T4[k] - T1[k]
+        e = ephi[k] / epsi[k] - c[k]
+        fb = q0 * gbar[k]**2 / ephi[k]**2
+        pb = g2q0[k] / epsi[k]**2
+        xb = 2 * q0 * gbar[k]**2 / (epsi[k] * ephi[k])
+        a2 = -(C[k] + D[k]) * T0[k] + G[k] * fb
+        a1 = -2 * C[k] * X - D[k] * (X + e * T0[k]) + G[k] * (xb - 2 * c[k] * fb)
+        a0 = (-C[k] * (T2[k] + T3[k] - 2 * T5[k]) - D[k] * e * X
+              + G[k] * (fb * c[k]**2 + pb - xb * c[k]))
+        g[k] = float(2 * (a0 * R[0][k] + a1 * R[1][k] + a2 * R[2][k]))
+    return float(cost), g
+
+
+def _oracle_gap(scen, gain):
+    """sup |factored gradient - triangle oracle| / sup |oracle|."""
+    bars = measure_averages(scen)
+    bundle = kernel_bundle(scen, gain)
+    g = cost_gradient(scen, bundle, bars).values
+    oracle = _gradient_from_kernel(scen, mean_sensitivity_triangle(scen, bundle, bars)).values
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(oracle))
+    return float(np.max(np.abs(g - oracle)) / np.max(np.abs(oracle)))
 
 
 @pytest.fixture(scope="module")
@@ -323,3 +428,116 @@ class TestFdOracle:
         zero = GainSchedule.constant(scen.grid, 0.0)
         with pytest.raises(ScenarioError):
             fd_cost_slope(scen, zero, zero, 0.0, bars)
+
+
+class TestFactoredGradient:
+    """The O(N) gradient against the O(N^2) triangle it replaces."""
+
+    @pytest.mark.parametrize("build", [classical_scenario, normal_flow_scenario,
+                                       cross_pairing_probe])
+    @pytest.mark.parametrize("steps", [100, 800])
+    def test_matches_triangle_oracle(self, build, steps):
+        scen = build(steps=steps)
+        for value in (0.0, 0.3):
+            assert _oracle_gap(scen, GainSchedule.constant(scen.grid, value)) <= 1e-12
+
+    def test_matches_triangle_oracle_random_scenarios(self):
+        for seed in range(1, 25):
+            scen = random_smooth_scenario(seed=seed, steps=200)
+            values = 0.4 + 0.2 * np.cos(2 * np.pi * scen.grid.nodes)
+            assert _oracle_gap(scen, GainSchedule(scen.grid, values[:, None, None])) <= 1e-12
+
+    def test_no_dense_allocation_in_optimizer(self):
+        # one (N+1) x (N+1) float triangle at N = 3200 is 82 MB
+        scen = classical_scenario(steps=3200)
+        tracemalloc.start()
+        try:
+            optimize_gain(scen, max_iter=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+class TestLongHorizon:
+    """exp(+-2 int H) leaves float64 range once |int H| passes ~350."""
+
+    def test_stable_gradient_finite_and_matches_oracle(self):
+        scen = _ou_scenario(-2.0, steps=400)
+        for value in (0.0, 0.3):
+            assert _oracle_gap(scen, GainSchedule.constant(scen.grid, value)) <= 1e-12
+
+    def test_stable_cost(self):
+        scen = _ou_scenario(-2.0, steps=4000)
+        J = trace_cost(scen, kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.0)),
+                       measure_averages(scen))
+        # the trapezoid value of the discrete quadrature, and the exact
+        # T/4 - (1 - e^{-4T})/16 up to the O(dt^2) quadrature error
+        assert J == pytest.approx(50.10363857859703, rel=1e-10)
+        assert J == pytest.approx(49.9375, rel=5e-3)
+
+    def test_stable_profile_matches_closed_form(self):
+        scen = _ou_scenario(-2.0, steps=20000)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.0))
+        prof = covariance_profile(scen, bundle, measure_averages(scen), 0)
+        expected = (1.0 - np.exp(-4.0 * scen.grid.nodes)) / 4.0
+        np.testing.assert_allclose(prof, expected, rtol=0, atol=5e-5)
+
+    @pytest.mark.parametrize("B, D, horizon, steps", [(-0.5, 0.5, 10.0, 100),
+                                                     (0.5, 0.5, 200.0, 400)],
+                             ids=["falling", "rising"])
+    def test_coupled_gradient_matches_oracle_across_frames(self, B, D, horizon, steps):
+        # int M moves by tens (falling: M = -0.65, rising: M = +0.35), so
+        # c is cut into many frames; the triangle oracle is still accurate
+        scen = _ou_scenario(-2.0, steps, horizon, B=B, D=D)
+        gain = GainSchedule.constant(scen.grid, 0.3)
+        assert len(kernel_bundle(scen, gain).tables.frames.starts) >= 3
+        assert _oracle_gap(scen, gain) <= 1e-12
+
+    @pytest.mark.parametrize("B, D, value, horizon, steps", [(-0.5, 0.5, 0.3, 200.0, 400),
+                                                            (-1.0, 0.0, 0.0, 300.0, 600)])
+    def test_coupled_cost_matches_stable_quadrature(self, B, D, value, horizon, steps):
+        # c_mix tends to -1 and exp(int M) falls below e^-130: the plain
+        # tables (and the triangle oracle) lose every digit here
+        scen = _ou_scenario(-2.0, steps, horizon, B=B, D=D)
+        gain = GainSchedule.constant(scen.grid, value)
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, gain)
+        assert np.all(np.isfinite(cost_gradient(scen, bundle, bars).values))
+        assert trace_cost(scen, bundle, bars) == pytest.approx(
+            _quadrature_cost(scen, gain), rel=1e-13)
+
+    def test_coupled_gradient_matches_exact_arithmetic(self):
+        scen = _ou_scenario(-2.0, 200, 100.0, B=-0.5, D=0.5)
+        gain = GainSchedule.constant(scen.grid, 0.3)
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, gain)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(100):
+            cost, g = _exact_factored(mp, scen, gain)
+        assert trace_cost(scen, bundle, bars) == pytest.approx(cost, rel=1e-13)
+        np.testing.assert_allclose(cost_gradient(scen, bundle, bars).values, g,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(g)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unstable_overflow_names_stage_and_node(self):
+        scen = _ou_scenario(5.0, steps=400)
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.0))
+        # K grows like e^{10 t} / 10 and leaves float64 range near t = 71
+        with pytest.raises(ScenarioError, match=r"trace_cost: non-finite value at node 14\d"):
+            trace_cost(scen, bundle, bars)
+        with pytest.raises(ScenarioError, match=r"covariance_profile: non-finite value at node"):
+            covariance_profile(scen, bundle, bars, 0)
+        with pytest.raises(ScenarioError, match=r"cost_gradient: non-finite value at node 0"):
+            cost_gradient(scen, bundle, bars)
+
+
+class TestCheckFinite:
+    def test_names_first_bad_node(self):
+        values = np.zeros((6, 2, 2))
+        check_finite("stage", values)
+        values[4, 1, 0] = np.inf
+        values[2, 0, 1] = np.nan
+        with pytest.raises(ScenarioError, match=r"^stage: non-finite value at node 2$"):
+            check_finite("stage", values)

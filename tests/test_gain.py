@@ -8,15 +8,43 @@ from mfkalman import (
     build_scenario,
     classical_scenario,
     dirac_measure,
+    kernel_bundle,
     make_grid,
+    measure_averages,
     normal_flow_scenario,
     optimize_gain,
     riccati_classical,
     riccati_normal_flow,
     stationarity_residual,
+    trace_cost,
+    trapezoid,
 )
+from mfkalman.covariance import _ScalarWeights
+from mfkalman.gain import _diagonal_update
+from mfkalman.kernels import _scalar_tables
+from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import scalar_scenario
+
+
+def _diagonal_update_by_rows(scenario, bars, values, nodes):
+    """Reference for ``_diagonal_update``: the same three sweeps, with
+    Theta and Xi integrated row by row over the kernel rows."""
+    out = values.copy()
+    dt = scenario.grid.dt
+    for _ in range(3):
+        gain = GainSchedule(scenario.grid, out[:, None, None])
+        tb = _scalar_tables(scenario, gain)
+        w = _ScalarWeights(scenario, bars, gain)
+        for j in nodes:
+            if w.g2q0[j] <= 1e-14:
+                continue
+            sl = slice(0, j + 1)
+            psi_r, f_r, wbar = tb.psi_row(j), tb.f_row(j), w.wbar[sl]
+            theta = trapezoid(f_r**2 * wbar + psi_r**2 * w.w2[sl] + 2 * psi_r * f_r * wbar, dt)
+            xi = trapezoid((f_r + psi_r) * wbar / tb.ephi[sl], dt)
+            out[j] = (tb.C[j] * theta + tb.D[j] * tb.ephi[j] * xi) / w.g2q0[j]
+    return out
 
 
 class TestRiccatiClassical:
@@ -124,6 +152,14 @@ class TestOptimizeGain:
             devs[steps] = np.max(np.abs(report.gain.scalar - np.tanh(scen.grid.nodes)))
         assert devs[100] / max(devs[200], 1e-15) >= 2.0 or devs[200] < 1e-4
 
+    @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe])
+    def test_final_cost_is_cost_of_completed_gain(self, build):
+        scen = build(steps=100)
+        report = optimize_gain(scen)
+        bars = measure_averages(scen)
+        assert report.final_cost == trace_cost(scen, kernel_bundle(scen, report.gain), bars)
+        assert report.cost_trajectory[-1] != report.final_cost  # completion moved the gain
+
     def test_iteration_limit_reported(self):
         scen = classical_scenario(steps=100)
         report = optimize_gain(scen, grad_tol=1e-12, max_iter=3,
@@ -187,3 +223,18 @@ class TestBuildFilter:
         scen = classical_scenario(steps=100)
         with pytest.raises(ScenarioError):
             build_filter(scen, GainSchedule.constant(make_grid(1.0, 50), 0.0))
+
+
+class TestDiagonalUpdate:
+    @pytest.mark.parametrize("scen", [classical_scenario(steps=200),
+                                      normal_flow_scenario(steps=200),
+                                      cross_pairing_probe(steps=200),
+                                      random_smooth_scenario(seed=3, steps=200)],
+                             ids=["classical", "normal-flow", "probe", "random"])
+    def test_matches_row_quadrature(self, scen):
+        bars = measure_averages(scen)
+        start = 0.3 + 0.2 * np.sin(2 * np.pi * scen.grid.nodes)
+        nodes = list(range(scen.grid.n_nodes))
+        got = _diagonal_update(scen, bars, start, nodes)
+        ref = _diagonal_update_by_rows(scen, bars, start, nodes)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)

@@ -10,9 +10,11 @@ from mfkalman import (
     compute_psi,
     derivative_kernels,
     dirac_measure,
+    cumulative_trapezoid,
     kernel_bundle,
     make_grid,
 )
+from mfkalman.kernels import FRAME_SPAN, MIX_SPAN, Frames
 from mfkalman.scenarios import random_smooth_scenario
 
 from conftest import scalar_scenario
@@ -159,6 +161,65 @@ def pair():
             A=(lambda t, _k=k: a[_k] * (1 + 0.5 * t) if _k == 1 else a[_k]),
             B=b[k], C=c[k], D=d[k], sigma=s[k], gamma=1.0))
     return grid, scen2, scalars, c
+
+
+class TestKernelBundle:
+    def test_scalar_triangles_built_on_first_access(self, rough_pack):
+        scen, _, gain, _ = rough_pack
+        bundle = kernel_bundle(scen, gain)
+        assert bundle.triangles == {}
+        psi = bundle.psi
+        assert bundle.psi is psi
+        assert set(bundle.triangles) == {"psi"}
+        np.testing.assert_array_equal(psi.values, compute_psi(scen, gain).values)
+        np.testing.assert_array_equal(bundle.phi.values, compute_phi(scen, gain).values)
+        np.testing.assert_array_equal(bundle.f.values,
+                                      compute_f(scen, gain, bundle.phi, psi).values)
+
+
+class TestFrames:
+    def test_short_horizon_is_one_plain_frame(self, rough_pack):
+        tb = rough_pack[3].tables
+        assert tb.frames.starts == [0]
+        np.testing.assert_array_equal(tb.frames.epsi, tb.epsi)
+        np.testing.assert_array_equal(tb.frames.ephi, tb.ephi)
+        np.testing.assert_array_equal(tb.frames.c, tb.c_mix)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("powers", [(0, -2), (-2, 0), (-1, -1), (0, -1), (2, 0)])
+    @pytest.mark.parametrize("mix_shape", ["rising", "dipping"])
+    def test_cumulative_across_frames(self, mix_shape, powers, reverse):
+        # exponents down to about -300 and an integral of M that moves by
+        # tens: many frames, yet every value below stays inside float64
+        # range, so each frame's values can be formed directly
+        dt = 0.5
+        t = np.arange(601) * dt
+        lh = -t + 20.0 * np.sin(t / 15.0)
+        if mix_shape == "rising":
+            mix, M = 0.2 * t, np.full_like(t, 0.2)
+        else:   # M changes sign; the integral swings and dips to about -8
+            mix, M = -0.02 * t + 2.0 * np.sin(t / 10.0), -0.02 + 0.2 * np.cos(t / 10.0)
+        lhm = lh + mix
+        fr = Frames(lh, lhm, M, dt)
+        assert len(fr.starts) >= 5
+        for a, b in zip(fr.starts, fr.starts[1:] + [len(t) - 1]):
+            assert np.max(np.abs(lh[a:b + 1] - lh[a])) <= FRAME_SPAN
+            assert np.max(np.abs(mix[a:b] - mix[a])) <= MIX_SPAN
+        u, v = powers
+        h = 1.0 + 0.3 * np.cos(t / 7.0)
+        got = fr.cumulative(fr.epsi**u * fr.ephi**v * h, powers, degree=2, reverse=reverse)
+        for a, b in zip(fr.starts, fr.starts[1:] + [len(t)]):
+            # every node expressed in frame a, integrated over the whole grid
+            x = np.exp(u * (lh - lh[a]) + v * (lhm - lhm[a])) * h
+            y = M * np.exp(mix - mix[a])   # c' in frame a, summed out from a
+            c = np.concatenate([-cumulative_trapezoid(y[:a + 1][::-1], dt)[:0:-1],
+                                cumulative_trapezoid(y[a:], dt)])
+            np.testing.assert_allclose(fr.c[a:b], c[a:b], rtol=1e-12, atol=1e-13)
+            for p in range(3):
+                run = (cumulative_trapezoid((c**p * x)[::-1], dt)[::-1] if reverse
+                       else cumulative_trapezoid(c**p * x, dt))
+                np.testing.assert_allclose(got[p][a:b], run[a:b], rtol=1e-10,
+                                           atol=1e-13 * np.max(np.abs(run[a:b])))
 
 
 class TestMatrixMode:
