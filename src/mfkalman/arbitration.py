@@ -16,9 +16,8 @@ import numpy as np
 from .covariance import (
     GradientField,
     _atom_index,
+    _atom_terms,
     _gradient_from_kernel,
-    _profile_from_weights,
-    _quadrature_tables,
     _require_scalar_bundle,
     _ScalarWeights,
     _sensitivity_quadratures,
@@ -50,27 +49,25 @@ def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
                                    bars: BarQuantities, atom) -> np.ndarray:
     """K(u, t_j) at every node with the printed sigma-bar cross pairing."""
     tb, w, w_u, x_p = _transcribed_weights(scenario, bundle, bars, atom)
-    return _profile_from_weights(tb, w.wbar, w_u, x_p)
+    return sum(_atom_terms(tb, w.wbar, w_u, x_p))
 
 
 def drift_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
                               bars: BarQuantities, atom) -> np.ndarray:
     """Printed drift: [M phi + H] bracket on the mean terms, sigma-bar
-    cross pairing, no diffusion boundary."""
+    cross pairing, no diffusion boundary:
+
+        M phi.f wbar + H f wbar + H psi.psi w_u + 2 H psi.f x_u' + M phi.psi x_u',
+
+    with every kernel at (t, s), integrated over s in [0, t] (the bare-H
+    mean term carries a single f factor)."""
     tb, w, w_u, x_p = _transcribed_weights(scenario, bundle, bars, atom)
-    T0, T1, _, T3, T4, T5 = _quadrature_tables(tb, w.wbar, w_u, x_p)
     fr = tb.frames
-    ephi, epsi, c = fr.ephi, fr.epsi, fr.c
-    # the bare-H mean term carries a single f factor: int f(t,s) wbar(s) ds
-    V0, V1 = fr.cumulative(w.wbar / ephi, (0, -1), degree=1)
     H, M = tb.H, tb.M
-    ep2 = epsi**2
-    return (M * ephi * epsi * (c * T0 - T1)      # M phi . f wbar
-            + H * epsi * (c * V0 - V1)           # bare H . f wbar (printed bracket)
-            + H * ep2 * T3                       # H psi . psi w_u
-            + H * ep2 * (c * T4 - T5)            # H psi . f x_p
-            + M * ephi * epsi * T4               # psi x_p . M phi
-            + H * ep2 * (c * T4 - T5))           # psi x_p . H f
+    return (M * (fr.integral(w.wbar, 0, 2) - fr.integral(w.wbar, 1, 1))   # M phi.f wbar
+            + H * (fr.integral(w.wbar, 0, 1) - fr.integral(w.wbar, 1, 0))  # H f wbar
+            + H * fr.integral(w_u - 2 * x_p, 2, 0)                       # psi^2 terms
+            + (2 * H + M) * fr.integral(x_p, 1, 1))                      # phi psi x_u'
 
 
 class TranscribedDerivativeKernels(DerivativeKernels):
@@ -81,24 +78,26 @@ class TranscribedDerivativeKernels(DerivativeKernels):
                         - (C+D)(th) int_s^th psi(t,r) M phi(t,r) dr.
     """
 
-    def __init__(self, bundle: KernelBundle, scenario: Scenario):
-        super().__init__(bundle, scenario)
+    def _density(self, i: int, j: int) -> np.ndarray:
+        """f1'(i, j, k) for k = j..i. The first integral is
+        psi(t, th) f(th, s) = psi(t, th) (phi(th, s) - psi(th, s))."""
         tb = self.tables
-        # running integral of M / (epsi * ephi)
-        self.c_mix_reversed = cumulative_trapezoid(tb.M / (tb.epsi * tb.ephi), tb.grid.dt)
+        ks = np.arange(j, i + 1)
+        C, D = self.C[ks], self.D[ks]
+        psi_ik = np.exp(tb.lh[i] - tb.lh[ks])
+        phi_kj = np.exp(tb.lhm[ks] - tb.lhm[j])
+        head = psi_ik * (phi_kj - np.exp(tb.lh[ks] - tb.lh[j]))
+        rev = cumulative_trapezoid(tb.M[ks] * np.exp(tb.lh[i] - tb.lh[ks]
+                                                     + tb.lhm[i] - tb.lhm[ks]), tb.grid.dt)
+        return -C * head + psi_ik * D * phi_kj - (C + D) * rev
 
     def f1(self, i: int, j: int, k: int) -> float:
         self._check(i, j, k)
-        tb = self.tables
-        head = tb.epsi[i] * (tb.c_mix[k] - tb.c_mix[j]) / tb.ephi[j]
-        point = tb.psi_value(i, k) * self.D[k] * tb.phi_value(k, j)
-        rev = tb.epsi[i] * tb.ephi[i] * (self.c_mix_reversed[k] - self.c_mix_reversed[j])
-        return -self.C[k] * head + point - (self.C[k] + self.D[k]) * rev
+        return float(self._density(i, j)[k - j])
 
     def f_direction(self, i: int, j: int, beta: np.ndarray) -> float:
-        ks = np.arange(j, i + 1)
-        density = np.array([self.f1(i, j, int(k)) for k in ks])
-        return float(trapezoid(density * beta[ks], self.grid.dt))
+        self._check(i, j, j)
+        return float(trapezoid(self._density(i, j) * beta[j:i + 1], self.grid.dt))
 
 
 def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,
@@ -109,13 +108,12 @@ def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     psi = tb.psi_triangle()
-    f = tb.f_triangle()
     x_p = w.q * w.sbar**2 + w.q0 * tb.gain * w.sbar * w.gbar
-    U1, U2, U3, U4, U5, q_bracket = _sensitivity_quadratures(tb, w, psi, f, w.w2, x_p)
+    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, psi, tb.phi_triangle(), w.w2, x_p)
     G = tb.gain
     boundary = (f**2 * G * w.q0 * w.gbar**2
                 + psi**2 * G * w.g2q0
                 + 0.5 * psi * f * w.q0 * (w.sbar * w.gbar))
     half = (-tb.C * (0.5 * U1 + U2 + 2 * U3)
-            - tb.D * q_bracket * (0.5 * U4 + U5) + boundary)
-    return _gradient_from_kernel(scenario, 2.0 * half * tb.mask)
+            - tb.D * (0.5 * V1 + V2) + boundary)
+    return _gradient_from_kernel(scenario, np.tril(2.0 * half))

@@ -17,18 +17,26 @@ Two formulas are fixed by oracles:
   the pairing of the kernel with a direction to reproduce central
   differences of K.
 
-Scalar mode computes every profile, the cost and the cost gradient from
-one-dimensional cumulative tables in O(N) time and memory: the averaged
-sensitivity kernel factors as 2 epsi(t)^2 times a quadratic in c_mix(t)
-whose coefficients depend on s alone, so its tail integral in t is three
-reverse running sums. The tables are kept in anchored frames
-(:class:`~mfkalman.kernels.Frames`) that bound the exponentials and c_mix
-frame by frame, so a stable system stays finite and accurate on long
-horizons, with or without mean coupling; a value that still overflows
-(an unstable system) raises :class:`ScenarioError` naming the stage and
-node. Only :func:`mean_sensitivity_triangle`, the test oracle, builds
-the O(N^2) triangle. Matrix mode evaluates the defining quadratures cell
-by cell.
+In scalar mode the mixed kernel is f = phi - psi, and the measure average
+of K splits into two scalar variances: the mean error (generator H + M,
+noise wbar) and the deviation from the mean (generator H, noise
+w2 - wbar),
+
+    Kbar(t) = P_mean(t) + P_dev(t),
+    P_mean(t) = int_0^t phi(t, s)^2 wbar(s) ds,
+    P_dev(t)  = int_0^t psi(t, s)^2 (w2 - wbar)(s) ds.
+
+One atom's profile adds a third running integral, the cross term
+phi psi. The cost gradient pairs each variance with its costate, the
+reverse integral of Sigma phi^2 or Sigma psi^2; so the profiles, the
+cost and the gradient are a few running sums each, O(N) time and memory.
+The sums are kept in anchored frames (:class:`~mfkalman.kernels.Frames`)
+that bound the exponentials frame by frame, so a stable system stays
+finite and accurate on long horizons; a value that still overflows (an
+unstable system) raises :class:`ScenarioError` naming the stage and node.
+Only :func:`mean_sensitivity_triangle`, the test oracle, builds the O(N^2)
+triangle, from kernel values. Matrix mode evaluates the defining
+quadratures cell by cell.
 """
 
 from __future__ import annotations
@@ -144,43 +152,21 @@ def _require_scalar_bundle(bundle: KernelBundle) -> ScalarTables:
     return bundle.tables
 
 
-def _quadrature_tables(tb: ScalarTables, wbar, w_mid, x_mid) -> tuple:
-    """Running integrals T0..T5 of the factored quadrature terms, each
-    node's value in its own frame (see :class:`~mfkalman.kernels.Frames`);
-    they pair with ``tb.frames.epsi``/``.ephi``/``.c``."""
+def _averaged_terms(tb: ScalarTables, w: _ScalarWeights) -> tuple[np.ndarray, np.ndarray]:
+    """P_mean and P_dev, the two parts of the averaged K-profile."""
     fr = tb.frames
-    T0, T1, T2 = fr.cumulative(wbar / fr.ephi**2, (0, -2), degree=2)
-    (T3,) = fr.cumulative(w_mid / fr.epsi**2, (-2, 0))
-    T4, T5 = fr.cumulative(x_mid / (fr.epsi * fr.ephi), (-1, -1), degree=1)
-    return T0, T1, T2, T3, T4, T5
+    return fr.integral(w.wbar, 0, 2), fr.integral(w.w2 - w.wbar, 2, 0)
 
 
-def _profile_from_tables(tb: ScalarTables, tables: tuple) -> np.ndarray:
-    T0, T1, T2, T3, T4, T5 = tables
-    c = tb.frames.c
-    return tb.frames.epsi**2 * (c**2 * T0 - 2 * c * T1 + T2 + T3 + 2 * (c * T4 - T5))
+def _atom_terms(tb: ScalarTables, wbar, w_u, x_u) -> tuple[np.ndarray, ...]:
+    """Mean, deviation and cross parts of one atom's K-profile,
 
+        K = int_0^t phi^2 wbar + psi^2 (wbar + w_u - 2 x_u) + 2 phi psi (x_u - wbar),
 
-def _profile_from_weights(tb: ScalarTables, wbar, w_mid, x_mid) -> np.ndarray:
-    """K-profile over all nodes from the factored cumulative integrals."""
-    return _profile_from_tables(tb, _quadrature_tables(tb, wbar, w_mid, x_mid))
-
-
-def _drift_from_weights(tb: ScalarTables, wbar, w_mid, x_mid, w_point) -> np.ndarray:
-    """One-sided covariance rate: dK/dt = drift + drift (scalar: 2*drift)."""
-    T0, T1, T2, T3, T4, T5 = _quadrature_tables(tb, wbar, w_mid, x_mid)
-    ephi, epsi, c = tb.frames.ephi, tb.frames.epsi, tb.frames.c
-    H, M = tb.H, tb.M
-    ep2 = epsi**2
-    integral = (M * ephi * epsi * (c * T0 - T1)        # M phi . f wbar
-                + M * ephi * epsi * T4                 # M phi . psi x
-                + H * ep2 * (c**2 * T0 - 2 * c * T1 + T2)  # H f . f wbar
-                + H * ep2 * (c * T4 - T5)              # H f . psi x
-                + H * ep2 * T3                         # H psi . psi w
-                + H * ep2 * (c * T4 - T5))             # H psi . f x
-    out = 0.5 * w_point + integral
-    out[0] = 0.0  # empty-interval node: all quadratures vanish
-    return out
+    the expansion of f^2 wbar + psi^2 w_u + 2 psi f x_u with f = phi - psi."""
+    fr = tb.frames
+    return (fr.integral(wbar, 0, 2), fr.integral(wbar + w_u - 2 * x_u, 2, 0),
+            2 * fr.integral(x_u - wbar, 1, 1))
 
 
 def _check_node(scenario: Scenario, node: int) -> None:
@@ -198,8 +184,8 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
     if scenario.scalar_mode:
         tb = _require_scalar_bundle(bundle)
         w = _ScalarWeights(scenario, bars, bundle.gain)
-        w_u, x_u = w.atom(i)[:2]
-        prof = _profile_from_weights(tb, w.wbar, w_u, x_u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            prof = sum(_atom_terms(tb, w.wbar, *w.atom(i)[:2]))
     else:
         prof = np.zeros((scenario.grid.n_nodes, scenario.n, scenario.n))
         for j in range(1, scenario.grid.n_nodes):
@@ -292,7 +278,15 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     w_u, x_u = w.atom(i)[:2]
-    return _drift_from_weights(tb, w.wbar, w_u, x_u, w_u)
+    H, M = tb.H, tb.M
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, dev, cross = _atom_terms(tb, w.wbar, w_u, x_u)
+        # the mean part is transported by H + M, the deviation by H, and
+        # the cross part by their average
+        out = 0.5 * w_u + (H + M) * mean + H * dev + (H + 0.5 * M) * cross
+    out[0] = 0.0  # empty-interval node: all quadratures vanish
+    check_finite("drift_profile", out)
+    return out
 
 
 def covariance_sensitivity(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
@@ -313,33 +307,29 @@ def sensitivity_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuant
     _check_node(scenario, t_node)
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    return _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.f_row(t_node), *w.atom(i))
+    return _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.phi_row(t_node), *w.atom(i))
 
 
-def _sensitivity_quadratures(tb: ScalarTables, w: _ScalarWeights, psi, f, w_mid, x):
-    """Running integrals U1..U5 of the sensitivity kernel and the bracket
-    of its D-term. ``psi``/``f`` are either row i of the kernels (length
-    i+1) or the masked (N+1, N+1) triangles; every cumulative quadrature
-    runs along the last axis. ``w_mid`` is the pointwise weight and ``x``
-    the cross weight (full-length arrays)."""
+def _sensitivity_quadratures(tb: ScalarTables, w: _ScalarWeights, psi, phi, w_mid, x):
+    """f = phi - psi and the running integrals over r <= s of the
+    sensitivity kernel's terms: f^2 wbar, psi^2 w_mid and psi f x (the
+    C-term), phi f wbar and phi psi x (the D-term). ``psi``/``phi`` are
+    either row i of the kernels (length i+1) or the (N+1, N+1) triangles;
+    every cumulative quadrature runs along the last axis. ``w_mid`` is the
+    pointwise weight and ``x`` the cross weight (full-length arrays)."""
     dt = tb.grid.dt
-    n = psi.shape[-1]
-    sl = slice(0, n)
-    upper = np.s_[:, None] if psi.ndim == 2 else n - 1  # index of t
-    wbar = w.wbar[sl]
-    ephi = tb.ephi[sl]
-    x = x[sl]
-    U1 = cumulative_trapezoid(f**2 * wbar, dt)
-    U2 = cumulative_trapezoid(psi**2 * w_mid[sl], dt)
-    U3 = cumulative_trapezoid(psi * f * x, dt)
-    U4 = cumulative_trapezoid(f * (wbar / ephi), dt)
-    U5 = cumulative_trapezoid(psi * (x / ephi), dt)
-    q_bracket = tb.epsi[upper] * ((tb.c_mix[upper] - tb.c_mix[sl])
-                                  + tb.ephi[sl] / tb.epsi[sl])
-    return U1, U2, U3, U4, U5, q_bracket
+    sl = slice(0, psi.shape[-1])
+    wbar, x = w.wbar[sl], x[sl]
+    f = phi - psi
+    return (f,
+            cumulative_trapezoid(f**2 * wbar, dt),
+            cumulative_trapezoid(psi**2 * w_mid[sl], dt),
+            cumulative_trapezoid(psi * f * x, dt),
+            cumulative_trapezoid(phi * f * wbar, dt),
+            cumulative_trapezoid(phi * psi * x, dt))
 
 
-def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, psi, f,
+def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, psi, phi,
                         w_mid, x, g_point, g_cross) -> np.ndarray:
     """The one sensitivity-kernel evaluator, on a row or a triangle (see
     :func:`_sensitivity_quadratures`). ``w_mid``, ``x`` and the boundary
@@ -347,13 +337,13 @@ def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, psi, f,
     values or their measure averages, see :class:`_ScalarWeights`.
     Triangle entries above the diagonal are meaningless; callers mask them.
     """
-    U1, U2, U3, U4, U5, q_bracket = _sensitivity_quadratures(tb, w, psi, f, w_mid, x)
+    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, psi, phi, w_mid, x)
     sl = slice(0, psi.shape[-1])
     G = tb.gain[sl]
     boundary = (f**2 * G * w.q0 * w.gbar[sl]**2
                 + psi**2 * G * g_point[sl]
                 + 2 * psi * f * G * w.q0 * g_cross[sl])
-    half = -tb.C[sl] * (U1 + U2 + 2 * U3) - tb.D[sl] * q_bracket * (U4 + U5) + boundary
+    half = -tb.C[sl] * (U1 + U2 + 2 * U3) - tb.D[sl] * (V1 + V2) + boundary
     return 2.0 * half
 
 
@@ -366,7 +356,7 @@ def mean_sensitivity(scenario: Scenario, bundle: KernelBundle, bars: BarQuantiti
         raise ScenarioError(f"need s <= t on the grid, got (t={t_node}, s={s_node})")
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    row = _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.f_row(t_node), *w.averaged())
+    row = _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.phi_row(t_node), *w.averaged())
     return float(row[s_node])
 
 
@@ -375,11 +365,12 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
     """Averaged sensitivity kernel on the whole triangle: (N+1, N+1) array
     with entry [i, j] = mean kernel at (t_i, s_j), zero above the diagonal.
 
-    Vectorized over both indices; cost O(N^2)."""
+    Vectorized over both indices; cost O(N^2). On the averaged weights the
+    D-term is the running integral of phi^2 wbar."""
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    kernel = _sensitivity_kernel(tb, w, tb.psi_triangle(), tb.f_triangle(), *w.averaged())
-    return kernel * tb.mask
+    return np.tril(_sensitivity_kernel(tb, w, tb.psi_triangle(), tb.phi_triangle(),
+                                       *w.averaged()))
 
 
 def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
@@ -396,10 +387,11 @@ def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) ->
 
 def _scalar_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
     """Scalar-mode :func:`trace_cost`: the trapezoid of Sigma times the
-    averaged K-profile, in O(N)."""
+    averaged K-profile P_mean + P_dev, in O(N)."""
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    kbar = _profile_from_weights(tb, w.wbar, w.w2, w.wbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kbar = sum(_averaged_terms(tb, w))
     check_finite("trace_cost", kbar)
     return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
 
@@ -409,37 +401,35 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     """Gradient density g(t_j): the tail integral over s in [t_j, T] of
     Sigma(s) times the averaged sensitivity kernel at (s, t_j).
 
-    The averaged kernel factors exactly as
+    With f = phi - psi the averaged kernel at (s, t) is
 
-        kernel(s_i, t_j) = 2 epsi_i^2 (a0_j + a1_j c_i + a2_j c_i^2),
+        2 phi(s, t)^2 a_mean(t) + 2 psi(s, t)^2 a_dev(t),
+        a_mean = -(C + D) P_mean + G q0 gbar^2,
+        a_dev  = -C P_dev + G (g2q0 - q0 gbar^2),
 
-    c = c_mix, with a0..a2 combinations of the T0..T5 tables of the
-    averaged profile and of the boundary loadings at t_j. So g_j is
-    sum_k a_k[j] R_k[j], where R_k are reverse trapezoid sums of
-    Sigma epsi^2 c^k: O(N) time and memory, and equal to the trapezoid
-    tail of :func:`mean_sensitivity_triangle` up to round-off. epsi, c
-    and the sums are anchored per frame (the polynomial in c is invariant
-    under the frames' shift and scale of c), so a long stable horizon
-    stays finite; a gradient that overflows raises :class:`ScenarioError`.
+    so g = 2 a_mean L_mean + 2 a_dev L_dev, where the costates
+    L_mean(t) = int_t^T Sigma(s) phi(s, t)^2 ds and L_dev (with psi) are
+    reverse running sums: two forward and two reverse sums, O(N) time and
+    memory, and equal to the trapezoid tail of
+    :func:`mean_sensitivity_triangle` up to round-off. The sums are
+    anchored per frame, so a long stable horizon stays finite; a gradient
+    that overflows raises :class:`ScenarioError`.
+
+    This is the quadrature of the continuous gradient density, not the
+    derivative of the discrete :func:`trace_cost`: the two part by
+    O(dt |H|) relative along directions that do not vanish at the ends.
 
     g vanishes at the horizon by construction. Scalar mode only."""
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    T0, T1, T2, T3, T4, T5 = _quadrature_tables(tb, w.wbar, w.w2, w.wbar)
     fr = tb.frames
-    epsi, ephi, c = fr.epsi, fr.ephi, fr.c
+    sigma = scenario.flat("Sigma")
     C, D, G = tb.C, tb.D, tb.gain
-    X = T4 - T1
-    e = ephi / epsi - c                       # D-term bracket minus c_i
-    fb = w.q0 * w.gbar**2 / ephi**2           # boundary loadings of f^2,
-    pb = w.g2q0 / epsi**2                     # psi^2
-    xb = 2 * w.q0 * w.gbar**2 / (epsi * ephi)  # and psi f
-    a2 = -(C + D) * T0 + G * fb
-    a1 = -2 * C * X - D * (X + e * T0) + G * (xb - 2 * c * fb)
-    a0 = -C * (T2 + T3 - 2 * T5) - D * e * X + G * (fb * c**2 + pb - xb * c)
-    R0, R1, R2 = fr.cumulative(scenario.flat("Sigma") * epsi**2, (2, 0), degree=2,
-                               reverse=True)
-    g = 2.0 * (a0 * R0 + a1 * R1 + a2 * R2)
+    gq = w.q0 * w.gbar**2
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, dev = _averaged_terms(tb, w)
+        g = 2.0 * ((-(C + D) * mean + G * gq) * fr.integral(sigma, 0, 2, reverse=True)
+                   + (-C * dev + G * (w.g2q0 - gq)) * fr.integral(sigma, 2, 0, reverse=True))
     g[-1] = 0.0
     check_finite("cost_gradient", g)
     return GradientField(grid=scenario.grid, values=g)

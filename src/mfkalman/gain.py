@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import (
-    _profile_from_tables,
-    _quadrature_tables,
+    _averaged_terms,
     _scalar_cost,
     _ScalarWeights,
     cost_gradient,
@@ -72,7 +71,6 @@ class OptimizationReport:
     gain: GainSchedule
     cost_trajectory: list[float]
     gradient_trajectory: list[float]
-    gradient_sup: float
     stationarity: float
     iterations: int
     converged: bool
@@ -117,16 +115,16 @@ def _diagonal_update(scenario: Scenario, bars: BarQuantities, values: np.ndarray
     """Solve the pointwise diagonal stationarity for the given nodes.
 
     At the optimum the averaged sensitivity kernel vanishes on its
-    diagonal, where it reads
+    diagonal, where phi = psi = 1 and it reads
 
-        gain(t) * (gamma^2-bar)(t) = C(t) * Theta(t) + D(t) * q(t) * Xi(t)
+        gain(t) * (gamma^2-bar)(t) = C(t) * (P_mean + P_dev)(t) + D(t) * P_mean(t)
 
-    with Theta, Xi integrals over [0, t] of kernel-weighted loadings. The
-    right side depends on gain(t) only through an O(dt) quadrature tail,
-    so a couple of sweeps converge; each sweep freezes the gain it starts
-    from. Theta is the averaged K-profile and Xi = epsi (c T0 - T1 + T4)
-    in the tables of the covariance module, so a sweep costs O(N). Nodes
-    with vanishing observation energy are left untouched.
+    with P_mean and P_dev the mean and deviation variances of the
+    covariance module (their sum is the averaged K-profile). The right
+    side depends on gain(t) only through an O(dt) quadrature tail, so a
+    couple of sweeps converge; each sweep freezes the gain it starts from
+    and costs O(N). Nodes with vanishing observation energy are left
+    untouched.
     """
     out = values.copy()
     nodes = np.asarray(nodes, dtype=int)
@@ -134,15 +132,10 @@ def _diagonal_update(scenario: Scenario, bars: BarQuantities, values: np.ndarray
         gain = GainSchedule(scenario.grid, out[:, None, None])
         tb = _scalar_tables(scenario, gain)
         w = _ScalarWeights(scenario, bars, gain)
-        tables = _quadrature_tables(tb, w.wbar, w.w2, w.wbar)
-        T0, T1, _, _, T4, _ = tables
-        fr = tb.frames
-        theta = _profile_from_tables(tb, tables)
-        ephi_xi = fr.ephi * fr.epsi * (fr.c * T0 - T1 + T4)
+        mean, dev = _averaged_terms(tb, w)
         live = nodes[w.g2q0[nodes] > 1e-14]
-        # on the diagonal the mixed kernel vanishes, so only the
-        # psi^2-weighted boundary survives and the equation is explicit
-        out[live] = (tb.C[live] * theta[live] + tb.D[live] * ephi_xi[live]) / w.g2q0[live]
+        out[live] = (tb.C[live] * (mean[live] + dev[live])
+                     + tb.D[live] * mean[live]) / w.g2q0[live]
     return out
 
 
@@ -229,7 +222,6 @@ def optimize_gain(scenario: Scenario, *, initial_gain=None, step: float = 1.0,
         gain=gain,
         cost_trajectory=trajectory,
         gradient_trajectory=grad_trajectory,
-        gradient_sup=residual,
         stationarity=residual,
         iterations=iterations,
         converged=converged,

@@ -7,26 +7,28 @@ Three kernels drive everything:
   H = A - gain*C and M = B - gain*D are the closed-loop drifts;
 * ``psi(t, s)`` solves d/dt psi = H psi, psi(s, s) = I;
 * ``f(t, s) = int_s^t psi(t, r) M(r) phi(r, s) dr`` transports the mean
-  error into the pointwise error and satisfies f(t, t) = 0 and
-  d/dt f = M phi + H f.
+  error into the pointwise error. It satisfies f(t, t) = 0 and
+  d/dt f = M phi + H f, and so does phi - psi; by variation of constants
 
-In scalar mode the operators are plain exponentials of running integrals,
-so every kernel value reduces to one-dimensional cumulative trapezoid
-tables; the dense lower-triangle storage is generated from those tables
-only when a caller asks for it, and agrees with the defining quadratures
-to round-off. Long horizons are handled by anchoring the exponentials
-frame by frame (:class:`Frames`). Matrix mode
-integrates the operator ODEs column-wise with classical Runge-Kutta.
+      f = phi - psi
+
+  exactly, in scalar and in matrix mode, and f is never integrated.
+
+In scalar mode the operators are exponentials of the running integrals of
+H and of H + M, so every kernel value is one exponential of a difference;
+the dense lower-triangle storage is generated only when a caller asks for
+it, with nothing exponentiated above the diagonal. Long horizons are
+handled by anchoring the exponentials frame by frame (:class:`Frames`).
+Matrix mode integrates the operator ODEs column-wise with classical
+Runge-Kutta.
 
 The directional (Gateaux) derivatives with respect to the gain are
-available in scalar mode through :class:`DerivativeKernels`. The mixed
-kernel's derivative is the form obtained by re-deriving the variation
-term by term; it agrees with the central-difference oracle of ``f``.
+available in scalar mode through :class:`DerivativeKernels`; the mixed
+kernel's is the difference of those of phi and psi.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,57 +114,41 @@ class GainSchedule:
 # float64 range (about e^709); what a table carries over from earlier
 # frames is bounded only when the system is stable.
 FRAME_SPAN = 128.0
-# Largest move of the running integral of M away from a frame's anchor,
-# which keeps the anchored c within [e^-2 - 1, e^2 - 1]. The factored
-# formulas expand (c_i - c_r)^2, which costs about e^(2 MIX_SPAN) ulps
-# where c_i and c_r nearly agree.
-MIX_SPAN = 2.0
 
 
-def _shift_matrix(degree: int, delta: float) -> np.ndarray:
-    """[p, q] entry binom(p, q) delta^(p - q): maps the integrals of c^q x
-    to those of (c + delta)^p x."""
-    p = np.arange(degree + 1)
-    d = p[:, None] - p[None, :]
-    comb = np.array([[math.comb(i, j) for j in p] for i in p], dtype=float)
-    return np.where(d >= 0, comb * float(delta) ** np.maximum(d, 0), 0.0)
+def _lower_exp(x: np.ndarray) -> np.ndarray:
+    """(N+1, N+1) array exp(x[i] - x[j]) on j <= i and 0 above the
+    diagonal, where nothing is exponentiated."""
+    low = np.tri(len(x), dtype=bool)
+    return np.exp(np.where(low, x[:, None] - x[None, :], -np.inf))
 
 
 class Frames:
-    """Anchored copies of the scalar exponentials and of the mixed
-    coupling integral, for long horizons.
+    """Anchored copies of the scalar exponentials, for long horizons.
 
-    ``epsi = exp(lh)`` and ``ephi = exp(lhm)`` under- or overflow once a
-    running exponent passes about 700, while the kernels, which are ratios
-    of them, stay finite; and ``c_mix``, which tends to -1 when M < 0,
-    loses its late increments to round-off. So the grid is cut into
-    frames: the nodes ``starts[k] <= i < starts[k+1]`` are expressed
-    relative to the anchor ``a = starts[k]``,
+    ``exp(lh)`` and ``exp(lhm)`` under- or overflow once a running exponent
+    passes about 700, while the kernels, which are ratios of them, stay
+    finite. So the grid is cut into frames: the nodes
+    ``starts[k] <= i < starts[k+1]`` are expressed relative to the anchor
+    ``a = starts[k]``,
 
         epsi = exp(lh - lh_a),  ephi = exp(lhm - lhm_a),
-        c    = (c_mix - c_mix[a]) * exp(lh_a - lhm_a),
 
-    with c summed from the anchor, so that it starts at 0 there. psi and
-    phi are ratios of epsi and of ephi, and f pairs a ratio with a
-    difference of c, so all three are unchanged, and with them every
-    formula of the covariance module that pairs nodes of one frame. A
+    and psi and phi, ratios of two nodes of one frame, are unchanged. A
     frame ends before the first node where lh or lhm has moved more than
-    ``FRAME_SPAN`` from the anchor, or their difference (the integral of
-    M) more than ``MIX_SPAN``; running integrals cross a frame boundary
-    through a small linear map (:meth:`cumulative`). When nothing moves
-    that far there is one frame, anchored at node 0, and epsi, ephi and c
-    equal the plain ``ScalarTables`` arrays bit for bit.
+    ``FRAME_SPAN`` from the anchor; running integrals cross a frame
+    boundary by one scale factor (:meth:`cumulative`). When nothing moves
+    that far there is one frame, anchored at node 0, and epsi and ephi
+    equal ``exp(lh)`` and ``exp(lhm)`` bit for bit.
     """
 
-    def __init__(self, lh: np.ndarray, lhm: np.ndarray, M: np.ndarray, dt: float):
+    def __init__(self, lh: np.ndarray, lhm: np.ndarray, dt: float):
         n = len(lh) - 1
-        mix = lhm - lh
         starts = [0]
         while True:
             a = starts[-1]
             far = np.flatnonzero((np.abs(lh[a:] - lh[a]) > FRAME_SPAN)
-                                 | (np.abs(lhm[a:] - lhm[a]) > FRAME_SPAN)
-                                 | (np.abs(mix[a:] - mix[a]) > MIX_SPAN))
+                                 | (np.abs(lhm[a:] - lhm[a]) > FRAME_SPAN))
             if far.size == 0:
                 break
             nxt = a + max(1, int(far[0]) - 1)
@@ -175,79 +161,63 @@ class Frames:
         anchor = np.repeat(starts, np.diff(starts + [n + 1]))
         self.epsi = np.exp(lh - lh[anchor])
         self.ephi = np.exp(lhm - lhm[anchor])
-        # each frame's c runs on to the frame's end node, where the next
-        # frame restarts it at 0; the value there, ``shift[k]``, is the
-        # offset of the next frame's c
-        self.c = np.empty(n + 1)
-        self.shift = np.empty(len(starts))
-        for k, (a, b) in enumerate(zip(starts, self.ends)):
-            self.c[a:b + 1] = cumulative_trapezoid(M[a:b + 1] * np.exp(mix[a:b + 1] - mix[a]), dt)
-            self.shift[k] = self.c[b]
         # moves of lh and lhm from each anchor to the frame's end node
         self.dlh = lh[self.ends] - lh[starts]
         self.dlhm = lhm[self.ends] - lhm[starts]
 
-    def cumulative(self, x: np.ndarray, powers: tuple[int, int], degree: int = 0,
-                   reverse: bool = False) -> tuple[np.ndarray, ...]:
-        """Running trapezoid integrals of c^p x, p = 0..degree, from node 0
-        (or, with ``reverse``, to the last node).
+    def cumulative(self, x: np.ndarray, powers: tuple[int, int],
+                   reverse: bool = False) -> np.ndarray:
+        """Running trapezoid integral of x from node 0 (or, with
+        ``reverse``, to the last node).
 
-        ``x`` holds each node's integrand in that node's frame, and so do
-        the results. ``powers = (u, v)`` are the exponents of epsi and ephi
-        in ``x``, e.g. (0, -2) for w / ephi^2: at a boundary x scales by
-        sigma = exp(-u dlh - v dlhm), c moves to rho (c - shift) with
-        rho = exp(dlh - dlhm), and the integrals of the powers of c mix
-        accordingly.
+        ``x`` holds each node's integrand in that node's frame, and so does
+        the result. ``powers = (u, v)`` are the exponents of epsi and ephi
+        in ``x``, e.g. (0, -2) for w / ephi^2: at a boundary x and the
+        carried integral scale by sigma = exp(-u dlh - v dlhm).
         """
         u, v = powers
-        n = len(x) - 1
         half = 0.5 * self.dt
-        p = np.arange(degree + 1)
-        cx = np.empty((degree + 1, n + 1))   # c^p x
-        cx[0] = x
-        for q in range(degree):
-            np.multiply(cx[q], self.c, out=cx[q + 1])
-        out = np.zeros((degree + 1, n + 1))
+        out = np.zeros(len(x))
         last = len(self.starts) - 1
         for k in (range(last, -1, -1) if reverse else range(last + 1)):
             a, b = self.starts[k], self.ends[k]
-            if k < last:
-                sigma = np.exp(-u * self.dlh[k] - v * self.dlhm[k])
-                rho = np.exp(self.dlh[k] - self.dlhm[k])
-                end = x[b] / sigma * self.shift[k] ** p   # node b, moved into frame k
-            else:
-                end = cx[:, b]
-            # the run over [a, b - 1] and the panel [b - 1, b]
-            panel = half * (cx[:, b - 1] + end)
+            sigma = np.exp(-u * self.dlh[k] - v * self.dlhm[k]) if k < last else 1.0
+            # the run over [a, b - 1] and the panel [b - 1, b], with node b
+            # moved into frame k
+            panel = half * (x[b - 1] + x[b] / sigma)
             if reverse:
-                carry = out[:, b]
-                if k < last:
-                    carry = (_shift_matrix(degree, self.shift[k]) * rho ** -p) @ carry / sigma
-                run = cumulative_trapezoid(cx[:, a:b][:, ::-1], self.dt)[:, ::-1]
-                out[:, a:b] = (carry + panel)[:, None] + run
+                carry = out[b] / sigma + panel
+                out[a:b] = carry + cumulative_trapezoid(x[a:b][::-1], self.dt)[::-1]
             else:
-                out[:, a:b] = out[:, a:a + 1] + cumulative_trapezoid(cx[:, a:b], self.dt)
-                out[:, b] = out[:, b - 1] + panel
-                if k < last:
-                    out[:, b] = sigma * rho ** p * (_shift_matrix(degree, -self.shift[k])
-                                                    @ out[:, b])
-        return tuple(out)
+                out[a:b] = out[a] + cumulative_trapezoid(x[a:b], self.dt)
+                out[b] = sigma * (out[b - 1] + panel)
+        return out
+
+    def integral(self, y: np.ndarray, p: int, q: int, reverse: bool = False) -> np.ndarray:
+        """Trapezoid of psi^p phi^q y over the kernels' lower time at every
+        node t, int_0^t psi(t, s)^p phi(t, s)^q y(s) ds; with ``reverse``,
+        over their upper time at every node s,
+        int_s^T psi(t, s)^p phi(t, s)^q y(t) dt."""
+        e = self.epsi**p * self.ephi**q
+        if reverse:
+            return self.cumulative(y * e, (p, q), reverse=True) / e
+        return e * self.cumulative(y / e, (-p, -q))
 
 
 class ScalarTables:
-    """Cumulative-integral tables for the scalar exponential kernel algebra.
+    """Running integrals for the scalar exponential kernel algebra.
 
-    ``H``/``M`` are the closed-loop drifts from :func:`_closed_loop_drifts`,
-    ``lh``/``lhm`` their running integrals (of H and H + M), ``epsi``/``ephi``
-    the exponentials (the operators anchored at time 0), and ``c_mix``
-    the running integral of M * ephi / epsi, so that
+    ``H``/``M`` are the closed-loop drifts from :func:`_closed_loop_drifts`
+    and ``lh``/``lhm`` their running trapezoid integrals (of H and of
+    H + M), so that
 
-        psi(t_i, t_j) = epsi[i] / epsi[j]
-        phi(t_i, t_j) = ephi[i] / ephi[j]
-        f(t_i, t_j)   = epsi[i] * (c_mix[i] - c_mix[j]) / ephi[j]
+        psi(t_i, t_j) = exp(lh[i] - lh[j])
+        phi(t_i, t_j) = exp(lhm[i] - lhm[j])
+        f(t_i, t_j)   = phi(t_i, t_j) - psi(t_i, t_j).
 
-    with the last identity exactly the composite-trapezoid value of the
-    defining integral (trapezoid is linear, and the integrand factors).
+    Rows and triangles exponentiate only the differences on and below the
+    diagonal. ``frames`` holds the anchored exponentials that the O(N)
+    formulas of the covariance module pair.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule, H: np.ndarray,
@@ -264,21 +234,7 @@ class ScalarTables:
         dt = grid.dt
         self.lh = cumulative_trapezoid(self.H, dt)
         self.lhm = cumulative_trapezoid(self.H + self.M, dt)
-        self.epsi = np.exp(self.lh)
-        self.ephi = np.exp(self.lhm)
-        # ephi / epsi = exp(int M): taken from the exponents, so it stays
-        # finite where epsi and ephi under- or overflow
-        self.c_mix = cumulative_trapezoid(self.M * np.exp(self.lhm - self.lh), dt)
-        self.frames = Frames(self.lh, self.lhm, self.M, dt)
-        self._mask = None
-
-    @property
-    def mask(self) -> np.ndarray:
-        """(N+1, N+1) array with ones on j <= i."""
-        if self._mask is None:
-            n = self.grid.n_nodes
-            self._mask = np.tril(np.ones((n, n)))
-        return self._mask
+        self.frames = Frames(self.lh, self.lhm, dt)
 
     def psi_value(self, i: int, j: int) -> float:
         return float(np.exp(self.lh[i] - self.lh[j]))
@@ -286,25 +242,17 @@ class ScalarTables:
     def phi_value(self, i: int, j: int) -> float:
         return float(np.exp(self.lhm[i] - self.lhm[j]))
 
-    def f_value(self, i: int, j: int) -> float:
-        return float(self.epsi[i] * (self.c_mix[i] - self.c_mix[j]) / self.ephi[j])
-
     def psi_triangle(self) -> np.ndarray:
-        return np.exp(self.lh[:, None] - self.lh[None, :]) * self.mask
+        return _lower_exp(self.lh)
 
     def phi_triangle(self) -> np.ndarray:
-        return np.exp(self.lhm[:, None] - self.lhm[None, :]) * self.mask
-
-    def f_triangle(self) -> np.ndarray:
-        out = (self.epsi[:, None] * (self.c_mix[:, None] - self.c_mix[None, :])
-               / self.ephi[None, :])
-        return out * self.mask
+        return _lower_exp(self.lhm)
 
     def psi_row(self, i: int) -> np.ndarray:
         return np.exp(self.lh[i] - self.lh[: i + 1])
 
-    def f_row(self, i: int) -> np.ndarray:
-        return self.epsi[i] * (self.c_mix[i] - self.c_mix[: i + 1]) / self.ephi[: i + 1]
+    def phi_row(self, i: int) -> np.ndarray:
+        return np.exp(self.lhm[i] - self.lhm[: i + 1])
 
 
 def _closed_loop_drifts(scenario: Scenario, gain: GainSchedule):
@@ -389,32 +337,13 @@ def compute_f(scenario: Scenario, gain: GainSchedule,
               phi: TriangularKernel, psi: TriangularKernel) -> TriangularKernel:
     """Mixed kernel f(t, s) = int_s^t psi(t, r) M(r) phi(r, s) dr.
 
-    Composite trapezoid in r for every node pair; the diagonal is exactly
-    zero. Scalar mode evaluates the algebraically identical cumulative
-    form (the integrand factors through the anchored exponentials).
+    Both f and phi - psi vanish at t = s and solve d/dt f = M phi + H f,
+    so f = phi - psi exactly (variation of constants), in scalar and in
+    matrix mode; ``phi`` and ``psi`` must be the kernels at ``gain``.
     """
     if not scenario.grid.same_as(phi.grid) or not scenario.grid.same_as(psi.grid):
         raise ScenarioError("phi/psi triangles live on a different grid")
-    if scenario.scalar_mode:
-        return TriangularKernel(scenario.grid, _scalar_tables(scenario, gain).f_triangle())
-    _, M = _closed_loop_drifts(scenario, gain)
-    nn = scenario.grid.n_nodes
-    n = scenario.n
-    dt = scenario.grid.dt
-    out = np.zeros((nn, nn, n, n))
-    for i in range(1, nn):
-        # integrand[r, j] = psi(i, r) M(r) phi(r, j) for j <= r <= i
-        pm = np.einsum("rab,rbc->rac", psi.values[i, : i + 1], M[: i + 1])
-        integrand = np.einsum("rab,rjbc->rjac", pm, phi.values[: i + 1, : i + 1])
-        r_idx = np.arange(i + 1)
-        integrand *= (r_idx[:, None] >= r_idx[None, :]).astype(float)[:, :, None, None]
-        # full-range trapezoid of the masked integrand gives int_j^i plus a
-        # spurious half weight on the r = j sample (from the zeroed side)
-        total = trapezoid(integrand, dt)
-        total[1:i + 1] -= 0.5 * dt * pm[1:i + 1]  # phi(j, j) = I
-        total[i] = 0.0
-        out[i, : i + 1] = total
-    return TriangularKernel(scenario.grid, out)
+    return TriangularKernel(scenario.grid, phi.values - psi.values)
 
 
 @dataclass(frozen=True)
@@ -436,8 +365,11 @@ class KernelBundle:
 
     def _triangle(self, name: str) -> TriangularKernel:
         if name not in self.triangles:
-            build = getattr(self.tables, f"{name}_triangle")
-            self.triangles[name] = TriangularKernel(self.grid, build())
+            if name == "f":
+                values = self.phi.values - self.psi.values
+            else:
+                values = getattr(self.tables, f"{name}_triangle")()
+            self.triangles[name] = TriangularKernel(self.grid, values)
         return self.triangles[name]
 
     @property
@@ -450,6 +382,7 @@ class KernelBundle:
 
     @property
     def f(self) -> TriangularKernel:
+        """phi - psi (see :func:`compute_f`)."""
         return self._triangle("f")
 
 
@@ -498,20 +431,12 @@ class DerivativeKernels:
         return -self.C[k] * self.tables.psi_value(i, j)
 
     def f1(self, i: int, j: int, k: int) -> float:
-        """Derivative density of the mixed kernel.
-
-        The variation splits into the psi-leg on [theta, t], the phi-leg
-        on [s, theta] and the pointwise M term:
-
-            f1(t, s, theta) = -C(theta) f(t, s)
-                              - D(theta) [ int_theta^t psi(t,r) M(r) phi(r,s) dr
-                                           + psi(t, theta) phi(theta, s) ].
-        """
+        """Derivative density of the mixed kernel f = phi - psi: that of
+        phi, -(C + D)(theta) phi(t, s), minus that of psi,
+        -C(theta) psi(t, s)."""
         self._check(i, j, k)
         tb = self.tables
-        tail = tb.epsi[i] * (tb.c_mix[i] - tb.c_mix[k]) / tb.ephi[j]
-        point = tb.psi_value(i, k) * tb.phi_value(k, j)
-        return -self.C[k] * tb.f_value(i, j) - self.D[k] * (tail + point)
+        return -(self.C[k] + self.D[k]) * tb.phi_value(i, j) + self.C[k] * tb.psi_value(i, j)
 
     # direction contractions ---------------------------------------------
     def psi_direction(self, i: int, j: int, beta: np.ndarray) -> float:
@@ -528,13 +453,7 @@ class DerivativeKernels:
         return float(trapezoid(density * beta[ks], self.grid.dt))
 
     def f_direction(self, i: int, j: int, beta: np.ndarray) -> float:
-        self._check(i, j, j)
-        tb = self.tables
-        ks = np.arange(j, i + 1)
-        tail = tb.epsi[i] * (tb.c_mix[i] - tb.c_mix[ks]) / tb.ephi[j]
-        point = np.exp(tb.lh[i] - tb.lh[ks] + tb.lhm[ks] - tb.lhm[j])
-        density = -self.C[ks] * tb.f_value(i, j) - self.D[ks] * (tail + point)
-        return float(trapezoid(density * beta[ks], self.grid.dt))
+        return self.phi_direction(i, j, beta) - self.psi_direction(i, j, beta)
 
 
 def derivative_kernels(bundle: KernelBundle, scenario: Scenario) -> DerivativeKernels:

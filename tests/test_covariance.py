@@ -28,6 +28,7 @@ from mfkalman import (
     trapezoid,
 )
 from mfkalman.covariance import (
+    _averaged_terms,
     _ScalarWeights,
     _gradient_from_kernel,
     drift_profile,
@@ -62,10 +63,9 @@ def _ou_scenario(A, steps, horizon=200.0, **coeffs):
 
 def _quadrature_cost(scen, gain):
     """trace_cost from the defining row quadratures of the averaged
-    profile, with f built row by row from the trapezoid recursion
-    f(i+1, r) = psi(i+1, i) f(i, r) + dt/2 (M_i psi(i+1, i) phi(i, r)
-    + M_{i+1} phi(i+1, r)): every term is a ratio of exponentials, so
-    nothing cancels or overflows when M keeps one sign. O(N^2)."""
+    profile, f^2 wbar + psi^2 w2 + 2 psi f wbar with f = phi - psi, and
+    psi and phi exponentials of masked exponent differences: no running
+    exponential is formed, so nothing overflows. O(N^2)."""
     bars = measure_averages(scen)
     tb = kernel_bundle(scen, gain).tables
     w = _ScalarWeights(scen, bars, gain)
@@ -73,22 +73,17 @@ def _quadrature_cost(scen, gain):
     low = np.tri(n, dtype=bool)
     psi = np.exp(np.where(low, tb.lh[:, None] - tb.lh[None, :], -np.inf))
     phi = np.exp(np.where(low, tb.lhm[:, None] - tb.lhm[None, :], -np.inf))
-    f = np.zeros((n, n))
-    for i in range(n - 1):
-        step = psi[i + 1, i]
-        f[i + 1, :i + 1] = (step * f[i, :i + 1] + 0.5 * dt * (
-            tb.M[i] * step * phi[i, :i + 1] + tb.M[i + 1] * phi[i + 1, :i + 1]))
+    f = phi - psi
     rows = (f**2 + 2 * psi * f) * w.wbar + psi**2 * w.w2
     kbar = [trapezoid(rows[i, :i + 1], dt) for i in range(n)]
     return float(trapezoid(scen.flat("Sigma") * np.array(kbar), dt))
 
 
 def _exact_factored(mp, scen, gain):
-    """Cost and gradient of the factored formulas (the averaged profile
-    and the three reverse sums), evaluated in ``mpmath`` at its working
-    precision from the same float drifts and weights: the float
-    evaluation must match it however far the exponentials and c_mix
-    range."""
+    """Cost and gradient of the two-sum formulas (the mean and deviation
+    variances and their reverse-sum costates), evaluated in ``mpmath`` at
+    its working precision from the same float drifts and weights: the
+    float evaluation must match it however far the exponentials range."""
     bars = measure_averages(scen)
     tb = kernel_bundle(scen, gain).tables
     w = _ScalarWeights(scen, bars, gain)
@@ -110,30 +105,19 @@ def _exact_factored(mp, scen, gain):
     wbar, w2, gbar, g2q0, sig = (arr(w.wbar), arr(w.w2), arr(w.gbar), arr(w.g2q0),
                                  arr(scen.flat("Sigma")))
     q0 = mp.mpf(w.q0)
-    epsi = [mp.exp(v) for v in run(H)]
-    ephi = [mp.exp(v) for v in run([h + m for h, m in zip(H, M)])]
-    c = run([M[k] * ephi[k] / epsi[k] for k in range(n)])
-    T0, T1, T2 = (run([c[k]**p * wbar[k] / ephi[k]**2 for k in range(n)]) for p in range(3))
-    T3 = run([w2[k] / epsi[k]**2 for k in range(n)])
-    T4 = run([wbar[k] / (epsi[k] * ephi[k]) for k in range(n)])
-    T5 = run([c[k] * wbar[k] / (epsi[k] * ephi[k]) for k in range(n)])
-    kbar = [epsi[k]**2 * (c[k]**2 * T0[k] - 2 * c[k] * T1[k] + T2[k] + T3[k]
-                          + 2 * (c[k] * T4[k] - T5[k])) for k in range(n)]
-    cost = sum((sig[k] * kbar[k] + sig[k + 1] * kbar[k + 1]) / 2 * dt for k in range(n - 1))
-    R = [run([sig[k] * epsi[k]**2 * c[k]**p for k in range(n)], reverse=True)
-         for p in range(3)]
+    epsi2 = [mp.exp(2 * v) for v in run(H)]
+    ephi2 = [mp.exp(2 * v) for v in run([h + m for h, m in zip(H, M)])]
+    mean = [e * v for e, v in zip(ephi2, run([wbar[k] / ephi2[k] for k in range(n)]))]
+    dev = [e * v for e, v in zip(epsi2, run([(w2[k] - wbar[k]) / epsi2[k] for k in range(n)]))]
+    cost = sum((sig[k] * (mean[k] + dev[k]) + sig[k + 1] * (mean[k + 1] + dev[k + 1])) / 2 * dt
+               for k in range(n - 1))
+    lam_mean = [v / e for e, v in zip(ephi2, run([sig[k] * ephi2[k] for k in range(n)], True))]
+    lam_dev = [v / e for e, v in zip(epsi2, run([sig[k] * epsi2[k] for k in range(n)], True))]
     g = np.zeros(n)
     for k in range(n - 1):
-        X = T4[k] - T1[k]
-        e = ephi[k] / epsi[k] - c[k]
-        fb = q0 * gbar[k]**2 / ephi[k]**2
-        pb = g2q0[k] / epsi[k]**2
-        xb = 2 * q0 * gbar[k]**2 / (epsi[k] * ephi[k])
-        a2 = -(C[k] + D[k]) * T0[k] + G[k] * fb
-        a1 = -2 * C[k] * X - D[k] * (X + e * T0[k]) + G[k] * (xb - 2 * c[k] * fb)
-        a0 = (-C[k] * (T2[k] + T3[k] - 2 * T5[k]) - D[k] * e * X
-              + G[k] * (fb * c[k]**2 + pb - xb * c[k]))
-        g[k] = float(2 * (a0 * R[0][k] + a1 * R[1][k] + a2 * R[2][k]))
+        gq = q0 * gbar[k]**2
+        g[k] = float(2 * ((-(C[k] + D[k]) * mean[k] + G[k] * gq) * lam_mean[k]
+                          + (-C[k] * dev[k] + G[k] * (g2q0[k] - gq)) * lam_dev[k]))
     return float(cost), g
 
 
@@ -204,6 +188,17 @@ class TestErrorCovariance:
         for atom in range(scen.n_atoms):
             prof = covariance_profile(scen, bundle, bars, atom)
             assert np.all(prof >= -1e-12)
+
+    @pytest.mark.parametrize("build", [normal_flow_scenario, cross_pairing_probe])
+    def test_atom_profiles_average_to_mean_plus_deviation(self, build):
+        scen = build(steps=200)
+        gain = GainSchedule.from_callable(scen.grid, lambda t: 0.4 + 0.2 * np.cos(2 * np.pi * t))
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, gain)
+        kbar = sum(_averaged_terms(bundle.tables, _ScalarWeights(scen, bars, gain)))
+        atoms = sum(wa * covariance_profile(scen, bundle, bars, a)
+                    for a, wa in enumerate(scen.measure.weights))
+        np.testing.assert_allclose(atoms, kbar, rtol=0, atol=1e-13 * np.max(np.abs(kbar)))
 
     def test_field_shapes(self, rough_pack):
         scen, bars, _, bundle = rough_pack
@@ -483,22 +478,36 @@ class TestLongHorizon:
         expected = (1.0 - np.exp(-4.0 * scen.grid.nodes)) / 4.0
         np.testing.assert_allclose(prof, expected, rtol=0, atol=5e-5)
 
-    @pytest.mark.parametrize("B, D, horizon, steps", [(-0.5, 0.5, 10.0, 100),
-                                                     (0.5, 0.5, 200.0, 400)],
-                             ids=["falling", "rising"])
-    def test_coupled_gradient_matches_oracle_across_frames(self, B, D, horizon, steps):
-        # int M moves by tens (falling: M = -0.65, rising: M = +0.35), so
-        # c is cut into many frames; the triangle oracle is still accurate
+    @pytest.mark.parametrize("B, D, horizon, steps, frames", [(-0.5, 0.5, 10.0, 100, 1),
+                                                             (0.5, 0.5, 200.0, 400, 3),
+                                                             (-0.5, 0.5, 200.0, 400, 3)],
+                             ids=["falling", "rising", "falling-long"])
+    def test_coupled_gradient_matches_oracle_across_frames(self, B, D, horizon, steps, frames):
+        # M = -0.65 (falling) or +0.35 (rising); on the long horizons int H
+        # and int (H + M) move by hundreds, so the tables are cut into
+        # frames, and exp(int (H + M)) alone would leave float64 range; the
+        # triangle oracle, built from kernel values, stays accurate
         scen = _ou_scenario(-2.0, steps, horizon, B=B, D=D)
         gain = GainSchedule.constant(scen.grid, 0.3)
-        assert len(kernel_bundle(scen, gain).tables.frames.starts) >= 3
+        assert len(kernel_bundle(scen, gain).tables.frames.starts) >= frames
         assert _oracle_gap(scen, gain) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rows_and_triangles_finite_on_long_horizon(self):
+        # exp(int H) leaves float64 range here; rows and triangles
+        # exponentiate only differences on and below the diagonal
+        scen = _ou_scenario(-2.0, steps=400, horizon=400.0)
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.3))
+        assert np.all(np.isfinite(sensitivity_profile(scen, bundle, bars, 0, 400)))
+        for kernel in (bundle.psi, bundle.phi, bundle.f):
+            assert np.all(np.isfinite(kernel.values))
 
     @pytest.mark.parametrize("B, D, value, horizon, steps", [(-0.5, 0.5, 0.3, 200.0, 400),
                                                             (-1.0, 0.0, 0.0, 300.0, 600)])
     def test_coupled_cost_matches_stable_quadrature(self, B, D, value, horizon, steps):
-        # c_mix tends to -1 and exp(int M) falls below e^-130: the plain
-        # tables (and the triangle oracle) lose every digit here
+        # exp(int M) falls below e^-130 and exp(int (H + M)) below e^-590:
+        # unanchored exponentials lose every digit here
         scen = _ou_scenario(-2.0, steps, horizon, B=B, D=D)
         gain = GainSchedule.constant(scen.grid, value)
         bars = measure_averages(scen)
@@ -519,7 +528,7 @@ class TestLongHorizon:
         np.testing.assert_allclose(cost_gradient(scen, bundle, bars).values, g,
                                    rtol=0, atol=1e-12 * np.max(np.abs(g)))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_unstable_overflow_names_stage_and_node(self):
         scen = _ou_scenario(5.0, steps=400)
         bars = measure_averages(scen)
@@ -531,6 +540,8 @@ class TestLongHorizon:
             covariance_profile(scen, bundle, bars, 0)
         with pytest.raises(ScenarioError, match=r"cost_gradient: non-finite value at node 0"):
             cost_gradient(scen, bundle, bars)
+        with pytest.raises(ScenarioError, match=r"drift_profile: non-finite value at node 14\d"):
+            drift_profile(scen, bundle, bars, 0)
 
 
 class TestCheckFinite:

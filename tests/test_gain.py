@@ -28,8 +28,9 @@ from conftest import scalar_scenario
 
 
 def _diagonal_update_by_rows(scenario, bars, values, nodes):
-    """Reference for ``_diagonal_update``: the same three sweeps, with
-    Theta and Xi integrated row by row over the kernel rows."""
+    """Reference for ``_diagonal_update``: the same three sweeps, with the
+    C- and D-term integrals of the diagonal kernel integrated row by row
+    over the kernel rows (f = phi - psi)."""
     out = values.copy()
     dt = scenario.grid.dt
     for _ in range(3):
@@ -40,10 +41,11 @@ def _diagonal_update_by_rows(scenario, bars, values, nodes):
             if w.g2q0[j] <= 1e-14:
                 continue
             sl = slice(0, j + 1)
-            psi_r, f_r, wbar = tb.psi_row(j), tb.f_row(j), w.wbar[sl]
+            psi_r, phi_r, wbar = tb.psi_row(j), tb.phi_row(j), w.wbar[sl]
+            f_r = phi_r - psi_r
             theta = trapezoid(f_r**2 * wbar + psi_r**2 * w.w2[sl] + 2 * psi_r * f_r * wbar, dt)
-            xi = trapezoid((f_r + psi_r) * wbar / tb.ephi[sl], dt)
-            out[j] = (tb.C[j] * theta + tb.D[j] * tb.ephi[j] * xi) / w.g2q0[j]
+            xi = trapezoid(phi_r * (f_r + psi_r) * wbar, dt)
+            out[j] = (tb.C[j] * theta + tb.D[j] * xi) / w.g2q0[j]
     return out
 
 

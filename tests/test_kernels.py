@@ -14,7 +14,7 @@ from mfkalman import (
     kernel_bundle,
     make_grid,
 )
-from mfkalman.kernels import FRAME_SPAN, MIX_SPAN, Frames
+from mfkalman.kernels import FRAME_SPAN, Frames
 from mfkalman.scenarios import random_smooth_scenario
 
 from conftest import scalar_scenario
@@ -22,6 +22,22 @@ from conftest import scalar_scenario
 
 def zero_gain(scen):
     return GainSchedule.constant(scen.grid, 0.0, scen.n, scen.m)
+
+
+def _defining_quadrature_error(bundle):
+    """Largest gap between f and the trapezoid of its defining integral,
+    at the cell pairs (t, s) = (1, 0), (3/4, 1/4), (1/2, 0) of a unit
+    horizon; scalar or matrix entries."""
+    n, d = bundle.M.shape[:2]
+    psi, phi, f = (k.values.reshape(n, n, d, d) for k in (bundle.psi, bundle.phi, bundle.f))
+    steps = n - 1
+    worst = 0.0
+    for i, j in [(steps, 0), (3 * steps // 4, steps // 4), (steps // 2, 0)]:
+        rs = np.arange(j, i + 1)
+        integrand = np.einsum("rab,rbc,rcd->rad", psi[i, rs], bundle.M[rs], phi[rs, j])
+        direct = np.trapezoid(integrand, dx=bundle.grid.dt, axis=0)
+        worst = max(worst, float(np.max(np.abs(direct - f[i, j]))))
+    return worst
 
 
 class TestPhi:
@@ -101,20 +117,25 @@ class TestF:
         _, _, _, bundle = rough_pack
         np.testing.assert_allclose(bundle.f.diagonal(), 0.0, atol=0)
 
-    def test_scalar_form_equals_direct_quadrature(self, rough_pack):
+    def test_f_is_phi_minus_psi(self, rough_pack):
         scen, _, gain, bundle = rough_pack
-        # re-evaluate a handful of cells by direct trapezoid over the
-        # stored psi/phi triangles
-        psi, phi = bundle.psi.values, bundle.phi.values
-        M = bundle.M.reshape(-1)
-        dt = scen.grid.dt
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            j, i = sorted(rng.integers(0, scen.grid.n_nodes, 2))
-            rs = np.arange(j, i + 1)
-            integrand = psi[i, rs] * M[rs] * phi[rs, j]
-            direct = np.trapezoid(integrand, dx=dt) if len(rs) > 1 else 0.0
-            assert bundle.f.value(i, j) == pytest.approx(direct, abs=1e-12)
+        phi, psi = compute_phi(scen, gain), compute_psi(scen, gain)
+        np.testing.assert_array_equal(bundle.f.values, phi.values - psi.values)
+        np.testing.assert_array_equal(compute_f(scen, gain, phi, psi).values,
+                                      phi.values - psi.values)
+
+    def test_defining_quadrature_converges_to_f(self):
+        # the trapezoid of int_s^t psi(t, r) M(r) phi(r, s) dr carries an
+        # O(dt^2) error; f = phi - psi carries none of its own
+        err = {}
+        for steps in (100, 200):
+            scen = random_smooth_scenario(seed=11, steps=steps)
+            gain = GainSchedule.from_callable(
+                scen.grid, lambda t: 0.4 + 0.2 * np.cos(2 * np.pi * t))
+            bundle = kernel_bundle(scen, gain)
+            err[steps] = _defining_quadrature_error(bundle)
+        assert err[200] <= 1e-5
+        assert err[100] / err[200] >= 3.0
 
     def test_rate_equation_residual(self):
         scen = random_smooth_scenario(seed=11, steps=200)
@@ -181,45 +202,39 @@ class TestFrames:
     def test_short_horizon_is_one_plain_frame(self, rough_pack):
         tb = rough_pack[3].tables
         assert tb.frames.starts == [0]
-        np.testing.assert_array_equal(tb.frames.epsi, tb.epsi)
-        np.testing.assert_array_equal(tb.frames.ephi, tb.ephi)
-        np.testing.assert_array_equal(tb.frames.c, tb.c_mix)
+        np.testing.assert_array_equal(tb.frames.epsi, np.exp(tb.lh))
+        np.testing.assert_array_equal(tb.frames.ephi, np.exp(tb.lhm))
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("powers", [(0, -2), (-2, 0), (-1, -1), (0, -1), (2, 0)])
     @pytest.mark.parametrize("mix_shape", ["rising", "dipping"])
     def test_cumulative_across_frames(self, mix_shape, powers, reverse):
-        # exponents down to about -300 and an integral of M that moves by
-        # tens: many frames, yet every value below stays inside float64
-        # range, so each frame's values can be formed directly
+        # exponents down to about -300: several frames, yet every value
+        # below stays inside float64 range, so each frame's values can be
+        # formed directly
         dt = 0.5
         t = np.arange(601) * dt
         lh = -t + 20.0 * np.sin(t / 15.0)
         if mix_shape == "rising":
-            mix, M = 0.2 * t, np.full_like(t, 0.2)
+            mix = 0.2 * t
         else:   # M changes sign; the integral swings and dips to about -8
-            mix, M = -0.02 * t + 2.0 * np.sin(t / 10.0), -0.02 + 0.2 * np.cos(t / 10.0)
+            mix = -0.02 * t + 2.0 * np.sin(t / 10.0)
         lhm = lh + mix
-        fr = Frames(lh, lhm, M, dt)
-        assert len(fr.starts) >= 5
+        fr = Frames(lh, lhm, dt)
+        assert len(fr.starts) >= 3
         for a, b in zip(fr.starts, fr.starts[1:] + [len(t) - 1]):
             assert np.max(np.abs(lh[a:b + 1] - lh[a])) <= FRAME_SPAN
-            assert np.max(np.abs(mix[a:b] - mix[a])) <= MIX_SPAN
+            assert np.max(np.abs(lhm[a:b + 1] - lhm[a])) <= FRAME_SPAN
         u, v = powers
         h = 1.0 + 0.3 * np.cos(t / 7.0)
-        got = fr.cumulative(fr.epsi**u * fr.ephi**v * h, powers, degree=2, reverse=reverse)
+        got = fr.cumulative(fr.epsi**u * fr.ephi**v * h, powers, reverse=reverse)
         for a, b in zip(fr.starts, fr.starts[1:] + [len(t)]):
             # every node expressed in frame a, integrated over the whole grid
             x = np.exp(u * (lh - lh[a]) + v * (lhm - lhm[a])) * h
-            y = M * np.exp(mix - mix[a])   # c' in frame a, summed out from a
-            c = np.concatenate([-cumulative_trapezoid(y[:a + 1][::-1], dt)[:0:-1],
-                                cumulative_trapezoid(y[a:], dt)])
-            np.testing.assert_allclose(fr.c[a:b], c[a:b], rtol=1e-12, atol=1e-13)
-            for p in range(3):
-                run = (cumulative_trapezoid((c**p * x)[::-1], dt)[::-1] if reverse
-                       else cumulative_trapezoid(c**p * x, dt))
-                np.testing.assert_allclose(got[p][a:b], run[a:b], rtol=1e-10,
-                                           atol=1e-13 * np.max(np.abs(run[a:b])))
+            run = (cumulative_trapezoid(x[::-1], dt)[::-1] if reverse
+                   else cumulative_trapezoid(x, dt))
+            np.testing.assert_allclose(got[a:b], run[a:b], rtol=1e-10,
+                                       atol=1e-13 * np.max(np.abs(run[a:b])))
 
 
 class TestMatrixMode:
@@ -253,25 +268,28 @@ class TestMatrixMode:
         np.testing.assert_allclose(psi.values[:, :, 0, 0][tri], expected[tri],
                                    atol=1e-10)
 
-    def test_matrix_f_defining_quadrature(self, pair):
-        """Matrix-mode mixed kernel equals the direct trapezoid of its
-        defining integral at sampled cells."""
-        grid, scen2, _, _ = pair
-        gain2 = GainSchedule.constant(grid, np.diag([0.5, 0.2]), 2, 2)
-        phi = compute_phi(scen2, gain2)
-        psi = compute_psi(scen2, gain2)
-        f = compute_f(scen2, gain2, phi, psi)
-        M = scen2.B - np.einsum("jnm,jmk->jnk", gain2.values, scen2.D)
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            j, i = sorted(rng.integers(0, grid.n_nodes, 2))
-            rs = np.arange(j, i + 1)
-            if len(rs) < 2:
-                continue
-            integrand = np.einsum("rab,rbc,rcd->rad",
-                                  psi.values[i, rs], M[rs], phi.values[rs, j])
-            direct = np.trapezoid(integrand, dx=grid.dt, axis=0)
-            np.testing.assert_allclose(f.values[i, j], direct, atol=1e-12)
+    def test_matrix_f_is_phi_minus_psi(self):
+        """Non-diagonal coupled 2x2 system: f is phi - psi, and the
+        trapezoid of its defining integral converges to it at O(dt^2)."""
+        err = {}
+        for steps in (40, 80):
+            grid = make_grid(1.0, steps)
+            scen = build_scenario(
+                grid, measure=dirac_measure([0.0, 0.0]),
+                A=lambda t: np.array([[-0.4, 0.3], [0.2, 0.3 * (1 + 0.5 * t)]]),
+                B=lambda t: np.array([[0.5, -0.3], [0.1, -0.2]]),
+                C=lambda t: np.array([[1.0, 0.2], [0.0, 0.8]]),
+                D=lambda t: np.array([[0.3, 0.0], [0.2, 0.1]]),
+                sigma=lambda u, t: np.eye(2), gamma=lambda u, t: np.eye(2),
+                Q=np.eye(2), Q0=np.eye(2), Sigma=lambda t: np.eye(2))
+            gain = GainSchedule.constant(grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
+            bundle = kernel_bundle(scen, gain)
+            phi, psi = compute_phi(scen, gain), compute_psi(scen, gain)
+            np.testing.assert_array_equal(bundle.f.values, phi.values - psi.values)
+            assert np.max(np.abs(bundle.f.values[:, :, 0, 1])) > 1e-2  # coupled
+            err[steps] = _defining_quadrature_error(bundle)
+        assert err[80] <= 1e-4
+        assert err[40] / err[80] >= 3.0
 
 
 class TestDerivativeKernels:
@@ -326,6 +344,14 @@ class TestDerivativeKernels:
         dk = derivative_kernels(bundle, scen)
         for (i, j, k) in [(100, 0, 50), (80, 20, 60)]:
             assert dk.f1(i, j, k) == 0.0
+
+    def test_f_direction_is_phi_minus_psi_direction(self, rough_pack):
+        scen, _, _, bundle = rough_pack
+        dk = derivative_kernels(bundle, scen)
+        beta = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
+        for (i, j) in [(scen.grid.n_steps, 0), (150, 40), (60, 60)]:
+            assert dk.f_direction(i, j, beta) == (dk.phi_direction(i, j, beta)
+                                                  - dk.psi_direction(i, j, beta))
 
     def test_gateaux_linearity(self, rough_pack):
         scen, _, gain, bundle = rough_pack
