@@ -46,7 +46,6 @@ from .numerics import (
     cumulative_trapezoid,
     make_grid,
     trapezoid,
-    trapezoid_integrate,
 )
 from .scenarios import (
     classical_scenario,

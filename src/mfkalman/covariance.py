@@ -2,7 +2,7 @@
 and cost gradient.
 
 The primary evaluation path is the closed-form quadrature representation
-of the error covariance K(u, t): eight integrals over [0, t] pairing the
+of the error covariance K(u, t): integrals over [0, t] pairing the
 transition kernels with the diffusion loadings. The functional ODE
 dK/dt = drift + drift' is implemented as a consistency check, not as the
 solver.
@@ -35,8 +35,18 @@ that bound the exponentials frame by frame, so a stable system stays
 finite and accurate on long horizons; a value that still overflows (an
 unstable system) raises :class:`ScenarioError` naming the stage and node.
 Only :func:`mean_sensitivity_triangle`, the test oracle, builds the O(N^2)
-triangle, from kernel values. Matrix mode evaluates the defining
-quadratures cell by cell.
+triangle, from kernel values.
+
+In matrix mode the mean error and one atom's error form one linear system
+(see :class:`~mfkalman.kernels.StepPropagators`), and K is the atom block
+of its second moment P, the trapezoid of T W T' over [0, t] with T the
+joint transition and W the joint diffusion. The step maps R_i carry it
+forward,
+
+    P_0 = 0,  P_{i+1} = R_i (P_i + dt/2 W_i) R_i' + dt/2 W_{i+1},
+
+which is the trapezoid on the transition triangles regrouped by their
+semigroup property: O(N) per atom, no triangle is built.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from .kernels import (
     GainSchedule,
     KernelBundle,
     ScalarTables,
+    StepPropagators,
     kernel_bundle,
 )
 from .numerics import TimeGrid, cumulative_trapezoid, trapezoid
@@ -147,8 +158,14 @@ class _ScalarWeights:
 
 
 def _require_scalar_bundle(bundle: KernelBundle) -> ScalarTables:
-    if bundle.tables is None:
+    if not isinstance(bundle.tables, ScalarTables):
         raise ScenarioError("this operation requires scalar mode")
+    return bundle.tables
+
+
+def _require_matrix_bundle(bundle: KernelBundle) -> StepPropagators:
+    if not isinstance(bundle.tables, StepPropagators):
+        raise ScenarioError("this operation requires matrix mode")
     return bundle.tables
 
 
@@ -187,62 +204,59 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
         with np.errstate(over="ignore", invalid="ignore"):
             prof = sum(_atom_terms(tb, w.wbar, *w.atom(i)[:2]))
     else:
-        prof = np.zeros((scenario.grid.n_nodes, scenario.n, scenario.n))
-        for j in range(1, scenario.grid.n_nodes):
-            prof[j] = _matrix_covariance_at(scenario, bundle, bars, i, j)
+        n = scenario.n
+        W = _joint_noise(scenario, bars, bundle.gain, i).sum(axis=1)
+        P = _joint_moments(_require_matrix_bundle(bundle), W, scenario.grid.dt)[:, n:, n:]
+        prof = 0.5 * (P + P.transpose(0, 2, 1))
     check_finite("covariance_profile", prof)
     return prof
 
 
 def error_covariance(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
                      atom, node: int) -> np.ndarray:
-    """Error covariance K(u, t_node), an (n, n) symmetric PSD matrix.
+    """Error covariance K(u, t_node), an (n, n) symmetric PSD matrix:
+    node ``node`` of :func:`covariance_profile`.
 
-    Sum of the eight quadratures over [0, t]: the mean-transport kernel
-    against the averaged loadings, the pointwise kernel against the
-    atom's loadings, and the four cross pairings; output symmetrized.
+    K pairs the mean-transport kernel with the averaged loadings, the
+    pointwise kernel with the atom's loadings, and the two with the cross
+    loadings, over [0, t].
     """
     i = _atom_index(scenario, atom)
     _check_node(scenario, node)
-    if scenario.scalar_mode:
-        prof = covariance_profile(scenario, bundle, bars, i)
-        return np.array([[prof[node]]])
-    return _matrix_covariance_at(scenario, bundle, bars, i, node)
+    n = scenario.n
+    return covariance_profile(scenario, bundle, bars, i).reshape(-1, n, n)[node]
 
 
-def _matrix_mids(scenario: Scenario, bars: BarQuantities, gain: GainSchedule,
-                 atom: int, upto: int):
-    """Per-node middle factors of the eight quadrature terms."""
-    sl = slice(0, upto + 1)
-    G = gain.values[sl]
-    sb = bars.sigma_bar[sl]
-    gb = bars.gamma_bar[sl]
-    su = scenario.sigma[atom][sl]
-    gu = scenario.gamma[atom][sl]
-    Q, Q0 = scenario.Q, scenario.Q0
-    Ggb = np.einsum("jnm,jmd->jnd", G, gb)
-    Ggu = np.einsum("jnm,jmd->jnd", G, gu)
-    m_bar = (np.einsum("jad,de,jbe->jab", sb, Q, sb)
-             + np.einsum("jad,de,jbe->jab", Ggb, Q0, Ggb))
-    m_atom = (np.einsum("jad,de,jbe->jab", su, Q, su)
-              + np.einsum("jad,de,jbe->jab", Ggu, Q0, Ggu))
-    m_cross_w = np.einsum("jad,de,jbe->jab", su, Q, sb)       # sigma(u) Q sigma-bar'
-    m_cross_v = np.einsum("jad,de,jbe->jab", Ggu, Q0, Ggb)
-    return m_bar, m_atom, m_cross_w, m_cross_v
+def _joint_noise(scenario: Scenario, bars: BarQuantities, gain: GainSchedule,
+                 atom: int) -> np.ndarray:
+    """Matrix mode: the diffusion W = [[m_bar, X'], [X, m_atom]] of
+    (mean error, atom error) at every node, split as (N+1, 2, 2n, 2n) into
+    W_L (X' zeroed) and W_U (X' alone), which the drift transports
+    differently. m_bar pairs the averaged loadings, m_atom the atom's, and
+    X = sigma(u) Q sigma-bar' + (G gamma(u)) Q0 (G gamma-bar)' the two."""
+    def pair(x, y):   # of two (sigma, gamma) loadings
+        return (np.einsum("jad,de,jbe->jab", x[0], scenario.Q, y[0])
+                + np.einsum("jad,de,jbe->jab", G @ x[1], scenario.Q0, G @ y[1]))
+
+    G = gain.values
+    bar = (bars.sigma_bar, bars.gamma_bar)
+    own = (scenario.sigma[atom], scenario.gamma[atom])
+    m_bar, m_atom, X = pair(bar, bar), pair(own, own), pair(own, bar)
+    zero = np.zeros_like(X)
+    return np.stack([np.block([[m_bar, zero], [X, m_atom]]),
+                     np.block([[zero, X.transpose(0, 2, 1)], [zero, zero]])], axis=1)
 
 
-def _matrix_covariance_at(scenario, bundle, bars, atom: int, node: int):
-    if node == 0:
-        return np.zeros((scenario.n, scenario.n))
-    m_bar, m_atom, m_cw, m_cv = _matrix_mids(scenario, bars, bundle.gain, atom, node)
-    Fr = bundle.f.values[node, : node + 1]
-    Pr = bundle.psi.values[node, : node + 1]
-    term_ff = np.einsum("jab,jbc,jdc->jad", Fr, m_bar, Fr)
-    term_pp = np.einsum("jab,jbc,jdc->jad", Pr, m_atom, Pr)
-    cross = np.einsum("jab,jbc,jdc->jad", Pr, m_cw + m_cv, Fr)
-    integrand = term_ff + term_pp + cross + np.transpose(cross, (0, 2, 1))
-    K = trapezoid(integrand, scenario.grid.dt)
-    return 0.5 * (K + K.T)
+def _joint_moments(tb: StepPropagators, W: np.ndarray, dt: float) -> np.ndarray:
+    """The trapezoid of T W T' over [0, t_i] at every node, with T the
+    joint transition: P_0 = 0, P_{i+1} = R_i (P_i + dt/2 W_i) R_i'
+    + dt/2 W_{i+1}. Any axes between the node axis and the last two are
+    carried along."""
+    half = 0.5 * dt * W
+    P = np.zeros_like(W)
+    for i, R in enumerate(tb.R):
+        P[i + 1] = R @ (P[i] + half[i]) @ R.T + half[i + 1]
+    return P
 
 
 def covariance_field(scenario: Scenario, bundle: KernelBundle,
@@ -257,33 +271,45 @@ def covariance_field(scenario: Scenario, bundle: KernelBundle,
 
 def covariance_drift(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
                      atom, node: int) -> np.ndarray:
-    """One-sided half of the covariance rate: dK/dt = drift + drift'.
-
-    Carries the instantaneous diffusion boundary (half of
-    sigma Q sigma' + gain gamma Q0 gamma' gain') and pairs the
-    mixed-kernel rate M phi + H f throughout.
-    """
+    """One-sided half of the covariance rate, dK/dt = drift + drift', at
+    one node: node ``node`` of :func:`drift_profile`, shape (n, n)."""
     i = _atom_index(scenario, atom)
     _check_node(scenario, node)
-    if scenario.scalar_mode:
-        prof = drift_profile(scenario, bundle, bars, i)
-        return np.array([[prof[node]]])
-    return _matrix_drift_at(scenario, bundle, bars, i, node)
+    n = scenario.n
+    return drift_profile(scenario, bundle, bars, i).reshape(-1, n, n)[node]
 
 
 def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
                   atom) -> np.ndarray:
-    """Scalar-mode drift at every node (shape (N+1,))."""
+    """Drift at every node: (N+1,) in scalar mode, (N+1, n, n) in matrix
+    mode; zero at node 0.
+
+    It carries the instantaneous diffusion boundary (half of
+    sigma Q sigma' + gain gamma Q0 gamma' gain') and transports each
+    quadrature with its kernels' rates. In matrix mode, with the parts
+    P_L and P_U of the joint moment and Gamma = [[H + M, 0], [M, H]],
+
+        drift = W_uu / 2 + (Gamma P_L)_uu + ((Gamma P_U)_uu)'.
+    """
     i = _atom_index(scenario, atom)
-    tb = _require_scalar_bundle(bundle)
-    w = _ScalarWeights(scenario, bars, bundle.gain)
-    w_u, x_u = w.atom(i)[:2]
-    H, M = tb.H, tb.M
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, dev, cross = _atom_terms(tb, w.wbar, w_u, x_u)
-        # the mean part is transported by H + M, the deviation by H, and
-        # the cross part by their average
-        out = 0.5 * w_u + (H + M) * mean + H * dev + (H + 0.5 * M) * cross
+    if scenario.scalar_mode:
+        tb = _require_scalar_bundle(bundle)
+        w = _ScalarWeights(scenario, bars, bundle.gain)
+        w_u, x_u = w.atom(i)[:2]
+        H, M = tb.H, tb.M
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, dev, cross = _atom_terms(tb, w.wbar, w_u, x_u)
+            # the mean part is transported by H + M, the deviation by H, and
+            # the cross part by their average
+            out = 0.5 * w_u + (H + M) * mean + H * dev + (H + 0.5 * M) * cross
+    else:
+        n = scenario.n
+        W = _joint_noise(scenario, bars, bundle.gain, i)
+        P = _joint_moments(_require_matrix_bundle(bundle), W, scenario.grid.dt)
+        # rows of Gamma P that belong to the atom error: M P_eu + H P_uu
+        lower, upper = (bundle.M @ P[:, k, :n, n:] + bundle.H @ P[:, k, n:, n:]
+                        for k in (0, 1))
+        out = 0.5 * W[:, 0, n:, n:] + lower + upper.transpose(0, 2, 1)
     out[0] = 0.0  # empty-interval node: all quadratures vanish
     check_finite("drift_profile", out)
     return out
@@ -465,28 +491,3 @@ def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedu
     J_up = trace_cost(scenario, kernel_bundle(scenario, up), bars)
     J_dn = trace_cost(scenario, kernel_bundle(scenario, dn), bars)
     return (J_up - J_dn) / (2.0 * eps)
-
-
-def _matrix_drift_at(scenario, bundle, bars, atom: int, node: int):
-    """Matrix-mode drift at one node."""
-    n = scenario.n
-    if node == 0:
-        return np.zeros((n, n))
-    G = bundle.gain.values
-    su_t = scenario.sigma[atom][node]
-    gu_t = scenario.gamma[atom][node]
-    Ggu_t = G[node] @ gu_t
-    point = 0.5 * (su_t @ scenario.Q @ su_t.T + Ggu_t @ scenario.Q0 @ Ggu_t.T)
-    m_bar, m_atom, m_cw, m_cv = _matrix_mids(scenario, bars, bundle.gain, atom, node)
-    Fr = bundle.f.values[node, : node + 1]
-    Pr = bundle.psi.values[node, : node + 1]
-    Phir = bundle.phi.values[node, : node + 1]
-    H_t = bundle.H[node]
-    M_t = bundle.M[node]
-    rate = np.einsum("ab,jbc->jac", M_t, Phir) + np.einsum("ab,jbc->jac", H_t, Fr)
-    HP = np.einsum("ab,jbc->jac", H_t, Pr)
-    integrand = (np.einsum("jab,jbc,jdc->jad", rate, m_bar, Fr)
-                 + np.einsum("jab,jbc,jdc->jad", HP, m_atom, Pr)
-                 + np.einsum("jab,jbc,jdc->jad", HP, m_cw + m_cv, Fr)
-                 + np.einsum("jab,jbc,jdc->jad", Pr, m_cw + m_cv, rate))
-    return point + trapezoid(integrand, scenario.grid.dt)

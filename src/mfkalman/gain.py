@@ -37,8 +37,8 @@ from .covariance import (
     cost_gradient,
     trace_cost,
 )
-from .kernels import GainSchedule, _closed_loop_drifts, _scalar_tables, kernel_bundle
-from .numerics import TimeGrid, trapezoid
+from .kernels import GainSchedule, _closed_loop_drifts, _tables, kernel_bundle
+from .numerics import TimeGrid, _rk4_step, trapezoid
 from .system_model import BarQuantities, Scenario, ScenarioError, measure_averages
 
 __all__ = [
@@ -130,7 +130,7 @@ def _diagonal_update(scenario: Scenario, bars: BarQuantities, values: np.ndarray
     nodes = np.asarray(nodes, dtype=int)
     for _ in range(3):
         gain = GainSchedule(scenario.grid, out[:, None, None])
-        tb = _scalar_tables(scenario, gain)
+        tb = _tables(scenario, gain)[2]
         w = _ScalarWeights(scenario, bars, gain)
         mean, dev = _averaged_terms(tb, w)
         live = nodes[w.g2q0[nodes] > 1e-14]
@@ -256,12 +256,7 @@ def _rk4(rhs, y0: np.ndarray, grid: TimeGrid, blowup: float = 1e8) -> np.ndarray
     h = grid.dt
     for i in range(grid.n_steps):
         t = grid.nodes[i]
-        y = out[i]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        out[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[i + 1] = _rk4_step(rhs, t, out[i], h)
         if not np.all(np.isfinite(out[i + 1])) or np.any(np.abs(out[i + 1]) > blowup):
             raise ScenarioError(f"Riccati state blew up near t = {t + h:g}")
     return out

@@ -15,12 +15,14 @@ Three kernels drive everything:
   exactly, in scalar and in matrix mode, and f is never integrated.
 
 In scalar mode the operators are exponentials of the running integrals of
-H and of H + M, so every kernel value is one exponential of a difference;
-the dense lower-triangle storage is generated only when a caller asks for
-it, with nothing exponentiated above the diagonal. Long horizons are
-handled by anchoring the exponentials frame by frame (:class:`Frames`).
-Matrix mode integrates the operator ODEs column-wise with classical
-Runge-Kutta.
+H and of H + M, so every kernel value is one exponential of a difference,
+with nothing exponentiated above the diagonal. Long horizons are handled
+by anchoring the exponentials frame by frame (:class:`Frames`). In matrix
+mode the mean error and the pointwise error form one linear system with
+generator [[H + M, 0], [M, H]] and transition [[phi, 0], [f, psi]]; its
+classical Runge-Kutta step maps, one per grid step, are the O(N) tables
+(:class:`StepPropagators`). In both modes the dense lower triangles are
+generated only when a caller asks for them.
 
 The directional (Gateaux) derivatives with respect to the gain are
 available in scalar mode through :class:`DerivativeKernels`; the mixed
@@ -36,10 +38,11 @@ import numpy as np
 from .numerics import (
     TimeGrid,
     TriangularKernel,
+    _rk4_step,
     cumulative_trapezoid,
     trapezoid,
 )
-from .system_model import Scenario, ScenarioError
+from .system_model import Scenario, ScenarioError, _as_matrix
 
 __all__ = [
     "GainSchedule",
@@ -80,17 +83,17 @@ class GainSchedule:
 
     @classmethod
     def constant(cls, grid: TimeGrid, value, n: int = 1, m: int = 1) -> "GainSchedule":
-        val = np.asarray(value, dtype=float)
-        if val.ndim == 0:
-            val = float(val) * np.eye(n, m) if n == m else np.full((n, m), float(val))
+        """The same value at every node; a scalar is read as in
+        :func:`~mfkalman.system_model.build_scenario` (v I when n = m)."""
+        val = _as_matrix(value, n, m)
         return cls(grid, np.broadcast_to(val, (grid.n_nodes,) + val.shape).copy())
 
     @classmethod
     def from_callable(cls, grid: TimeGrid, fn, n: int = 1, m: int = 1) -> "GainSchedule":
+        """Node samples of ``fn(t)``, scalars read as in :meth:`constant`."""
         vals = np.empty((grid.n_nodes, n, m))
         for j, t in enumerate(grid.nodes):
-            v = np.asarray(fn(t), dtype=float)
-            vals[j] = v if v.ndim else np.full((n, m), float(v))
+            vals[j] = _as_matrix(fn(t), n, m)
         return cls(grid, vals)
 
     @property
@@ -102,10 +105,6 @@ class GainSchedule:
 
     def with_values(self, values: np.ndarray) -> "GainSchedule":
         return GainSchedule(self.grid, values)
-
-    def at_midpoint(self, j: int) -> np.ndarray:
-        """Piecewise-linear value between nodes j and j+1."""
-        return 0.5 * (self.values[j] + self.values[j + 1])
 
 
 # Largest move of the running exponents lh and lhm away from a frame's
@@ -255,82 +254,89 @@ class ScalarTables:
         return np.exp(self.lhm[i] - self.lhm[: i + 1])
 
 
+def _drifts(A, B, C, D, G):
+    """H = A - G C and M = B - G D, sample by sample."""
+    return A - np.einsum("jnm,jmk->jnk", G, C), B - np.einsum("jnm,jmk->jnk", G, D)
+
+
 def _closed_loop_drifts(scenario: Scenario, gain: GainSchedule):
     """H = A - gain C and M = B - gain D at every node, shape (N+1, n, n)."""
     if not scenario.grid.same_as(gain.grid):
         raise ScenarioError("gain and scenario live on different grids")
-    G = gain.values
-    H = scenario.A - np.einsum("jnm,jmk->jnk", G, scenario.C)
-    M = scenario.B - np.einsum("jnm,jmk->jnk", G, scenario.D)
-    return H, M
+    return _drifts(scenario.A, scenario.B, scenario.C, scenario.D, gain.values)
 
 
-def _scalar_tables(scenario: Scenario, gain: GainSchedule) -> ScalarTables:
-    return ScalarTables(scenario, gain, *_closed_loop_drifts(scenario, gain))
+def _joint_generator(H: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """[[H + M, 0], [M, H]] per sample: the generator of the mean error
+    and the pointwise error, in that order."""
+    return np.block([[H + M, np.zeros_like(H)], [M, H]])
 
 
-def _generator_at(scenario: Scenario, gain: GainSchedule, j: int, which: str):
-    """Generator at node j and at the midpoint of [t_j, t_{j+1}] for RK4."""
-    t_mid = scenario.grid.nodes[j] + 0.5 * scenario.grid.dt
-    G_mid = gain.at_midpoint(j)
-
-    def gen(A, B, C, D, G):
-        if which == "phi":
-            return (A + B) - G @ (C + D)
-        return A - G @ C
-
-    g_left = gen(scenario.A[j], scenario.B[j], scenario.C[j], scenario.D[j],
-                 gain.values[j])
-    g_mid = gen(np.atleast_2d(scenario.coeff_at("A", t_mid)),
-                np.atleast_2d(scenario.coeff_at("B", t_mid)),
-                np.atleast_2d(scenario.coeff_at("C", t_mid)),
-                np.atleast_2d(scenario.coeff_at("D", t_mid)),
-                G_mid)
-    g_right = gen(scenario.A[j + 1], scenario.B[j + 1], scenario.C[j + 1],
-                  scenario.D[j + 1], gain.values[j + 1])
-    return g_left, g_mid, g_right
-
-
-def _rk4_transition(scenario: Scenario, gain: GainSchedule, which: str) -> np.ndarray:
-    """Column-wise RK4 solve of d/dt G(t, s) = gen(t) G(t, s), G(s, s) = I."""
-    grid = scenario.grid
-    n = scenario.n
-    nn = grid.n_nodes
-    out = np.zeros((nn, nn, n, n))
-    eye = np.eye(n)
-    h = grid.dt
-    # precompute generators once per step
-    gens = [_generator_at(scenario, gain, j, which) for j in range(grid.n_steps)]
-    for s in range(nn):
-        out[s, s] = eye
-        val = eye.copy()
-        for i in range(s, grid.n_steps):
-            gl, gm, gr = gens[i]
-            k1 = gl @ val
-            k2 = gm @ (val + 0.5 * h * k1)
-            k3 = gm @ (val + 0.5 * h * k2)
-            k4 = gr @ (val + h * k3)
-            val = val + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            out[i + 1, s] = val
+def _chain(R: np.ndarray) -> np.ndarray:
+    """Lower triangle T[i, j] = R[i-1] ... R[j] of (N+1, N+1, k, k), the
+    identity on the diagonal and zero above it, one row per step."""
+    n, k = R.shape[0] + 1, R.shape[1]
+    out = np.zeros((n, n, k, k))
+    out[0, 0] = np.eye(k)
+    for i, Ri in enumerate(R):
+        out[i + 1, : i + 1] = Ri @ out[i, : i + 1]
+        out[i + 1, i + 1] = np.eye(k)
     return out
 
 
-def compute_phi(scenario: Scenario, gain: GainSchedule) -> TriangularKernel:
-    """Transition operator of the mean-error dynamics (generator H + M).
+class StepPropagators:
+    """Matrix-mode tables: the one-step transition maps of the joint error.
 
-    Scalar mode takes the exponential of the running H + M integral;
-    matrix mode integrates the operator ODE with RK4, column by column.
+    The mean error and one particle's error evolve together under
+    Y' = Gamma(t) Y with Gamma = [[H + M, 0], [M, H]], whose transition is
+    [[phi, 0], [f, psi]]. ``R[j]`` (N, 2n, 2n) is the classical RK4 step of
+    that equation from t_j to t_{j+1} started at the identity, with Gamma
+    at the left node, at the midpoint (coefficients sampled there, gain
+    averaged over the step) and at the right node. Its diagonal blocks
+    are the RK4 steps of phi and psi and its upper-right block is exactly
+    zero. A transition between two nodes is the ordered product of the
+    steps between them; :meth:`phi_triangle` and :meth:`psi_triangle`
+    build those products row by row.
     """
-    if scenario.scalar_mode:
-        return TriangularKernel(scenario.grid, _scalar_tables(scenario, gain).phi_triangle())
-    return TriangularKernel(scenario.grid, _rk4_transition(scenario, gain, "phi"))
+
+    def __init__(self, scenario: Scenario, gain: GainSchedule, H: np.ndarray,
+                 M: np.ndarray):
+        grid = scenario.grid
+        h = grid.dt
+        G = gain.values
+        mid = grid.nodes[:-1] + 0.5 * h
+        H_mid, M_mid = _drifts(*(scenario.sample(c, mid) for c in "ABCD"),
+                               0.5 * (G[:-1] + G[1:]))
+        # Gamma at the stage offsets 0, h/2 and h of every step at once
+        stage = {0.0: _joint_generator(H[:-1], M[:-1]),
+                 0.5 * h: _joint_generator(H_mid, M_mid),
+                 h: _joint_generator(H[1:], M[1:])}
+        self.n = scenario.n
+        self.R = _rk4_step(lambda s, Y: stage[s] @ Y, 0.0, np.eye(2 * self.n), h)
+
+    def phi_triangle(self) -> np.ndarray:
+        return _chain(self.R[:, : self.n, : self.n])
+
+    def psi_triangle(self) -> np.ndarray:
+        return _chain(self.R[:, self.n:, self.n:])
+
+
+def _tables(scenario: Scenario, gain: GainSchedule):
+    """H, M and their kernel tables: :class:`ScalarTables` in scalar mode,
+    :class:`StepPropagators` in matrix mode."""
+    H, M = _closed_loop_drifts(scenario, gain)
+    kind = ScalarTables if scenario.scalar_mode else StepPropagators
+    return H, M, kind(scenario, gain, H, M)
+
+
+def compute_phi(scenario: Scenario, gain: GainSchedule) -> TriangularKernel:
+    """Transition operator of the mean-error dynamics (generator H + M)."""
+    return TriangularKernel(scenario.grid, _tables(scenario, gain)[2].phi_triangle())
 
 
 def compute_psi(scenario: Scenario, gain: GainSchedule) -> TriangularKernel:
     """Transition operator of the pointwise error dynamics (generator H)."""
-    if scenario.scalar_mode:
-        return TriangularKernel(scenario.grid, _scalar_tables(scenario, gain).psi_triangle())
-    return TriangularKernel(scenario.grid, _rk4_transition(scenario, gain, "psi"))
+    return TriangularKernel(scenario.grid, _tables(scenario, gain)[2].psi_triangle())
 
 
 def compute_f(scenario: Scenario, gain: GainSchedule,
@@ -350,17 +356,18 @@ def compute_f(scenario: Scenario, gain: GainSchedule,
 class KernelBundle:
     """Closed-loop drifts and the three kernels at one gain.
 
-    In scalar mode the cost, its gradient and the optimizer read only the
-    O(N) ``tables``; the dense (N+1) x (N+1) triangles ``phi``, ``psi``
-    and ``f`` are built from them on first access and then kept. Matrix
-    mode has no tables and stores the RK4 triangles it was given.
+    The cost, the covariance and (in scalar mode) the gradient and the
+    optimizer read only the O(N) ``tables``: :class:`ScalarTables` in
+    scalar mode, :class:`StepPropagators` in matrix mode. The dense
+    (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built from them
+    on first access and then kept.
     """
 
     grid: TimeGrid
     gain: GainSchedule
     H: np.ndarray                       # (N+1, n, n)
     M: np.ndarray                       # (N+1, n, n)
-    tables: ScalarTables | None = field(repr=False, default=None)
+    tables: ScalarTables | StepPropagators = field(repr=False)
     triangles: dict = field(repr=False, default_factory=dict)  # name -> TriangularKernel
 
     def _triangle(self, name: str) -> TriangularKernel:
@@ -387,15 +394,9 @@ class KernelBundle:
 
 
 def kernel_bundle(scenario: Scenario, gain: GainSchedule) -> KernelBundle:
-    """Compute H, M and the kernels at the given gain (scalar mode: their
-    tables, with the triangles deferred to first access)."""
-    H, M = _closed_loop_drifts(scenario, gain)
-    if scenario.scalar_mode:
-        return KernelBundle(scenario.grid, gain, H, M, ScalarTables(scenario, gain, H, M))
-    phi = compute_phi(scenario, gain)
-    psi = compute_psi(scenario, gain)
-    f = compute_f(scenario, gain, phi, psi)
-    return KernelBundle(scenario.grid, gain, H, M, None, {"phi": phi, "psi": psi, "f": f})
+    """Compute H, M and the kernel tables at the given gain, with the
+    triangles deferred to first access."""
+    return KernelBundle(scenario.grid, gain, *_tables(scenario, gain))
 
 
 class DerivativeKernels:
@@ -413,7 +414,7 @@ class DerivativeKernels:
     """
 
     def __init__(self, bundle: KernelBundle, scenario: Scenario):
-        if bundle.tables is None:
+        if not isinstance(bundle.tables, ScalarTables):
             raise ScenarioError("derivative kernels are defined in scalar mode only")
         self.tables = bundle.tables
         self.grid = bundle.grid

@@ -15,7 +15,6 @@ __all__ = [
     "TimeGrid",
     "TriangularKernel",
     "make_grid",
-    "trapezoid_integrate",
     "trapezoid",
     "cumulative_trapezoid",
 ]
@@ -89,24 +88,6 @@ def trapezoid(values: np.ndarray, dt: float) -> np.ndarray | float:
     return weighted * dt
 
 
-def trapezoid_integrate(samples, grid: TimeGrid, a: int, b: int):
-    """Integrate node samples of ``f`` over ``[t_a, t_b]`` by trapezoid.
-
-    ``samples`` must hold the values at the consecutive nodes
-    ``t_a, ..., t_b`` (length ``b - a + 1``); returns 0 when ``a == b``.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if b < a:
-        raise GridError(f"need b >= a, got a={a}, b={b}")
-    if a < 0 or b > grid.n_steps:
-        raise GridError(f"indices [{a}, {b}] fall outside the grid")
-    if samples.shape[0] != b - a + 1:
-        raise GridError(
-            f"expected {b - a + 1} samples for nodes {a}..{b}, got {samples.shape[0]}"
-        )
-    return trapezoid(samples, grid.dt)
-
-
 def cumulative_trapezoid(values: np.ndarray, dt: float, axis: int = -1) -> np.ndarray:
     """Running trapezoid integral along ``axis``; entry 0 is 0."""
     values = np.asarray(values, dtype=float)
@@ -118,6 +99,15 @@ def cumulative_trapezoid(values: np.ndarray, dt: float, axis: int = -1) -> np.nd
                   axis=axis, out=run)
         run *= dt
     return out
+
+
+def _rk4_step(rhs, t, y, h: float):
+    """One classical Runge-Kutta step of y' = rhs(t, y) from t to t + h."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 class TriangularKernel:
@@ -140,16 +130,6 @@ class TriangularKernel:
         self.grid = grid
         self.values = values
         self.values.setflags(write=False)
-
-    @property
-    def entry_shape(self) -> tuple:
-        return self.values.shape[2:]
-
-    def value(self, i: int, j: int):
-        """Entry G(t_i, s_j); only the lower triangle j <= i is defined."""
-        if not (0 <= j <= i <= self.grid.n_steps):
-            raise GridError(f"(i={i}, j={j}) outside the lower triangle")
-        return self.values[i, j]
 
     def diagonal(self) -> np.ndarray:
         if self.values.ndim == 2:

@@ -31,6 +31,7 @@ from .system_model import (
     dirac_measure,
     discrete_measure,
     gauss_hermite_measure,
+    standard_measure,
 )
 
 __all__ = [
@@ -159,15 +160,14 @@ def _coeff_from_spec(value, args: tuple[str, ...]):
     return float(value)
 
 
+# parameters a scenario file may leave out
+_MEASURE_DEFAULTS = {"dirac": {"x0": 0.0}, "gauss_hermite": {"n_nodes": 11}}
+
+
 def _measure_from_spec(spec: dict):
     kind = spec.get("kind")
-    if kind == "dirac":
-        return dirac_measure(spec.get("x0", 0.0))
-    if kind == "gauss_hermite":
-        return gauss_hermite_measure(int(spec.get("n_nodes", 11)))
-    if kind == "discrete":
-        return discrete_measure(spec["points"], spec["weights"])
-    raise ScenarioError(f"unknown measure kind {kind!r}")
+    params = {key: value for key, value in spec.items() if key != "kind"}
+    return standard_measure(kind, **{**_MEASURE_DEFAULTS.get(kind, {}), **params})
 
 
 def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:

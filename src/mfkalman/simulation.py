@@ -85,21 +85,19 @@ class EmpiricalStats:
     var_se: np.ndarray    # (n,) fourth-moment standard error of the variance
 
 
-def _simulate_block(scenario: Scenario, gain: GainSchedule, n_block: int,
-                    seed_seq: np.random.SeedSequence, H: np.ndarray, M: np.ndarray,
-                    chol_q: np.ndarray, chol_q0: np.ndarray):
-    """One block of replications; returns (x, y, z) trajectory arrays."""
+def _simulate_block(scenario: Scenario, gain: GainSchedule, xs: np.ndarray,
+                    ys: np.ndarray, zs: np.ndarray, seed_seq: np.random.SeedSequence,
+                    H: np.ndarray, M: np.ndarray, chol_q: np.ndarray, chol_q0: np.ndarray):
+    """One block of replications, written into the trajectory arrays
+    ``xs``/``ys``/``zs`` (the block's slices of the ensemble's)."""
     grid = scenario.grid
     n, m, d = scenario.n, scenario.m, scenario.d
     k = scenario.n_atoms
+    n_block = len(xs)
     dt = grid.dt
     sqdt = np.sqrt(dt)
     rng = np.random.Generator(np.random.Philox(seed_seq))
     w = scenario.measure.weights
-
-    xs = np.empty((n_block, k, grid.n_nodes, n))
-    ys = np.empty((n_block, k, grid.n_nodes, m))
-    zs = np.empty((n_block, k, grid.n_nodes, n))
 
     x = np.broadcast_to(scenario.measure.points[None, :, :], (n_block, k, n)).copy()
     z = x.copy()
@@ -137,7 +135,6 @@ def _simulate_block(scenario: Scenario, gain: GainSchedule, n_block: int,
         xs[:, :, j + 1] = x
         ys[:, :, j + 1] = y
         zs[:, :, j + 1] = z
-    return xs, ys, zs
 
 
 def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
@@ -166,11 +163,9 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
 
     def run(idx: int):
         start, size = blocks[idx]
-        bx, by, bz = _simulate_block(scenario, gain, size, seqs[idx], H, M,
-                                     chol_q, chol_q0)
-        xs[start:start + size] = bx
-        ys[start:start + size] = by
-        zs[start:start + size] = bz
+        part = slice(start, start + size)
+        _simulate_block(scenario, gain, xs[part], ys[part], zs[part], seqs[idx], H, M,
+                        chol_q, chol_q0)
 
     workers = min(worker_count(), len(blocks))
     if workers <= 1:

@@ -127,7 +127,8 @@ class Scenario:
     """Validated coefficient set on a grid, plus the initial measure.
 
     Coefficient samples are cached at every node; the original callables
-    are retained for the midpoint evaluations the Runge-Kutta solvers need.
+    are retained for the stage times the Runge-Kutta steps need
+    (:meth:`sample`).
     ``scalar_mode`` is set exactly when n = m = d = 1, which is where the
     gain optimizer operates.
     """
@@ -153,10 +154,10 @@ class Scenario:
     def n_atoms(self) -> int:
         return self.measure.n_atoms
 
-    def coeff_at(self, name: str, t: float) -> np.ndarray:
-        """Evaluate a coefficient callable off-grid (used by RK4 midpoints)."""
-        fn = self.fns[name]
-        return np.asarray(fn(t), dtype=float)
+    def sample(self, name: str, times) -> np.ndarray:
+        """A time coefficient (A, B, C, D or Sigma) at arbitrary times,
+        (len(times), rows, cols), by the rule that made the node samples."""
+        return _sample(self.fns[name], times, *getattr(self, name).shape[1:], name)
 
     # flat views for the scalar fast paths -------------------------------
     def flat(self, name: str) -> np.ndarray:
@@ -205,26 +206,48 @@ def _check_spd(mat: np.ndarray, label: str) -> np.ndarray:
     return mat
 
 
-def _sample_time_coefficient(value, grid: TimeGrid, rows: int, cols: int, label: str):
-    """Turn a constant / matrix / callable-of-t into nodal samples + callable."""
-    if callable(value):
-        fn = value
-    else:
-        const = np.asarray(value, dtype=float)
-        if const.ndim == 0:
-            const = const * np.eye(rows, cols) if rows == cols else np.full((rows, cols), float(const))
-        fn = lambda t, _c=const: _c  # noqa: E731
-    samples = np.empty((grid.n_nodes, rows, cols))
+def _check_spd_nodes(samples: np.ndarray, grid: TimeGrid, label: str) -> None:
+    """:func:`_check_spd` on all node samples (N+1, n, n) at once; only a
+    failure is checked node by node, to name the first failing time."""
+    try:
+        np.linalg.cholesky(samples)
+        if np.allclose(samples, samples.transpose(0, 2, 1), atol=1e-10, rtol=1e-10):
+            return
+    except np.linalg.LinAlgError:
+        pass
     for j, t in enumerate(grid.nodes):
-        val = np.asarray(fn(t), dtype=float)
-        if val.ndim == 0:
-            val = val * np.eye(rows, cols) if rows == cols else np.full((rows, cols), float(val))
+        _check_spd(samples[j], f"{label}(t={t})")
+
+
+def _as_matrix(value, rows: int, cols: int) -> np.ndarray:
+    """A scalar v as v I for a square shape and as the full (rows, cols)
+    matrix of v otherwise; an array as it is."""
+    val = np.asarray(value, dtype=float)
+    if val.ndim:
+        return val
+    return val * np.eye(rows) if rows == cols else np.full((rows, cols), float(val))
+
+
+def _sample(fn, times, rows: int, cols: int, label: str) -> np.ndarray:
+    """(len(times), rows, cols) samples of the callable ``fn`` of t."""
+    samples = np.empty((len(times), rows, cols))
+    for j, t in enumerate(times):
+        val = _as_matrix(fn(t), rows, cols)
         if val.shape != (rows, cols):
             raise ScenarioError(f"{label}({t}) has shape {val.shape}, expected {(rows, cols)}")
         samples[j] = val
     if not np.all(np.isfinite(samples)):
         raise ScenarioError(f"{label} is not finite at every node")
-    return samples, fn
+    return samples
+
+
+def _sample_time_coefficient(value, grid: TimeGrid, rows: int, cols: int, label: str):
+    """Turn a constant / matrix / callable-of-t into nodal samples + callable."""
+    if callable(value):
+        fn = value
+    else:
+        fn = lambda t, _c=_as_matrix(value, rows, cols): _c  # noqa: E731
+    return _sample(fn, grid.nodes, rows, cols, label), fn
 
 
 def _sample_atom_coefficient(value, measure: InitialMeasure, grid: TimeGrid,
@@ -291,8 +314,7 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
     C_s, C_fn = _sample_time_coefficient(C, grid, m, n, "C")
     D_s, D_fn = _sample_time_coefficient(D, grid, m, n, "D")
     Sig_s, Sig_fn = _sample_time_coefficient(Sigma, grid, n, n, "Sigma")
-    for j in range(grid.n_nodes):
-        _check_spd(Sig_s[j], f"Sigma(t={grid.nodes[j]})")
+    _check_spd_nodes(Sig_s, grid, "Sigma")
 
     sig_s, sig_fn = _sample_atom_coefficient(sigma, measure, grid, n, d, "sigma")
     gam_s, gam_fn = _sample_atom_coefficient(gamma, measure, grid, m, d, "gamma")

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from mfkalman import ScenarioError, load_scenario
 from mfkalman.cli import main
 
 
@@ -143,6 +145,25 @@ class TestScenarioFiles:
         _, _, rows = read_csv(out / "statistics.csv")
         atoms = {r[0] for r in rows}
         assert atoms == {"0", "1"}
+
+    @pytest.mark.parametrize("spec, points", [("{kind: dirac}", [[0.0]]),
+                                              ("{kind: dirac, x0: 2.0}", [[2.0]]),
+                                              ("{kind: gauss_hermite}", 11),
+                                              ("{kind: gauss_hermite, n_nodes: 3}", 3)])
+    def test_measure_defaults(self, tmp_path, spec, points):
+        path = tmp_path / "scen.yaml"
+        path.write_text(f"steps: 10\nmeasure: {spec}\n")
+        atoms = load_scenario(path).measure.points
+        if isinstance(points, int):
+            assert atoms.shape == (points, 1)
+        else:
+            np.testing.assert_array_equal(atoms, points)
+
+    def test_unknown_measure_kind_rejected(self, tmp_path):
+        path = tmp_path / "scen.yaml"
+        path.write_text("measure: {kind: uniform}\n")
+        with pytest.raises(ScenarioError, match="unknown measure kind 'uniform'"):
+            load_scenario(path)
 
     def test_unknown_scenario_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path)])

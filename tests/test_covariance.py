@@ -15,6 +15,7 @@ from mfkalman import (
     covariance_profile,
     covariance_sensitivity,
     dirac_measure,
+    discrete_measure,
     error_covariance,
     fd_cost_slope,
     kernel_bundle,
@@ -129,6 +130,95 @@ def _oracle_gap(scen, gain):
     oracle = _gradient_from_kernel(scen, mean_sensitivity_triangle(scen, bundle, bars)).values
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(oracle))
     return float(np.max(np.abs(g - oracle)) / np.max(np.abs(oracle)))
+
+
+# a non-diagonal, mean-coupled 2x2 system with two atoms, atom-dependent
+# loadings, correlated state noise and a time-dependent cost weight
+_COEFFS = {
+    "A": lambda t: np.array([[-0.4, 0.3], [0.2, 0.3 * (1 + 0.5 * t)]]),
+    "B": lambda t: np.array([[0.5, -0.3], [0.1, -0.2 + 0.1 * t]]),
+    "C": lambda t: np.array([[1.0, 0.2], [0.0, 0.8]]),
+    "D": lambda t: np.array([[0.3, 0.0], [0.2, 0.1]]),
+}
+
+
+def _two_atom_matrix_scenario(steps):
+    grid = make_grid(1.0, steps)
+    scen = build_scenario(
+        grid, measure=discrete_measure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
+        sigma=lambda u, t: np.array([[0.9 + 0.2 * u[0], 0.1], [0.0, 1.1 + 0.1 * u[1] * t]]),
+        gamma=lambda u, t: np.array([[1.0, 0.1 * u[0]], [0.0, 0.8 + 0.1 * u[1]]]),
+        Q=np.array([[1.0, 0.3], [0.3, 0.8]]), Q0=np.eye(2),
+        Sigma=lambda t: np.array([[1.0, 0.2], [0.2, 0.5 + t]]), **_COEFFS)
+    gain = GainSchedule.constant(grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
+    return scen, measure_averages(scen), gain
+
+
+def _rk4_triangles(scen, gain):
+    """phi and psi solved column by column with RK4, from the generators
+    at the left node, the midpoint (coefficient callables evaluated there,
+    gain averaged over the step) and the right node. O(N^2) steps."""
+    grid, G = scen.grid, gain.values
+    h, nn = grid.dt, grid.n_nodes
+
+    def generators(A, B, C, D, Gj):
+        return (A + B) - Gj @ (C + D), A - Gj @ C
+
+    node = [generators(scen.A[j], scen.B[j], scen.C[j], scen.D[j], G[j]) for j in range(nn)]
+    mid = [generators(*(_COEFFS[c](t + 0.5 * h) for c in "ABCD"), 0.5 * (G[j] + G[j + 1]))
+           for j, t in enumerate(grid.nodes[:-1])]
+    out = []
+    for which in (0, 1):
+        tri = np.zeros((nn, nn, 2, 2))
+        for s in range(nn):
+            val = tri[s, s] = np.eye(2)
+            for i in range(s, nn - 1):
+                gl, gm, gr = node[i][which], mid[i][which], node[i + 1][which]
+                k1 = gl @ val
+                k2 = gm @ (val + 0.5 * h * k1)
+                k3 = gm @ (val + 0.5 * h * k2)
+                k4 = gr @ (val + h * k3)
+                val = tri[i + 1, s] = val + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(tri)
+    return out
+
+
+def _cellwise(scen, bars, gain, atom):
+    """K and the drift of one atom at every node: the trapezoid over
+    [0, t] of the defining integrands on the RK4 triangles, node by node.
+    Also returns the triangles phi, psi and f = phi - psi."""
+    phi, psi = _rk4_triangles(scen, gain)
+    f = phi - psi
+    G, dt, Q, Q0 = gain.values, scen.grid.dt, scen.Q, scen.Q0
+    H = scen.A - G @ scen.C
+    M = scen.B - G @ scen.D
+    sb, Gb = bars.sigma_bar, G @ bars.gamma_bar
+    su, Gu = scen.sigma[atom], G @ scen.gamma[atom]
+
+    def pair(x, w, y):
+        return np.einsum("jad,de,jbe->jab", x, w, y)
+
+    m_bar = pair(sb, Q, sb) + pair(Gb, Q0, Gb)
+    m_atom = pair(su, Q, su) + pair(Gu, Q0, Gu)
+    X = pair(su, Q, sb) + pair(Gu, Q0, Gb)
+    K, drift = np.zeros_like(m_bar), np.zeros_like(m_bar)
+    for i in range(1, scen.grid.n_nodes):
+        r = slice(0, i + 1)
+        F, P, Phi = f[i, r], psi[i, r], phi[i, r]
+        cross = P @ X[r] @ F.transpose(0, 2, 1)
+        k = trapezoid(F @ m_bar[r] @ F.transpose(0, 2, 1) + P @ m_atom[r] @ P.transpose(0, 2, 1)
+                      + cross + cross.transpose(0, 2, 1), dt)
+        K[i] = 0.5 * (k + k.T)
+        rate = M[i] @ Phi + H[i] @ F     # d/dt f(t, s)
+        HP = H[i] @ P                    # d/dt psi(t, s)
+        drift[i] = 0.5 * m_atom[i] + trapezoid(
+            rate @ m_bar[r] @ F.transpose(0, 2, 1) + HP @ m_atom[r] @ P.transpose(0, 2, 1)
+            + HP @ X[r] @ F.transpose(0, 2, 1) + P @ X[r] @ rate.transpose(0, 2, 1), dt)
+    return K, drift, (phi, psi, f)
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +632,53 @@ class TestLongHorizon:
             cost_gradient(scen, bundle, bars)
         with pytest.raises(ScenarioError, match=r"drift_profile: non-finite value at node 14\d"):
             drift_profile(scen, bundle, bars, 0)
+
+
+class TestMatrixJointRecursion:
+    """Matrix mode: the joint (mean error, atom error) recursion against
+    the cellwise trapezoid on column-wise RK4 triangles it replaces."""
+
+    @pytest.mark.parametrize("steps", [50, 200])
+    def test_matches_cellwise_oracle(self, steps):
+        scen, bars, gain = _two_atom_matrix_scenario(steps)
+        bundle = kernel_bundle(scen, gain)
+        cost = 0.0
+        for atom, weight in enumerate(scen.measure.weights):
+            K, drift, triangles = _cellwise(scen, bars, gain, atom)
+            prof = covariance_profile(scen, bundle, bars, atom)
+            assert _rel(prof, K) <= 1e-12
+            assert _rel(drift_profile(scen, bundle, bars, atom), drift) <= 1e-12
+            for node in (steps // 3, steps):
+                assert _rel(covariance_drift(scen, bundle, bars, atom, node), drift[node]) <= 1e-12
+                np.testing.assert_array_equal(error_covariance(scen, bundle, bars, atom, node),
+                                              prof[node])
+            cost += weight * trapezoid(np.einsum("jab,jba->j", scen.Sigma, K), scen.grid.dt)
+        for kernel, oracle in zip((bundle.phi, bundle.psi, bundle.f), triangles):
+            assert _rel(kernel.values, oracle) <= 1e-12
+        assert trace_cost(scen, bundle, bars) == pytest.approx(cost, rel=1e-12)
+        np.testing.assert_array_equal(bundle.tables.R[:, :2, 2:], 0.0)
+
+    def test_rate_consistency(self):
+        err = {}
+        for steps in (100, 200):
+            scen, bars, gain = _two_atom_matrix_scenario(steps)
+            bundle = kernel_bundle(scen, gain)
+            K = covariance_profile(scen, bundle, bars, 1)
+            drift = drift_profile(scen, bundle, bars, 1)
+            fd = (K[2:] - K[:-2]) / (2 * scen.grid.dt)
+            err[steps] = float(np.max(np.abs(fd - drift[1:-1] - drift[1:-1].transpose(0, 2, 1))))
+        assert err[100] / err[200] >= 3.0
+
+    def test_cost_memory_linear(self):
+        # the (N+1)^2 triangles of one 2x2 kernel take 41 MB at N = 800
+        scen, bars, gain = _two_atom_matrix_scenario(800)
+        tracemalloc.start()
+        try:
+            trace_cost(scen, kernel_bundle(scen, gain), bars)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestCheckFinite:

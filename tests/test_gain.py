@@ -21,7 +21,6 @@ from mfkalman import (
 )
 from mfkalman.covariance import _ScalarWeights
 from mfkalman.gain import _diagonal_update
-from mfkalman.kernels import _scalar_tables
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import scalar_scenario
@@ -35,7 +34,7 @@ def _diagonal_update_by_rows(scenario, bars, values, nodes):
     dt = scenario.grid.dt
     for _ in range(3):
         gain = GainSchedule(scenario.grid, out[:, None, None])
-        tb = _scalar_tables(scenario, gain)
+        tb = kernel_bundle(scenario, gain).tables
         w = _ScalarWeights(scenario, bars, gain)
         for j in nodes:
             if w.g2q0[j] <= 1e-14:

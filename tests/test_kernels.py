@@ -10,9 +10,11 @@ from mfkalman import (
     compute_psi,
     derivative_kernels,
     dirac_measure,
+    covariance_profile,
     cumulative_trapezoid,
     kernel_bundle,
     make_grid,
+    measure_averages,
 )
 from mfkalman.kernels import FRAME_SPAN, Frames
 from mfkalman.scenarios import random_smooth_scenario
@@ -45,7 +47,7 @@ class TestPhi:
         # A = -1, B = 0, zero gain: generator of phi is -1
         scen = scalar_scenario(steps=200, A=-1.0)
         phi = compute_phi(scen, zero_gain(scen))
-        assert phi.value(200, 0) == pytest.approx(np.exp(-1.0), abs=1e-12)
+        assert phi.values[200, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_diagonal_identity(self, rough_pack):
         scen, _, gain, bundle = rough_pack
@@ -72,7 +74,7 @@ class TestPsi:
         gain = GainSchedule.from_callable(scen.grid, np.tanh)
         psi = compute_psi(scen, gain)
         # generator -tanh integrates to -log cosh
-        assert psi.value(400, 0) == pytest.approx(1.0 / np.cosh(1.0), abs=1e-5)
+        assert psi.values[400, 0] == pytest.approx(1.0 / np.cosh(1.0), abs=1e-5)
 
     def test_semigroup(self, rough_pack):
         scen, _, _, bundle = rough_pack
@@ -111,7 +113,7 @@ class TestF:
         # A = 0, B = 1, zero gain: psi = 1, phi(r, 0) = e^r
         scen = scalar_scenario(steps=100, B=1.0)
         bundle = kernel_bundle(scen, zero_gain(scen))
-        assert bundle.f.value(100, 0) == pytest.approx(np.e - 1.0, abs=2e-5)
+        assert bundle.f.values[100, 0] == pytest.approx(np.e - 1.0, abs=2e-5)
 
     def test_diagonal_zero(self, rough_pack):
         _, _, _, bundle = rough_pack
@@ -268,6 +270,23 @@ class TestMatrixMode:
         np.testing.assert_allclose(psi.values[:, :, 0, 0][tri], expected[tri],
                                    atol=1e-10)
 
+    def test_scalar_valued_coefficient_is_a_multiple_of_identity(self):
+        """A callable returning a scalar is read as that multiple of the
+        identity at the nodes and at the RK4 stage times alike."""
+        grid = make_grid(1.0, 40)
+        results = []
+        for A in (lambda t: -0.4, lambda t: -0.4 * np.eye(2)):
+            scen = build_scenario(grid, measure=dirac_measure([0.0, 0.0]), A=A,
+                                  C=lambda t: np.eye(2), sigma=lambda u, t: np.eye(2),
+                                  gamma=lambda u, t: np.eye(2), Q=np.eye(2), Q0=np.eye(2),
+                                  Sigma=lambda t: np.eye(2))
+            bundle = kernel_bundle(scen, GainSchedule.constant(grid, 0.0, 2, 2))
+            results.append([bundle.phi.values, bundle.psi.values, bundle.f.values,
+                             covariance_profile(scen, bundle, measure_averages(scen), 0)])
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(results[0][1][40, 0], np.exp(-0.4) * np.eye(2), atol=1e-9)
+
     def test_matrix_f_is_phi_minus_psi(self):
         """Non-diagonal coupled 2x2 system: f is phi - psi, and the
         trapezoid of its defining integral converges to it at O(dt^2)."""
@@ -387,6 +406,15 @@ class TestGainSchedule:
         vals[3] = np.inf
         with pytest.raises(ScenarioError):
             GainSchedule(grid, vals)
+
+    def test_scalar_callable_equals_constant(self):
+        grid = make_grid(1.0, 10)
+        for n, m in [(2, 2), (2, 3), (1, 1)]:
+            np.testing.assert_array_equal(
+                GainSchedule.from_callable(grid, lambda t: 0.5, n, m).values,
+                GainSchedule.constant(grid, 0.5, n, m).values)
+        np.testing.assert_array_equal(GainSchedule.constant(grid, 0.5, 2, 2).values[3],
+                                      0.5 * np.eye(2))
 
     def test_grid_mismatch_detected(self):
         scen = scalar_scenario(steps=50)

@@ -9,7 +9,6 @@ from mfkalman.numerics import (
     cumulative_trapezoid,
     make_grid,
     trapezoid,
-    trapezoid_integrate,
 )
 
 
@@ -45,31 +44,22 @@ class TestMakeGrid:
 class TestTrapezoid:
     def test_exact_on_affine(self):
         grid = make_grid(1.0, 100)
-        value = trapezoid_integrate(grid.nodes, grid, 0, 100)
+        value = trapezoid(grid.nodes, grid.dt)
         assert value == pytest.approx(0.5, abs=1e-15)
 
     def test_exponential(self):
         grid = make_grid(1.0, 100)
-        value = trapezoid_integrate(np.exp(grid.nodes), grid, 0, 100)
+        value = trapezoid(np.exp(grid.nodes), grid.dt)
         assert value == pytest.approx(np.e - 1.0, abs=2e-5)
 
     def test_empty_interval(self):
-        grid = make_grid(1.0, 10)
-        assert trapezoid_integrate(np.array([3.0]), grid, 4, 4) == 0.0
-
-    def test_length_mismatch(self):
-        grid = make_grid(1.0, 10)
-        with pytest.raises(GridError):
-            trapezoid_integrate(np.ones(5), grid, 0, 10)
-        with pytest.raises(GridError):
-            trapezoid_integrate(np.ones(3), grid, 5, 2)
+        assert trapezoid(np.array([3.0]), 0.1) == 0.0
 
     def test_refinement_convergence(self):
         errs = {}
         for n in (100, 200):
             grid = make_grid(1.0, n)
-            errs[n] = abs(trapezoid_integrate(np.exp(grid.nodes), grid, 0, n)
-                          - (np.e - 1.0))
+            errs[n] = abs(trapezoid(np.exp(grid.nodes), grid.dt) - (np.e - 1.0))
         assert 3.5 <= errs[100] / errs[200] <= 4.5
 
     @settings(max_examples=30, deadline=None)
@@ -96,11 +86,7 @@ class TestTriangularKernel:
         grid = make_grid(1.0, 4)
         vals = np.tril(np.arange(25.0).reshape(5, 5))
         kern = TriangularKernel(grid, vals)
-        assert kern.value(3, 1) == vals[3, 1]
-        with pytest.raises(GridError):
-            kern.value(1, 3)
-        with pytest.raises(GridError):
-            kern.value(9, 0)
+        assert kern.values[3, 1] == vals[3, 1]
 
     def test_shape_validation(self):
         grid = make_grid(1.0, 4)
@@ -113,5 +99,5 @@ class TestTriangularKernel:
         grid = make_grid(1.0, 3)
         vals = np.zeros((4, 4, 2, 2))
         kern = TriangularKernel(grid, vals)
-        assert kern.entry_shape == (2, 2)
+        assert kern.values.shape[2:] == (2, 2)
         assert kern.diagonal().shape == (4, 2, 2)

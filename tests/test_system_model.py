@@ -84,6 +84,16 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError):
             build_scenario(GRID, measure=dirac_measure(0.0), Sigma=-1.0)
 
+    @pytest.mark.parametrize("late", [-1.0, np.array([[1.0, 0.5], [0.0, 1.0]])],
+                             ids=["negative", "asymmetric"])
+    def test_cost_weight_error_names_first_failing_node(self, late):
+        # the weight fails from t = 0.52 on (node 26 of 50)
+        with pytest.raises(ScenarioError, match=r"^Sigma\(t=0\.52\) must be"):
+            build_scenario(GRID, measure=dirac_measure([0.0, 0.0]),
+                           Sigma=lambda t: np.eye(2) if t <= 0.5 else late,
+                           sigma=lambda u, t: np.eye(2), gamma=lambda u, t: np.eye(2),
+                           Q=np.eye(2), Q0=np.eye(2))
+
 
 class TestMeasureAverages:
     def test_normal_flow_bars(self):
