@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--directions", type=int, default=5)
 
-    p = sub.add_parser("optimize", help="gradient descent to the optimal gain")
+    p = sub.add_parser("optimize", help="preconditioned descent to the optimal gain")
     common(p)
     p.add_argument("--grad-tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=2000)
@@ -243,6 +243,7 @@ def _cmd_optimize(args) -> int:
               _meta(scenario, args.seed))
     lines = [
         f"iterations: {report.iterations}",
+        f"line-search trials: {sum(report.line_search_trials)}",
         f"converged: {report.converged}",
         f"final cost: {report.final_cost:.12g}",
         f"stationarity residual: {report.stationarity:.6e}",

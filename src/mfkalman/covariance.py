@@ -95,10 +95,15 @@ class CovarianceField:
 @dataclass(frozen=True)
 class GradientField:
     """Gradient density g so that the cost derivative along a direction
-    beta equals the time integral of g * beta; g vanishes at the horizon."""
+    beta equals the time integral of g * beta; g vanishes at the horizon.
+
+    ``curvature`` is the diagonal of dg/dG with the variances and costates
+    held fixed (see :func:`cost_gradient`), or None where the producer
+    does not compute it."""
 
     grid: TimeGrid
     values: np.ndarray  # (N+1,)
+    curvature: np.ndarray | None = None  # (N+1,), >= 0
 
     def pair(self, beta: np.ndarray) -> float:
         """Trapezoid pairing with a nodal direction."""
@@ -441,6 +446,14 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     anchored per frame, so a long stable horizon stays finite; a gradient
     that overflows raises :class:`ScenarioError`.
 
+    a_mean and a_dev are affine in G(t), so with P and L frozen the
+    diagonal of dg/dG is the field's ``curvature``
+
+        d = 2 (q0 gbar^2 L_mean + (g2q0 - q0 gbar^2) L_dev) >= 0,
+
+    from the same sums. It vanishes like T - t at the horizon and wherever
+    the observation energy g2q0 does.
+
     This is the quadrature of the continuous gradient density, not the
     derivative of the discrete :func:`trace_cost`: the two part by
     O(dt |H|) relative along directions that do not vanish at the ends.
@@ -454,11 +467,13 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     gq = w.q0 * w.gbar**2
     with np.errstate(over="ignore", invalid="ignore"):
         mean, dev = _averaged_terms(tb, w)
-        g = 2.0 * ((-(C + D) * mean + G * gq) * fr.integral(sigma, 0, 2, reverse=True)
-                   + (-C * dev + G * (w.g2q0 - gq)) * fr.integral(sigma, 2, 0, reverse=True))
+        L_mean = fr.integral(sigma, 0, 2, reverse=True)
+        L_dev = fr.integral(sigma, 2, 0, reverse=True)
+        g = 2.0 * ((-(C + D) * mean + G * gq) * L_mean + (-C * dev + G * (w.g2q0 - gq)) * L_dev)
+        d = 2.0 * (gq * L_mean + (w.g2q0 - gq) * L_dev)
     g[-1] = 0.0
     check_finite("cost_gradient", g)
-    return GradientField(grid=scenario.grid, values=g)
+    return GradientField(grid=scenario.grid, values=g, curvature=d)
 
 
 def _gradient_from_kernel(scenario: Scenario, kb2: np.ndarray) -> GradientField:

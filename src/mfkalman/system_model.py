@@ -263,9 +263,7 @@ def _sample_atom_coefficient(value, measure: InitialMeasure, grid: TimeGrid,
         u = measure.points[i]
         u_arg = u.item() if u.size == 1 else u
         for j, t in enumerate(grid.nodes):
-            val = np.asarray(fn(u_arg, t), dtype=float)
-            if val.ndim == 0:
-                val = np.full((rows, cols), float(val))
+            val = _as_matrix(fn(u_arg, t), rows, cols)
             if val.shape != (rows, cols):
                 raise ScenarioError(
                     f"{label}(u={u_arg}, t={t}) has shape {val.shape}, expected {(rows, cols)}"

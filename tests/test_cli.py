@@ -108,6 +108,7 @@ class TestOptimize:
         assert code == 0
         out = capsys.readouterr().out
         assert "max gain deviation from closed-form reference" in out
+        assert "line-search trials: " in out
         dev = float(out.rsplit(":", 1)[1])
         assert dev <= 5e-3
         meta, header, rows = read_csv(tmp_path / "optimizer_trajectory.csv")

@@ -7,6 +7,7 @@ from mfkalman import (
     build_filter,
     build_scenario,
     classical_scenario,
+    cost_gradient,
     dirac_measure,
     kernel_bundle,
     make_grid,
@@ -163,11 +164,28 @@ class TestOptimizeGain:
 
     def test_iteration_limit_reported(self):
         scen = classical_scenario(steps=100)
-        report = optimize_gain(scen, grad_tol=1e-12, max_iter=3,
-                               endpoint_completion=False)
+        report = optimize_gain(scen, grad_tol=1e-12, max_iter=3)
         assert not report.converged
         assert report.message == "iteration limit reached"
         assert report.iterations == 3
+
+    def test_no_observation_noise_reports_no_descent_direction(self):
+        # gamma = 0: the curvature vanishes everywhere and the cost keeps
+        # falling as the gain grows, so there is no Newton step to take
+        scen = scalar_scenario(steps=80, sigma=1.0, gamma=0.0)
+        report = optimize_gain(scen)
+        assert not report.converged
+        assert report.message == "no descent direction"
+        assert report.iterations == 0
+
+    def test_records_each_iteration(self):
+        scen = cross_pairing_probe(steps=200)
+        report = optimize_gain(scen)
+        assert report.converged
+        assert len(report.step_sizes) == len(report.cost_trajectory) - 1 == report.iterations
+        assert len(report.line_search_trials) == report.iterations
+        # each accepted step is 1 halved once per failed trial
+        assert report.step_sizes == [0.5 ** (t - 1) for t in report.line_search_trials]
 
     def test_requires_scalar_mode(self):
         grid = make_grid(1.0, 20)
@@ -180,6 +198,78 @@ class TestOptimizeGain:
                               Sigma=lambda t: np.eye(2))
         with pytest.raises(ScenarioError):
             optimize_gain(scen)
+
+
+def _iterations(scen) -> int:
+    report = optimize_gain(scen)
+    assert report.converged, report.message
+    return report.iterations
+
+
+class TestMeshIndependence:
+    """The preconditioned step p = -g / d takes as many iterations on a
+    fine mesh as on a coarse one."""
+
+    @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe])
+    def test_iterations_do_not_grow_with_n(self, build):
+        assert _iterations(build(steps=3200)) <= _iterations(build(steps=200)) + 1
+
+    def test_random_scenarios_same_iterations_at_two_meshes(self):
+        for seed in range(1, 25):
+            coarse = _iterations(random_smooth_scenario(seed=seed, steps=400))
+            fine = _iterations(random_smooth_scenario(seed=seed, steps=1600))
+            assert coarse == fine, seed
+
+    @pytest.mark.parametrize("steps", [200, 800, 3200])
+    def test_classical_gain_matches_tanh(self, steps):
+        scen = classical_scenario(steps=steps)
+        report = optimize_gain(scen)
+        assert report.converged
+        assert np.max(np.abs(report.gain.scalar - np.tanh(scen.grid.nodes))) <= 2e-5
+
+    def test_probe_converges_on_fine_mesh(self):
+        # plain gradient descent stopped at max_iter = 2000 here
+        scen = cross_pairing_probe(steps=1600)
+        report = optimize_gain(scen)
+        assert report.converged
+        assert report.stationarity <= 1e-4 * (1.0 + abs(report.cost_trajectory[0]))
+
+
+def _curvature_gap(scen, eps: float = 1e-6) -> float:
+    """Largest relative gap between ``GradientField.curvature`` and the
+    central difference of g_j in G_j, over every tenth interior node."""
+    bars = measure_averages(scen)
+    n = scen.grid.n_steps
+    values = 0.3 + 0.2 * np.sin(2 * np.pi * scen.grid.nodes)
+    gain = GainSchedule(scen.grid, values[:, None, None])
+    d = cost_gradient(scen, kernel_bundle(scen, gain), bars).curvature
+    gaps = []
+    for j in range(n // 10, n, n // 10):
+        g = []
+        for e in (eps, -eps):
+            bumped = values.copy()
+            bumped[j] += e
+            bumped_gain = gain.with_values(bumped[:, None, None])
+            g.append(cost_gradient(scen, kernel_bundle(scen, bumped_gain), bars).values[j])
+        gaps.append(abs((g[0] - g[1]) / (2 * eps) - d[j]) / d[j])
+    return max(gaps)
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe])
+    def test_matches_central_difference_to_first_order(self, build):
+        # P and L move with G_j only through O(dt) quadrature weights
+        coarse = _curvature_gap(build(steps=100))
+        fine = _curvature_gap(build(steps=200))
+        assert coarse <= 0.15
+        assert coarse / fine >= 1.8
+
+    def test_nonnegative_and_zero_at_horizon(self):
+        scen = random_smooth_scenario(seed=5, steps=200)
+        gain = GainSchedule.constant(scen.grid, 0.5)
+        d = cost_gradient(scen, kernel_bundle(scen, gain), measure_averages(scen)).curvature
+        assert d[-1] == 0.0
+        assert np.all(d[:-1] > 0.0)
 
 
 class TestStationarityResidual:

@@ -75,6 +75,16 @@ class TestBuildScenario:
                            A=lambda t: np.zeros((2, 2)),
                            Sigma=lambda t: np.eye(2))
 
+    def test_default_loadings_are_identity(self):
+        # a scalar loading on a square shape is that multiple of I, as for
+        # the time coefficients, not the rank-one matrix of that value
+        scen = build_scenario(GRID, measure=dirac_measure([0.0, 0.0]),
+                              Q=np.eye(2), Q0=np.eye(2))
+        assert (scen.n, scen.m, scen.d) == (2, 2, 2)
+        for loading in (scen.sigma, scen.gamma):
+            assert loading.shape == (1, GRID.n_nodes, 2, 2)
+            np.testing.assert_array_equal(loading, np.broadcast_to(np.eye(2), loading.shape))
+
     def test_nan_coefficient_rejected(self):
         with pytest.raises(ScenarioError):
             build_scenario(GRID, measure=dirac_measure(0.0),
