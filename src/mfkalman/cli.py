@@ -139,7 +139,7 @@ def _cmd_simulate(args) -> int:
     ens = simulate_ensemble(scenario, gain, n_paths=args.paths, seed=args.seed)
     nodes = scenario.grid.nodes
     rows = []
-    for r in range(min(10, ens.n_paths)):
+    for r in range(len(ens.x)):   # the kept replications
         for a in range(scenario.n_atoms):
             for j in range(scenario.grid.n_nodes):
                 rows.append((r, a, float(nodes[j]),

@@ -3,14 +3,24 @@ plus Monte Carlo statistics used as the empirical oracle.
 
 Every replication carries a single pair of driving noise paths shared by
 all atoms: the whole family of particles is one stochastic flow, so the
-mean-field terms are computed each step as weighted sums over the atoms'
-current values. The filter sees the observation process only through its
-increments, which keeps it adapted to the observation history.
+mean-field terms are weighted sums over the atoms' current values. The
+filter sees the observation process only through its increments, which
+keeps it adapted to the observation history.
+
+The Euler step is linear in one replication's stacked state
+s = [x (k n), z (k n), y (k m)]: s_{j+1} = L_j s_j + N_j xi_j, with xi_j
+the step's standard normal draws for the state noise, then the
+observation noise. A block of replications is held as the columns of a
+(size, block) array, so a step is two small matrix products.
 
 Replications are generated in fixed-size blocks, each with its own
-counter-based random stream (Philox keyed by a spawned seed sequence), so
-results are reproducible bit-for-bit regardless of how many worker
-threads the ``MFK_THREADS`` environment variable allows.
+counter-based random stream (Philox keyed by a spawned seed sequence).
+A block reduces the error e = x - z to moments at every node as it goes;
+the blocks merge in block order once all have finished, so results are
+reproducible bit-for-bit regardless of how many worker threads the
+``MFK_THREADS`` environment variable allows. Only the first
+``KEPT_PATHS`` replications keep their trajectories, so memory does not
+grow with paths times steps.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ __all__ = [
 
 _BLOCK = 4096  # replications per random stream; fixed so results do not
                # depend on the thread count
+KEPT_PATHS = 10  # leading replications whose trajectories an ensemble keeps
 
 
 class SimulationError(RuntimeError):
@@ -43,13 +54,16 @@ class SimulationError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Worker cap for block-parallel simulation; MFK_THREADS overrides."""
+    """Worker cap for block-parallel simulation: at most 4, and no more
+    than the CPUs this process may run on; MFK_THREADS overrides."""
     env = os.environ.get("MFK_THREADS", "").strip()
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise SimulationError(f"MFK_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 
@@ -57,9 +71,17 @@ def worker_count() -> int:
 class PathEnsemble:
     """Monte Carlo replications of the state, observation, filter and error.
 
-    Array layout: (replication, atom, node, component). All atoms within a
-    replication share the same driving noise increments; the error paths
-    satisfy e = x - z identically and start at zero.
+    ``x``, ``y``, ``z`` and ``e`` hold the trajectories of the first
+    min(n_paths, KEPT_PATHS) replications, layout (replication, atom,
+    node, component); the error paths satisfy e = x - z identically and
+    start at zero. All atoms within a replication share the same driving
+    noise increments.
+
+    The error statistics over all ``n_paths`` replications are kept per
+    (atom, node): ``mean`` (k, N+1, n), the centered sums of products
+    ``sum2`` (k, N+1, n, n) and the centered sums of fourth powers of
+    each component ``sum4`` (k, N+1, n). None of these grows with
+    ``n_paths``.
     """
 
     grid: TimeGrid
@@ -69,6 +91,9 @@ class PathEnsemble:
     y: np.ndarray
     z: np.ndarray
     e: np.ndarray
+    mean: np.ndarray
+    sum2: np.ndarray
+    sum4: np.ndarray
 
     @property
     def n_atoms(self) -> int:
@@ -85,56 +110,122 @@ class EmpiricalStats:
     var_se: np.ndarray    # (n,) fourth-moment standard error of the variance
 
 
-def _simulate_block(scenario: Scenario, gain: GainSchedule, xs: np.ndarray,
-                    ys: np.ndarray, zs: np.ndarray, seed_seq: np.random.SeedSequence,
-                    H: np.ndarray, M: np.ndarray, chol_q: np.ndarray, chol_q0: np.ndarray):
-    """One block of replications, written into the trajectory arrays
-    ``xs``/``ys``/``zs`` (the block's slices of the ensemble's)."""
+def _step_maps(scenario: Scenario, gain: GainSchedule):
+    """L (N, size, size) and N (N, size, 2d) of the Euler step
+    s_{j+1} = L_j s_j + N_j xi_j, s = [x, z, y] stacked over the atoms and
+    xi_j = [xi_W, xi_V] standard normal."""
+    H, M = _closed_loop_drifts(scenario, gain)
+    k, n, m, d = scenario.n_atoms, scenario.n, scenario.m, scenario.d
+    steps, dt = scenario.grid.n_steps, scenario.grid.dt
+    eye_k = np.eye(k)
+    # row u of the mean-field block averages the atoms with the weights
+    averaging = np.outer(np.ones(k), scenario.measure.weights)
+
+    def kron(a, X):   # (k, k) by (N, p, q) per step -> (N, k p, k q)
+        p, q = X.shape[1:]
+        return np.einsum("uv,jpq->jupvq", a, X[:steps]).reshape(steps, k * p, k * q)
+
+    def drift(own, mean_field):
+        return dt * (kron(eye_k, own) + kron(averaging, mean_field))
+
+    xs, zs, ys = slice(0, k * n), slice(k * n, 2 * k * n), slice(2 * k * n, None)
+    size = 2 * k * n + k * m
+    gains = kron(eye_k, gain.values)
+    observe = drift(scenario.C, scenario.D)
+    L = np.zeros((steps, size, size))
+    L[:, xs, xs] = np.eye(k * n) + drift(scenario.A, scenario.B)
+    L[:, zs, xs] = gains @ observe
+    L[:, zs, zs] = np.eye(k * n) + drift(H, M)
+    L[:, ys, xs] = observe
+    L[:, ys, ys] = np.eye(k * m)
+
+    def loading(per_atom, Q):   # (k, N+1, p, d) -> (N, k p, d), scaled to one step
+        scaled = per_atom[:, :steps] @ np.linalg.cholesky(Q) * np.sqrt(dt)
+        return scaled.transpose(1, 0, 2, 3).reshape(steps, -1, d)
+
+    noise = np.zeros((steps, size, 2 * d))
+    noise[:, xs, :d] = loading(scenario.sigma, scenario.Q)
+    noise[:, ys, d:] = loading(scenario.gamma, scenario.Q0)
+    noise[:, zs, d:] = gains @ noise[:, ys, d:]
+    return L, noise
+
+
+class _BlockMoments:
+    """One block's error moments at every node, layout (atom, node, ...):
+    mean, centered sum of products, and the centered third and fourth
+    power sums of each component. Node 0 (e = 0) stays zero."""
+
+    def __init__(self, k: int, n_nodes: int, n: int, count: int):
+        self.count = count
+        self.mean = np.zeros((k, n_nodes, n))
+        self.sum2 = np.zeros((k, n_nodes, n, n))
+        self.sum3 = np.zeros((k, n_nodes, n))
+        self.sum4 = np.zeros((k, n_nodes, n))
+
+    def record(self, node: int, e: np.ndarray) -> None:
+        """Moments of the error columns ``e`` (k n, count) at ``node``."""
+        mean = e.mean(axis=1)
+        c = e - mean[:, None]
+        sq = c * c
+        k, _, n = self.mean.shape
+        by_atom = c.reshape(k, n, -1)
+        self.mean[:, node] = mean.reshape(k, n)
+        self.sum2[:, node] = by_atom @ by_atom.transpose(0, 2, 1)
+        self.sum3[:, node] = np.einsum("ip,ip->i", sq, c).reshape(k, n)
+        self.sum4[:, node] = np.einsum("ip,ip->i", sq, sq).reshape(k, n)
+
+
+def _merge(blocks: list[_BlockMoments]):
+    """Mean, sum2 and sum4 over all blocks, each block's sums shifted
+    exactly from its own mean to the grand mean (Chan, Golub & LeVeque
+    1979; Pebay 2008), in block order."""
+    total = sum(b.count for b in blocks)
+    mean = sum(b.count * b.mean for b in blocks) / total
+    sum2 = np.zeros_like(blocks[0].sum2)
+    sum4 = np.zeros_like(blocks[0].sum4)
+    for b in blocks:
+        delta = b.mean - mean
+        var = np.diagonal(b.sum2, axis1=-2, axis2=-1)
+        sum2 += b.sum2 + b.count * delta[..., :, None] * delta[..., None, :]
+        sum4 += (b.sum4 + 4.0 * delta * b.sum3 + 6.0 * delta**2 * var
+                 + b.count * delta**4)
+    return mean, sum2, sum4
+
+
+def _simulate_block(scenario: Scenario, L: np.ndarray, noise: np.ndarray, count: int,
+                    keep: int, seed_seq: np.random.SeedSequence):
+    """``count`` replications from one random stream: their moments, and
+    the stacked states (N+1, size, keep) of the first ``keep``."""
     grid = scenario.grid
-    n, m, d = scenario.n, scenario.m, scenario.d
-    k = scenario.n_atoms
-    n_block = len(xs)
-    dt = grid.dt
-    sqdt = np.sqrt(dt)
+    k, n, m, d = scenario.n_atoms, scenario.n, scenario.m, scenario.d
+    kn = k * n
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    w = scenario.measure.weights
 
-    x = np.broadcast_to(scenario.measure.points[None, :, :], (n_block, k, n)).copy()
-    z = x.copy()
-    if m == n:
-        y = x.copy()
-    else:
-        y = np.zeros((n_block, k, m))
-    xs[:, :, 0] = x
-    ys[:, :, 0] = y
-    zs[:, :, 0] = z
-
-    G = gain.values
-    sig = scenario.sigma  # (k, N+1, n, d)
-    gam = scenario.gamma  # (k, N+1, m, d)
+    s = np.empty((L.shape[1], count))
+    start = scenario.measure.points.reshape(-1, 1)
+    s[:kn] = start
+    s[kn:2 * kn] = start
+    s[2 * kn:] = start if m == n else 0.0
+    nxt = np.empty_like(s)
+    xi = np.empty((2 * d, count))
+    moments = _BlockMoments(k, grid.n_nodes, n, count)
+    kept = np.empty((grid.n_nodes, L.shape[1], keep))
+    kept[0] = s[:, :keep]
 
     for j in range(grid.n_steps):
-        dW = rng.standard_normal((n_block, d)) @ chol_q.T * sqdt
-        dV = rng.standard_normal((n_block, d)) @ chol_q0.T * sqdt
-        xbar = np.einsum("k,pkn->pn", w, x)
-        zbar = np.einsum("k,pkn->pn", w, z)
-        dy = (np.einsum("mn,pkn->pkm", scenario.C[j], x)
-              + np.einsum("mn,pn->pm", scenario.D[j], xbar)[:, None, :]) * dt \
-            + np.einsum("kmd,pd->pkm", gam[:, j], dV)
-        x = x + (np.einsum("ab,pkb->pka", scenario.A[j], x)
-                 + np.einsum("ab,pb->pa", scenario.B[j], xbar)[:, None, :]) * dt \
-            + np.einsum("kad,pd->pka", sig[:, j], dW)
-        z = z + (np.einsum("ab,pkb->pka", H[j], z)
-                 + np.einsum("ab,pb->pa", M[j], zbar)[:, None, :]) * dt \
-            + np.einsum("nm,pkm->pkn", G[j], dy)
-        y = y + dy
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        xi[:d] = rng.standard_normal((count, d)).T
+        xi[d:] = rng.standard_normal((count, d)).T
+        with np.errstate(over="ignore", invalid="ignore"):  # named just below
+            np.matmul(L[j], s, out=nxt)
+            nxt += noise[j] @ xi
+        s, nxt = nxt, s
+        if not np.all(np.isfinite(s[:2 * kn])):
             raise SimulationError(
                 f"simulation blew up at node {j + 1} (t = {grid.nodes[j + 1]:g})"
             )
-        xs[:, :, j + 1] = x
-        ys[:, :, j + 1] = y
-        zs[:, :, j + 1] = z
+        moments.record(j + 1, s[:kn] - s[kn:2 * kn])
+        kept[j + 1] = s[:, :keep]
+    return moments, kept
 
 
 def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
@@ -144,42 +235,46 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     The drift is evaluated at the left node; the filter increment uses
     the gain times the observation increment of the same step. The
     interaction means are recomputed every step from the current atom
-    values. Identical seeds give bitwise identical ensembles.
+    values. Every replication enters the streamed error moments; only the
+    first min(n_paths, KEPT_PATHS) keep their trajectories. Memory is the
+    step maps (N (2kn + km)^2 floats), a few 4096-path blocks and the
+    moments, whatever ``n_paths``. Identical seeds give bitwise identical
+    ensembles.
     """
     if n_paths < 1:
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
-    grid = scenario.grid
-    H, M = _closed_loop_drifts(scenario, gain)
-    chol_q = np.linalg.cholesky(scenario.Q)
-    chol_q0 = np.linalg.cholesky(scenario.Q0)
-
-    k, n, m = scenario.n_atoms, scenario.n, scenario.m
-    xs = np.empty((n_paths, k, grid.n_nodes, n))
-    ys = np.empty((n_paths, k, grid.n_nodes, m))
-    zs = np.empty((n_paths, k, grid.n_nodes, n))
+    L, noise = _step_maps(scenario, gain)
 
     blocks = [(b, min(_BLOCK, n_paths - b)) for b in range(0, n_paths, _BLOCK)]
     seqs = np.random.SeedSequence(seed).spawn(len(blocks))
 
     def run(idx: int):
-        start, size = blocks[idx]
-        part = slice(start, start + size)
-        _simulate_block(scenario, gain, xs[part], ys[part], zs[part], seqs[idx], H, M,
-                        chol_q, chol_q0)
+        start, count = blocks[idx]
+        keep = min(max(KEPT_PATHS - start, 0), count)
+        return _simulate_block(scenario, L, noise, count, keep, seqs[idx])
 
     workers = min(worker_count(), len(blocks))
     if workers <= 1:
-        for idx in range(len(blocks)):
-            run(idx)
+        results = [run(idx) for idx in range(len(blocks))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(blocks))))
+            results = list(pool.map(run, range(len(blocks))))
 
-    e = xs - zs
-    for arr in (xs, ys, zs, e):
+    k, n = scenario.n_atoms, scenario.n
+    kept = np.concatenate([states for _, states in results], axis=2)
+
+    def paths(rows: slice, dim: int) -> np.ndarray:   # -> (replication, atom, node, dim)
+        part = kept[:, rows].reshape(len(kept), k, dim, -1)
+        return np.ascontiguousarray(part.transpose(3, 1, 0, 2))
+
+    x = paths(slice(0, k * n), n)
+    z = paths(slice(k * n, 2 * k * n), n)
+    y = paths(slice(2 * k * n, None), scenario.m)
+    mean, sum2, sum4 = _merge([moments for moments, _ in results])
+    arrays = dict(x=x, y=y, z=z, e=x - z, mean=mean, sum2=sum2, sum4=sum4)
+    for arr in arrays.values():
         arr.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=int(seed), n_paths=int(n_paths),
-                        x=xs, y=ys, z=zs, e=e)
+    return PathEnsemble(grid=scenario.grid, seed=int(seed), n_paths=int(n_paths), **arrays)
 
 
 def empirical_statistics(ensemble: PathEnsemble, atom: int, node: int) -> EmpiricalStats:
@@ -191,12 +286,15 @@ def empirical_statistics(ensemble: PathEnsemble, atom: int, node: int) -> Empiri
     P = ensemble.n_paths
     if P < 2:
         raise SimulationError("statistics need at least 2 replications")
-    errs = ensemble.e[:, atom, node, :]          # (P, n)
-    mean = errs.mean(axis=0)
-    centered = errs - mean
-    cov = centered.T @ centered / (P - 1)
+    k, n_nodes = ensemble.mean.shape[:2]
+    if not 0 <= atom < k:
+        raise SimulationError(f"atom {atom} out of range: the ensemble has {k} atoms")
+    if not 0 <= node < n_nodes:
+        raise SimulationError(f"node {node} out of range: the grid has nodes 0..{n_nodes - 1}")
+    mean = ensemble.mean[atom, node]
+    cov = ensemble.sum2[atom, node] / (P - 1)
     var = np.diag(cov)
-    m4 = (centered**4).mean(axis=0)
+    m4 = ensemble.sum4[atom, node] / P
     var_se = np.sqrt(np.maximum(m4 - var**2 * (P - 3) / (P - 1), 0.0) / P)
     mean_se = np.sqrt(np.maximum(var, 0.0) / P)
     return EmpiricalStats(mean=mean, cov=cov, mean_se=mean_se, var_se=var_se)

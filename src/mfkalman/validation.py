@@ -460,7 +460,9 @@ class ValidationSuite:
             start = time.perf_counter()
             res = getattr(self, name)()
             elapsed = time.perf_counter() - start
-            if budget is not None:
+            if budget is None:
+                res.details.append(f"runtime {elapsed:.2f}s")
+            else:
                 res.details.append(f"runtime {elapsed:.2f}s (budget {budget:g}s)")
                 res.passed = res.passed and elapsed <= budget
             results.append(res)
@@ -491,5 +493,8 @@ class ValidationSuite:
     def run_all(self) -> list[CriterionResult]:
         results = self.run_artifacts()
         if self.out is not None:
-            results.append(self.criterion_determinism())
+            start = time.perf_counter()
+            res = self.criterion_determinism()
+            res.details.append(f"runtime {time.perf_counter() - start:.2f}s")
+            results.append(res)
         return results

@@ -98,3 +98,9 @@ def test_validate_exit_status(validate_run):
     assert code == 0
     assert "8/8 criteria passed" in text
     assert sorted(p.name for p in out_dir.glob("*.csv"))  # artifacts present
+
+
+def test_every_criterion_reports_runtime(validate_run):
+    _, text, _ = validate_run
+    for cid in (f"C{i}" for i in range(1, 9)):
+        assert "    runtime " in _criterion_block(text, cid), cid

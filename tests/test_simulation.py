@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +16,54 @@ from mfkalman import (
     measure_averages,
     simulate_ensemble,
 )
+from mfkalman import simulation
 from mfkalman.covariance import covariance_profile
+from mfkalman.gain import riccati_normal_flow
+from mfkalman.scenarios import classical_scenario, cross_pairing_probe, normal_flow_scenario
 from mfkalman.simulation import SimulationError, worker_count
 
 from conftest import scalar_scenario
+
+_ARRAYS = ("x", "y", "z", "e", "mean", "sum2", "sum4")
+
+
+def _assert_same_ensemble(a, b):
+    """Kept paths and every streamed moment array bitwise equal."""
+    for name in _ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def _mean_coupled_two_atoms(steps):
+    """Two atoms with mean coupling and atom-dependent loadings."""
+    return build_scenario(
+        make_grid(1.0, steps), measure=discrete_measure([[-1.0], [1.0]], [0.5, 0.5]),
+        A=0.2, B=0.5, C=1.0, D=0.3,
+        sigma=lambda u, t: 1.0 + 0.25 * u,
+        gamma=lambda u, t: 0.6 + 0.2 * u)
+
+
+def _euler_moments(scen, gain, atom):
+    """Exact second moment of the Euler-Maruyama error, (N+1, n, n).
+
+    The joint error Y = (mean error, atom error) of the scheme obeys
+    Y_{i+1} = E_i Y_i + noise_i with E_i = I + dt Gamma_i,
+    Gamma = [[H + M, 0], [M, H]] and left-point loadings, so from Y_0 = 0
+    its second moment is P_{i+1} = E_i P_i E_i' + dt W_i."""
+    dt, n = scen.grid.dt, scen.n
+    G = gain.values
+    H, M = scen.A - G @ scen.C, scen.B - G @ scen.D
+    w = scen.measure.weights
+    sigma_bar = np.einsum("u,ujad->jad", w, scen.sigma)
+    gamma_bar = np.einsum("u,ujad->jad", w, scen.gamma)
+    zero = np.zeros((n, n))
+    P = np.zeros((scen.grid.n_nodes, 2 * n, 2 * n))
+    for i in range(scen.grid.n_steps):
+        E = np.eye(2 * n) + dt * np.block([[H[i] + M[i], zero], [M[i], H[i]]])
+        state = np.vstack([sigma_bar[i], scen.sigma[atom, i]])
+        filt = np.vstack([G[i] @ gamma_bar[i], G[i] @ scen.gamma[atom, i]])
+        W = state @ scen.Q @ state.T + filt @ scen.Q0 @ filt.T
+        P[i + 1] = E @ P[i] @ E.T + dt * W
+    return P[:, n:, n:]
 
 
 class TestSimulateEnsemble:
@@ -26,12 +73,16 @@ class TestSimulateEnsemble:
         gain = GainSchedule.constant(scen.grid, 0.7)
         ens = simulate_ensemble(scen, gain, n_paths=16, seed=0)
         np.testing.assert_allclose(ens.e, 0.0, atol=1e-12)
+        for name in ("mean", "sum2", "sum4"):
+            np.testing.assert_allclose(getattr(ens, name), 0.0, atol=1e-12)
 
     def test_error_starts_at_zero(self, classical_small):
         gain = GainSchedule.constant(classical_small.grid, 0.4)
         ens = simulate_ensemble(classical_small, gain, n_paths=8, seed=1)
         np.testing.assert_allclose(ens.e[:, :, 0], 0.0, atol=0)
         np.testing.assert_allclose(ens.x[:, 0, 0, 0], 0.0, atol=0)
+        for name in ("mean", "sum2", "sum4"):
+            np.testing.assert_allclose(getattr(ens, name)[:, 0], 0.0, atol=0)
 
     def test_zero_gain_variance_is_time(self):
         scen = scalar_scenario(steps=100)
@@ -68,17 +119,18 @@ class TestSimulateEnsemble:
         gain = GainSchedule.constant(grid, 0.6)
         e1 = simulate_ensemble(s1, gain, n_paths=64, seed=5)
         e2 = simulate_ensemble(s2, gain, n_paths=64, seed=5)
-        np.testing.assert_array_equal(e1.x[:, 0], e2.x[:, 1])
-        np.testing.assert_array_equal(e1.x[:, 1], e2.x[:, 0])
-        np.testing.assert_array_equal(e1.e[:, 0], e2.e[:, 1])
+        # one matrix product sums each row over all atoms, in label order,
+        # so relabelling changes the round-off and nothing else
+        atom_axis = {name: 1 if name in "xyze" else 0 for name in _ARRAYS}
+        for name, axis in atom_axis.items():
+            np.testing.assert_allclose(getattr(e1, name), np.flip(getattr(e2, name), axis),
+                                       rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_seed_determinism(self, classical_small):
         gain = GainSchedule.constant(classical_small.grid, 0.3)
         a = simulate_ensemble(classical_small, gain, n_paths=4100, seed=42)
         b = simulate_ensemble(classical_small, gain, n_paths=4100, seed=42)
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.z, b.z)
+        _assert_same_ensemble(a, b)
 
     def test_thread_count_does_not_change_results(self, classical_small, monkeypatch):
         gain = GainSchedule.constant(classical_small.grid, 0.3)
@@ -86,7 +138,7 @@ class TestSimulateEnsemble:
         a = simulate_ensemble(classical_small, gain, n_paths=8200, seed=9)
         monkeypatch.setenv("MFK_THREADS", "3")
         b = simulate_ensemble(classical_small, gain, n_paths=8200, seed=9)
-        assert np.array_equal(a.x, b.x)
+        _assert_same_ensemble(a, b)
 
     def test_weak_convergence_bias_bounded(self):
         results = {}
@@ -142,17 +194,130 @@ class TestEmpiricalStatistics:
         with pytest.raises(SimulationError):
             empirical_statistics(ens, 0, 10)
 
+    def test_rejects_out_of_range_indices(self, classical_small):
+        gain = GainSchedule.constant(classical_small.grid, 0.3)
+        ens = simulate_ensemble(classical_small, gain, n_paths=20, seed=0)
+        last = classical_small.grid.n_steps
+        for atom, node, what in ((-1, 5, "atom -1"), (1, 5, "atom 1"),
+                                 (0, -1, "node -1"), (0, last + 1, f"node {last + 1}")):
+            with pytest.raises(SimulationError, match=what):
+                empirical_statistics(ens, atom, node)
+
+    def test_keeps_leading_paths_only(self, classical_small):
+        gain = GainSchedule.constant(classical_small.grid, 0.3)
+        for n_paths, kept in ((7, 7), (25, simulation.KEPT_PATHS)):
+            ens = simulate_ensemble(classical_small, gain, n_paths=n_paths, seed=1)
+            assert ens.n_paths == n_paths
+            assert {arr.shape[0] for arr in (ens.x, ens.y, ens.z, ens.e)} == {kept}
+
+
+def _two_atom_matrix_scenario(steps):
+    """Non-diagonal, mean-coupled 2x2 system with two atoms."""
+    return build_scenario(
+        make_grid(1.0, steps), measure=discrete_measure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
+        A=lambda t: np.array([[-0.4, 0.3], [0.2, 0.3]]),
+        B=lambda t: np.array([[0.5, -0.3], [0.1, -0.2]]),
+        C=lambda t: np.array([[1.0, 0.2], [0.0, 0.8]]),
+        D=lambda t: np.array([[0.3, 0.0], [0.2, 0.1]]),
+        sigma=lambda u, t: np.array([[0.9 + 0.2 * u[0], 0.1], [0.0, 1.1]]),
+        gamma=lambda u, t: np.array([[1.0, 0.1 * u[0]], [0.0, 0.8]]),
+        Q=np.array([[1.0, 0.3], [0.3, 0.8]]), Q0=np.eye(2))
+
+
+class TestStreamedMoments:
+    """The per-block moments, merged, equal two-pass statistics over the
+    same draws. Shrinking the block and keeping every path lets the test
+    see all draws while the merge still spans several blocks."""
+
+    @pytest.mark.parametrize("block,n_paths", [(3, 10), (64, 300)])
+    @pytest.mark.parametrize("case", ["probe", "matrix"])
+    def test_equal_two_pass(self, monkeypatch, case, block, n_paths):
+        monkeypatch.setattr(simulation, "_BLOCK", block)
+        monkeypatch.setattr(simulation, "KEPT_PATHS", n_paths)
+        if case == "probe":
+            scen = cross_pairing_probe(steps=40)
+            gain = GainSchedule.constant(scen.grid, 0.7)
+        else:
+            scen = _two_atom_matrix_scenario(40)
+            gain = GainSchedule.constant(scen.grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
+        ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=4)
+        assert ens.e.shape[0] == n_paths
+        mean = ens.e.mean(axis=0)
+        centered = ens.e - mean
+        sum2 = np.einsum("pkja,pkjb->kjab", centered, centered)
+        sum4 = (centered**4).sum(axis=0)
+        scale = np.sqrt(np.max(sum2) / n_paths)
+        np.testing.assert_allclose(ens.mean, mean, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(ens.sum2, sum2, rtol=1e-12, atol=1e-12 * np.max(sum2))
+        np.testing.assert_allclose(ens.sum4, sum4, rtol=1e-12, atol=1e-12 * np.max(sum4))
+        for atom in range(scen.n_atoms):
+            for node in range(1, scen.grid.n_nodes):
+                st = empirical_statistics(ens, atom, node)
+                errs = centered[:, atom, node]
+                cov = errs.T @ errs / (n_paths - 1)
+                var = np.diag(cov)
+                m4 = (errs**4).mean(axis=0)
+                var_se = np.sqrt(np.maximum(m4 - var**2 * (n_paths - 3) / (n_paths - 1), 0.0)
+                                 / n_paths)
+                np.testing.assert_allclose(st.cov, cov, rtol=1e-12, atol=1e-12 * np.max(var))
+                np.testing.assert_allclose(st.var_se, var_se, rtol=1e-12)
+                np.testing.assert_allclose(st.mean_se, np.sqrt(var / n_paths), rtol=1e-12)
+
+
+class TestExactDiscreteMoments:
+    """The Euler-Maruyama scheme has exact discrete error moments, so the
+    Monte Carlo variance must match them within sampling noise alone."""
+
+    CASES = {
+        "classical": (lambda: classical_scenario(steps=200), np.tanh, 20000),
+        "probe": (lambda: cross_pairing_probe(steps=200), 0.7, 30000),
+        "mean_coupled": (lambda: _mean_coupled_two_atoms(100), 0.7, 30000),
+        "matrix": (lambda: _two_atom_matrix_scenario(100),
+                   np.array([[0.5, 0.1], [-0.2, 0.2]]), 20000),
+    }
+
+    @staticmethod
+    def _gain(scen, value):
+        if callable(value):
+            return GainSchedule.from_callable(scen.grid, value)
+        return GainSchedule.constant(scen.grid, value, scen.n, scen.m)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_streamed_variance_within_three_se(self, case):
+        make, value, n_paths = self.CASES[case]
+        scen = make()
+        gain = self._gain(scen, value)
+        ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=23)
+        steps = scen.grid.n_steps
+        for atom in range(scen.n_atoms):
+            P = _euler_moments(scen, gain, atom)
+            for j in (steps // 4, steps // 2, steps):
+                st = empirical_statistics(ens, atom, j)
+                gap = np.abs(np.diag(st.cov) - np.diag(P[j]))
+                assert np.all(gap <= 3.0 * st.var_se), (atom, j, gap / st.var_se)
+
+    @pytest.mark.parametrize("case", ["classical", "probe"])
+    def test_oracle_converges_to_covariance_profile(self, case):
+        _, value, _ = self.CASES[case]
+        make = classical_scenario if case == "classical" else cross_pairing_probe
+        errors = []
+        for steps in (50, 100, 200):
+            scen = make(steps=steps)
+            gain = self._gain(scen, value)
+            bundle, bars = kernel_bundle(scen, gain), measure_averages(scen)
+            errors.append(max(
+                np.max(np.abs(_euler_moments(scen, gain, atom)[:, 0, 0]
+                              - covariance_profile(scen, bundle, bars, atom)))
+                for atom in range(scen.n_atoms)))
+        assert errors[0] / errors[1] >= 1.8
+        assert errors[1] / errors[2] >= 1.8
+
 
 class TestAgainstAnalyticCovariance:
     def test_mean_coupled_scenario_matches_representation(self):
         """End-to-end check of the representation including every cross term."""
-        grid = make_grid(1.0, 100)
-        scen = build_scenario(
-            grid, measure=discrete_measure([[-1.0], [1.0]], [0.5, 0.5]),
-            A=0.2, B=0.5, C=1.0, D=0.3,
-            sigma=lambda u, t: 1.0 + 0.25 * u,
-            gamma=lambda u, t: 0.6 + 0.2 * u)
-        gain = GainSchedule.constant(grid, 0.7)
+        scen = _mean_coupled_two_atoms(100)
+        gain = GainSchedule.constant(scen.grid, 0.7)
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, gain)
         ens = simulate_ensemble(scen, gain, n_paths=30000, seed=23)
@@ -162,6 +327,29 @@ class TestAgainstAnalyticCovariance:
                 st = empirical_statistics(ens, atom, j)
                 # 3 SE plus a first-order discretization allowance
                 assert abs(st.cov[0, 0] - K[j]) <= 3.0 * st.var_se[0] + 0.02 * K[j]
+
+
+def test_memory_does_not_grow_with_paths_times_steps():
+    # whole trajectories of this ensemble would take 706 MB
+    scen = normal_flow_scenario(steps=400)
+    gain = riccati_normal_flow(0.0, 1.0, scen.grid).gain()
+    tracemalloc.start()
+    try:
+        simulate_ensemble(scen, gain, n_paths=5000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("MFK_THREADS", raising=False)
+    for cpus, expected in ((1, 1), (3, 3), (16, 4)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
+                            raising=False)
+        assert worker_count() == expected
+    monkeypatch.setenv("MFK_THREADS", "2")
+    assert worker_count() == 2
 
 
 def test_worker_count_env(monkeypatch):
