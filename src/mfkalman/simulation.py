@@ -7,20 +7,23 @@ mean-field terms are weighted sums over the atoms' current values. The
 filter sees the observation process only through its increments, which
 keeps it adapted to the observation history.
 
-The Euler step is linear in one replication's stacked state
-s = [x (k n), z (k n), y (k m)]: s_{j+1} = L_j s_j + N_j xi_j, with xi_j
+The Euler step is linear in each atom's state s_u = [x_u, z_u, y_u]:
+s_u' = own_j s_u + field_j [x_bar, z_bar] + noise_j[u] xi_j, with xi_j
 the step's standard normal draws for the state noise, then the
-observation noise. A block of replications is held as the columns of a
-(size, block) array, so a step is two small matrix products.
+observation noise. ``own_j`` is shared by all atoms and the mean-field
+part enters once through the weighted atom means, so a step costs O(k)
+per replication, and an atom's value does not depend on its label. A
+block of replications is held as an (atom, row, replication) array, so
+a step is a few small matrix products.
 
 Replications are generated in fixed-size blocks, each with its own
 counter-based random stream (Philox keyed by a spawned seed sequence).
 A block reduces the error e = x - z to moments at every node as it goes;
-the blocks merge in block order once all have finished, so results are
-reproducible bit-for-bit regardless of how many worker threads the
-``MFK_THREADS`` environment variable allows. Only the first
-``KEPT_PATHS`` replications keep their trajectories, so memory does not
-grow with paths times steps.
+the blocks fold into the running moments in block order, each as soon
+as it is done, so results are reproducible bit-for-bit regardless of
+how many worker threads the ``MFK_THREADS`` environment variable allows.
+Only the first ``KEPT_PATHS`` replications keep their trajectories, so
+memory does not grow with paths times steps.
 """
 
 from __future__ import annotations
@@ -111,120 +114,126 @@ class EmpiricalStats:
 
 
 def _step_maps(scenario: Scenario, gain: GainSchedule):
-    """L (N, size, size) and N (N, size, 2d) of the Euler step
-    s_{j+1} = L_j s_j + N_j xi_j, s = [x, z, y] stacked over the atoms and
-    xi_j = [xi_W, xi_V] standard normal."""
+    """The Euler step of one atom's state s_u = [x_u, z_u, y_u] as
+    s_u' = own_j s_u + field_j [x_bar, z_bar] + noise_j[u] xi_j, with the
+    bars the weighted atom means and xi_j = [xi_W, xi_V] standard normal.
+
+    Returns own (N, S, S), shared by all atoms, field (N, S, 2n) and
+    noise (N, k, S, 2d), S = 2n + m: the step map of the stacked state,
+    kept in blocks so that a step costs O(k) per replication."""
     H, M = _closed_loop_drifts(scenario, gain)
-    k, n, m, d = scenario.n_atoms, scenario.n, scenario.m, scenario.d
+    n, m, d = scenario.n, scenario.m, scenario.d
     steps, dt = scenario.grid.n_steps, scenario.grid.dt
-    eye_k = np.eye(k)
-    # row u of the mean-field block averages the atoms with the weights
-    averaging = np.outer(np.ones(k), scenario.measure.weights)
+    G = gain.values[:steps]
+    xs, zs, ys = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
+    size = 2 * n + m
 
-    def kron(a, X):   # (k, k) by (N, p, q) per step -> (N, k p, k q)
-        p, q = X.shape[1:]
-        return np.einsum("uv,jpq->jupvq", a, X[:steps]).reshape(steps, k * p, k * q)
+    own = np.zeros((steps, size, size))
+    own[:, xs, xs] = np.eye(n) + dt * scenario.A[:steps]
+    own[:, ys, xs] = dt * scenario.C[:steps]
+    own[:, zs, xs] = G @ own[:, ys, xs]
+    own[:, zs, zs] = np.eye(n) + dt * H[:steps]
+    own[:, ys, ys] = np.eye(m)
 
-    def drift(own, mean_field):
-        return dt * (kron(eye_k, own) + kron(averaging, mean_field))
+    field = np.zeros((steps, size, 2 * n))
+    field[:, xs, xs] = dt * scenario.B[:steps]
+    field[:, ys, xs] = dt * scenario.D[:steps]
+    field[:, zs, xs] = G @ field[:, ys, xs]
+    field[:, zs, zs] = dt * M[:steps]
 
-    xs, zs, ys = slice(0, k * n), slice(k * n, 2 * k * n), slice(2 * k * n, None)
-    size = 2 * k * n + k * m
-    gains = kron(eye_k, gain.values)
-    observe = drift(scenario.C, scenario.D)
-    L = np.zeros((steps, size, size))
-    L[:, xs, xs] = np.eye(k * n) + drift(scenario.A, scenario.B)
-    L[:, zs, xs] = gains @ observe
-    L[:, zs, zs] = np.eye(k * n) + drift(H, M)
-    L[:, ys, xs] = observe
-    L[:, ys, ys] = np.eye(k * m)
+    def loading(per_atom, Q):   # (k, N+1, p, d) -> (N, k, p, d), scaled to one step
+        return (per_atom[:, :steps] @ np.linalg.cholesky(Q) * np.sqrt(dt)).transpose(1, 0, 2, 3)
 
-    def loading(per_atom, Q):   # (k, N+1, p, d) -> (N, k p, d), scaled to one step
-        scaled = per_atom[:, :steps] @ np.linalg.cholesky(Q) * np.sqrt(dt)
-        return scaled.transpose(1, 0, 2, 3).reshape(steps, -1, d)
-
-    noise = np.zeros((steps, size, 2 * d))
-    noise[:, xs, :d] = loading(scenario.sigma, scenario.Q)
-    noise[:, ys, d:] = loading(scenario.gamma, scenario.Q0)
-    noise[:, zs, d:] = gains @ noise[:, ys, d:]
-    return L, noise
+    noise = np.zeros((steps, scenario.n_atoms, size, 2 * d))
+    noise[:, :, xs, :d] = loading(scenario.sigma, scenario.Q)
+    noise[:, :, ys, d:] = loading(scenario.gamma, scenario.Q0)
+    noise[:, :, zs, d:] = G[:, None] @ noise[:, :, ys, d:]
+    return own, field, noise
 
 
-class _BlockMoments:
-    """One block's error moments at every node, layout (atom, node, ...):
-    mean, centered sum of products, and the centered third and fourth
-    power sums of each component. Node 0 (e = 0) stays zero."""
+@dataclass
+class _Moments:
+    """Error moments of ``count`` replications at every node, layout
+    (atom, node, ...): mean, centered sum of products, and the centered
+    third and fourth power sums of each component. Node 0 (e = 0) stays
+    zero."""
 
-    def __init__(self, k: int, n_nodes: int, n: int, count: int):
-        self.count = count
-        self.mean = np.zeros((k, n_nodes, n))
-        self.sum2 = np.zeros((k, n_nodes, n, n))
-        self.sum3 = np.zeros((k, n_nodes, n))
-        self.sum4 = np.zeros((k, n_nodes, n))
+    count: int
+    mean: np.ndarray   # (k, N+1, n)
+    sum2: np.ndarray   # (k, N+1, n, n)
+    sum3: np.ndarray   # (k, N+1, n)
+    sum4: np.ndarray   # (k, N+1, n)
+
+    @classmethod
+    def zeros(cls, k: int, n_nodes: int, n: int, count: int) -> _Moments:
+        return cls(count, np.zeros((k, n_nodes, n)), np.zeros((k, n_nodes, n, n)),
+                   np.zeros((k, n_nodes, n)), np.zeros((k, n_nodes, n)))
 
     def record(self, node: int, e: np.ndarray) -> None:
-        """Moments of the error columns ``e`` (k n, count) at ``node``."""
-        mean = e.mean(axis=1)
-        c = e - mean[:, None]
+        """Moments of the error columns ``e`` (k, n, count) at ``node``."""
+        mean = e.mean(axis=2)
+        c = e - mean[..., None]
         sq = c * c
-        k, _, n = self.mean.shape
-        by_atom = c.reshape(k, n, -1)
-        self.mean[:, node] = mean.reshape(k, n)
-        self.sum2[:, node] = by_atom @ by_atom.transpose(0, 2, 1)
-        self.sum3[:, node] = np.einsum("ip,ip->i", sq, c).reshape(k, n)
-        self.sum4[:, node] = np.einsum("ip,ip->i", sq, sq).reshape(k, n)
+        self.mean[:, node] = mean
+        self.sum2[:, node] = c @ c.transpose(0, 2, 1)
+        self.sum3[:, node] = np.einsum("uip,uip->ui", sq, c)
+        self.sum4[:, node] = np.einsum("uip,uip->ui", sq, sq)
+
+    def __add__(self, other: _Moments) -> _Moments:
+        """Moments of both sets together: each set's sums shifted exactly
+        from its own mean to the joint mean (Chan, Golub & LeVeque 1979;
+        Pebay 2008)."""
+        count = self.count + other.count
+        mean = (self.count * self.mean + other.count * other.mean) / count
+        sum2, sum3, sum4 = 0.0, 0.0, 0.0
+        for part in (self, other):
+            delta = part.mean - mean
+            var = np.diagonal(part.sum2, axis1=-2, axis2=-1)
+            sum2 = sum2 + part.sum2 + part.count * delta[..., :, None] * delta[..., None, :]
+            sum3 = sum3 + part.sum3 + 3.0 * delta * var + part.count * delta**3
+            sum4 = (sum4 + part.sum4 + 4.0 * delta * part.sum3 + 6.0 * delta**2 * var
+                    + part.count * delta**4)
+        return _Moments(count, mean, sum2, sum3, sum4)
 
 
-def _merge(blocks: list[_BlockMoments]):
-    """Mean, sum2 and sum4 over all blocks, each block's sums shifted
-    exactly from its own mean to the grand mean (Chan, Golub & LeVeque
-    1979; Pebay 2008), in block order."""
-    total = sum(b.count for b in blocks)
-    mean = sum(b.count * b.mean for b in blocks) / total
-    sum2 = np.zeros_like(blocks[0].sum2)
-    sum4 = np.zeros_like(blocks[0].sum4)
-    for b in blocks:
-        delta = b.mean - mean
-        var = np.diagonal(b.sum2, axis1=-2, axis2=-1)
-        sum2 += b.sum2 + b.count * delta[..., :, None] * delta[..., None, :]
-        sum4 += (b.sum4 + 4.0 * delta * b.sum3 + 6.0 * delta**2 * var
-                 + b.count * delta**4)
-    return mean, sum2, sum4
-
-
-def _simulate_block(scenario: Scenario, L: np.ndarray, noise: np.ndarray, count: int,
-                    keep: int, seed_seq: np.random.SeedSequence):
+def _simulate_block(scenario: Scenario, maps, count: int, keep: int,
+                    seed_seq: np.random.SeedSequence):
     """``count`` replications from one random stream: their moments, and
-    the stacked states (N+1, size, keep) of the first ``keep``."""
+    the states (N+1, atom, 2n + m, keep) of the first ``keep``."""
     grid = scenario.grid
-    k, n, m, d = scenario.n_atoms, scenario.n, scenario.m, scenario.d
-    kn = k * n
+    n, m, d = scenario.n, scenario.m, scenario.d
+    own, field, noise = maps
     rng = np.random.Generator(np.random.Philox(seed_seq))
+    # atom means as exact products summed in atom order: a relabelling
+    # of the atoms changes no bit
+    weights = scenario.measure.weights[:, None, None]
 
-    s = np.empty((L.shape[1], count))
-    start = scenario.measure.points.reshape(-1, 1)
-    s[:kn] = start
-    s[kn:2 * kn] = start
-    s[2 * kn:] = start if m == n else 0.0
-    nxt = np.empty_like(s)
+    start = scenario.measure.points[:, :, None]
+    s = np.empty((scenario.n_atoms, 2 * n + m, count))
+    s[:, :n] = start
+    s[:, n:2 * n] = start
+    s[:, 2 * n:] = start if m == n else 0.0
+    nxt, shocks = np.empty_like(s), np.empty_like(s)
     xi = np.empty((2 * d, count))
-    moments = _BlockMoments(k, grid.n_nodes, n, count)
-    kept = np.empty((grid.n_nodes, L.shape[1], keep))
-    kept[0] = s[:, :keep]
+    moments = _Moments.zeros(scenario.n_atoms, grid.n_nodes, n, count)
+    kept = np.empty((grid.n_nodes,) + s.shape[:2] + (keep,))
+    kept[0] = s[..., :keep]
 
     for j in range(grid.n_steps):
         xi[:d] = rng.standard_normal((count, d)).T
         xi[d:] = rng.standard_normal((count, d)).T
         with np.errstate(over="ignore", invalid="ignore"):  # named just below
-            np.matmul(L[j], s, out=nxt)
-            nxt += noise[j] @ xi
+            bars = (weights * s[:, :2 * n]).sum(axis=0)
+            np.matmul(own[j], s, out=nxt)
+            nxt += field[j] @ bars
+            nxt += np.matmul(noise[j], xi, out=shocks)
         s, nxt = nxt, s
-        if not np.all(np.isfinite(s[:2 * kn])):
+        if not np.all(np.isfinite(s[:, :2 * n])):
             raise SimulationError(
                 f"simulation blew up at node {j + 1} (t = {grid.nodes[j + 1]:g})"
             )
-        moments.record(j + 1, s[:kn] - s[kn:2 * kn])
-        kept[j + 1] = s[:, :keep]
+        moments.record(j + 1, s[:, :n] - s[:, n:2 * n])
+        kept[j + 1] = s[..., :keep]
     return moments, kept
 
 
@@ -236,14 +245,15 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     the gain times the observation increment of the same step. The
     interaction means are recomputed every step from the current atom
     values. Every replication enters the streamed error moments; only the
-    first min(n_paths, KEPT_PATHS) keep their trajectories. Memory is the
-    step maps (N (2kn + km)^2 floats), a few 4096-path blocks and the
-    moments, whatever ``n_paths``. Identical seeds give bitwise identical
-    ensembles.
+    first min(n_paths, KEPT_PATHS) keep their trajectories. Memory is
+    the step maps (N (2n + m)(2n + m + 2kd) floats), the kept
+    trajectories, one 4096-path block per worker thread and a few sets
+    of moments of at most 4 k N n^2 floats each, whatever ``n_paths``.
+    Identical seeds give bitwise identical ensembles.
     """
     if n_paths < 1:
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
-    L, noise = _step_maps(scenario, gain)
+    maps = _step_maps(scenario, gain)
 
     blocks = [(b, min(_BLOCK, n_paths - b)) for b in range(0, n_paths, _BLOCK)]
     seqs = np.random.SeedSequence(seed).spawn(len(blocks))
@@ -251,27 +261,29 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     def run(idx: int):
         start, count = blocks[idx]
         keep = min(max(KEPT_PATHS - start, 0), count)
-        return _simulate_block(scenario, L, noise, count, keep, seqs[idx])
+        return _simulate_block(scenario, maps, count, keep, seqs[idx])
+
+    def merged(results):
+        """Fold the blocks in block order, each as soon as it is done."""
+        total, kept = None, []
+        for moments, states in results:
+            total = moments if total is None else total + moments
+            kept.append(states)
+        return total, np.concatenate(kept, axis=3)
 
     workers = min(worker_count(), len(blocks))
     if workers <= 1:
-        results = [run(idx) for idx in range(len(blocks))]
+        moments, kept = merged(map(run, range(len(blocks))))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(len(blocks))))
+            moments, kept = merged(pool.map(run, range(len(blocks))))
 
-    k, n = scenario.n_atoms, scenario.n
-    kept = np.concatenate([states for _, states in results], axis=2)
-
-    def paths(rows: slice, dim: int) -> np.ndarray:   # -> (replication, atom, node, dim)
-        part = kept[:, rows].reshape(len(kept), k, dim, -1)
-        return np.ascontiguousarray(part.transpose(3, 1, 0, 2))
-
-    x = paths(slice(0, k * n), n)
-    z = paths(slice(k * n, 2 * k * n), n)
-    y = paths(slice(2 * k * n, None), scenario.m)
-    mean, sum2, sum4 = _merge([moments for moments, _ in results])
-    arrays = dict(x=x, y=y, z=z, e=x - z, mean=mean, sum2=sum2, sum4=sum4)
+    n = scenario.n
+    # (node, atom, row, replication) -> (replication, atom, node, row)
+    x, z, y = (np.ascontiguousarray(kept[:, :, rows].transpose(3, 1, 0, 2))
+               for rows in (slice(0, n), slice(n, 2 * n), slice(2 * n, None)))
+    arrays = dict(x=x, y=y, z=z, e=x - z, mean=moments.mean, sum2=moments.sum2,
+                  sum4=moments.sum4)
     for arr in arrays.values():
         arr.setflags(write=False)
     return PathEnsemble(grid=scenario.grid, seed=int(seed), n_paths=int(n_paths), **arrays)

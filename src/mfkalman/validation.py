@@ -454,19 +454,20 @@ class ValidationSuite:
         ("criterion_arbitration", None),
     )
 
+    def _timed(self, name: str, budget: float | None) -> CriterionResult:
+        """Run one criterion and append its runtime; over budget fails it."""
+        start = time.perf_counter()
+        res = getattr(self, name)()
+        elapsed = time.perf_counter() - start
+        if budget is None:
+            res.details.append(f"runtime {elapsed:.2f}s")
+        else:
+            res.details.append(f"runtime {elapsed:.2f}s (budget {budget:g}s)")
+            res.passed = res.passed and elapsed <= budget
+        return res
+
     def run_artifacts(self) -> list[CriterionResult]:
-        results = []
-        for name, budget in self.ARTIFACT_CRITERIA:
-            start = time.perf_counter()
-            res = getattr(self, name)()
-            elapsed = time.perf_counter() - start
-            if budget is None:
-                res.details.append(f"runtime {elapsed:.2f}s")
-            else:
-                res.details.append(f"runtime {elapsed:.2f}s (budget {budget:g}s)")
-                res.passed = res.passed and elapsed <= budget
-            results.append(res)
-        return results
+        return [self._timed(name, budget) for name, budget in self.ARTIFACT_CRITERIA]
 
     def criterion_determinism(self) -> CriterionResult:
         """Re-run the whole artifact pipeline with the same seed and require
@@ -493,8 +494,5 @@ class ValidationSuite:
     def run_all(self) -> list[CriterionResult]:
         results = self.run_artifacts()
         if self.out is not None:
-            start = time.perf_counter()
-            res = self.criterion_determinism()
-            res.details.append(f"runtime {time.perf_counter() - start:.2f}s")
-            results.append(res)
+            results.append(self._timed("criterion_determinism", None))
         return results

@@ -33,6 +33,13 @@ def _assert_same_ensemble(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def _assert_relabelled(a, b):
+    """Ensembles of two atoms in swapped order are bitwise mirror images."""
+    for name in _ARRAYS:
+        axis = 1 if name in "xyze" else 0   # the atom axis
+        assert np.array_equal(getattr(a, name), np.flip(getattr(b, name), axis)), name
+
+
 def _mean_coupled_two_atoms(steps):
     """Two atoms with mean coupling and atom-dependent loadings."""
     return build_scenario(
@@ -119,12 +126,18 @@ class TestSimulateEnsemble:
         gain = GainSchedule.constant(grid, 0.6)
         e1 = simulate_ensemble(s1, gain, n_paths=64, seed=5)
         e2 = simulate_ensemble(s2, gain, n_paths=64, seed=5)
-        # one matrix product sums each row over all atoms, in label order,
-        # so relabelling changes the round-off and nothing else
-        atom_axis = {name: 1 if name in "xyze" else 0 for name in _ARRAYS}
-        for name, axis in atom_axis.items():
-            np.testing.assert_allclose(getattr(e1, name), np.flip(getattr(e2, name), axis),
-                                       rtol=1e-12, atol=1e-12, err_msg=name)
+        _assert_relabelled(e1, e2)
+
+    def test_atom_permutation_invariance_matrix(self):
+        def scenario(order):
+            points = np.array([[-1.0, 0.5], [1.0, -0.5]])[order]
+            return _two_atom_matrix_scenario(40, points, np.array([0.4, 0.6])[order])
+
+        gain = GainSchedule.constant(make_grid(1.0, 40), np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
+        # more paths than one block, the last one short
+        e1 = simulate_ensemble(scenario([0, 1]), gain, n_paths=4200, seed=5)
+        e2 = simulate_ensemble(scenario([1, 0]), gain, n_paths=4200, seed=5)
+        _assert_relabelled(e1, e2)
 
     def test_seed_determinism(self, classical_small):
         gain = GainSchedule.constant(classical_small.grid, 0.3)
@@ -211,10 +224,10 @@ class TestEmpiricalStatistics:
             assert {arr.shape[0] for arr in (ens.x, ens.y, ens.z, ens.e)} == {kept}
 
 
-def _two_atom_matrix_scenario(steps):
+def _two_atom_matrix_scenario(steps, points=((-1.0, 0.5), (1.0, -0.5)), weights=(0.4, 0.6)):
     """Non-diagonal, mean-coupled 2x2 system with two atoms."""
     return build_scenario(
-        make_grid(1.0, steps), measure=discrete_measure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
+        make_grid(1.0, steps), measure=discrete_measure(points, weights),
         A=lambda t: np.array([[-0.4, 0.3], [0.2, 0.3]]),
         B=lambda t: np.array([[0.5, -0.3], [0.1, -0.2]]),
         C=lambda t: np.array([[1.0, 0.2], [0.0, 0.8]]),
