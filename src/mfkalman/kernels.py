@@ -42,7 +42,7 @@ from .numerics import (
     cumulative_trapezoid,
     trapezoid,
 )
-from .system_model import Scenario, ScenarioError, _as_matrix
+from .system_model import Scenario, ScenarioError, _as_matrix, _stack_values
 
 __all__ = [
     "GainSchedule",
@@ -91,10 +91,7 @@ class GainSchedule:
     @classmethod
     def from_callable(cls, grid: TimeGrid, fn, n: int = 1, m: int = 1) -> "GainSchedule":
         """Node samples of ``fn(t)``, scalars read as in :meth:`constant`."""
-        vals = np.empty((grid.n_nodes, n, m))
-        for j, t in enumerate(grid.nodes):
-            vals[j] = _as_matrix(fn(t), n, m)
-        return cls(grid, vals)
+        return cls(grid, _stack_values(fn, [(t,) for t in grid.nodes], n, m, "gain({})"))
 
     @property
     def scalar(self) -> np.ndarray:

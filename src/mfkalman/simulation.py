@@ -18,18 +18,24 @@ a step is a few small matrix products.
 
 Replications are generated in fixed-size blocks, each with its own
 counter-based random stream (Philox keyed by a spawned seed sequence).
-A block reduces the error e = x - z to moments at every node as it goes;
-the blocks fold into the running moments in block order, each as soon
-as it is done, so results are reproducible bit-for-bit regardless of
-how many worker threads the ``MFK_THREADS`` environment variable allows.
-Only the first ``KEPT_PATHS`` replications keep their trajectories, so
-memory does not grow with paths times steps.
+The blocks run in block order on the calling thread. Each block reduces
+the error e = x - z to moments at every node as it goes and folds into
+the running moments as soon as it is done. A block's normal draws come
+in chunks of ``_CHUNK`` steps, one call on its stream per chunk; with
+``MFK_THREADS`` at 2 or more a single helper thread draws the next chunk
+while the calling thread steps the current one, and at 1 the calling
+thread draws them itself. Either way the draws are the same numbers in
+the same order, so results are reproducible bit-for-bit. Only the first
+``KEPT_PATHS`` replications keep their trajectories, so memory does not
+grow with paths times steps.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +55,8 @@ __all__ = [
 
 _BLOCK = 4096  # replications per random stream; fixed so results do not
                # depend on the thread count
+_CHUNK = 8  # steps drawn per call: 512 kB of draws per block for d = 1;
+            # 32 steps raised validate's peak RSS
 KEPT_PATHS = 10  # leading replications whose trajectories an ensemble keeps
 
 
@@ -57,8 +65,10 @@ class SimulationError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Worker cap for block-parallel simulation: at most 4, and no more
-    than the CPUs this process may run on; MFK_THREADS overrides."""
+    """Threads a simulation may use: at most 4, and no more than the CPUs
+    this process may run on; MFK_THREADS overrides. At 1 the calling
+    thread draws the normals itself; at 2 or more one helper thread draws
+    them ahead of the stepping (more threads than that are not used)."""
     env = os.environ.get("MFK_THREADS", "").strip()
     if env:
         try:
@@ -196,14 +206,43 @@ class _Moments:
         return _Moments(count, mean, sum2, sum3, sum4)
 
 
+def _draw_chunks(seqs, blocks, steps: int, d: int) -> Iterator[np.ndarray]:
+    """Standard normals of every block in block order, ``_CHUNK`` steps at
+    a time, each as (steps in chunk, 2d, count): per step the state noise
+    rows, then the observation noise rows. One (L, 2, count, d) draw gives
+    the numbers, in order, of 2L successive (count, d) draws."""
+    for seq, (_, count) in zip(seqs, blocks):
+        rng = np.random.Generator(np.random.Philox(seq))
+        for j in range(0, steps, _CHUNK):
+            draws = rng.standard_normal((min(_CHUNK, steps - j), 2, count, d))
+            yield np.ascontiguousarray(draws.transpose(0, 1, 3, 2)).reshape(-1, 2 * d, count)
+
+
+@contextmanager
+def _ahead(items: Iterator, helper: bool):
+    """``items`` as an iterator; with ``helper``, one thread makes the
+    next item while the caller works on the current one. The thread is
+    joined on exit, also when the caller raises."""
+    if not helper:
+        yield items
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def prefetched():
+            pending = pool.submit(next, items, None)
+            while (item := pending.result()) is not None:
+                pending = pool.submit(next, items, None)
+                yield item
+        yield prefetched()
+
+
 def _simulate_block(scenario: Scenario, maps, count: int, keep: int,
-                    seed_seq: np.random.SeedSequence):
-    """``count`` replications from one random stream: their moments, and
-    the states (N+1, atom, 2n + m, keep) of the first ``keep``."""
+                    chunks: Iterator[np.ndarray]):
+    """``count`` replications driven by the next draws of ``chunks``:
+    their moments, and the states (N+1, atom, 2n + m, keep) of the first
+    ``keep``."""
     grid = scenario.grid
-    n, m, d = scenario.n, scenario.m, scenario.d
+    n, m = scenario.n, scenario.m
     own, field, noise = maps
-    rng = np.random.Generator(np.random.Philox(seed_seq))
     # atom means as exact products summed in atom order: a relabelling
     # of the atoms changes no bit
     weights = scenario.measure.weights[:, None, None]
@@ -214,26 +253,24 @@ def _simulate_block(scenario: Scenario, maps, count: int, keep: int,
     s[:, n:2 * n] = start
     s[:, 2 * n:] = start if m == n else 0.0
     nxt, shocks = np.empty_like(s), np.empty_like(s)
-    xi = np.empty((2 * d, count))
     moments = _Moments.zeros(scenario.n_atoms, grid.n_nodes, n, count)
     kept = np.empty((grid.n_nodes,) + s.shape[:2] + (keep,))
     kept[0] = s[..., :keep]
 
-    for j in range(grid.n_steps):
-        xi[:d] = rng.standard_normal((count, d)).T
-        xi[d:] = rng.standard_normal((count, d)).T
-        with np.errstate(over="ignore", invalid="ignore"):  # named just below
-            bars = (weights * s[:, :2 * n]).sum(axis=0)
-            np.matmul(own[j], s, out=nxt)
-            nxt += field[j] @ bars
-            nxt += np.matmul(noise[j], xi, out=shocks)
-        s, nxt = nxt, s
-        if not np.all(np.isfinite(s[:, :2 * n])):
-            raise SimulationError(
-                f"simulation blew up at node {j + 1} (t = {grid.nodes[j + 1]:g})"
-            )
-        moments.record(j + 1, s[:, :n] - s[:, n:2 * n])
-        kept[j + 1] = s[..., :keep]
+    for first in range(0, grid.n_steps, _CHUNK):
+        for j, xi in enumerate(next(chunks), start=first):
+            with np.errstate(over="ignore", invalid="ignore"):  # named just below
+                bars = (weights * s[:, :2 * n]).sum(axis=0)
+                np.matmul(own[j], s, out=nxt)
+                nxt += field[j] @ bars
+                nxt += np.matmul(noise[j], xi, out=shocks)
+            s, nxt = nxt, s
+            if not np.all(np.isfinite(s[:, :2 * n])):
+                raise SimulationError(
+                    f"simulation blew up at node {j + 1} (t = {grid.nodes[j + 1]:g})"
+                )
+            moments.record(j + 1, s[:, :n] - s[:, n:2 * n])
+            kept[j + 1] = s[..., :keep]
     return moments, kept
 
 
@@ -247,9 +284,10 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     values. Every replication enters the streamed error moments; only the
     first min(n_paths, KEPT_PATHS) keep their trajectories. Memory is
     the step maps (N (2n + m)(2n + m + 2kd) floats), the kept
-    trajectories, one 4096-path block per worker thread and a few sets
-    of moments of at most 4 k N n^2 floats each, whatever ``n_paths``.
-    Identical seeds give bitwise identical ensembles.
+    trajectories, one 4096-path block with up to three chunks of its
+    normal draws, and a few sets of moments of at most 4 k N n^2 floats
+    each, whatever ``n_paths``. Identical seeds give bitwise identical
+    ensembles, whatever ``MFK_THREADS`` is.
     """
     if n_paths < 1:
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
@@ -257,33 +295,22 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
 
     blocks = [(b, min(_BLOCK, n_paths - b)) for b in range(0, n_paths, _BLOCK)]
     seqs = np.random.SeedSequence(seed).spawn(len(blocks))
-
-    def run(idx: int):
-        start, count = blocks[idx]
-        keep = min(max(KEPT_PATHS - start, 0), count)
-        return _simulate_block(scenario, maps, count, keep, seqs[idx])
-
-    def merged(results):
-        """Fold the blocks in block order, each as soon as it is done."""
-        total, kept = None, []
-        for moments, states in results:
+    draws = _draw_chunks(seqs, blocks, scenario.grid.n_steps, scenario.d)
+    total, kept = None, []
+    with _ahead(draws, worker_count() > 1) as chunks:
+        for start, count in blocks:
+            keep = min(max(KEPT_PATHS - start, 0), count)
+            moments, states = _simulate_block(scenario, maps, count, keep, chunks)
             total = moments if total is None else total + moments
             kept.append(states)
-        return total, np.concatenate(kept, axis=3)
-
-    workers = min(worker_count(), len(blocks))
-    if workers <= 1:
-        moments, kept = merged(map(run, range(len(blocks))))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            moments, kept = merged(pool.map(run, range(len(blocks))))
+    kept = np.concatenate(kept, axis=3)
 
     n = scenario.n
     # (node, atom, row, replication) -> (replication, atom, node, row)
     x, z, y = (np.ascontiguousarray(kept[:, :, rows].transpose(3, 1, 0, 2))
                for rows in (slice(0, n), slice(n, 2 * n), slice(2 * n, None)))
-    arrays = dict(x=x, y=y, z=z, e=x - z, mean=moments.mean, sum2=moments.sum2,
-                  sum4=moments.sum4)
+    arrays = dict(x=x, y=y, z=z, e=x - z, mean=total.mean, sum2=total.sum2,
+                  sum4=total.sum4)
     for arr in arrays.values():
         arr.setflags(write=False)
     return PathEnsemble(grid=scenario.grid, seed=int(seed), n_paths=int(n_paths), **arrays)

@@ -228,14 +228,38 @@ def _as_matrix(value, rows: int, cols: int) -> np.ndarray:
     return val * np.eye(rows) if rows == cols else np.full((rows, cols), float(val))
 
 
+def _stack_values(fn, points, rows: int, cols: int, label: str) -> np.ndarray:
+    """(len(points), rows, cols) values of ``fn(*p)`` at every argument
+    tuple ``p`` of ``points``, each read as in :func:`_as_matrix`. The
+    values are stacked at once; only when they do not stack to that shape
+    (scalars mixed with matrices, or a wrong shape) are they read one by
+    one, so that ``label.format(*p)`` names the first misshapen value."""
+    values = [fn(*p) for p in points]
+    try:
+        stacked = np.asarray(values, dtype=float)
+    except ValueError:  # ragged: scalars mixed with matrices
+        pass
+    else:
+        if stacked.ndim == 1:
+            column = stacked[:, None, None]
+            if rows == cols:
+                return column * np.eye(rows)
+            return np.broadcast_to(column, (len(values), rows, cols)).copy()
+        if stacked.shape == (len(values), rows, cols):
+            return stacked
+    out = np.empty((len(values), rows, cols))
+    for j, (p, value) in enumerate(zip(points, values)):
+        val = _as_matrix(value, rows, cols)
+        if val.shape != (rows, cols):
+            raise ScenarioError(
+                f"{label.format(*p)} has shape {val.shape}, expected {(rows, cols)}")
+        out[j] = val
+    return out
+
+
 def _sample(fn, times, rows: int, cols: int, label: str) -> np.ndarray:
     """(len(times), rows, cols) samples of the callable ``fn`` of t."""
-    samples = np.empty((len(times), rows, cols))
-    for j, t in enumerate(times):
-        val = _as_matrix(fn(t), rows, cols)
-        if val.shape != (rows, cols):
-            raise ScenarioError(f"{label}({t}) has shape {val.shape}, expected {(rows, cols)}")
-        samples[j] = val
+    samples = _stack_values(fn, [(t,) for t in times], rows, cols, label + "({})")
     if not np.all(np.isfinite(samples)):
         raise ScenarioError(f"{label} is not finite at every node")
     return samples
@@ -258,20 +282,12 @@ def _sample_atom_coefficient(value, measure: InitialMeasure, grid: TimeGrid,
     else:
         const = float(value)
         fn = lambda u, t, _c=const: _c  # noqa: E731
-    samples = np.empty((measure.n_atoms, grid.n_nodes, rows, cols))
-    for i in range(measure.n_atoms):
-        u = measure.points[i]
-        u_arg = u.item() if u.size == 1 else u
-        for j, t in enumerate(grid.nodes):
-            val = _as_matrix(fn(u_arg, t), rows, cols)
-            if val.shape != (rows, cols):
-                raise ScenarioError(
-                    f"{label}(u={u_arg}, t={t}) has shape {val.shape}, expected {(rows, cols)}"
-                )
-            samples[i, j] = val
+    points = [(u.item() if u.size == 1 else u, t)
+              for u in measure.points for t in grid.nodes]
+    samples = _stack_values(fn, points, rows, cols, label + "(u={}, t={})")
     if not np.all(np.isfinite(samples)):
         raise ScenarioError(f"{label} is not finite at every atom and node")
-    return samples, fn
+    return samples.reshape(measure.n_atoms, grid.n_nodes, rows, cols), fn
 
 
 def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,

@@ -61,10 +61,6 @@ class CriterionResult:
         return f"[{status}] {self.cid}: {self.title}"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_csv(path: Path, header: str, rows, meta: dict) -> None:
     """CSV with reproducibility metadata in leading comment rows.
 
@@ -74,8 +70,8 @@ def write_csv(path: Path, header: str, rows, meta: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {key}={value}" for key, value in meta.items()]
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    lines.extend(",".join(["%.17g" % v if isinstance(v, float) else str(v) for v in row])
+                 for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -93,14 +89,12 @@ def _meta(scenario: Scenario, seed: int, extra: dict | None = None) -> dict:
 
 def _dump_kernels(out: Path, scenario: Scenario, bundle, seed: int) -> None:
     """Lower triangles of phi, psi and f as t,s,value rows."""
-    nodes = scenario.grid.nodes
+    i, j = np.tril_indices(scenario.grid.n_nodes)
+    t, s = scenario.grid.nodes[i].tolist(), scenario.grid.nodes[j].tolist()
     for name, kernel in (("kernel_phi.csv", bundle.phi), ("kernel_psi.csv", bundle.psi),
                          ("kernel_f.csv", bundle.f)):
-        rows = []
-        for i in range(scenario.grid.n_nodes):
-            for j in range(i + 1):
-                rows.append((float(nodes[i]), float(nodes[j]), float(kernel.values[i, j])))
-        write_csv(out / name, "t,s,value", rows, _meta(scenario, seed))
+        write_csv(out / name, "t,s,value", zip(t, s, kernel.values[i, j].tolist()),
+                  _meta(scenario, seed))
 
 
 def _dump_optimizer(out: Path, scenario: Scenario, report, seed: int) -> None:
@@ -215,14 +209,12 @@ class ValidationSuite:
                                       drift_profile(scen, bundle, bars, a), scen.grid.dt)
                        for a in range(scen.n_atoms))
 
-        rows = []
         for name, build in (("classical", classical_scenario),
                             ("normal-flow", normal_flow_scenario)):
             rels = {}
             for steps in (400, 800):
                 scen = build(steps=steps)
                 rels[steps] = worst_rel(scen, _reference(name, scen.grid).gain_values)
-                rows.append((name, steps, rels[steps]))
             ok_tol = rels[400] <= 0.02
             ratio = rels[400] / max(rels[800], 1e-300)
             ok_shrink = ratio >= 3.0
@@ -276,7 +268,7 @@ class ValidationSuite:
         details.append(f"max fd gap over {len(directions)} directions: "
                        f"{max(r[3] for r in rows):.3e}")
         self._write("gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
-                    _meta(scen, self.seed, {"eps": _fmt(eps)}))
+                    _meta(scen, self.seed, {"eps": "%.17g" % eps}))
         self._write("gradient.csv", "t,g",
                     [(float(t), float(v)) for t, v in zip(scen.grid.nodes, g.values)],
                     _meta(scen, self.seed))

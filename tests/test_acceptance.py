@@ -8,10 +8,11 @@ prints the criterion's pass/fail line and supporting detail.
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
 from mfkalman.cli import main
-from mfkalman.validation import DEFAULT_SEED
+from mfkalman.validation import DEFAULT_SEED, write_csv
 
 
 @pytest.fixture(scope="session")
@@ -104,3 +105,14 @@ def test_every_criterion_reports_runtime(validate_run):
     _, text, _ = validate_run
     for cid in (f"C{i}" for i in range(1, 9)):
         assert "    runtime " in _criterion_block(text, cid), cid
+
+
+def test_write_csv_matches_reference_formatter(tmp_path):
+    # reference: floats (np.float64 included) as f"{x:.17g}", anything else as str
+    row = (-0.0, 5e-324, 1e300, float("nan"), float("inf"), -float("inf"), 7, "name",
+           np.float64(0.1), np.float32(0.1), 1 / 3)
+    path = tmp_path / "out.csv"
+    write_csv(path, "h", [row, row[::-1]], {"seed": 1})
+    expected = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in r)
+                for r in (row, row[::-1])]
+    assert path.read_text() == "\n".join(["# seed=1", "h"] + expected) + "\n"

@@ -1,4 +1,7 @@
+import inspect
 import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -145,13 +148,15 @@ class TestSimulateEnsemble:
         b = simulate_ensemble(classical_small, gain, n_paths=4100, seed=42)
         _assert_same_ensemble(a, b)
 
-    def test_thread_count_does_not_change_results(self, classical_small, monkeypatch):
-        gain = GainSchedule.constant(classical_small.grid, 0.3)
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # 101 steps end on a short chunk of draws, and the last block is short
+        scen = classical_scenario(steps=101)
+        gain = GainSchedule.constant(scen.grid, 0.3)
         monkeypatch.setenv("MFK_THREADS", "1")
-        a = simulate_ensemble(classical_small, gain, n_paths=8200, seed=9)
-        monkeypatch.setenv("MFK_THREADS", "3")
-        b = simulate_ensemble(classical_small, gain, n_paths=8200, seed=9)
-        _assert_same_ensemble(a, b)
+        a = simulate_ensemble(scen, gain, n_paths=8200, seed=9)
+        for threads in ("2", "3"):
+            monkeypatch.setenv("MFK_THREADS", threads)
+            _assert_same_ensemble(a, simulate_ensemble(scen, gain, n_paths=8200, seed=9))
 
     def test_weak_convergence_bias_bounded(self):
         results = {}
@@ -184,6 +189,60 @@ class TestSimulateEnsemble:
         mismatched = GainSchedule.constant(make_grid(1.0, 7), 0.0)
         with pytest.raises(ScenarioError):
             simulate_ensemble(classical_small, mismatched, n_paths=4, seed=0)
+
+
+class TestDrawAhead:
+    """The helper thread that draws the normals ahead of the stepping."""
+
+    def test_helper_joined_after_return_and_after_raise(self, classical_small, monkeypatch):
+        monkeypatch.setenv("MFK_THREADS", "2")
+        before = threading.active_count()
+        simulate_ensemble(classical_small, GainSchedule.constant(classical_small.grid, 0.3),
+                          n_paths=8200, seed=1)
+        assert threading.active_count() == before
+        scen = scalar_scenario(steps=50, A=1e155, sigma=1.0, gamma=1.0,
+                               measure=dirac_measure(1.0))
+        gain = GainSchedule.constant(scen.grid, 0.0)
+        messages = []
+        for threads in ("2", "1"):
+            monkeypatch.setenv("MFK_THREADS", threads)
+            with pytest.raises(SimulationError, match=r"blew up at node \d+ \(t = ") as info:
+                simulate_ensemble(scen, gain, n_paths=8200, seed=0)
+            messages.append(str(info.value))
+            assert threading.active_count() == before
+        assert messages[0] == messages[1]
+
+    def test_helper_calls_no_public_function(self, classical_small, monkeypatch):
+        # the benchmark's tracer opens every span on the calling thread
+        callers = set()
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                callers.add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if name == "mfkalman" or name.startswith("mfkalman."):
+                for attr, fn in list(vars(module).items()):
+                    if (inspect.isfunction(fn) and not attr.startswith("_")
+                            and fn.__module__.startswith("mfkalman")):
+                        monkeypatch.setattr(module, attr, recording(fn))
+        drawers = set()
+        draw_chunks = simulation._draw_chunks
+
+        def recorded_draws(*args):
+            for chunk in draw_chunks(*args):
+                drawers.add(threading.get_ident())
+                yield chunk
+
+        monkeypatch.setattr(simulation, "_draw_chunks", recorded_draws)
+        monkeypatch.setenv("MFK_THREADS", "2")
+        simulation.simulate_ensemble(classical_small,
+                                     GainSchedule.constant(classical_small.grid, 0.3),
+                                     n_paths=4200, seed=3)
+        assert drawers and threading.get_ident() not in drawers
+        assert callers == {threading.get_ident()}
 
 
 class TestEmpiricalStatistics:

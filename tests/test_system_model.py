@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfkalman import (
+    GainSchedule,
     ScenarioError,
     build_scenario,
     dirac_measure,
@@ -13,6 +14,7 @@ from mfkalman import (
     measure_averages,
     standard_measure,
 )
+from mfkalman.system_model import _as_matrix
 
 GRID = make_grid(1.0, 50)
 
@@ -103,6 +105,41 @@ class TestBuildScenario:
                            Sigma=lambda t: np.eye(2) if t <= 0.5 else late,
                            sigma=lambda u, t: np.eye(2), gamma=lambda u, t: np.eye(2),
                            Q=np.eye(2), Q0=np.eye(2))
+
+    def test_stacked_samples_equal_node_by_node(self):
+        # reference: each value read on its own, as in _as_matrix
+        def per_node(fn, points, rows, cols):
+            return np.array([_as_matrix(fn(*p), rows, cols) for p in points])
+
+        mixed = lambda t: -0.5 if t > 0.5 else np.array([[1.0, 0.5], [0.0, 1.0]])  # noqa: E731
+        scen = build_scenario(
+            GRID, measure=discrete_measure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
+            A=lambda t: -t, B=mixed, C=lambda t: 2.0 - t, Sigma=lambda t: 1.0 + t, m=3,
+            D=lambda t: np.full((3, 2), t), sigma=lambda u, t: u[0] * t,
+            gamma=lambda u, t: t - 0.5, Q=np.eye(2), Q0=np.eye(2))
+        times = [(t,) for t in GRID.nodes]
+        for name, fn, rows, cols in (("A", lambda t: -t, 2, 2), ("B", mixed, 2, 2),
+                                     ("C", lambda t: 2.0 - t, 3, 2),
+                                     ("D", lambda t: np.full((3, 2), t), 3, 2)):
+            expected = per_node(fn, times, rows, cols)
+            assert np.array_equal(getattr(scen, name), expected), name
+            assert np.array_equal(np.signbit(getattr(scen, name)), np.signbit(expected)), name
+        for name, rows in (("sigma", 2), ("gamma", 3)):
+            points = [(u, t) for u in scen.measure.points for t in GRID.nodes]
+            expected = per_node(scen.fns[name], points, rows, 2).reshape(2, -1, rows, 2)
+            assert np.array_equal(getattr(scen, name), expected), name
+        gain = GainSchedule.from_callable(GRID, mixed, 2, 2)
+        assert np.array_equal(gain.values, per_node(mixed, times, 2, 2))
+
+    def test_misshapen_value_named_by_node(self):
+        with pytest.raises(ScenarioError, match=r"^C\(0\.5\) has shape \(1, 2\)"):
+            build_scenario(GRID, measure=dirac_measure([0.0, 0.0]), Q=np.eye(2), Q0=np.eye(2),
+                           C=lambda t: np.eye(2) if t < 0.5 else np.ones((1, 2)))
+        with pytest.raises(ScenarioError, match=r"^sigma\(u=\[1\. 2\.\], t=0\.0\) has shape"):
+            build_scenario(GRID, measure=dirac_measure([1.0, 2.0]), Q=np.eye(2), Q0=np.eye(2),
+                           sigma=lambda u, t: u)
+        with pytest.raises(ScenarioError, match=r"^gain\(0\.0\) has shape \(1,\)"):
+            GainSchedule.from_callable(GRID, lambda t: np.array([t]))
 
 
 class TestMeasureAverages:
