@@ -6,16 +6,11 @@ validation."""
 __version__ = "0.1.0"
 
 from .covariance import (
-    CovarianceField,
     GradientField,
     cost_gradient,
-    covariance_drift,
-    covariance_field,
     covariance_profile,
-    covariance_sensitivity,
-    error_covariance,
+    drift_profile,
     fd_cost_slope,
-    mean_sensitivity,
     mean_sensitivity_triangle,
     sensitivity_profile,
     trace_cost,
@@ -28,16 +23,10 @@ from .gain import (
     optimize_gain,
     riccati_classical,
     riccati_normal_flow,
-    stationarity_residual,
 )
 from .kernels import (
-    DerivativeKernels,
     GainSchedule,
     KernelBundle,
-    compute_f,
-    compute_phi,
-    compute_psi,
-    derivative_kernels,
     kernel_bundle,
 )
 from .numerics import (

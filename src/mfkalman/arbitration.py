@@ -6,7 +6,8 @@ criterion C7 can report how far each form lies from its oracle
 (``arbitration.csv``): the covariance cross pairing, sigma-bar instead of
 gamma-bar (Monte Carlo); the mixed-kernel derivative density (central
 differences of ``f``); the sensitivity kernel's weights (the
-central-difference cost slope). Scalar mode only.
+central-difference cost slope). The adopted kernel derivatives, which only
+that arbitration reads, sit next to their printed form. Scalar mode only.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from .covariance import (
     _ScalarWeights,
     _sensitivity_quadratures,
 )
-from .kernels import DerivativeKernels, KernelBundle
+from .kernels import KernelBundle, ScalarTables
 from .numerics import cumulative_trapezoid, trapezoid
-from .system_model import BarQuantities, Scenario
+from .system_model import BarQuantities, Scenario, ScenarioError
 
 __all__ = [
-    "TranscribedDerivativeKernels",
+    "phi_direction",
+    "psi_direction",
+    "f_direction",
+    "f_direction_transcribed",
     "covariance_profile_transcribed",
     "drift_profile_transcribed",
     "cost_gradient_transcribed",
@@ -70,34 +74,63 @@ def drift_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
             + (2 * H + M) * fr.integral(x_p, 1, 1))                      # phi psi x_u'
 
 
-class TranscribedDerivativeKernels(DerivativeKernels):
-    """Derivative kernels with the printed mixed-kernel density:
+def _direction_tables(bundle: KernelBundle, i: int, j: int) -> ScalarTables:
+    """The bundle's scalar tables, once (i, j) is checked to lie on the
+    triangle j <= i of the grid."""
+    tb = _require_scalar_bundle(bundle)
+    if not 0 <= j <= i <= tb.grid.n_steps:
+        raise ScenarioError(f"need j <= i on the grid, got (i={i}, j={j})")
+    return tb
+
+
+def _direction(tb: ScalarTables, i: int, j: int, beta: np.ndarray, rate: np.ndarray,
+               exponent: np.ndarray) -> float:
+    """Trapezoid over [t_j, t_i] of the density -rate(theta) k(t_i, t_j)
+    times beta, where k = exp(exponent[i] - exponent[j])."""
+    ks = np.arange(j, i + 1)
+    density = -rate[ks] * float(np.exp(exponent[i] - exponent[j]))
+    return float(trapezoid(density * beta[ks], tb.grid.dt))
+
+
+def phi_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
+    """Derivative of phi(t_i, t_j) along the gain direction ``beta``: the
+    gain enters the generator H + M as -(C + D) gain."""
+    tb = _direction_tables(bundle, i, j)
+    return _direction(tb, i, j, beta, tb.C + tb.D, tb.lhm)
+
+
+def psi_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
+    """Derivative of psi(t_i, t_j) along ``beta``: the gain enters H as
+    -C gain."""
+    tb = _direction_tables(bundle, i, j)
+    return _direction(tb, i, j, beta, tb.C, tb.lh)
+
+
+def f_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
+    """Adopted derivative of the mixed kernel f = phi - psi at (t_i, t_j)
+    along ``beta``: that of phi minus that of psi."""
+    return phi_direction(bundle, i, j, beta) - psi_direction(bundle, i, j, beta)
+
+
+def f_direction_transcribed(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
+    """The same derivative from the printed mixed-kernel density
 
         f1'(t, s, th) = -C(th) int_s^th psi(t,r) M phi(r,s) dr
                         + psi(t,th) D(th) phi(th,s)
-                        - (C+D)(th) int_s^th psi(t,r) M phi(t,r) dr.
-    """
+                        - (C+D)(th) int_s^th psi(t,r) M phi(t,r) dr,
 
-    def _density(self, i: int, j: int) -> np.ndarray:
-        """f1'(i, j, k) for k = j..i. The first integral is
-        psi(t, th) f(th, s) = psi(t, th) (phi(th, s) - psi(th, s))."""
-        tb = self.tables
-        ks = np.arange(j, i + 1)
-        C, D = self.C[ks], self.D[ks]
-        psi_ik = np.exp(tb.lh[i] - tb.lh[ks])
-        phi_kj = np.exp(tb.lhm[ks] - tb.lhm[j])
-        head = psi_ik * (phi_kj - np.exp(tb.lh[ks] - tb.lh[j]))
-        rev = cumulative_trapezoid(tb.M[ks] * np.exp(tb.lh[i] - tb.lh[ks]
-                                                     + tb.lhm[i] - tb.lhm[ks]), tb.grid.dt)
-        return -C * head + psi_ik * D * phi_kj - (C + D) * rev
-
-    def f1(self, i: int, j: int, k: int) -> float:
-        self._check(i, j, k)
-        return float(self._density(i, j)[k - j])
-
-    def f_direction(self, i: int, j: int, beta: np.ndarray) -> float:
-        self._check(i, j, j)
-        return float(trapezoid(self._density(i, j) * beta[j:i + 1], self.grid.dt))
+    paired with ``beta`` over th in [s, t]. The first integral is
+    psi(t, th) f(th, s) = psi(t, th) (phi(th, s) - psi(th, s))."""
+    tb = _direction_tables(bundle, i, j)
+    ks = np.arange(j, i + 1)
+    C, D = tb.C[ks], tb.D[ks]
+    psi_ik = np.exp(tb.lh[i] - tb.lh[ks])
+    phi_kj = np.exp(tb.lhm[ks] - tb.lhm[j])
+    head = psi_ik * (phi_kj - np.exp(tb.lh[ks] - tb.lh[j]))
+    rev = cumulative_trapezoid(tb.M[ks] * np.exp(tb.lh[i] - tb.lh[ks]
+                                                 + tb.lhm[i] - tb.lhm[ks]), tb.grid.dt)
+    density = -C * head + psi_ik * D * phi_kj - (C + D) * rev
+    return float(trapezoid(density * beta[j:i + 1], tb.grid.dt))
 
 
 def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import cost_gradient, covariance_profile, drift_profile, fd_cost_slope
+from .covariance import covariance_profile, drift_profile
 from .gain import build_filter, optimize_gain
 from .kernels import GainSchedule, kernel_bundle
 from .scenarios import resolve_scenario
@@ -27,11 +27,12 @@ from .validation import (
     ValidationSuite,
     _dump_kernels,
     _dump_optimizer,
+    _gradcheck,
+    _gradient_rows,
     _meta,
     _rate_residual,
     _rate_residuals,
     _reference,
-    _smooth_directions,
     write_csv,
 )
 
@@ -132,8 +133,9 @@ def _write_report(path: Path, scenario, seed, lines: list[str]) -> None:
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "simulate")
-    if args.paths < 1:
-        raise CliError("simulate", f"--paths must be >= 1, got {args.paths}")
+    if args.paths < 2:
+        raise CliError("simulate", f"--paths must be >= 2 (statistics need two "
+                                   f"replications), got {args.paths}")
     out = _prepare_out(args.out, ["paths.csv", "statistics.csv"], args.force)
     gain = _gain_for(args, scenario)
     ens = simulate_ensemble(scenario, gain, n_paths=args.paths, seed=args.seed)
@@ -203,24 +205,17 @@ def _cmd_covariance(args) -> int:
 def _cmd_gradcheck(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "gradcheck")
-    out = _prepare_out(args.out, ["gradcheck.csv", "gradient.csv"], args.force)
     if args.eps <= 0:
         raise CliError("gradcheck", "--eps must be positive")
+    if args.directions < 1:
+        raise CliError("gradcheck", f"--directions must be >= 1, got {args.directions}")
+    out = _prepare_out(args.out, ["gradcheck.csv", "gradient.csv"], args.force)
     gain = _gain_for(args, scenario)
-    bars = measure_averages(scenario)
-    bundle = kernel_bundle(scenario, gain)
-    g = cost_gradient(scenario, bundle, bars)
-    rows = []
-    for k, beta_vals in enumerate(_smooth_directions(scenario.grid, args.directions,
-                                                     args.seed)):
-        beta = GainSchedule(scenario.grid, beta_vals[:, None, None])
-        pairing = g.pair(beta_vals)
-        fd = fd_cost_slope(scenario, gain, beta, args.eps, bars)
-        rows.append((k, pairing, fd, abs(pairing - fd)))
+    g, rows = _gradcheck(scenario, gain, measure_averages(scenario), args.directions,
+                         args.seed, args.eps)
     write_csv(out / "gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
               _meta(scenario, args.seed, {"eps": f"{args.eps:g}"}))
-    write_csv(out / "gradient.csv", "t,g",
-              [(float(tv), float(v)) for tv, v in zip(scenario.grid.nodes, g.values)],
+    write_csv(out / "gradient.csv", "t,g", _gradient_rows(scenario, g),
               _meta(scenario, args.seed))
     worst = max(r[3] for r in rows)
     print(f"gradcheck: {len(rows)} directions, max |pairing - fd| = {worst:.3e}")

@@ -66,30 +66,15 @@ from .numerics import TimeGrid, cumulative_trapezoid, trapezoid
 from .system_model import BarQuantities, Scenario, ScenarioError, check_finite
 
 __all__ = [
-    "CovarianceField",
     "GradientField",
-    "error_covariance",
     "covariance_profile",
-    "covariance_field",
-    "covariance_drift",
     "drift_profile",
-    "covariance_sensitivity",
     "sensitivity_profile",
-    "mean_sensitivity",
     "mean_sensitivity_triangle",
     "trace_cost",
     "cost_gradient",
     "fd_cost_slope",
 ]
-
-
-@dataclass(frozen=True)
-class CovarianceField:
-    """K(u_i, t_j) for every atom and node, at one base gain."""
-
-    grid: TimeGrid
-    gain: GainSchedule
-    values: np.ndarray  # (k_atoms, N+1, n, n)
 
 
 @dataclass(frozen=True)
@@ -191,11 +176,6 @@ def _atom_terms(tb: ScalarTables, wbar, w_u, x_u) -> tuple[np.ndarray, ...]:
             2 * fr.integral(x_u - wbar, 1, 1))
 
 
-def _check_node(scenario: Scenario, node: int) -> None:
-    if not 0 <= node <= scenario.grid.n_steps:
-        raise ScenarioError(f"node {node} outside the grid [0, {scenario.grid.n_steps}]")
-
-
 def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
                        atom) -> np.ndarray:
     """K(u, t_j) at every node for one atom.
@@ -215,21 +195,6 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
         prof = 0.5 * (P + P.transpose(0, 2, 1))
     check_finite("covariance_profile", prof)
     return prof
-
-
-def error_covariance(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                     atom, node: int) -> np.ndarray:
-    """Error covariance K(u, t_node), an (n, n) symmetric PSD matrix:
-    node ``node`` of :func:`covariance_profile`.
-
-    K pairs the mean-transport kernel with the averaged loadings, the
-    pointwise kernel with the atom's loadings, and the two with the cross
-    loadings, over [0, t].
-    """
-    i = _atom_index(scenario, atom)
-    _check_node(scenario, node)
-    n = scenario.n
-    return covariance_profile(scenario, bundle, bars, i).reshape(-1, n, n)[node]
 
 
 def _joint_noise(scenario: Scenario, bars: BarQuantities, gain: GainSchedule,
@@ -262,26 +227,6 @@ def _joint_moments(tb: StepPropagators, W: np.ndarray, dt: float) -> np.ndarray:
     for i, R in enumerate(tb.R):
         P[i + 1] = R @ (P[i] + half[i]) @ R.T + half[i + 1]
     return P
-
-
-def covariance_field(scenario: Scenario, bundle: KernelBundle,
-                     bars: BarQuantities) -> CovarianceField:
-    """K(u, t) for all atoms and nodes."""
-    nn = scenario.grid.n_nodes
-    vals = np.zeros((scenario.n_atoms, nn, scenario.n, scenario.n))
-    for i in range(scenario.n_atoms):
-        vals[i] = covariance_profile(scenario, bundle, bars, i).reshape(vals.shape[1:])
-    return CovarianceField(grid=scenario.grid, gain=bundle.gain, values=vals)
-
-
-def covariance_drift(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                     atom, node: int) -> np.ndarray:
-    """One-sided half of the covariance rate, dK/dt = drift + drift', at
-    one node: node ``node`` of :func:`drift_profile`, shape (n, n)."""
-    i = _atom_index(scenario, atom)
-    _check_node(scenario, node)
-    n = scenario.n
-    return drift_profile(scenario, bundle, bars, i).reshape(-1, n, n)[node]
 
 
 def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
@@ -320,22 +265,14 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     return out
 
 
-def covariance_sensitivity(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                           atom, t_node: int, s_node: int) -> float:
-    """Sensitivity kernel at (t, s): the derivative of K(u, t) with respect
-    to the gain is the trapezoid pairing of this kernel (in s) with the
-    direction over [0, t]. Scalar mode only; requires s_node <= t_node."""
-    if not 0 <= s_node <= t_node <= scenario.grid.n_steps:
-        raise ScenarioError(f"need s <= t on the grid, got (t={t_node}, s={s_node})")
-    row = sensitivity_profile(scenario, bundle, bars, atom, t_node)
-    return float(row[s_node])
-
-
 def sensitivity_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
                         atom, t_node: int) -> np.ndarray:
-    """k2(u, t_node, s_j) for all j <= t_node (scalar mode)."""
+    """Sensitivity kernel k2(u, t_node, s_j) for all j <= t_node (scalar
+    mode): the derivative of K(u, t_node) with respect to the gain is the
+    trapezoid pairing of this row with the direction over [0, t_node]."""
     i = _atom_index(scenario, atom)
-    _check_node(scenario, t_node)
+    if not 0 <= t_node <= scenario.grid.n_steps:
+        raise ScenarioError(f"node {t_node} outside the grid [0, {scenario.grid.n_steps}]")
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     return _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.phi_row(t_node), *w.atom(i))
@@ -378,26 +315,15 @@ def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, psi, phi,
     return 2.0 * half
 
 
-def mean_sensitivity(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                     t_node: int, s_node: int) -> float:
-    """Measure-averaged sensitivity kernel at one (t, s) pair. The kernel
-    is affine in the atom loadings and their squares, so this equals the
-    measure-weighted sum of the per-atom kernels."""
-    if not 0 <= s_node <= t_node <= scenario.grid.n_steps:
-        raise ScenarioError(f"need s <= t on the grid, got (t={t_node}, s={s_node})")
-    tb = _require_scalar_bundle(bundle)
-    w = _ScalarWeights(scenario, bars, bundle.gain)
-    row = _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.phi_row(t_node), *w.averaged())
-    return float(row[s_node])
-
-
 def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
                               bars: BarQuantities) -> np.ndarray:
     """Averaged sensitivity kernel on the whole triangle: (N+1, N+1) array
     with entry [i, j] = mean kernel at (t_i, s_j), zero above the diagonal.
 
     Vectorized over both indices; cost O(N^2). On the averaged weights the
-    D-term is the running integral of phi^2 wbar."""
+    D-term is the running integral of phi^2 wbar. The kernel is affine in
+    the atom loadings and their squares, so each row is the
+    measure-weighted sum of the atoms' :func:`sensitivity_profile` rows."""
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     return np.tril(_sensitivity_kernel(tb, w, tb.psi_triangle(), tb.phi_triangle(),

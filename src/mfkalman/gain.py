@@ -52,7 +52,6 @@ __all__ = [
     "RiccatiSolution",
     "FilterCoefficients",
     "optimize_gain",
-    "stationarity_residual",
     "riccati_classical",
     "riccati_normal_flow",
     "build_filter",
@@ -255,19 +254,6 @@ def optimize_gain(scenario: Scenario, *, initial_gain=None, max_iter: int = 2000
         final_cost=final_cost,
         message=message,
     )
-
-
-def stationarity_residual(scenario: Scenario, gain: GainSchedule,
-                          bars: BarQuantities | None = None) -> float:
-    """Sup over nodes of |tail integral of Sigma times the averaged
-    sensitivity kernel| — identical to the gradient sup-norm."""
-    if not scenario.scalar_mode:
-        raise ScenarioError("stationarity residual requires a scalar scenario")
-    if bars is None:
-        bars = measure_averages(scenario)
-    bundle = kernel_bundle(scenario, gain)
-    g = cost_gradient(scenario, bundle, bars).values
-    return float(np.max(np.abs(g)))
 
 
 def _as_time_fn(value):

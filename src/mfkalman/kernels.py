@@ -1,5 +1,4 @@
-"""Two-time transition operators, the mixed coupling kernel, and their
-gain derivatives.
+"""Two-time transition operators and the mixed coupling kernel.
 
 Three kernels drive everything:
 
@@ -22,11 +21,8 @@ mode the mean error and the pointwise error form one linear system with
 generator [[H + M, 0], [M, H]] and transition [[phi, 0], [f, psi]]; its
 classical Runge-Kutta step maps, one per grid step, are the O(N) tables
 (:class:`StepPropagators`). In both modes the dense lower triangles are
-generated only when a caller asks for them.
-
-The directional (Gateaux) derivatives with respect to the gain are
-available in scalar mode through :class:`DerivativeKernels`; the mixed
-kernel's is the difference of those of phi and psi.
+generated only when a caller asks for them. The kernels' gain derivatives
+serve only the formula arbitration and live in :mod:`mfkalman.arbitration`.
 """
 
 from __future__ import annotations
@@ -40,19 +36,13 @@ from .numerics import (
     TriangularKernel,
     _rk4_step,
     cumulative_trapezoid,
-    trapezoid,
 )
 from .system_model import Scenario, ScenarioError, _as_matrix, _stack_values
 
 __all__ = [
     "GainSchedule",
     "KernelBundle",
-    "DerivativeKernels",
-    "compute_phi",
-    "compute_psi",
-    "compute_f",
     "kernel_bundle",
-    "derivative_kernels",
 ]
 
 
@@ -232,12 +222,6 @@ class ScalarTables:
         self.lhm = cumulative_trapezoid(self.H + self.M, dt)
         self.frames = Frames(self.lh, self.lhm, dt)
 
-    def psi_value(self, i: int, j: int) -> float:
-        return float(np.exp(self.lh[i] - self.lh[j]))
-
-    def phi_value(self, i: int, j: int) -> float:
-        return float(np.exp(self.lhm[i] - self.lhm[j]))
-
     def psi_triangle(self) -> np.ndarray:
         return _lower_exp(self.lh)
 
@@ -326,29 +310,6 @@ def _tables(scenario: Scenario, gain: GainSchedule):
     return H, M, kind(scenario, gain, H, M)
 
 
-def compute_phi(scenario: Scenario, gain: GainSchedule) -> TriangularKernel:
-    """Transition operator of the mean-error dynamics (generator H + M)."""
-    return TriangularKernel(scenario.grid, _tables(scenario, gain)[2].phi_triangle())
-
-
-def compute_psi(scenario: Scenario, gain: GainSchedule) -> TriangularKernel:
-    """Transition operator of the pointwise error dynamics (generator H)."""
-    return TriangularKernel(scenario.grid, _tables(scenario, gain)[2].psi_triangle())
-
-
-def compute_f(scenario: Scenario, gain: GainSchedule,
-              phi: TriangularKernel, psi: TriangularKernel) -> TriangularKernel:
-    """Mixed kernel f(t, s) = int_s^t psi(t, r) M(r) phi(r, s) dr.
-
-    Both f and phi - psi vanish at t = s and solve d/dt f = M phi + H f,
-    so f = phi - psi exactly (variation of constants), in scalar and in
-    matrix mode; ``phi`` and ``psi`` must be the kernels at ``gain``.
-    """
-    if not scenario.grid.same_as(phi.grid) or not scenario.grid.same_as(psi.grid):
-        raise ScenarioError("phi/psi triangles live on a different grid")
-    return TriangularKernel(scenario.grid, phi.values - psi.values)
-
-
 @dataclass(frozen=True)
 class KernelBundle:
     """Closed-loop drifts and the three kernels at one gain.
@@ -386,7 +347,7 @@ class KernelBundle:
 
     @property
     def f(self) -> TriangularKernel:
-        """phi - psi (see :func:`compute_f`)."""
+        """phi - psi (variation of constants, see the module docstring)."""
         return self._triangle("f")
 
 
@@ -394,66 +355,3 @@ def kernel_bundle(scenario: Scenario, gain: GainSchedule) -> KernelBundle:
     """Compute H, M and the kernel tables at the given gain, with the
     triangles deferred to first access."""
     return KernelBundle(scenario.grid, gain, *_tables(scenario, gain))
-
-
-class DerivativeKernels:
-    """Directional-derivative kernels of phi, psi and f (scalar mode).
-
-    For a perturbation direction ``beta`` the derivative of each kernel is
-    the trapezoid pairing of a three-time density with ``beta`` over the
-    middle interval, e.g.
-
-        d/d(eps) psi_{gain + eps beta}(t, s) |_0
-            = int_s^t psi1(t, s, theta) beta(theta) d(theta).
-
-    Index convention: (i, j, k) = (upper time, lower time, derivative
-    time) with j <= k <= i. Evaluation is lazy; nothing cubic is stored.
-    """
-
-    def __init__(self, bundle: KernelBundle, scenario: Scenario):
-        if not isinstance(bundle.tables, ScalarTables):
-            raise ScenarioError("derivative kernels are defined in scalar mode only")
-        self.tables = bundle.tables
-        self.grid = bundle.grid
-        self.C = scenario.flat("C")
-        self.D = scenario.flat("D")
-
-    def _check(self, i: int, j: int, k: int):
-        if not (0 <= j <= k <= i <= self.grid.n_steps):
-            raise ScenarioError(
-                f"derivative time must satisfy j <= k <= i, got (i={i}, j={j}, k={k})"
-            )
-
-    def psi1(self, i: int, j: int, k: int) -> float:
-        self._check(i, j, k)
-        return -self.C[k] * self.tables.psi_value(i, j)
-
-    def f1(self, i: int, j: int, k: int) -> float:
-        """Derivative density of the mixed kernel f = phi - psi: that of
-        phi, -(C + D)(theta) phi(t, s), minus that of psi,
-        -C(theta) psi(t, s)."""
-        self._check(i, j, k)
-        tb = self.tables
-        return -(self.C[k] + self.D[k]) * tb.phi_value(i, j) + self.C[k] * tb.psi_value(i, j)
-
-    # direction contractions ---------------------------------------------
-    def psi_direction(self, i: int, j: int, beta: np.ndarray) -> float:
-        """Trapezoid of psi1(i, j, .) * beta over [t_j, t_i]."""
-        self._check(i, j, j)
-        ks = np.arange(j, i + 1)
-        density = -self.C[ks] * self.tables.psi_value(i, j)
-        return float(trapezoid(density * beta[ks], self.grid.dt))
-
-    def phi_direction(self, i: int, j: int, beta: np.ndarray) -> float:
-        self._check(i, j, j)
-        ks = np.arange(j, i + 1)
-        density = -(self.C[ks] + self.D[ks]) * self.tables.phi_value(i, j)
-        return float(trapezoid(density * beta[ks], self.grid.dt))
-
-    def f_direction(self, i: int, j: int, beta: np.ndarray) -> float:
-        return self.phi_direction(i, j, beta) - self.psi_direction(i, j, beta)
-
-
-def derivative_kernels(bundle: KernelBundle, scenario: Scenario) -> DerivativeKernels:
-    """Directional-derivative kernel evaluators at the bundle's base gain."""
-    return DerivativeKernels(bundle, scenario)

@@ -22,9 +22,10 @@ import numpy as np
 
 from . import __version__
 from .arbitration import (
-    TranscribedDerivativeKernels,
     cost_gradient_transcribed,
     covariance_profile_transcribed,
+    f_direction,
+    f_direction_transcribed,
 )
 from .covariance import (
     cost_gradient,
@@ -33,7 +34,7 @@ from .covariance import (
     fd_cost_slope,
 )
 from .gain import optimize_gain, riccati_classical, riccati_normal_flow
-from .kernels import GainSchedule, derivative_kernels, kernel_bundle
+from .kernels import GainSchedule, kernel_bundle
 from .scenarios import (
     classical_scenario,
     cross_pairing_probe,
@@ -154,6 +155,26 @@ def _smooth_directions(grid, count: int, seed: int) -> list[np.ndarray]:
     return out
 
 
+def _gradcheck(scenario: Scenario, gain: GainSchedule, bars, count: int, seed: int,
+               eps: float):
+    """Gradient density at ``gain`` and, for each of ``count`` smooth
+    directions, the row (direction, pairing, fd_oracle, abs_diff) of its
+    pairing against the central-difference cost slope."""
+    g = cost_gradient(scenario, kernel_bundle(scenario, gain), bars)
+    rows = []
+    for k, beta_vals in enumerate(_smooth_directions(scenario.grid, count, seed)):
+        beta = GainSchedule(scenario.grid, beta_vals[:, None, None])
+        pairing = g.pair(beta_vals)
+        fd = fd_cost_slope(scenario, gain, beta, eps, bars)
+        rows.append((k, pairing, fd, abs(pairing - fd)))
+    return g, rows
+
+
+def _gradient_rows(scenario: Scenario, g) -> list[tuple[float, float]]:
+    """(t, g) rows of ``gradient.csv``."""
+    return [(float(t), float(v)) for t, v in zip(scenario.grid.nodes, g.values)]
+
+
 class ValidationSuite:
     """Runs the acceptance criteria and writes the CSV artifacts."""
 
@@ -239,25 +260,17 @@ class ValidationSuite:
         the closed-form spot value for the zero-gain benchmark."""
         scen = classical_scenario(steps=400)
         bars = measure_averages(scen)
-        zero = GainSchedule.constant(scen.grid, 0.0)
-        bundle = kernel_bundle(scen, zero)
-        g = cost_gradient(scen, bundle, bars)
-        directions = _smooth_directions(scen.grid, 5, self.seed + 23)
         eps = 1e-4
-        rows = []
+        g, rows = _gradcheck(scen, GainSchedule.constant(scen.grid, 0.0), bars, 5,
+                             self.seed + 23, eps)
         passed = True
         details = []
-        for k, beta_vals in enumerate(directions):
-            beta = GainSchedule(scen.grid, beta_vals[:, None, None])
-            pairing = g.pair(beta_vals)
-            fd = fd_cost_slope(scen, zero, beta, eps, bars)
-            diff = abs(pairing - fd)
+        for k, pairing, _, diff in rows:
             tol = 1e-3 * (1.0 + abs(pairing))
-            rows.append((k, pairing, fd, diff))
             if diff > tol:
                 passed = False
                 details.append(f"direction {k}: |pairing - fd| = {diff:.3e} > {tol:.3e}")
-        spot = g.pair(directions[0])
+        spot = rows[0][1]   # direction 0 is constant 1
         spot_err = abs(spot - (-1.0 / 3.0))
         spot_ok = spot_err <= 1e-5
         fd0_diff = rows[0][3]
@@ -265,13 +278,11 @@ class ValidationSuite:
         passed = passed and spot_ok and fd0_ok
         details.insert(0, f"constant direction: pairing {spot:.8f} vs -1/3 "
                           f"(err {spot_err:.2e}, tol 1e-5); fd gap {fd0_diff:.2e}")
-        details.append(f"max fd gap over {len(directions)} directions: "
+        details.append(f"max fd gap over {len(rows)} directions: "
                        f"{max(r[3] for r in rows):.3e}")
         self._write("gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
                     _meta(scen, self.seed, {"eps": "%.17g" % eps}))
-        self._write("gradient.csv", "t,g",
-                    [(float(t), float(v)) for t, v in zip(scen.grid.nodes, g.values)],
-                    _meta(scen, self.seed))
+        self._write("gradient.csv", "t,g", _gradient_rows(scen, g), _meta(scen, self.seed))
         return CriterionResult("C3", "gradient correctness", passed, details)
 
     def criterion_classical_reference(self) -> CriterionResult:
@@ -395,7 +406,6 @@ class ValidationSuite:
         base = GainSchedule(rough.grid, base_vals[:, None, None])
         beta_vals = 0.7 - 0.5 * np.sin(3 * rough.grid.nodes)
         rb = kernel_bundle(rough, base)
-        dk = derivative_kernels(rb, rough)
         eps = 1e-4
         i, j = rough.grid.n_steps, 0
         up = kernel_bundle(rough, base.with_values(
@@ -403,8 +413,8 @@ class ValidationSuite:
         dn = kernel_bundle(rough, base.with_values(
             (base_vals - eps * beta_vals)[:, None, None]))
         fd = (up.f.values[i, j] - dn.f.values[i, j]) / (2 * eps)
-        d_re = abs(dk.f_direction(i, j, beta_vals) - fd)
-        d_tr = abs(TranscribedDerivativeKernels(rb, rough).f_direction(i, j, beta_vals) - fd)
+        d_re = abs(f_direction(rb, i, j, beta_vals) - fd)
+        d_tr = abs(f_direction_transcribed(rb, i, j, beta_vals) - fd)
         tol_b = 1e-3 * (1.0 + abs(fd))
         ok_b = d_re <= tol_b
         passed = passed and ok_b

@@ -5,14 +5,14 @@ import numpy as np
 from mfkalman import (
     GainSchedule,
     cost_gradient,
-    derivative_kernels,
     fd_cost_slope,
     kernel_bundle,
 )
 from mfkalman.arbitration import (
-    TranscribedDerivativeKernels,
     cost_gradient_transcribed,
     drift_profile_transcribed,
+    f_direction,
+    f_direction_transcribed,
 )
 
 
@@ -34,8 +34,8 @@ def test_transcribed_form_fails_oracle(rough_pack):
         (gain.scalar - eps * beta)[:, None, None]))
     i = scen.grid.n_steps
     fd = (up.f.values[i, 0] - dn.f.values[i, 0]) / (2 * eps)
-    good = derivative_kernels(bundle, scen).f_direction(i, 0, beta)
-    bad = TranscribedDerivativeKernels(bundle, scen).f_direction(i, 0, beta)
+    good = f_direction(bundle, i, 0, beta)
+    bad = f_direction_transcribed(bundle, i, 0, beta)
     assert abs(good - fd) < 1e-5 * (1 + abs(fd))
     assert abs(bad - fd) > 100 * abs(good - fd)
 

@@ -26,6 +26,13 @@ class TestSimulate:
         assert code != 0
         assert "simulate" in capsys.readouterr().err
 
+    def test_one_path_rejected_before_writing(self, tmp_path, capsys):
+        # the statistics need two replications; nothing may be written first
+        out = tmp_path / "out"
+        assert main(["simulate", "--steps", "20", "--paths", "1", "--out", str(out)]) != 0
+        assert "--paths" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_paths_and_statistics(self, tmp_path):
         code = main(["simulate", "--scenario", "classical", "--steps", "50",
                      "--paths", "200", "--seed", "5", "--out", str(tmp_path)])
@@ -99,6 +106,21 @@ class TestGradcheck:
         # remaining directions satisfy the relative tolerance
         for row in rows[1:]:
             assert float(row[3]) <= 1e-3 * (1 + abs(float(row[1])))
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_directions_below_one_rejected(self, tmp_path, capsys, count):
+        out = tmp_path / "out"
+        assert main(["gradcheck", "--steps", "20", "--directions", count,
+                     "--out", str(out)]) != 0
+        assert "--directions" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["0", "-1e-4"])
+    def test_nonpositive_eps_rejected_before_output(self, tmp_path, capsys, eps):
+        out = tmp_path / "out"
+        assert main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)]) != 0
+        assert "--eps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOptimize:

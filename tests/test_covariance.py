@@ -10,17 +10,14 @@ from mfkalman import (
     check_finite,
     classical_scenario,
     cost_gradient,
-    covariance_drift,
-    covariance_field,
     covariance_profile,
-    covariance_sensitivity,
     dirac_measure,
     discrete_measure,
-    error_covariance,
+    drift_profile,
     fd_cost_slope,
     kernel_bundle,
     make_grid,
-    mean_sensitivity,
+    mean_sensitivity_triangle,
     measure_averages,
     normal_flow_scenario,
     optimize_gain,
@@ -32,8 +29,7 @@ from mfkalman.covariance import (
     _averaged_terms,
     _ScalarWeights,
     _gradient_from_kernel,
-    drift_profile,
-    mean_sensitivity_triangle,
+    _sensitivity_kernel,
 )
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
@@ -229,7 +225,7 @@ def matrix_pack():
 class TestErrorCovariance:
     def test_zero_at_start(self, classical_pack):
         scen, bars, bundle = classical_pack
-        K0 = error_covariance(scen, bundle, bars, 0, 0)
+        K0 = covariance_profile(scen, bundle, bars, 0)[0]
         np.testing.assert_allclose(K0, 0.0, atol=0)
 
     def test_zero_gain_gives_time(self, classical_pack):
@@ -250,17 +246,17 @@ class TestErrorCovariance:
 
     def test_atom_lookup_by_point(self, classical_pack):
         scen, bars, bundle = classical_pack
-        by_index = error_covariance(scen, bundle, bars, 0, 50)
-        by_point = error_covariance(scen, bundle, bars, 0.0, 50)
+        by_index = covariance_profile(scen, bundle, bars, 0)
+        by_point = covariance_profile(scen, bundle, bars, 0.0)
         np.testing.assert_array_equal(by_index, by_point)
         with pytest.raises(ScenarioError):
-            error_covariance(scen, bundle, bars, 5.0, 50)
+            covariance_profile(scen, bundle, bars, 5.0)
 
     def test_matrix_mode_block_diagonal(self):
         # mean coupling on, so the mixed kernel and cross quadratures are live
         scen2, bars2, bundle2 = _coupled_matrix_scenario(steps=80)
         grid = scen2.grid
-        K2 = error_covariance(scen2, bundle2, bars2, 0, 80)
+        K2 = covariance_profile(scen2, bundle2, bars2, 0)[80]
         assert K2.shape == (2, 2)
         np.testing.assert_allclose(K2, K2.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(K2)) >= -1e-10
@@ -290,30 +286,25 @@ class TestErrorCovariance:
                     for a, wa in enumerate(scen.measure.weights))
         np.testing.assert_allclose(atoms, kbar, rtol=0, atol=1e-13 * np.max(np.abs(kbar)))
 
-    def test_field_shapes(self, rough_pack):
-        scen, bars, _, bundle = rough_pack
-        field = covariance_field(scen, bundle, bars)
-        assert field.values.shape == (2, scen.grid.n_nodes, 1, 1)
-        np.testing.assert_allclose(field.values[:, 0], 0.0, atol=0)
-
-    @pytest.mark.parametrize("mode", ["scalar", "matrix"])
-    @pytest.mark.parametrize("offset", [-1, 1])
-    def test_rejects_node_off_the_grid(self, classical_pack, matrix_pack, mode, offset):
-        scen, bars, bundle = classical_pack if mode == "scalar" else matrix_pack
-        node = -1 if offset < 0 else scen.grid.n_steps + 1
-        with pytest.raises(ScenarioError):
-            error_covariance(scen, bundle, bars, 0, node)
+    def test_field_shapes(self, rough_pack, matrix_pack):
+        # one profile per atom: (N+1,) in scalar mode, (N+1, n, n) in matrix mode
+        scalar = rough_pack[0], rough_pack[1], rough_pack[3]
+        for (scen, bars, bundle), shape in [(scalar, ()), (matrix_pack, (2, 2))]:
+            for atom in range(scen.n_atoms):
+                prof = covariance_profile(scen, bundle, bars, atom)
+                assert prof.shape == (scen.grid.n_nodes,) + shape
+                np.testing.assert_allclose(prof[0], 0.0, atol=0)
 
 
 class TestCovarianceDrift:
     def test_zero_at_start(self, classical_pack):
         scen, bars, bundle = classical_pack
-        np.testing.assert_allclose(covariance_drift(scen, bundle, bars, 0, 0), 0.0)
+        np.testing.assert_allclose(drift_profile(scen, bundle, bars, 0)[0], 0.0)
 
     def test_classical_half(self, classical_pack):
         scen, bars, bundle = classical_pack
-        K1 = covariance_drift(scen, bundle, bars, 0, 50)
-        assert K1[0, 0] == pytest.approx(0.5, abs=1e-14)
+        K1 = drift_profile(scen, bundle, bars, 0)[50]
+        assert K1 == pytest.approx(0.5, abs=1e-14)
 
     def test_rate_consistency_random_scenario(self, rough_pack):
         scen, bars, _, bundle = rough_pack
@@ -328,19 +319,11 @@ class TestCovarianceDrift:
     def test_matrix_drift_matches_scalar(self):
         scen2, bars2, bundle2 = _coupled_matrix_scenario(steps=60)
         grid = scen2.grid
-        K1m = covariance_drift(scen2, bundle2, bars2, 0, 60)
+        K1m = drift_profile(scen2, bundle2, bars2, 0)[60]
         scen1 = scalar_scenario(grid=grid, A=-0.4, B=0.5, D=0.3, sigma=0.9)
         b1 = kernel_bundle(scen1, GainSchedule.constant(grid, 0.5))
         K1s = drift_profile(scen1, b1, measure_averages(scen1), 0)
         assert K1m[0, 0] == pytest.approx(K1s[-1], abs=1e-7)
-
-    @pytest.mark.parametrize("mode", ["scalar", "matrix"])
-    @pytest.mark.parametrize("offset", [-1, 1])
-    def test_rejects_node_off_the_grid(self, classical_pack, matrix_pack, mode, offset):
-        scen, bars, bundle = classical_pack if mode == "scalar" else matrix_pack
-        node = -1 if offset < 0 else scen.grid.n_steps + 1
-        with pytest.raises(ScenarioError):
-            covariance_drift(scen, bundle, bars, 0, node)
 
 
 class TestSensitivityKernel:
@@ -348,8 +331,6 @@ class TestSensitivityKernel:
         scen, bars, bundle = classical_pack
         row = sensitivity_profile(scen, bundle, bars, 0, 75)
         np.testing.assert_allclose(row, -2.0 * scen.grid.nodes[:76], atol=1e-13)
-        assert covariance_sensitivity(scen, bundle, bars, 0, 75, 30) == pytest.approx(
-            -2.0 * scen.grid.nodes[30], abs=1e-13)
 
     def test_no_diffusion_gives_zero(self):
         scen = scalar_scenario(steps=50, sigma=0.0, gamma=0.0)
@@ -377,17 +358,32 @@ class TestSensitivityKernel:
                 quad = np.trapezoid(row * beta[: i + 1], dx=dt)
                 assert abs(quad - fd) <= 1e-3 * max(abs(fd), 1e-3)
 
-    def test_requires_scalar_and_ordering(self, classical_pack):
+    def test_requires_scalar_and_ordering(self, classical_pack, matrix_pack):
+        scen, bars, bundle = matrix_pack
+        with pytest.raises(ScenarioError, match="scalar mode"):
+            sensitivity_profile(scen, bundle, bars, 0, 10)
+        with pytest.raises(ScenarioError, match="scalar mode"):
+            mean_sensitivity_triangle(scen, bundle, bars)
+        # the kernel lives on s <= t: a row stops at t, the triangle is
+        # zero above its diagonal
         scen, bars, bundle = classical_pack
-        with pytest.raises(ScenarioError):
-            covariance_sensitivity(scen, bundle, bars, 0, 10, 20)
+        assert sensitivity_profile(scen, bundle, bars, 0, 10).shape == (11,)
+        tri = mean_sensitivity_triangle(scen, bundle, bars)
+        np.testing.assert_array_equal(tri[np.triu_indices(scen.grid.n_nodes, 1)], 0.0)
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_rejects_node_off_the_grid(self, classical_pack, offset):
+        scen, bars, bundle = classical_pack
+        node = -1 if offset < 0 else scen.grid.n_steps + 1
+        with pytest.raises(ScenarioError, match="outside the grid"):
+            sensitivity_profile(scen, bundle, bars, 0, node)
 
 
 class TestMeanSensitivity:
     def test_zero_gain_closed_form(self, classical_pack):
         scen, bars, bundle = classical_pack
-        assert mean_sensitivity(scen, bundle, bars, 80, 40) == pytest.approx(
-            -2.0 * scen.grid.nodes[40], abs=1e-13)
+        tri = mean_sensitivity_triangle(scen, bundle, bars)
+        assert tri[80, 40] == pytest.approx(-2.0 * scen.grid.nodes[40], abs=1e-13)
 
     def test_interacting_benchmark_formula(self):
         """Direct quadrature of the vanished-bars reduction:
@@ -399,20 +395,22 @@ class TestMeanSensitivity:
         psi = bundle.psi.values
         g = gain.scalar
         dt = scen.grid.dt
+        tri = mean_sensitivity_triangle(scen, bundle, bars)
         for (i, j) in [(100, 40), (70, 70), (90, 10)]:
             theta = np.arange(j + 1)
             integrand = psi[i, theta] ** 2 * (1.0 + g[theta] ** 2)
             integral = np.trapezoid(integrand, dx=dt) if j > 0 else 0.0
             expected = 2.0 * (-integral + psi[i, j] ** 2 * g[j])
-            got = mean_sensitivity(scen, bundle, bars, i, j)
+            got = tri[i, j]
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_triangle_row_equals_row_path_and_atom_sum(self, rough_pack):
         scen, bars, _, bundle = rough_pack
         tri = mean_sensitivity_triangle(scen, bundle, bars)
+        tb, w = bundle.tables, _ScalarWeights(scen, bars, bundle.gain)
         ws = scen.measure.weights
         for i in (200, 150, 120):
-            row = np.array([mean_sensitivity(scen, bundle, bars, i, j) for j in range(i + 1)])
+            row = _sensitivity_kernel(tb, w, tb.psi_row(i), tb.phi_row(i), *w.averaged())
             atoms = sum(ws[a] * sensitivity_profile(scen, bundle, bars, a, i)
                         for a in range(scen.n_atoms))
             np.testing.assert_allclose(tri[i, : i + 1], row, rtol=0, atol=1e-10)
@@ -648,10 +646,6 @@ class TestMatrixJointRecursion:
             prof = covariance_profile(scen, bundle, bars, atom)
             assert _rel(prof, K) <= 1e-12
             assert _rel(drift_profile(scen, bundle, bars, atom), drift) <= 1e-12
-            for node in (steps // 3, steps):
-                assert _rel(covariance_drift(scen, bundle, bars, atom, node), drift[node]) <= 1e-12
-                np.testing.assert_array_equal(error_covariance(scen, bundle, bars, atom, node),
-                                              prof[node])
             cost += weight * trapezoid(np.einsum("jab,jba->j", scen.Sigma, K), scen.grid.dt)
         for kernel, oracle in zip((bundle.phi, bundle.psi, bundle.f), triangles):
             assert _rel(kernel.values, oracle) <= 1e-12

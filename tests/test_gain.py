@@ -16,7 +16,6 @@ from mfkalman import (
     optimize_gain,
     riccati_classical,
     riccati_normal_flow,
-    stationarity_residual,
     trace_cost,
     trapezoid,
 )
@@ -25,6 +24,12 @@ from mfkalman.gain import _diagonal_update
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import scalar_scenario
+
+
+def _stationarity(scen, gain):
+    """Sup over nodes of |g|, the first-order optimality residual."""
+    g = cost_gradient(scen, kernel_bundle(scen, gain), measure_averages(scen))
+    return float(np.max(np.abs(g.values)))
 
 
 def _diagonal_update_by_rows(scenario, bars, values, nodes):
@@ -106,8 +111,7 @@ class TestRiccatiNormalFlow:
     def test_reference_gain_is_stationary(self):
         scen = normal_flow_scenario(steps=100)
         sol = riccati_normal_flow(0.0, 1.0, scen.grid)
-        resid = stationarity_residual(scen, sol.gain())
-        assert resid <= 1e-3
+        assert _stationarity(scen, sol.gain()) <= 1e-3
 
 
 class TestOptimizeGain:
@@ -273,21 +277,29 @@ class TestCurvature:
 
 
 class TestStationarityResidual:
+    """The sup-norm of the gradient density, which
+    ``OptimizationReport.stationarity`` reports."""
+
     def test_zero_gain_value(self):
         scen = classical_scenario(steps=200)
-        resid = stationarity_residual(scen, GainSchedule.constant(scen.grid, 0.0))
+        resid = _stationarity(scen, GainSchedule.constant(scen.grid, 0.0))
         # tail integral of the zero-gain kernel peaks at mid-horizon: 2t(1-t)
         assert resid == pytest.approx(0.5, abs=1e-3)
 
     def test_small_at_reference(self):
         scen = classical_scenario(steps=200)
         gain = GainSchedule.from_callable(scen.grid, np.tanh)
-        assert stationarity_residual(scen, gain) <= 1e-3
+        assert _stationarity(scen, gain) <= 1e-3
 
     def test_zero_without_diffusion(self):
         scen = scalar_scenario(steps=60, sigma=0.0, gamma=0.0)
-        resid = stationarity_residual(scen, GainSchedule.constant(scen.grid, 0.3))
+        resid = _stationarity(scen, GainSchedule.constant(scen.grid, 0.3))
         assert resid == 0.0
+
+    def test_report_stationarity_is_gradient_sup(self):
+        scen = cross_pairing_probe(steps=100)
+        report = optimize_gain(scen, max_iter=3)
+        assert report.stationarity == _stationarity(scen, report.gain)
 
 
 class TestBuildFilter:

@@ -5,16 +5,18 @@ from mfkalman import (
     GainSchedule,
     ScenarioError,
     build_scenario,
-    compute_f,
-    compute_phi,
-    compute_psi,
-    derivative_kernels,
     dirac_measure,
     covariance_profile,
     cumulative_trapezoid,
     kernel_bundle,
     make_grid,
     measure_averages,
+)
+from mfkalman.arbitration import (
+    f_direction,
+    f_direction_transcribed,
+    phi_direction,
+    psi_direction,
 )
 from mfkalman.kernels import FRAME_SPAN, Frames
 from mfkalman.scenarios import random_smooth_scenario
@@ -46,7 +48,7 @@ class TestPhi:
     def test_constant_negative_generator(self):
         # A = -1, B = 0, zero gain: generator of phi is -1
         scen = scalar_scenario(steps=200, A=-1.0)
-        phi = compute_phi(scen, zero_gain(scen))
+        phi = kernel_bundle(scen, zero_gain(scen)).phi
         assert phi.values[200, 0] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_diagonal_identity(self, rough_pack):
@@ -66,13 +68,13 @@ class TestPhi:
 class TestPsi:
     def test_zero_generator(self):
         scen = scalar_scenario(steps=100)  # A = 0
-        psi = compute_psi(scen, zero_gain(scen))
+        psi = kernel_bundle(scen, zero_gain(scen)).psi
         np.testing.assert_allclose(psi.values[np.tril_indices(101)], 1.0)
 
     def test_tanh_gain_closed_form(self):
         scen = scalar_scenario(steps=400)
         gain = GainSchedule.from_callable(scen.grid, np.tanh)
-        psi = compute_psi(scen, gain)
+        psi = kernel_bundle(scen, gain).psi
         # generator -tanh integrates to -log cosh
         assert psi.values[400, 0] == pytest.approx(1.0 / np.cosh(1.0), abs=1e-5)
 
@@ -120,11 +122,10 @@ class TestF:
         np.testing.assert_allclose(bundle.f.diagonal(), 0.0, atol=0)
 
     def test_f_is_phi_minus_psi(self, rough_pack):
-        scen, _, gain, bundle = rough_pack
-        phi, psi = compute_phi(scen, gain), compute_psi(scen, gain)
-        np.testing.assert_array_equal(bundle.f.values, phi.values - psi.values)
-        np.testing.assert_array_equal(compute_f(scen, gain, phi, psi).values,
-                                      phi.values - psi.values)
+        scen, _, gain, _ = rough_pack
+        bundle = kernel_bundle(scen, gain)
+        f = bundle.f.values   # built before phi and psi are asked for
+        np.testing.assert_array_equal(f, bundle.phi.values - bundle.psi.values)
 
     def test_defining_quadrature_converges_to_f(self):
         # the trapezoid of int_s^t psi(t, r) M(r) phi(r, s) dr carries an
@@ -194,10 +195,10 @@ class TestKernelBundle:
         psi = bundle.psi
         assert bundle.psi is psi
         assert set(bundle.triangles) == {"psi"}
-        np.testing.assert_array_equal(psi.values, compute_psi(scen, gain).values)
-        np.testing.assert_array_equal(bundle.phi.values, compute_phi(scen, gain).values)
-        np.testing.assert_array_equal(bundle.f.values,
-                                      compute_f(scen, gain, bundle.phi, psi).values)
+        np.testing.assert_array_equal(psi.values, bundle.tables.psi_triangle())
+        np.testing.assert_array_equal(bundle.phi.values, bundle.tables.phi_triangle())
+        np.testing.assert_array_equal(bundle.f.values, bundle.phi.values - psi.values)
+        assert set(bundle.triangles) == {"phi", "psi", "f"}
 
 
 class TestFrames:
@@ -263,7 +264,7 @@ class TestMatrixMode:
     def test_rk4_matches_exponential(self, pair):
         grid, scen2, _, _ = pair
         gain2 = GainSchedule.constant(grid, np.zeros((2, 2)), 2, 2)
-        psi = compute_psi(scen2, gain2)
+        psi = kernel_bundle(scen2, gain2).psi
         # component 0 has constant generator a0 = -0.4
         expected = np.exp(-0.4 * (grid.nodes[:, None] - grid.nodes[None, :]))
         tri = np.tril_indices(grid.n_nodes)
@@ -303,8 +304,8 @@ class TestMatrixMode:
                 Q=np.eye(2), Q0=np.eye(2), Sigma=lambda t: np.eye(2))
             gain = GainSchedule.constant(grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
             bundle = kernel_bundle(scen, gain)
-            phi, psi = compute_phi(scen, gain), compute_psi(scen, gain)
-            np.testing.assert_array_equal(bundle.f.values, phi.values - psi.values)
+            f = bundle.f.values
+            np.testing.assert_array_equal(f, bundle.phi.values - bundle.psi.values)
             assert np.max(np.abs(bundle.f.values[:, :, 0, 1])) > 1e-2  # coupled
             err[steps] = _defining_quadrature_error(bundle)
         assert err[80] <= 1e-4
@@ -312,24 +313,27 @@ class TestMatrixMode:
 
 
 class TestDerivativeKernels:
+    """The adopted kernel derivatives of :mod:`mfkalman.arbitration`."""
+
     def test_constant_case(self):
         scen = scalar_scenario(steps=50)  # C = 1, zero gain: H = 0, psi = 1
         bundle = kernel_bundle(scen, zero_gain(scen))
-        dk = derivative_kernels(bundle, scen)
-        for (i, j, k) in [(50, 0, 25), (40, 10, 30), (20, 20, 20)]:
-            assert dk.psi1(i, j, k) == pytest.approx(-1.0, abs=1e-14)
+        beta = np.ones(scen.grid.n_nodes)
+        for (i, j) in [(50, 0), (40, 10), (20, 20)]:
+            # the density -C psi = -1 over [t_j, t_i]
+            assert psi_direction(bundle, i, j, beta) == pytest.approx(
+                -(scen.grid.nodes[i] - scen.grid.nodes[j]), abs=1e-14)
 
     def test_argument_validation(self, rough_pack):
+        # the printed form checks its indices the same way
         scen, _, _, bundle = rough_pack
-        dk = derivative_kernels(bundle, scen)
-        with pytest.raises(ScenarioError):
-            dk.psi1(10, 5, 3)   # theta below s
-        with pytest.raises(ScenarioError):
-            dk.f1(10, 5, 12)    # theta above t
+        beta = np.ones(scen.grid.n_nodes)
+        for (i, j) in [(10, 20), (-1, 0), (201, 0)]:
+            with pytest.raises(ScenarioError):
+                f_direction_transcribed(bundle, i, j, beta)
 
     def test_directional_derivatives_match_fd(self, rough_pack):
         scen, _, gain, bundle = rough_pack
-        dk = derivative_kernels(bundle, scen)
         eps = 1e-4
         t = scen.grid.nodes
         rng = np.random.default_rng(21)
@@ -344,44 +348,43 @@ class TestDerivativeKernels:
                 fd_psi = (up.psi.values[i, j] - dn.psi.values[i, j]) / (2 * eps)
                 fd_phi = (up.phi.values[i, j] - dn.phi.values[i, j]) / (2 * eps)
                 fd_f = (up.f.values[i, j] - dn.f.values[i, j]) / (2 * eps)
-                assert dk.psi_direction(i, j, beta) == pytest.approx(fd_psi, abs=1e-4)
-                assert dk.phi_direction(i, j, beta) == pytest.approx(fd_phi, abs=1e-4)
-                assert dk.f_direction(i, j, beta) == pytest.approx(
+                assert psi_direction(bundle, i, j, beta) == pytest.approx(fd_psi, abs=1e-4)
+                assert phi_direction(bundle, i, j, beta) == pytest.approx(fd_phi, abs=1e-4)
+                assert f_direction(bundle, i, j, beta) == pytest.approx(
                     fd_f, abs=1e-4 * (1 + abs(fd_f)))
 
     @pytest.mark.parametrize("method", ["psi_direction", "phi_direction", "f_direction"])
     @pytest.mark.parametrize("i, j", [(10, 20), (-1, 0), (5, -1), (201, 0)])
     def test_direction_rejects_indices_off_the_triangle(self, rough_pack, method, i, j):
         scen, _, _, bundle = rough_pack  # N = 200
-        dk = derivative_kernels(bundle, scen)
         beta = np.ones(scen.grid.n_nodes)
+        direction = {"psi_direction": psi_direction, "phi_direction": phi_direction,
+                     "f_direction": f_direction}[method]
         with pytest.raises(ScenarioError):
-            getattr(dk, method)(i, j, beta)
+            direction(bundle, i, j, beta)
 
     def test_zero_when_no_coupling(self, classical_pack):
         scen, _, bundle = classical_pack  # M = 0 and D = 0
-        dk = derivative_kernels(bundle, scen)
-        for (i, j, k) in [(100, 0, 50), (80, 20, 60)]:
-            assert dk.f1(i, j, k) == 0.0
+        beta = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
+        for (i, j) in [(100, 0), (80, 20)]:
+            assert f_direction(bundle, i, j, beta) == 0.0
 
     def test_f_direction_is_phi_minus_psi_direction(self, rough_pack):
         scen, _, _, bundle = rough_pack
-        dk = derivative_kernels(bundle, scen)
         beta = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
         for (i, j) in [(scen.grid.n_steps, 0), (150, 40), (60, 60)]:
-            assert dk.f_direction(i, j, beta) == (dk.phi_direction(i, j, beta)
-                                                  - dk.psi_direction(i, j, beta))
+            assert f_direction(bundle, i, j, beta) == (phi_direction(bundle, i, j, beta)
+                                                       - psi_direction(bundle, i, j, beta))
 
     def test_gateaux_linearity(self, rough_pack):
         scen, _, gain, bundle = rough_pack
-        dk = derivative_kernels(bundle, scen)
         t = scen.grid.nodes
         b1 = np.sin(np.pi * t)
         b2 = 0.5 - t
         alpha = 1.7
         i, j = 180, 30
-        combo = dk.f_direction(i, j, alpha * b1 + b2)
-        split = alpha * dk.f_direction(i, j, b1) + dk.f_direction(i, j, b2)
+        combo = f_direction(bundle, i, j, alpha * b1 + b2)
+        split = alpha * f_direction(bundle, i, j, b1) + f_direction(bundle, i, j, b2)
         assert combo == pytest.approx(split, abs=1e-12)
 
     def test_requires_scalar_mode(self):
@@ -395,8 +398,10 @@ class TestDerivativeKernels:
                               Sigma=lambda t: np.eye(2))
         gain = GainSchedule.constant(grid, np.zeros((2, 2)), 2, 2)
         bundle = kernel_bundle(scen, gain)
-        with pytest.raises(ScenarioError):
-            derivative_kernels(bundle, scen)
+        beta = np.ones(grid.n_nodes)
+        for direction in (phi_direction, psi_direction, f_direction, f_direction_transcribed):
+            with pytest.raises(ScenarioError):
+                direction(bundle, 10, 0, beta)
 
 
 class TestGainSchedule:
