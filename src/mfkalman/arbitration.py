@@ -33,45 +33,21 @@ __all__ = [
     "f_direction",
     "f_direction_transcribed",
     "covariance_profile_transcribed",
-    "drift_profile_transcribed",
     "cost_gradient_transcribed",
 ]
 
 
-def _transcribed_weights(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities, atom):
-    """Tables, weights, the atom's pointwise weight w_u and its printed
-    cross weight x_u' = q sbar s_u + G q0 sbar g_u."""
+def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
+                                   bars: BarQuantities, atom) -> np.ndarray:
+    """K(u, t_j) at every node with the printed sigma-bar cross weight
+    x_u' = q sbar s_u + G q0 sbar g_u."""
     i = _atom_index(scenario, atom)
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     s_u = scenario.flat_atom("sigma", i)
     g_u = scenario.flat_atom("gamma", i)
-    return tb, w, w.atom(i)[0], w.q * w.sbar * s_u + w.G * w.q0 * w.sbar * g_u
-
-
-def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
-                                   bars: BarQuantities, atom) -> np.ndarray:
-    """K(u, t_j) at every node with the printed sigma-bar cross pairing."""
-    tb, w, w_u, x_p = _transcribed_weights(scenario, bundle, bars, atom)
-    return sum(_atom_terms(tb, w.wbar, w_u, x_p))
-
-
-def drift_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
-                              bars: BarQuantities, atom) -> np.ndarray:
-    """Printed drift: [M phi + H] bracket on the mean terms, sigma-bar
-    cross pairing, no diffusion boundary:
-
-        M phi.f wbar + H f wbar + H psi.psi w_u + 2 H psi.f x_u' + M phi.psi x_u',
-
-    with every kernel at (t, s), integrated over s in [0, t] (the bare-H
-    mean term carries a single f factor)."""
-    tb, w, w_u, x_p = _transcribed_weights(scenario, bundle, bars, atom)
-    fr = tb.frames
-    H, M = tb.H, tb.M
-    return (M * (fr.integral(w.wbar, 0, 2) - fr.integral(w.wbar, 1, 1))   # M phi.f wbar
-            + H * (fr.integral(w.wbar, 0, 1) - fr.integral(w.wbar, 1, 0))  # H f wbar
-            + H * fr.integral(w_u - 2 * x_p, 2, 0)                       # psi^2 terms
-            + (2 * H + M) * fr.integral(x_p, 1, 1))                      # phi psi x_u'
+    x_p = w.q * w.sbar * s_u + w.G * w.q0 * w.sbar * g_u
+    return sum(_atom_terms(tb, w.wbar, w.atom(i)[0], x_p))
 
 
 def _direction_tables(bundle: KernelBundle, i: int, j: int) -> ScalarTables:

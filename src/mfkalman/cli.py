@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import covariance_profile, drift_profile
 from .gain import build_filter, optimize_gain
 from .kernels import GainSchedule, kernel_bundle
 from .scenarios import resolve_scenario
@@ -25,14 +24,15 @@ from .system_model import measure_averages
 from .validation import (
     DEFAULT_SEED,
     ValidationSuite,
+    _covariance_rows,
     _dump_kernels,
     _dump_optimizer,
     _gradcheck,
-    _gradient_rows,
     _meta,
-    _rate_residual,
+    _path_rows,
     _rate_residuals,
     _reference,
+    _write_gradcheck,
     write_csv,
 )
 
@@ -139,16 +139,10 @@ def _cmd_simulate(args) -> int:
     out = _prepare_out(args.out, ["paths.csv", "statistics.csv"], args.force)
     gain = _gain_for(args, scenario)
     ens = simulate_ensemble(scenario, gain, n_paths=args.paths, seed=args.seed)
-    nodes = scenario.grid.nodes
-    rows = []
-    for r in range(len(ens.x)):   # the kept replications
-        for a in range(scenario.n_atoms):
-            for j in range(scenario.grid.n_nodes):
-                rows.append((r, a, float(nodes[j]),
-                             float(ens.x[r, a, j, 0]), float(ens.y[r, a, j, 0]),
-                             float(ens.z[r, a, j, 0]), float(ens.e[r, a, j, 0])))
-    write_csv(out / "paths.csv", "rep,atom,t,x,y,z,e", rows,
+    write_csv(out / "paths.csv", "rep,atom,t,x,y,z,e",
+              _path_rows(scenario, ens, len(ens.x), 1),   # the kept replications
               _meta(scenario, args.seed, {"n_paths": args.paths}))
+    nodes = scenario.grid.nodes
     rows = []
     for a in range(scenario.n_atoms):
         for j in range(scenario.grid.n_nodes):
@@ -182,18 +176,7 @@ def _cmd_covariance(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "covariance")
     out = _prepare_out(args.out, ["covariance.csv", "covariance_report.txt"], args.force)
-    gain = _gain_for(args, scenario)
-    bundle = kernel_bundle(scenario, gain)
-    bars = measure_averages(scenario)
-    nodes = scenario.grid.nodes
-    rows = []
-    worst = 0.0
-    for a in range(scenario.n_atoms):
-        K = covariance_profile(scenario, bundle, bars, a)
-        K1 = drift_profile(scenario, bundle, bars, a)
-        for j in range(scenario.grid.n_nodes):
-            rows.append((a, float(nodes[j]), float(K[j])))
-        worst = max(worst, _rate_residual(K, K1, scenario.grid.dt))
+    rows, worst = _covariance_rows(scenario, _gain_for(args, scenario))
     write_csv(out / "covariance.csv", "atom,t,K", rows, _meta(scenario, args.seed))
     _write_report(out / "covariance_report.txt", scenario, args.seed, [
         f"rate-consistency relative residual (sup, interior): {worst:.6e}",
@@ -213,10 +196,7 @@ def _cmd_gradcheck(args) -> int:
     gain = _gain_for(args, scenario)
     g, rows = _gradcheck(scenario, gain, measure_averages(scenario), args.directions,
                          args.seed, args.eps)
-    write_csv(out / "gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
-              _meta(scenario, args.seed, {"eps": f"{args.eps:g}"}))
-    write_csv(out / "gradient.csv", "t,g", _gradient_rows(scenario, g),
-              _meta(scenario, args.seed))
+    _write_gradcheck(out, scenario, g, rows, args.seed, args.eps)
     worst = max(r[3] for r in rows)
     print(f"gradcheck: {len(rows)} directions, max |pairing - fd| = {worst:.3e}")
     return 0
@@ -225,6 +205,10 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_optimize(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "optimize")
+    if args.max_iter < 1:
+        raise CliError("optimize", f"--max-iter must be >= 1, got {args.max_iter}")
+    if args.grad_tol is not None and not args.grad_tol > 0:
+        raise CliError("optimize", f"--grad-tol must be positive, got {args.grad_tol}")
     names = ["optimizer_trajectory.csv", "optimizer_gain.csv", "filter.csv",
              "optimizer_report.txt"]
     out = _prepare_out(args.out, names, args.force)

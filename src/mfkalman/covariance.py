@@ -186,7 +186,7 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
     if scenario.scalar_mode:
         tb = _require_scalar_bundle(bundle)
         w = _ScalarWeights(scenario, bars, bundle.gain)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             prof = sum(_atom_terms(tb, w.wbar, *w.atom(i)[:2]))
     else:
         n = scenario.n
@@ -247,7 +247,7 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
         w = _ScalarWeights(scenario, bars, bundle.gain)
         w_u, x_u = w.atom(i)[:2]
         H, M = tb.H, tb.M
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mean, dev, cross = _atom_terms(tb, w.wbar, w_u, x_u)
             # the mean part is transported by H + M, the deviation by H, and
             # the cross part by their average
@@ -347,7 +347,7 @@ def _scalar_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) 
     averaged K-profile P_mean + P_dev, in O(N)."""
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         kbar = sum(_averaged_terms(tb, w))
     check_finite("trace_cost", kbar)
     return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
@@ -391,7 +391,7 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     sigma = scenario.flat("Sigma")
     C, D, G = tb.C, tb.D, tb.gain
     gq = w.q0 * w.gbar**2
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean, dev = _averaged_terms(tb, w)
         L_mean = fr.integral(sigma, 0, 2, reverse=True)
         L_dev = fr.integral(sigma, 2, 0, reverse=True)
@@ -415,7 +415,7 @@ def _gradient_from_kernel(scenario: Scenario, kb2: np.ndarray) -> GradientField:
 
 
 def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedule,
-                  eps: float, bars: BarQuantities | None = None) -> float:
+                  eps: float, bars: BarQuantities) -> float:
     """Central-difference slope of the cost along a direction.
 
     Rebuilds the kernel bundles at the two perturbed gains; this is the
@@ -423,10 +423,6 @@ def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedu
     """
     if eps <= 0.0:
         raise ScenarioError("eps must be positive")
-    from .system_model import measure_averages
-
-    if bars is None:
-        bars = measure_averages(scenario)
     up = gain0.with_values(gain0.values + eps * direction.values)
     dn = gain0.with_values(gain0.values - eps * direction.values)
     J_up = trace_cost(scenario, kernel_bundle(scenario, up), bars)

@@ -62,6 +62,7 @@ _ARMIJO_SHRINK = 0.5
 _STEP_FLOOR = 1e-14
 _COMPLETION_NODES = 3
 _CURVATURE_FLOOR = 1e-12  # relative to the largest curvature
+_RICCATI_BLOWUP = 1e8
 
 
 @dataclass(frozen=True)
@@ -113,14 +114,6 @@ class FilterCoefficients:
     gain: GainSchedule
 
 
-def _as_gain(scenario: Scenario, initial_gain) -> GainSchedule:
-    if initial_gain is None:
-        return GainSchedule.constant(scenario.grid, 0.0, scenario.n, scenario.m)
-    if isinstance(initial_gain, GainSchedule):
-        return initial_gain
-    return GainSchedule(scenario.grid, np.asarray(initial_gain, dtype=float))
-
-
 def _diagonal_update(scenario: Scenario, bars: BarQuantities, values: np.ndarray,
                      nodes: list[int]) -> np.ndarray:
     """Solve the pointwise diagonal stationarity for the given nodes.
@@ -160,8 +153,8 @@ def _newton_direction(field: GradientField) -> np.ndarray:
     return p
 
 
-def optimize_gain(scenario: Scenario, *, initial_gain=None, max_iter: int = 2000,
-                  grad_tol: float | None = None,
+def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = None,
+                  max_iter: int = 2000, grad_tol: float | None = None,
                   bars: BarQuantities | None = None) -> OptimizationReport:
     """Drive the gain to first-order stationarity of the trace cost.
 
@@ -173,14 +166,15 @@ def optimize_gain(scenario: Scenario, *, initial_gain=None, max_iter: int = 2000
     sup-norm over all nodes except the final two, whose curvature
     vanishes with the mesh and which are set by endpoint completion.
 
-    Scalar mode only. A failed line search (step underflow, or no descent
+    The search starts from ``initial_gain``, zero by default. Scalar
+    mode only. A failed line search (step underflow, or no descent
     direction) returns the last iterate with ``converged=False``.
     """
     if not scenario.scalar_mode:
         raise ScenarioError("gain optimization requires a scalar scenario")
     if bars is None:
         bars = measure_averages(scenario)
-    gain = _as_gain(scenario, initial_gain)
+    gain = GainSchedule.constant(scenario.grid, 0.0) if initial_gain is None else initial_gain
     n = scenario.grid.n_steps
     dt = scenario.grid.dt
     mask = slice(0, max(1, n - 1))  # exclude the last interior and terminal node
@@ -262,15 +256,16 @@ def _as_time_fn(value):
     return lambda t, _v=float(value): _v
 
 
-def _rk4(rhs, y0: np.ndarray, grid: TimeGrid, blowup: float = 1e8) -> np.ndarray:
-    """Classical RK4 of y' = rhs(t, y) on the grid; returns (N+1, len(y0))."""
+def _rk4(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Classical RK4 of y' = rhs(t, y) on the grid; returns (N+1, len(y0)).
+    A state above ``_RICCATI_BLOWUP`` in size raises."""
     out = np.empty((grid.n_nodes, len(y0)))
     out[0] = y0
     h = grid.dt
     for i in range(grid.n_steps):
         t = grid.nodes[i]
         out[i + 1] = _rk4_step(rhs, t, out[i], h)
-        if not np.all(np.isfinite(out[i + 1])) or np.any(np.abs(out[i + 1]) > blowup):
+        if not np.all(np.isfinite(out[i + 1])) or np.any(np.abs(out[i + 1]) > _RICCATI_BLOWUP):
             raise ScenarioError(f"Riccati state blew up near t = {t + h:g}")
     return out
 

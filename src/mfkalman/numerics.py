@@ -88,15 +88,13 @@ def trapezoid(values: np.ndarray, dt: float) -> np.ndarray | float:
     return weighted * dt
 
 
-def cumulative_trapezoid(values: np.ndarray, dt: float, axis: int = -1) -> np.ndarray:
-    """Running trapezoid integral along ``axis``; entry 0 is 0."""
+def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
+    """Running trapezoid integral along the last axis; entry 0 is 0."""
     values = np.asarray(values, dtype=float)
     out = np.zeros_like(values)
-    if values.shape[axis] > 1:
-        lead = (slice(None),) * (axis % values.ndim)
-        run = out[lead + (slice(1, None),)]
-        np.cumsum(0.5 * (values[lead + (slice(1, None),)] + values[lead + (slice(None, -1),)]),
-                  axis=axis, out=run)
+    if values.shape[-1] > 1:
+        run = out[..., 1:]
+        np.cumsum(0.5 * (values[..., 1:] + values[..., :-1]), axis=-1, out=run)
         run *= dt
     return out
 

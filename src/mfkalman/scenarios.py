@@ -48,12 +48,11 @@ __all__ = [
 DEFAULT_STEPS = 400
 
 
-def classical_scenario(steps: int = DEFAULT_STEPS, horizon: float = 1.0) -> Scenario:
-    """Unit-coefficient filtering benchmark: A=B=D=0, C=sigma=gamma=1,
-    point mass at zero."""
-    grid = make_grid(horizon, steps)
+def classical_scenario(steps: int = DEFAULT_STEPS) -> Scenario:
+    """Unit-coefficient filtering benchmark on [0, 1]: A=B=D=0,
+    C=sigma=gamma=1, point mass at zero."""
     return build_scenario(
-        grid,
+        make_grid(1.0, steps),
         measure=dirac_measure(0.0),
         A=0.0, B=0.0, C=1.0, D=0.0,
         sigma=1.0, gamma=1.0,
@@ -61,30 +60,27 @@ def classical_scenario(steps: int = DEFAULT_STEPS, horizon: float = 1.0) -> Scen
     )
 
 
-def normal_flow_scenario(steps: int = DEFAULT_STEPS, horizon: float = 1.0,
-                         gh_nodes: int = 11) -> Scenario:
-    """Interacting benchmark: loadings sigma(u,t) = gamma(u,t) = u with a
-    standard normal initial law via Gauss-Hermite atoms."""
-    grid = make_grid(horizon, steps)
+def normal_flow_scenario(steps: int = DEFAULT_STEPS) -> Scenario:
+    """Interacting benchmark on [0, 1]: loadings sigma(u,t) = gamma(u,t) = u
+    with a standard normal initial law via 11 Gauss-Hermite atoms."""
     return build_scenario(
-        grid,
-        measure=gauss_hermite_measure(gh_nodes),
+        make_grid(1.0, steps),
+        measure=gauss_hermite_measure(11),
         A=0.0, B=0.0, C=1.0, D=0.0,
         sigma=lambda u, t: u, gamma=lambda u, t: u,
         Q=1.0, Q0=1.0, Sigma=1.0,
     )
 
 
-def cross_pairing_probe(steps: int = 200, horizon: float = 1.0) -> Scenario:
-    """Arbitration scenario for the covariance cross pairing.
+def cross_pairing_probe(steps: int = 200) -> Scenario:
+    """Arbitration scenario for the covariance cross pairing, on [0, 1].
 
     Mean coupling on (B, D nonzero), nonzero averaged loadings, and a
     two-atom measure: here the two candidate cross pairings differ by a
     margin that a modest Monte Carlo run resolves decisively.
     """
-    grid = make_grid(horizon, steps)
     return build_scenario(
-        grid,
+        make_grid(1.0, steps),
         measure=discrete_measure([[-1.0], [1.0]], [0.5, 0.5]),
         A=0.2, B=0.5, C=1.0, D=0.3,
         sigma=lambda u, t: 1.0 + 0.25 * u,
@@ -93,13 +89,13 @@ def cross_pairing_probe(steps: int = 200, horizon: float = 1.0) -> Scenario:
     )
 
 
-def random_smooth_scenario(seed: int, steps: int = 200, horizon: float = 1.0,
-                           mean_coupling: bool = True) -> Scenario:
-    """Seeded scenario with smooth trigonometric coefficients.
+def random_smooth_scenario(seed: int, steps: int = 200) -> Scenario:
+    """Seeded scenario on [0, 1] with smooth trigonometric coefficients and
+    mean coupling.
 
     Used by the consistency checks that need generic time dependence;
     amplitudes are kept moderate so kernel magnitudes stay O(1) over the
-    horizon. ``mean_coupling=False`` zeroes B and D.
+    horizon.
     """
     rng = np.random.default_rng(seed)
     c = rng.uniform(-0.8, 0.8, size=9)
@@ -107,20 +103,14 @@ def random_smooth_scenario(seed: int, steps: int = 200, horizon: float = 1.0,
     def trig(a0, a1, a2, w1, w2):
         return lambda t: a0 + 0.5 * a1 * math.sin(w1 * t) + 0.5 * a2 * math.cos(w2 * t)
 
-    A = trig(c[0], c[1], c[2], 2 * math.pi / horizon, math.pi / horizon)
-    if mean_coupling:
-        B = trig(c[3], c[4], 0.0, math.pi / horizon, 1.0)
-        D = trig(c[5], 0.0, c[6], 1.0, 2 * math.pi / horizon)
-    else:
-        B = 0.0
-        D = 0.0
-    C = lambda t: 1.0 + 0.3 * math.sin(math.pi * t / horizon)  # noqa: E731
     s_off, g_off = 1.0 + 0.2 * c[7], 0.7 + 0.2 * c[8]
-    grid = make_grid(horizon, steps)
     return build_scenario(
-        grid,
+        make_grid(1.0, steps),
         measure=discrete_measure([[-1.0], [1.0]], [0.5, 0.5]),
-        A=A, B=B, C=C, D=D,
+        A=trig(c[0], c[1], c[2], 2 * math.pi, math.pi),
+        B=trig(c[3], c[4], 0.0, math.pi, 1.0),
+        C=lambda t: 1.0 + 0.3 * math.sin(math.pi * t),
+        D=trig(c[5], 0.0, c[6], 1.0, 2 * math.pi),
         sigma=lambda u, t: s_off + 0.25 * u,
         gamma=lambda u, t: g_off + 0.2 * u,
         Q=1.0, Q0=1.0, Sigma=1.0,

@@ -108,10 +108,6 @@ class PathEnsemble:
     sum2: np.ndarray
     sum4: np.ndarray
 
-    @property
-    def n_atoms(self) -> int:
-        return self.x.shape[1]
-
 
 @dataclass(frozen=True)
 class EmpiricalStats:

@@ -126,8 +126,8 @@ def standard_measure(kind: str, **params) -> InitialMeasure:
 class Scenario:
     """Validated coefficient set on a grid, plus the initial measure.
 
-    Coefficient samples are cached at every node; the original callables
-    are retained for the stage times the Runge-Kutta steps need
+    Coefficient samples are cached at every node; the callables of A, B,
+    C and D are retained for the stage times the Runge-Kutta steps need
     (:meth:`sample`).
     ``scalar_mode`` is set exactly when n = m = d = 1, which is where the
     gain optimizer operates.
@@ -148,14 +148,14 @@ class Scenario:
     Q0: np.ndarray         # (d, d)
     measure: InitialMeasure
     scalar_mode: bool
-    fns: dict = field(repr=False, compare=False)
+    fns: dict = field(repr=False, compare=False)  # A, B, C, D
 
     @property
     def n_atoms(self) -> int:
         return self.measure.n_atoms
 
     def sample(self, name: str, times) -> np.ndarray:
-        """A time coefficient (A, B, C, D or Sigma) at arbitrary times,
+        """A time coefficient (A, B, C or D) at arbitrary times,
         (len(times), rows, cols), by the rule that made the node samples."""
         return _sample(self.fns[name], times, *getattr(self, name).shape[1:], name)
 
@@ -276,31 +276,28 @@ def _sample_time_coefficient(value, grid: TimeGrid, rows: int, cols: int, label:
 
 def _sample_atom_coefficient(value, measure: InitialMeasure, grid: TimeGrid,
                              rows: int, cols: int, label: str):
-    """Per-atom loading sigma(u, t)/gamma(u, t): constant or callable (u, t)."""
-    if callable(value):
-        fn = value
-    else:
-        const = float(value)
-        fn = lambda u, t, _c=const: _c  # noqa: E731
+    """Nodal samples of a per-atom loading sigma(u, t)/gamma(u, t):
+    constant or callable (u, t)."""
+    fn = value if callable(value) else lambda u, t, _c=float(value): _c  # noqa: E731
     points = [(u.item() if u.size == 1 else u, t)
               for u in measure.points for t in grid.nodes]
     samples = _stack_values(fn, points, rows, cols, label + "(u={}, t={})")
     if not np.all(np.isfinite(samples)):
         raise ScenarioError(f"{label} is not finite at every atom and node")
-    return samples.reshape(measure.n_atoms, grid.n_nodes, rows, cols), fn
+    return samples.reshape(measure.n_atoms, grid.n_nodes, rows, cols)
 
 
 def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
                    A=0.0, B=0.0, C=1.0, D=0.0,
                    sigma=1.0, gamma=1.0,
-                   Q=1.0, Q0=1.0, Sigma=1.0,
-                   m: int | None = None, d: int | None = None) -> Scenario:
+                   Q=1.0, Q0=1.0, Sigma=1.0, m: int | None = None) -> Scenario:
     """Assemble and validate a scenario.
 
     Coefficients may be constants, matrices, or callables of ``t``;
     ``sigma``/``gamma`` may additionally be callables of ``(u, t)``.
     The state dimension is the measure's, the observation dimension
-    defaults to it, and the noise dimension is read off ``Q``.
+    defaults to it, and the noise dimension d is read off ``Q``; a scalar
+    ``Q0`` is read as v I of that size.
 
     Raises
     ------
@@ -309,16 +306,13 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
     """
     n = measure.dim
     m = n if m is None else int(m)
-    Q_arr = np.atleast_2d(np.asarray(Q, dtype=float))
-    if Q_arr.shape == (1, 1) and d is not None and d != 1:
-        Q_arr = float(Q_arr[0, 0]) * np.eye(d)
-    d = Q_arr.shape[0] if d is None else int(d)
-    Q_arr = _check_spd(Q_arr if Q_arr.shape == (d, d) else np.asarray(Q, dtype=float), "Q")
+    Q_arr = _check_spd(Q, "Q")
+    d = Q_arr.shape[0]
     Q0_arr = np.atleast_2d(np.asarray(Q0, dtype=float))
     if Q0_arr.shape == (1, 1) and d != 1:
         Q0_arr = float(Q0_arr[0, 0]) * np.eye(d)
     Q0_arr = _check_spd(Q0_arr, "Q0")
-    if Q_arr.shape != (d, d) or Q0_arr.shape != (d, d):
+    if Q0_arr.shape != (d, d):
         raise ScenarioError(
             f"noise covariances must be ({d}, {d}); got Q{Q_arr.shape}, Q0{Q0_arr.shape}"
         )
@@ -327,11 +321,11 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
     B_s, B_fn = _sample_time_coefficient(B, grid, n, n, "B")
     C_s, C_fn = _sample_time_coefficient(C, grid, m, n, "C")
     D_s, D_fn = _sample_time_coefficient(D, grid, m, n, "D")
-    Sig_s, Sig_fn = _sample_time_coefficient(Sigma, grid, n, n, "Sigma")
+    Sig_s = _sample_time_coefficient(Sigma, grid, n, n, "Sigma")[0]
     _check_spd_nodes(Sig_s, grid, "Sigma")
 
-    sig_s, sig_fn = _sample_atom_coefficient(sigma, measure, grid, n, d, "sigma")
-    gam_s, gam_fn = _sample_atom_coefficient(gamma, measure, grid, m, d, "gamma")
+    sig_s = _sample_atom_coefficient(sigma, measure, grid, n, d, "sigma")
+    gam_s = _sample_atom_coefficient(gamma, measure, grid, m, d, "gamma")
 
     for arr in (A_s, B_s, C_s, D_s, Sig_s, sig_s, gam_s):
         arr.setflags(write=False)
@@ -342,8 +336,7 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
         sigma=sig_s, gamma=gam_s, Q=Q_arr, Q0=Q0_arr,
         measure=measure,
         scalar_mode=(n == 1 and m == 1 and d == 1),
-        fns={"A": A_fn, "B": B_fn, "C": C_fn, "D": D_fn, "Sigma": Sig_fn,
-             "sigma": sig_fn, "gamma": gam_fn},
+        fns={"A": A_fn, "B": B_fn, "C": C_fn, "D": D_fn},
     )
 
 

@@ -1,9 +1,9 @@
 """Acceptance suite: every release criterion as a checkable, reporting unit.
 
-Each criterion function computes its quantities, optionally writes the
-corresponding CSV artifacts, and returns a :class:`CriterionResult` with
-one-line details. The CLI ``validate`` subcommand prints one pass/fail
-line per criterion; the pytest acceptance module asserts each result.
+Each criterion function computes its quantities, writes its CSV
+artifacts, and returns a :class:`CriterionResult` with one-line details.
+The CLI ``validate`` subcommand prints one pass/fail line per criterion;
+the pytest acceptance module asserts each result.
 
 All randomness is derived from the suite seed through fixed offsets, so
 two runs with the same seed produce byte-identical CSV output — which is
@@ -170,24 +170,49 @@ def _gradcheck(scenario: Scenario, gain: GainSchedule, bars, count: int, seed: i
     return g, rows
 
 
-def _gradient_rows(scenario: Scenario, g) -> list[tuple[float, float]]:
-    """(t, g) rows of ``gradient.csv``."""
-    return [(float(t), float(v)) for t, v in zip(scenario.grid.nodes, g.values)]
+def _write_gradcheck(out: Path, scenario: Scenario, g, rows, seed: int, eps: float) -> None:
+    """``gradcheck.csv`` with the rows of :func:`_gradcheck` and the step
+    ``eps`` in full, and ``gradient.csv`` with the (t, g) rows of ``g``."""
+    write_csv(out / "gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
+              _meta(scenario, seed, {"eps": "%.17g" % eps}))
+    write_csv(out / "gradient.csv", "t,g",
+              [(float(t), float(v)) for t, v in zip(scenario.grid.nodes, g.values)],
+              _meta(scenario, seed))
+
+
+def _covariance_rows(scenario: Scenario, gain: GainSchedule):
+    """The (atom, t, K) rows of every atom at ``gain``, made as they are
+    read, and the worst relative rate residual (:func:`_rate_residual`)
+    over the atoms."""
+    bundle = kernel_bundle(scenario, gain)
+    bars = measure_averages(scenario)
+    profiles, worst = [], 0.0
+    for a in range(scenario.n_atoms):
+        profiles.append(covariance_profile(scenario, bundle, bars, a))
+        worst = max(worst, _rate_residual(profiles[a], drift_profile(scenario, bundle, bars, a),
+                                          scenario.grid.dt))
+    rows = ((a, float(t), float(k)) for a, K in enumerate(profiles)
+            for t, k in zip(scenario.grid.nodes, K))
+    return rows, worst
+
+
+def _path_rows(scenario: Scenario, ens, reps: int, stride: int) -> list[tuple]:
+    """(rep, atom, t, x, y, z, e) rows of the first ``reps`` kept
+    replications, every atom, at every ``stride``-th node."""
+    nodes = scenario.grid.nodes
+    return [(r, a, float(nodes[j]), float(ens.x[r, a, j, 0]), float(ens.y[r, a, j, 0]),
+             float(ens.z[r, a, j, 0]), float(ens.e[r, a, j, 0]))
+            for r in range(reps) for a in range(scenario.n_atoms)
+            for j in range(0, len(nodes), stride)]
 
 
 class ValidationSuite:
-    """Runs the acceptance criteria and writes the CSV artifacts."""
+    """Runs the acceptance criteria and writes the CSV artifacts to ``out_dir``."""
 
-    def __init__(self, out_dir: str | Path | None, seed: int = DEFAULT_SEED):
-        self.out = Path(out_dir) if out_dir is not None else None
+    def __init__(self, out_dir: str | Path, seed: int = DEFAULT_SEED):
+        self.out = Path(out_dir)
         self.seed = int(seed)
 
-    # -- helpers ----------------------------------------------------------
-    def _write(self, name: str, header: str, rows, meta: dict) -> None:
-        if self.out is not None:
-            write_csv(self.out / name, header, rows, meta)
-
-    # -- criteria ---------------------------------------------------------
     def criterion_kernels(self) -> CriterionResult:
         """Semigroup identity of the point-error operator and the mixed
         kernel's rate equation, at production resolution."""
@@ -212,8 +237,7 @@ class ValidationSuite:
         pde_ok = resid <= 1e-3
         details.append(f"mixed-kernel rate residual {resid:.3e} (tol 1e-3)")
 
-        if self.out is not None:
-            _dump_kernels(self.out, scen, bundle, self.seed)
+        _dump_kernels(self.out, scen, bundle, self.seed)
         return CriterionResult("C1", "kernel correctness", semigroup_ok and pde_ok, details)
 
     def criterion_rate_consistency(self) -> CriterionResult:
@@ -222,20 +246,12 @@ class ValidationSuite:
         details = []
         passed = True
 
-        def worst_rel(scen: Scenario, gain_values: np.ndarray) -> float:
-            gain = GainSchedule(scen.grid, gain_values[:, None, None])
-            bundle = kernel_bundle(scen, gain)
-            bars = measure_averages(scen)
-            return max(_rate_residual(covariance_profile(scen, bundle, bars, a),
-                                      drift_profile(scen, bundle, bars, a), scen.grid.dt)
-                       for a in range(scen.n_atoms))
-
         for name, build in (("classical", classical_scenario),
                             ("normal-flow", normal_flow_scenario)):
             rels = {}
             for steps in (400, 800):
                 scen = build(steps=steps)
-                rels[steps] = worst_rel(scen, _reference(name, scen.grid).gain_values)
+                rels[steps] = _covariance_rows(scen, _reference(name, scen.grid).gain())[1]
             ok_tol = rels[400] <= 0.02
             ratio = rels[400] / max(rels[800], 1e-300)
             ok_shrink = ratio >= 3.0
@@ -246,13 +262,9 @@ class ValidationSuite:
             )
 
         scen = classical_scenario(steps=400)
-        gain = GainSchedule.from_callable(scen.grid, np.tanh)
-        bundle = kernel_bundle(scen, gain)
-        bars = measure_averages(scen)
-        K = covariance_profile(scen, bundle, bars, 0)
-        self._write("covariance_classical.csv", "atom,t,K",
-                    [(0, float(t), float(k)) for t, k in zip(scen.grid.nodes, K)],
-                    _meta(scen, self.seed))
+        rows = _covariance_rows(scen, GainSchedule.from_callable(scen.grid, np.tanh))[0]
+        write_csv(self.out / "covariance_classical.csv", "atom,t,K", rows,
+                  _meta(scen, self.seed))
         return CriterionResult("C2", "covariance rate consistency", passed, details)
 
     def criterion_gradient(self) -> CriterionResult:
@@ -280,9 +292,7 @@ class ValidationSuite:
                           f"(err {spot_err:.2e}, tol 1e-5); fd gap {fd0_diff:.2e}")
         details.append(f"max fd gap over {len(rows)} directions: "
                        f"{max(r[3] for r in rows):.3e}")
-        self._write("gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
-                    _meta(scen, self.seed, {"eps": "%.17g" % eps}))
-        self._write("gradient.csv", "t,g", _gradient_rows(scen, g), _meta(scen, self.seed))
+        _write_gradcheck(self.out, scen, g, rows, self.seed, eps)
         return CriterionResult("C3", "gradient correctness", passed, details)
 
     def criterion_classical_reference(self) -> CriterionResult:
@@ -306,8 +316,7 @@ class ValidationSuite:
             f"(tol 5e-3), stationarity {report.stationarity:.2e} (tol 1e-3), "
             f"descent monotone: {mono}"
         )
-        if self.out is not None:
-            _dump_optimizer(self.out, scen, report, self.seed)
+        _dump_optimizer(self.out, scen, report, self.seed)
         return CriterionResult("C4", "classical benchmark reproduction",
                                s_ok and dev_ok and res_ok and mono, details)
 
@@ -356,16 +365,10 @@ class ValidationSuite:
             details.append(
                 f"t={t_probe}: var z-score {z_var:+.2f}, mean z-score {z_mean:+.2f}"
             )
-        self._write("monte_carlo_stats.csv", "t,mean,var,analytic,z_var,z_mean", rows,
-                    _meta(scen, self.seed, {"n_paths": n_paths}))
-        rows = []
-        for r in range(min(5, ens.n_paths)):
-            for j in range(0, scen.grid.n_nodes, 20):
-                rows.append((r, 0, float(scen.grid.nodes[j]),
-                             float(ens.x[r, 0, j, 0]), float(ens.y[r, 0, j, 0]),
-                             float(ens.z[r, 0, j, 0]), float(ens.e[r, 0, j, 0])))
-        self._write("paths_sample.csv", "rep,atom,t,x,y,z,e", rows,
-                    _meta(scen, self.seed, {"n_paths": n_paths}))
+        write_csv(self.out / "monte_carlo_stats.csv", "t,mean,var,analytic,z_var,z_mean", rows,
+                  _meta(scen, self.seed, {"n_paths": n_paths}))
+        write_csv(self.out / "paths_sample.csv", "rep,atom,t,x,y,z,e",
+                  _path_rows(scen, ens, 5, 20), _meta(scen, self.seed, {"n_paths": n_paths}))
         return CriterionResult("C6", "Monte Carlo validation", passed, details)
 
     def criterion_arbitration(self) -> CriterionResult:
@@ -441,8 +444,9 @@ class ValidationSuite:
             f"(printed form gap {d_tr_j:.2e})"
         )
 
-        self._write("arbitration.csv", "formula,adopted,discrepancy_adopted,discrepancy_printed",
-                    rows, _meta(probe, self.seed))
+        write_csv(self.out / "arbitration.csv",
+                  "formula,adopted,discrepancy_adopted,discrepancy_printed", rows,
+                  _meta(probe, self.seed))
         return CriterionResult("C7", "transcription arbitration", passed, details)
 
     # (method, wall-clock budget in seconds; None = no stated budget)
@@ -474,8 +478,6 @@ class ValidationSuite:
     def criterion_determinism(self) -> CriterionResult:
         """Re-run the whole artifact pipeline with the same seed and require
         byte-identical CSV output."""
-        if self.out is None:
-            raise ValueError("determinism check needs an output directory")
         shadow = self.out / ".determinism-recheck"
         if shadow.exists():
             shutil.rmtree(shadow)
@@ -494,7 +496,4 @@ class ValidationSuite:
         return CriterionResult("C8", "deterministic outputs", passed, details)
 
     def run_all(self) -> list[CriterionResult]:
-        results = self.run_artifacts()
-        if self.out is not None:
-            results.append(self._timed("criterion_determinism", None))
-        return results
+        return self.run_artifacts() + [self._timed("criterion_determinism", None)]

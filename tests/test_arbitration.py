@@ -10,18 +10,9 @@ from mfkalman import (
 )
 from mfkalman.arbitration import (
     cost_gradient_transcribed,
-    drift_profile_transcribed,
     f_direction,
     f_direction_transcribed,
 )
-
-
-def test_transcribed_form_misses_boundary(classical_pack):
-    # without the instantaneous-diffusion boundary the drift cannot
-    # account for dK/dt = 1 at zero gain
-    scen, bars, bundle = classical_pack
-    prof = drift_profile_transcribed(scen, bundle, bars, 0)
-    assert abs(prof[50]) < 1e-12  # printed form gives 0, truth is 1/2
 
 
 def test_transcribed_form_fails_oracle(rough_pack):

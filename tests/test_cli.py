@@ -122,8 +122,22 @@ class TestGradcheck:
         assert "--eps" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eps_recorded_in_full(self, tmp_path):
+        assert main(["gradcheck", "--steps", "20", "--eps", "1.23456789e-4",
+                     "--directions", "1", "--out", str(tmp_path)]) == 0
+        meta, _, _ = read_csv(tmp_path / "gradcheck.csv")
+        assert float(meta["eps"]) == 1.23456789e-4
+
 
 class TestOptimize:
+    @pytest.mark.parametrize("flag", ["--max-iter=0", "--max-iter=-1",
+                                      "--grad-tol=0", "--grad-tol=-1e-5"])
+    def test_bad_limit_rejected_before_output(self, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert main(["optimize", "--steps", "20", flag, "--out", str(out)]) != 0
+        assert flag.partition("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_classical_run(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "classical", "--steps", "150",
                      "--grad-tol", "1e-5", "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -630,6 +631,20 @@ class TestLongHorizon:
             cost_gradient(scen, bundle, bars)
         with pytest.raises(ScenarioError, match=r"drift_profile: non-finite value at node 14\d"):
             drift_profile(scen, bundle, bars, 0)
+
+    @pytest.mark.parametrize("stage", [trace_cost, cost_gradient, covariance_profile,
+                                       drift_profile], ids=lambda fn: fn.__name__)
+    def test_step_beyond_frame_span_names_stage_without_warnings(self, stage):
+        # at a gain of 1e5 one step moves int H by 500, more than a frame
+        # spans, and the anchored quotients divide by zero
+        scen = classical_scenario(steps=200)
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 1e5))
+        atom = (0,) if stage in (covariance_profile, drift_profile) else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError, match=f"^{stage.__name__}: non-finite"):
+                stage(scen, bundle, bars, *atom)
 
 
 class TestMatrixJointRecursion:

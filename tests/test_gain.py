@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from mfkalman import (
     trace_cost,
     trapezoid,
 )
+from mfkalman import gain as gain_module
 from mfkalman.covariance import _ScalarWeights
 from mfkalman.gain import _diagonal_update
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
@@ -190,6 +193,32 @@ class TestOptimizeGain:
         assert len(report.line_search_trials) == report.iterations
         # each accepted step is 1 halved once per failed trial
         assert report.step_sizes == [0.5 ** (t - 1) for t in report.line_search_trials]
+
+    @staticmethod
+    def _reject_trials(monkeypatch, rejected):
+        """Make the optimizer's trace_cost return inf at every call k
+        (k = 0 is the starting cost, then one call per Armijo trial) for
+        which ``rejected(k)`` holds."""
+        calls = itertools.count()
+
+        def trace_cost_with_rejections(*args):
+            return np.inf if rejected(next(calls)) else trace_cost(*args)
+
+        monkeypatch.setattr(gain_module, "trace_cost", trace_cost_with_rejections)
+
+    def test_rejected_trial_halves_the_step(self, monkeypatch):
+        self._reject_trials(monkeypatch, lambda k: k == 1)
+        report = optimize_gain(classical_scenario(steps=100))
+        assert report.step_sizes[0] == 0.5
+        assert report.line_search_trials[0] == 2
+        assert report.converged
+
+    def test_every_trial_rejected_reports_step_underflow(self, monkeypatch):
+        self._reject_trials(monkeypatch, lambda k: k >= 1)
+        report = optimize_gain(classical_scenario(steps=100))
+        assert report.converged is False
+        assert report.message == "line search step underflow"
+        assert report.iterations == 0
 
     def test_requires_scalar_mode(self):
         grid = make_grid(1.0, 20)

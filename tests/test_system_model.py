@@ -112,11 +112,11 @@ class TestBuildScenario:
             return np.array([_as_matrix(fn(*p), rows, cols) for p in points])
 
         mixed = lambda t: -0.5 if t > 0.5 else np.array([[1.0, 0.5], [0.0, 1.0]])  # noqa: E731
+        loadings = {"sigma": lambda u, t: u[0] * t, "gamma": lambda u, t: t - 0.5}
         scen = build_scenario(
             GRID, measure=discrete_measure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
             A=lambda t: -t, B=mixed, C=lambda t: 2.0 - t, Sigma=lambda t: 1.0 + t, m=3,
-            D=lambda t: np.full((3, 2), t), sigma=lambda u, t: u[0] * t,
-            gamma=lambda u, t: t - 0.5, Q=np.eye(2), Q0=np.eye(2))
+            D=lambda t: np.full((3, 2), t), **loadings, Q=np.eye(2), Q0=np.eye(2))
         times = [(t,) for t in GRID.nodes]
         for name, fn, rows, cols in (("A", lambda t: -t, 2, 2), ("B", mixed, 2, 2),
                                      ("C", lambda t: 2.0 - t, 3, 2),
@@ -126,7 +126,7 @@ class TestBuildScenario:
             assert np.array_equal(np.signbit(getattr(scen, name)), np.signbit(expected)), name
         for name, rows in (("sigma", 2), ("gamma", 3)):
             points = [(u, t) for u in scen.measure.points for t in GRID.nodes]
-            expected = per_node(scen.fns[name], points, rows, 2).reshape(2, -1, rows, 2)
+            expected = per_node(loadings[name], points, rows, 2).reshape(2, -1, rows, 2)
             assert np.array_equal(getattr(scen, name), expected), name
         gain = GainSchedule.from_callable(GRID, mixed, 2, 2)
         assert np.array_equal(gain.values, per_node(mixed, times, 2, 2))
