@@ -188,8 +188,8 @@ def _cmd_covariance(args) -> int:
 def _cmd_gradcheck(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "gradcheck")
-    if args.eps <= 0:
-        raise CliError("gradcheck", "--eps must be positive")
+    if not 0.0 < args.eps < np.inf:
+        raise CliError("gradcheck", f"--eps must be finite and positive, got {args.eps}")
     if args.directions < 1:
         raise CliError("gradcheck", f"--directions must be >= 1, got {args.directions}")
     out = _prepare_out(args.out, ["gradcheck.csv", "gradient.csv"], args.force)

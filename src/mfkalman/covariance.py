@@ -30,10 +30,12 @@ One atom's profile adds a third running integral, the cross term
 phi psi. The cost gradient pairs each variance with its costate, the
 reverse integral of Sigma phi^2 or Sigma psi^2; so the profiles, the
 cost and the gradient are a few running sums each, O(N) time and memory.
-The sums are kept in anchored frames (:class:`~mfkalman.kernels.Frames`)
-that bound the exponentials frame by frame, so a stable system stays
-finite and accurate on long horizons; a value that still overflows (an
-unstable system) raises :class:`ScenarioError` naming the stage and node.
+Each sum is one running trapezoid, anchored frame by frame
+(:meth:`~mfkalman.kernels.ScalarTables.integral`), so a stable system
+stays finite and accurate on long horizons, and finite on a stiff step
+that moves the exponent by hundreds (where the trapezoid gives about dt/2
+times the weight); a value that still overflows (an unstable system)
+raises :class:`ScenarioError` naming the stage and node.
 Only :func:`mean_sensitivity_triangle`, the test oracle, builds the O(N^2)
 triangle, from kernel values.
 
@@ -161,8 +163,7 @@ def _require_matrix_bundle(bundle: KernelBundle) -> StepPropagators:
 
 def _averaged_terms(tb: ScalarTables, w: _ScalarWeights) -> tuple[np.ndarray, np.ndarray]:
     """P_mean and P_dev, the two parts of the averaged K-profile."""
-    fr = tb.frames
-    return fr.integral(w.wbar, 0, 2), fr.integral(w.w2 - w.wbar, 2, 0)
+    return tb.integral(w.wbar, 0, 2), tb.integral(w.w2 - w.wbar, 2, 0)
 
 
 def _atom_terms(tb: ScalarTables, wbar, w_u, x_u) -> tuple[np.ndarray, ...]:
@@ -171,9 +172,8 @@ def _atom_terms(tb: ScalarTables, wbar, w_u, x_u) -> tuple[np.ndarray, ...]:
         K = int_0^t phi^2 wbar + psi^2 (wbar + w_u - 2 x_u) + 2 phi psi (x_u - wbar),
 
     the expansion of f^2 wbar + psi^2 w_u + 2 psi f x_u with f = phi - psi."""
-    fr = tb.frames
-    return (fr.integral(wbar, 0, 2), fr.integral(wbar + w_u - 2 * x_u, 2, 0),
-            2 * fr.integral(x_u - wbar, 1, 1))
+    return (tb.integral(wbar, 0, 2), tb.integral(wbar + w_u - 2 * x_u, 2, 0),
+            2 * tb.integral(x_u - wbar, 1, 1))
 
 
 def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
@@ -186,7 +186,7 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
     if scenario.scalar_mode:
         tb = _require_scalar_bundle(bundle)
         w = _ScalarWeights(scenario, bars, bundle.gain)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             prof = sum(_atom_terms(tb, w.wbar, *w.atom(i)[:2]))
     else:
         n = scenario.n
@@ -247,7 +247,7 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
         w = _ScalarWeights(scenario, bars, bundle.gain)
         w_u, x_u = w.atom(i)[:2]
         H, M = tb.H, tb.M
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mean, dev, cross = _atom_terms(tb, w.wbar, w_u, x_u)
             # the mean part is transported by H + M, the deviation by H, and
             # the cross part by their average
@@ -347,7 +347,7 @@ def _scalar_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) 
     averaged K-profile P_mean + P_dev, in O(N)."""
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         kbar = sum(_averaged_terms(tb, w))
     check_finite("trace_cost", kbar)
     return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
@@ -368,9 +368,10 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     L_mean(t) = int_t^T Sigma(s) phi(s, t)^2 ds and L_dev (with psi) are
     reverse running sums: two forward and two reverse sums, O(N) time and
     memory, and equal to the trapezoid tail of
-    :func:`mean_sensitivity_triangle` up to round-off. The sums are
-    anchored per frame, so a long stable horizon stays finite; a gradient
-    that overflows raises :class:`ScenarioError`.
+    :func:`mean_sensitivity_triangle` up to round-off. Each sum is one
+    anchored running integral (:meth:`ScalarTables.integral`), so a long
+    stable horizon or a stiff stable step stays finite; a gradient that
+    overflows raises :class:`ScenarioError`.
 
     a_mean and a_dev are affine in G(t), so with P and L frozen the
     diagonal of dg/dG is the field's ``curvature``
@@ -387,14 +388,13 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     g vanishes at the horizon by construction. Scalar mode only."""
     tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    fr = tb.frames
     sigma = scenario.flat("Sigma")
     C, D, G = tb.C, tb.D, tb.gain
     gq = w.q0 * w.gbar**2
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         mean, dev = _averaged_terms(tb, w)
-        L_mean = fr.integral(sigma, 0, 2, reverse=True)
-        L_dev = fr.integral(sigma, 2, 0, reverse=True)
+        L_mean = tb.integral(sigma, 0, 2, reverse=True)
+        L_dev = tb.integral(sigma, 2, 0, reverse=True)
         g = 2.0 * ((-(C + D) * mean + G * gq) * L_mean + (-C * dev + G * (w.g2q0 - gq)) * L_dev)
         d = 2.0 * (gq * L_mean + (w.g2q0 - gq) * L_dev)
     g[-1] = 0.0
@@ -421,8 +421,8 @@ def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedu
     Rebuilds the kernel bundles at the two perturbed gains; this is the
     independent oracle every sensitivity formula is checked against.
     """
-    if eps <= 0.0:
-        raise ScenarioError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ScenarioError(f"eps must be finite and positive, got {eps!r}")
     up = gain0.with_values(gain0.values + eps * direction.values)
     dn = gain0.with_values(gain0.values - eps * direction.values)
     J_up = trace_cost(scenario, kernel_bundle(scenario, up), bars)

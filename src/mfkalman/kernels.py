@@ -15,14 +15,16 @@ Three kernels drive everything:
 
 In scalar mode the operators are exponentials of the running integrals of
 H and of H + M, so every kernel value is one exponential of a difference,
-with nothing exponentiated above the diagonal. Long horizons are handled
-by anchoring the exponentials frame by frame (:class:`Frames`). In matrix
-mode the mean error and the pointwise error form one linear system with
-generator [[H + M, 0], [M, H]] and transition [[phi, 0], [f, psi]]; its
-classical Runge-Kutta step maps, one per grid step, are the O(N) tables
-(:class:`StepPropagators`). In both modes the dense lower triangles are
-generated only when a caller asks for them. The kernels' gain derivatives
-serve only the formula arbitration and live in :mod:`mfkalman.arbitration`.
+with nothing exponentiated above the diagonal. Every integral of a kernel
+power against a weight is one anchored running trapezoid
+(:meth:`ScalarTables.integral`), finite on long horizons and on stiff
+stable steps. In matrix mode the mean error and the pointwise error form
+one linear system with generator [[H + M, 0], [M, H]] and transition
+[[phi, 0], [f, psi]]; its classical Runge-Kutta step maps, one per grid
+step, are the O(N) tables (:class:`StepPropagators`). In both modes the
+dense lower triangles are generated only when a caller asks for them. The
+kernels' gain derivatives serve only the formula arbitration and live in
+:mod:`mfkalman.arbitration`.
 """
 
 from __future__ import annotations
@@ -94,11 +96,9 @@ class GainSchedule:
         return GainSchedule(self.grid, values)
 
 
-# Largest move of the running exponents lh and lhm away from a frame's
-# anchor: inside one frame the anchored exponentials stay within
-# [e^-128, e^128], so their products in the covariance tables stay inside
-# float64 range (about e^709); what a table carries over from earlier
-# frames is bounded only when the system is stable.
+# Largest move of the exponent away from a frame's first node in
+# :func:`_running_integral`: the exponentials of a frame stay within
+# [e^-128, e^128], far inside float64 range (about e^709).
 FRAME_SPAN = 128.0
 
 
@@ -109,85 +109,28 @@ def _lower_exp(x: np.ndarray) -> np.ndarray:
     return np.exp(np.where(low, x[:, None] - x[None, :], -np.inf))
 
 
-class Frames:
-    """Anchored copies of the scalar exponentials, for long horizons.
+def _running_integral(E: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid of exp(E_i - E_j) y_j over j <= i at every node i.
 
-    ``exp(lh)`` and ``exp(lhm)`` under- or overflow once a running exponent
-    passes about 700, while the kernels, which are ratios of them, stay
-    finite. So the grid is cut into frames: the nodes
-    ``starts[k] <= i < starts[k+1]`` are expressed relative to the anchor
-    ``a = starts[k]``,
-
-        epsi = exp(lh - lh_a),  ephi = exp(lhm - lhm_a),
-
-    and psi and phi, ratios of two nodes of one frame, are unchanged. A
-    frame ends before the first node where lh or lhm has moved more than
-    ``FRAME_SPAN`` from the anchor; running integrals cross a frame
-    boundary by one scale factor (:meth:`cumulative`). When nothing moves
-    that far there is one frame, anchored at node 0, and epsi and ephi
-    equal ``exp(lh)`` and ``exp(lhm)`` bit for bit.
+    exp(E) alone leaves float64 range once |E| passes about 700, so the
+    grid is cut into frames, each ending before the first node where E has
+    moved more than ``FRAME_SPAN`` from the frame's first node a. Inside a
+    frame the integral is exp(E - E_a) (x_a + the running trapezoid of
+    y / exp(E - E_a)); the next frame starts from the trapezoid's one-step
+    map x_b = exp(E_b - E_{b-1}) (x_{b-1} + dt/2 y_{b-1}) + dt/2 y_b,
+    which only multiplies, so a stiff falling step underflows to zero.
     """
-
-    def __init__(self, lh: np.ndarray, lhm: np.ndarray, dt: float):
-        n = len(lh) - 1
-        starts = [0]
-        while True:
-            a = starts[-1]
-            far = np.flatnonzero((np.abs(lh[a:] - lh[a]) > FRAME_SPAN)
-                                 | (np.abs(lhm[a:] - lhm[a]) > FRAME_SPAN))
-            if far.size == 0:
-                break
-            nxt = a + max(1, int(far[0]) - 1)
-            if nxt >= n:
-                break
-            starts.append(nxt)
-        self.starts = starts
-        self.ends = starts[1:] + [n]   # the next anchor, or the last node
-        self.dt = dt
-        anchor = np.repeat(starts, np.diff(starts + [n + 1]))
-        self.epsi = np.exp(lh - lh[anchor])
-        self.ephi = np.exp(lhm - lhm[anchor])
-        # moves of lh and lhm from each anchor to the frame's end node
-        self.dlh = lh[self.ends] - lh[starts]
-        self.dlhm = lhm[self.ends] - lhm[starts]
-
-    def cumulative(self, x: np.ndarray, powers: tuple[int, int],
-                   reverse: bool = False) -> np.ndarray:
-        """Running trapezoid integral of x from node 0 (or, with
-        ``reverse``, to the last node).
-
-        ``x`` holds each node's integrand in that node's frame, and so does
-        the result. ``powers = (u, v)`` are the exponents of epsi and ephi
-        in ``x``, e.g. (0, -2) for w / ephi^2: at a boundary x and the
-        carried integral scale by sigma = exp(-u dlh - v dlhm).
-        """
-        u, v = powers
-        half = 0.5 * self.dt
-        out = np.zeros(len(x))
-        last = len(self.starts) - 1
-        for k in (range(last, -1, -1) if reverse else range(last + 1)):
-            a, b = self.starts[k], self.ends[k]
-            sigma = np.exp(-u * self.dlh[k] - v * self.dlhm[k]) if k < last else 1.0
-            # the run over [a, b - 1] and the panel [b - 1, b], with node b
-            # moved into frame k
-            panel = half * (x[b - 1] + x[b] / sigma)
-            if reverse:
-                carry = out[b] / sigma + panel
-                out[a:b] = carry + cumulative_trapezoid(x[a:b][::-1], self.dt)[::-1]
-            else:
-                out[a:b] = out[a] + cumulative_trapezoid(x[a:b], self.dt)
-                out[b] = sigma * (out[b - 1] + panel)
-        return out
-
-    def integral(self, y: np.ndarray, p: int, q: int, reverse: bool = False) -> np.ndarray:
-        """Trapezoid of psi^p phi^q y over the kernels' lower time at every
-        node t, int_0^t psi(t, s)^p phi(t, s)^q y(s) ds; with ``reverse``,
-        over their upper time at every node s,
-        int_s^T psi(t, s)^p phi(t, s)^q y(t) dt."""
-        e = self.epsi**p * self.ephi**q
-        if reverse:
-            return self.cumulative(y * e, (p, q), reverse=True) / e
-        return e * self.cumulative(y / e, (-p, -q))
+    out = np.empty(len(E))
+    a, carry = 0, 0.0
+    while True:
+        far = np.flatnonzero(np.abs(E[a:] - E[a]) > FRAME_SPAN)
+        b = a + int(far[0]) if far.size else len(E)
+        e = np.exp(E[a:b] - E[a])
+        out[a:b] = e * (carry + cumulative_trapezoid(y[a:b] / e, dt))
+        if b == len(E):
+            return out
+        carry = np.exp(E[b] - E[b - 1]) * (out[b - 1] + 0.5 * dt * y[b - 1]) + 0.5 * dt * y[b]
+        a = b
 
 
 class ScalarTables:
@@ -202,8 +145,8 @@ class ScalarTables:
         f(t_i, t_j)   = phi(t_i, t_j) - psi(t_i, t_j).
 
     Rows and triangles exponentiate only the differences on and below the
-    diagonal. ``frames`` holds the anchored exponentials that the O(N)
-    formulas of the covariance module pair.
+    diagonal, and :meth:`integral` is the one running integral that the
+    O(N) formulas of the covariance module pair.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule, H: np.ndarray,
@@ -220,7 +163,16 @@ class ScalarTables:
         dt = grid.dt
         self.lh = cumulative_trapezoid(self.H, dt)
         self.lhm = cumulative_trapezoid(self.H + self.M, dt)
-        self.frames = Frames(self.lh, self.lhm, dt)
+
+    def integral(self, y: np.ndarray, p: int, q: int, reverse: bool = False) -> np.ndarray:
+        """Trapezoid of psi^p phi^q y over the kernels' lower time at every
+        node t, int_0^t psi(t, s)^p phi(t, s)^q y(s) ds; with ``reverse``,
+        over their upper time, int_s^T psi(t, s)^p phi(t, s)^q y(t) dt: the
+        forward integral on the reversed grid with the exponent negated."""
+        E = p * self.lh + q * self.lhm
+        if reverse:
+            return _running_integral(-E[::-1], y[::-1], self.grid.dt)[::-1]
+        return _running_integral(E, y, self.grid.dt)
 
     def psi_triangle(self) -> np.ndarray:
         return _lower_exp(self.lh)

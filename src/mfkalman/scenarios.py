@@ -144,20 +144,40 @@ def _compile_expr(expr: str, args: tuple[str, ...]):
     return fn
 
 
-def _coeff_from_spec(value, args: tuple[str, ...]):
-    if isinstance(value, str):
-        return _compile_expr(value, args)
+def _mapping(value, where: str, keys) -> dict:
+    """``value``, checked to be a mapping whose keys are among ``keys``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {value!r}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ScenarioError(f"unknown key {unknown[0]!r} in {where}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
-# parameters a scenario file may leave out
-_MEASURE_DEFAULTS = {"dirac": {"x0": 0.0}, "gauss_hermite": {"n_nodes": 11}}
+def _coeff_from_spec(value, args: tuple[str, ...], key: str):
+    return _compile_expr(value, args) if isinstance(value, str) else _number(value, key)
 
 
-def _measure_from_spec(spec: dict):
-    kind = spec.get("kind")
-    params = {key: value for key, value in spec.items() if key != "kind"}
-    return standard_measure(kind, **{**_MEASURE_DEFAULTS.get(kind, {}), **params})
+# the parameters of each measure kind and the defaults a file may leave out (None: required)
+_MEASURE_PARAMS = {"dirac": {"x0": 0.0}, "discrete": {"points": None, "weights": None},
+                   "gauss_hermite": {"n_nodes": 11}}
+
+
+def _measure_from_spec(spec):
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    defaults = _MEASURE_PARAMS.get(kind, {}) if isinstance(kind, str) else {}
+    params = {**defaults, **_mapping(spec, "measure", {"kind", *defaults})}
+    params.pop("kind", None)
+    missing = [key for key, value in params.items() if value is None]
+    if missing:
+        raise ScenarioError(f"measure {kind!r} needs the parameter {missing[0]!r}")
+    return standard_measure(kind, **params)   # names an unknown kind
 
 
 def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:
@@ -166,34 +186,33 @@ def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:
     Recognized keys: ``horizon``, ``steps``, ``measure`` (kind plus
     parameters), ``coefficients`` (A, B, C, D as numbers or expressions in
     t), ``sigma``/``gamma`` (numbers or expressions in u and t), ``noise``
-    (Q, Q0) and ``cost_weight`` (Sigma). ``steps`` may be overridden.
+    (Q, Q0) and ``cost_weight`` (Sigma). ``steps`` may be overridden. An
+    unknown key, a missing measure parameter or a value of the wrong type
+    raises :class:`ScenarioError` naming the key.
     """
-    raw = yaml.safe_load(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"scenario file {path} must be a mapping")
-    horizon = float(raw.get("horizon", 1.0))
-    n_steps = int(steps if steps is not None else raw.get("steps", DEFAULT_STEPS))
-    grid = make_grid(horizon, n_steps)
-    coeffs = raw.get("coefficients", {})
-    noise = raw.get("noise", {})
+    raw = _mapping(yaml.safe_load(Path(path).read_text()), f"scenario file {path}",
+                   {"horizon", "steps", "measure", "coefficients", "sigma", "gamma", "noise",
+                    "cost_weight"})
+    if steps is None:
+        steps = raw.get("steps", DEFAULT_STEPS)
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            raise ScenarioError(f"steps must be an integer, got {steps!r}")
+    grid = make_grid(_number(raw.get("horizon", 1.0), "horizon"), steps)
+    coeffs = _mapping(raw.get("coefficients", {}), "coefficients", {"A", "B", "C", "D"})
+    noise = _mapping(raw.get("noise", {}), "noise", {"Q", "Q0"})
 
     def time_coeff(name, default):
-        return _coeff_from_spec(coeffs.get(name, default), ("t",))
-
-    def atom_coeff(name, default):
-        value = raw.get(name, default)
-        if isinstance(value, str):
-            return _compile_expr(value, ("u", "t"))
-        return float(value)
+        return _coeff_from_spec(coeffs.get(name, default), ("t",), name)
 
     return build_scenario(
         grid,
-        measure=_measure_from_spec(raw.get("measure", {"kind": "dirac", "x0": 0.0})),
+        measure=_measure_from_spec(raw.get("measure", {"kind": "dirac"})),
         A=time_coeff("A", 0.0), B=time_coeff("B", 0.0),
         C=time_coeff("C", 1.0), D=time_coeff("D", 0.0),
-        sigma=atom_coeff("sigma", 1.0), gamma=atom_coeff("gamma", 1.0),
-        Q=float(noise.get("Q", 1.0)), Q0=float(noise.get("Q0", 1.0)),
-        Sigma=_coeff_from_spec(raw.get("cost_weight", 1.0), ("t",)),
+        sigma=_coeff_from_spec(raw.get("sigma", 1.0), ("u", "t"), "sigma"),
+        gamma=_coeff_from_spec(raw.get("gamma", 1.0), ("u", "t"), "gamma"),
+        Q=_number(noise.get("Q", 1.0), "Q"), Q0=_number(noise.get("Q0", 1.0), "Q0"),
+        Sigma=_coeff_from_spec(raw.get("cost_weight", 1.0), ("t",), "cost_weight"),
     )
 
 

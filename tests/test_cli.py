@@ -122,6 +122,13 @@ class TestGradcheck:
         assert "--eps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_nonfinite_eps_rejected_before_output(self, tmp_path, capsys, eps):
+        out = tmp_path / "out"
+        assert main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)]) != 0
+        assert "--eps must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eps_recorded_in_full(self, tmp_path):
         assert main(["gradcheck", "--steps", "20", "--eps", "1.23456789e-4",
                      "--directions", "1", "--out", str(tmp_path)]) == 0
@@ -200,6 +207,23 @@ class TestScenarioFiles:
         path = tmp_path / "scen.yaml"
         path.write_text("measure: {kind: uniform}\n")
         with pytest.raises(ScenarioError, match="unknown measure kind 'uniform'"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("steps: 2.7", "steps must be an integer"),
+        ("horizon: one", "horizon must be a number"),
+        ("coeficients: {A: -1.0}", "unknown key 'coeficients' in scenario file"),
+        ("coefficients: {E: 1.0}", "unknown key 'E' in coefficients"),
+        ("measure: {kind: dirac, y0: 1.0}", "unknown key 'y0' in measure"),
+        ("measure: dirac", "measure must be a mapping"),
+        ("noise: [1, 2]", "noise must be a mapping"),
+        ("sigma: {a: 1}", "sigma must be a number"),
+        ("measure: {kind: discrete}", "measure 'discrete' needs the parameter 'points'"),
+    ])
+    def test_bad_file_rejected_naming_key(self, tmp_path, text, match):
+        path = tmp_path / "scen.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ScenarioError, match=match):
             load_scenario(path)
 
     def test_unknown_scenario_rejected(self, tmp_path, capsys):

@@ -32,6 +32,7 @@ from mfkalman.covariance import (
     _gradient_from_kernel,
     _sensitivity_kernel,
 )
+from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import scalar_scenario
@@ -510,8 +511,9 @@ class TestFdOracle:
     def test_rejects_bad_eps(self, classical_pack):
         scen, bars, _ = classical_pack
         zero = GainSchedule.constant(scen.grid, 0.0)
-        with pytest.raises(ScenarioError):
-            fd_cost_slope(scen, zero, zero, 0.0, bars)
+        for eps in (0.0, -1e-4, np.nan, np.inf):
+            with pytest.raises(ScenarioError, match="eps must be finite and positive"):
+                fd_cost_slope(scen, zero, zero, eps, bars)
 
 
 class TestFactoredGradient:
@@ -573,12 +575,14 @@ class TestLongHorizon:
                              ids=["falling", "rising", "falling-long"])
     def test_coupled_gradient_matches_oracle_across_frames(self, B, D, horizon, steps, frames):
         # M = -0.65 (falling) or +0.35 (rising); on the long horizons int H
-        # and int (H + M) move by hundreds, so the tables are cut into
-        # frames, and exp(int (H + M)) alone would leave float64 range; the
-        # triangle oracle, built from kernel values, stays accurate
+        # and int (H + M) fall by hundreds, so every running integral is cut
+        # into frames (each spans at most FRAME_SPAN of a monotone
+        # exponent), and exp(int (H + M)) alone would leave float64 range;
+        # the triangle oracle, built from kernel values, stays accurate
         scen = _ou_scenario(-2.0, steps, horizon, B=B, D=D)
         gain = GainSchedule.constant(scen.grid, 0.3)
-        assert len(kernel_bundle(scen, gain).tables.frames.starts) >= frames
+        tb = kernel_bundle(scen, gain).tables
+        assert min(np.ptp(tb.lh), np.ptp(tb.lhm)) > (frames - 1) * FRAME_SPAN
         assert _oracle_gap(scen, gain) <= 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -634,17 +638,31 @@ class TestLongHorizon:
 
     @pytest.mark.parametrize("stage", [trace_cost, cost_gradient, covariance_profile,
                                        drift_profile], ids=lambda fn: fn.__name__)
-    def test_step_beyond_frame_span_names_stage_without_warnings(self, stage):
-        # at a gain of 1e5 one step moves int H by 500, more than a frame
-        # spans, and the anchored quotients divide by zero
-        scen = classical_scenario(steps=200)
-        bars = measure_averages(scen)
-        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 1e5))
-        atom = (0,) if stage in (covariance_profile, drift_profile) else ()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ScenarioError, match=f"^{stage.__name__}: non-finite"):
-                stage(scen, bundle, bars, *atom)
+    def test_stiff_step_finite_without_warnings(self, stage):
+        # at a gain of 1e5 one step moves int H by 500 at N = 200 (31 at
+        # N = 3200), more than a frame spans, and the trapezoid's one-step
+        # map carries the integral across; P is about dt/2 w there, finite
+        # but not accurate. The N = 3200 values are those of the frame-wise
+        # quotients that this map replaced, which were finite on that grid.
+        expected = {trace_cost: 1562255.8595312256,
+                    cost_gradient: [31.25] + [-457.03125004882816] * 3199 + [0.0],
+                    covariance_profile: [0.0] + [1562500.00015625] * 3200,
+                    drift_profile: [0.0] + [-151250000015.125] * 3200}[stage]
+        for steps in (200, 3200):
+            scen = classical_scenario(steps=steps)
+            bars = measure_averages(scen)
+            bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 1e5))
+            atom = (0,) if stage in (covariance_profile, drift_profile) else ()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = stage(scen, bundle, bars, *atom)
+            got = got.values if stage is cost_gradient else got
+            assert np.all(np.isfinite(got))
+        if stage is trace_cost:
+            assert got == pytest.approx(expected, rel=1e-12)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(expected)))
 
 
 class TestMatrixJointRecursion:

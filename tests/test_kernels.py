@@ -18,7 +18,7 @@ from mfkalman.arbitration import (
     phi_direction,
     psi_direction,
 )
-from mfkalman.kernels import FRAME_SPAN, Frames
+from mfkalman.kernels import FRAME_SPAN, _running_integral
 from mfkalman.scenarios import random_smooth_scenario
 
 from conftest import scalar_scenario
@@ -201,20 +201,33 @@ class TestKernelBundle:
         assert set(bundle.triangles) == {"phi", "psi", "f"}
 
 
+def _frame_starts(E):
+    """First nodes of the frames of :func:`_running_integral`: a frame
+    ends before the first node where E has moved more than FRAME_SPAN
+    from the frame's first node."""
+    starts = [0]
+    while (far := np.flatnonzero(np.abs(E[starts[-1]:] - E[starts[-1]]) > FRAME_SPAN)).size:
+        starts.append(starts[-1] + int(far[0]))
+    return starts
+
+
 class TestFrames:
     def test_short_horizon_is_one_plain_frame(self, rough_pack):
         tb = rough_pack[3].tables
-        assert tb.frames.starts == [0]
-        np.testing.assert_array_equal(tb.frames.epsi, np.exp(tb.lh))
-        np.testing.assert_array_equal(tb.frames.ephi, np.exp(tb.lhm))
+        y = 1.0 + 0.3 * np.cos(tb.grid.nodes)
+        for p, q in [(0, 2), (2, 0), (1, 1)]:
+            E = p * tb.lh + q * tb.lhm
+            assert _frame_starts(E) == [0]
+            np.testing.assert_allclose(
+                _running_integral(E, y, tb.grid.dt),
+                np.exp(E) * cumulative_trapezoid(y * np.exp(-E), tb.grid.dt), rtol=1e-13)
 
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("powers", [(0, -2), (-2, 0), (-1, -1), (0, -1), (2, 0)])
+    @pytest.mark.parametrize("powers", [(0, 2), (2, 0), (1, 1), (1, 0), (-2, 0)])
     @pytest.mark.parametrize("mix_shape", ["rising", "dipping"])
     def test_cumulative_across_frames(self, mix_shape, powers, reverse):
-        # exponents down to about -300: several frames, yet every value
-        # below stays inside float64 range, so each frame's values can be
-        # formed directly
+        # exponents ranging over about 580: several frames, yet every row
+        # below stays inside float64 range, so it can be formed directly
         dt = 0.5
         t = np.arange(601) * dt
         lh = -t + 20.0 * np.sin(t / 15.0)
@@ -222,22 +235,24 @@ class TestFrames:
             mix = 0.2 * t
         else:   # M changes sign; the integral swings and dips to about -8
             mix = -0.02 * t + 2.0 * np.sin(t / 10.0)
-        lhm = lh + mix
-        fr = Frames(lh, lhm, dt)
-        assert len(fr.starts) >= 3
-        for a, b in zip(fr.starts, fr.starts[1:] + [len(t) - 1]):
-            assert np.max(np.abs(lh[a:b + 1] - lh[a])) <= FRAME_SPAN
-            assert np.max(np.abs(lhm[a:b + 1] - lhm[a])) <= FRAME_SPAN
-        u, v = powers
-        h = 1.0 + 0.3 * np.cos(t / 7.0)
-        got = fr.cumulative(fr.epsi**u * fr.ephi**v * h, powers, reverse=reverse)
-        for a, b in zip(fr.starts, fr.starts[1:] + [len(t)]):
-            # every node expressed in frame a, integrated over the whole grid
-            x = np.exp(u * (lh - lh[a]) + v * (lhm - lhm[a])) * h
-            run = (cumulative_trapezoid(x[::-1], dt)[::-1] if reverse
-                   else cumulative_trapezoid(x, dt))
-            np.testing.assert_allclose(got[a:b], run[a:b], rtol=1e-10,
-                                       atol=1e-13 * np.max(np.abs(run[a:b])))
+        E = powers[0] * lh + powers[1] * (lh + mix)
+        y = 1.0 + 0.3 * np.cos(t / 7.0)
+        n = len(t)
+        if reverse:
+            # int_s^T exp(E(t) - E(s)) y(t) dt is the forward integral on the
+            # reversed grid with the exponent negated
+            direct = np.array([cumulative_trapezoid(np.exp(E[i:] - E[i]) * y[i:], dt)[-1]
+                               for i in range(n)])
+            E, y, direct = -E[::-1], y[::-1], direct[::-1]
+        else:
+            direct = np.array([cumulative_trapezoid(np.exp(E[i] - E[:i + 1]) * y[:i + 1], dt)[-1]
+                               for i in range(n)])
+        got = _running_integral(E, y, dt)
+        starts = _frame_starts(E)
+        assert len(starts) >= 3
+        for a, b in zip(starts, starts[1:] + [n]):
+            np.testing.assert_allclose(got[a:b], direct[a:b], rtol=1e-10,
+                                       atol=1e-13 * np.max(np.abs(direct[a:b])))
 
 
 class TestMatrixMode:
