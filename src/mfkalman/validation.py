@@ -7,13 +7,18 @@ the pytest acceptance module asserts each result.
 
 All randomness is derived from the suite seed through fixed offsets, so
 two runs with the same seed produce byte-identical CSV output — which is
-itself the final criterion.
+itself the final criterion. Its re-run goes in a fresh interpreter that
+runs alongside the suite (see :meth:`ValidationSuite.criterion_determinism`).
 """
 
 from __future__ import annotations
 
 import filecmp
+import os
 import shutil
+import subprocess
+import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -195,12 +200,63 @@ def _path_rows(scenario: Scenario, ens, reps: int, stride: int) -> list[tuple]:
             for j in range(0, len(nodes), stride)]
 
 
+# what the re-run of criterion_determinism executes: argv is (shadow, seed)
+_TWIN_CODE = """\
+import sys
+import mfkalman
+from mfkalman.validation import ValidationSuite
+print(mfkalman.__file__, flush=True)
+ValidationSuite(sys.argv[1], int(sys.argv[2])).run_artifacts()
+"""
+
+
+class _Twin:
+    """The artifact pipeline at ``seed`` in a fresh interpreter, writing its
+    CSVs into ``out_dir/.determinism-recheck`` (the shadow directory). It
+    inherits this process's environment with the package's own parent
+    directory first on ``PYTHONPATH``; its standard output (the file it
+    imported ``mfkalman`` from) and standard error go to temporary files."""
+
+    def __init__(self, out_dir: Path, seed: int):
+        self.shadow = shadow = out_dir / ".determinism-recheck"
+        shutil.rmtree(shadow, ignore_errors=True)
+        self.stdout, self.stderr = tempfile.TemporaryFile(), tempfile.TemporaryFile()
+        root = str(Path(__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=root + os.pathsep + path if path else root)
+        self.proc = subprocess.Popen([sys.executable, "-c", _TWIN_CODE, str(shadow), str(seed)],
+                                     env=env, stdin=subprocess.DEVNULL,
+                                     stdout=self.stdout, stderr=self.stderr)
+
+    def wait(self) -> tuple[int, str, str]:
+        """Exit status, standard output and standard error of the finished twin."""
+        status = self.proc.wait()
+        for f in (self.stdout, self.stderr):
+            f.seek(0)
+        return status, self.stdout.read().decode(), self.stderr.read().decode(errors="replace")
+
+    def stop(self) -> None:
+        """Terminate the twin if it still runs, reap it, close its files and
+        remove the shadow directory; a second call does nothing new."""
+        if self.proc.poll() is None:
+            self.proc.terminate()
+            try:
+                self.proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                self.proc.wait()
+        self.stdout.close()
+        self.stderr.close()
+        shutil.rmtree(self.shadow, ignore_errors=True)
+
+
 class ValidationSuite:
     """Runs the acceptance criteria and writes the CSV artifacts to ``out_dir``."""
 
     def __init__(self, out_dir: str | Path, seed: int = DEFAULT_SEED):
         self.out = Path(out_dir)
         self.seed = int(seed)
+        self._twin: _Twin | None = None
 
     def criterion_kernels(self) -> CriterionResult:
         """Semigroup identity of the point-error operator and the mixed
@@ -465,24 +521,52 @@ class ValidationSuite:
         return [self._timed(name, budget) for name, budget in self.ARTIFACT_CRITERIA]
 
     def criterion_determinism(self) -> CriterionResult:
-        """Re-run the whole artifact pipeline with the same seed and require
-        byte-identical CSV output."""
-        shadow = self.out / ".determinism-recheck"
-        if shadow.exists():
-            shutil.rmtree(shadow)
-        twin = ValidationSuite(shadow, seed=self.seed)
-        twin.run_artifacts()
-        mismatches = []
-        for path in sorted(self.out.glob("*.csv")):
-            other = shadow / path.name
-            if not other.exists():
-                mismatches.append(f"{path.name}: missing in re-run")
-            elif not filecmp.cmp(path, other, shallow=False):
-                mismatches.append(f"{path.name}: bytes differ")
-        shutil.rmtree(shadow)
-        passed = not mismatches
+        """Re-run the whole artifact pipeline (C1–C7 with every CSV) at the
+        same seed in a fresh interpreter and require byte-identical CSVs:
+        every CSV in ``out_dir`` against every CSV of the re-run, both ways.
+
+        :meth:`run_all` starts the re-run before C1 so that it runs on a
+        second core while this process runs C1–C7; called on its own, this
+        method starts it and waits. A fresh interpreter has its own hash
+        seed and no state left from this run; it must import ``mfkalman``
+        from the same file as this process. A re-run that exits non-zero
+        fails the criterion with its exit status and last lines of stderr.
+        """
+        twin = self._twin or _Twin(self.out, self.seed)
+        try:
+            status, twin_file, err = twin.wait()
+            if status != 0:
+                tail = err.strip().splitlines()[-5:]
+                return CriterionResult("C8", "deterministic outputs", False,
+                                       [f"re-run exited with status {status}; stderr ends:"]
+                                       + [f"  {line}" for line in tail])
+            mismatches = []
+            own_file = Path(sys.modules[__package__].__file__).resolve()
+            twin_file = Path(twin_file.strip()).resolve()
+            if twin_file != own_file:
+                mismatches.append(f"re-run imported mfkalman from {twin_file}, "
+                                  f"this run from {own_file}")
+            ours = {p.name for p in self.out.glob("*.csv")}
+            theirs = {p.name for p in twin.shadow.glob("*.csv")}
+            for name in sorted(ours | theirs):
+                if name not in theirs:
+                    mismatches.append(f"{name}: missing in re-run")
+                elif name not in ours:
+                    mismatches.append(f"{name}: missing in this run")
+                elif not filecmp.cmp(self.out / name, twin.shadow / name, shallow=False):
+                    mismatches.append(f"{name}: bytes differ")
+        finally:
+            twin.stop()
         details = mismatches or ["all CSV artifacts byte-identical across re-run"]
-        return CriterionResult("C8", "deterministic outputs", passed, details)
+        return CriterionResult("C8", "deterministic outputs", not mismatches, details)
 
     def run_all(self) -> list[CriterionResult]:
-        return self.run_artifacts() + [self._timed("criterion_determinism", None)]
+        """C1–C7, then C8, whose re-run starts first and runs alongside them
+        in its own process; the re-run is stopped and its shadow directory
+        removed however this ends."""
+        self._twin = _Twin(self.out, self.seed)
+        try:
+            return self.run_artifacts() + [self._timed("criterion_determinism", None)]
+        finally:
+            self._twin.stop()
+            self._twin = None
