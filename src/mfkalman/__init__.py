@@ -16,10 +16,8 @@ from .covariance import (
     trace_cost,
 )
 from .gain import (
-    FilterCoefficients,
     OptimizationReport,
     RiccatiSolution,
-    build_filter,
     optimize_gain,
     riccati_classical,
     riccati_normal_flow,
@@ -61,7 +59,6 @@ from .system_model import (
     discrete_measure,
     gauss_hermite_measure,
     measure_averages,
-    standard_measure,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

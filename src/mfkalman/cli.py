@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .gain import build_filter, optimize_gain
+from .gain import optimize_gain
 from .kernels import GainSchedule, kernel_bundle
 from .scenarios import resolve_scenario
 from .simulation import empirical_statistics, simulate_ensemble
@@ -61,22 +61,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=_DEFAULT_OUT, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="allow overwriting existing output files")
+
+    def at_gain(p):
+        common(p)
         p.add_argument("--gain", choices=("zero", "reference"), default="zero",
                        help="gain at which to evaluate (reference = closed-form "
                             "benchmark gain, bundled scenarios only)")
 
     p = sub.add_parser("simulate", help="Monte Carlo ensemble and statistics")
-    common(p)
+    at_gain(p)
     p.add_argument("--paths", type=int, default=2000)
 
     p = sub.add_parser("kernels", help="transition/mixed kernel triangles")
-    common(p)
+    at_gain(p)
 
     p = sub.add_parser("covariance", help="error covariance per atom and node")
-    common(p)
+    at_gain(p)
 
     p = sub.add_parser("gradcheck", help="gradient vs central-difference oracle")
-    common(p)
+    at_gain(p)
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--directions", type=int, default=5)
 
@@ -143,13 +146,11 @@ def _cmd_simulate(args) -> int:
     write_csv(out / "paths.csv", "rep,atom,t,x,y,z,e",
               _path_rows(scenario, ens, len(ens.x), 1),   # the kept replications
               _meta(scenario, args.seed, {"n_paths": args.paths}))
-    nodes = scenario.grid.nodes
-    rows = []
-    for a in range(scenario.n_atoms):
-        for j in range(scenario.grid.n_nodes):
-            st = empirical_statistics(ens, a, j)
-            rows.append((a, float(nodes[j]), float(st.mean[0]), float(st.cov[0, 0]),
-                         float(st.mean_se[0]), float(st.var_se[0])))
+    st = empirical_statistics(ens)
+    t = scenario.grid.nodes.tolist()
+    rows = [(a, *row) for a in range(scenario.n_atoms)
+            for row in zip(t, st.mean[a, :, 0].tolist(), st.cov[a, :, 0, 0].tolist(),
+                           st.mean_se[a, :, 0].tolist(), st.var_se[a, :, 0].tolist())]
     write_csv(out / "statistics.csv", "atom,t,mean,var,se_mean,se_var", rows,
               _meta(scenario, args.seed, {"n_paths": args.paths}))
     print(f"simulate: wrote {out / 'paths.csv'} and {out / 'statistics.csv'}")
@@ -215,11 +216,10 @@ def _cmd_optimize(args) -> int:
     out = _prepare_out(args.out, names, args.force)
     report = optimize_gain(scenario, grad_tol=args.grad_tol, max_iter=args.max_iter)
     _dump_optimizer(out, scenario, report, args.seed)
-    coeffs = build_filter(scenario, report.gain)
+    bundle = kernel_bundle(scenario, report.gain)
     write_csv(out / "filter.csv", "t,h,m,gain",
-              [(float(t), float(coeffs.h[j, 0, 0]), float(coeffs.m[j, 0, 0]),
-                float(report.gain.scalar[j]))
-               for j, t in enumerate(scenario.grid.nodes)],
+              zip(scenario.grid.nodes.tolist(), bundle.H[:, 0, 0].tolist(),
+                  bundle.M[:, 0, 0].tolist(), report.gain.scalar.tolist()),
               _meta(scenario, args.seed))
     lines = [
         f"iterations: {report.iterations}",

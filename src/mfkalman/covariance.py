@@ -98,16 +98,10 @@ class GradientField:
 
 
 def _atom_index(scenario: Scenario, atom) -> int:
-    if isinstance(atom, (int, np.integer)):
-        if not 0 <= atom < scenario.n_atoms:
-            raise ScenarioError(f"atom index {atom} out of range")
-        return int(atom)
-    point = np.atleast_1d(np.asarray(atom, dtype=float))
-    dists = np.linalg.norm(scenario.measure.points - point[None, :], axis=1)
-    hit = int(np.argmin(dists))
-    if dists[hit] > 1e-9 * max(1.0, float(np.abs(point).max())):
-        raise ScenarioError(f"point {atom!r} is not an atom of the measure")
-    return hit
+    if not (isinstance(atom, (int, np.integer)) and 0 <= atom < scenario.n_atoms):
+        raise ScenarioError(f"atom index {atom!r} out of range: the measure has "
+                            f"{scenario.n_atoms} atoms")
+    return int(atom)
 
 
 class _ScalarWeights:
@@ -423,8 +417,8 @@ def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedu
     """
     if not 0.0 < eps < np.inf:
         raise ScenarioError(f"eps must be finite and positive, got {eps!r}")
-    up = gain0.with_values(gain0.values + eps * direction.values)
-    dn = gain0.with_values(gain0.values - eps * direction.values)
+    up = GainSchedule(gain0.grid, gain0.values + eps * direction.values)
+    dn = GainSchedule(gain0.grid, gain0.values - eps * direction.values)
     J_up = trace_cost(scenario, kernel_bundle(scenario, up), bars)
     J_dn = trace_cost(scenario, kernel_bundle(scenario, dn), bars)
     return (J_up - J_dn) / (2.0 * eps)

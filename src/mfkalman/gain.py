@@ -1,4 +1,4 @@
-"""Gain optimization, closed-form Riccati references, and filter assembly.
+"""Gain optimization and closed-form Riccati references.
 
 The optimizer drives the gain to first-order stationarity of the trace
 cost, using the exact gradient density g from the covariance module. The
@@ -43,18 +43,16 @@ from .covariance import (
     cost_gradient,
     trace_cost,
 )
-from .kernels import GainSchedule, _closed_loop_drifts, _tables, kernel_bundle
+from .kernels import GainSchedule, _tables, kernel_bundle
 from .numerics import TimeGrid, _rk4_step, trapezoid
 from .system_model import BarQuantities, Scenario, ScenarioError, measure_averages
 
 __all__ = [
     "OptimizationReport",
     "RiccatiSolution",
-    "FilterCoefficients",
     "optimize_gain",
     "riccati_classical",
     "riccati_normal_flow",
-    "build_filter",
 ]
 
 _ARMIJO_C1 = 1e-4
@@ -102,16 +100,6 @@ class RiccatiSolution:
 
     def gain(self) -> GainSchedule:
         return GainSchedule(self.grid, self.gain_values[:, None, None])
-
-
-@dataclass(frozen=True)
-class FilterCoefficients:
-    """Closed-loop filter coefficients consumable by the simulator."""
-
-    grid: TimeGrid
-    h: np.ndarray       # (N+1, n, n): A - gain C
-    m: np.ndarray       # (N+1, n, n): B - gain D
-    gain: GainSchedule
 
 
 def _diagonal_update(scenario: Scenario, bars: BarQuantities, values: np.ndarray,
@@ -204,7 +192,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
             break
         eta, tried = 1.0, 0
         while eta >= _STEP_FLOOR:
-            cand = gain.with_values((gain.scalar + eta * p)[:, None, None])
+            cand = GainSchedule(gain.grid, gain.scalar + eta * p)
             cand_bundle = kernel_bundle(scenario, cand)
             J_cand = trace_cost(scenario, cand_bundle, bars)
             tried += 1
@@ -227,7 +215,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     completed = _diagonal_update(
         scenario, bars, gain.scalar,
         nodes=list(range(max(0, n - _COMPLETION_NODES + 1), n + 1)))
-    gain = gain.with_values(completed[:, None, None])
+    gain = GainSchedule(gain.grid, completed)
     bundle = kernel_bundle(scenario, gain)
     # not trace_cost: after the one at the start, each trace_cost call
     # of this function is one Armijo trial, and the benchmark counts
@@ -318,9 +306,3 @@ def riccati_normal_flow(A, C, grid: TimeGrid) -> RiccatiSolution:
     gain = np.array([C_f(t) for t in grid.nodes]) * M
     return RiccatiSolution(grid=grid, state=M, gain_values=gain,
                            mean_variance=state[:, 1])
-
-
-def build_filter(scenario: Scenario, gain: GainSchedule) -> FilterCoefficients:
-    """Closed-loop coefficients H = A - gain C, M = B - gain D at the nodes."""
-    H, M = _closed_loop_drifts(scenario, gain)
-    return FilterCoefficients(grid=scenario.grid, h=H, m=M, gain=gain)

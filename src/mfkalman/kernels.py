@@ -92,9 +92,6 @@ class GainSchedule:
             raise ScenarioError("scalar view requires a 1x1 gain")
         return self.values.reshape(self.grid.n_nodes)
 
-    def with_values(self, values: np.ndarray) -> "GainSchedule":
-        return GainSchedule(self.grid, values)
-
 
 # Largest move of the exponent away from a frame's first node in
 # :func:`_running_integral`: the exponentials of a frame stay within

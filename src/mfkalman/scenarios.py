@@ -31,7 +31,6 @@ from .system_model import (
     dirac_measure,
     discrete_measure,
     gauss_hermite_measure,
-    standard_measure,
 )
 
 __all__ = [
@@ -164,20 +163,24 @@ def _coeff_from_spec(value, args: tuple[str, ...], key: str):
     return _compile_expr(value, args) if isinstance(value, str) else _number(value, key)
 
 
-# the parameters of each measure kind and the defaults a file may leave out (None: required)
-_MEASURE_PARAMS = {"dirac": {"x0": 0.0}, "discrete": {"points": None, "weights": None},
-                   "gauss_hermite": {"n_nodes": 11}}
+# each measure kind: its constructor, and its parameters with the defaults
+# a file may leave out (None: required)
+_MEASURE_PARAMS = {"dirac": (dirac_measure, {"x0": 0.0}),
+                   "discrete": (discrete_measure, {"points": None, "weights": None}),
+                   "gauss_hermite": (gauss_hermite_measure, {"n_nodes": 11})}
 
 
 def _measure_from_spec(spec):
     kind = spec.get("kind") if isinstance(spec, dict) else None
-    defaults = _MEASURE_PARAMS.get(kind, {}) if isinstance(kind, str) else {}
+    make, defaults = _MEASURE_PARAMS.get(kind, (None, {})) if isinstance(kind, str) else (None, {})
     params = {**defaults, **_mapping(spec, "measure", {"kind", *defaults})}
-    params.pop("kind", None)
+    if make is None:
+        raise ScenarioError(f"unknown measure kind {kind!r}")
+    params.pop("kind")
     missing = [key for key, value in params.items() if value is None]
     if missing:
         raise ScenarioError(f"measure {kind!r} needs the parameter {missing[0]!r}")
-    return standard_measure(kind, **params)   # names an unknown kind
+    return make(**params)
 
 
 def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:

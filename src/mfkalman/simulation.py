@@ -22,12 +22,12 @@ The blocks run in block order on the calling thread. Each block reduces
 the error e = x - z to moments at every node as it goes and folds into
 the running moments as soon as it is done. A block's normal draws come
 in chunks of ``_CHUNK`` steps, one call on its stream per chunk; with
-``MFK_THREADS`` at 2 or more a single helper thread draws the next chunk
-while the calling thread steps the current one, and at 1 the calling
-thread draws them itself. Either way the draws are the same numbers in
-the same order, so results are reproducible bit-for-bit. Only the first
-``KEPT_PATHS`` replications keep their trajectories, so memory does not
-grow with paths times steps.
+two threads (:func:`worker_count`) a single helper thread draws the next
+chunk while the calling thread steps the current one, and with one the
+calling thread draws them itself. Either way the draws are the same
+numbers in the same order, so results are reproducible bit-for-bit.
+Only the first ``KEPT_PATHS`` replications keep their trajectories, so
+memory does not grow with paths times steps.
 """
 
 from __future__ import annotations
@@ -65,19 +65,21 @@ class SimulationError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Threads a simulation may use: at most 4, and no more than the CPUs
-    this process may run on; MFK_THREADS overrides. At 1 the calling
-    thread draws the normals itself; at 2 or more one helper thread draws
-    them ahead of the stepping (more threads than that are not used)."""
+    """Threads a simulation uses: 2, the calling thread and one helper
+    that draws the normals ahead of the stepping, when this process may
+    run on two or more CPUs, else 1, the calling thread drawing them
+    itself. MFK_THREADS overrides the CPU count."""
     env = os.environ.get("MFK_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            cpus = int(env)
         except ValueError:
             raise SimulationError(f"MFK_THREADS must be an integer, got {env!r}") from None
-    if hasattr(os, "sched_getaffinity"):
-        return min(4, len(os.sched_getaffinity(0)))
-    return min(4, os.cpu_count() or 1)
+    elif hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if cpus > 1 else 1
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,12 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class EmpiricalStats:
-    """Cross-replication statistics of the error at one (atom, node)."""
+    """Cross-replication statistics of the error at every (atom, node)."""
 
-    mean: np.ndarray      # (n,)
-    cov: np.ndarray       # (n, n)
-    mean_se: np.ndarray   # (n,)
-    var_se: np.ndarray    # (n,) fourth-moment standard error of the variance
+    mean: np.ndarray      # (k, N+1, n)
+    cov: np.ndarray       # (k, N+1, n, n)
+    mean_se: np.ndarray   # (k, N+1, n)
+    var_se: np.ndarray    # (k, N+1, n) fourth-moment standard error of the variance
 
 
 def _step_maps(scenario: Scenario, gain: GainSchedule):
@@ -312,8 +314,9 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     return PathEnsemble(grid=scenario.grid, seed=int(seed), n_paths=int(n_paths), **arrays)
 
 
-def empirical_statistics(ensemble: PathEnsemble, atom: int, node: int) -> EmpiricalStats:
-    """Sample mean and covariance of the error across replications.
+def empirical_statistics(ensemble: PathEnsemble) -> EmpiricalStats:
+    """Sample mean and covariance of the error across replications, at
+    every (atom, node).
 
     The variance standard error uses the fourth-moment estimator
     sqrt((m4 - m2^2 (P-3)/(P-1)) / P) per component.
@@ -321,15 +324,9 @@ def empirical_statistics(ensemble: PathEnsemble, atom: int, node: int) -> Empiri
     P = ensemble.n_paths
     if P < 2:
         raise SimulationError("statistics need at least 2 replications")
-    k, n_nodes = ensemble.mean.shape[:2]
-    if not 0 <= atom < k:
-        raise SimulationError(f"atom {atom} out of range: the ensemble has {k} atoms")
-    if not 0 <= node < n_nodes:
-        raise SimulationError(f"node {node} out of range: the grid has nodes 0..{n_nodes - 1}")
-    mean = ensemble.mean[atom, node]
-    cov = ensemble.sum2[atom, node] / (P - 1)
-    var = np.diag(cov)
-    m4 = ensemble.sum4[atom, node] / P
+    cov = ensemble.sum2 / (P - 1)
+    var = np.diagonal(cov, axis1=-2, axis2=-1)
+    m4 = ensemble.sum4 / P
     var_se = np.sqrt(np.maximum(m4 - var**2 * (P - 3) / (P - 1), 0.0) / P)
     mean_se = np.sqrt(np.maximum(var, 0.0) / P)
-    return EmpiricalStats(mean=mean, cov=cov, mean_se=mean_se, var_se=var_se)
+    return EmpiricalStats(mean=ensemble.mean, cov=cov, mean_se=mean_se, var_se=var_se)

@@ -25,7 +25,6 @@ __all__ = [
     "BarQuantities",
     "build_scenario",
     "measure_averages",
-    "standard_measure",
     "dirac_measure",
     "discrete_measure",
     "gauss_hermite_measure",
@@ -109,17 +108,6 @@ def gauss_hermite_measure(n_nodes: int) -> InitialMeasure:
     # probabilists' Hermite quadrature: weight function exp(-x^2/2)
     x, w = np.polynomial.hermite_e.hermegauss(int(n_nodes))
     return InitialMeasure(points=x[:, None], weights=w / w.sum())
-
-
-def standard_measure(kind: str, **params) -> InitialMeasure:
-    """Dispatch on ``kind``: 'dirac', 'discrete' or 'gauss_hermite'."""
-    if kind == "dirac":
-        return dirac_measure(params["x0"])
-    if kind == "discrete":
-        return discrete_measure(params["points"], params["weights"])
-    if kind == "gauss_hermite":
-        return gauss_hermite_measure(params["n_nodes"])
-    raise ScenarioError(f"unknown measure kind {kind!r}")
 
 
 @dataclass(frozen=True)

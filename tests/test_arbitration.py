@@ -19,10 +19,8 @@ def test_transcribed_form_fails_oracle(rough_pack):
     scen, _, gain, bundle = rough_pack
     eps = 1e-4
     beta = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
-    up = kernel_bundle(scen, gain.with_values(
-        (gain.scalar + eps * beta)[:, None, None]))
-    dn = kernel_bundle(scen, gain.with_values(
-        (gain.scalar - eps * beta)[:, None, None]))
+    up = kernel_bundle(scen, GainSchedule(scen.grid, gain.scalar + eps * beta))
+    dn = kernel_bundle(scen, GainSchedule(scen.grid, gain.scalar - eps * beta))
     i = scen.grid.n_steps
     fd = (up.f.values[i, 0] - dn.f.values[i, 0]) / (2 * eps)
     good = f_direction(bundle, i, 0, beta)

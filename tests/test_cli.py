@@ -1,7 +1,10 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from mfkalman import ScenarioError, load_scenario
+from mfkalman import GainSchedule, ScenarioError, kernel_bundle, load_scenario
+from mfkalman import cli
 from mfkalman.cli import main
 
 
@@ -164,6 +167,34 @@ class TestOptimize:
         assert all(float(r[1]) == pytest.approx(-float(r[3]), abs=1e-12) for r in rows)
         assert all(float(r[2]) == 0.0 for r in rows)
 
+    def test_filter_columns_are_bundle_drifts(self, tmp_path):
+        # mean-coupled, so m = B - gain D is not zero
+        spec = tmp_path / "scen.yaml"
+        spec.write_text("steps: 60\n"
+                        "measure: {kind: discrete, points: [[-1.0], [1.0]], weights: [0.5, 0.5]}\n"
+                        "coefficients: {A: 0.2, B: \"0.5 * cos(t)\", C: 1.0, D: 0.1}\n"
+                        "sigma: \"1.0 + 0.25 * u\"\n")
+        out = tmp_path / "out"
+        assert main(["optimize", "--scenario", str(spec), "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "filter.csv")
+        t, h, m, gain = np.array(rows, dtype=float).T
+        scen = load_scenario(spec)
+        np.testing.assert_array_equal(t, scen.grid.nodes)
+        bundle = kernel_bundle(scen, GainSchedule(scen.grid, gain))
+        assert np.any(bundle.M != 0.0)
+        np.testing.assert_array_equal(h, bundle.H[:, 0, 0])
+        np.testing.assert_array_equal(m, bundle.M[:, 0, 0])
+
+    @pytest.mark.parametrize("gain", ["zero", "reference"])
+    def test_gain_option_rejected(self, tmp_path, capsys, gain):
+        # the optimizer starts from zero whatever --gain says, so it takes none
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--gain", gain, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--gain" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScenarioFiles:
     def test_yaml_round_trip(self, tmp_path):
@@ -208,6 +239,9 @@ class TestScenarioFiles:
         path.write_text("measure: {kind: uniform}\n")
         with pytest.raises(ScenarioError, match="unknown measure kind 'uniform'"):
             load_scenario(path)
+        path.write_text("measure: {kind: [dirac]}\n")
+        with pytest.raises(ScenarioError, match=r"unknown measure kind \['dirac'\]"):
+            load_scenario(path)
 
     @pytest.mark.parametrize("text, match", [
         ("steps: 2.7", "steps must be an integer"),
@@ -236,3 +270,66 @@ class TestScenarioFiles:
         spec.write_text("coefficients: {A: \"__import__('os')\"}\n")
         code = main(["simulate", "--scenario", str(spec), "--out", str(tmp_path)])
         assert code != 0
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Parsed options that record which of them the command reads."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        object.__setattr__(self, "_reads", None)   # None: not recording yet
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+    def start(self):
+        object.__setattr__(self, "_reads", set())
+
+    def unread(self) -> set[str]:
+        options = object.__getattribute__(self, "__dict__")
+        return set(options) - {"_reads"} - options["_reads"]
+
+
+# every subcommand, at sizes small enough for a quick run
+_SMALL_RUNS = {
+    "simulate": ["--steps", "20", "--paths", "4"],
+    "kernels": ["--steps", "20"],
+    "covariance": ["--steps", "20"],
+    "gradcheck": ["--steps", "20", "--directions", "1"],
+    "optimize": ["--steps", "20"],
+    "validate": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_every_parsed_option_is_read(tmp_path, monkeypatch, command):
+    """An option that its command never reads is one a user sets to no
+    effect. argparse fills a namespace that records the reads made after
+    parsing; each command must read every option it was given."""
+    parsed = []
+    build = cli._build_parser
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(argv=None):
+            parsed.append(parse(argv, namespace=_ReadRecorder()))
+            parsed[-1].start()
+            return parsed[-1]
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", recording_parser)
+    # the suite itself is exercised elsewhere; its options are read before it runs
+    monkeypatch.setattr(cli.ValidationSuite, "run_all", lambda self: [])
+    # --out already holds a result: validate reads --force only then
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old.csv").write_text("")
+    assert main([command, "--out", str(out), "--force"] + _SMALL_RUNS[command]) == 0
+    assert parsed[0].unread() == set()

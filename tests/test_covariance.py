@@ -246,13 +246,11 @@ class TestErrorCovariance:
         expected = (1 + c * c) * (1 - np.exp(-2 * c * t)) / (2 * c)
         np.testing.assert_allclose(prof, expected, atol=5e-6)
 
-    def test_atom_lookup_by_point(self, classical_pack):
+    @pytest.mark.parametrize("atom", [1, -1, 0.0, np.array([0.0])])
+    def test_atom_must_be_index_in_range(self, classical_pack, atom):
         scen, bars, bundle = classical_pack
-        by_index = covariance_profile(scen, bundle, bars, 0)
-        by_point = covariance_profile(scen, bundle, bars, 0.0)
-        np.testing.assert_array_equal(by_index, by_point)
-        with pytest.raises(ScenarioError):
-            covariance_profile(scen, bundle, bars, 5.0)
+        with pytest.raises(ScenarioError, match="out of range: the measure has 1 atoms"):
+            covariance_profile(scen, bundle, bars, atom)
 
     def test_matrix_mode_block_diagonal(self):
         # mean coupling on, so the mixed kernel and cross quadratures are live
@@ -346,10 +344,8 @@ class TestSensitivityKernel:
         scen, bars, gain, bundle = rough_pack
         eps = 1e-4
         beta = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
-        up = kernel_bundle(scen, gain.with_values(
-            (gain.scalar + eps * beta)[:, None, None]))
-        dn = kernel_bundle(scen, gain.with_values(
-            (gain.scalar - eps * beta)[:, None, None]))
+        up = kernel_bundle(scen, GainSchedule(scen.grid, gain.scalar + eps * beta))
+        dn = kernel_bundle(scen, GainSchedule(scen.grid, gain.scalar - eps * beta))
         dt = scen.grid.dt
         for atom in range(2):
             Kp = covariance_profile(scen, up, bars, atom)

@@ -6,7 +6,6 @@ import pytest
 from mfkalman import (
     GainSchedule,
     ScenarioError,
-    build_filter,
     build_scenario,
     classical_scenario,
     cost_gradient,
@@ -282,7 +281,7 @@ def _curvature_gap(scen, eps: float = 1e-6) -> float:
         for e in (eps, -eps):
             bumped = values.copy()
             bumped[j] += e
-            bumped_gain = gain.with_values(bumped[:, None, None])
+            bumped_gain = GainSchedule(scen.grid, bumped)
             g.append(cost_gradient(scen, kernel_bundle(scen, bumped_gain), bars).values[j])
         gaps.append(abs((g[0] - g[1]) / (2 * eps) - d[j]) / d[j])
     return max(gaps)
@@ -332,29 +331,31 @@ class TestStationarityResidual:
 
 
 class TestBuildFilter:
+    """The filter's closed-loop coefficients h = A - gain C and
+    m = B - gain D are the drifts ``H`` and ``M`` of the kernel bundle."""
+
     def test_zero_gain_passthrough(self):
         scen = scalar_scenario(steps=40, A=0.7, B=0.3)
-        coeffs = build_filter(scen, GainSchedule.constant(scen.grid, 0.0))
-        np.testing.assert_allclose(coeffs.h, scen.A)
-        np.testing.assert_allclose(coeffs.m, scen.B)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.0))
+        np.testing.assert_allclose(bundle.H, scen.A)
+        np.testing.assert_allclose(bundle.M, scen.B)
 
     def test_classical_reference_filter(self):
         scen = classical_scenario(steps=100)
-        gain = GainSchedule.from_callable(scen.grid, np.tanh)
-        coeffs = build_filter(scen, gain)
-        np.testing.assert_allclose(coeffs.h.reshape(-1), -np.tanh(scen.grid.nodes))
-        np.testing.assert_allclose(coeffs.m, 0.0, atol=0)
+        bundle = kernel_bundle(scen, GainSchedule.from_callable(scen.grid, np.tanh))
+        np.testing.assert_allclose(bundle.H.reshape(-1), -np.tanh(scen.grid.nodes))
+        np.testing.assert_allclose(bundle.M, 0.0, atol=0)
 
     def test_normal_flow_reference_filter(self):
         scen = normal_flow_scenario(steps=100)
         sol = riccati_normal_flow(0.0, 1.0, scen.grid)
-        coeffs = build_filter(scen, sol.gain())
-        np.testing.assert_allclose(coeffs.h.reshape(-1), -sol.state, atol=1e-12)
+        bundle = kernel_bundle(scen, sol.gain())
+        np.testing.assert_allclose(bundle.H.reshape(-1), -sol.state, atol=1e-12)
 
     def test_grid_mismatch(self):
         scen = classical_scenario(steps=100)
         with pytest.raises(ScenarioError):
-            build_filter(scen, GainSchedule.constant(make_grid(1.0, 50), 0.0))
+            kernel_bundle(scen, GainSchedule.constant(make_grid(1.0, 50), 0.0))
 
 
 class TestDiagonalUpdate:

@@ -355,10 +355,8 @@ class TestDerivativeKernels:
         for trial in range(3):
             a, b = rng.uniform(-1, 1, 2)
             beta = a + b * np.sin((trial + 1) * np.pi * t)
-            up = kernel_bundle(scen, gain.with_values(
-                (gain.scalar + eps * beta)[:, None, None]))
-            dn = kernel_bundle(scen, gain.with_values(
-                (gain.scalar - eps * beta)[:, None, None]))
+            up = kernel_bundle(scen, GainSchedule(scen.grid, gain.scalar + eps * beta))
+            dn = kernel_bundle(scen, GainSchedule(scen.grid, gain.scalar - eps * beta))
             for (i, j) in [(scen.grid.n_steps, 0), (150, 40)]:
                 fd_psi = (up.psi.values[i, j] - dn.psi.values[i, j]) / (2 * eps)
                 fd_phi = (up.phi.values[i, j] - dn.phi.values[i, j]) / (2 * eps)

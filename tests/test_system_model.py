@@ -10,9 +10,9 @@ from mfkalman import (
     dirac_measure,
     discrete_measure,
     gauss_hermite_measure,
+    load_scenario,
     make_grid,
     measure_averages,
-    standard_measure,
 )
 from mfkalman.system_model import _as_matrix
 
@@ -20,8 +20,10 @@ GRID = make_grid(1.0, 50)
 
 
 class TestMeasures:
-    def test_dirac(self):
-        mu = standard_measure("dirac", x0=2.0)
+    def test_dirac(self, tmp_path):
+        path = tmp_path / "scen.yaml"
+        path.write_text("steps: 10\nmeasure: {kind: dirac, x0: 2.0}\n")
+        mu = load_scenario(path).measure
         assert mu.n_atoms == 1
         assert mu.points[0, 0] == 2.0
         assert mu.weights[0] == 1.0
@@ -45,8 +47,6 @@ class TestMeasures:
     def test_rejects_bad_weights(self):
         with pytest.raises(ScenarioError):
             discrete_measure([[0.0], [1.0]], [1.0, -0.5])
-        with pytest.raises(ScenarioError):
-            standard_measure("uniform")
         with pytest.raises(ScenarioError):
             gauss_hermite_measure(0)
 
