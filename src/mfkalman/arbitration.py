@@ -18,8 +18,8 @@ from .covariance import (
     GradientField,
     _atom_index,
     _atom_terms,
+    _checked,
     _gradient_from_kernel,
-    _require_scalar_bundle,
     _ScalarWeights,
     _sensitivity_quadratures,
 )
@@ -42,7 +42,7 @@ def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
     """K(u, t_j) at every node with the printed sigma-bar cross weight
     x_u' = q sbar s_u + G q0 sbar g_u."""
     i = _atom_index(scenario, atom)
-    tb = _require_scalar_bundle(bundle)
+    tb = _checked(scenario, bundle, bars, scalar=True)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     s_u = scenario.flat_atom("sigma", i)
     g_u = scenario.flat_atom("gamma", i)
@@ -51,9 +51,9 @@ def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
 
 
 def _direction_tables(bundle: KernelBundle, i: int, j: int) -> ScalarTables:
-    """The bundle's scalar tables, once (i, j) is checked to lie on the
+    """The bundle as scalar tables, once (i, j) is checked to lie on the
     triangle j <= i of the grid."""
-    tb = _require_scalar_bundle(bundle)
+    tb = _checked(bundle.scenario, bundle, None, scalar=True)
     if not 0 <= j <= i <= tb.grid.n_steps:
         raise ScenarioError(f"need j <= i on the grid, got (i={i}, j={j})")
     return tb
@@ -103,7 +103,7 @@ def f_direction_transcribed(bundle: KernelBundle, i: int, j: int, beta: np.ndarr
     psi_ik = np.exp(tb.lh[i] - tb.lh[ks])
     phi_kj = np.exp(tb.lhm[ks] - tb.lhm[j])
     head = psi_ik * (phi_kj - np.exp(tb.lh[ks] - tb.lh[j]))
-    rev = cumulative_trapezoid(tb.M[ks] * np.exp(tb.lh[i] - tb.lh[ks]
+    rev = cumulative_trapezoid(tb.M[ks, 0, 0] * np.exp(tb.lh[i] - tb.lh[ks]
                                                  + tb.lhm[i] - tb.lhm[ks]), tb.grid.dt)
     density = -C * head + psi_ik * D * phi_kj - (C + D) * rev
     return float(trapezoid(density * beta[j:i + 1], tb.grid.dt))
@@ -114,12 +114,12 @@ def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,
     """Gradient density from the averaged sensitivity kernel with the
     printed weights: half weight on the mean-transport terms and the
     sigma-bar cross weight."""
-    tb = _require_scalar_bundle(bundle)
+    tb = _checked(scenario, bundle, bars, scalar=True)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     psi = tb.psi_triangle()
-    x_p = w.q * w.sbar**2 + w.q0 * tb.gain * w.sbar * w.gbar
+    x_p = w.q * w.sbar**2 + w.q0 * w.G * w.sbar * w.gbar
     f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, psi, tb.phi_triangle(), w.w2, x_p)
-    G = tb.gain
+    G = w.G
     boundary = (f**2 * G * w.q0 * w.gbar**2
                 + psi**2 * G * w.g2q0
                 + 0.5 * psi * f * w.q0 * (w.sbar * w.gbar))

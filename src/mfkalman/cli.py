@@ -164,8 +164,8 @@ def _cmd_kernels(args) -> int:
     out = _prepare_out(args.out, names, args.force)
     gain = _gain_for(args, scenario)
     bundle = kernel_bundle(scenario, gain)
-    _dump_kernels(out, scenario, bundle, args.seed)
-    f_resid, psi_resid = _rate_residuals(bundle, scenario.grid.dt)
+    _dump_kernels(out, bundle, args.seed)
+    f_resid, psi_resid = _rate_residuals(bundle)
     _write_report(out / "kernels_report.txt", scenario, args.seed, [
         f"mixed-kernel rate residual (sup, interior): {f_resid:.6e}",
         f"point-kernel rate residual (sup, interior): {psi_resid:.6e}",

@@ -49,6 +49,9 @@ forward,
 
 which is the trapezoid on the transition triangles regrouped by their
 semigroup property: O(N) per atom, no triangle is built.
+
+A bundle or measure averages built for another scenario than the one
+passed raise :class:`ScenarioError`.
 """
 
 from __future__ import annotations
@@ -143,16 +146,19 @@ class _ScalarWeights:
         return self.w2, self.wbar, self.g2q0, self.gbar**2
 
 
-def _require_scalar_bundle(bundle: KernelBundle) -> ScalarTables:
-    if not isinstance(bundle.tables, ScalarTables):
-        raise ScenarioError("this operation requires scalar mode")
-    return bundle.tables
-
-
-def _require_matrix_bundle(bundle: KernelBundle) -> StepPropagators:
-    if not isinstance(bundle.tables, StepPropagators):
-        raise ScenarioError("this operation requires matrix mode")
-    return bundle.tables
+def _checked(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities | None,
+             scalar: bool = False) -> KernelBundle:
+    """The guard of every function taking a bundle: the bundle and the
+    measure averages must be built for this very ``scenario``, and the
+    bundle must be the tables of its mode (scalar mode when ``scalar``)."""
+    if bundle.scenario is not scenario:
+        raise ScenarioError("the kernel bundle was built for another scenario")
+    if bars is not None and bars.scenario is not scenario:
+        raise ScenarioError("the measure averages were computed for another scenario")
+    scalar = scalar or scenario.scalar_mode
+    if not isinstance(bundle, ScalarTables if scalar else StepPropagators):
+        raise ScenarioError(f"this operation requires {'scalar' if scalar else 'matrix'} mode")
+    return bundle
 
 
 def _averaged_terms(tb: ScalarTables, w: _ScalarWeights) -> tuple[np.ndarray, np.ndarray]:
@@ -177,15 +183,15 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
     Scalar mode returns shape (N+1,); matrix mode (N+1, n, n).
     """
     i = _atom_index(scenario, atom)
+    _checked(scenario, bundle, bars)
     if scenario.scalar_mode:
-        tb = _require_scalar_bundle(bundle)
         w = _ScalarWeights(scenario, bars, bundle.gain)
         with np.errstate(over="ignore", invalid="ignore"):
-            prof = sum(_atom_terms(tb, w.wbar, *w.atom(i)[:2]))
+            prof = sum(_atom_terms(bundle, w.wbar, *w.atom(i)[:2]))
     else:
         n = scenario.n
         W = _joint_noise(scenario, bars, bundle.gain, i).sum(axis=1)
-        P = _joint_moments(_require_matrix_bundle(bundle), W, scenario.grid.dt)[:, n:, n:]
+        P = _joint_moments(bundle, W, scenario.grid.dt)[:, n:, n:]
         prof = 0.5 * (P + P.transpose(0, 2, 1))
     check_finite("covariance_profile", prof)
     return prof
@@ -236,20 +242,20 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
         drift = W_uu / 2 + (Gamma P_L)_uu + ((Gamma P_U)_uu)'.
     """
     i = _atom_index(scenario, atom)
+    _checked(scenario, bundle, bars)
     if scenario.scalar_mode:
-        tb = _require_scalar_bundle(bundle)
         w = _ScalarWeights(scenario, bars, bundle.gain)
         w_u, x_u = w.atom(i)[:2]
-        H, M = tb.H, tb.M
+        H, M = bundle.H[:, 0, 0], bundle.M[:, 0, 0]
         with np.errstate(over="ignore", invalid="ignore"):
-            mean, dev, cross = _atom_terms(tb, w.wbar, w_u, x_u)
+            mean, dev, cross = _atom_terms(bundle, w.wbar, w_u, x_u)
             # the mean part is transported by H + M, the deviation by H, and
             # the cross part by their average
             out = 0.5 * w_u + (H + M) * mean + H * dev + (H + 0.5 * M) * cross
     else:
         n = scenario.n
         W = _joint_noise(scenario, bars, bundle.gain, i)
-        P = _joint_moments(_require_matrix_bundle(bundle), W, scenario.grid.dt)
+        P = _joint_moments(bundle, W, scenario.grid.dt)
         # rows of Gamma P that belong to the atom error: M P_eu + H P_uu
         lower, upper = (bundle.M @ P[:, k, :n, n:] + bundle.H @ P[:, k, n:, n:]
                         for k in (0, 1))
@@ -267,7 +273,7 @@ def sensitivity_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuant
     i = _atom_index(scenario, atom)
     if not 0 <= t_node <= scenario.grid.n_steps:
         raise ScenarioError(f"node {t_node} outside the grid [0, {scenario.grid.n_steps}]")
-    tb = _require_scalar_bundle(bundle)
+    tb = _checked(scenario, bundle, bars, scalar=True)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     return _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.phi_row(t_node), *w.atom(i))
 
@@ -301,7 +307,7 @@ def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, psi, phi,
     """
     f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, psi, phi, w_mid, x)
     sl = slice(0, psi.shape[-1])
-    G = tb.gain[sl]
+    G = w.G[sl]
     boundary = (f**2 * G * w.q0 * w.gbar[sl]**2
                 + psi**2 * G * g_point[sl]
                 + 2 * psi * f * G * w.q0 * g_cross[sl])
@@ -318,7 +324,7 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
     D-term is the running integral of phi^2 wbar. The kernel is affine in
     the atom loadings and their squares, so each row is the
     measure-weighted sum of the atoms' :func:`sensitivity_profile` rows."""
-    tb = _require_scalar_bundle(bundle)
+    tb = _checked(scenario, bundle, bars, scalar=True)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     return np.tril(_sensitivity_kernel(tb, w, tb.psi_triangle(), tb.phi_triangle(),
                                        *w.averaged()))
@@ -326,6 +332,7 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
 
 def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
     """Cost J: the atom-averaged time integral of trace(Sigma(t) K(u, t))."""
+    _checked(scenario, bundle, bars)
     if scenario.scalar_mode:
         return _scalar_cost(scenario, bundle, bars)
     total = 0.0
@@ -339,10 +346,9 @@ def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) ->
 def _scalar_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
     """Scalar-mode :func:`trace_cost`: the trapezoid of Sigma times the
     averaged K-profile P_mean + P_dev, in O(N)."""
-    tb = _require_scalar_bundle(bundle)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     with np.errstate(over="ignore", invalid="ignore"):
-        kbar = sum(_averaged_terms(tb, w))
+        kbar = sum(_averaged_terms(bundle, w))
     check_finite("trace_cost", kbar)
     return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
 
@@ -380,10 +386,10 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     O(dt |H|) relative along directions that do not vanish at the ends.
 
     g vanishes at the horizon by construction. Scalar mode only."""
-    tb = _require_scalar_bundle(bundle)
+    tb = _checked(scenario, bundle, bars, scalar=True)
     w = _ScalarWeights(scenario, bars, bundle.gain)
     sigma = scenario.flat("Sigma")
-    C, D, G = tb.C, tb.D, tb.gain
+    C, D, G = tb.C, tb.D, w.G
     gq = w.q0 * w.gbar**2
     with np.errstate(over="ignore", invalid="ignore"):
         mean, dev = _averaged_terms(tb, w)
@@ -417,6 +423,8 @@ def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedu
     """
     if not 0.0 < eps < np.inf:
         raise ScenarioError(f"eps must be finite and positive, got {eps!r}")
+    if not direction.grid.same_as(gain0.grid) or direction.values.shape != gain0.values.shape:
+        raise ScenarioError("the direction must have the gain's grid and shape")
     up = GainSchedule(gain0.grid, gain0.values + eps * direction.values)
     dn = GainSchedule(gain0.grid, gain0.values - eps * direction.values)
     J_up = trace_cost(scenario, kernel_bundle(scenario, up), bars)

@@ -21,15 +21,17 @@ power against a weight is one anchored running trapezoid
 stable steps. In matrix mode the mean error and the pointwise error form
 one linear system with generator [[H + M, 0], [M, H]] and transition
 [[phi, 0], [f, psi]]; its classical Runge-Kutta step maps, one per grid
-step, are the O(N) tables (:class:`StepPropagators`). In both modes the
-dense lower triangles are generated only when a caller asks for them. The
-kernels' gain derivatives serve only the formula arbitration and live in
-:mod:`mfkalman.arbitration`.
+step, are the O(N) tables (:class:`StepPropagators`). Either table is the
+:class:`KernelBundle` that :func:`kernel_bundle` returns, bound to the
+scenario and gain it was built for, and its dense lower triangles are
+generated only when a caller reads them. The kernels' gain derivatives
+serve only the formula arbitration and live in :mod:`mfkalman.arbitration`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +46,8 @@ from .system_model import Scenario, ScenarioError, _as_matrix, _stack_values
 __all__ = [
     "GainSchedule",
     "KernelBundle",
+    "ScalarTables",
+    "StepPropagators",
     "kernel_bundle",
 ]
 
@@ -130,12 +134,44 @@ def _running_integral(E: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
         a = b
 
 
-class ScalarTables:
-    """Running integrals for the scalar exponential kernel algebra.
+class KernelBundle:
+    """Closed-loop drifts and the three kernels of one scenario at one gain.
 
-    ``H``/``M`` are the closed-loop drifts from :func:`_closed_loop_drifts`
-    and ``lh``/``lhm`` their running trapezoid integrals (of H and of
-    H + M), so that
+    ``H = A - gain C`` and ``M = B - gain D`` are (N+1, n, n). The cost,
+    the covariance and (in scalar mode) the gradient and the optimizer
+    read only the O(N) tables of the subclass, :class:`ScalarTables` in
+    scalar mode and :class:`StepPropagators` in matrix mode; the dense
+    (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built from them
+    on first access and then kept. ``scenario`` is the scenario the
+    bundle was built for; the covariance functions refuse any other.
+    """
+
+    def __init__(self, scenario: Scenario, gain: GainSchedule):
+        self.scenario = scenario
+        self.grid = scenario.grid
+        self.gain = gain
+        self.H, self.M = _closed_loop_drifts(scenario, gain)
+
+    @cached_property
+    def phi(self) -> TriangularKernel:
+        return TriangularKernel(self.grid, self.phi_triangle())
+
+    @cached_property
+    def psi(self) -> TriangularKernel:
+        return TriangularKernel(self.grid, self.psi_triangle())
+
+    @cached_property
+    def f(self) -> TriangularKernel:
+        """phi - psi (variation of constants, see the module docstring)."""
+        return TriangularKernel(self.grid, self.phi.values - self.psi.values)
+
+
+class ScalarTables(KernelBundle):
+    """Scalar-mode bundle: the running integrals of the exponential kernel
+    algebra.
+
+    ``lh``/``lhm`` are the running trapezoid integrals of H and of H + M,
+    so that
 
         psi(t_i, t_j) = exp(lh[i] - lh[j])
         phi(t_i, t_j) = exp(lhm[i] - lhm[j])
@@ -146,20 +182,15 @@ class ScalarTables:
     O(N) formulas of the covariance module pair.
     """
 
-    def __init__(self, scenario: Scenario, gain: GainSchedule, H: np.ndarray,
-                 M: np.ndarray):
+    def __init__(self, scenario: Scenario, gain: GainSchedule):
         if not scenario.scalar_mode:
             raise ScenarioError("scalar kernel tables require a scalar scenario")
-        grid = scenario.grid
-        self.grid = grid
-        self.gain = gain.scalar
+        super().__init__(scenario, gain)
         self.C = scenario.flat("C")
         self.D = scenario.flat("D")
-        self.H = H.reshape(grid.n_nodes)
-        self.M = M.reshape(grid.n_nodes)
-        dt = grid.dt
-        self.lh = cumulative_trapezoid(self.H, dt)
-        self.lhm = cumulative_trapezoid(self.H + self.M, dt)
+        H, M = self.H[:, 0, 0], self.M[:, 0, 0]
+        self.lh = cumulative_trapezoid(H, self.grid.dt)
+        self.lhm = cumulative_trapezoid(H + M, self.grid.dt)
 
     def integral(self, y: np.ndarray, p: int, q: int, reverse: bool = False) -> np.ndarray:
         """Trapezoid of psi^p phi^q y over the kernels' lower time at every
@@ -214,8 +245,8 @@ def _chain(R: np.ndarray) -> np.ndarray:
     return out
 
 
-class StepPropagators:
-    """Matrix-mode tables: the one-step transition maps of the joint error.
+class StepPropagators(KernelBundle):
+    """Matrix-mode bundle: the one-step transition maps of the joint error.
 
     The mean error and one particle's error evolve together under
     Y' = Gamma(t) Y with Gamma = [[H + M, 0], [M, H]], whose transition is
@@ -229,12 +260,11 @@ class StepPropagators:
     build those products row by row.
     """
 
-    def __init__(self, scenario: Scenario, gain: GainSchedule, H: np.ndarray,
-                 M: np.ndarray):
-        grid = scenario.grid
-        h = grid.dt
-        G = gain.values
-        mid = grid.nodes[:-1] + 0.5 * h
+    def __init__(self, scenario: Scenario, gain: GainSchedule):
+        super().__init__(scenario, gain)
+        h = self.grid.dt
+        G, H, M = gain.values, self.H, self.M
+        mid = self.grid.nodes[:-1] + 0.5 * h
         H_mid, M_mid = _drifts(*(scenario.sample(c, mid) for c in "ABCD"),
                                0.5 * (G[:-1] + G[1:]))
         # Gamma at the stage offsets 0, h/2 and h of every step at once
@@ -251,56 +281,8 @@ class StepPropagators:
         return _chain(self.R[:, self.n:, self.n:])
 
 
-def _tables(scenario: Scenario, gain: GainSchedule):
-    """H, M and their kernel tables: :class:`ScalarTables` in scalar mode,
-    :class:`StepPropagators` in matrix mode."""
-    H, M = _closed_loop_drifts(scenario, gain)
-    kind = ScalarTables if scenario.scalar_mode else StepPropagators
-    return H, M, kind(scenario, gain, H, M)
-
-
-@dataclass(frozen=True)
-class KernelBundle:
-    """Closed-loop drifts and the three kernels at one gain.
-
-    The cost, the covariance and (in scalar mode) the gradient and the
-    optimizer read only the O(N) ``tables``: :class:`ScalarTables` in
-    scalar mode, :class:`StepPropagators` in matrix mode. The dense
-    (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built from them
-    on first access and then kept.
-    """
-
-    grid: TimeGrid
-    gain: GainSchedule
-    H: np.ndarray                       # (N+1, n, n)
-    M: np.ndarray                       # (N+1, n, n)
-    tables: ScalarTables | StepPropagators = field(repr=False)
-    triangles: dict = field(repr=False, default_factory=dict)  # name -> TriangularKernel
-
-    def _triangle(self, name: str) -> TriangularKernel:
-        if name not in self.triangles:
-            if name == "f":
-                values = self.phi.values - self.psi.values
-            else:
-                values = getattr(self.tables, f"{name}_triangle")()
-            self.triangles[name] = TriangularKernel(self.grid, values)
-        return self.triangles[name]
-
-    @property
-    def phi(self) -> TriangularKernel:
-        return self._triangle("phi")
-
-    @property
-    def psi(self) -> TriangularKernel:
-        return self._triangle("psi")
-
-    @property
-    def f(self) -> TriangularKernel:
-        """phi - psi (variation of constants, see the module docstring)."""
-        return self._triangle("f")
-
-
 def kernel_bundle(scenario: Scenario, gain: GainSchedule) -> KernelBundle:
-    """Compute H, M and the kernel tables at the given gain, with the
+    """The kernel tables of ``scenario`` at ``gain``: :class:`ScalarTables`
+    in scalar mode, :class:`StepPropagators` in matrix mode, with the
     triangles deferred to first access."""
-    return KernelBundle(scenario.grid, gain, *_tables(scenario, gain))
+    return (ScalarTables if scenario.scalar_mode else StepPropagators)(scenario, gain)

@@ -65,6 +65,8 @@ class InitialMeasure:
             )
         if points.shape[0] < 1:
             raise ScenarioError("measure needs at least one atom")
+        if not np.all(np.isfinite(weights)):
+            raise ScenarioError("atom weights must be finite")
         if np.any(weights <= 0.0):
             raise ScenarioError("atom weights must be strictly positive")
         if not np.all(np.isfinite(points)):
@@ -168,12 +170,15 @@ class BarQuantities:
     they are the atom averages of sigma Q sigma' and gamma Q0 gamma', which
     is the combination every covariance quadrature consumes. With unit
     noise covariance they reduce to the plain averaged squares.
+    ``scenario`` is the scenario they were averaged over; the covariance
+    functions refuse them for any other.
     """
 
     sigma_bar: np.ndarray    # (N+1, n, d)
     gamma_bar: np.ndarray    # (N+1, m, d)
     sigma2_bar: np.ndarray   # (N+1, n, n)
     gamma2_bar: np.ndarray   # (N+1, m, m)
+    scenario: Scenario = field(repr=False, compare=False)
 
     def flat(self, name: str) -> np.ndarray:
         return getattr(self, name).reshape(getattr(self, name).shape[0])
@@ -343,4 +348,4 @@ def measure_averages(scenario: Scenario) -> BarQuantities:
     for arr in (sigma_bar, gamma_bar, sigma2_bar, gamma2_bar):
         arr.setflags(write=False)
     return BarQuantities(sigma_bar=sigma_bar, gamma_bar=gamma_bar,
-                         sigma2_bar=sigma2_bar, gamma2_bar=gamma2_bar)
+                         sigma2_bar=sigma2_bar, gamma2_bar=gamma2_bar, scenario=scenario)

@@ -87,14 +87,14 @@ def _meta(scenario: Scenario, seed: int, extra: dict | None = None) -> dict:
             "version": __version__, **(extra or {})}
 
 
-def _dump_kernels(out: Path, scenario: Scenario, bundle, seed: int) -> None:
+def _dump_kernels(out: Path, bundle, seed: int) -> None:
     """Lower triangles of phi, psi and f as t,s,value rows."""
-    i, j = np.tril_indices(scenario.grid.n_nodes)
-    t, s = scenario.grid.nodes[i].tolist(), scenario.grid.nodes[j].tolist()
+    i, j = np.tril_indices(bundle.grid.n_nodes)
+    t, s = bundle.grid.nodes[i].tolist(), bundle.grid.nodes[j].tolist()
     for name, kernel in (("kernel_phi.csv", bundle.phi), ("kernel_psi.csv", bundle.psi),
                          ("kernel_f.csv", bundle.f)):
         write_csv(out / name, "t,s,value", zip(t, s, kernel.values[i, j].tolist()),
-                  _meta(scenario, seed))
+                  _meta(bundle.scenario, seed))
 
 
 def _dump_optimizer(out: Path, scenario: Scenario, report, seed: int) -> None:
@@ -107,10 +107,11 @@ def _dump_optimizer(out: Path, scenario: Scenario, report, seed: int) -> None:
     write_csv(out / "optimizer_gain.csv", "t,gain", rows, _meta(scenario, seed))
 
 
-def _rate_residuals(bundle, dt: float) -> tuple[float, float]:
+def _rate_residuals(bundle) -> tuple[float, float]:
     """Sup over interior nodes of the central-difference residuals of the
     scalar rate equations d/dt f = M phi + H f and d/dt psi = H psi."""
     Fv, Pv, Sv = bundle.f.values, bundle.phi.values, bundle.psi.values
+    dt = bundle.grid.dt
     mid = slice(1, len(Fv) - 1)
     M, H = bundle.M.reshape(-1, 1)[mid], bundle.H.reshape(-1, 1)[mid]
     below = np.tri(len(Fv), k=-1, dtype=bool)[mid]   # the cells j < i
@@ -278,11 +279,11 @@ class ValidationSuite:
 
         rough = random_smooth_scenario(seed=self.seed + 11, steps=200)
         rgain = GainSchedule.from_callable(rough.grid, lambda t: 0.4 + 0.2 * np.cos(2 * np.pi * t))
-        resid = _rate_residuals(kernel_bundle(rough, rgain), rough.grid.dt)[0]
+        resid = _rate_residuals(kernel_bundle(rough, rgain))[0]
         pde_ok = resid <= 1e-3
         details.append(f"mixed-kernel rate residual {resid:.3e} (tol 1e-3)")
 
-        _dump_kernels(self.out, scen, bundle, self.seed)
+        _dump_kernels(self.out, bundle, self.seed)
         return CriterionResult("C1", "kernel correctness", semigroup_ok and pde_ok, details)
 
     def criterion_rate_consistency(self) -> CriterionResult:

@@ -260,6 +260,16 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match=match):
             load_scenario(path)
 
+    def test_non_finite_weights_named(self, tmp_path, capsys):
+        path = tmp_path / "scen.yaml"
+        path.write_text("steps: 10\nmeasure: {kind: discrete, points: [0.0, 1.0], "
+                        "weights: [.nan, 1.0]}\n")
+        with pytest.raises(ScenarioError, match="atom weights must be finite"):
+            load_scenario(path)
+        code = main(["covariance", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code != 0
+        assert "atom weights must be finite" in capsys.readouterr().err
+
     def test_unknown_scenario_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path)])
         assert code != 0

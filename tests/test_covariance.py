@@ -26,6 +26,8 @@ from mfkalman import (
     trace_cost,
     trapezoid,
 )
+from mfkalman import covariance
+from mfkalman.arbitration import cost_gradient_transcribed, covariance_profile_transcribed
 from mfkalman.covariance import (
     _averaged_terms,
     _ScalarWeights,
@@ -66,7 +68,7 @@ def _quadrature_cost(scen, gain):
     psi and phi exponentials of masked exponent differences: no running
     exponential is formed, so nothing overflows. O(N^2)."""
     bars = measure_averages(scen)
-    tb = kernel_bundle(scen, gain).tables
+    tb = kernel_bundle(scen, gain)
     w = _ScalarWeights(scen, bars, gain)
     n, dt = scen.grid.n_nodes, scen.grid.dt
     low = np.tri(n, dtype=bool)
@@ -84,7 +86,7 @@ def _exact_factored(mp, scen, gain):
     its working precision from the same float drifts and weights: the
     float evaluation must match it however far the exponentials range."""
     bars = measure_averages(scen)
-    tb = kernel_bundle(scen, gain).tables
+    tb = kernel_bundle(scen, gain)
     w = _ScalarWeights(scen, bars, gain)
     dt = mp.mpf(scen.grid.dt)
     n = scen.grid.n_nodes
@@ -100,7 +102,7 @@ def _exact_factored(mp, scen, gain):
             out[k] = out[prev] + (vals[k] + vals[prev]) / 2 * dt
         return out
 
-    H, M, C, D, G = arr(tb.H), arr(tb.M), arr(tb.C), arr(tb.D), arr(tb.gain)
+    H, M, C, D, G = arr(tb.H[:, 0, 0]), arr(tb.M[:, 0, 0]), arr(tb.C), arr(tb.D), arr(gain.scalar)
     wbar, w2, gbar, g2q0, sig = (arr(w.wbar), arr(w.w2), arr(w.gbar), arr(w.g2q0),
                                  arr(scen.flat("Sigma")))
     q0 = mp.mpf(w.q0)
@@ -281,7 +283,7 @@ class TestErrorCovariance:
         gain = GainSchedule.from_callable(scen.grid, lambda t: 0.4 + 0.2 * np.cos(2 * np.pi * t))
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, gain)
-        kbar = sum(_averaged_terms(bundle.tables, _ScalarWeights(scen, bars, gain)))
+        kbar = sum(_averaged_terms(bundle, _ScalarWeights(scen, bars, gain)))
         atoms = sum(wa * covariance_profile(scen, bundle, bars, a)
                     for a, wa in enumerate(scen.measure.weights))
         np.testing.assert_allclose(atoms, kbar, rtol=0, atol=1e-13 * np.max(np.abs(kbar)))
@@ -405,7 +407,7 @@ class TestMeanSensitivity:
     def test_triangle_row_equals_row_path_and_atom_sum(self, rough_pack):
         scen, bars, _, bundle = rough_pack
         tri = mean_sensitivity_triangle(scen, bundle, bars)
-        tb, w = bundle.tables, _ScalarWeights(scen, bars, bundle.gain)
+        tb, w = bundle, _ScalarWeights(scen, bars, bundle.gain)
         ws = scen.measure.weights
         for i in (200, 150, 120):
             row = _sensitivity_kernel(tb, w, tb.psi_row(i), tb.phi_row(i), *w.averaged())
@@ -504,6 +506,20 @@ class TestFdOracle:
             pairing = g.pair(beta_vals)
             assert abs(pairing - fd) <= 1e-3 * (1 + abs(pairing))
 
+    @pytest.mark.parametrize("grid, n", [(make_grid(2.0, 100), 1), (make_grid(1.0, 120), 1),
+                                         (make_grid(1.0, 100), 2)],
+                             ids=["other-horizon", "other-steps", "other-shape"])
+    def test_rejects_direction_off_the_gain_grid(self, classical_pack, grid, n, monkeypatch):
+        scen, bars, _ = classical_pack
+        gain = GainSchedule.constant(scen.grid, 0.3)
+
+        def no_bundle(*args):
+            raise AssertionError("a bundle was built before the check")
+
+        monkeypatch.setattr(covariance, "kernel_bundle", no_bundle)
+        with pytest.raises(ScenarioError, match="direction must have the gain's grid"):
+            fd_cost_slope(scen, gain, GainSchedule.constant(grid, 1.0, n, n), 1e-4, bars)
+
     def test_rejects_bad_eps(self, classical_pack):
         scen, bars, _ = classical_pack
         zero = GainSchedule.constant(scen.grid, 0.0)
@@ -577,7 +593,7 @@ class TestLongHorizon:
         # the triangle oracle, built from kernel values, stays accurate
         scen = _ou_scenario(-2.0, steps, horizon, B=B, D=D)
         gain = GainSchedule.constant(scen.grid, 0.3)
-        tb = kernel_bundle(scen, gain).tables
+        tb = kernel_bundle(scen, gain)
         assert min(np.ptp(tb.lh), np.ptp(tb.lhm)) > (frames - 1) * FRAME_SPAN
         assert _oracle_gap(scen, gain) <= 1e-12
 
@@ -679,7 +695,7 @@ class TestMatrixJointRecursion:
         for kernel, oracle in zip((bundle.phi, bundle.psi, bundle.f), triangles):
             assert _rel(kernel.values, oracle) <= 1e-12
         assert trace_cost(scen, bundle, bars) == pytest.approx(cost, rel=1e-12)
-        np.testing.assert_array_equal(bundle.tables.R[:, :2, 2:], 0.0)
+        np.testing.assert_array_equal(bundle.R[:, :2, 2:], 0.0)
 
     def test_rate_consistency(self):
         err = {}
@@ -712,3 +728,57 @@ class TestCheckFinite:
         values[2, 0, 1] = np.nan
         with pytest.raises(ScenarioError, match=r"^stage: non-finite value at node 2$"):
             check_finite("stage", values)
+
+
+# every public function that takes (scenario, bundle, bars, ...)
+_SCALAR_CALLS = {
+    "trace_cost": trace_cost,
+    "cost_gradient": cost_gradient,
+    "covariance_profile": lambda *a: covariance_profile(*a, 0),
+    "drift_profile": lambda *a: drift_profile(*a, 0),
+    "sensitivity_profile": lambda *a: sensitivity_profile(*a, 0, 5),
+    "mean_sensitivity_triangle": mean_sensitivity_triangle,
+    "covariance_profile_transcribed": lambda *a: covariance_profile_transcribed(*a, 0),
+    "cost_gradient_transcribed": cost_gradient_transcribed,
+}
+_MATRIX_CALLS = {name: _SCALAR_CALLS[name]
+                 for name in ("trace_cost", "covariance_profile", "drift_profile")}
+
+
+class TestForeignInputs:
+    """A bundle or measure averages built for another scenario are refused,
+    even one with the same grid (the probe against ``classical``) or with
+    equal coefficients (a second build of the same matrix scenario)."""
+
+    @pytest.fixture(scope="class")
+    def scalar_pair(self):
+        own, other = classical_scenario(steps=10), cross_pairing_probe(10)
+        gain = GainSchedule.constant(own.grid, 0.3)
+        return own, other, gain
+
+    @pytest.fixture(scope="class")
+    def matrix_pair(self):
+        (own, _, gain), (other, _, _) = (_two_atom_matrix_scenario(10),
+                                         _two_atom_matrix_scenario(10))
+        return own, other, gain
+
+    @pytest.mark.parametrize("mode, name", [("scalar", n) for n in _SCALAR_CALLS]
+                             + [("matrix", n) for n in _MATRIX_CALLS])
+    def test_foreign_bundle_rejected(self, scalar_pair, matrix_pair, mode, name):
+        own, other, gain = scalar_pair if mode == "scalar" else matrix_pair
+        with pytest.raises(ScenarioError, match="bundle was built for another scenario"):
+            _SCALAR_CALLS[name](own, kernel_bundle(other, gain), measure_averages(own))
+
+    @pytest.mark.parametrize("mode, name", [("scalar", n) for n in _SCALAR_CALLS]
+                             + [("matrix", n) for n in _MATRIX_CALLS])
+    def test_foreign_measure_averages_rejected(self, scalar_pair, matrix_pair, mode, name):
+        own, other, gain = scalar_pair if mode == "scalar" else matrix_pair
+        with pytest.raises(ScenarioError, match="averages were computed for another scenario"):
+            _SCALAR_CALLS[name](own, kernel_bundle(own, gain), measure_averages(other))
+
+    def test_foreign_averages_rejected_by_fd_slope_and_optimizer(self, scalar_pair):
+        own, other, gain = scalar_pair
+        with pytest.raises(ScenarioError, match="averages were computed for another"):
+            fd_cost_slope(own, gain, gain, 1e-4, measure_averages(other))
+        with pytest.raises(ScenarioError, match="averages were computed for another"):
+            optimize_gain(own, bars=measure_averages(other))

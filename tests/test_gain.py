@@ -42,7 +42,7 @@ def _diagonal_update_by_rows(scenario, bars, values, nodes):
     dt = scenario.grid.dt
     for _ in range(3):
         gain = GainSchedule(scenario.grid, out[:, None, None])
-        tb = kernel_bundle(scenario, gain).tables
+        tb = kernel_bundle(scenario, gain)
         w = _ScalarWeights(scenario, bars, gain)
         for j in nodes:
             if w.g2q0[j] <= 1e-14:
@@ -117,6 +117,28 @@ class TestRiccatiNormalFlow:
 
 
 class TestOptimizeGain:
+    @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe])
+    def test_call_counts_match_report(self, build, monkeypatch):
+        # the same counts as the benchmark's own check, on the calls bound
+        # in mfkalman.gain: one kernel_bundle per Armijo trial plus the
+        # start and the completed gain, one cost_gradient per accepted step
+        # plus those two, and one trace_cost per trial plus the start
+        counts = dict.fromkeys(("kernel_bundle", "trace_cost", "cost_gradient"), 0)
+        for name in counts:
+            def counted(*args, _fn=getattr(gain_module, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(gain_module, name, counted)
+        scen = build(steps=200)
+        reports = [optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, g0))
+                   for g0 in (0.0, 10.0)]
+        assert all(r.converged for r in reports)
+        trials = sum(sum(r.line_search_trials) for r in reports)
+        iterations = sum(r.iterations for r in reports)
+        assert counts == {"kernel_bundle": trials + 2 * len(reports),
+                          "trace_cost": trials + len(reports),
+                          "cost_gradient": iterations + 2 * len(reports)}
+
     def test_classical_reaches_reference(self):
         scen = classical_scenario(steps=100)
         report = optimize_gain(scen, grad_tol=1e-5)

@@ -18,7 +18,7 @@ from mfkalman.arbitration import (
     phi_direction,
     psi_direction,
 )
-from mfkalman.kernels import FRAME_SPAN, _running_integral
+from mfkalman.kernels import FRAME_SPAN, ScalarTables, StepPropagators, _running_integral
 from mfkalman.scenarios import random_smooth_scenario
 
 from conftest import scalar_scenario
@@ -188,17 +188,27 @@ def pair():
 
 
 class TestKernelBundle:
+    def test_tables_chosen_by_mode(self, rough_pack, pair):
+        scen, _, gain, bundle = rough_pack
+        assert type(bundle) is ScalarTables
+        assert bundle.scenario is scen and bundle.gain is gain
+        scen2 = pair[1]
+        matrix = kernel_bundle(scen2, GainSchedule.constant(scen2.grid, 0.3, 2, 2))
+        assert type(matrix) is StepPropagators and matrix.scenario is scen2
+        with pytest.raises(ScenarioError, match="require a scalar scenario"):
+            ScalarTables(scen2, matrix.gain)
+
     def test_scalar_triangles_built_on_first_access(self, rough_pack):
         scen, _, gain, _ = rough_pack
         bundle = kernel_bundle(scen, gain)
-        assert bundle.triangles == {}
+        assert not {"phi", "psi", "f"} & set(vars(bundle))
         psi = bundle.psi
         assert bundle.psi is psi
-        assert set(bundle.triangles) == {"psi"}
-        np.testing.assert_array_equal(psi.values, bundle.tables.psi_triangle())
-        np.testing.assert_array_equal(bundle.phi.values, bundle.tables.phi_triangle())
+        assert {"phi", "psi", "f"} & set(vars(bundle)) == {"psi"}
+        np.testing.assert_array_equal(psi.values, bundle.psi_triangle())
+        np.testing.assert_array_equal(bundle.phi.values, bundle.phi_triangle())
         np.testing.assert_array_equal(bundle.f.values, bundle.phi.values - psi.values)
-        assert set(bundle.triangles) == {"phi", "psi", "f"}
+        assert {"phi", "psi", "f"} <= set(vars(bundle))
 
 
 def _frame_starts(E):
@@ -213,7 +223,7 @@ def _frame_starts(E):
 
 class TestFrames:
     def test_short_horizon_is_one_plain_frame(self, rough_pack):
-        tb = rough_pack[3].tables
+        tb = rough_pack[3]
         y = 1.0 + 0.3 * np.cos(tb.grid.nodes)
         for p, q in [(0, 2), (2, 0), (1, 1)]:
             E = p * tb.lh + q * tb.lhm

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mfkalman import (
     GainSchedule,
+    InitialMeasure,
     ScenarioError,
     build_scenario,
     dirac_measure,
@@ -43,6 +44,12 @@ class TestMeasures:
     def test_discrete_normalizes(self):
         mu = discrete_measure([[-1.0], [1.0]], [2.0, 2.0])
         np.testing.assert_allclose(mu.weights, [0.5, 0.5])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weights", [[np.nan, 0.5], [np.inf, 1.0], [1.0, -np.inf]])
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ScenarioError, match="atom weights must be finite"):
+            InitialMeasure(points=[[0.0], [1.0]], weights=weights)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ScenarioError):
