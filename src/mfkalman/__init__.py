@@ -12,7 +12,7 @@ from .covariance import (
     drift_profile,
     fd_cost_slope,
     mean_sensitivity_triangle,
-    sensitivity_profile,
+    sensitivity_triangle,
     trace_cost,
 )
 from .gain import (
@@ -56,7 +56,6 @@ from .system_model import (
     build_scenario,
     check_finite,
     dirac_measure,
-    discrete_measure,
     gauss_hermite_measure,
     measure_averages,
 )

@@ -116,9 +116,9 @@ def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,
     sigma-bar cross weight."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    psi = tb.psi_triangle()
     x_p = w.q * w.sbar**2 + w.q0 * w.G * w.sbar * w.gbar
-    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, psi, tb.phi_triangle(), w.w2, x_p)
+    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, w.w2, x_p)
+    psi = tb.psi.values
     G = w.G
     boundary = (f**2 * G * w.q0 * w.gbar**2
                 + psi**2 * G * w.g2q0

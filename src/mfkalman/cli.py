@@ -139,7 +139,7 @@ def _cmd_simulate(args) -> int:
     _require_scalar(scenario, "simulate")
     if args.paths < 2:
         raise CliError("simulate", f"--paths must be >= 2 (statistics need two "
-                                   f"replications), got {args.paths}")
+                                   f"replications), got {args.paths}", 2)
     out = _prepare_out(args.out, ["paths.csv", "statistics.csv"], args.force)
     gain = _gain_for(args, scenario)
     ens = simulate_ensemble(scenario, gain, n_paths=args.paths, seed=args.seed)
@@ -191,9 +191,9 @@ def _cmd_gradcheck(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "gradcheck")
     if not 0.0 < args.eps < np.inf:
-        raise CliError("gradcheck", f"--eps must be finite and positive, got {args.eps}")
+        raise CliError("gradcheck", f"--eps must be finite and positive, got {args.eps}", 2)
     if args.directions < 1:
-        raise CliError("gradcheck", f"--directions must be >= 1, got {args.directions}")
+        raise CliError("gradcheck", f"--directions must be >= 1, got {args.directions}", 2)
     out = _prepare_out(args.out, ["gradcheck.csv", "gradient.csv"], args.force)
     gain = _gain_for(args, scenario)
     g, rows = _gradcheck(scenario, gain, measure_averages(scenario), args.directions,
@@ -208,9 +208,10 @@ def _cmd_optimize(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "optimize")
     if args.max_iter < 1:
-        raise CliError("optimize", f"--max-iter must be >= 1, got {args.max_iter}")
-    if args.grad_tol is not None and not args.grad_tol > 0:
-        raise CliError("optimize", f"--grad-tol must be positive, got {args.grad_tol}")
+        raise CliError("optimize", f"--max-iter must be >= 1, got {args.max_iter}", 2)
+    if args.grad_tol is not None and not 0.0 < args.grad_tol < np.inf:
+        raise CliError("optimize", f"--grad-tol must be finite and positive, "
+                                   f"got {args.grad_tol}", 2)
     names = ["optimizer_trajectory.csv", "optimizer_gain.csv", "filter.csv",
              "optimizer_report.txt"]
     out = _prepare_out(args.out, names, args.force)

@@ -36,8 +36,9 @@ stays finite and accurate on long horizons, and finite on a stiff step
 that moves the exponent by hundreds (where the trapezoid gives about dt/2
 times the weight); a value that still overflows (an unstable system)
 raises :class:`ScenarioError` naming the stage and node.
-Only :func:`mean_sensitivity_triangle`, the test oracle, builds the O(N^2)
-triangle, from kernel values.
+Only the sensitivity kernels, :func:`sensitivity_triangle` for one atom
+and :func:`mean_sensitivity_triangle` averaged (the gradient's test
+oracle), build O(N^2) triangles, from the bundle's kernel triangles.
 
 In matrix mode the mean error and one atom's error form one linear system
 (see :class:`~mfkalman.kernels.StepPropagators`), and K is the atom block
@@ -74,7 +75,7 @@ __all__ = [
     "GradientField",
     "covariance_profile",
     "drift_profile",
-    "sensitivity_profile",
+    "sensitivity_triangle",
     "mean_sensitivity_triangle",
     "trace_cost",
     "cost_gradient",
@@ -265,53 +266,47 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     return out
 
 
-def sensitivity_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                        atom, t_node: int) -> np.ndarray:
-    """Sensitivity kernel k2(u, t_node, s_j) for all j <= t_node (scalar
-    mode): the derivative of K(u, t_node) with respect to the gain is the
-    trapezoid pairing of this row with the direction over [0, t_node]."""
+def sensitivity_triangle(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
+                         atom) -> np.ndarray:
+    """One atom's sensitivity kernel on the whole triangle (scalar mode):
+    (N+1, N+1) array with entry [i, j] = k2(u, t_i, s_j), zero above the
+    diagonal. The derivative of K(u, t_i) with respect to the gain is the
+    trapezoid pairing of row i with the direction over [0, t_i]."""
     i = _atom_index(scenario, atom)
-    if not 0 <= t_node <= scenario.grid.n_steps:
-        raise ScenarioError(f"node {t_node} outside the grid [0, {scenario.grid.n_steps}]")
     tb = _checked(scenario, bundle, bars, scalar=True)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    return _sensitivity_kernel(tb, w, tb.psi_row(t_node), tb.phi_row(t_node), *w.atom(i))
+    return np.tril(_sensitivity_kernel(tb, w, *w.atom(i)))
 
 
-def _sensitivity_quadratures(tb: ScalarTables, w: _ScalarWeights, psi, phi, w_mid, x):
-    """f = phi - psi and the running integrals over r <= s of the
-    sensitivity kernel's terms: f^2 wbar, psi^2 w_mid and psi f x (the
-    C-term), phi f wbar and phi psi x (the D-term). ``psi``/``phi`` are
-    either row i of the kernels (length i+1) or the (N+1, N+1) triangles;
-    every cumulative quadrature runs along the last axis. ``w_mid`` is the
-    pointwise weight and ``x`` the cross weight (full-length arrays)."""
+def _sensitivity_quadratures(tb: ScalarTables, w: _ScalarWeights, w_mid, x):
+    """The bundle's triangle f = phi - psi and the running integrals along
+    each row (over r <= s) of the sensitivity kernel's terms: f^2 wbar,
+    psi^2 w_mid and psi f x (the C-term), phi f wbar and phi psi x (the
+    D-term). ``w_mid`` is the pointwise weight and ``x`` the cross weight."""
     dt = tb.grid.dt
-    sl = slice(0, psi.shape[-1])
-    wbar, x = w.wbar[sl], x[sl]
-    f = phi - psi
+    psi, phi, f = tb.psi.values, tb.phi.values, tb.f.values
     return (f,
-            cumulative_trapezoid(f**2 * wbar, dt),
-            cumulative_trapezoid(psi**2 * w_mid[sl], dt),
+            cumulative_trapezoid(f**2 * w.wbar, dt),
+            cumulative_trapezoid(psi**2 * w_mid, dt),
             cumulative_trapezoid(psi * f * x, dt),
-            cumulative_trapezoid(phi * f * wbar, dt),
+            cumulative_trapezoid(phi * f * w.wbar, dt),
             cumulative_trapezoid(phi * psi * x, dt))
 
 
-def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, psi, phi,
-                        w_mid, x, g_point, g_cross) -> np.ndarray:
-    """The one sensitivity-kernel evaluator, on a row or a triangle (see
+def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, w_mid, x, g_point,
+                        g_cross) -> np.ndarray:
+    """The one sensitivity-kernel evaluator, on the whole triangle (see
     :func:`_sensitivity_quadratures`). ``w_mid``, ``x`` and the boundary
     loadings ``g_point``/``g_cross`` (q0 g^2 and gbar g) are one atom's
     values or their measure averages, see :class:`_ScalarWeights`.
-    Triangle entries above the diagonal are meaningless; callers mask them.
+    Entries above the diagonal are meaningless; callers mask them.
     """
-    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, psi, phi, w_mid, x)
-    sl = slice(0, psi.shape[-1])
-    G = w.G[sl]
-    boundary = (f**2 * G * w.q0 * w.gbar[sl]**2
-                + psi**2 * G * g_point[sl]
-                + 2 * psi * f * G * w.q0 * g_cross[sl])
-    half = -tb.C[sl] * (U1 + U2 + 2 * U3) - tb.D[sl] * (V1 + V2) + boundary
+    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, w_mid, x)
+    psi, G = tb.psi.values, w.G
+    boundary = (f**2 * G * w.q0 * w.gbar**2
+                + psi**2 * G * g_point
+                + 2 * psi * f * G * w.q0 * g_cross)
+    half = -tb.C * (U1 + U2 + 2 * U3) - tb.D * (V1 + V2) + boundary
     return 2.0 * half
 
 
@@ -322,12 +317,11 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
 
     Vectorized over both indices; cost O(N^2). On the averaged weights the
     D-term is the running integral of phi^2 wbar. The kernel is affine in
-    the atom loadings and their squares, so each row is the
-    measure-weighted sum of the atoms' :func:`sensitivity_profile` rows."""
+    the atom loadings and their squares, so it is the measure-weighted sum
+    of the atoms' :func:`sensitivity_triangle`."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     w = _ScalarWeights(scenario, bars, bundle.gain)
-    return np.tril(_sensitivity_kernel(tb, w, tb.psi_triangle(), tb.phi_triangle(),
-                                       *w.averaged()))
+    return np.tril(_sensitivity_kernel(tb, w, *w.averaged()))
 
 
 def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:

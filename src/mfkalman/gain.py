@@ -21,9 +21,9 @@ Three structural facts shape the implementation:
   coupling vanishes the step is the pointwise diagonal solve below.
 * at the optimum the averaged sensitivity kernel vanishes pointwise on its
   diagonal, which gives an explicit equation for the gain at a node given
-  the gain before it; the optimizer finishes by enforcing that diagonal
-  condition on the final few nodes ("endpoint completion"), where g and d
-  are both O(dt).
+  the gain before it; the optimizer finishes a converged run by
+  enforcing that diagonal condition on the final few nodes ("endpoint
+  completion"), where g and d are both O(dt).
 * for the two reference families the stationarity system collapses to
   scalar Riccati equations, solved here with classical Runge-Kutta as
   independent references for the optimizer.
@@ -72,8 +72,9 @@ class OptimizationReport:
     completion. ``step_sizes`` (the accepted Armijo step) and
     ``line_search_trials`` (cost evaluations it took) are aligned with
     ``cost_trajectory[1:]``; the trials of a failed line search are not
-    recorded. ``final_cost`` and the stationarity residual are evaluated
-    at the returned (completed) gain, the latter over all nodes.
+    recorded. ``final_cost`` and the stationarity residual (over all
+    nodes) are those of the returned gain: the completed last iterate of
+    a converged run, else the last iterate itself.
     """
 
     gain: GainSchedule
@@ -154,14 +155,18 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     times the trapezoid slope <g, p>. ``grad_tol`` defaults to the
     scale-free 1e-4 * (1 + |J|); convergence is declared on the gradient
     sup-norm over all nodes except the final two, whose curvature
-    vanishes with the mesh and which are set by endpoint completion.
+    vanishes with the mesh and which endpoint completion then sets on the
+    converged iterate. A given ``grad_tol`` must be finite and positive.
 
     The search starts from ``initial_gain``, zero by default. Scalar
     mode only. A failed line search (step underflow, or no descent
-    direction) returns the last iterate with ``converged=False``.
+    direction) or the iteration limit returns the last iterate, not
+    completed, with ``converged=False``.
     """
     if not scenario.scalar_mode:
         raise ScenarioError("gain optimization requires a scalar scenario")
+    if grad_tol is not None and not 0.0 < grad_tol < np.inf:
+        raise ScenarioError(f"grad_tol must be finite and positive, got {grad_tol!r}")
     if bars is None:
         bars = measure_averages(scenario)
     gain = GainSchedule.constant(scenario.grid, 0.0) if initial_gain is None else initial_gain
@@ -214,28 +219,27 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         iterations = max_iter
         message = "iteration limit reached"
 
-    completed = _diagonal_update(
-        scenario, bars, gain.scalar,
-        nodes=list(range(max(0, n - _COMPLETION_NODES + 1), n + 1)))
-    gain = GainSchedule(gain.grid, completed)
-    bundle = kernel_bundle(scenario, gain)
-    # not trace_cost: after the one at the start, each trace_cost call
-    # of this function is one Armijo trial, and the benchmark counts
-    # trials that way
-    final_cost = _scalar_cost(scenario, bundle, bars)
-
-    g_final = cost_gradient(scenario, bundle, bars).values
-    residual = float(np.max(np.abs(g_final)))
+    if converged:
+        completed = _diagonal_update(
+            scenario, bars, gain.scalar,
+            nodes=list(range(max(0, n - _COMPLETION_NODES + 1), n + 1)))
+        gain = GainSchedule(gain.grid, completed)
+        bundle = kernel_bundle(scenario, gain)
+        # not trace_cost: after the one at the start, each trace_cost call
+        # of this function is one Armijo trial, and the benchmark counts
+        # trials that way
+        J = _scalar_cost(scenario, bundle, bars)
+        field = cost_gradient(scenario, bundle, bars)
     return OptimizationReport(
         gain=gain,
         cost_trajectory=trajectory,
         gradient_trajectory=grad_trajectory,
         step_sizes=steps,
         line_search_trials=trials,
-        stationarity=residual,
+        stationarity=float(np.max(np.abs(field.values))),
         iterations=iterations,
         converged=converged,
-        final_cost=final_cost,
+        final_cost=J,
         message=message,
     )
 

@@ -141,9 +141,10 @@ class KernelBundle:
     the covariance and (in scalar mode) the gradient and the optimizer
     read only the O(N) tables of the subclass, :class:`ScalarTables` in
     scalar mode and :class:`StepPropagators` in matrix mode; the dense
-    (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built from them
-    on first access and then kept. ``scenario`` is the scenario the
-    bundle was built for; the covariance functions refuse any other.
+    (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f``, the one way to
+    read a kernel value, are built from them on first access and then
+    kept. ``scenario`` is the scenario the bundle was built for; the
+    covariance functions refuse any other.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule):
@@ -151,14 +152,6 @@ class KernelBundle:
         self.grid = scenario.grid
         self.gain = gain
         self.H, self.M = _closed_loop_drifts(scenario, gain)
-
-    @cached_property
-    def phi(self) -> TriangularKernel:
-        return TriangularKernel(self.grid, self.phi_triangle())
-
-    @cached_property
-    def psi(self) -> TriangularKernel:
-        return TriangularKernel(self.grid, self.psi_triangle())
 
     @cached_property
     def f(self) -> TriangularKernel:
@@ -177,7 +170,7 @@ class ScalarTables(KernelBundle):
         phi(t_i, t_j) = exp(lhm[i] - lhm[j])
         f(t_i, t_j)   = phi(t_i, t_j) - psi(t_i, t_j).
 
-    Rows and triangles exponentiate only the differences on and below the
+    The triangles exponentiate only the differences on and below the
     diagonal, and :meth:`integral` is the one running integral that the
     O(N) formulas of the covariance module pair.
     """
@@ -202,17 +195,13 @@ class ScalarTables(KernelBundle):
             return _running_integral(-E[::-1], y[::-1], self.grid.dt)[::-1]
         return _running_integral(E, y, self.grid.dt)
 
-    def psi_triangle(self) -> np.ndarray:
-        return _lower_exp(self.lh)
+    @cached_property
+    def phi(self) -> TriangularKernel:
+        return TriangularKernel(self.grid, _lower_exp(self.lhm))
 
-    def phi_triangle(self) -> np.ndarray:
-        return _lower_exp(self.lhm)
-
-    def psi_row(self, i: int) -> np.ndarray:
-        return np.exp(self.lh[i] - self.lh[: i + 1])
-
-    def phi_row(self, i: int) -> np.ndarray:
-        return np.exp(self.lhm[i] - self.lhm[: i + 1])
+    @cached_property
+    def psi(self) -> TriangularKernel:
+        return TriangularKernel(self.grid, _lower_exp(self.lh))
 
 
 def _drifts(A, B, C, D, G):
@@ -224,6 +213,9 @@ def _closed_loop_drifts(scenario: Scenario, gain: GainSchedule):
     """H = A - gain C and M = B - gain D at every node, shape (N+1, n, n)."""
     if not scenario.grid.same_as(gain.grid):
         raise ScenarioError("gain and scenario live on different grids")
+    if gain.values.shape[1:] != (scenario.n, scenario.m):
+        raise ScenarioError(f"gain entries are {gain.values.shape[1:]}, the scenario "
+                            f"needs (n, m) = {(scenario.n, scenario.m)}")
     return _drifts(scenario.A, scenario.B, scenario.C, scenario.D, gain.values)
 
 
@@ -256,8 +248,8 @@ class StepPropagators(KernelBundle):
     averaged over the step) and at the right node. Its diagonal blocks
     are the RK4 steps of phi and psi and its upper-right block is exactly
     zero. A transition between two nodes is the ordered product of the
-    steps between them; :meth:`phi_triangle` and :meth:`psi_triangle`
-    build those products row by row.
+    steps between them; ``phi`` and ``psi`` build those products row by
+    row.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule):
@@ -274,11 +266,13 @@ class StepPropagators(KernelBundle):
         self.n = scenario.n
         self.R = _rk4_step(lambda s, Y: stage[s] @ Y, 0.0, np.eye(2 * self.n), h)
 
-    def phi_triangle(self) -> np.ndarray:
-        return _chain(self.R[:, : self.n, : self.n])
+    @cached_property
+    def phi(self) -> TriangularKernel:
+        return TriangularKernel(self.grid, _chain(self.R[:, : self.n, : self.n]))
 
-    def psi_triangle(self) -> np.ndarray:
-        return _chain(self.R[:, self.n:, self.n:])
+    @cached_property
+    def psi(self) -> TriangularKernel:
+        return TriangularKernel(self.grid, _chain(self.R[:, self.n:, self.n:]))
 
 
 def kernel_bundle(scenario: Scenario, gain: GainSchedule) -> KernelBundle:

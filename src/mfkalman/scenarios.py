@@ -25,11 +25,11 @@ import yaml
 
 from .numerics import make_grid
 from .system_model import (
+    InitialMeasure,
     Scenario,
     ScenarioError,
     build_scenario,
     dirac_measure,
-    discrete_measure,
     gauss_hermite_measure,
 )
 
@@ -80,7 +80,7 @@ def cross_pairing_probe(steps: int = 200) -> Scenario:
     """
     return build_scenario(
         make_grid(1.0, steps),
-        measure=discrete_measure([[-1.0], [1.0]], [0.5, 0.5]),
+        measure=InitialMeasure([[-1.0], [1.0]], [0.5, 0.5]),
         A=0.2, B=0.5, C=1.0, D=0.3,
         sigma=lambda u, t: 1.0 + 0.25 * u,
         gamma=lambda u, t: 0.6 + 0.2 * u,
@@ -105,7 +105,7 @@ def random_smooth_scenario(seed: int, steps: int = 200) -> Scenario:
     s_off, g_off = 1.0 + 0.2 * c[7], 0.7 + 0.2 * c[8]
     return build_scenario(
         make_grid(1.0, steps),
-        measure=discrete_measure([[-1.0], [1.0]], [0.5, 0.5]),
+        measure=InitialMeasure([[-1.0], [1.0]], [0.5, 0.5]),
         A=trig(c[0], c[1], c[2], 2 * math.pi, math.pi),
         B=trig(c[3], c[4], 0.0, math.pi, 1.0),
         C=lambda t: 1.0 + 0.3 * math.sin(math.pi * t),
@@ -166,7 +166,7 @@ def _coeff_from_spec(value, args: tuple[str, ...], key: str):
 # each measure kind: its constructor, and its parameters with the defaults
 # a file may leave out (None: required)
 _MEASURE_PARAMS = {"dirac": (dirac_measure, {"x0": 0.0}),
-                   "discrete": (discrete_measure, {"points": None, "weights": None}),
+                   "discrete": (InitialMeasure, {"points": None, "weights": None}),
                    "gauss_hermite": (gauss_hermite_measure, {"n_nodes": 11})}
 
 

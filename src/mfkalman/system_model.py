@@ -26,7 +26,6 @@ __all__ = [
     "build_scenario",
     "measure_averages",
     "dirac_measure",
-    "discrete_measure",
     "gauss_hermite_measure",
 ]
 
@@ -48,7 +47,8 @@ def check_finite(stage: str, array: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class InitialMeasure:
-    """Finite weighted atom set: points (k, n), positive weights summing to 1."""
+    """Finite weighted atom set: points (k, n) and positive weights, which
+    are normalized to sum to 1."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -92,11 +92,6 @@ def dirac_measure(x0) -> InitialMeasure:
     """Unit mass at the single point ``x0``."""
     return InitialMeasure(points=np.atleast_1d(np.asarray(x0, dtype=float))[None, :],
                           weights=np.array([1.0]))
-
-
-def discrete_measure(points, weights) -> InitialMeasure:
-    """Finitely supported measure; weights are normalized to sum to one."""
-    return InitialMeasure(points=points, weights=weights)
 
 
 def gauss_hermite_measure(n_nodes: int) -> InitialMeasure:

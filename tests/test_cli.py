@@ -26,13 +26,13 @@ def read_csv(path):
 class TestSimulate:
     def test_zero_paths_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--paths", "0", "--out", str(tmp_path)])
-        assert code != 0
+        assert code == 2
         assert "simulate" in capsys.readouterr().err
 
     def test_one_path_rejected_before_writing(self, tmp_path, capsys):
         # the statistics need two replications; nothing may be written first
         out = tmp_path / "out"
-        assert main(["simulate", "--steps", "20", "--paths", "1", "--out", str(out)]) != 0
+        assert main(["simulate", "--steps", "20", "--paths", "1", "--out", str(out)]) == 2
         assert "--paths" in capsys.readouterr().err
         assert not out.exists()
 
@@ -114,21 +114,21 @@ class TestGradcheck:
     def test_directions_below_one_rejected(self, tmp_path, capsys, count):
         out = tmp_path / "out"
         assert main(["gradcheck", "--steps", "20", "--directions", count,
-                     "--out", str(out)]) != 0
+                     "--out", str(out)]) == 2
         assert "--directions" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["0", "-1e-4"])
     def test_nonpositive_eps_rejected_before_output(self, tmp_path, capsys, eps):
         out = tmp_path / "out"
-        assert main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)]) != 0
+        assert main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)]) == 2
         assert "--eps" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_nonfinite_eps_rejected_before_output(self, tmp_path, capsys, eps):
         out = tmp_path / "out"
-        assert main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)]) != 0
+        assert main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)]) == 2
         assert "--eps must be finite" in capsys.readouterr().err
         assert not out.exists()
 
@@ -141,12 +141,24 @@ class TestGradcheck:
 
 class TestOptimize:
     @pytest.mark.parametrize("flag", ["--max-iter=0", "--max-iter=-1",
-                                      "--grad-tol=0", "--grad-tol=-1e-5"])
+                                      "--grad-tol=0", "--grad-tol=-1e-5",
+                                      "--grad-tol=inf", "--grad-tol=nan"])
     def test_bad_limit_rejected_before_output(self, tmp_path, capsys, flag):
+        # --grad-tol=inf used to report "converged: True" after 0 iterations
         out = tmp_path / "out"
-        assert main(["optimize", "--steps", "20", flag, "--out", str(out)]) != 0
+        assert main(["optimize", "--steps", "20", flag, "--out", str(out)]) == 2
         assert flag.partition("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unconverged_run_fails_after_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["optimize", "--steps", "20", "--max-iter", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "converged: False" in captured.out
+        assert "error in stage optimize: iteration limit reached" in captured.err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "filter.csv", "optimizer_gain.csv", "optimizer_report.txt",
+            "optimizer_trajectory.csv"]
 
     def test_classical_run(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "classical", "--steps", "150",
@@ -269,6 +281,28 @@ class TestScenarioFiles:
         code = main(["covariance", "--scenario", str(path), "--out", str(tmp_path / "out")])
         assert code != 0
         assert "atom weights must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "kernels", "covariance", "gradcheck",
+                                         "optimize"])
+    def test_matrix_scenario_not_exported(self, tmp_path, capsys, command):
+        path = tmp_path / "scen.yaml"
+        path.write_text("steps: 10\n"
+                        "measure: {kind: discrete, points: [[0.0, 0.0]], weights: [1.0]}\n")
+        assert not load_scenario(path).scalar_mode
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+        assert (f"error in stage {command}: CSV export supports scalar scenarios"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_reference_gain_needs_bundled_scenario(self, tmp_path, capsys):
+        path = tmp_path / "scen.yaml"
+        path.write_text("steps: 10\n")
+        code = main(["kernels", "--scenario", str(path), "--gain", "reference",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("error in stage gain: --gain reference is only defined for bundled "
+                "scenarios" in capsys.readouterr().err)
 
     def test_unknown_scenario_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path)])

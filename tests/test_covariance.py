@@ -6,14 +6,15 @@ import pytest
 
 from mfkalman import (
     GainSchedule,
+    InitialMeasure,
     ScenarioError,
     build_scenario,
     check_finite,
     classical_scenario,
     cost_gradient,
     covariance_profile,
+    cumulative_trapezoid,
     dirac_measure,
-    discrete_measure,
     drift_profile,
     fd_cost_slope,
     kernel_bundle,
@@ -22,7 +23,7 @@ from mfkalman import (
     measure_averages,
     normal_flow_scenario,
     optimize_gain,
-    sensitivity_profile,
+    sensitivity_triangle,
     trace_cost,
     trapezoid,
 )
@@ -32,7 +33,6 @@ from mfkalman.covariance import (
     _averaged_terms,
     _ScalarWeights,
     _gradient_from_kernel,
-    _sensitivity_kernel,
 )
 from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
@@ -145,7 +145,7 @@ _COEFFS = {
 def _two_atom_matrix_scenario(steps):
     grid = make_grid(1.0, steps)
     scen = build_scenario(
-        grid, measure=discrete_measure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
+        grid, measure=InitialMeasure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
         sigma=lambda u, t: np.array([[0.9 + 0.2 * u[0], 0.1], [0.0, 1.1 + 0.1 * u[1] * t]]),
         gamma=lambda u, t: np.array([[1.0, 0.1 * u[0]], [0.0, 0.8 + 0.1 * u[1]]]),
         Q=np.array([[1.0, 0.3], [0.3, 0.8]]), Q0=np.eye(2),
@@ -328,10 +328,28 @@ class TestCovarianceDrift:
         assert K1m[0, 0] == pytest.approx(K1s[-1], abs=1e-7)
 
 
+def _kernel_row(tb, w, i, w_mid, x, g_point, g_cross):
+    """Row i of the sensitivity kernel from the kernel rows of node i alone
+    (the reference for the triangle's row-wise quadratures): with
+    f = phi - psi,
+
+        k2 / 2 = -C int (f^2 wbar + psi^2 w_mid + 2 psi f x)
+                 - D int (phi f wbar + phi psi x)
+                 + G (q0 gbar^2 f^2 + g_point psi^2 + 2 q0 g_cross psi f)."""
+    sl = slice(0, i + 1)
+    psi, phi = tb.psi.values[i, sl], tb.phi.values[i, sl]
+    f, wbar, x = phi - psi, w.wbar[sl], x[sl]
+    c_term = cumulative_trapezoid(f**2 * wbar + psi**2 * w_mid[sl] + 2 * psi * f * x, tb.grid.dt)
+    d_term = cumulative_trapezoid(phi * f * wbar + phi * psi * x, tb.grid.dt)
+    boundary = w.G[sl] * (w.q0 * w.gbar[sl]**2 * f**2 + g_point[sl] * psi**2
+                          + 2 * w.q0 * g_cross[sl] * psi * f)
+    return 2.0 * (-tb.C[sl] * c_term - tb.D[sl] * d_term + boundary)
+
+
 class TestSensitivityKernel:
     def test_zero_gain_closed_form(self, classical_pack):
         scen, bars, bundle = classical_pack
-        row = sensitivity_profile(scen, bundle, bars, 0, 75)
+        row = sensitivity_triangle(scen, bundle, bars, 0)[75, :76]
         np.testing.assert_allclose(row, -2.0 * scen.grid.nodes[:76], atol=1e-13)
 
     def test_no_diffusion_gives_zero(self):
@@ -339,8 +357,8 @@ class TestSensitivityKernel:
         gain = GainSchedule.constant(scen.grid, 0.4)
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, gain)
-        row = sensitivity_profile(scen, bundle, bars, 0, 50)
-        np.testing.assert_allclose(row, 0.0, atol=1e-15)
+        tri = sensitivity_triangle(scen, bundle, bars, 0)
+        np.testing.assert_allclose(tri, 0.0, atol=1e-15)
 
     def test_matches_fd_of_covariance(self, rough_pack):
         scen, bars, gain, bundle = rough_pack
@@ -352,31 +370,26 @@ class TestSensitivityKernel:
         for atom in range(2):
             Kp = covariance_profile(scen, up, bars, atom)
             Km = covariance_profile(scen, dn, bars, atom)
+            tri = sensitivity_triangle(scen, bundle, bars, atom)
             for i in (scen.grid.n_steps, scen.grid.n_steps // 2):
                 fd = (Kp[i] - Km[i]) / (2 * eps)
-                row = sensitivity_profile(scen, bundle, bars, atom, i)
-                quad = np.trapezoid(row * beta[: i + 1], dx=dt)
+                quad = np.trapezoid(tri[i, : i + 1] * beta[: i + 1], dx=dt)
                 assert abs(quad - fd) <= 1e-3 * max(abs(fd), 1e-3)
 
     def test_requires_scalar_and_ordering(self, classical_pack, matrix_pack):
         scen, bars, bundle = matrix_pack
         with pytest.raises(ScenarioError, match="scalar mode"):
-            sensitivity_profile(scen, bundle, bars, 0, 10)
+            sensitivity_triangle(scen, bundle, bars, 0)
         with pytest.raises(ScenarioError, match="scalar mode"):
             mean_sensitivity_triangle(scen, bundle, bars)
-        # the kernel lives on s <= t: a row stops at t, the triangle is
-        # zero above its diagonal
+        # the kernel lives on s <= t: both triangles are zero above their
+        # diagonal
         scen, bars, bundle = classical_pack
-        assert sensitivity_profile(scen, bundle, bars, 0, 10).shape == (11,)
-        tri = mean_sensitivity_triangle(scen, bundle, bars)
-        np.testing.assert_array_equal(tri[np.triu_indices(scen.grid.n_nodes, 1)], 0.0)
-
-    @pytest.mark.parametrize("offset", [-1, 1])
-    def test_rejects_node_off_the_grid(self, classical_pack, offset):
-        scen, bars, bundle = classical_pack
-        node = -1 if offset < 0 else scen.grid.n_steps + 1
-        with pytest.raises(ScenarioError, match="outside the grid"):
-            sensitivity_profile(scen, bundle, bars, 0, node)
+        n = scen.grid.n_nodes
+        for tri in (sensitivity_triangle(scen, bundle, bars, 0),
+                    mean_sensitivity_triangle(scen, bundle, bars)):
+            assert tri.shape == (n, n)
+            np.testing.assert_array_equal(tri[np.triu_indices(n, 1)], 0.0)
 
 
 class TestMeanSensitivity:
@@ -407,14 +420,14 @@ class TestMeanSensitivity:
     def test_triangle_row_equals_row_path_and_atom_sum(self, rough_pack):
         scen, bars, _, bundle = rough_pack
         tri = mean_sensitivity_triangle(scen, bundle, bars)
-        tb, w = bundle, _ScalarWeights(scen, bars, bundle.gain)
+        w = _ScalarWeights(scen, bars, bundle.gain)
         ws = scen.measure.weights
+        atoms = sum(ws[a] * sensitivity_triangle(scen, bundle, bars, a)
+                    for a in range(scen.n_atoms))
+        np.testing.assert_allclose(tri, atoms, rtol=0, atol=1e-10)
         for i in (200, 150, 120):
-            row = _sensitivity_kernel(tb, w, tb.psi_row(i), tb.phi_row(i), *w.averaged())
-            atoms = sum(ws[a] * sensitivity_profile(scen, bundle, bars, a, i)
-                        for a in range(scen.n_atoms))
+            row = _kernel_row(bundle, w, i, *w.averaged())
             np.testing.assert_allclose(tri[i, : i + 1], row, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(row, atoms, rtol=0, atol=1e-10)
             np.testing.assert_array_equal(tri[i, i + 1:], 0.0)
 
 
@@ -604,7 +617,7 @@ class TestLongHorizon:
         scen = _ou_scenario(-2.0, steps=400, horizon=400.0)
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.3))
-        assert np.all(np.isfinite(sensitivity_profile(scen, bundle, bars, 0, 400)))
+        assert np.all(np.isfinite(sensitivity_triangle(scen, bundle, bars, 0)))
         for kernel in (bundle.psi, bundle.phi, bundle.f):
             assert np.all(np.isfinite(kernel.values))
 
@@ -736,7 +749,7 @@ _SCALAR_CALLS = {
     "cost_gradient": cost_gradient,
     "covariance_profile": lambda *a: covariance_profile(*a, 0),
     "drift_profile": lambda *a: drift_profile(*a, 0),
-    "sensitivity_profile": lambda *a: sensitivity_profile(*a, 0, 5),
+    "sensitivity_triangle": lambda *a: sensitivity_triangle(*a, 0),
     "mean_sensitivity_triangle": mean_sensitivity_triangle,
     "covariance_profile_transcribed": lambda *a: covariance_profile_transcribed(*a, 0),
     "cost_gradient_transcribed": cost_gradient_transcribed,

@@ -48,7 +48,7 @@ def _diagonal_update_by_rows(scenario, bars, values, nodes):
             if w.g2q0[j] <= 1e-14:
                 continue
             sl = slice(0, j + 1)
-            psi_r, phi_r, wbar = tb.psi_row(j), tb.phi_row(j), w.wbar[sl]
+            psi_r, phi_r, wbar = tb.psi.values[j, sl], tb.phi.values[j, sl], w.wbar[sl]
             f_r = phi_r - psi_r
             theta = trapezoid(f_r**2 * wbar + psi_r**2 * w.w2[sl] + 2 * psi_r * f_r * wbar, dt)
             xi = trapezoid(phi_r * (f_r + psi_r) * wbar, dt)
@@ -121,8 +121,9 @@ class TestOptimizeGain:
     def test_call_counts_match_report(self, build, monkeypatch):
         # the same counts as the benchmark's own check, on the calls bound
         # in mfkalman.gain: one kernel_bundle per Armijo trial plus the
-        # start and the completed gain, one cost_gradient per accepted step
-        # plus those two, and one trace_cost per trial plus the start
+        # start and, on a converged run, the completed gain; one
+        # cost_gradient per accepted step plus the same ones; one
+        # trace_cost per trial plus the start
         counts = dict.fromkeys(("kernel_bundle", "trace_cost", "cost_gradient"), 0)
         for name in counts:
             def counted(*args, _fn=getattr(gain_module, name), _name=name):
@@ -133,11 +134,38 @@ class TestOptimizeGain:
         reports = [optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, g0))
                    for g0 in (0.0, 10.0)]
         assert all(r.converged for r in reports)
+        reports.append(optimize_gain(scen, max_iter=1))
+        assert not reports[-1].converged
         trials = sum(sum(r.line_search_trials) for r in reports)
         iterations = sum(r.iterations for r in reports)
-        assert counts == {"kernel_bundle": trials + 2 * len(reports),
+        completed = sum(r.converged for r in reports)
+        assert counts == {"kernel_bundle": trials + len(reports) + completed,
                           "trace_cost": trials + len(reports),
-                          "cost_gradient": iterations + 2 * len(reports)}
+                          "cost_gradient": iterations + len(reports) + completed}
+
+    @pytest.mark.parametrize("build, g0", [(classical_scenario, -3.0),
+                                           (cross_pairing_probe, -2.0)])
+    def test_failed_search_returns_last_iterate(self, build, g0):
+        # endpoint completion used to run on this iterate as well, and
+        # J = 102.74 (classical) and 17.52 (probe) came back as 8127.85
+        # and 1815.14
+        scen = build(steps=200)
+        report = optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, g0))
+        assert not report.converged
+        assert report.message == "line search step underflow"
+        assert report.final_cost == report.cost_trajectory[-1]
+        bars = measure_averages(scen)
+        assert report.final_cost == trace_cost(scen, kernel_bundle(scen, report.gain), bars)
+        assert report.stationarity == _stationarity(scen, report.gain)
+
+    @pytest.mark.parametrize("grad_tol", [0.0, -1e-5, np.inf, np.nan])
+    def test_rejects_bad_grad_tol_before_any_bundle(self, monkeypatch, grad_tol):
+        def no_bundle(*args):
+            raise AssertionError("a bundle was built")
+
+        monkeypatch.setattr(gain_module, "kernel_bundle", no_bundle)
+        with pytest.raises(ScenarioError, match="grad_tol must be finite and positive"):
+            optimize_gain(classical_scenario(steps=20), grad_tol=grad_tol)
 
     def test_classical_reaches_reference(self):
         scen = classical_scenario(steps=100)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from mfkalman import (
     GainSchedule,
     ScenarioError,
     build_scenario,
+    classical_scenario,
     dirac_measure,
     covariance_profile,
     cumulative_trapezoid,
     kernel_bundle,
     make_grid,
     measure_averages,
+    simulate_ensemble,
 )
 from mfkalman.arbitration import (
     f_direction,
@@ -205,8 +209,11 @@ class TestKernelBundle:
         psi = bundle.psi
         assert bundle.psi is psi
         assert {"phi", "psi", "f"} & set(vars(bundle)) == {"psi"}
-        np.testing.assert_array_equal(psi.values, bundle.psi_triangle())
-        np.testing.assert_array_equal(bundle.phi.values, bundle.phi_triangle())
+        i, j = np.tril_indices(scen.grid.n_nodes)
+        np.testing.assert_array_equal(psi.values[i, j], np.exp(bundle.lh[i] - bundle.lh[j]))
+        np.testing.assert_array_equal(bundle.phi.values[i, j],
+                                      np.exp(bundle.lhm[i] - bundle.lhm[j]))
+        np.testing.assert_array_equal(np.triu(bundle.phi.values, 1), 0.0)
         np.testing.assert_array_equal(bundle.f.values, bundle.phi.values - psi.values)
         assert {"phi", "psi", "f"} <= set(vars(bundle))
 
@@ -449,3 +456,20 @@ class TestGainSchedule:
         other = GainSchedule.constant(make_grid(1.0, 49), 0.0)
         with pytest.raises(ScenarioError):
             kernel_bundle(scen, other)
+
+    @pytest.mark.parametrize("consumer", ["kernel_bundle", "simulate_ensemble"])
+    @pytest.mark.parametrize("gain_shape, scen_shape", [((1, 2), (1, 1)), ((2, 2), (1, 1)),
+                                                        ((1, 1), (2, 2))],
+                             ids=["1x2-on-1x1", "2x2-on-1x1", "1x1-on-2x2"])
+    def test_shape_mismatch_names_both_shapes(self, pair, consumer, gain_shape, scen_shape):
+        # a 1x2 gain used to give H = -(sum of its entries) C silently, and
+        # the others failed later with messages that named no shape
+        scen = classical_scenario(10) if scen_shape == (1, 1) else pair[1]
+        values = 0.1 * np.arange(1, 1 + np.prod(gain_shape)).reshape(gain_shape)
+        gain = GainSchedule.constant(scen.grid, values, *gain_shape)
+        with pytest.raises(ScenarioError, match=re.escape(
+                f"gain entries are {gain_shape}, the scenario needs (n, m) = {scen_shape}")):
+            if consumer == "kernel_bundle":
+                kernel_bundle(scen, gain)
+            else:
+                simulate_ensemble(scen, gain, n_paths=4, seed=1)

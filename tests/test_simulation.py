@@ -9,10 +9,10 @@ import pytest
 
 from mfkalman import (
     GainSchedule,
+    InitialMeasure,
     ScenarioError,
     build_scenario,
     dirac_measure,
-    discrete_measure,
     empirical_statistics,
     kernel_bundle,
     make_grid,
@@ -46,7 +46,7 @@ def _assert_relabelled(a, b):
 def _mean_coupled_two_atoms(steps):
     """Two atoms with mean coupling and atom-dependent loadings."""
     return build_scenario(
-        make_grid(1.0, steps), measure=discrete_measure([[-1.0], [1.0]], [0.5, 0.5]),
+        make_grid(1.0, steps), measure=InitialMeasure([[-1.0], [1.0]], [0.5, 0.5]),
         A=0.2, B=0.5, C=1.0, D=0.3,
         sigma=lambda u, t: 1.0 + 0.25 * u,
         gamma=lambda u, t: 0.6 + 0.2 * u)
@@ -121,9 +121,9 @@ class TestSimulateEnsemble:
         kwargs = dict(A=0.1, B=0.4, C=1.0, D=0.2,
                       sigma=lambda u, t: 1.0 + 0.2 * u,
                       gamma=lambda u, t: 0.5 + 0.1 * u)
-        s1 = build_scenario(grid, measure=discrete_measure([[-1.0], [2.0]], [0.3, 0.7]),
+        s1 = build_scenario(grid, measure=InitialMeasure([[-1.0], [2.0]], [0.3, 0.7]),
                             **kwargs)
-        s2 = build_scenario(grid, measure=discrete_measure([[2.0], [-1.0]], [0.7, 0.3]),
+        s2 = build_scenario(grid, measure=InitialMeasure([[2.0], [-1.0]], [0.7, 0.3]),
                             **kwargs)
         gain = GainSchedule.constant(grid, 0.6)
         e1 = simulate_ensemble(s1, gain, n_paths=64, seed=5)
@@ -299,7 +299,7 @@ class TestEmpiricalStatistics:
 def _two_atom_matrix_scenario(steps, points=((-1.0, 0.5), (1.0, -0.5)), weights=(0.4, 0.6)):
     """Non-diagonal, mean-coupled 2x2 system with two atoms."""
     return build_scenario(
-        make_grid(1.0, steps), measure=discrete_measure(points, weights),
+        make_grid(1.0, steps), measure=InitialMeasure(points, weights),
         A=lambda t: np.array([[-0.4, 0.3], [0.2, 0.3]]),
         B=lambda t: np.array([[0.5, -0.3], [0.1, -0.2]]),
         C=lambda t: np.array([[1.0, 0.2], [0.0, 0.8]]),

@@ -9,7 +9,6 @@ from mfkalman import (
     ScenarioError,
     build_scenario,
     dirac_measure,
-    discrete_measure,
     gauss_hermite_measure,
     load_scenario,
     make_grid,
@@ -42,7 +41,7 @@ class TestMeasures:
         assert float(mu.weights.sum()) == pytest.approx(1.0, abs=1e-12)
 
     def test_discrete_normalizes(self):
-        mu = discrete_measure([[-1.0], [1.0]], [2.0, 2.0])
+        mu = InitialMeasure([[-1.0], [1.0]], [2.0, 2.0])
         np.testing.assert_allclose(mu.weights, [0.5, 0.5])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -51,9 +50,18 @@ class TestMeasures:
         with pytest.raises(ScenarioError, match="atom weights must be finite"):
             InitialMeasure(points=[[0.0], [1.0]], weights=weights)
 
+    def test_rejects_more_atoms_than_weights(self):
+        with pytest.raises(ScenarioError, match="3 atoms but 2 weights"):
+            InitialMeasure([[0.0], [1.0], [2.0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ScenarioError, match="atom locations must be finite"):
+            InitialMeasure([[0.0], [bad]], [0.5, 0.5])
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ScenarioError):
-            discrete_measure([[0.0], [1.0]], [1.0, -0.5])
+            InitialMeasure([[0.0], [1.0]], [1.0, -0.5])
         with pytest.raises(ScenarioError):
             gauss_hermite_measure(0)
 
@@ -73,6 +81,19 @@ class TestBuildScenario:
                            gamma=lambda u, t: np.eye(2),
                            A=lambda t: np.zeros((2, 2)),
                            C=lambda t: np.eye(2), Sigma=lambda t: np.eye(2))
+
+    @pytest.mark.parametrize("Q, message", [
+        (np.ones((2, 3)), r"Q must be square, got \(2, 3\)"),
+        (np.array([[1.0, 0.0], [0.0, np.nan]]), "Q has non-finite entries"),
+    ])
+    def test_bad_state_noise_named(self, Q, message):
+        with pytest.raises(ScenarioError, match=message):
+            build_scenario(GRID, measure=dirac_measure([0.0, 0.0]), Q=Q)
+
+    def test_scalar_observation_noise_is_multiple_of_identity(self):
+        scen = build_scenario(GRID, measure=dirac_measure([0.0, 0.0]), Q=np.eye(2), Q0=0.5)
+        assert scen.d == 2
+        np.testing.assert_array_equal(scen.Q0, 0.5 * np.eye(2))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ScenarioError):
@@ -121,7 +142,7 @@ class TestBuildScenario:
         mixed = lambda t: -0.5 if t > 0.5 else np.array([[1.0, 0.5], [0.0, 1.0]])  # noqa: E731
         loadings = {"sigma": lambda u, t: u[0] * t, "gamma": lambda u, t: t - 0.5}
         scen = build_scenario(
-            GRID, measure=discrete_measure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
+            GRID, measure=InitialMeasure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
             A=lambda t: -t, B=mixed, C=lambda t: 2.0 - t, Sigma=lambda t: 1.0 + t, m=3,
             D=lambda t: np.full((3, 2), t), **loadings, Q=np.eye(2), Q0=np.eye(2))
         times = [(t,) for t in GRID.nodes]
@@ -166,7 +187,7 @@ class TestMeasureAverages:
         np.testing.assert_allclose(bars.flat("sigma_bar"), 1.0 + GRID.nodes)
 
     def test_two_atom_average(self):
-        scen = build_scenario(GRID, measure=discrete_measure([[-1.0], [1.0]], [0.5, 0.5]),
+        scen = build_scenario(GRID, measure=InitialMeasure([[-1.0], [1.0]], [0.5, 0.5]),
                               sigma=lambda u, t: u, gamma=1.0)
         bars = measure_averages(scen)
         np.testing.assert_allclose(bars.flat("sigma_bar"), 0.0, atol=1e-15)
