@@ -51,6 +51,7 @@ from .simulation import (
 from .system_model import (
     BarQuantities,
     InitialMeasure,
+    NonFiniteError,
     Scenario,
     ScenarioError,
     build_scenario,

@@ -44,8 +44,14 @@ from .covariance import (
     trace_cost,
 )
 from .kernels import GainSchedule, ScalarTables, kernel_bundle
-from .numerics import TimeGrid, _rk4_step, trapezoid
-from .system_model import BarQuantities, Scenario, ScenarioError, measure_averages
+from .numerics import TimeGrid, trapezoid
+from .system_model import (
+    BarQuantities,
+    NonFiniteError,
+    Scenario,
+    ScenarioError,
+    measure_averages,
+)
 
 __all__ = [
     "OptimizationReport",
@@ -131,6 +137,8 @@ def _diagonal_update(scenario: Scenario, bars: BarQuantities, values: np.ndarray
         live = nodes[w.g2q0[nodes] > 1e-14]
         out[live] = (tb.C[live] * (mean[live] + dev[live])
                      + tb.D[live] * mean[live]) / w.g2q0[live]
+        if not np.isfinite(out).all():
+            break  # no gain schedule holds it; the caller rejects it
     return out
 
 
@@ -159,9 +167,11 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     converged iterate. A given ``grad_tol`` must be finite and positive.
 
     The search starts from ``initial_gain``, zero by default. Scalar
-    mode only. A failed line search (step underflow, or no descent
-    direction) or the iteration limit returns the last iterate, not
-    completed, with ``converged=False``.
+    mode only. A trial whose gain or cost is not finite is rejected like
+    one that does not decrease J, and raises no warning. A failed line
+    search (step underflow, or no descent direction), the iteration
+    limit, or an endpoint completion whose gain or cost is not finite
+    returns the last iterate, not completed, with ``converged=False``.
     """
     if not scenario.scalar_mode:
         raise ScenarioError("gain optimization requires a scalar scenario")
@@ -199,12 +209,20 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
             break
         eta, tried = 1.0, 0
         while eta >= _STEP_FLOOR:
-            cand = GainSchedule(gain.grid, gain.scalar + eta * p)
-            cand_bundle = kernel_bundle(scenario, cand)
-            J_cand = trace_cost(scenario, cand_bundle, bars)
-            tried += 1
-            if J_cand <= J + _ARMIJO_C1 * eta * slope:
-                break
+            # a candidate whose gain or cost is not finite is a rejected
+            # trial; its overflows are seen in the values, not as warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = gain.scalar + eta * p
+                if np.isfinite(values).all():
+                    cand = GainSchedule(gain.grid, values)
+                    cand_bundle = kernel_bundle(scenario, cand)
+                    tried += 1
+                    try:
+                        J_cand = trace_cost(scenario, cand_bundle, bars)
+                    except NonFiniteError:
+                        J_cand = np.inf
+                    if J_cand <= J + _ARMIJO_C1 * eta * slope:
+                        break
             eta *= _ARMIJO_SHRINK
         else:
             message = "line search step underflow"
@@ -220,16 +238,26 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         message = "iteration limit reached"
 
     if converged:
-        completed = _diagonal_update(
-            scenario, bars, gain.scalar,
-            nodes=list(range(max(0, n - _COMPLETION_NODES + 1), n + 1)))
-        gain = GainSchedule(gain.grid, completed)
-        bundle = kernel_bundle(scenario, gain)
-        # not trace_cost: after the one at the start, each trace_cost call
-        # of this function is one Armijo trial, and the benchmark counts
-        # trials that way
-        J = _scalar_cost(scenario, bundle, bars)
-        field = cost_gradient(scenario, bundle, bars)
+        with np.errstate(over="ignore", invalid="ignore"):
+            completed = _diagonal_update(
+                scenario, bars, gain.scalar,
+                nodes=list(range(max(0, n - _COMPLETION_NODES + 1), n + 1)))
+        if not np.isfinite(completed).all():
+            converged, message = False, "endpoint completion gave a non-finite gain"
+        else:
+            done = GainSchedule(gain.grid, completed)
+            done_bundle = kernel_bundle(scenario, done)
+            try:
+                # not trace_cost: after the one at the start, each trace_cost
+                # call of this function is one Armijo trial, and the
+                # benchmark counts trials that way
+                with np.errstate(over="ignore", invalid="ignore"):
+                    J_done = _scalar_cost(scenario, done_bundle, bars)
+            except NonFiniteError:
+                converged, message = False, "endpoint completion gave a non-finite cost"
+            else:
+                gain, J = done, J_done
+                field = cost_gradient(scenario, done_bundle, bars)
     return OptimizationReport(
         gain=gain,
         cost_trajectory=trajectory,
@@ -250,18 +278,30 @@ def _as_time_fn(value):
     return lambda t, _v=float(value): _v
 
 
-def _rk4(rhs, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _rk4(rhs, y0: tuple[float, ...], grid: TimeGrid) -> np.ndarray:
     """Classical RK4 of y' = rhs(t, y) on the grid; returns (N+1, len(y0)).
-    A state above ``_RICCATI_BLOWUP`` in size raises."""
-    out = np.empty((grid.n_nodes, len(y0)))
-    out[0] = y0
+
+    The state is a short sequence of Python floats, and ``rhs`` returns
+    one: on one or two components a numpy array costs more per operation
+    than the arithmetic. Each component follows numerics._rk4_step
+    operation by operation, so the values are the same to the bit. A
+    state above ``_RICCATI_BLOWUP`` in size, or not finite, raises."""
     h = grid.dt
-    for i in range(grid.n_steps):
-        t = grid.nodes[i]
-        out[i + 1] = _rk4_step(rhs, t, out[i], h)
-        if not np.all(np.isfinite(out[i + 1])) or np.any(np.abs(out[i + 1]) > _RICCATI_BLOWUP):
+    half, sixth = 0.5 * h, h / 6.0
+    y = list(y0)
+    rows = [y]
+    for t in grid.nodes[:-1]:
+        k1 = rhs(t, y)
+        k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
+        k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
+        k4 = rhs(t + h, [a + h * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        # not (|v| <= bound) also catches nan
+        if not all(abs(v) <= _RICCATI_BLOWUP for v in y):
             raise ScenarioError(f"Riccati state blew up near t = {t + h:g}")
-    return out
+        rows.append(y)
+    return np.array(rows, dtype=float)
 
 
 def riccati_classical(A, C, sigma0, gamma0, grid: TimeGrid) -> RiccatiSolution:
@@ -277,11 +317,12 @@ def riccati_classical(A, C, sigma0, gamma0, grid: TimeGrid) -> RiccatiSolution:
         if abs(g_f(t)) < 1e-12:
             raise ScenarioError(f"gamma0 vanishes at t = {t:g}")
 
-    def rhs(t, s):
+    def rhs(t, y):
+        (s,) = y
         g2 = g_f(t) ** 2
-        return 2.0 * A_f(t) * s - (C_f(t) ** 2 / g2) * s * s + s_f(t) ** 2
+        return (2.0 * A_f(t) * s - (C_f(t) ** 2 / g2) * s * s + s_f(t) ** 2,)
 
-    S = _rk4(rhs, np.zeros(1), grid)[:, 0]
+    S = _rk4(rhs, (0.0,), grid)[:, 0]
     gain = np.array([C_f(t) * S[i] / g_f(t) ** 2 for i, t in enumerate(grid.nodes)])
     return RiccatiSolution(grid=grid, state=S, gain_values=gain)
 
@@ -305,9 +346,9 @@ def riccati_normal_flow(A, C, grid: TimeGrid) -> RiccatiSolution:
         a, c2 = A_f(t), C_f(t) ** 2
         dm = 1.0 + 2.0 * a * m - c2 * m * m
         dkb = 1.0 + c2 * m * m + 2.0 * (a - c2 * m) * kb
-        return np.array([dm, dkb])
+        return dm, dkb
 
-    state = _rk4(rhs, np.zeros(2), grid)
+    state = _rk4(rhs, (0.0, 0.0), grid)
     M = state[:, 0]
     gain = np.array([C_f(t) for t in grid.nodes]) * M
     return RiccatiSolution(grid=grid, state=M, gain_values=gain,

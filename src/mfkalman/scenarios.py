@@ -16,12 +16,10 @@ restricted math namespace.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .numerics import make_grid
 from .system_model import (
@@ -193,6 +191,8 @@ def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:
     unknown key, a missing measure parameter or a value of the wrong type
     raises :class:`ScenarioError` naming the key.
     """
+    import yaml  # on first use, like hashlib below: an import of mfkalman loads neither
+
     raw = _mapping(yaml.safe_load(Path(path).read_text()), f"scenario file {path}",
                    {"horizon", "steps", "measure", "coefficients", "sigma", "gamma", "noise",
                     "cost_weight"})
@@ -235,6 +235,8 @@ def resolve_scenario(name_or_path: str, steps: int | None = None) -> Scenario:
 
 def scenario_hash(scenario: Scenario) -> str:
     """Stable fingerprint of the sampled scenario data (for output headers)."""
+    import hashlib
+
     h = hashlib.sha256()
     h.update(np.array([scenario.grid.horizon, scenario.grid.n_steps,
                        scenario.n, scenario.m, scenario.d], dtype=float).tobytes())

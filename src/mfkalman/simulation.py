@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -224,6 +223,8 @@ def _ahead(items: Iterator, helper: bool):
     if not helper:
         yield items
         return
+    from concurrent.futures import ThreadPoolExecutor  # on first use: its import is not free
+
     with ThreadPoolExecutor(max_workers=1) as pool:
         def prefetched():
             pending = pool.submit(next, items, None)

@@ -19,6 +19,7 @@ from .numerics import TimeGrid
 
 __all__ = [
     "ScenarioError",
+    "NonFiniteError",
     "check_finite",
     "InitialMeasure",
     "Scenario",
@@ -36,13 +37,17 @@ class ScenarioError(ValueError):
     """Invalid scenario data (dimensions, definiteness, finiteness)."""
 
 
+class NonFiniteError(ScenarioError):
+    """A stage produced a NaN or an infinity (see :func:`check_finite`)."""
+
+
 def check_finite(stage: str, array: np.ndarray) -> None:
-    """Raise :class:`ScenarioError` naming ``stage`` and the first node
+    """Raise :class:`NonFiniteError` naming ``stage`` and the first node
     (index along axis 0) where ``array`` holds a NaN or an infinity."""
     bad = ~np.isfinite(array)
     if bad.any():
         node = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
-        raise ScenarioError(f"{stage}: non-finite value at node {node}")
+        raise NonFiniteError(f"{stage}: non-finite value at node {node}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -70,15 +71,29 @@ class CriterionResult:
 def write_csv(path: Path, header: str, rows, meta: dict) -> None:
     """CSV with reproducibility metadata in leading comment rows.
 
-    Floats are printed with 17 significant digits so a re-run with the
-    same seed is byte-identical.
+    Floats (numpy's float64 included) are printed with 17 significant
+    digits so a re-run with the same seed is byte-identical; any other
+    value as ``str``. Each row is formatted by one ``%`` operation, with
+    the format made once per tuple of column types, and written as
+    ``rows`` yields it; a row that raises removes the partial file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {key}={value}" for key, value in meta.items()]
-    lines.append(header)
-    lines.extend(",".join(["%.17g" % v if isinstance(v, float) else str(v) for v in row])
-                 for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    formats: dict[tuple[type, ...], str] = {}
+    try:
+        with path.open("w") as f:
+            f.writelines(f"# {key}={value}\n" for key, value in meta.items())
+            f.write(header + "\n")
+            for row in rows:
+                row = tuple(row)
+                types = tuple(map(type, row))
+                fmt = formats.get(types)
+                if fmt is None:
+                    fmt = formats[types] = ",".join(
+                        "%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
+                f.write(fmt % row)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _meta(scenario: Scenario, seed: int, extra: dict | None = None) -> dict:
@@ -87,14 +102,20 @@ def _meta(scenario: Scenario, seed: int, extra: dict | None = None) -> dict:
             "version": __version__, **(extra or {})}
 
 
+def _triangle_rows(labels: list[str], values: np.ndarray):
+    """(t, s, value) rows of the lower triangle, row by row, with the
+    nodes as their formatted labels."""
+    for i, t in enumerate(labels):
+        yield from zip(repeat(t), labels, values[i, : i + 1].tolist())
+
+
 def _dump_kernels(out: Path, bundle, seed: int) -> None:
     """Lower triangles of phi, psi and f as t,s,value rows."""
-    i, j = np.tril_indices(bundle.grid.n_nodes)
-    t, s = bundle.grid.nodes[i].tolist(), bundle.grid.nodes[j].tolist()
+    labels = ["%.17g" % t for t in bundle.grid.nodes.tolist()]
+    meta = _meta(bundle.scenario, seed)
     for name, kernel in (("kernel_phi.csv", bundle.phi), ("kernel_psi.csv", bundle.psi),
                          ("kernel_f.csv", bundle.f)):
-        write_csv(out / name, "t,s,value", zip(t, s, kernel.values[i, j].tolist()),
-                  _meta(bundle.scenario, seed))
+        write_csv(out / name, "t,s,value", _triangle_rows(labels, kernel.values), meta)
 
 
 def _dump_optimizer(out: Path, scenario: Scenario, report, seed: int) -> None:

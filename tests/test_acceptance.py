@@ -7,12 +7,21 @@ prints the criterion's pass/fail line and supporting detail.
 
 import contextlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mfkalman
+from mfkalman import (
+    GainSchedule,
+    classical_scenario,
+    kernel_bundle,
+    riccati_classical,
+    scenario_hash,
+)
 from mfkalman.cli import main
-from mfkalman.validation import DEFAULT_SEED, write_csv
+from mfkalman.validation import DEFAULT_SEED, _dump_kernels, write_csv
 
 
 @pytest.fixture(scope="session")
@@ -107,12 +116,91 @@ def test_every_criterion_reports_runtime(validate_run):
         assert "    runtime " in _criterion_block(text, cid), cid
 
 
+def _reference_line(row) -> str:
+    """A CSV line as the files have it: floats (np.float64 included) as
+    f"{x:.17g}", anything else as str."""
+    return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+
+
 def test_write_csv_matches_reference_formatter(tmp_path):
-    # reference: floats (np.float64 included) as f"{x:.17g}", anything else as str
     row = (-0.0, 5e-324, 1e300, float("nan"), float("inf"), -float("inf"), 7, "name",
            np.float64(0.1), np.float32(0.1), 1 / 3)
     path = tmp_path / "out.csv"
     write_csv(path, "h", [row, row[::-1]], {"seed": 1})
-    expected = [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in r)
-                for r in (row, row[::-1])]
+    expected = [_reference_line(r) for r in (row, row[::-1])]
     assert path.read_text() == "\n".join(["# seed=1", "h"] + expected) + "\n"
+
+    # a generator of rows (lists and tuples) in which every column changes
+    # its type from one row to the next
+    cycle = [3, 2.5, True, np.int64(-4), -0.0, np.float32(0.1), float("nan"), "label",
+             float("inf"), False, -float("inf"), np.float64(1 / 3)]
+    mixed = [[cycle[(k + c) % len(cycle)] for c in range(4)] for k in range(2 * len(cycle))]
+    assert all(type(a) is not type(b) for r0, r1 in zip(mixed, mixed[1:])
+               for a, b in zip(r0, r1))
+    write_csv(path, "a,b,c,d", (r if k % 2 else tuple(r) for k, r in enumerate(mixed)),
+              {"seed": 2, "n": 4})
+    expected = [_reference_line(r) for r in mixed]
+    assert path.read_text() == "\n".join(["# seed=2", "# n=4", "a,b,c,d"] + expected) + "\n"
+
+
+def test_write_csv_row_that_raises_leaves_no_file(tmp_path):
+    def rows():
+        yield (1.0, 2)
+        raise RuntimeError("row failed")
+
+    path = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError, match="row failed"):
+        write_csv(path, "a,b", rows(), {"seed": 1})
+    assert not path.exists()
+
+
+def _reference_kernel_csvs(bundle, seed: int) -> dict[str, str]:
+    """The three kernel CSVs of ``bundle`` rendered value by value."""
+    scen = bundle.scenario
+    head = [f"# scenario_hash={scenario_hash(scen)}", f"# seed={seed}",
+            f"# grid=T={scen.grid.horizon:g},N={scen.grid.n_steps}",
+            f"# version={mfkalman.__version__}", "t,s,value"]
+    t = bundle.grid.nodes
+    out = {}
+    for name, kernel in (("kernel_phi.csv", bundle.phi), ("kernel_psi.csv", bundle.psi),
+                         ("kernel_f.csv", bundle.f)):
+        body = [f"{t[i]:.17g},{t[j]:.17g},{kernel.values[i, j]:.17g}"
+                for i in range(len(t)) for j in range(i + 1)]
+        out[name] = "\n".join(head + body) + "\n"
+    return out
+
+
+def _tanh_bundle(steps: int):
+    scen = classical_scenario(steps=steps)
+    return kernel_bundle(scen, GainSchedule.from_callable(scen.grid, np.tanh))
+
+
+def test_dump_kernels_matches_reference_rendering(tmp_path):
+    bundle = _tanh_bundle(50)
+    _dump_kernels(tmp_path, bundle, 5)
+    for name, text in _reference_kernel_csvs(bundle, 5).items():
+        assert (tmp_path / name).read_text() == text, name
+
+
+def test_kernels_command_matches_reference_rendering(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["kernels", "--gain", "reference", "--steps", "50", "--out", str(tmp_path)])
+    assert code == 0
+    scen = classical_scenario(steps=50)
+    bundle = kernel_bundle(scen, riccati_classical(0.0, 1.0, 1.0, 1.0, scen.grid).gain())
+    for name, text in _reference_kernel_csvs(bundle, DEFAULT_SEED).items():
+        assert (tmp_path / name).read_text() == text, name
+
+
+def test_dump_kernels_streams_its_rows(tmp_path):
+    # the rows go to the file as they are made: neither the rows nor the
+    # text of a file is held whole (6.4 MB at N = 200 when they were)
+    bundle = _tanh_bundle(200)
+    _dump_kernels(tmp_path, bundle, 1)   # builds the triangles, imports on first use
+    tracemalloc.start()
+    try:
+        _dump_kernels(tmp_path, bundle, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2e6

@@ -1,10 +1,13 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mfkalman import (
     GainSchedule,
+    NonFiniteError,
     ScenarioError,
     build_scenario,
     classical_scenario,
@@ -23,6 +26,7 @@ from mfkalman import (
 from mfkalman import gain as gain_module
 from mfkalman.covariance import _ScalarWeights
 from mfkalman.gain import _diagonal_update
+from mfkalman.numerics import _rk4_step
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import scalar_scenario
@@ -56,6 +60,72 @@ def _diagonal_update_by_rows(scenario, bars, values, nodes):
     return out
 
 
+def _rk4_on_arrays(rhs, y0, grid):
+    """RK4 on numpy arrays through numerics._rk4_step: the loop the
+    Riccati references ran before they moved to Python floats."""
+    out = np.empty((grid.n_nodes, len(y0)))
+    out[0] = y0
+    for i in range(grid.n_steps):
+        out[i + 1] = _rk4_step(rhs, grid.nodes[i], out[i], grid.dt)
+    return out
+
+
+def _time_fn(v):
+    return v if callable(v) else (lambda t, _v=float(v): _v)
+
+
+# (horizon, coefficients) of each reference; the callables return Python
+# floats and numpy scalars
+_CLASSICAL_COEFFS = {
+    "unit": (1.0, (0.0, 1.0, 1.0, 1.0)),
+    "time-varying": (2.0, (lambda t: 0.2 * np.sin(t), lambda t: 1.0 + 0.3 * math.cos(t),
+                           lambda t: np.float64(0.8) + 0.1 * t, 1.3)),
+}
+_NORMAL_FLOW_COEFFS = {
+    "unit": (1.0, (0.0, 1.0)),
+    "time-varying": (2.0, (lambda t: -0.5 + 0.2 * np.sin(t), lambda t: 1.0 + 0.2 * np.cos(2 * t))),
+}
+
+
+@pytest.mark.parametrize("steps", [200, 800])
+@pytest.mark.parametrize("coeffs", sorted(_CLASSICAL_COEFFS))
+def test_riccati_classical_bitwise_equals_array_rk4(coeffs, steps):
+    horizon, args = _CLASSICAL_COEFFS[coeffs]
+    grid = make_grid(horizon, steps)
+    A, C, s0, g0 = map(_time_fn, args)
+
+    def rhs(t, s):
+        g2 = g0(t) ** 2
+        return 2.0 * A(t) * s - (C(t) ** 2 / g2) * s * s + s0(t) ** 2
+
+    S = _rk4_on_arrays(rhs, np.zeros(1), grid)[:, 0]
+    gain = np.array([C(t) * S[i] / g0(t) ** 2 for i, t in enumerate(grid.nodes)])
+    sol = riccati_classical(*args, grid)
+    assert sol.state.tobytes() == S.tobytes()
+    assert sol.gain_values.tobytes() == gain.tobytes()
+
+
+@pytest.mark.parametrize("steps", [200, 800])
+@pytest.mark.parametrize("coeffs", sorted(_NORMAL_FLOW_COEFFS))
+def test_riccati_normal_flow_bitwise_equals_array_rk4(coeffs, steps):
+    horizon, args = _NORMAL_FLOW_COEFFS[coeffs]
+    grid = make_grid(horizon, steps)
+    A, C = map(_time_fn, args)
+
+    def rhs(t, y):
+        m, kb = y
+        a, c2 = A(t), C(t) ** 2
+        return np.array([1.0 + 2.0 * a * m - c2 * m * m,
+                         1.0 + c2 * m * m + 2.0 * (a - c2 * m) * kb])
+
+    state = _rk4_on_arrays(rhs, np.zeros(2), grid)
+    gain = np.array([C(t) for t in grid.nodes]) * state[:, 0]
+    sol = riccati_normal_flow(*args, grid)
+    assert sol.state.tobytes() == state[:, 0].tobytes()
+    assert sol.mean_variance.tobytes() == state[:, 1].tobytes()
+    assert sol.gain_values.tobytes() == gain.tobytes()
+
+
 class TestRiccatiClassical:
     def test_unit_constants_give_tanh(self):
         grid = make_grid(1.0, 200)
@@ -79,7 +149,7 @@ class TestRiccatiClassical:
 
     def test_vanishing_observation_noise_rejected(self):
         grid = make_grid(1.0, 100)
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="gamma0 vanishes at t = 0.5"):
             riccati_classical(0.0, 1.0, 1.0, lambda t: t - 0.5, grid)
 
     def test_blowup_detected(self):
@@ -107,7 +177,7 @@ class TestRiccatiNormalFlow:
 
     def test_vanishing_c_rejected(self):
         grid = make_grid(1.0, 100)
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="C vanishes at t = 0"):
             riccati_normal_flow(0.0, lambda t: t, grid)
 
     def test_reference_gain_is_stationary(self):
@@ -117,6 +187,18 @@ class TestRiccatiNormalFlow:
 
 
 class TestOptimizeGain:
+    @staticmethod
+    def _count_calls(monkeypatch) -> dict[str, int]:
+        """Live counts of the optimizer's calls of kernel_bundle,
+        trace_cost and cost_gradient, as bound in mfkalman.gain."""
+        counts = dict.fromkeys(("kernel_bundle", "trace_cost", "cost_gradient"), 0)
+        for name in counts:
+            def counted(*args, _fn=getattr(gain_module, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(gain_module, name, counted)
+        return counts
+
     @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe])
     def test_call_counts_match_report(self, build, monkeypatch):
         # the same counts as the benchmark's own check, on the calls bound
@@ -124,12 +206,7 @@ class TestOptimizeGain:
         # start and, on a converged run, the completed gain; one
         # cost_gradient per accepted step plus the same ones; one
         # trace_cost per trial plus the start
-        counts = dict.fromkeys(("kernel_bundle", "trace_cost", "cost_gradient"), 0)
-        for name in counts:
-            def counted(*args, _fn=getattr(gain_module, name), _name=name):
-                counts[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(gain_module, name, counted)
+        counts = self._count_calls(monkeypatch)
         scen = build(steps=200)
         reports = [optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, g0))
                    for g0 in (0.0, 10.0)]
@@ -157,6 +234,69 @@ class TestOptimizeGain:
         bars = measure_averages(scen)
         assert report.final_cost == trace_cost(scen, kernel_bundle(scen, report.gain), bars)
         assert report.stationarity == _stationarity(scen, report.gain)
+
+    @pytest.mark.parametrize("build, steps, g0, message", [
+        pytest.param(classical_scenario, 200, -100.0, "endpoint completion gave a non-finite "
+                     "cost", id="classical-200-from-100"),
+        pytest.param(classical_scenario, 800, -100.0, "endpoint completion gave a non-finite "
+                     "cost", id="classical-800-from-100"),
+        pytest.param(classical_scenario, 200, -300.0, "endpoint completion gave a non-finite "
+                     "gain", id="classical-200-from-300"),
+        pytest.param(cross_pairing_probe, 200, -100.0, "endpoint completion gave a non-finite "
+                     "gain", id="probe-200-from-100"),
+    ])
+    def test_far_start_reported_not_raised(self, build, steps, g0, message, monkeypatch):
+        # from these starts the default tolerance, scaled by a starting
+        # cost of 1e86 and more, passes after one step, and completing that
+        # iterate used to raise ScenarioError ("trace_cost: non-finite
+        # value", "gain values must be finite") after overflow warnings
+        counts = self._count_calls(monkeypatch)
+        scen = build(steps=steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, g0))
+        assert not report.converged
+        assert report.message == message
+        assert report.final_cost == report.cost_trajectory[-1] < report.cost_trajectory[0]
+        assert np.isfinite(report.stationarity)
+        # one bundle per trial and for the start, and one for the completed
+        # gain where that gain is finite
+        completion_bundles = int(message.endswith("cost"))
+        assert counts["kernel_bundle"] == counts["trace_cost"] + completion_bundles
+
+    def test_nonfinite_trial_cost_halves_the_step(self, monkeypatch):
+        self._reject_trials(monkeypatch, lambda k: k == 1, nonfinite=True)
+        report = optimize_gain(classical_scenario(steps=100))
+        assert report.step_sizes[0] == 0.5
+        assert report.line_search_trials[0] == 2
+        assert report.converged
+
+    def test_every_trial_cost_nonfinite_reports_step_underflow(self, monkeypatch):
+        self._reject_trials(monkeypatch, lambda k: k >= 1, nonfinite=True)
+        report = optimize_gain(classical_scenario(steps=100))
+        assert report.converged is False
+        assert report.message == "line search step underflow"
+        assert report.iterations == 0
+
+    def test_nonfinite_candidate_gain_rejected_without_a_bundle(self, monkeypatch):
+        # an infinite Newton step at one node: every candidate gain is
+        # infinite there, so no trial builds a bundle or a cost
+        newton = gain_module._newton_direction
+
+        def with_infinite_step(field):
+            p = newton(field)
+            k = len(p) // 2
+            p[k] = -np.copysign(np.inf, field.values[k])
+            return p
+
+        monkeypatch.setattr(gain_module, "_newton_direction", with_infinite_step)
+        counts = self._count_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = optimize_gain(classical_scenario(steps=100))
+        assert report.message == "line search step underflow"
+        assert report.iterations == 0
+        assert counts == {"kernel_bundle": 1, "trace_cost": 1, "cost_gradient": 1}
 
     @pytest.mark.parametrize("grad_tol", [0.0, -1e-5, np.inf, np.nan])
     def test_rejects_bad_grad_tol_before_any_bundle(self, monkeypatch, grad_tol):
@@ -244,14 +384,19 @@ class TestOptimizeGain:
         assert report.step_sizes == [0.5 ** (t - 1) for t in report.line_search_trials]
 
     @staticmethod
-    def _reject_trials(monkeypatch, rejected):
-        """Make the optimizer's trace_cost return inf at every call k
-        (k = 0 is the starting cost, then one call per Armijo trial) for
-        which ``rejected(k)`` holds."""
+    def _reject_trials(monkeypatch, rejected, nonfinite=False):
+        """Make the optimizer's trace_cost return inf, or with ``nonfinite``
+        raise NonFiniteError as it does on a non-finite cost, at every
+        call k (k = 0 is the starting cost, then one call per Armijo
+        trial) for which ``rejected(k)`` holds."""
         calls = itertools.count()
 
         def trace_cost_with_rejections(*args):
-            return np.inf if rejected(next(calls)) else trace_cost(*args)
+            if not rejected(next(calls)):
+                return trace_cost(*args)
+            if nonfinite:
+                raise NonFiniteError("trace_cost: non-finite value at node 1")
+            return np.inf
 
         monkeypatch.setattr(gain_module, "trace_cost", trace_cost_with_rejections)
 
