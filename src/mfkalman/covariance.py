@@ -88,13 +88,14 @@ class GradientField:
     """Gradient density g so that the cost derivative along a direction
     beta equals the time integral of g * beta; g vanishes at the horizon.
 
-    ``curvature`` is the diagonal of dg/dG with the variances and costates
-    held fixed (see :func:`cost_gradient`), or None where the producer
-    does not compute it."""
+    ``curvature`` (the diagonal of dg/dG) and ``diagonal_step`` (the gain
+    change that zeroes the averaged kernel's diagonal) hold the variances
+    fixed (see :func:`cost_gradient`), or are None where not computed."""
 
     grid: TimeGrid
     values: np.ndarray  # (N+1,)
     curvature: np.ndarray | None = None  # (N+1,), >= 0
+    diagonal_step: np.ndarray | None = None  # (N+1,)
 
     def pair(self, beta: np.ndarray) -> float:
         """Trapezoid pairing with a nodal direction."""
@@ -375,6 +376,12 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     from the same sums. It vanishes like T - t at the horizon and wherever
     the observation energy g2q0 does.
 
+    On the diagonal s = t the averaged kernel is 2 (a_mean + a_dev), so
+    the paper's necessary condition a_mean + a_dev = 0 reads
+    G g2q0 = C (P_mean + P_dev) + D P_mean. The field's ``diagonal_step``
+    -(a_mean + a_dev) / g2q0 meets it with P held fixed (0 where
+    g2q0 <= 1e-14); at the horizon, where g = d = 0, it is the limit of -g / d.
+
     This is the quadrature of the continuous gradient density, not the
     derivative of the discrete :func:`trace_cost`: the two part by
     O(dt |H|) relative along directions that do not vanish at the ends.
@@ -389,11 +396,14 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
         mean, dev = _averaged_terms(tb, w)
         L_mean = tb.integral(sigma, 0, 2, reverse=True)
         L_dev = tb.integral(sigma, 2, 0, reverse=True)
-        g = 2.0 * ((-(C + D) * mean + G * gq) * L_mean + (-C * dev + G * (w.g2q0 - gq)) * L_dev)
+        a_mean, a_dev = -(C + D) * mean + G * gq, -C * dev + G * (w.g2q0 - gq)
+        g = 2.0 * (a_mean * L_mean + a_dev * L_dev)
         d = 2.0 * (gq * L_mean + (w.g2q0 - gq) * L_dev)
+        step = np.divide(-(a_mean + a_dev), w.g2q0, out=np.zeros_like(g),
+                         where=w.g2q0 > 1e-14)
     g[-1] = 0.0
     check_finite("cost_gradient", g)
-    return GradientField(grid=scenario.grid, values=g, curvature=d)
+    return GradientField(grid=scenario.grid, values=g, curvature=d, diagonal_step=step)
 
 
 def _gradient_from_kernel(scenario: Scenario, kb2: np.ndarray) -> GradientField:

@@ -20,10 +20,10 @@ Three structural facts shape the implementation:
   takes the same handful of iterations on every mesh. When the mean
   coupling vanishes the step is the pointwise diagonal solve below.
 * at the optimum the averaged sensitivity kernel vanishes pointwise on its
-  diagonal, which gives an explicit equation for the gain at a node given
-  the gain before it; the optimizer finishes a converged run by
-  enforcing that diagonal condition on the final few nodes ("endpoint
-  completion"), where g and d are both O(dt).
+  diagonal (the paper's necessary condition), solved by the gradient's
+  ``diagonal_step``: the Newton step at the horizon, where g = d = 0, and
+  one pass of it on the final few nodes finishes a converged run
+  ("endpoint completion"), where g and d are both O(dt).
 * for the two reference families the stationarity system collapses to
   scalar Riccati equations, solved here with classical Runge-Kutta as
   independent references for the optimizer.
@@ -35,15 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import (
-    GradientField,
-    _averaged_terms,
-    _scalar_cost,
-    _ScalarWeights,
-    cost_gradient,
-    trace_cost,
-)
-from .kernels import GainSchedule, ScalarTables, kernel_bundle
+from .covariance import GradientField, _scalar_cost, cost_gradient, trace_cost
+from .kernels import GainSchedule, kernel_bundle
 from .numerics import TimeGrid, trapezoid
 from .system_model import (
     BarQuantities,
@@ -73,8 +66,9 @@ _RICCATI_BLOWUP = 1e8
 class OptimizationReport:
     """Outcome of a gain optimization run.
 
-    ``cost_trajectory`` and ``gradient_trajectory`` are aligned per
-    descent iterate (entry 0 is the starting point), before endpoint
+    ``cost_trajectory`` and ``gradient_trajectory`` (sup over all nodes)
+    are aligned per descent iterate (entry 0 is the starting point, and
+    every iterate moves the terminal node too), before endpoint
     completion. ``step_sizes`` (the accepted Armijo step) and
     ``line_search_trials`` (cost evaluations it took) are aligned with
     ``cost_trajectory[1:]``; the trials of a failed line search are not
@@ -109,46 +103,15 @@ class RiccatiSolution:
         return GainSchedule(self.grid, self.gain_values[:, None, None])
 
 
-def _diagonal_update(scenario: Scenario, bars: BarQuantities, values: np.ndarray,
-                     nodes: list[int]) -> np.ndarray:
-    """Solve the pointwise diagonal stationarity for the given nodes.
-
-    At the optimum the averaged sensitivity kernel vanishes on its
-    diagonal, where phi = psi = 1 and it reads
-
-        gain(t) * (gamma^2-bar)(t) = C(t) * (P_mean + P_dev)(t) + D(t) * P_mean(t)
-
-    with P_mean and P_dev the mean and deviation variances of the
-    covariance module (their sum is the averaged K-profile). The right
-    side depends on gain(t) only through an O(dt) quadrature tail, so a
-    couple of sweeps converge; each sweep freezes the gain it starts from
-    and costs O(N). Nodes with vanishing observation energy are left
-    untouched.
-    """
-    out = values.copy()
-    nodes = np.asarray(nodes, dtype=int)
-    for _ in range(3):
-        gain = GainSchedule(scenario.grid, out[:, None, None])
-        # not kernel_bundle: the benchmark counts kernel_bundle calls of
-        # optimize_gain as its Armijo trials + 2
-        tb = ScalarTables(scenario, gain)
-        w = _ScalarWeights(scenario, bars, gain)
-        mean, dev = _averaged_terms(tb, w)
-        live = nodes[w.g2q0[nodes] > 1e-14]
-        out[live] = (tb.C[live] * (mean[live] + dev[live])
-                     + tb.D[live] * mean[live]) / w.g2q0[live]
-        if not np.isfinite(out).all():
-            break  # no gain schedule holds it; the caller rejects it
-    return out
-
-
 def _newton_direction(field: GradientField) -> np.ndarray:
     """p = -g / d, and 0 where the curvature d is below a relative floor
-    (the terminal node, and nodes without observation energy)."""
+    (nodes without observation energy), except at the terminal node: there
+    g = d = 0 and p is the limit of -g / d, the field's ``diagonal_step``."""
     d = field.curvature
     live = d > _CURVATURE_FLOOR * d.max()
     p = np.zeros_like(d)
     p[live] = -field.values[live] / d[live]
+    p[-1] = field.diagonal_step[-1]
     return p
 
 
@@ -161,10 +124,11 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     (see :func:`_newton_direction`); the Armijo search tries the step 1
     first and halves it until J decreases by at least 1e-4 times the step
     times the trapezoid slope <g, p>. ``grad_tol`` defaults to the
-    scale-free 1e-4 * (1 + |J|); convergence is declared on the gradient
-    sup-norm over all nodes except the final two, whose curvature
-    vanishes with the mesh and which endpoint completion then sets on the
-    converged iterate. A given ``grad_tol`` must be finite and positive.
+    scale-free 1e-4 * (1 + |J|) at the start, and convergence is declared
+    on the gradient sup-norm over all nodes. Endpoint completion then adds
+    the gradient's ``diagonal_step`` on the final ``_COMPLETION_NODES``
+    nodes, whose curvature vanishes with the mesh. A given ``grad_tol``
+    must be finite and positive.
 
     The search starts from ``initial_gain``, zero by default. Scalar
     mode only. A trial whose gain or cost is not finite is rejected like
@@ -180,9 +144,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     if bars is None:
         bars = measure_averages(scenario)
     gain = GainSchedule.constant(scenario.grid, 0.0) if initial_gain is None else initial_gain
-    n = scenario.grid.n_steps
     dt = scenario.grid.dt
-    mask = slice(0, max(1, n - 1))  # exclude the last interior and terminal node
 
     bundle = kernel_bundle(scenario, gain)
     J = trace_cost(scenario, bundle, bars)
@@ -195,7 +157,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     converged = False
     iterations = 0
     field = cost_gradient(scenario, bundle, bars)
-    grad_trajectory = [float(np.max(np.abs(field.values[mask])))]
+    grad_trajectory = [float(np.max(np.abs(field.values)))]
 
     for it in range(max_iter):
         iterations = it
@@ -232,16 +194,15 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         steps.append(eta)
         trials.append(tried)
         field = cost_gradient(scenario, bundle, bars)
-        grad_trajectory.append(float(np.max(np.abs(field.values[mask]))))
+        grad_trajectory.append(float(np.max(np.abs(field.values))))
     else:
         iterations = max_iter
         message = "iteration limit reached"
 
     if converged:
+        completed = gain.scalar.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            completed = _diagonal_update(
-                scenario, bars, gain.scalar,
-                nodes=list(range(max(0, n - _COMPLETION_NODES + 1), n + 1)))
+            completed[-_COMPLETION_NODES:] += field.diagonal_step[-_COMPLETION_NODES:]
         if not np.isfinite(completed).all():
             converged, message = False, "endpoint completion gave a non-finite gain"
         else:

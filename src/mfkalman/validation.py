@@ -13,10 +13,8 @@ runs alongside the suite (see :meth:`ValidationSuite.criterion_determinism`).
 
 from __future__ import annotations
 
-import filecmp
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
@@ -240,6 +238,7 @@ class _Twin:
     imported ``mfkalman`` from) and standard error go to temporary files."""
 
     def __init__(self, out_dir: Path, seed: int):
+        import subprocess  # C8 alone starts a process
         self.shadow = shadow = out_dir / ".determinism-recheck"
         shutil.rmtree(shadow, ignore_errors=True)
         self.stdout, self.stderr = tempfile.TemporaryFile(), tempfile.TemporaryFile()
@@ -260,6 +259,7 @@ class _Twin:
     def stop(self) -> None:
         """Terminate the twin if it still runs, reap it, close its files and
         remove the shadow directory; a second call does nothing new."""
+        import subprocess
         if self.proc.poll() is None:
             self.proc.terminate()
             try:
@@ -388,8 +388,10 @@ class ValidationSuite:
                                s_ok and dev_ok and res_ok and mono, details)
 
     def criterion_normal_flow_reference(self) -> CriterionResult:
-        """Interacting benchmark: Riccati endpoint, variance identity, and
-        first-order stationarity of the implied gain."""
+        """Interacting benchmark: Riccati endpoint, variance identity,
+        first-order stationarity of the implied gain, and the paper's
+        necessary condition there (the averaged sensitivity kernel vanishes
+        on its diagonal up to the quadrature error)."""
         details = []
         scen = normal_flow_scenario(steps=200)
         ref = riccati_normal_flow(0.0, 1.0, scen.grid)
@@ -399,13 +401,16 @@ class ValidationSuite:
         ident_ok = ident <= 1e-6
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, ref.gain())
-        gsup = float(np.max(np.abs(cost_gradient(scen, bundle, bars).values)))
-        g_ok = gsup <= 1e-3
+        field = cost_gradient(scen, bundle, bars)
+        gsup = float(np.max(np.abs(field.values)))
+        dsup = float(np.max(np.abs(field.diagonal_step)))
+        g_ok, d_ok = gsup <= 1e-3, dsup <= 1e-5
         details.append(f"Riccati endpoint error {m_err:.2e} (tol 1e-6)")
         details.append(f"variance identity gap {ident:.2e} (tol 1e-6)")
         details.append(f"gradient sup-norm at reference gain {gsup:.2e} (tol 1e-3)")
+        details.append(f"diagonal condition step at reference gain {dsup:.2e} (tol 1e-5)")
         return CriterionResult("C5", "interacting benchmark reproduction",
-                               m_ok and ident_ok and g_ok, details)
+                               m_ok and ident_ok and g_ok and d_ok, details)
 
     def criterion_monte_carlo(self) -> CriterionResult:
         """Covariance representation against 20000-path simulation under
@@ -554,6 +559,7 @@ class ValidationSuite:
         from the same file as this process. A re-run that exits non-zero
         fails the criterion with its exit status and last lines of stderr.
         """
+        import filecmp
         twin = self._twin or _Twin(self.out, self.seed)
         try:
             status, twin_file, err = twin.wait()

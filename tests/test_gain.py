@@ -25,7 +25,6 @@ from mfkalman import (
 )
 from mfkalman import gain as gain_module
 from mfkalman.covariance import _ScalarWeights
-from mfkalman.gain import _diagonal_update
 from mfkalman.numerics import _rk4_step
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
@@ -38,13 +37,15 @@ def _stationarity(scen, gain):
     return float(np.max(np.abs(g.values)))
 
 
-def _diagonal_update_by_rows(scenario, bars, values, nodes):
-    """Reference for ``_diagonal_update``: the same three sweeps, with the
-    C- and D-term integrals of the diagonal kernel integrated row by row
-    over the kernel rows (f = phi - psi)."""
+def _diagonal_update_by_rows(scenario, bars, values, nodes, sweeps):
+    """Row-quadrature reference for the gradient's ``diagonal_step``: each
+    sweep solves the diagonal condition G g2q0 = C theta + D xi at the
+    given nodes with the gain it starts from frozen, the C- and D-term
+    integrals of the diagonal kernel integrated row by row over the kernel
+    rows (f = phi - psi)."""
     out = values.copy()
     dt = scenario.grid.dt
-    for _ in range(3):
+    for _ in range(sweeps):
         gain = GainSchedule(scenario.grid, out[:, None, None])
         tb = kernel_bundle(scenario, gain)
         w = _ScalarWeights(scenario, bars, gain)
@@ -223,9 +224,8 @@ class TestOptimizeGain:
     @pytest.mark.parametrize("build, g0", [(classical_scenario, -3.0),
                                            (cross_pairing_probe, -2.0)])
     def test_failed_search_returns_last_iterate(self, build, g0):
-        # endpoint completion used to run on this iterate as well, and
-        # J = 102.74 (classical) and 17.52 (probe) came back as 8127.85
-        # and 1815.14
+        # the last iterate (J = 105.35 on classical, 18.05 on the probe),
+        # not completed: completing it made J some 80 and 100 times larger
         scen = build(steps=200)
         report = optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, g0))
         assert not report.converged
@@ -235,34 +235,60 @@ class TestOptimizeGain:
         assert report.final_cost == trace_cost(scen, kernel_bundle(scen, report.gain), bars)
         assert report.stationarity == _stationarity(scen, report.gain)
 
-    @pytest.mark.parametrize("build, steps, g0, message", [
-        pytest.param(classical_scenario, 200, -100.0, "endpoint completion gave a non-finite "
-                     "cost", id="classical-200-from-100"),
-        pytest.param(classical_scenario, 800, -100.0, "endpoint completion gave a non-finite "
-                     "cost", id="classical-800-from-100"),
-        pytest.param(classical_scenario, 200, -300.0, "endpoint completion gave a non-finite "
-                     "gain", id="classical-200-from-300"),
-        pytest.param(cross_pairing_probe, 200, -100.0, "endpoint completion gave a non-finite "
-                     "gain", id="probe-200-from-100"),
+    @pytest.mark.parametrize("build, steps, g0", [
+        pytest.param(classical_scenario, 200, -100.0, id="classical-200-from-100"),
+        pytest.param(classical_scenario, 800, -100.0, id="classical-800-from-100"),
+        pytest.param(classical_scenario, 200, -300.0, id="classical-200-from-300"),
+        pytest.param(cross_pairing_probe, 200, -100.0, id="probe-200-from-100"),
     ])
-    def test_far_start_reported_not_raised(self, build, steps, g0, message, monkeypatch):
-        # from these starts the default tolerance, scaled by a starting
-        # cost of 1e86 and more, passes after one step, and completing that
-        # iterate used to raise ScenarioError ("trace_cost: non-finite
-        # value", "gain values must be finite") after overflow warnings
+    def test_far_start_reported_not_raised(self, build, steps, g0, monkeypatch):
+        # these starts cost 1e86 and more; no trial from them decreases J,
+        # and no overflow escapes as a warning or an exception
         counts = self._count_calls(monkeypatch)
         scen = build(steps=steps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, g0))
         assert not report.converged
-        assert report.message == message
-        assert report.final_cost == report.cost_trajectory[-1] < report.cost_trajectory[0]
+        assert report.message == "line search step underflow"
+        assert report.iterations == 0 and report.step_sizes == []
+        assert report.final_cost == report.cost_trajectory[-1]
         assert np.isfinite(report.stationarity)
-        # one bundle per trial and for the start, and one for the completed
-        # gain where that gain is finite
-        completion_bundles = int(message.endswith("cost"))
-        assert counts["kernel_bundle"] == counts["trace_cost"] + completion_bundles
+        # one bundle per trial and for the start, and none for a completion
+        assert counts["kernel_bundle"] == counts["trace_cost"]
+
+    def test_nonfinite_completion_gain_reported(self, monkeypatch):
+        # no start found reaches it: an infinite diagonal step at node N - 1,
+        # where the Newton step does not read it
+        def with_infinite_step(*args):
+            field = cost_gradient(*args)
+            field.diagonal_step[-2] = np.inf
+            return field
+
+        monkeypatch.setattr(gain_module, "cost_gradient", with_infinite_step)
+        counts = self._count_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = optimize_gain(classical_scenario(steps=100))
+        assert not report.converged
+        assert report.message == "endpoint completion gave a non-finite gain"
+        assert report.final_cost == report.cost_trajectory[-1]
+        assert np.isfinite(report.gain.scalar).all()
+        assert counts["kernel_bundle"] == counts["trace_cost"]
+
+    def test_nonfinite_completion_cost_reported(self, monkeypatch):
+        def nonfinite_cost(*args):
+            raise NonFiniteError("trace_cost: non-finite value at node 100")
+
+        monkeypatch.setattr(gain_module, "_scalar_cost", nonfinite_cost)
+        counts = self._count_calls(monkeypatch)
+        scen = classical_scenario(steps=100)
+        report = optimize_gain(scen)
+        assert not report.converged
+        assert report.message == "endpoint completion gave a non-finite cost"
+        assert report.final_cost == report.cost_trajectory[-1]
+        assert report.stationarity == _stationarity(scen, report.gain)
+        assert counts["kernel_bundle"] == counts["trace_cost"] + 1
 
     def test_nonfinite_trial_cost_halves_the_step(self, monkeypatch):
         self._reject_trials(monkeypatch, lambda k: k == 1, nonfinite=True)
@@ -427,6 +453,21 @@ class TestOptimizeGain:
             optimize_gain(scen)
 
 
+@pytest.mark.xfail(strict=True, reason="the default grad_tol is scaled by the starting "
+                   "cost, so it passes these iterates far above the optimum")
+@pytest.mark.parametrize("build, steps", [(classical_scenario, 3200), (cross_pairing_probe, 200),
+                                          (cross_pairing_probe, 800),
+                                          (cross_pairing_probe, 3200)],
+                         ids=["classical-3200", "probe-200", "probe-800", "probe-3200"])
+def test_converged_from_minus_ten_reaches_optimum(build, steps):
+    # converged=True at J = 1.8e6 (classical) and 1.4e11, 3.3e8, 8.7e5
+    # (probe), for optima of 0.434 and 0.445
+    scen = build(steps=steps)
+    optimum = optimize_gain(scen).final_cost
+    report = optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, -10.0))
+    assert not report.converged or report.final_cost <= 1.01 * optimum
+
+
 def _iterations(scen) -> int:
     report = optimize_gain(scen)
     assert report.converged, report.message
@@ -554,6 +595,9 @@ class TestBuildFilter:
 
 
 class TestDiagonalUpdate:
+    """The gradient's ``diagonal_step``: the paper's necessary condition,
+    the vanishing of the averaged sensitivity kernel on its diagonal."""
+
     @pytest.mark.parametrize("scen", [classical_scenario(steps=200),
                                       normal_flow_scenario(steps=200),
                                       cross_pairing_probe(steps=200),
@@ -562,7 +606,26 @@ class TestDiagonalUpdate:
     def test_matches_row_quadrature(self, scen):
         bars = measure_averages(scen)
         start = 0.3 + 0.2 * np.sin(2 * np.pi * scen.grid.nodes)
+        gain = GainSchedule(scen.grid, start[:, None, None])
+        step = cost_gradient(scen, kernel_bundle(scen, gain), bars).diagonal_step
         nodes = list(range(scen.grid.n_nodes))
-        got = _diagonal_update(scen, bars, start, nodes)
-        ref = _diagonal_update_by_rows(scen, bars, start, nodes)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        ref = _diagonal_update_by_rows(scen, bars, start, nodes, sweeps=1)
+        np.testing.assert_allclose(start + step, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("build, reference", [
+        (classical_scenario, lambda grid: riccati_classical(0.0, 1.0, 1.0, 1.0, grid)),
+        (normal_flow_scenario, lambda grid: riccati_normal_flow(0.0, 1.0, grid)),
+    ], ids=["classical", "normal-flow"])
+    def test_second_order_at_riccati_reference(self, build, reference):
+        # the Riccati gain satisfies the continuous condition, so what is
+        # left is the quadrature error: 2.87e-5 at N = 100, a quarter of it
+        # at each doubling
+        sups = {}
+        for steps in (100, 200, 400, 800, 1600):
+            scen = build(steps=steps)
+            gain = reference(scen.grid).gain()
+            field = cost_gradient(scen, kernel_bundle(scen, gain), measure_averages(scen))
+            sups[steps] = float(np.max(np.abs(field.diagonal_step)))
+            assert sups[steps] <= 0.3 * scen.grid.dt**2, steps
+        for coarse, fine in itertools.pairwise(sups):
+            assert math.log2(sups[coarse] / sups[fine]) >= 1.8, (coarse, fine)

@@ -1,7 +1,8 @@
-"""What a fresh ``import mfkalman, mfkalman.cli`` loads: PyYAML, hashlib and
-the simulation's thread pool are imported where they are first used, so a
-process that never reads a scenario file, hashes a scenario or runs a
-threaded simulation does not pay for them."""
+"""What a fresh ``import mfkalman, mfkalman.cli`` loads: PyYAML, hashlib,
+the simulation's thread pool and the determinism check's ``subprocess`` and
+``filecmp`` are imported where they are first used, so a process that never
+reads a scenario file, hashes a scenario, runs a threaded simulation or
+re-runs the artifact pipeline does not pay for them."""
 
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import mfkalman
 
-DEFERRED = ("yaml", "hashlib", "_hashlib", "concurrent.futures")
+DEFERRED = ("yaml", "hashlib", "_hashlib", "concurrent.futures", "subprocess", "filecmp")
 
 _CODE = """\
 import sys
