@@ -45,6 +45,20 @@ class CliError(RuntimeError):
         self.code = code
 
 
+def _int_from(low: int):
+    """argparse type of an integer option that must be >= ``low``: a bad
+    value exits 2, naming the option, before any file is touched."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfkalman",
@@ -56,8 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", default="classical",
                        help="bundled scenario name (classical, normal-flow) or YAML path")
-        p.add_argument("--steps", type=int, default=None, help="override grid steps")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--steps", type=_int_from(2), default=None, help="override grid steps")
+        p.add_argument("--seed", type=_int_from(0), default=DEFAULT_SEED)
         p.add_argument("--out", default=_DEFAULT_OUT, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="allow overwriting existing output files")
@@ -89,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=2000)
 
     p = sub.add_parser("validate", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_from(0), default=DEFAULT_SEED)
     p.add_argument("--out", default=str(Path(_DEFAULT_OUT) / "validate"))
     p.add_argument("--force", action="store_true",
                    help="replace the CSV results already in --out")
@@ -278,7 +292,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except Exception as exc:  # pragma: no cover - last-resort diagnostics
+    except Exception as exc:  # last-resort diagnostics
         print(f"error in stage {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -90,12 +90,14 @@ class GradientField:
 
     ``curvature`` (the diagonal of dg/dG) and ``diagonal_step`` (the gain
     change that zeroes the averaged kernel's diagonal) hold the variances
-    fixed (see :func:`cost_gradient`), or are None where not computed."""
+    fixed; ``cost`` is J at the same gain (see :func:`cost_gradient`).
+    Each is None where not computed."""
 
     grid: TimeGrid
     values: np.ndarray  # (N+1,)
     curvature: np.ndarray | None = None  # (N+1,), >= 0
     diagonal_step: np.ndarray | None = None  # (N+1,)
+    cost: float | None = None
 
     def pair(self, beta: np.ndarray) -> float:
         """Trapezoid pairing with a nodal direction."""
@@ -326,10 +328,13 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
 
 
 def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
-    """Cost J: the atom-averaged time integral of trace(Sigma(t) K(u, t))."""
+    """Cost J: the atom-averaged time integral of trace(Sigma(t) K(u, t)),
+    in scalar mode from the averaged K-profile P_mean + P_dev in O(N)."""
     _checked(scenario, bundle, bars)
     if scenario.scalar_mode:
-        return _scalar_cost(scenario, bundle, bars)
+        w = _ScalarWeights(scenario, bars, bundle.gain)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _cost("trace_cost", scenario, *_averaged_terms(bundle, w))
     total = 0.0
     for a in range(scenario.n_atoms):
         prof = covariance_profile(scenario, bundle, bars, a)
@@ -338,13 +343,11 @@ def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) ->
     return total
 
 
-def _scalar_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
-    """Scalar-mode :func:`trace_cost`: the trapezoid of Sigma times the
-    averaged K-profile P_mean + P_dev, in O(N)."""
-    w = _ScalarWeights(scenario, bars, bundle.gain)
-    with np.errstate(over="ignore", invalid="ignore"):
-        kbar = sum(_averaged_terms(bundle, w))
-    check_finite("trace_cost", kbar)
+def _cost(stage: str, scenario: Scenario, mean: np.ndarray, dev: np.ndarray) -> float:
+    """Scalar-mode J, the trapezoid of Sigma (P_mean + P_dev); a profile
+    that is not finite raises NonFiniteError naming ``stage``."""
+    kbar = mean + dev
+    check_finite(stage, kbar)
     return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
 
 
@@ -385,6 +388,8 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     This is the quadrature of the continuous gradient density, not the
     derivative of the discrete :func:`trace_cost`: the two part by
     O(dt |H|) relative along directions that do not vanish at the ends.
+    P_mean and P_dev also give the field's ``cost``, :func:`trace_cost` to
+    the bit, checked after g.
 
     g vanishes at the horizon by construction. Scalar mode only."""
     tb = _checked(scenario, bundle, bars, scalar=True)
@@ -403,7 +408,8 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
                          where=w.g2q0 > 1e-14)
     g[-1] = 0.0
     check_finite("cost_gradient", g)
-    return GradientField(grid=scenario.grid, values=g, curvature=d, diagonal_step=step)
+    return GradientField(grid=scenario.grid, values=g, curvature=d, diagonal_step=step,
+                         cost=_cost("cost_gradient", scenario, mean, dev))
 
 
 def _gradient_from_kernel(scenario: Scenario, kb2: np.ndarray) -> GradientField:

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import GradientField, _scalar_cost, cost_gradient, trace_cost
+from .covariance import GradientField, cost_gradient, trace_cost
 from .kernels import GainSchedule, kernel_bundle
-from .numerics import TimeGrid, trapezoid
+from .numerics import TimeGrid
 from .system_model import (
     BarQuantities,
     NonFiniteError,
@@ -72,9 +72,10 @@ class OptimizationReport:
     completion. ``step_sizes`` (the accepted Armijo step) and
     ``line_search_trials`` (cost evaluations it took) are aligned with
     ``cost_trajectory[1:]``; the trials of a failed line search are not
-    recorded. ``final_cost`` and the stationarity residual (over all
-    nodes) are those of the returned gain: the completed last iterate of
-    a converged run, else the last iterate itself.
+    recorded; ``iterations`` is their length. ``final_cost`` and the
+    stationarity residual (over all nodes) are those of the returned gain,
+    from its :func:`~mfkalman.covariance.cost_gradient` evaluation: the
+    completed last iterate of a converged run, else the last iterate.
     """
 
     gain: GainSchedule
@@ -123,19 +124,20 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     Each iteration steps along the preconditioned direction p = -g / d
     (see :func:`_newton_direction`); the Armijo search tries the step 1
     first and halves it until J decreases by at least 1e-4 times the step
-    times the trapezoid slope <g, p>. ``grad_tol`` defaults to the
+    times the slope <g, p> (``field.pair(p)``). ``grad_tol`` defaults to the
     scale-free 1e-4 * (1 + |J|) at the start, and convergence is declared
     on the gradient sup-norm over all nodes. Endpoint completion then adds
     the gradient's ``diagonal_step`` on the final ``_COMPLETION_NODES``
-    nodes, whose curvature vanishes with the mesh. A given ``grad_tol``
-    must be finite and positive.
+    nodes, whose curvature vanishes with the mesh; one ``cost_gradient``
+    call gives the completed gain's cost and stationarity. A given
+    ``grad_tol`` must be finite and positive.
 
     The search starts from ``initial_gain``, zero by default. Scalar
     mode only. A trial whose gain or cost is not finite is rejected like
     one that does not decrease J, and raises no warning. A failed line
     search (step underflow, or no descent direction), the iteration
-    limit, or an endpoint completion whose gain or cost is not finite
-    returns the last iterate, not completed, with ``converged=False``.
+    limit, or an endpoint completion that is not finite returns the last
+    iterate, not completed, with ``converged=False``.
     """
     if not scenario.scalar_mode:
         raise ScenarioError("gain optimization requires a scalar scenario")
@@ -144,7 +146,6 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     if bars is None:
         bars = measure_averages(scenario)
     gain = GainSchedule.constant(scenario.grid, 0.0) if initial_gain is None else initial_gain
-    dt = scenario.grid.dt
 
     bundle = kernel_bundle(scenario, gain)
     J = trace_cost(scenario, bundle, bars)
@@ -155,17 +156,15 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     trials: list[int] = []
     message = ""
     converged = False
-    iterations = 0
     field = cost_gradient(scenario, bundle, bars)
     grad_trajectory = [float(np.max(np.abs(field.values)))]
 
-    for it in range(max_iter):
-        iterations = it
+    for _ in range(max_iter):
         if grad_trajectory[-1] <= grad_tol:
             converged = True
             break
         p = _newton_direction(field)
-        slope = float(trapezoid(field.values * p, dt))
+        slope = field.pair(p)
         if not slope < 0.0:
             message = "no descent direction"
             break
@@ -196,7 +195,6 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         field = cost_gradient(scenario, bundle, bars)
         grad_trajectory.append(float(np.max(np.abs(field.values))))
     else:
-        iterations = max_iter
         message = "iteration limit reached"
 
     if converged:
@@ -207,18 +205,13 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
             converged, message = False, "endpoint completion gave a non-finite gain"
         else:
             done = GainSchedule(gain.grid, completed)
-            done_bundle = kernel_bundle(scenario, done)
             try:
-                # not trace_cost: after the one at the start, each trace_cost
-                # call of this function is one Armijo trial, and the
-                # benchmark counts trials that way
                 with np.errstate(over="ignore", invalid="ignore"):
-                    J_done = _scalar_cost(scenario, done_bundle, bars)
+                    done_field = cost_gradient(scenario, kernel_bundle(scenario, done), bars)
             except NonFiniteError:
                 converged, message = False, "endpoint completion gave a non-finite cost"
             else:
-                gain, J = done, J_done
-                field = cost_gradient(scenario, done_bundle, bars)
+                gain, field, J = done, done_field, done_field.cost
     return OptimizationReport(
         gain=gain,
         cost_trajectory=trajectory,
@@ -226,7 +219,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         step_sizes=steps,
         line_search_trials=trials,
         stationarity=float(np.max(np.abs(field.values))),
-        iterations=iterations,
+        iterations=len(steps),
         converged=converged,
         final_cost=J,
         message=message,

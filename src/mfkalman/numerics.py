@@ -42,8 +42,8 @@ class TimeGrid:
         return self.n_steps + 1
 
     def index_of(self, t: float) -> int:
-        """Nearest-node index of ``t``; rejects off-grid times."""
-        i = int(round(t / self.dt))
+        """Nearest-node index of ``t``; rejects off-grid times, inf and nan."""
+        i = int(round(t / self.dt)) if np.isfinite(t) else -1
         if i < 0 or i > self.n_steps or abs(self.nodes[i] - t) > 1e-9 * max(1.0, self.horizon):
             raise GridError(f"time {t!r} is not a node of the grid")
         return i

@@ -238,7 +238,8 @@ def _simulate_block(scenario: Scenario, maps, count: int, keep: int,
                     chunks: Iterator[np.ndarray]):
     """``count`` replications driven by the next draws of ``chunks``:
     their moments, and the states (N+1, atom, 2n + m, keep) of the first
-    ``keep``."""
+    ``keep``. Overflow is not warned of (the caller's errstate) but seen
+    in the values: a state that is not finite raises at its step."""
     grid = scenario.grid
     n, m = scenario.n, scenario.m
     own, field, noise = maps
@@ -258,11 +259,10 @@ def _simulate_block(scenario: Scenario, maps, count: int, keep: int,
 
     for first in range(0, grid.n_steps, _CHUNK):
         for j, xi in enumerate(next(chunks), start=first):
-            with np.errstate(over="ignore", invalid="ignore"):  # named just below
-                bars = (weights * s[:, :2 * n]).sum(axis=0)
-                np.matmul(own[j], s, out=nxt)
-                nxt += field[j] @ bars
-                nxt += np.matmul(noise[j], xi, out=shocks)
+            bars = (weights * s[:, :2 * n]).sum(axis=0)
+            np.matmul(own[j], s, out=nxt)
+            nxt += field[j] @ bars
+            nxt += np.matmul(noise[j], xi, out=shocks)
             s, nxt = nxt, s
             if not np.all(np.isfinite(s[:, :2 * n])):
                 raise SimulationError(
@@ -286,22 +286,35 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     trajectories, one 4096-path block with up to three chunks of its
     normal draws, and a few sets of moments of at most 4 k N n^2 floats
     each, whatever ``n_paths``. Identical seeds give bitwise identical
-    ensembles, whatever ``MFK_THREADS`` is.
+    ensembles, whatever ``MFK_THREADS`` is. A negative seed, a state that
+    is not finite, or error moments that are not finite (a state too large
+    to square) raise :class:`SimulationError` naming the node, and no
+    overflow escapes as a warning.
     """
     if n_paths < 1:
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
+    if seed < 0:
+        raise SimulationError(f"seed must be >= 0, got {seed}")
     maps = _step_maps(scenario, gain)
 
     blocks = [(b, min(_BLOCK, n_paths - b)) for b in range(0, n_paths, _BLOCK)]
     seqs = np.random.SeedSequence(seed).spawn(len(blocks))
     draws = _draw_chunks(seqs, blocks, scenario.grid.n_steps, scenario.d)
     total, kept = None, []
-    with _ahead(draws, worker_count() > 1) as chunks:
+    quiet = np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
+    with _ahead(draws, worker_count() > 1) as chunks, quiet:
         for start, count in blocks:
             keep = min(max(KEPT_PATHS - start, 0), count)
             moments, states = _simulate_block(scenario, maps, count, keep, chunks)
             total = moments if total is None else total + moments
             kept.append(states)
+    bad = np.zeros(scenario.grid.n_nodes, dtype=bool)
+    for arr in (total.mean, total.sum2, total.sum4):
+        bad |= ~np.isfinite(arr.reshape(arr.shape[:2] + (-1,))).all(axis=(0, 2))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise SimulationError(f"error moments are not finite at node {j} "
+                              f"(t = {scenario.grid.nodes[j]:g})")
     kept = np.concatenate(kept, axis=3)
 
     n = scenario.n

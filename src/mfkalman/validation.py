@@ -46,7 +46,7 @@ from .scenarios import (
     random_smooth_scenario,
     scenario_hash,
 )
-from .simulation import empirical_statistics, simulate_ensemble
+from .simulation import SimulationError, empirical_statistics, simulate_ensemble
 from .system_model import Scenario, measure_averages
 
 __all__ = ["CriterionResult", "ValidationSuite", "write_csv", "DEFAULT_SEED"]
@@ -276,6 +276,8 @@ class ValidationSuite:
     """Runs the acceptance criteria and writes the CSV artifacts to ``out_dir``."""
 
     def __init__(self, out_dir: str | Path, seed: int = DEFAULT_SEED):
+        if seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {seed}")
         self.out = Path(out_dir)
         self.seed = int(seed)
         self._twin: _Twin | None = None

@@ -377,3 +377,47 @@ def test_every_parsed_option_is_read(tmp_path, monkeypatch, command):
     (out / "old.csv").write_text("")
     assert main([command, "--out", str(out), "--force"] + _SMALL_RUNS[command]) == 0
     assert parsed[0].unread() == set()
+
+
+_UNSTABLE = "horizon: 50\nsteps: 400\ncoefficients: {A: 20.0}\n"
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in sorted(_SMALL_RUNS)
+    for flag in ("--seed=-3", "--seed=x", "--steps=1", "--steps=0")
+    if command != "validate" or flag.startswith("--seed")])
+def test_bad_seed_or_steps_exits_2_before_output(tmp_path, capsys, command, flag):
+    # validate --seed -3 used to write the CSVs of C1-C5 and then fail with
+    # numpy's unnamed "expected non-negative integer"; --steps 1 exited 1
+    out = tmp_path / "out"
+    out.mkdir()
+    stale = out / "old.csv"
+    stale.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "--out", str(out), "--force"])
+    assert exc.value.code == 2
+    assert flag.partition("=")[0] in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["old.csv"]
+
+
+class TestUnstableScenario:
+    @pytest.mark.filterwarnings("error")
+    def test_simulate_nonfinite_moments_exit_1_without_csv(self, tmp_path, capsys):
+        # the states stay finite; their moments do not
+        spec = tmp_path / "unstable.yaml"
+        spec.write_text(_UNSTABLE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(spec), "--paths", "4",
+                     "--out", str(out)]) == 1
+        assert "error in stage simulate: error moments are not finite at node" in (
+            capsys.readouterr().err)
+        assert list(out.glob("*.csv")) == []
+
+    def test_covariance_overflow_reaches_last_resort_handler(self, tmp_path, capsys):
+        spec = tmp_path / "unstable.yaml"
+        spec.write_text(_UNSTABLE)
+        out = tmp_path / "out"
+        assert main(["covariance", "--scenario", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error in stage covariance: covariance_profile: non-finite value at node 143\n")
+        assert list(out.glob("*.csv")) == []

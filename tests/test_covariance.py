@@ -23,6 +23,7 @@ from mfkalman import (
     measure_averages,
     normal_flow_scenario,
     optimize_gain,
+    riccati_normal_flow,
     sensitivity_triangle,
     trace_cost,
     trapezoid,
@@ -490,6 +491,21 @@ class TestGradient:
         gain = GainSchedule.from_callable(scen.grid, np.tanh)
         g = cost_gradient(scen, kernel_bundle(scen, gain), bars)
         assert np.max(np.abs(g.values)) <= 1e-3
+
+    @pytest.mark.parametrize("steps", [200, 3200])
+    @pytest.mark.parametrize("build", [
+        classical_scenario, normal_flow_scenario, cross_pairing_probe,
+        *(lambda steps, seed=seed: random_smooth_scenario(seed, steps) for seed in range(1, 9)),
+    ], ids=["classical", "normal-flow", "probe"] + [f"random-{k}" for k in range(1, 9)])
+    def test_cost_is_trace_cost_to_the_bit(self, build, steps):
+        scen = build(steps=steps)
+        bars = measure_averages(scen)
+        t = scen.grid.nodes
+        reference = (riccati_normal_flow(0.0, 1.0, scen.grid).gain_values
+                     if build is normal_flow_scenario else np.tanh(t))
+        for values in (0.0 * t, reference, 0.4 + 0.2 * np.cos(2 * np.pi * t)):
+            bundle = kernel_bundle(scen, GainSchedule(scen.grid, values))
+            assert cost_gradient(scen, bundle, bars).cost == trace_cost(scen, bundle, bars)
 
 
 class TestFdOracle:

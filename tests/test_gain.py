@@ -277,13 +277,22 @@ class TestOptimizeGain:
         assert counts["kernel_bundle"] == counts["trace_cost"]
 
     def test_nonfinite_completion_cost_reported(self, monkeypatch):
-        def nonfinite_cost(*args):
-            raise NonFiniteError("trace_cost: non-finite value at node 100")
-
-        monkeypatch.setattr(gain_module, "_scalar_cost", nonfinite_cost)
-        counts = self._count_calls(monkeypatch)
+        # the completion's cost_gradient call raises: it is the one after
+        # the start's and one per accepted step
         scen = classical_scenario(steps=100)
-        report = optimize_gain(scen)
+        completion_call = optimize_gain(scen).iterations + 2
+        calls = itertools.count(1)
+
+        def nonfinite_at_completion(*args):
+            if next(calls) == completion_call:
+                raise NonFiniteError("cost_gradient: non-finite value at node 100")
+            return cost_gradient(*args)
+
+        monkeypatch.setattr(gain_module, "cost_gradient", nonfinite_at_completion)
+        counts = self._count_calls(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = optimize_gain(scen)
         assert not report.converged
         assert report.message == "endpoint completion gave a non-finite cost"
         assert report.final_cost == report.cost_trajectory[-1]

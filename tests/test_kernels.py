@@ -435,6 +435,16 @@ class TestDerivativeKernels:
 
 
 class TestGainSchedule:
+    @pytest.mark.parametrize("shape", [(11, 2), (10, 1, 1), (11, 1, 1, 1)])
+    def test_rejects_values_of_wrong_shape(self, shape):
+        with pytest.raises(ScenarioError, match=r"gain values must be \(11, n, m\)"):
+            GainSchedule(make_grid(1.0, 10), np.zeros(shape))
+
+    def test_scalar_view_needs_one_by_one_gain(self):
+        gain = GainSchedule.constant(make_grid(1.0, 10), 0.5, 2, 2)
+        with pytest.raises(ScenarioError, match="scalar view requires a 1x1 gain"):
+            gain.scalar
+
     def test_rejects_nonfinite(self):
         grid = make_grid(1.0, 10)
         vals = np.zeros(11)

@@ -40,6 +40,12 @@ class TestMakeGrid:
         with pytest.raises(GridError):
             grid.index_of(0.2501)
 
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan])
+    def test_index_of_non_finite_is_grid_error(self, t):
+        # round(inf) raised OverflowError and round(nan) an unnamed ValueError
+        with pytest.raises(GridError, match="is not a node of the grid"):
+            make_grid(1.0, 100).index_of(t)
+
 
 class TestTrapezoid:
     def test_exact_on_affine(self):

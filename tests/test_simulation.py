@@ -180,6 +180,26 @@ class TestSimulateEnsemble:
         with pytest.raises(SimulationError, match="node"):
             simulate_ensemble(scen, gain, n_paths=4, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_moments_named(self):
+        # the states stay finite (|x| up to 1.2e165), but their fourth
+        # powers overflow from node 25 and their squares from node 48
+        scen = build_scenario(make_grid(1.0, 50), measure=dirac_measure(1.0), A=1e5)
+        gain = GainSchedule.constant(scen.grid, 0.0)
+        with pytest.raises(SimulationError,
+                           match=r"error moments are not finite at node 25 \(t = 0\.5\)"):
+            simulate_ensemble(scen, gain, n_paths=4, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_negative_seed_rejected(self, classical_small, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the step maps were built")
+
+        monkeypatch.setattr(simulation, "_step_maps", no_work)
+        gain = GainSchedule.constant(classical_small.grid, 0.0)
+        with pytest.raises(SimulationError, match="seed must be >= 0, got -3"):
+            simulate_ensemble(classical_small, gain, n_paths=4, seed=-3)
+
     def test_input_validation(self, classical_small):
         gain = GainSchedule.constant(classical_small.grid, 0.0)
         with pytest.raises(SimulationError):

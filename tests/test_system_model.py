@@ -59,6 +59,10 @@ class TestMeasures:
         with pytest.raises(ScenarioError, match="atom locations must be finite"):
             InitialMeasure([[0.0], [bad]], [0.5, 0.5])
 
+    def test_rejects_no_atoms(self):
+        with pytest.raises(ScenarioError, match="measure needs at least one atom"):
+            InitialMeasure(np.zeros((0, 1)), [])
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ScenarioError):
             InitialMeasure([[0.0], [1.0]], [1.0, -0.5])
@@ -89,6 +93,24 @@ class TestBuildScenario:
     def test_bad_state_noise_named(self, Q, message):
         with pytest.raises(ScenarioError, match=message):
             build_scenario(GRID, measure=dirac_measure([0.0, 0.0]), Q=Q)
+
+    def test_observation_noise_of_other_size_rejected(self):
+        with pytest.raises(ScenarioError, match=r"must be \(2, 2\); got Q\(2, 2\), Q0\(3, 3\)"):
+            build_scenario(GRID, measure=dirac_measure([0.0, 0.0]), Q=np.eye(2), Q0=np.eye(3))
+
+    @pytest.mark.parametrize("name", ["sigma", "gamma"])
+    def test_non_finite_atom_loading_rejected(self, name):
+        loading = {name: lambda u, t: np.nan if t > 0.5 else 1.0}
+        with pytest.raises(ScenarioError,
+                           match=f"{name} is not finite at every atom and node"):
+            build_scenario(GRID, measure=dirac_measure(0.0), **loading)
+
+    def test_flat_views_need_scalar_mode(self):
+        scen = build_scenario(GRID, measure=dirac_measure([0.0, 0.0]))
+        with pytest.raises(ScenarioError, match="flat coefficient views require scalar mode"):
+            scen.flat("Sigma")
+        with pytest.raises(ScenarioError, match="flat coefficient views require scalar mode"):
+            scen.flat_atom("sigma", 0)
 
     def test_scalar_observation_noise_is_multiple_of_identity(self):
         scen = build_scenario(GRID, measure=dirac_measure([0.0, 0.0]), Q=np.eye(2), Q0=0.5)

@@ -12,6 +12,7 @@ import pytest
 
 import mfkalman
 from mfkalman.cli import main
+from mfkalman.simulation import SimulationError
 from mfkalman.validation import CriterionResult, ValidationSuite, write_csv
 
 SHADOW = ".determinism-recheck"
@@ -119,3 +120,9 @@ def test_rerun_that_cannot_write_fails_c8_with_status(tmp_path):
     assert not res.passed
     assert res.details[0] == "re-run exited with status 1; stderr ends:"
     assert "FileExistsError" in res.details[-1]
+
+
+def test_negative_seed_rejected_before_any_work(tmp_path):
+    with pytest.raises(SimulationError, match="seed must be >= 0, got -3"):
+        ValidationSuite(tmp_path / "out", seed=-3)
+    assert not (tmp_path / "out").exists()
