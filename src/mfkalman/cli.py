@@ -59,6 +59,18 @@ def _int_from(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a float option that must be finite and > 0: a bad
+    value exits 2, naming the option, before any file is touched."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfkalman",
@@ -84,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo ensemble and statistics")
     at_gain(p)
-    p.add_argument("--paths", type=int, default=2000)
+    p.add_argument("--paths", type=_int_from(2), default=2000)
 
     p = sub.add_parser("kernels", help="transition/mixed kernel triangles")
     at_gain(p)
@@ -94,13 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="gradient vs central-difference oracle")
     at_gain(p)
-    p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--directions", type=int, default=5)
+    p.add_argument("--eps", type=_positive_float, default=1e-4)
+    p.add_argument("--directions", type=_int_from(1), default=5)
 
     p = sub.add_parser("optimize", help="preconditioned descent to the optimal gain")
     common(p)
-    p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--grad-tol", type=_positive_float, default=None)
+    p.add_argument("--max-iter", type=_int_from(1), default=2000)
 
     p = sub.add_parser("validate", help="run the acceptance suite")
     p.add_argument("--seed", type=_int_from(0), default=DEFAULT_SEED)
@@ -111,8 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _prepare_out(out: str, names: list[str], force: bool) -> Path:
+    """``out`` as a path, refused if it holds one of ``names`` and not
+    ``force``; it is created by the first file written, so a run that fails
+    before writing leaves no directory behind."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if not force:
         for name in names:
             target = out_dir / name
@@ -151,9 +165,6 @@ def _write_report(path: Path, scenario, seed, lines: list[str]) -> None:
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "simulate")
-    if args.paths < 2:
-        raise CliError("simulate", f"--paths must be >= 2 (statistics need two "
-                                   f"replications), got {args.paths}", 2)
     out = _prepare_out(args.out, ["paths.csv", "statistics.csv"], args.force)
     gain = _gain_for(args, scenario)
     ens = simulate_ensemble(scenario, gain, n_paths=args.paths, seed=args.seed)
@@ -204,10 +215,6 @@ def _cmd_covariance(args) -> int:
 def _cmd_gradcheck(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "gradcheck")
-    if not 0.0 < args.eps < np.inf:
-        raise CliError("gradcheck", f"--eps must be finite and positive, got {args.eps}", 2)
-    if args.directions < 1:
-        raise CliError("gradcheck", f"--directions must be >= 1, got {args.directions}", 2)
     out = _prepare_out(args.out, ["gradcheck.csv", "gradient.csv"], args.force)
     gain = _gain_for(args, scenario)
     g, rows = _gradcheck(scenario, gain, measure_averages(scenario), args.directions,
@@ -221,11 +228,6 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_optimize(args) -> int:
     scenario = _load(args)
     _require_scalar(scenario, "optimize")
-    if args.max_iter < 1:
-        raise CliError("optimize", f"--max-iter must be >= 1, got {args.max_iter}", 2)
-    if args.grad_tol is not None and not 0.0 < args.grad_tol < np.inf:
-        raise CliError("optimize", f"--grad-tol must be finite and positive, "
-                                   f"got {args.grad_tol}", 2)
     names = ["optimizer_trajectory.csv", "optimizer_gain.csv", "filter.csv",
              "optimizer_report.txt"]
     out = _prepare_out(args.out, names, args.force)

@@ -43,13 +43,17 @@ oracle), build O(N^2) triangles, from the bundle's kernel triangles.
 In matrix mode the mean error and one atom's error form one linear system
 (see :class:`~mfkalman.kernels.StepPropagators`), and K is the atom block
 of its second moment P, the trapezoid of T W T' over [0, t] with T the
-joint transition and W the joint diffusion. The step maps R_i carry it
-forward,
+joint transition and W the joint diffusion. The step maps R_i, the
+exponentials of the trapezoid-averaged generator that the scalar mode's
+running integrals also use, carry it forward,
 
     P_0 = 0,  P_{i+1} = R_i (P_i + dt/2 W_i) R_i' + dt/2 W_{i+1},
 
 which is the trapezoid on the transition triangles regrouped by their
-semigroup property: O(N) per atom, no triangle is built.
+semigroup property: O(N) per atom, no triangle is built. On a 1x1 problem
+both modes give the same profiles and cost to round-off, and a value that
+overflows raises :class:`~mfkalman.system_model.NonFiniteError` naming
+the stage and node in either mode.
 
 A bundle or measure averages built for another scenario than the one
 passed raise :class:`ScenarioError`.
@@ -188,15 +192,15 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
     """
     i = _atom_index(scenario, atom)
     _checked(scenario, bundle, bars)
-    if scenario.scalar_mode:
-        w = _ScalarWeights(scenario, bars, bundle.gain)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scenario.scalar_mode:
+            w = _ScalarWeights(scenario, bars, bundle.gain)
             prof = sum(_atom_terms(bundle, w.wbar, *w.atom(i)[:2]))
-    else:
-        n = scenario.n
-        W = _joint_noise(scenario, bars, bundle.gain, i).sum(axis=1)
-        P = _joint_moments(bundle, W, scenario.grid.dt)[:, n:, n:]
-        prof = 0.5 * (P + P.transpose(0, 2, 1))
+        else:
+            n = scenario.n
+            W = _joint_noise(scenario, bars, bundle.gain, i).sum(axis=1)
+            P = _joint_moments(bundle, W, scenario.grid.dt)[:, n:, n:]
+            prof = 0.5 * (P + P.transpose(0, 2, 1))
     check_finite("covariance_profile", prof)
     return prof
 
@@ -247,23 +251,23 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     """
     i = _atom_index(scenario, atom)
     _checked(scenario, bundle, bars)
-    if scenario.scalar_mode:
-        w = _ScalarWeights(scenario, bars, bundle.gain)
-        w_u, x_u = w.atom(i)[:2]
-        H, M = bundle.H[:, 0, 0], bundle.M[:, 0, 0]
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scenario.scalar_mode:
+            w = _ScalarWeights(scenario, bars, bundle.gain)
+            w_u, x_u = w.atom(i)[:2]
+            H, M = bundle.H[:, 0, 0], bundle.M[:, 0, 0]
             mean, dev, cross = _atom_terms(bundle, w.wbar, w_u, x_u)
             # the mean part is transported by H + M, the deviation by H, and
             # the cross part by their average
             out = 0.5 * w_u + (H + M) * mean + H * dev + (H + 0.5 * M) * cross
-    else:
-        n = scenario.n
-        W = _joint_noise(scenario, bars, bundle.gain, i)
-        P = _joint_moments(bundle, W, scenario.grid.dt)
-        # rows of Gamma P that belong to the atom error: M P_eu + H P_uu
-        lower, upper = (bundle.M @ P[:, k, :n, n:] + bundle.H @ P[:, k, n:, n:]
-                        for k in (0, 1))
-        out = 0.5 * W[:, 0, n:, n:] + lower + upper.transpose(0, 2, 1)
+        else:
+            n = scenario.n
+            W = _joint_noise(scenario, bars, bundle.gain, i)
+            P = _joint_moments(bundle, W, scenario.grid.dt)
+            # rows of Gamma P that belong to the atom error: M P_eu + H P_uu
+            lower, upper = (bundle.M @ P[:, k, :n, n:] + bundle.H @ P[:, k, n:, n:]
+                            for k in (0, 1))
+            out = 0.5 * W[:, 0, n:, n:] + lower + upper.transpose(0, 2, 1)
     out[0] = 0.0  # empty-interval node: all quadratures vanish
     check_finite("drift_profile", out)
     return out

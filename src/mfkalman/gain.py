@@ -130,7 +130,8 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     the gradient's ``diagonal_step`` on the final ``_COMPLETION_NODES``
     nodes, whose curvature vanishes with the mesh; one ``cost_gradient``
     call gives the completed gain's cost and stationarity. A given
-    ``grad_tol`` must be finite and positive.
+    ``grad_tol`` must be finite and positive, and ``max_iter`` an integer
+    >= 1.
 
     The search starts from ``initial_gain``, zero by default. Scalar
     mode only. A trial whose gain or cost is not finite is rejected like
@@ -143,6 +144,8 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         raise ScenarioError("gain optimization requires a scalar scenario")
     if grad_tol is not None and not 0.0 < grad_tol < np.inf:
         raise ScenarioError(f"grad_tol must be finite and positive, got {grad_tol!r}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ScenarioError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if bars is None:
         bars = measure_averages(scenario)
     gain = GainSchedule.constant(scenario.grid, 0.0) if initial_gain is None else initial_gain
@@ -237,9 +240,11 @@ def _rk4(rhs, y0: tuple[float, ...], grid: TimeGrid) -> np.ndarray:
 
     The state is a short sequence of Python floats, and ``rhs`` returns
     one: on one or two components a numpy array costs more per operation
-    than the arithmetic. Each component follows numerics._rk4_step
-    operation by operation, so the values are the same to the bit. A
-    state above ``_RICCATI_BLOWUP`` in size, or not finite, raises."""
+    than the arithmetic. Each component follows the textbook step on
+    arrays, y + h/6 (k1 + 2 k2 + 2 k3 + k4) with the stages at t, t + h/2
+    and t + h, operation by operation, so the values are the same to the
+    bit. A state above ``_RICCATI_BLOWUP`` in size, or not finite,
+    raises."""
     h = grid.dt
     half, sixth = 0.5 * h, h / 6.0
     y = list(y0)

@@ -13,14 +13,17 @@ Three kernels drive everything:
 
   exactly, in scalar and in matrix mode, and f is never integrated.
 
-In scalar mode the operators are exponentials of the running integrals of
-H and of H + M, so every kernel value is one exponential of a difference,
-with nothing exponentiated above the diagonal. Every integral of a kernel
-power against a weight is one anchored running trapezoid
+Both modes step the operators by one rule: across a grid step the
+generator is frozen at its trapezoid average, so the step of phi is
+exp(dt/2 ((H + M)_i + (H + M)_{i+1})) and that of psi likewise with H. In
+scalar mode the steps multiply into exponentials of the running integrals
+of H and of H + M, so every kernel value is one exponential of a
+difference, with nothing exponentiated above the diagonal. Every integral
+of a kernel power against a weight is one anchored running trapezoid
 (:meth:`ScalarTables.integral`), finite on long horizons and on stiff
 stable steps. In matrix mode the mean error and the pointwise error form
 one linear system with generator [[H + M, 0], [M, H]] and transition
-[[phi, 0], [f, psi]]; its classical Runge-Kutta step maps, one per grid
+[[phi, 0], [f, psi]]; its step maps, one matrix exponential pair per grid
 step, are the O(N) tables (:class:`StepPropagators`). Either table is the
 :class:`KernelBundle` that :func:`kernel_bundle` returns, bound to the
 scenario and gain it was built for, and its dense lower triangles are
@@ -35,12 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (
-    TimeGrid,
-    TriangularKernel,
-    _rk4_step,
-    cumulative_trapezoid,
-)
+from .numerics import TimeGrid, TriangularKernel, cumulative_trapezoid
 from .system_model import Scenario, ScenarioError, _as_matrix, _stack_values
 
 __all__ = [
@@ -204,11 +202,6 @@ class ScalarTables(KernelBundle):
         return TriangularKernel(self.grid, _lower_exp(self.lh))
 
 
-def _drifts(A, B, C, D, G):
-    """H = A - G C and M = B - G D, sample by sample."""
-    return A - np.einsum("jnm,jmk->jnk", G, C), B - np.einsum("jnm,jmk->jnk", G, D)
-
-
 def _closed_loop_drifts(scenario: Scenario, gain: GainSchedule):
     """H = A - gain C and M = B - gain D at every node, shape (N+1, n, n)."""
     if not scenario.grid.same_as(gain.grid):
@@ -216,13 +209,27 @@ def _closed_loop_drifts(scenario: Scenario, gain: GainSchedule):
     if gain.values.shape[1:] != (scenario.n, scenario.m):
         raise ScenarioError(f"gain entries are {gain.values.shape[1:]}, the scenario "
                             f"needs (n, m) = {(scenario.n, scenario.m)}")
-    return _drifts(scenario.A, scenario.B, scenario.C, scenario.D, gain.values)
+    G = gain.values
+    return (scenario.A - np.einsum("jnm,jmk->jnk", G, scenario.C),
+            scenario.B - np.einsum("jnm,jmk->jnk", G, scenario.D))
 
 
-def _joint_generator(H: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """[[H + M, 0], [M, H]] per sample: the generator of the mean error
-    and the pointwise error, in that order."""
-    return np.block([[H + M, np.zeros_like(H)], [M, H]])
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp of every matrix of the stack X (..., k, k) by scaling and
+    squaring (Moler & Van Loan, SIAM Review 45, 2003): the degree-16
+    Taylor polynomial, in Horner form, of X / 2^q, with q per matrix the
+    least that brings the 1-norm to at most 1/2, squared q times. A
+    matrix that is not finite gives one that is not finite; callers
+    silence the floating-point warnings."""
+    q = np.maximum(np.frexp(np.abs(X).sum(axis=-2).max(axis=-1))[1] + 1, 0)
+    Y = np.ldexp(X, -q[..., None, None])
+    eye = np.eye(X.shape[-1])
+    E = eye
+    for k in range(16, 0, -1):
+        E = eye + Y @ E / k
+    for s in range(int(q.max())):
+        E = np.where((q > s)[..., None, None], E @ E, E)
+    return E
 
 
 def _chain(R: np.ndarray) -> np.ndarray:
@@ -231,9 +238,10 @@ def _chain(R: np.ndarray) -> np.ndarray:
     n, k = R.shape[0] + 1, R.shape[1]
     out = np.zeros((n, n, k, k))
     out[0, 0] = np.eye(k)
-    for i, Ri in enumerate(R):
-        out[i + 1, : i + 1] = Ri @ out[i, : i + 1]
-        out[i + 1, i + 1] = np.eye(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, Ri in enumerate(R):
+            out[i + 1, : i + 1] = Ri @ out[i, : i + 1]
+            out[i + 1, i + 1] = np.eye(k)
     return out
 
 
@@ -242,29 +250,28 @@ class StepPropagators(KernelBundle):
 
     The mean error and one particle's error evolve together under
     Y' = Gamma(t) Y with Gamma = [[H + M, 0], [M, H]], whose transition is
-    [[phi, 0], [f, psi]]. ``R[j]`` (N, 2n, 2n) is the classical RK4 step of
-    that equation from t_j to t_{j+1} started at the identity, with Gamma
-    at the left node, at the midpoint (coefficients sampled there, gain
-    averaged over the step) and at the right node. Its diagonal blocks
-    are the RK4 steps of phi and psi and its upper-right block is exactly
-    zero. A transition between two nodes is the ordered product of the
-    steps between them; ``phi`` and ``psi`` build those products row by
-    row.
+    [[phi, 0], [f, psi]]. Across step i the generator is frozen at its
+    trapezoid average, the scalar mode's rule, so the steps of phi and psi
+    are Phi_i = expm(dt/2 ((H + M)_i + (H + M)_{i+1})) and
+    Psi_i = expm(dt/2 (H_i + H_{i+1})), and ``R[i]`` (N, 2n, 2n) is
+
+        [[Phi_i, 0], [Phi_i - Psi_i, Psi_i]],
+
+    the lower block exact for a constant generator by variation of
+    constants. Products of such maps keep the form, so f = phi - psi
+    between any two nodes. A transition between two nodes is the ordered
+    product of the steps between them; ``phi`` and ``psi`` build those
+    products row by row. On a 1x1 problem the tables agree with
+    :class:`ScalarTables` to round-off.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule):
         super().__init__(scenario, gain)
-        h = self.grid.dt
-        G, H, M = gain.values, self.H, self.M
-        mid = self.grid.nodes[:-1] + 0.5 * h
-        H_mid, M_mid = _drifts(*(scenario.sample(c, mid) for c in "ABCD"),
-                               0.5 * (G[:-1] + G[1:]))
-        # Gamma at the stage offsets 0, h/2 and h of every step at once
-        stage = {0.0: _joint_generator(H[:-1], M[:-1]),
-                 0.5 * h: _joint_generator(H_mid, M_mid),
-                 h: _joint_generator(H[1:], M[1:])}
+        with np.errstate(over="ignore", invalid="ignore"):
+            HM, H = self.H + self.M, self.H
+            Phi, Psi = _expm(0.5 * self.grid.dt * np.stack([HM[:-1] + HM[1:], H[:-1] + H[1:]]))
+            self.R = np.block([[Phi, np.zeros_like(Phi)], [Phi - Psi, Psi]])
         self.n = scenario.n
-        self.R = _rk4_step(lambda s, Y: stage[s] @ Y, 0.0, np.eye(2 * self.n), h)
 
     @cached_property
     def phi(self) -> TriangularKernel:

@@ -99,15 +99,6 @@ def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _rk4_step(rhs, t, y, h: float):
-    """One classical Runge-Kutta step of y' = rhs(t, y) from t to t + h."""
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 class TriangularKernel:
     """Two-time field G(t_i, s_j) stored on the closed lower triangle j <= i.
 

@@ -116,9 +116,8 @@ def gauss_hermite_measure(n_nodes: int) -> InitialMeasure:
 class Scenario:
     """Validated coefficient set on a grid, plus the initial measure.
 
-    Coefficient samples are cached at every node; the callables of A, B,
-    C and D are retained for the stage times the Runge-Kutta steps need
-    (:meth:`sample`).
+    Every coefficient is held as its samples at the grid nodes, which is
+    all the kernels, the covariance and the simulation read.
     ``scalar_mode`` is set exactly when n = m = d = 1, which is where the
     gain optimizer operates.
     """
@@ -138,16 +137,10 @@ class Scenario:
     Q0: np.ndarray         # (d, d)
     measure: InitialMeasure
     scalar_mode: bool
-    fns: dict = field(repr=False, compare=False)  # A, B, C, D
 
     @property
     def n_atoms(self) -> int:
         return self.measure.n_atoms
-
-    def sample(self, name: str, times) -> np.ndarray:
-        """A time coefficient (A, B, C or D) at arbitrary times,
-        (len(times), rows, cols), by the rule that made the node samples."""
-        return _sample(self.fns[name], times, *getattr(self, name).shape[1:], name)
 
     # flat views for the scalar fast paths -------------------------------
     def flat(self, name: str) -> np.ndarray:
@@ -250,21 +243,14 @@ def _stack_values(fn, points, rows: int, cols: int, label: str) -> np.ndarray:
     return out
 
 
-def _sample(fn, times, rows: int, cols: int, label: str) -> np.ndarray:
-    """(len(times), rows, cols) samples of the callable ``fn`` of t."""
-    samples = _stack_values(fn, [(t,) for t in times], rows, cols, label + "({})")
+def _sample_time_coefficient(value, grid: TimeGrid, rows: int, cols: int,
+                             label: str) -> np.ndarray:
+    """(N+1, rows, cols) nodal samples of a constant, matrix or callable of t."""
+    fn = value if callable(value) else lambda t, _c=_as_matrix(value, rows, cols): _c  # noqa: E731
+    samples = _stack_values(fn, [(t,) for t in grid.nodes], rows, cols, label + "({})")
     if not np.all(np.isfinite(samples)):
         raise ScenarioError(f"{label} is not finite at every node")
     return samples
-
-
-def _sample_time_coefficient(value, grid: TimeGrid, rows: int, cols: int, label: str):
-    """Turn a constant / matrix / callable-of-t into nodal samples + callable."""
-    if callable(value):
-        fn = value
-    else:
-        fn = lambda t, _c=_as_matrix(value, rows, cols): _c  # noqa: E731
-    return _sample(fn, grid.nodes, rows, cols, label), fn
 
 
 def _sample_atom_coefficient(value, measure: InitialMeasure, grid: TimeGrid,
@@ -310,11 +296,11 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
             f"noise covariances must be ({d}, {d}); got Q{Q_arr.shape}, Q0{Q0_arr.shape}"
         )
 
-    A_s, A_fn = _sample_time_coefficient(A, grid, n, n, "A")
-    B_s, B_fn = _sample_time_coefficient(B, grid, n, n, "B")
-    C_s, C_fn = _sample_time_coefficient(C, grid, m, n, "C")
-    D_s, D_fn = _sample_time_coefficient(D, grid, m, n, "D")
-    Sig_s = _sample_time_coefficient(Sigma, grid, n, n, "Sigma")[0]
+    A_s = _sample_time_coefficient(A, grid, n, n, "A")
+    B_s = _sample_time_coefficient(B, grid, n, n, "B")
+    C_s = _sample_time_coefficient(C, grid, m, n, "C")
+    D_s = _sample_time_coefficient(D, grid, m, n, "D")
+    Sig_s = _sample_time_coefficient(Sigma, grid, n, n, "Sigma")
     _check_spd_nodes(Sig_s, grid, "Sigma")
 
     sig_s = _sample_atom_coefficient(sigma, measure, grid, n, d, "sigma")
@@ -329,7 +315,6 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
         sigma=sig_s, gamma=gam_s, Q=Q_arr, Q0=Q0_arr,
         measure=measure,
         scalar_mode=(n == 1 and m == 1 and d == 1),
-        fns={"A": A_fn, "B": B_fn, "C": C_fn, "D": D_fn},
     )
 
 

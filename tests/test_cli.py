@@ -25,14 +25,17 @@ def read_csv(path):
 
 class TestSimulate:
     def test_zero_paths_rejected(self, tmp_path, capsys):
-        code = main(["simulate", "--paths", "0", "--out", str(tmp_path)])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--paths", "0", "--out", str(tmp_path)])
+        assert exc.value.code == 2
         assert "simulate" in capsys.readouterr().err
 
     def test_one_path_rejected_before_writing(self, tmp_path, capsys):
         # the statistics need two replications; nothing may be written first
         out = tmp_path / "out"
-        assert main(["simulate", "--steps", "20", "--paths", "1", "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--steps", "20", "--paths", "1", "--out", str(out)])
+        assert exc.value.code == 2
         assert "--paths" in capsys.readouterr().err
         assert not out.exists()
 
@@ -113,23 +116,28 @@ class TestGradcheck:
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_directions_below_one_rejected(self, tmp_path, capsys, count):
         out = tmp_path / "out"
-        assert main(["gradcheck", "--steps", "20", "--directions", count,
-                     "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--steps", "20", "--directions", count, "--out", str(out)])
+        assert exc.value.code == 2
         assert "--directions" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["0", "-1e-4"])
     def test_nonpositive_eps_rejected_before_output(self, tmp_path, capsys, eps):
         out = tmp_path / "out"
-        assert main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)])
+        assert exc.value.code == 2
         assert "--eps" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_nonfinite_eps_rejected_before_output(self, tmp_path, capsys, eps):
         out = tmp_path / "out"
-        assert main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)]) == 2
-        assert "--eps must be finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--steps", "20", f"--eps={eps}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --eps: must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eps_recorded_in_full(self, tmp_path):
@@ -146,7 +154,9 @@ class TestOptimize:
     def test_bad_limit_rejected_before_output(self, tmp_path, capsys, flag):
         # --grad-tol=inf used to report "converged: True" after 0 iterations
         out = tmp_path / "out"
-        assert main(["optimize", "--steps", "20", flag, "--out", str(out)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--steps", "20", flag, "--out", str(out)])
+        assert exc.value.code == 2
         assert flag.partition("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
@@ -411,7 +421,7 @@ class TestUnstableScenario:
                      "--out", str(out)]) == 1
         assert "error in stage simulate: error moments are not finite at node" in (
             capsys.readouterr().err)
-        assert list(out.glob("*.csv")) == []
+        assert not out.exists()
 
     def test_covariance_overflow_reaches_last_resort_handler(self, tmp_path, capsys):
         spec = tmp_path / "unstable.yaml"
@@ -420,4 +430,4 @@ class TestUnstableScenario:
         assert main(["covariance", "--scenario", str(spec), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error in stage covariance: covariance_profile: non-finite value at node 143\n")
-        assert list(out.glob("*.csv")) == []
+        assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 from mfkalman import (
     GainSchedule,
-    InitialMeasure,
+    NonFiniteError,
     ScenarioError,
     build_scenario,
     check_finite,
@@ -38,7 +39,7 @@ from mfkalman.covariance import (
 from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
-from conftest import scalar_scenario
+from conftest import scalar_scenario, two_atom_matrix_scenario
 
 
 def _coupled_matrix_scenario(steps):
@@ -133,62 +134,32 @@ def _oracle_gap(scen, gain):
     return float(np.max(np.abs(g - oracle)) / np.max(np.abs(oracle)))
 
 
-# a non-diagonal, mean-coupled 2x2 system with two atoms, atom-dependent
-# loadings, correlated state noise and a time-dependent cost weight
-_COEFFS = {
-    "A": lambda t: np.array([[-0.4, 0.3], [0.2, 0.3 * (1 + 0.5 * t)]]),
-    "B": lambda t: np.array([[0.5, -0.3], [0.1, -0.2 + 0.1 * t]]),
-    "C": lambda t: np.array([[1.0, 0.2], [0.0, 0.8]]),
-    "D": lambda t: np.array([[0.3, 0.0], [0.2, 0.1]]),
-}
-
-
-def _two_atom_matrix_scenario(steps):
-    grid = make_grid(1.0, steps)
-    scen = build_scenario(
-        grid, measure=InitialMeasure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]),
-        sigma=lambda u, t: np.array([[0.9 + 0.2 * u[0], 0.1], [0.0, 1.1 + 0.1 * u[1] * t]]),
-        gamma=lambda u, t: np.array([[1.0, 0.1 * u[0]], [0.0, 0.8 + 0.1 * u[1]]]),
-        Q=np.array([[1.0, 0.3], [0.3, 0.8]]), Q0=np.eye(2),
-        Sigma=lambda t: np.array([[1.0, 0.2], [0.2, 0.5 + t]]), **_COEFFS)
-    gain = GainSchedule.constant(grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
-    return scen, measure_averages(scen), gain
-
-
-def _rk4_triangles(scen, gain):
-    """phi and psi solved column by column with RK4, from the generators
-    at the left node, the midpoint (coefficient callables evaluated there,
-    gain averaged over the step) and the right node. O(N^2) steps."""
+def _step_triangles(scen, gain):
+    """phi and psi as column products of per-step exponentials: across
+    each step the generator is frozen at its trapezoid average, whose
+    exponential ``mpmath.expm`` gives independently of the package's own
+    matrix exponential. O(N^2) products."""
+    mp = pytest.importorskip("mpmath")
     grid, G = scen.grid, gain.values
-    h, nn = grid.dt, grid.n_nodes
-
-    def generators(A, B, C, D, Gj):
-        return (A + B) - Gj @ (C + D), A - Gj @ C
-
-    node = [generators(scen.A[j], scen.B[j], scen.C[j], scen.D[j], G[j]) for j in range(nn)]
-    mid = [generators(*(_COEFFS[c](t + 0.5 * h) for c in "ABCD"), 0.5 * (G[j] + G[j + 1]))
-           for j, t in enumerate(grid.nodes[:-1])]
+    nn = grid.n_nodes
     out = []
-    for which in (0, 1):
+    for gen in ((scen.A + scen.B) - G @ (scen.C + scen.D), scen.A - G @ scen.C):
+        steps = [np.array(mp.expm(mp.matrix((0.5 * grid.dt * (gen[i] + gen[i + 1])).tolist()))
+                          .tolist(), dtype=float) for i in range(nn - 1)]
         tri = np.zeros((nn, nn, 2, 2))
         for s in range(nn):
             val = tri[s, s] = np.eye(2)
             for i in range(s, nn - 1):
-                gl, gm, gr = node[i][which], mid[i][which], node[i + 1][which]
-                k1 = gl @ val
-                k2 = gm @ (val + 0.5 * h * k1)
-                k3 = gm @ (val + 0.5 * h * k2)
-                k4 = gr @ (val + h * k3)
-                val = tri[i + 1, s] = val + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                val = tri[i + 1, s] = steps[i] @ val
         out.append(tri)
     return out
 
 
 def _cellwise(scen, bars, gain, atom):
     """K and the drift of one atom at every node: the trapezoid over
-    [0, t] of the defining integrands on the RK4 triangles, node by node.
-    Also returns the triangles phi, psi and f = phi - psi."""
-    phi, psi = _rk4_triangles(scen, gain)
+    [0, t] of the defining integrands on the step-product triangles, node
+    by node. Also returns the triangles phi, psi and f = phi - psi."""
+    phi, psi = _step_triangles(scen, gain)
     f = phi - psi
     G, dt, Q, Q0 = gain.values, scen.grid.dt, scen.Q, scen.Q0
     H = scen.A - G @ scen.C
@@ -708,11 +679,12 @@ class TestLongHorizon:
 
 class TestMatrixJointRecursion:
     """Matrix mode: the joint (mean error, atom error) recursion against
-    the cellwise trapezoid on column-wise RK4 triangles it replaces."""
+    the cellwise trapezoid on column-wise step-product triangles it
+    replaces."""
 
     @pytest.mark.parametrize("steps", [50, 200])
     def test_matches_cellwise_oracle(self, steps):
-        scen, bars, gain = _two_atom_matrix_scenario(steps)
+        scen, bars, gain = two_atom_matrix_scenario(steps)
         bundle = kernel_bundle(scen, gain)
         cost = 0.0
         for atom, weight in enumerate(scen.measure.weights):
@@ -729,7 +701,7 @@ class TestMatrixJointRecursion:
     def test_rate_consistency(self):
         err = {}
         for steps in (100, 200):
-            scen, bars, gain = _two_atom_matrix_scenario(steps)
+            scen, bars, gain = two_atom_matrix_scenario(steps)
             bundle = kernel_bundle(scen, gain)
             K = covariance_profile(scen, bundle, bars, 1)
             drift = drift_profile(scen, bundle, bars, 1)
@@ -739,7 +711,7 @@ class TestMatrixJointRecursion:
 
     def test_cost_memory_linear(self):
         # the (N+1)^2 triangles of one 2x2 kernel take 41 MB at N = 800
-        scen, bars, gain = _two_atom_matrix_scenario(800)
+        scen, bars, gain = two_atom_matrix_scenario(800)
         tracemalloc.start()
         try:
             trace_cost(scen, kernel_bundle(scen, gain), bars)
@@ -747,6 +719,65 @@ class TestMatrixJointRecursion:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestOneStepRule:
+    """Both engines step the transitions by the exponential of the
+    trapezoid-averaged generator, so a 1x1 problem run in matrix mode
+    reproduces the scalar tables to round-off at every gain, and a stiff
+    stable 2x2 system stays finite."""
+
+    @pytest.mark.parametrize("value", [0.5, 300.0, 1e3, 1e5])
+    @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe])
+    def test_matrix_engine_matches_scalar_engine(self, build, value):
+        scen = build(steps=200)
+        gain = GainSchedule.constant(scen.grid, value)
+        costs, profiles = [], []
+        for s in (scen, dataclasses.replace(scen, scalar_mode=False)):
+            bars, bundle = measure_averages(s), kernel_bundle(s, gain)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                costs.append(trace_cost(s, bundle, bars))
+                profiles.append([covariance_profile(s, bundle, bars, a).reshape(-1)
+                                 for a in range(s.n_atoms)])
+        assert costs[1] == pytest.approx(costs[0], rel=1e-12)
+        for matrix, scalar in zip(profiles[1], profiles[0]):
+            assert _rel(matrix, scalar) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_stiff_two_atom_system_is_finite(self):
+        scen, bars, _ = two_atom_matrix_scenario(200)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 1e3 * np.eye(2), 2, 2))
+        J = trace_cost(scen, bundle, bars)
+        assert np.isfinite(J) and J > 0.0
+        for atom in range(scen.n_atoms):
+            assert np.all(np.isfinite(drift_profile(scen, bundle, bars, atom)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", [trace_cost, covariance_profile, drift_profile])
+    def test_unstable_system_names_stage_and_node(self, stage):
+        grid = make_grid(50.0, 400)
+        scen = build_scenario(grid, measure=dirac_measure([0.0, 0.0]),
+                              A=np.array([[20.0, 0.5], [0.0, -1.0]]), Q=np.eye(2))
+        bundle = kernel_bundle(scen, GainSchedule.constant(grid, 0.0, 2, 2))
+        atom = () if stage is trace_cost else (0,)
+        name = "drift_profile" if stage is drift_profile else "covariance_profile"
+        with pytest.raises(NonFiniteError, match=rf"^{name}: non-finite value at node \d+$"):
+            stage(scen, bundle, measure_averages(scen), *atom)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_generator_raises_without_warning(self):
+        # gain times C overflows, so the generator itself is infinite
+        grid = make_grid(1.0, 20)
+        scen = build_scenario(grid, measure=dirac_measure([0.0, 0.0]),
+                              C=np.array([[1e10, 0.0], [1e10, 1.0]]), D=np.eye(2),
+                              Q=np.eye(2))
+        bundle = kernel_bundle(scen, GainSchedule.constant(grid, 1e300, 2, 2))
+        assert not np.all(np.isfinite(bundle.H))
+        with pytest.raises(NonFiniteError, match=r"^covariance_profile: non-finite value at "
+                                                 r"node 1$"):
+            trace_cost(scen, bundle, measure_averages(scen))
+        assert not np.all(np.isfinite(bundle.phi.values))
 
 
 class TestCheckFinite:
@@ -787,8 +818,8 @@ class TestForeignInputs:
 
     @pytest.fixture(scope="class")
     def matrix_pair(self):
-        (own, _, gain), (other, _, _) = (_two_atom_matrix_scenario(10),
-                                         _two_atom_matrix_scenario(10))
+        (own, _, gain), (other, _, _) = (two_atom_matrix_scenario(10),
+                                         two_atom_matrix_scenario(10))
         return own, other, gain
 
     @pytest.mark.parametrize("mode, name", [("scalar", n) for n in _SCALAR_CALLS]

@@ -1,0 +1,44 @@
+"""No dead private helpers: every module-level ``_private`` name that a
+module of the package defines is used somewhere in the package, not only
+at its own definition. A helper the code stopped calling is deleted, not
+kept alive by the tests that import it."""
+
+import ast
+from pathlib import Path
+
+import mfkalman
+
+SRC = Path(mfkalman.__file__).resolve().parent
+
+
+def _private_definitions(tree: ast.Module):
+    """Names of the module-level functions, classes and assignments of
+    ``tree`` that start with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def _references(tree: ast.Module):
+    """Every name read, every attribute and every imported name of ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_private_helper_is_used_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name in _private_definitions(tree) if name not in used]
+    assert dead == []

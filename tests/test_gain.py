@@ -25,7 +25,6 @@ from mfkalman import (
 )
 from mfkalman import gain as gain_module
 from mfkalman.covariance import _ScalarWeights
-from mfkalman.numerics import _rk4_step
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import scalar_scenario
@@ -61,9 +60,18 @@ def _diagonal_update_by_rows(scenario, bars, values, nodes, sweeps):
     return out
 
 
+def _rk4_step(rhs, t, y, h):
+    """One classical Runge-Kutta step of y' = rhs(t, y) from t to t + h."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def _rk4_on_arrays(rhs, y0, grid):
-    """RK4 on numpy arrays through numerics._rk4_step: the loop the
-    Riccati references ran before they moved to Python floats."""
+    """RK4 on numpy arrays, one :func:`_rk4_step` per grid step: the loop
+    the Riccati references ran before they moved to Python floats."""
     out = np.empty((grid.n_nodes, len(y0)))
     out[0] = y0
     for i in range(grid.n_steps):
@@ -341,6 +349,17 @@ class TestOptimizeGain:
         monkeypatch.setattr(gain_module, "kernel_bundle", no_bundle)
         with pytest.raises(ScenarioError, match="grad_tol must be finite and positive"):
             optimize_gain(classical_scenario(steps=20), grad_tol=grad_tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5, 1.0, "5", None])
+    def test_rejects_bad_max_iter_before_any_bundle(self, monkeypatch, max_iter):
+        # max_iter=0 used to report "iteration limit reached" from a
+        # stationary start, -3 passed silently and 2.5 raised a TypeError
+        def no_bundle(*args):
+            raise AssertionError("a bundle was built")
+
+        monkeypatch.setattr(gain_module, "kernel_bundle", no_bundle)
+        with pytest.raises(ScenarioError, match="max_iter must be an integer >= 1"):
+            optimize_gain(classical_scenario(steps=20), max_iter=max_iter)
 
     def test_classical_reaches_reference(self):
         scen = classical_scenario(steps=100)

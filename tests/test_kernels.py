@@ -305,7 +305,7 @@ class TestMatrixMode:
 
     def test_scalar_valued_coefficient_is_a_multiple_of_identity(self):
         """A callable returning a scalar is read as that multiple of the
-        identity at the nodes and at the RK4 stage times alike."""
+        identity at every node."""
         grid = make_grid(1.0, 40)
         results = []
         for A in (lambda t: -0.4, lambda t: -0.4 * np.eye(2)):
