@@ -153,8 +153,10 @@ class KernelBundle:
 
     @cached_property
     def f(self) -> TriangularKernel:
-        """phi - psi (variation of constants, see the module docstring)."""
-        return TriangularKernel(self.grid, self.phi.values - self.psi.values)
+        """phi - psi (variation of constants, see the module docstring);
+        where both overflow it is NaN, without a warning."""
+        with np.errstate(invalid="ignore"):
+            return TriangularKernel(self.grid, self.phi.values - self.psi.values)
 
 
 class ScalarTables(KernelBundle):

@@ -764,6 +764,7 @@ class TestOneStepRule:
         name = "drift_profile" if stage is drift_profile else "covariance_profile"
         with pytest.raises(NonFiniteError, match=rf"^{name}: non-finite value at node \d+$"):
             stage(scen, bundle, measure_averages(scen), *atom)
+        assert not np.all(np.isfinite(bundle.f.values))
 
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_generator_raises_without_warning(self):
@@ -777,7 +778,7 @@ class TestOneStepRule:
         with pytest.raises(NonFiniteError, match=r"^covariance_profile: non-finite value at "
                                                  r"node 1$"):
             trace_cost(scen, bundle, measure_averages(scen))
-        assert not np.all(np.isfinite(bundle.phi.values))
+        assert not np.all(np.isfinite(bundle.f.values))
 
 
 class TestCheckFinite:
