@@ -7,7 +7,12 @@ criterion C7 can report how far each form lies from its oracle
 gamma-bar (Monte Carlo); the mixed-kernel derivative density (central
 differences of ``f``); the sensitivity kernel's weights (the
 central-difference cost slope). The adopted kernel derivatives, which only
-that arbitration reads, sit next to their printed form. Scalar mode only.
+that arbitration reads, sit next to their printed form. Every form here is
+O(N) time and memory: the printed gradient is nine running sums, like
+:func:`~mfkalman.covariance.cost_gradient`, and no kernel triangle is
+built. Values that overflow raise
+:class:`~mfkalman.system_model.NonFiniteError` naming the stage and node,
+as the adopted forms do. Scalar mode only.
 """
 
 from __future__ import annotations
@@ -19,13 +24,11 @@ from .covariance import (
     _atom_index,
     _atom_terms,
     _checked,
-    _gradient_from_kernel,
     _ScalarWeights,
-    _sensitivity_quadratures,
 )
 from .kernels import KernelBundle, ScalarTables
 from .numerics import cumulative_trapezoid, trapezoid
-from .system_model import BarQuantities, Scenario, ScenarioError
+from .system_model import BarQuantities, Scenario, ScenarioError, check_finite
 
 __all__ = [
     "phi_direction",
@@ -43,11 +46,14 @@ def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
     x_u' = q sbar s_u + G q0 sbar g_u."""
     i = _atom_index(scenario, atom)
     tb = _checked(scenario, bundle, bars, scalar=True)
-    w = _ScalarWeights(scenario, bars, bundle.gain)
     s_u = scenario.flat_atom("sigma", i)
     g_u = scenario.flat_atom("gamma", i)
-    x_p = w.q * w.sbar * s_u + w.G * w.q0 * w.sbar * g_u
-    return sum(_atom_terms(tb, w.wbar, w.atom(i)[0], x_p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _ScalarWeights(scenario, bars, bundle.gain)
+        x_p = w.q * w.sbar * s_u + w.G * w.q0 * w.sbar * g_u
+        prof = sum(_atom_terms(tb, w.wbar, w.atom(i)[0], x_p))
+    check_finite("covariance_profile_transcribed", prof)
+    return prof
 
 
 def _direction_tables(bundle: KernelBundle, i: int, j: int) -> ScalarTables:
@@ -112,17 +118,41 @@ def f_direction_transcribed(bundle: KernelBundle, i: int, j: int, beta: np.ndarr
 def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,
                               bars: BarQuantities) -> GradientField:
     """Gradient density from the averaged sensitivity kernel with the
-    printed weights: half weight on the mean-transport terms and the
-    sigma-bar cross weight."""
+    printed weights: half weight on the mean-transport terms, the
+    sigma-bar cross weight x = q sbar^2 + q0 G sbar gbar and the boundary
+    cross term 1/2 q0 sbar gbar psi f.
+
+    Through the semigroup phi(t, r) = phi(t, s) phi(s, r), and likewise
+    psi, the printed kernel at (t, s) splits as
+    2 (phi^2 a + phi psi b + psi^2 c)(t, s). With F[y; p, q] the forward
+    running integral of psi^p phi^q y (:meth:`ScalarTables.integral`),
+    gq = q0 gbar^2 and sg = q0 sbar gbar,
+
+        a = -(C + D)/2 F[wbar; 0, 2] + G gq,
+        b = (C + D/2) F[wbar; 1, 1] - (2C + D) F[x; 1, 1] - 2 G gq + sg/2,
+        c = -C (F[wbar; 2, 0]/2 + F[w2; 2, 0] - 2 F[x; 2, 0])
+            + G gq + G g2q0 - sg/2,
+
+    and the tail integral against Sigma pairs each with its reverse sum
+    L[p, q]: g = 2 (a L[0, 2] + b L[1, 1] + c L[2, 0]), six forward and
+    three reverse sums, O(N) time and memory. A gradient that overflows
+    raises :class:`NonFiniteError` naming the stage and node."""
     tb = _checked(scenario, bundle, bars, scalar=True)
-    w = _ScalarWeights(scenario, bars, bundle.gain)
-    x_p = w.q * w.sbar**2 + w.q0 * w.G * w.sbar * w.gbar
-    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, w.w2, x_p)
-    psi = tb.psi.values
-    G = w.G
-    boundary = (f**2 * G * w.q0 * w.gbar**2
-                + psi**2 * G * w.g2q0
-                + 0.5 * psi * f * w.q0 * (w.sbar * w.gbar))
-    half = (-tb.C * (0.5 * U1 + U2 + 2 * U3)
-            - tb.D * (0.5 * V1 + V2) + boundary)
-    return _gradient_from_kernel(scenario, np.tril(2.0 * half))
+    sigma = scenario.flat("Sigma")
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _ScalarWeights(scenario, bars, bundle.gain)
+        C, D, G = tb.C, tb.D, w.G
+        x = w.q * w.sbar**2 + w.q0 * G * w.sbar * w.gbar
+        gq, sg = w.q0 * w.gbar**2, w.q0 * w.sbar * w.gbar
+        a = -0.5 * (C + D) * tb.integral(w.wbar, 0, 2) + G * gq
+        b = ((C + 0.5 * D) * tb.integral(w.wbar, 1, 1) - (2 * C + D) * tb.integral(x, 1, 1)
+             - 2 * G * gq + 0.5 * sg)
+        c = (-C * (0.5 * tb.integral(w.wbar, 2, 0) + tb.integral(w.w2, 2, 0)
+                   - 2 * tb.integral(x, 2, 0))
+             + G * gq + G * w.g2q0 - 0.5 * sg)
+        g = 2.0 * (a * tb.integral(sigma, 0, 2, reverse=True)
+                   + b * tb.integral(sigma, 1, 1, reverse=True)
+                   + c * tb.integral(sigma, 2, 0, reverse=True))
+    g[-1] = 0.0
+    check_finite("cost_gradient_transcribed", g)
+    return GradientField(grid=scenario.grid, values=g)

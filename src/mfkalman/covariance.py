@@ -336,8 +336,8 @@ def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) ->
     in scalar mode from the averaged K-profile P_mean + P_dev in O(N)."""
     _checked(scenario, bundle, bars)
     if scenario.scalar_mode:
-        w = _ScalarWeights(scenario, bars, bundle.gain)
         with np.errstate(over="ignore", invalid="ignore"):
+            w = _ScalarWeights(scenario, bars, bundle.gain)
             return _cost("trace_cost", scenario, *_averaged_terms(bundle, w))
     total = 0.0
     for a in range(scenario.n_atoms):
@@ -397,11 +397,11 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
 
     g vanishes at the horizon by construction. Scalar mode only."""
     tb = _checked(scenario, bundle, bars, scalar=True)
-    w = _ScalarWeights(scenario, bars, bundle.gain)
     sigma = scenario.flat("Sigma")
-    C, D, G = tb.C, tb.D, w.G
-    gq = w.q0 * w.gbar**2
     with np.errstate(over="ignore", invalid="ignore"):
+        w = _ScalarWeights(scenario, bars, bundle.gain)
+        C, D, G = tb.C, tb.D, w.G
+        gq = w.q0 * w.gbar**2
         mean, dev = _averaged_terms(tb, w)
         L_mean = tb.integral(sigma, 0, 2, reverse=True)
         L_dev = tb.integral(sigma, 2, 0, reverse=True)
@@ -414,18 +414,6 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     check_finite("cost_gradient", g)
     return GradientField(grid=scenario.grid, values=g, curvature=d, diagonal_step=step,
                          cost=_cost("cost_gradient", scenario, mean, dev))
-
-
-def _gradient_from_kernel(scenario: Scenario, kb2: np.ndarray) -> GradientField:
-    """Gradient density from an averaged sensitivity triangle (the
-    O(N^2) oracle of :func:`cost_gradient`)."""
-    W = scenario.flat("Sigma")[:, None] * kb2
-    n = scenario.grid.n_steps
-    # column-wise trapezoid over rows i in [j, N]
-    col_sums = W.sum(axis=0) - 0.5 * W[n, :] - 0.5 * np.diag(W)
-    g = col_sums * scenario.grid.dt
-    g[n] = 0.0
-    return GradientField(grid=scenario.grid, values=g)
 
 
 def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedule,

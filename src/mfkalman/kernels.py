@@ -101,11 +101,20 @@ class GainSchedule:
 FRAME_SPAN = 128.0
 
 
+def _exp_differences(x: np.ndarray, i, j) -> np.ndarray:
+    """exp(x[i] - x[j]) for node indices i and j (broadcast together) on
+    j <= i, and 0 where j > i, where nothing is exponentiated: the one
+    formula for a kernel value. A value beyond float64 range is infinite,
+    without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(np.where(j <= i, x[i] - x[j], -np.inf))
+
+
 def _lower_exp(x: np.ndarray) -> np.ndarray:
     """(N+1, N+1) array exp(x[i] - x[j]) on j <= i and 0 above the
-    diagonal, where nothing is exponentiated."""
-    low = np.tri(len(x), dtype=bool)
-    return np.exp(np.where(low, x[:, None] - x[None, :], -np.inf))
+    diagonal."""
+    k = np.arange(len(x))
+    return _exp_differences(x, k[:, None], k[None, :])
 
 
 def _running_integral(E: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
@@ -139,10 +148,10 @@ class KernelBundle:
     the covariance and (in scalar mode) the gradient and the optimizer
     read only the O(N) tables of the subclass, :class:`ScalarTables` in
     scalar mode and :class:`StepPropagators` in matrix mode; the dense
-    (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f``, the one way to
-    read a kernel value, are built from them on first access and then
-    kept. ``scenario`` is the scenario the bundle was built for; the
-    covariance functions refuse any other.
+    (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built from
+    them on first access and then kept (:meth:`ScalarTables.f_entry`
+    reads one entry of ``f`` without them). ``scenario`` is the scenario
+    the bundle was built for; the covariance functions refuse any other.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule):
@@ -194,6 +203,12 @@ class ScalarTables(KernelBundle):
         if reverse:
             return _running_integral(-E[::-1], y[::-1], self.grid.dt)[::-1]
         return _running_integral(E, y, self.grid.dt)
+
+    def f_entry(self, i: int, j: int) -> float:
+        """f(t_i, t_j) for j <= i without building a triangle: bit for bit
+        the entry of :attr:`f`."""
+        with np.errstate(invalid="ignore"):
+            return float(_exp_differences(self.lhm, i, j) - _exp_differences(self.lh, i, j))
 
     @cached_property
     def phi(self) -> TriangularKernel:

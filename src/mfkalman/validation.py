@@ -489,7 +489,7 @@ class ValidationSuite:
         i, j = rough.grid.n_steps, 0
         up = kernel_bundle(rough, GainSchedule(rough.grid, base_vals + eps * beta_vals))
         dn = kernel_bundle(rough, GainSchedule(rough.grid, base_vals - eps * beta_vals))
-        fd = (up.f.values[i, j] - dn.f.values[i, j]) / (2 * eps)
+        fd = (up.f_entry(i, j) - dn.f_entry(i, j)) / (2 * eps)
         d_re = abs(f_direction(rb, i, j, beta_vals) - fd)
         d_tr = abs(f_direction_transcribed(rb, i, j, beta_vals) - fd)
         tol_b = 1e-3 * (1.0 + abs(fd))

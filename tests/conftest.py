@@ -13,6 +13,7 @@ from mfkalman import (
     make_grid,
     measure_averages,
 )
+from mfkalman.covariance import GradientField, _ScalarWeights, _sensitivity_quadratures
 from mfkalman.scenarios import random_smooth_scenario
 
 
@@ -69,3 +70,32 @@ def two_atom_matrix_scenario(steps):
         Sigma=lambda t: np.array([[1.0, 0.2], [0.2, 0.5 + t]]), **_MATRIX_COEFFS)
     gain = GainSchedule.constant(grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
     return scen, measure_averages(scen), gain
+
+
+def gradient_from_kernel(scenario, kb2):
+    """Gradient density from an averaged sensitivity triangle: the
+    trapezoid of Sigma times each column over its rows i >= j, the O(N^2)
+    oracle of ``cost_gradient`` and ``cost_gradient_transcribed``."""
+    W = scenario.flat("Sigma")[:, None] * kb2
+    n = scenario.grid.n_steps
+    col_sums = W.sum(axis=0) - 0.5 * W[n, :] - 0.5 * np.diag(W)
+    g = col_sums * scenario.grid.dt
+    g[n] = 0.0
+    return GradientField(grid=scenario.grid, values=g)
+
+
+def transcribed_gradient_triangle(scenario, bundle, bars):
+    """``cost_gradient_transcribed`` from the printed sensitivity kernel on
+    the whole triangle, its row quadratures taken on the bundle's kernel
+    triangles: half weight on the mean-transport terms, the sigma-bar cross
+    weight and the boundary cross term 1/2 q0 sbar gbar psi f. O(N^2)."""
+    w = _ScalarWeights(scenario, bars, bundle.gain)
+    x_p = w.q * w.sbar**2 + w.q0 * w.G * w.sbar * w.gbar
+    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(bundle, w, w.w2, x_p)
+    psi = bundle.psi.values
+    boundary = (f**2 * w.G * w.q0 * w.gbar**2
+                + psi**2 * w.G * w.g2q0
+                + 0.5 * psi * f * w.q0 * (w.sbar * w.gbar))
+    half = (-bundle.C * (0.5 * U1 + U2 + 2 * U3)
+            - bundle.D * (0.5 * V1 + V2) + boundary)
+    return gradient_from_kernel(scenario, np.tril(2.0 * half))

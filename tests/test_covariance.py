@@ -31,15 +31,11 @@ from mfkalman import (
 )
 from mfkalman import covariance
 from mfkalman.arbitration import cost_gradient_transcribed, covariance_profile_transcribed
-from mfkalman.covariance import (
-    _averaged_terms,
-    _ScalarWeights,
-    _gradient_from_kernel,
-)
+from mfkalman.covariance import _averaged_terms, _ScalarWeights
 from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
-from conftest import scalar_scenario, two_atom_matrix_scenario
+from conftest import gradient_from_kernel, scalar_scenario, two_atom_matrix_scenario
 
 
 def _coupled_matrix_scenario(steps):
@@ -129,7 +125,7 @@ def _oracle_gap(scen, gain):
     bars = measure_averages(scen)
     bundle = kernel_bundle(scen, gain)
     g = cost_gradient(scen, bundle, bars).values
-    oracle = _gradient_from_kernel(scen, mean_sensitivity_triangle(scen, bundle, bars)).values
+    oracle = gradient_from_kernel(scen, mean_sensitivity_triangle(scen, bundle, bars)).values
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(oracle))
     return float(np.max(np.abs(g - oracle)) / np.max(np.abs(oracle)))
 
@@ -647,6 +643,23 @@ class TestLongHorizon:
             cost_gradient(scen, bundle, bars)
         with pytest.raises(ScenarioError, match=r"drift_profile: non-finite value at node 14\d"):
             drift_profile(scen, bundle, bars, 0)
+        # the printed forms follow the same policy
+        with pytest.raises(NonFiniteError, match=r"^covariance_profile_transcribed: non-finite "
+                                                 r"value at node 14\d$"):
+            covariance_profile_transcribed(scen, bundle, bars, 0)
+        with pytest.raises(NonFiniteError, match=r"^cost_gradient_transcribed: non-finite "
+                                                 r"value at node 0$"):
+            cost_gradient_transcribed(scen, bundle, bars)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("stage", [trace_cost, cost_gradient], ids=lambda fn: fn.__name__)
+    def test_overflowing_gain_names_stage_without_warning(self, stage):
+        # the weights square the gain: 1e200 squared leaves float64 range
+        scen = classical_scenario(steps=20)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 1e200))
+        with pytest.raises(NonFiniteError, match=rf"^{stage.__name__}: non-finite value at "
+                                                 r"node \d+$"):
+            stage(scen, bundle, measure_averages(scen))
 
     @pytest.mark.parametrize("stage", [trace_cost, cost_gradient, covariance_profile,
                                        drift_profile], ids=lambda fn: fn.__name__)

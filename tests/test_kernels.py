@@ -217,6 +217,26 @@ class TestKernelBundle:
         np.testing.assert_array_equal(bundle.f.values, bundle.phi.values - psi.values)
         assert {"phi", "psi", "f"} <= set(vars(bundle))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("unstable", [False, True], ids=["rough", "unstable"])
+    def test_f_entry_is_the_triangle_entry(self, rough_pack, unstable):
+        # read from the exponent tables, no triangle built. With A = 20 on
+        # [0, 50] exp(int H) leaves float64 range near t = 35: the kernels
+        # overflow without a warning, and an entry is NaN where f's is
+        if unstable:
+            scen = scalar_scenario(grid=make_grid(50.0, 400), A=20.0)
+            gain = zero_gain(scen)
+        else:
+            scen, _, gain, _ = rough_pack
+        bundle = kernel_bundle(scen, gain)
+        n = scen.grid.n_steps
+        cells = [(n, 0), (n, n), (n // 2, n // 4), (n // 3, 0)]
+        entries = [bundle.f_entry(i, j) for i, j in cells]
+        assert not {"phi", "psi", "f"} & set(vars(bundle))
+        np.testing.assert_array_equal(entries, [bundle.f.values[i, j] for i, j in cells])
+        for kernel in (bundle.phi, bundle.psi, bundle.f):
+            assert np.all(np.isfinite(kernel.values)) == (not unstable)
+
 
 def _frame_starts(E):
     """First nodes of the frames of :func:`_running_integral`: a frame
