@@ -26,9 +26,9 @@ from .covariance import (
     _checked,
     _ScalarWeights,
 )
-from .kernels import KernelBundle, ScalarTables
+from .kernels import KernelBundle, ScalarTables, _exp_differences
 from .numerics import cumulative_trapezoid, trapezoid
-from .system_model import BarQuantities, Scenario, ScenarioError, check_finite
+from .system_model import BarQuantities, NonFiniteError, Scenario, ScenarioError, check_finite
 
 __all__ = [
     "phi_direction",
@@ -56,13 +56,18 @@ def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
     return prof
 
 
-def _direction_tables(bundle: KernelBundle, i: int, j: int) -> ScalarTables:
-    """The bundle as scalar tables, once (i, j) is checked to lie on the
-    triangle j <= i of the grid."""
+def _cell(name: str, bundle: KernelBundle, i: int, j: int, value) -> float:
+    """``value(tb)`` on the bundle's scalar tables, once (i, j) is checked
+    to lie on the triangle j <= i, without floating-point warnings; a value
+    that is not finite raises :class:`NonFiniteError` naming ``name``."""
     tb = _checked(bundle.scenario, bundle, None, scalar=True)
     if not 0 <= j <= i <= tb.grid.n_steps:
         raise ScenarioError(f"need j <= i on the grid, got (i={i}, j={j})")
-    return tb
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = value(tb)
+    if not np.isfinite(out):
+        raise NonFiniteError(f"{name}: non-finite value at cell ({i}, {j})")
+    return out
 
 
 def _direction(tb: ScalarTables, i: int, j: int, beta: np.ndarray, rate: np.ndarray,
@@ -70,28 +75,30 @@ def _direction(tb: ScalarTables, i: int, j: int, beta: np.ndarray, rate: np.ndar
     """Trapezoid over [t_j, t_i] of the density -rate(theta) k(t_i, t_j)
     times beta, where k = exp(exponent[i] - exponent[j])."""
     ks = np.arange(j, i + 1)
-    density = -rate[ks] * float(np.exp(exponent[i] - exponent[j]))
+    density = -rate[ks] * float(_exp_differences(exponent, i, j))
     return float(trapezoid(density * beta[ks], tb.grid.dt))
 
 
 def phi_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
     """Derivative of phi(t_i, t_j) along the gain direction ``beta``: the
     gain enters the generator H + M as -(C + D) gain."""
-    tb = _direction_tables(bundle, i, j)
-    return _direction(tb, i, j, beta, tb.C + tb.D, tb.lhm)
+    return _cell("phi_direction", bundle, i, j,
+                 lambda tb: _direction(tb, i, j, beta, tb.C + tb.D, tb.lhm))
 
 
 def psi_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
     """Derivative of psi(t_i, t_j) along ``beta``: the gain enters H as
     -C gain."""
-    tb = _direction_tables(bundle, i, j)
-    return _direction(tb, i, j, beta, tb.C, tb.lh)
+    return _cell("psi_direction", bundle, i, j,
+                 lambda tb: _direction(tb, i, j, beta, tb.C, tb.lh))
 
 
 def f_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
     """Adopted derivative of the mixed kernel f = phi - psi at (t_i, t_j)
     along ``beta``: that of phi minus that of psi."""
-    return phi_direction(bundle, i, j, beta) - psi_direction(bundle, i, j, beta)
+    return _cell("f_direction", bundle, i, j,
+                 lambda tb: (_direction(tb, i, j, beta, tb.C + tb.D, tb.lhm)
+                             - _direction(tb, i, j, beta, tb.C, tb.lh)))
 
 
 def f_direction_transcribed(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
@@ -103,16 +110,17 @@ def f_direction_transcribed(bundle: KernelBundle, i: int, j: int, beta: np.ndarr
 
     paired with ``beta`` over th in [s, t]. The first integral is
     psi(t, th) f(th, s) = psi(t, th) (phi(th, s) - psi(th, s))."""
-    tb = _direction_tables(bundle, i, j)
-    ks = np.arange(j, i + 1)
-    C, D = tb.C[ks], tb.D[ks]
-    psi_ik = np.exp(tb.lh[i] - tb.lh[ks])
-    phi_kj = np.exp(tb.lhm[ks] - tb.lhm[j])
-    head = psi_ik * (phi_kj - np.exp(tb.lh[ks] - tb.lh[j]))
-    rev = cumulative_trapezoid(tb.M[ks, 0, 0] * np.exp(tb.lh[i] - tb.lh[ks]
-                                                 + tb.lhm[i] - tb.lhm[ks]), tb.grid.dt)
-    density = -C * head + psi_ik * D * phi_kj - (C + D) * rev
-    return float(trapezoid(density * beta[j:i + 1], tb.grid.dt))
+    def value(tb):
+        ks = np.arange(j, i + 1)
+        C, D = tb.C[ks], tb.D[ks]
+        psi_ik = _exp_differences(tb.lh, i, ks)
+        phi_kj = _exp_differences(tb.lhm, ks, j)
+        head = psi_ik * (phi_kj - _exp_differences(tb.lh, ks, j))
+        rev = cumulative_trapezoid(tb.M[ks, 0, 0] * _exp_differences(tb.lh + tb.lhm, i, ks),
+                                   tb.grid.dt)
+        density = -C * head + psi_ik * D * phi_kj - (C + D) * rev
+        return float(trapezoid(density * beta[j:i + 1], tb.grid.dt))
+    return _cell("f_direction_transcribed", bundle, i, j, value)
 
 
 def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,

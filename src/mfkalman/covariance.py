@@ -36,9 +36,9 @@ stays finite and accurate on long horizons, and finite on a stiff step
 that moves the exponent by hundreds (where the trapezoid gives about dt/2
 times the weight); a value that still overflows (an unstable system)
 raises :class:`ScenarioError` naming the stage and node.
-Only the sensitivity kernels, :func:`sensitivity_triangle` for one atom
-and :func:`mean_sensitivity_triangle` averaged (the gradient's test
-oracle), build O(N^2) triangles, from the bundle's kernel triangles.
+Each sensitivity kernel is 2 (phi^2 a + phi psi b + psi^2 c)(t, s) with
+coefficients from the same sums; only its triangles, :func:`sensitivity_triangle`
+and :func:`mean_sensitivity_triangle`, are O(N^2).
 
 In matrix mode the mean error and one atom's error form one linear system
 (see :class:`~mfkalman.kernels.StepPropagators`), and K is the atom block
@@ -72,7 +72,7 @@ from .kernels import (
     StepPropagators,
     kernel_bundle,
 )
-from .numerics import TimeGrid, cumulative_trapezoid, trapezoid
+from .numerics import TimeGrid, trapezoid
 from .system_model import BarQuantities, Scenario, ScenarioError, check_finite
 
 __all__ = [
@@ -141,17 +141,12 @@ class _ScalarWeights:
         self.scenario = scenario
 
     def atom(self, i: int):
-        """Pointwise weight w_u, cross weight x_u and the sensitivity
-        kernel's boundary loadings q0 g_u^2 and gbar g_u of one atom."""
+        """Pointwise weight w_u and cross weight x_u of one atom."""
         s_u = self.scenario.flat_atom("sigma", i)
         g_u = self.scenario.flat_atom("gamma", i)
         w_u = self.q * s_u**2 + self.G**2 * self.q0 * g_u**2
         x_u = self.q * self.sbar * s_u + self.G**2 * self.q0 * self.gbar * g_u
-        return w_u, x_u, self.q0 * g_u**2, self.gbar * g_u
-
-    def averaged(self):
-        """Measure averages of the four per-atom arrays of :meth:`atom`."""
-        return self.w2, self.wbar, self.g2q0, self.gbar**2
+        return w_u, x_u
 
 
 def _checked(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities | None,
@@ -195,7 +190,7 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
     with np.errstate(over="ignore", invalid="ignore"):
         if scenario.scalar_mode:
             w = _ScalarWeights(scenario, bars, bundle.gain)
-            prof = sum(_atom_terms(bundle, w.wbar, *w.atom(i)[:2]))
+            prof = sum(_atom_terms(bundle, w.wbar, *w.atom(i)))
         else:
             n = scenario.n
             W = _joint_noise(scenario, bars, bundle.gain, i).sum(axis=1)
@@ -254,7 +249,7 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     with np.errstate(over="ignore", invalid="ignore"):
         if scenario.scalar_mode:
             w = _ScalarWeights(scenario, bars, bundle.gain)
-            w_u, x_u = w.atom(i)[:2]
+            w_u, x_u = w.atom(i)
             H, M = bundle.H[:, 0, 0], bundle.M[:, 0, 0]
             mean, dev, cross = _atom_terms(bundle, w.wbar, w_u, x_u)
             # the mean part is transported by H + M, the deviation by H, and
@@ -273,48 +268,58 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     return out
 
 
+def _kernel_coefficients(tb: ScalarTables, w: _ScalarWeights, mean, dev, cross=None, dg=None):
+    """Coefficients (a, b, c) at s of a sensitivity kernel, the semigroup
+    split k2(t, s) = 2 (phi^2 a + phi psi b + psi^2 c)(t, s) of its row
+    quadratures, and the gain loadings (la, lc) of a and c, from one atom's
+    profile parts (:func:`_atom_terms`) and dg = g_u - gbar:
+
+        a = -(C + D) mean + G la,  b = -(C + D/2) cross + 2 G q0 gbar dg,
+        c = -C dev + G lc,         la = q0 gbar^2,  lc = q0 dg^2.
+
+    Averaged (the parts of :func:`_averaged_terms`, no ``dg``), cross and
+    dg vanish, b is None and lc is g2q0 - q0 gbar^2."""
+    C, D, G = tb.C, tb.D, w.G
+    la = w.q0 * w.gbar**2
+    if dg is None:
+        b, lc = None, w.g2q0 - la
+    else:
+        b, lc = -(C + 0.5 * D) * cross + 2 * G * w.q0 * w.gbar * dg, w.q0 * dg**2
+    return (-(C + D) * mean + G * la, b, -C * dev + G * lc), (la, lc)
+
+
+def _sensitivity(stage: str, scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
+                 atom: int | None) -> np.ndarray:
+    """The sensitivity kernel of ``atom`` (averaged when None) on the whole
+    triangle, with at most four triangles alive; a kernel that is not
+    finite raises NonFiniteError naming ``stage``."""
+    tb = _checked(scenario, bundle, bars, scalar=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _ScalarWeights(scenario, bars, bundle.gain)
+        parts, dg = ((_averaged_terms(tb, w), None) if atom is None else
+                     (_atom_terms(tb, w.wbar, *w.atom(atom)),
+                      scenario.flat_atom("gamma", atom) - w.gbar))
+        (a, b, c), _ = _kernel_coefficients(tb, w, *parts, dg=dg)
+        phi, psi = tb.phi.values, tb.psi.values
+        k, t = phi * phi * a, psi * psi
+        k += np.multiply(t, c, out=t)
+        if b is not None:
+            k += np.multiply(np.multiply(phi, psi, out=t), b, out=t)
+        del t
+        k *= 2.0
+        k = np.tril(k)
+    check_finite(stage, k)
+    return k
+
+
 def sensitivity_triangle(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
                          atom) -> np.ndarray:
     """One atom's sensitivity kernel on the whole triangle (scalar mode):
     (N+1, N+1) array with entry [i, j] = k2(u, t_i, s_j), zero above the
     diagonal. The derivative of K(u, t_i) with respect to the gain is the
     trapezoid pairing of row i with the direction over [0, t_i]."""
-    i = _atom_index(scenario, atom)
-    tb = _checked(scenario, bundle, bars, scalar=True)
-    w = _ScalarWeights(scenario, bars, bundle.gain)
-    return np.tril(_sensitivity_kernel(tb, w, *w.atom(i)))
-
-
-def _sensitivity_quadratures(tb: ScalarTables, w: _ScalarWeights, w_mid, x):
-    """The bundle's triangle f = phi - psi and the running integrals along
-    each row (over r <= s) of the sensitivity kernel's terms: f^2 wbar,
-    psi^2 w_mid and psi f x (the C-term), phi f wbar and phi psi x (the
-    D-term). ``w_mid`` is the pointwise weight and ``x`` the cross weight."""
-    dt = tb.grid.dt
-    psi, phi, f = tb.psi.values, tb.phi.values, tb.f.values
-    return (f,
-            cumulative_trapezoid(f**2 * w.wbar, dt),
-            cumulative_trapezoid(psi**2 * w_mid, dt),
-            cumulative_trapezoid(psi * f * x, dt),
-            cumulative_trapezoid(phi * f * w.wbar, dt),
-            cumulative_trapezoid(phi * psi * x, dt))
-
-
-def _sensitivity_kernel(tb: ScalarTables, w: _ScalarWeights, w_mid, x, g_point,
-                        g_cross) -> np.ndarray:
-    """The one sensitivity-kernel evaluator, on the whole triangle (see
-    :func:`_sensitivity_quadratures`). ``w_mid``, ``x`` and the boundary
-    loadings ``g_point``/``g_cross`` (q0 g^2 and gbar g) are one atom's
-    values or their measure averages, see :class:`_ScalarWeights`.
-    Entries above the diagonal are meaningless; callers mask them.
-    """
-    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(tb, w, w_mid, x)
-    psi, G = tb.psi.values, w.G
-    boundary = (f**2 * G * w.q0 * w.gbar**2
-                + psi**2 * G * g_point
-                + 2 * psi * f * G * w.q0 * g_cross)
-    half = -tb.C * (U1 + U2 + 2 * U3) - tb.D * (V1 + V2) + boundary
-    return 2.0 * half
+    return _sensitivity("sensitivity_triangle", scenario, bundle, bars,
+                        _atom_index(scenario, atom))
 
 
 def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
@@ -322,13 +327,12 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
     """Averaged sensitivity kernel on the whole triangle: (N+1, N+1) array
     with entry [i, j] = mean kernel at (t_i, s_j), zero above the diagonal.
 
-    Vectorized over both indices; cost O(N^2). On the averaged weights the
-    D-term is the running integral of phi^2 wbar. The kernel is affine in
-    the atom loadings and their squares, so it is the measure-weighted sum
-    of the atoms' :func:`sensitivity_triangle`."""
-    tb = _checked(scenario, bundle, bars, scalar=True)
-    w = _ScalarWeights(scenario, bars, bundle.gain)
-    return np.tril(_sensitivity_kernel(tb, w, *w.averaged()))
+    It is 2 phi(t, s)^2 a_mean(s) + 2 psi(t, s)^2 a_dev(s) with the O(N)
+    coefficients of :func:`cost_gradient`, so only the triangle itself is
+    O(N^2), and the measure-weighted sum of the atoms'
+    :func:`sensitivity_triangle`. A kernel that overflows raises
+    :class:`NonFiniteError` naming the stage and node."""
+    return _sensitivity("mean_sensitivity_triangle", scenario, bundle, bars, None)
 
 
 def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
@@ -358,30 +362,20 @@ def _cost(stage: str, scenario: Scenario, mean: np.ndarray, dev: np.ndarray) -> 
 def cost_gradient(scenario: Scenario, bundle: KernelBundle,
                   bars: BarQuantities) -> GradientField:
     """Gradient density g(t_j): the tail integral over s in [t_j, T] of
-    Sigma(s) times the averaged sensitivity kernel at (s, t_j).
+    Sigma(s) times the averaged sensitivity kernel at (s, t_j),
+    2 phi(s, t)^2 a_mean(t) + 2 psi(s, t)^2 a_dev(t) with
 
-    With f = phi - psi the averaged kernel at (s, t) is
+        a_mean = -(C + D) P_mean + G q0 gbar^2,  a_dev = -C P_dev + G (g2q0 - q0 gbar^2).
 
-        2 phi(s, t)^2 a_mean(t) + 2 psi(s, t)^2 a_dev(t),
-        a_mean = -(C + D) P_mean + G q0 gbar^2,
-        a_dev  = -C P_dev + G (g2q0 - q0 gbar^2),
-
-    so g = 2 a_mean L_mean + 2 a_dev L_dev, where the costates
-    L_mean(t) = int_t^T Sigma(s) phi(s, t)^2 ds and L_dev (with psi) are
-    reverse running sums: two forward and two reverse sums, O(N) time and
-    memory, and equal to the trapezoid tail of
-    :func:`mean_sensitivity_triangle` up to round-off. Each sum is one
-    anchored running integral (:meth:`ScalarTables.integral`), so a long
-    stable horizon or a stiff stable step stays finite; a gradient that
-    overflows raises :class:`ScenarioError`.
-
-    a_mean and a_dev are affine in G(t), so with P and L frozen the
-    diagonal of dg/dG is the field's ``curvature``
-
-        d = 2 (q0 gbar^2 L_mean + (g2q0 - q0 gbar^2) L_dev) >= 0,
-
-    from the same sums. It vanishes like T - t at the horizon and wherever
-    the observation energy g2q0 does.
+    So g = 2 (a_mean L_mean + a_dev L_dev) with the costates
+    L_mean(t) = int_t^T Sigma(s) phi(s, t)^2 ds and L_dev (with psi): two
+    forward and two reverse anchored running sums
+    (:meth:`ScalarTables.integral`), O(N) time and memory, finite on a long
+    stable horizon or a stiff stable step; a gradient that overflows raises
+    :class:`ScenarioError`. With P and L frozen the diagonal of dg/dG is
+    the field's ``curvature`` d = 2 (q0 gbar^2 L_mean + (g2q0 - q0 gbar^2)
+    L_dev) >= 0, from the same sums; it vanishes like T - t at the horizon
+    and wherever the observation energy g2q0 does.
 
     On the diagonal s = t the averaged kernel is 2 (a_mean + a_dev), so
     the paper's necessary condition a_mean + a_dev = 0 reads
@@ -393,21 +387,18 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     derivative of the discrete :func:`trace_cost`: the two part by
     O(dt |H|) relative along directions that do not vanish at the ends.
     P_mean and P_dev also give the field's ``cost``, :func:`trace_cost` to
-    the bit, checked after g.
-
-    g vanishes at the horizon by construction. Scalar mode only."""
+    the bit, checked after g. g vanishes at the horizon by construction.
+    Scalar mode only."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     sigma = scenario.flat("Sigma")
     with np.errstate(over="ignore", invalid="ignore"):
         w = _ScalarWeights(scenario, bars, bundle.gain)
-        C, D, G = tb.C, tb.D, w.G
-        gq = w.q0 * w.gbar**2
         mean, dev = _averaged_terms(tb, w)
         L_mean = tb.integral(sigma, 0, 2, reverse=True)
         L_dev = tb.integral(sigma, 2, 0, reverse=True)
-        a_mean, a_dev = -(C + D) * mean + G * gq, -C * dev + G * (w.g2q0 - gq)
+        (a_mean, _, a_dev), (l_mean, l_dev) = _kernel_coefficients(tb, w, mean, dev)
         g = 2.0 * (a_mean * L_mean + a_dev * L_dev)
-        d = 2.0 * (gq * L_mean + (w.g2q0 - gq) * L_dev)
+        d = 2.0 * (l_mean * L_mean + l_dev * L_dev)
         step = np.divide(-(a_mean + a_dev), w.g2q0, out=np.zeros_like(g),
                          where=w.g2q0 > 1e-14)
     g[-1] = 0.0

@@ -8,12 +8,13 @@ from mfkalman import (
     InitialMeasure,
     build_scenario,
     classical_scenario,
+    cumulative_trapezoid,
     dirac_measure,
     kernel_bundle,
     make_grid,
     measure_averages,
 )
-from mfkalman.covariance import GradientField, _ScalarWeights, _sensitivity_quadratures
+from mfkalman.covariance import GradientField, _ScalarWeights
 from mfkalman.scenarios import random_smooth_scenario
 
 
@@ -72,6 +73,54 @@ def two_atom_matrix_scenario(steps):
     return scen, measure_averages(scen), gain
 
 
+def sensitivity_quadratures(bundle, w, w_mid, x):
+    """The bundle's triangle f = phi - psi and the running integrals along
+    each row (over r <= s) of the sensitivity kernel's terms: f^2 wbar,
+    psi^2 w_mid and psi f x (the C-term), phi f wbar and phi psi x (the
+    D-term). ``w_mid`` is the pointwise weight and ``x`` the cross weight.
+    O(N^2)."""
+    dt = bundle.grid.dt
+    psi, phi, f = bundle.psi.values, bundle.phi.values, bundle.f.values
+    return (f,
+            cumulative_trapezoid(f**2 * w.wbar, dt),
+            cumulative_trapezoid(psi**2 * w_mid, dt),
+            cumulative_trapezoid(psi * f * x, dt),
+            cumulative_trapezoid(phi * f * w.wbar, dt),
+            cumulative_trapezoid(phi * psi * x, dt))
+
+
+def row_weights(scenario, w, atom=None):
+    """(w_mid, x, g_point, g_cross) of the row quadrature: one atom's
+    pointwise and cross weights and boundary loadings q0 g_u^2 and gbar g_u,
+    or with ``atom`` None their measure averages w2, wbar, g2q0, gbar^2."""
+    if atom is None:
+        return w.w2, w.wbar, w.g2q0, w.gbar**2
+    g_u = scenario.flat_atom("gamma", atom)
+    return (*w.atom(atom), w.q0 * g_u**2, w.gbar * g_u)
+
+
+def row_sensitivity_triangle(scenario, bundle, bars, atom=None):
+    """One atom's sensitivity kernel (averaged with ``atom`` None) on the
+    whole triangle from its defining row quadratures on the bundle's kernel
+    triangles, with f = phi - psi,
+
+        k2 / 2 = -C int (f^2 wbar + psi^2 w_mid + 2 psi f x)
+                 - D int (phi f wbar + phi psi x)
+                 + G (q0 gbar^2 f^2 + g_point psi^2 + 2 q0 g_cross psi f):
+
+    the O(N^2) oracle of ``sensitivity_triangle``,
+    ``mean_sensitivity_triangle`` and, through :func:`gradient_from_kernel`,
+    ``cost_gradient``, none of which takes a row quadrature."""
+    w = _ScalarWeights(scenario, bars, bundle.gain)
+    w_mid, x, g_point, g_cross = row_weights(scenario, w, atom)
+    f, U1, U2, U3, V1, V2 = sensitivity_quadratures(bundle, w, w_mid, x)
+    psi, G = bundle.psi.values, w.G
+    boundary = (f**2 * G * w.q0 * w.gbar**2
+                + psi**2 * G * g_point
+                + 2 * psi * f * G * w.q0 * g_cross)
+    return np.tril(2.0 * (-bundle.C * (U1 + U2 + 2 * U3) - bundle.D * (V1 + V2) + boundary))
+
+
 def gradient_from_kernel(scenario, kb2):
     """Gradient density from an averaged sensitivity triangle: the
     trapezoid of Sigma times each column over its rows i >= j, the O(N^2)
@@ -91,7 +140,7 @@ def transcribed_gradient_triangle(scenario, bundle, bars):
     weight and the boundary cross term 1/2 q0 sbar gbar psi f. O(N^2)."""
     w = _ScalarWeights(scenario, bars, bundle.gain)
     x_p = w.q * w.sbar**2 + w.q0 * w.G * w.sbar * w.gbar
-    f, U1, U2, U3, V1, V2 = _sensitivity_quadratures(bundle, w, w.w2, x_p)
+    f, U1, U2, U3, V1, V2 = sensitivity_quadratures(bundle, w, w.w2, x_p)
     psi = bundle.psi.values
     boundary = (f**2 * w.G * w.q0 * w.gbar**2
                 + psi**2 * w.G * w.g2q0

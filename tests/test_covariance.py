@@ -35,7 +35,13 @@ from mfkalman.covariance import _averaged_terms, _ScalarWeights
 from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
-from conftest import gradient_from_kernel, scalar_scenario, two_atom_matrix_scenario
+from conftest import (
+    gradient_from_kernel,
+    row_sensitivity_triangle,
+    row_weights,
+    scalar_scenario,
+    two_atom_matrix_scenario,
+)
 
 
 def _coupled_matrix_scenario(steps):
@@ -121,11 +127,11 @@ def _exact_factored(mp, scen, gain):
 
 
 def _oracle_gap(scen, gain):
-    """sup |factored gradient - triangle oracle| / sup |oracle|."""
+    """sup |factored gradient - row-quadrature triangle oracle| / sup |oracle|."""
     bars = measure_averages(scen)
     bundle = kernel_bundle(scen, gain)
     g = cost_gradient(scen, bundle, bars).values
-    oracle = gradient_from_kernel(scen, mean_sensitivity_triangle(scen, bundle, bars)).values
+    oracle = gradient_from_kernel(scen, row_sensitivity_triangle(scen, bundle, bars)).values
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(oracle))
     return float(np.max(np.abs(g - oracle)) / np.max(np.abs(oracle)))
 
@@ -386,17 +392,32 @@ class TestMeanSensitivity:
             assert got == pytest.approx(expected, abs=1e-10)
 
     def test_triangle_row_equals_row_path_and_atom_sum(self, rough_pack):
-        scen, bars, _, bundle = rough_pack
-        tri = mean_sensitivity_triangle(scen, bundle, bars)
-        w = _ScalarWeights(scen, bars, bundle.gain)
-        ws = scen.measure.weights
-        atoms = sum(ws[a] * sensitivity_triangle(scen, bundle, bars, a)
-                    for a in range(scen.n_atoms))
-        np.testing.assert_allclose(tri, atoms, rtol=0, atol=1e-10)
-        for i in (200, 150, 120):
-            row = _kernel_row(bundle, w, i, *w.averaged())
-            np.testing.assert_allclose(tri[i, : i + 1], row, rtol=0, atol=1e-10)
-            np.testing.assert_array_equal(tri[i, i + 1:], 0.0)
+        # each triangle against the row-quadrature oracle, its rows against
+        # the row path, and the averaged one against the measure-weighted
+        # sum of the atoms' triangles
+        packs = [rough_pack[:2] + rough_pack[3:]]
+        for scen, value in [(cross_pairing_probe(200), 0.7),
+                            (classical_scenario(steps=400), np.tanh),
+                            (normal_flow_scenario(steps=200), np.tanh)]:
+            gain = (GainSchedule.from_callable(scen.grid, value) if callable(value)
+                    else GainSchedule.constant(scen.grid, value))
+            packs.append((scen, measure_averages(scen), kernel_bundle(scen, gain)))
+        for scen, bars, bundle in packs:
+            n = scen.grid.n_steps
+            w = _ScalarWeights(scen, bars, bundle.gain)
+            tri = mean_sensitivity_triangle(scen, bundle, bars)
+            atom_tris = [sensitivity_triangle(scen, bundle, bars, a)
+                         for a in range(scen.n_atoms)]
+            np.testing.assert_allclose(
+                tri, sum(wa * t for wa, t in zip(scen.measure.weights, atom_tris)),
+                rtol=0, atol=1e-12)
+            for atom, t in [(None, tri)] + list(enumerate(atom_tris)):
+                np.testing.assert_allclose(t, row_sensitivity_triangle(scen, bundle, bars, atom),
+                                           rtol=0, atol=1e-12)
+                for i in (n, 3 * n // 4, 3 * n // 5):
+                    row = _kernel_row(bundle, w, i, *row_weights(scen, w, atom))
+                    np.testing.assert_allclose(t[i, : i + 1], row, rtol=0, atol=1e-12)
+                    np.testing.assert_array_equal(t[i, i + 1:], 0.0)
 
 
 class TestCost:
@@ -650,6 +671,11 @@ class TestLongHorizon:
         with pytest.raises(NonFiniteError, match=r"^cost_gradient_transcribed: non-finite "
                                                  r"value at node 0$"):
             cost_gradient_transcribed(scen, bundle, bars)
+        # and so do the sensitivity triangles
+        for name, stage in (("sensitivity_triangle", lambda *a: sensitivity_triangle(*a, 0)),
+                            ("mean_sensitivity_triangle", mean_sensitivity_triangle)):
+            with pytest.raises(NonFiniteError, match=rf"^{name}: non-finite value at node \d+$"):
+                stage(scen, bundle, bars)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("stage", [trace_cost, cost_gradient], ids=lambda fn: fn.__name__)

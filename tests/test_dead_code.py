@@ -1,7 +1,8 @@
 """No dead private helpers: every module-level ``_private`` name that a
-module of the package defines is used somewhere in the package, not only
-at its own definition. A helper the code stopped calling is deleted, not
-kept alive by the tests that import it."""
+module of the package defines, and every method of a module-level private
+class, is used somewhere in the package, not only at its own definition.
+A helper the code stopped calling is deleted, not kept alive by the tests
+that import it."""
 
 import ast
 from pathlib import Path
@@ -13,10 +14,17 @@ SRC = Path(mfkalman.__file__).resolve().parent
 
 def _private_definitions(tree: ast.Module):
     """Names of the module-level functions, classes and assignments of
-    ``tree`` that start with one underscore."""
+    ``tree`` that start with one underscore, and of the methods (dunders
+    aside) of its private classes."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names = [node.name]
+        elif isinstance(node, ast.ClassDef):
+            names = [node.name]
+            if node.name.startswith("_"):
+                names += [f"{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                          and not item.name.startswith("__")]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for t in targets if isinstance(t, ast.Name)]
@@ -39,6 +47,7 @@ def _references(tree: ast.Module):
 def test_every_private_helper_is_used_in_the_package():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     used = {name for tree in trees.values() for name in _references(tree)}
+    # a method ``Class.method`` is used when some module reads ``method``
     dead = [f"{module}:{name}" for module, tree in trees.items()
-            for name in _private_definitions(tree) if name not in used]
+            for name in _private_definitions(tree) if name.rpartition(".")[2] not in used]
     assert dead == []

@@ -5,6 +5,7 @@ import pytest
 
 from mfkalman import (
     GainSchedule,
+    NonFiniteError,
     ScenarioError,
     build_scenario,
     classical_scenario,
@@ -436,6 +437,20 @@ class TestDerivativeKernels:
         combo = f_direction(bundle, i, j, alpha * b1 + b2)
         split = alpha * f_direction(bundle, i, j, b1) + f_direction(bundle, i, j, b2)
         assert combo == pytest.approx(split, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", [phi_direction, psi_direction, f_direction,
+                                           f_direction_transcribed],
+                             ids=lambda fn: fn.__name__)
+    def test_overflow_names_function_and_cell_without_warning(self, direction):
+        # on [0, 50] at A = 20 the kernels at (50, 0) are e^1000, beyond float64
+        scen = scalar_scenario(grid=make_grid(50.0, 400), A=20.0)
+        bundle = kernel_bundle(scen, zero_gain(scen))
+        beta = np.ones(scen.grid.n_nodes)
+        with pytest.raises(NonFiniteError, match=rf"^{direction.__name__}: non-finite value "
+                                                 r"at cell \(400, 0\)$"):
+            direction(bundle, 400, 0, beta)
+        assert np.isfinite(direction(bundle, 20, 0, beta))
 
     def test_requires_scalar_mode(self):
         grid = make_grid(1.0, 20)
