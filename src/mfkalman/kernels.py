@@ -149,9 +149,10 @@ class KernelBundle:
     read only the O(N) tables of the subclass, :class:`ScalarTables` in
     scalar mode and :class:`StepPropagators` in matrix mode; the dense
     (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built from
-    them on first access and then kept (:meth:`ScalarTables.f_entry`
-    reads one entry of ``f`` without them). ``scenario`` is the scenario
-    the bundle was built for; the covariance functions refuse any other.
+    them on first access and then kept (:meth:`ScalarTables.entries`
+    reads any of their entries without building them). ``scenario`` is
+    the scenario the bundle was built for; the covariance functions
+    refuse any other.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule):
@@ -204,11 +205,19 @@ class ScalarTables(KernelBundle):
             return _running_integral(-E[::-1], y[::-1], self.grid.dt)[::-1]
         return _running_integral(E, y, self.grid.dt)
 
+    def entries(self, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """phi, psi and f at node indices i and j (broadcast together), 0
+        where j > i, without building a triangle: bit for bit the entries of
+        :attr:`phi`, :attr:`psi` and :attr:`f`. Row i of each is
+        ``entries(i, np.arange(i + 1))``."""
+        phi, psi = _exp_differences(self.lhm, i, j), _exp_differences(self.lh, i, j)
+        with np.errstate(invalid="ignore"):
+            return phi, psi, phi - psi
+
     def f_entry(self, i: int, j: int) -> float:
         """f(t_i, t_j) for j <= i without building a triangle: bit for bit
         the entry of :attr:`f`."""
-        with np.errstate(invalid="ignore"):
-            return float(_exp_differences(self.lhm, i, j) - _exp_differences(self.lh, i, j))
+        return float(self.entries(i, j)[2])
 
     @cached_property
     def phi(self) -> TriangularKernel:

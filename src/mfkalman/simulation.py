@@ -12,26 +12,34 @@ s_u' = own_j s_u + field_j [x_bar, z_bar] + noise_j[u] xi_j, with xi_j
 the step's standard normal draws for the state noise, then the
 observation noise. ``own_j`` is shared by all atoms and the mean-field
 part enters once through the weighted atom means, so a step costs O(k)
-per replication, and an atom's value does not depend on its label. A
-block of replications is held as an (atom, row, replication) array, so
-a step is a few small matrix products.
+per replication, and an atom's value does not depend on its label. The
+filter reads y only through its increments, which the step map already
+carries, so a block of replications is held as an (atom, row,
+replication) array of the rows [x, z] alone, and a step is a few small
+matrix products; the rows y are stepped only for the replications whose
+trajectories are kept.
 
 Replications are generated in fixed-size blocks, each with its own
 counter-based random stream (Philox keyed by a spawned seed sequence).
 The blocks run in block order on the calling thread. Each block reduces
 the error e = x - z to moments at every node as it goes and folds into
 the running moments as soon as it is done. A block's normal draws come
-in chunks of ``_CHUNK`` steps, one call on its stream per chunk; with
-two threads (:func:`worker_count`) a single helper thread draws the next
-chunk while the calling thread steps the current one, and with one the
-calling thread draws them itself. Either way the draws are the same
-numbers in the same order, so results are reproducible bit-for-bit.
-Only the first ``KEPT_PATHS`` replications keep their trajectories, so
-memory does not grow with paths times steps.
+in chunks of ``_CHUNK`` steps, one call on its stream per chunk, drawn
+in place into a ring of ``_RING`` buffers; with two threads
+(:func:`worker_count`) a single helper thread draws the next chunk while
+the calling thread steps the current one, and with one the calling
+thread draws them itself. Either way the draws are the same numbers in
+the same order, so results are reproducible bit-for-bit. Every array the
+stepping writes is allocated once, on the calling thread, before the
+first step. Only the first ``KEPT_PATHS`` replications keep their
+trajectories, so memory does not grow with paths times steps.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import numbers
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -56,6 +64,8 @@ _BLOCK = 4096  # replications per random stream; fixed so results do not
                # depend on the thread count
 _CHUNK = 8  # steps drawn per call: 512 kB of draws per block for d = 1;
             # 32 steps raised validate's peak RSS
+_RING = 3  # draw buffers: the chunk being stepped, the next one being drawn
+           # and a spare
 KEPT_PATHS = 10  # leading replications whose trajectories an ensemble keeps
 
 
@@ -121,41 +131,54 @@ class EmpiricalStats:
 
 
 def _step_maps(scenario: Scenario, gain: GainSchedule):
-    """The Euler step of one atom's state s_u = [x_u, z_u, y_u] as
-    s_u' = own_j s_u + field_j [x_bar, z_bar] + noise_j[u] xi_j, with the
-    bars the weighted atom means and xi_j = [xi_W, xi_V] standard normal.
+    """The Euler step of one atom's state u = [x_u, z_u] as
+    u' = own_j u + field_j [x_bar, z_bar] + noise_j[u] xi_j, with the bars
+    the weighted atom means and xi_j = [xi_W, xi_V] standard normal, and of
+    its observation as y' = own_y_j [x_u, z_u, y] + field_y_j [x_bar, z_bar]
+    + noise_y_j[u] xi_j.
 
-    Returns own (N, S, S), shared by all atoms, field (N, S, 2n) and
-    noise (N, k, S, 2d), S = 2n + m: the step map of the stacked state,
-    kept in blocks so that a step costs O(k) per replication."""
+    Returns the state maps own (N, 2n, 2n), shared by all atoms, field
+    (N, 2n, 2n) and noise (N, k, 2n, 2d), then the observation maps own_y
+    (N, m, 2n + m), field_y (N, m, 2n) and noise_y (N, k, m, 2d): the rows
+    of the step map of the stacked state [x, z, y], kept in blocks so that
+    a step costs O(k) per replication and the observation is stepped only
+    where it is kept."""
     H, M = _closed_loop_drifts(scenario, gain)
     n, m, d = scenario.n, scenario.m, scenario.d
     steps, dt = scenario.grid.n_steps, scenario.grid.dt
     G = gain.values[:steps]
-    xs, zs, ys = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
-    size = 2 * n + m
+    xs, zs = slice(0, n), slice(n, 2 * n)
 
-    own = np.zeros((steps, size, size))
+    own = np.zeros((steps, 2 * n, 2 * n))
     own[:, xs, xs] = np.eye(n) + dt * scenario.A[:steps]
-    own[:, ys, xs] = dt * scenario.C[:steps]
-    own[:, zs, xs] = G @ own[:, ys, xs]
+    own_y = np.zeros((steps, m, 2 * n + m))
+    own_y[:, :, xs] = dt * scenario.C[:steps]
+    own_y[:, :, 2 * n:] = np.eye(m)
+    own[:, zs, xs] = G @ own_y[:, :, xs]
     own[:, zs, zs] = np.eye(n) + dt * H[:steps]
-    own[:, ys, ys] = np.eye(m)
 
-    field = np.zeros((steps, size, 2 * n))
+    field = np.zeros((steps, 2 * n, 2 * n))
     field[:, xs, xs] = dt * scenario.B[:steps]
-    field[:, ys, xs] = dt * scenario.D[:steps]
-    field[:, zs, xs] = G @ field[:, ys, xs]
+    field_y = np.zeros((steps, m, 2 * n))
+    field_y[:, :, xs] = dt * scenario.D[:steps]
+    field[:, zs, xs] = G @ field_y[:, :, xs]
     field[:, zs, zs] = dt * M[:steps]
 
     def loading(per_atom, Q):   # (k, N+1, p, d) -> (N, k, p, d), scaled to one step
         return (per_atom[:, :steps] @ np.linalg.cholesky(Q) * np.sqrt(dt)).transpose(1, 0, 2, 3)
 
-    noise = np.zeros((steps, scenario.n_atoms, size, 2 * d))
+    noise = np.zeros((steps, scenario.n_atoms, 2 * n, 2 * d))
     noise[:, :, xs, :d] = loading(scenario.sigma, scenario.Q)
-    noise[:, :, ys, d:] = loading(scenario.gamma, scenario.Q0)
-    noise[:, :, zs, d:] = G[:, None] @ noise[:, :, ys, d:]
-    return own, field, noise
+    noise_y = np.zeros((steps, scenario.n_atoms, m, 2 * d))
+    noise_y[..., d:] = loading(scenario.gamma, scenario.Q0)
+    noise[:, :, zs, d:] = G[:, None] @ noise_y[..., d:]
+    return (own, field, noise), (own_y, field_y, noise_y)
+
+
+def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading prod(shape) elements of the flat ``buf`` as a contiguous
+    array of that shape."""
+    return buf[:math.prod(shape)].reshape(shape)
 
 
 @dataclass
@@ -176,15 +199,19 @@ class _Moments:
         return cls(count, np.zeros((k, n_nodes, n)), np.zeros((k, n_nodes, n, n)),
                    np.zeros((k, n_nodes, n)), np.zeros((k, n_nodes, n)))
 
-    def record(self, node: int, e: np.ndarray) -> None:
-        """Moments of the error columns ``e`` (k, n, count) at ``node``."""
-        mean = e.mean(axis=2)
-        c = e - mean[..., None]
-        sq = c * c
-        self.mean[:, node] = mean
-        self.sum2[:, node] = c @ c.transpose(0, 2, 1)
-        self.sum3[:, node] = np.einsum("uip,uip->ui", sq, c)
-        self.sum4[:, node] = np.einsum("uip,uip->ui", sq, sq)
+    def record(self, node: int, x: np.ndarray, z: np.ndarray, c: np.ndarray,
+               sq: np.ndarray) -> None:
+        """Moments at ``node`` of the error e = x - z of the columns of
+        ``x`` and ``z`` (k, n, count), computed in the caller's arrays
+        ``c`` (e centered) and ``sq`` (c squared) of that shape."""
+        np.subtract(x, z, out=c)
+        mean = self.mean[:, node]
+        np.mean(c, axis=2, out=mean)
+        c -= mean[..., None]
+        np.multiply(c, c, out=sq)
+        np.matmul(c, c.transpose(0, 2, 1), out=self.sum2[:, node])
+        np.einsum("uip,uip->ui", sq, c, out=self.sum3[:, node])
+        np.einsum("uip,uip->ui", sq, sq, out=self.sum4[:, node])
 
     def __add__(self, other: _Moments) -> _Moments:
         """Moments of both sets together: each set's sums shifted exactly
@@ -203,16 +230,30 @@ class _Moments:
         return _Moments(count, mean, sum2, sum3, sum4)
 
 
-def _draw_chunks(seqs, blocks, steps: int, d: int) -> Iterator[np.ndarray]:
+def _draw_chunks(seqs, blocks, steps: int, d: int, ring: list[np.ndarray],
+                 raw: np.ndarray | None) -> Iterator[np.ndarray]:
     """Standard normals of every block in block order, ``_CHUNK`` steps at
     a time, each as (steps in chunk, 2d, count): per step the state noise
     rows, then the observation noise rows. One (L, 2, count, d) draw gives
-    the numbers, in order, of 2L successive (count, d) draws."""
+    the numbers, in order, of 2L successive (count, d) draws.
+
+    The chunks are drawn in place into the flat buffers of ``ring`` in
+    turn, so a chunk stays valid until ``len(ring) - 1`` more are drawn.
+    For d > 1 a chunk is drawn into ``raw`` first and transposed into its
+    buffer; for d = 1 the two layouts are the same. Nothing is allocated
+    here, so a helper thread that runs this allocates nothing."""
+    slots = itertools.cycle(ring)
     for seq, (_, count) in zip(seqs, blocks):
         rng = np.random.Generator(np.random.Philox(seq))
         for j in range(0, steps, _CHUNK):
-            draws = rng.standard_normal((min(_CHUNK, steps - j), 2, count, d))
-            yield np.ascontiguousarray(draws.transpose(0, 1, 3, 2)).reshape(-1, 2 * d, count)
+            size = min(_CHUNK, steps - j)
+            slot = next(slots)
+            draws = _head(slot if raw is None else raw, size, 2, count, d)
+            rng.standard_normal(out=draws)
+            chunk = _head(slot, size, 2, d, count)
+            if raw is not None:
+                np.copyto(chunk, draws.transpose(0, 1, 3, 2))
+            yield chunk.reshape(size, 2 * d, count)
 
 
 @contextmanager
@@ -234,43 +275,74 @@ def _ahead(items: Iterator, helper: bool):
         yield prefetched()
 
 
-def _simulate_block(scenario: Scenario, maps, count: int, keep: int,
-                    chunks: Iterator[np.ndarray]):
-    """``count`` replications driven by the next draws of ``chunks``:
-    their moments, and the states (N+1, atom, 2n + m, keep) of the first
-    ``keep``. Overflow is not warned of (the caller's errstate) but seen
-    in the values: a state that is not finite raises at its step."""
+class _Work:
+    """Every array that stepping a block writes, allocated once, flat, for
+    blocks of up to ``width`` replications of which up to ``keep`` are
+    kept: the state pair, the noise term and its finiteness mask (k, 2n,
+    count), the atom means and their field term (2n, count), the centered
+    error and its square (k, n, count), and the observation step of the
+    kept replications (k, m, keep), its field term (m, keep) and noise
+    term (k, m, keep). A block of ``count`` replications uses the leading
+    part of each, as a contiguous array (:func:`_head`)."""
+
+    def __init__(self, k: int, n: int, m: int, width: int, keep: int):
+        self.s, self.nxt, self.shocks = (np.empty(k * 2 * n * width) for _ in range(3))
+        self.finite = np.empty(k * 2 * n * width, dtype=bool)
+        self.bars, self.fterm = np.empty(2 * n * width), np.empty(2 * n * width)
+        self.c, self.sq = np.empty(k * n * width), np.empty(k * n * width)
+        self.y, self.y_noise = np.empty(k * m * keep), np.empty(k * m * keep)
+        self.y_field = np.empty(m * keep)
+
+
+def _simulate_block(scenario: Scenario, maps, work: _Work, count: int,
+                    chunks: Iterator[np.ndarray], kept: np.ndarray) -> _Moments:
+    """``count`` replications driven by the next draws of ``chunks``,
+    stepped in ``work``: their moments. The states (N+1, atom, 2n + m,
+    keep) of the first ``keep = kept.shape[3]`` go to ``kept``. Overflow
+    is not warned of (the caller's errstate) but seen in the values: a
+    state that is not finite raises at its step."""
     grid = scenario.grid
-    n, m = scenario.n, scenario.m
-    own, field, noise = maps
+    k, n, m = scenario.n_atoms, scenario.n, scenario.m
+    keep = kept.shape[3]
+    (own, field, noise), (own_y, field_y, noise_y) = maps
     # atom means as exact products summed in atom order: a relabelling
     # of the atoms changes no bit
     weights = scenario.measure.weights[:, None, None]
 
+    s, nxt, shocks = (_head(buf, k, 2 * n, count) for buf in (work.s, work.nxt, work.shocks))
+    finite = _head(work.finite, k, 2 * n, count)
+    bars, fterm = _head(work.bars, 2 * n, count), _head(work.fterm, 2 * n, count)
+    c, sq = _head(work.c, k, n, count), _head(work.sq, k, n, count)
+    y, y_noise = _head(work.y, k, m, keep), _head(work.y_noise, k, m, keep)
+    y_field = _head(work.y_field, m, keep)
     start = scenario.measure.points[:, :, None]
-    s = np.empty((scenario.n_atoms, 2 * n + m, count))
     s[:, :n] = start
-    s[:, n:2 * n] = start
-    s[:, 2 * n:] = start if m == n else 0.0
-    nxt, shocks = np.empty_like(s), np.empty_like(s)
-    moments = _Moments.zeros(scenario.n_atoms, grid.n_nodes, n, count)
-    kept = np.empty((grid.n_nodes,) + s.shape[:2] + (keep,))
-    kept[0] = s[..., :keep]
+    s[:, n:] = start
+    kept[0, :, :2 * n] = s[..., :keep]
+    kept[0, :, 2 * n:] = start if m == n else 0.0
+    moments = _Moments.zeros(k, grid.n_nodes, n, count)
 
     for first in range(0, grid.n_steps, _CHUNK):
         for j, xi in enumerate(next(chunks), start=first):
-            bars = (weights * s[:, :2 * n]).sum(axis=0)
+            np.multiply(weights, s, out=nxt)
+            np.sum(nxt, axis=0, out=bars)
+            if keep:   # the observation, from the state at node j
+                np.matmul(own_y[j], kept[j], out=y)
+                y += np.matmul(field_y[j], bars[:, :keep], out=y_field)
+                y += np.matmul(noise_y[j], xi[:, :keep], out=y_noise)
             np.matmul(own[j], s, out=nxt)
-            nxt += field[j] @ bars
+            nxt += np.matmul(field[j], bars, out=fterm)
             nxt += np.matmul(noise[j], xi, out=shocks)
             s, nxt = nxt, s
-            if not np.all(np.isfinite(s[:, :2 * n])):
+            if not np.isfinite(s, out=finite).all():
                 raise SimulationError(
                     f"simulation blew up at node {j + 1} (t = {grid.nodes[j + 1]:g})"
                 )
-            moments.record(j + 1, s[:, :n] - s[:, n:2 * n])
-            kept[j + 1] = s[..., :keep]
-    return moments, kept
+            moments.record(j + 1, s[:, :n], s[:, n:], c, sq)
+            if keep:
+                kept[j + 1, :, :2 * n] = s[..., :keep]
+                kept[j + 1, :, 2 * n:] = y
+    return moments
 
 
 def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
@@ -281,43 +353,53 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     the gain times the observation increment of the same step. The
     interaction means are recomputed every step from the current atom
     values. Every replication enters the streamed error moments; only the
-    first min(n_paths, KEPT_PATHS) keep their trajectories. Memory is
-    the step maps (N (2n + m)(2n + m + 2kd) floats), the kept
-    trajectories, one 4096-path block with up to three chunks of its
-    normal draws, and a few sets of moments of at most 4 k N n^2 floats
-    each, whatever ``n_paths``. Identical seeds give bitwise identical
-    ensembles, whatever ``MFK_THREADS`` is. A negative seed, a state that
-    is not finite, or error moments that are not finite (a state too large
-    to square) raise :class:`SimulationError` naming the node, and no
-    overflow escapes as a warning.
+    first min(n_paths, KEPT_PATHS) keep their trajectories, and only those
+    step their observation. Memory is the step maps (at most
+    N (2n + m)(4n + 2kd) floats), the kept trajectories, a few sets of
+    moments of at most 4 k N n^2 floats each, and a working set allocated
+    once, on the calling thread, before any step: three draw buffers of
+    ``_CHUNK`` steps of normals for one block of up to 4096 paths, and that
+    block's state [x, z] and scratch arrays. Nothing is allocated per chunk or per
+    step, whatever ``n_paths``. Identical seeds give bitwise identical
+    ensembles, whatever ``MFK_THREADS`` is. An ``n_paths`` or ``seed`` that
+    is not an integer (a bool included), a negative seed, a state that is
+    not finite, or error moments that are not finite (a state too large to
+    square) raise :class:`SimulationError` naming the argument or the node,
+    and no overflow escapes as a warning.
     """
+    for name, value in (("n_paths", n_paths), ("seed", seed)):
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+            raise SimulationError(f"{name} must be an integer, got {value!r}")
     if n_paths < 1:
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
     if seed < 0:
         raise SimulationError(f"seed must be >= 0, got {seed}")
     maps = _step_maps(scenario, gain)
+    grid, k, n, m, d = scenario.grid, scenario.n_atoms, scenario.n, scenario.m, scenario.d
 
     blocks = [(b, min(_BLOCK, n_paths - b)) for b in range(0, n_paths, _BLOCK)]
     seqs = np.random.SeedSequence(seed).spawn(len(blocks))
-    draws = _draw_chunks(seqs, blocks, scenario.grid.n_steps, scenario.d)
-    total, kept = None, []
+    width, n_kept = blocks[0][1], min(n_paths, KEPT_PATHS)
+    work = _Work(k, n, m, width, min(width, n_kept))
+    ring = [np.empty(_CHUNK * 2 * d * width) for _ in range(_RING)]
+    raw = np.empty(_CHUNK * 2 * d * width) if d > 1 else None
+    kept = np.empty((grid.n_nodes, k, 2 * n + m, n_kept))
+    draws = _draw_chunks(seqs, blocks, grid.n_steps, d, ring, raw)
+    total = None
     quiet = np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
     with _ahead(draws, worker_count() > 1) as chunks, quiet:
         for start, count in blocks:
-            keep = min(max(KEPT_PATHS - start, 0), count)
-            moments, states = _simulate_block(scenario, maps, count, keep, chunks)
+            moments = _simulate_block(scenario, maps, work, count, chunks,
+                                      kept[..., start:start + count])
             total = moments if total is None else total + moments
-            kept.append(states)
-    bad = np.zeros(scenario.grid.n_nodes, dtype=bool)
+    bad = np.zeros(grid.n_nodes, dtype=bool)
     for arr in (total.mean, total.sum2, total.sum4):
         bad |= ~np.isfinite(arr.reshape(arr.shape[:2] + (-1,))).all(axis=(0, 2))
     if bad.any():
         j = int(np.argmax(bad))
         raise SimulationError(f"error moments are not finite at node {j} "
-                              f"(t = {scenario.grid.nodes[j]:g})")
-    kept = np.concatenate(kept, axis=3)
+                              f"(t = {grid.nodes[j]:g})")
 
-    n = scenario.n
     # (node, atom, row, replication) -> (replication, atom, node, row)
     x, z, y = (np.ascontiguousarray(kept[:, :, rows].transpose(3, 1, 0, 2))
                for rows in (slice(0, n), slice(n, 2 * n), slice(2 * n, None)))
@@ -325,7 +407,7 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
                   sum4=total.sum4)
     for arr in arrays.values():
         arr.setflags(write=False)
-    return PathEnsemble(grid=scenario.grid, seed=int(seed), n_paths=int(n_paths), **arrays)
+    return PathEnsemble(grid=grid, seed=int(seed), n_paths=int(n_paths), **arrays)
 
 
 def empirical_statistics(ensemble: PathEnsemble) -> EmpiricalStats:

@@ -52,6 +52,8 @@ from .system_model import Scenario, measure_averages
 __all__ = ["CriterionResult", "ValidationSuite", "write_csv", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20240901
+_BAND = 16  # kernel rows read from the O(N) tables at a time by the export
+            # and the rate residuals: O(16 N) memory
 
 
 @dataclass
@@ -100,20 +102,23 @@ def _meta(scenario: Scenario, seed: int, extra: dict | None = None) -> dict:
             "version": __version__, **(extra or {})}
 
 
-def _triangle_rows(labels: list[str], values: np.ndarray):
-    """(t, s, value) rows of the lower triangle, row by row, with the
-    nodes as their formatted labels."""
-    for i, t in enumerate(labels):
-        yield from zip(repeat(t), labels, values[i, : i + 1].tolist())
-
-
 def _dump_kernels(out: Path, bundle, seed: int) -> None:
-    """Lower triangles of phi, psi and f as t,s,value rows."""
+    """Lower triangles of phi, psi and f as t,s,value rows, each file
+    written from bands of ``_BAND`` rows read from the bundle's O(N) tables
+    (:meth:`~mfkalman.kernels.ScalarTables.entries`): no triangle is
+    built."""
     labels = ["%.17g" % t for t in bundle.grid.nodes.tolist()]
     meta = _meta(bundle.scenario, seed)
-    for name, kernel in (("kernel_phi.csv", bundle.phi), ("kernel_psi.csv", bundle.psi),
-                         ("kernel_f.csv", bundle.f)):
-        write_csv(out / name, "t,s,value", _triangle_rows(labels, kernel.values), meta)
+
+    def rows(kernel: int):
+        for a in range(0, len(labels), _BAND):
+            stop = min(a + _BAND, len(labels))
+            band = bundle.entries(np.arange(a, stop)[:, None], np.arange(stop))[kernel]
+            for i, values in enumerate(band.tolist(), start=a):
+                yield from zip(repeat(labels[i]), labels, values[: i + 1])
+
+    for kernel, name in enumerate(("kernel_phi.csv", "kernel_psi.csv", "kernel_f.csv")):
+        write_csv(out / name, "t,s,value", rows(kernel), meta)
 
 
 def _dump_optimizer(out: Path, scenario: Scenario, report, seed: int) -> None:
@@ -128,15 +133,22 @@ def _dump_optimizer(out: Path, scenario: Scenario, report, seed: int) -> None:
 
 def _rate_residuals(bundle) -> tuple[float, float]:
     """Sup over interior nodes of the central-difference residuals of the
-    scalar rate equations d/dt f = M phi + H f and d/dt psi = H psi."""
-    Fv, Pv, Sv = bundle.f.values, bundle.phi.values, bundle.psi.values
-    dt = bundle.grid.dt
-    mid = slice(1, len(Fv) - 1)
-    M, H = bundle.M.reshape(-1, 1)[mid], bundle.H.reshape(-1, 1)[mid]
-    below = np.tri(len(Fv), k=-1, dtype=bool)[mid]   # the cells j < i
-    f_rate = (Fv[2:] - Fv[:-2]) / (2 * dt) - M * Pv[mid] - H * Fv[mid]
-    psi_rate = (Sv[2:] - Sv[:-2]) / (2 * dt) - H * Sv[mid]
-    return float(np.max(np.abs(f_rate[below]))), float(np.max(np.abs(psi_rate[below])))
+    scalar rate equations d/dt f = M phi + H f and d/dt psi = H psi, on
+    the cells below the diagonal. The kernels are read from the bundle's
+    O(N) tables ``_BAND`` rows at a time, so no triangle is built."""
+    dt, last = bundle.grid.dt, bundle.grid.n_steps
+    M, H = bundle.M.reshape(-1, 1), bundle.H.reshape(-1, 1)
+    sups = []
+    for a in range(1, last, _BAND):
+        mid = np.arange(a, min(a + _BAND, last))   # the band's interior rows i
+        cols = np.arange(mid[-1])
+        Pv, Sv, Fv = bundle.entries(np.arange(a - 1, mid[-1] + 2)[:, None], cols)
+        below = cols < mid[:, None]   # the cells j < i
+        f_rate = (Fv[2:] - Fv[:-2]) / (2 * dt) - M[mid] * Pv[1:-1] - H[mid] * Fv[1:-1]
+        psi_rate = (Sv[2:] - Sv[:-2]) / (2 * dt) - H[mid] * Sv[1:-1]
+        sups.append((np.max(np.abs(f_rate[below])), np.max(np.abs(psi_rate[below]))))
+    f_sup, psi_sup = np.max(sups, axis=0)
+    return float(f_sup), float(psi_sup)
 
 
 def _rate_residual(K: np.ndarray, K1: np.ndarray, dt: float) -> float:
@@ -289,14 +301,13 @@ class ValidationSuite:
         scen = classical_scenario(steps=200)
         gain = GainSchedule.from_callable(scen.grid, np.tanh)
         bundle = kernel_bundle(scen, gain)
-        psi = bundle.psi.values
-        n = scen.grid.n_steps
-        stride = max(1, n // 40)
+        nodes = np.arange(0, scen.grid.n_nodes, max(1, scen.grid.n_steps // 40))
+        psi = bundle.entries(nodes[:, None], nodes[None, :])[1]   # on every stride-th node
         worst = 0.0
-        for i in range(0, n + 1, stride):
-            for k in range(0, i + 1, stride):
-                lhs = psi[i, k] * psi[k, : k + 1:stride]
-                worst = max(worst, float(np.max(np.abs(lhs - psi[i, : k + 1:stride]))))
+        for i in range(len(nodes)):
+            for k in range(i + 1):
+                lhs = psi[i, k] * psi[k, : k + 1]
+                worst = max(worst, float(np.max(np.abs(lhs - psi[i, : k + 1]))))
         semigroup_ok = worst <= 1e-10
         details.append(f"semigroup deviation {worst:.3e} (tol 1e-10)")
 

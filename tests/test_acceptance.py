@@ -5,9 +5,11 @@ exercises the command wiring) backs all criterion assertions; each test
 prints the criterion's pass/fail line and supporting detail.
 """
 
+import collections
 import contextlib
 import io
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +17,17 @@ import pytest
 import mfkalman
 from mfkalman import (
     GainSchedule,
+    build_scenario,
     classical_scenario,
+    dirac_measure,
     kernel_bundle,
+    make_grid,
     riccati_classical,
     scenario_hash,
+    validation,
 )
 from mfkalman.cli import main
-from mfkalman.validation import DEFAULT_SEED, _dump_kernels, write_csv
+from mfkalman.validation import DEFAULT_SEED, _dump_kernels, _rate_residuals, write_csv
 
 
 @pytest.fixture(scope="session")
@@ -193,14 +199,62 @@ def test_kernels_command_matches_reference_rendering(tmp_path):
 
 
 def test_dump_kernels_streams_its_rows(tmp_path):
-    # the rows go to the file as they are made: neither the rows nor the
-    # text of a file is held whole (6.4 MB at N = 200 when they were)
+    # the rows go to the file as they are made, each read from the O(N)
+    # tables: neither the rows, nor the text of a file, nor a triangle is
+    # held whole (6.4 MB at N = 200 when the rows and text were; 64 kB now)
     bundle = _tanh_bundle(200)
-    _dump_kernels(tmp_path, bundle, 1)   # builds the triangles, imports on first use
+    _dump_kernels(tmp_path, bundle, 1)   # imports on first use
     tracemalloc.start()
     try:
         _dump_kernels(tmp_path, bundle, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.2e6
+    assert peak < 0.5e6
+    assert not {"phi", "psi", "f"} & set(vars(bundle))
+
+
+def test_kernel_export_memory_is_linear_in_n(monkeypatch):
+    # the export and the rate residuals read rows i - 1, i, i + 1 from the
+    # O(N) tables, so at N = 1500 they take O(N) memory, not the ~110 MB
+    # of (N+1)^2 triangles. write_csv only drains the rows here: formatting
+    # 3.4 million rows under tracemalloc takes about a minute, and the
+    # test above pins that it streams
+    monkeypatch.setattr(validation, "write_csv",
+                        lambda path, header, rows, meta: collections.deque(rows, maxlen=0))
+    bundle = _tanh_bundle(1500)
+    tracemalloc.start()
+    try:
+        _dump_kernels(Path("unused"), bundle, 1)
+        _rate_residuals(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert not {"phi", "psi", "f"} & set(vars(bundle))
+
+
+def _triangle_rate_residuals(bundle) -> tuple[float, float]:
+    """:func:`_rate_residuals` over the whole dense triangles at once."""
+    Fv, Pv, Sv = bundle.f.values, bundle.phi.values, bundle.psi.values
+    dt = bundle.grid.dt
+    mid = slice(1, len(Fv) - 1)
+    M, H = bundle.M.reshape(-1, 1)[mid], bundle.H.reshape(-1, 1)[mid]
+    below = np.tri(len(Fv), k=-1, dtype=bool)[mid]   # the cells j < i
+    f_rate = (Fv[2:] - Fv[:-2]) / (2 * dt) - M * Pv[mid] - H * Fv[mid]
+    psi_rate = (Sv[2:] - Sv[:-2]) / (2 * dt) - H * Sv[mid]
+    return float(np.max(np.abs(f_rate[below]))), float(np.max(np.abs(psi_rate[below])))
+
+
+@pytest.mark.parametrize("case", ["tanh", "rough", "unstable"])
+def test_rate_residuals_equal_the_triangle_form(case, rough_pack):
+    if case == "tanh":
+        bundle = _tanh_bundle(120)
+    elif case == "rough":
+        scen, _, gain, _ = rough_pack
+        bundle = kernel_bundle(scen, gain)
+    else:   # the kernels overflow near t = 35: NaN residuals, as the triangles give
+        scen = build_scenario(make_grid(50.0, 400), measure=dirac_measure(0.0), A=20.0)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(_rate_residuals(bundle), _triangle_rate_residuals(bundle))

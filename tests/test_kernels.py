@@ -238,6 +238,26 @@ class TestKernelBundle:
         for kernel in (bundle.phi, bundle.psi, bundle.f):
             assert np.all(np.isfinite(kernel.values)) == (not unstable)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("unstable", [False, True], ids=["rough", "unstable"])
+    def test_entries_rows_are_the_triangle_rows(self, rough_pack, unstable):
+        # every row of all three kernels, and a strided sub-grid, equal the
+        # triangles bit for bit (NaN where f's is), read before any is built
+        if unstable:
+            scen = scalar_scenario(grid=make_grid(50.0, 400), A=20.0)
+            gain = zero_gain(scen)
+        else:
+            scen, _, gain, _ = rough_pack
+        bundle = kernel_bundle(scen, gain)
+        nodes = np.arange(scen.grid.n_nodes)
+        rows = [bundle.entries(i, nodes[: i + 1]) for i in nodes]
+        grid = bundle.entries(nodes[::7, None], nodes[None, ::7])
+        assert not {"phi", "psi", "f"} & set(vars(bundle))
+        for k, kernel in enumerate((bundle.phi, bundle.psi, bundle.f)):
+            for i, row in enumerate(rows):
+                np.testing.assert_array_equal(row[k], kernel.values[i, : i + 1])
+            np.testing.assert_array_equal(grid[k], kernel.values[::7, ::7])
+
 
 def _frame_starts(E):
     """First nodes of the frames of :func:`_running_integral`: a frame

@@ -1,9 +1,14 @@
-"""The ``python`` examples of ``README.md`` run against the library as it
-is. They are read from source and executed block by block, so that a
-changed signature cannot leave the README stale."""
+"""``README.md`` against the library as it is. Its ``python`` examples are
+read from source and executed block by block, so that a changed signature
+cannot leave the README stale, and the simulator sizes it quotes are the
+code's constants."""
 
 import re
 from pathlib import Path
+
+import pytest
+
+from mfkalman import simulation
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +18,20 @@ def test_python_examples_run():
     assert blocks
     for k, block in enumerate(blocks):
         exec(compile(block, f"{_README.name}, python block {k}", "exec"), {})
+
+
+_NUMBER_WORDS = {"one": 1, "two": 2, "three": 3, "four": 4, "five": 5}
+
+
+@pytest.mark.parametrize("patterns,value", [
+    ((r"(\d+)-path block",), simulation._BLOCK),
+    ((r"(\d+)-step chunk", r"(\d+) steps at a time"), simulation._CHUNK),
+    ((r"first (\d+) replications",), simulation.KEPT_PATHS),
+    ((r"(\w+) draw buffers",), simulation._RING),
+], ids=["block", "chunk", "kept", "ring"])
+def test_simulator_numbers_match_the_code(patterns, value):
+    # every place the README quotes one of these numbers quotes the code's
+    text = " ".join(_README.read_text().split())   # one line, so a match may wrap
+    found = [m for p in patterns for m in re.findall(p, text)]
+    assert found
+    assert {int(_NUMBER_WORDS.get(m, m)) for m in found} == {value}

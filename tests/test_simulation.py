@@ -1,5 +1,6 @@
 import inspect
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -22,6 +23,7 @@ from mfkalman import (
 from mfkalman import simulation
 from mfkalman.covariance import covariance_profile
 from mfkalman.gain import riccati_normal_flow
+from mfkalman.kernels import _closed_loop_drifts
 from mfkalman.scenarios import classical_scenario, cross_pairing_probe, normal_flow_scenario
 from mfkalman.simulation import SimulationError, worker_count
 
@@ -200,6 +202,28 @@ class TestSimulateEnsemble:
         with pytest.raises(SimulationError, match="seed must be >= 0, got -3"):
             simulate_ensemble(classical_small, gain, n_paths=4, seed=-3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,value", [
+        ("n_paths", True), ("seed", True), ("n_paths", np.True_), ("n_paths", 2.5),
+        ("n_paths", "5"), ("seed", 1.5), ("seed", np.float64(3.0)), ("seed", None)])
+    def test_non_integer_count_or_seed_rejected_before_any_work(self, classical_small,
+                                                                 monkeypatch, name, value):
+        def no_work(*args):
+            raise AssertionError("the step maps were built")
+
+        monkeypatch.setattr(simulation, "_step_maps", no_work)
+        kwargs = {"n_paths": 4, "seed": 0, name: value}
+        with pytest.raises(SimulationError,
+                           match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            simulate_ensemble(classical_small, GainSchedule.constant(classical_small.grid, 0.0),
+                              **kwargs)
+
+    def test_numpy_integers_accepted(self, classical_small):
+        gain = GainSchedule.constant(classical_small.grid, 0.3)
+        ens = simulate_ensemble(classical_small, gain, n_paths=np.int64(12), seed=np.uint8(5))
+        assert (ens.n_paths, ens.seed) == (12, 5)
+        _assert_same_ensemble(ens, simulate_ensemble(classical_small, gain, n_paths=12, seed=5))
+
     def test_input_validation(self, classical_small):
         gain = GainSchedule.constant(classical_small.grid, 0.0)
         with pytest.raises(SimulationError):
@@ -261,6 +285,53 @@ class TestDrawAhead:
                                      n_paths=4200, seed=3)
         assert drawers and threading.get_ident() not in drawers
         assert callers == {threading.get_ident()}
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", ["classical", "matrix"])   # d = 1 and d = 2
+    def test_draws_live_in_caller_owned_buffers(self, monkeypatch, threads, case):
+        # the buffers are made by the caller before the drawing starts, and
+        # every chunk is drawn into one of them: no array per chunk
+        if case == "classical":
+            scen, value = classical_scenario(steps=100), 0.3
+        else:
+            scen, value = _two_atom_matrix_scenario(100), np.array([[0.5, 0.1], [-0.2, 0.2]])
+        gain = GainSchedule.constant(scen.grid, value, scen.n, scen.m)
+        draw_chunks = simulation._draw_chunks
+        calls, chunks = [], []
+
+        def recorded_draws(*args):
+            calls.append([a for arg in args for a in (arg if isinstance(arg, list) else [arg])
+                          if isinstance(a, np.ndarray)])
+            for chunk in draw_chunks(*args):
+                chunks.append(chunk)
+                yield chunk
+
+        monkeypatch.setattr(simulation, "_draw_chunks", recorded_draws)
+        monkeypatch.setenv("MFK_THREADS", threads)
+        simulation.simulate_ensemble(scen, gain, n_paths=4200, seed=3)
+        (buffers,) = calls
+        assert len(chunks) == 2 * 13 > 3
+        for chunk in chunks:
+            homes = [b for b in buffers if np.shares_memory(chunk, b)]
+            assert len(homes) == 1
+        assert len({id(b) for c in chunks for b in buffers if np.shares_memory(c, b)}) <= 3
+
+    def test_ring_outlasts_the_draw_ahead(self, monkeypatch):
+        # the helper fills the next buffer while the caller steps the last
+        # one; with threads switched as often as the interpreter can, a
+        # chunk rewritten while still in use would change the ensemble
+        scen = classical_scenario(steps=101)
+        gain = GainSchedule.constant(scen.grid, 0.3)
+        monkeypatch.setenv("MFK_THREADS", "1")
+        want = simulate_ensemble(scen, gain, n_paths=8200, seed=2)
+        monkeypatch.setenv("MFK_THREADS", "2")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_ensemble(scen, gain, n_paths=8200, seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_same_ensemble(got, want)
 
 
 class TestEmpiricalStatistics:
@@ -327,6 +398,100 @@ def _two_atom_matrix_scenario(steps, points=((-1.0, 0.5), (1.0, -0.5)), weights=
         sigma=lambda u, t: np.array([[0.9 + 0.2 * u[0], 0.1], [0.0, 1.1]]),
         gamma=lambda u, t: np.array([[1.0, 0.1 * u[0]], [0.0, 0.8]]),
         Q=np.array([[1.0, 0.3], [0.3, 0.8]]), Q0=np.eye(2))
+
+
+def _full_state_ensemble(scen, gain, n_paths: int, seed: int) -> dict:
+    """The engine before its fixed working set, kept as the reference of
+    the bitwise test: every replication steps the whole state [x, z, y]
+    by the (2n + m)-square step map, and each chunk of draws is a new
+    array. Returns the arrays of a :class:`PathEnsemble`."""
+    H, M = _closed_loop_drifts(scen, gain)
+    n, m, d, k = scen.n, scen.m, scen.d, scen.n_atoms
+    steps, dt = scen.grid.n_steps, scen.grid.dt
+    G = gain.values[:steps]
+    xs, zs, ys = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
+    size = 2 * n + m
+    own = np.zeros((steps, size, size))
+    own[:, xs, xs] = np.eye(n) + dt * scen.A[:steps]
+    own[:, ys, xs] = dt * scen.C[:steps]
+    own[:, zs, xs] = G @ own[:, ys, xs]
+    own[:, zs, zs] = np.eye(n) + dt * H[:steps]
+    own[:, ys, ys] = np.eye(m)
+    field = np.zeros((steps, size, 2 * n))
+    field[:, xs, xs] = dt * scen.B[:steps]
+    field[:, ys, xs] = dt * scen.D[:steps]
+    field[:, zs, xs] = G @ field[:, ys, xs]
+    field[:, zs, zs] = dt * M[:steps]
+
+    def loading(per_atom, Q):
+        return (per_atom[:, :steps] @ np.linalg.cholesky(Q) * np.sqrt(dt)).transpose(1, 0, 2, 3)
+
+    noise = np.zeros((steps, k, size, 2 * d))
+    noise[:, :, xs, :d] = loading(scen.sigma, scen.Q)
+    noise[:, :, ys, d:] = loading(scen.gamma, scen.Q0)
+    noise[:, :, zs, d:] = G[:, None] @ noise[:, :, ys, d:]
+
+    weights = scen.measure.weights[:, None, None]
+    start = scen.measure.points[:, :, None]
+    width = simulation._BLOCK
+    blocks = [(b, min(width, n_paths - b)) for b in range(0, n_paths, width)]
+    total, kept = None, []
+    for seq, (first, count) in zip(np.random.SeedSequence(seed).spawn(len(blocks)), blocks):
+        rng = np.random.Generator(np.random.Philox(seq))
+        s = np.empty((k, size, count))
+        s[:, :n] = start
+        s[:, n:2 * n] = start
+        s[:, 2 * n:] = start if m == n else 0.0
+        keep = min(max(simulation.KEPT_PATHS - first, 0), count)
+        moments = simulation._Moments.zeros(k, scen.grid.n_nodes, n, count)
+        states = [s[..., :keep].copy()]
+        for j0 in range(0, steps, simulation._CHUNK):
+            draws = rng.standard_normal((min(simulation._CHUNK, steps - j0), 2, count, d))
+            chunk = np.ascontiguousarray(draws.transpose(0, 1, 3, 2)).reshape(-1, 2 * d, count)
+            for j, xi in enumerate(chunk, start=j0):
+                bars = (weights * s[:, :2 * n]).sum(axis=0)
+                s = own[j] @ s + field[j] @ bars + noise[j] @ xi
+                e = s[:, :n] - s[:, n:2 * n]
+                mean = e.mean(axis=2)
+                c = e - mean[..., None]
+                sq = c * c
+                moments.mean[:, j + 1] = mean
+                moments.sum2[:, j + 1] = c @ c.transpose(0, 2, 1)
+                moments.sum3[:, j + 1] = np.einsum("uip,uip->ui", sq, c)
+                moments.sum4[:, j + 1] = np.einsum("uip,uip->ui", sq, sq)
+                states.append(s[..., :keep].copy())
+        total = moments if total is None else total + moments
+        kept.append(np.stack(states))
+    kept = np.concatenate(kept, axis=3)
+    x, z, y = (kept[:, :, rows].transpose(3, 1, 0, 2) for rows in (xs, zs, ys))
+    return dict(x=x, y=y, z=z, e=x - z, mean=total.mean, sum2=total.sum2, sum4=total.sum4)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case,n_paths", [
+    ("classical", 4100), ("probe", 4100), ("normal-flow", 4100), ("matrix", 4100),
+    ("matrix", 1), ("probe", 3)])
+def test_engine_bitwise_equals_full_state_reference(monkeypatch, threads, case, n_paths):
+    # x, z and the moments come from the 2n rows [x, z] alone, and y only
+    # for the kept replications, in the reference's order of operations;
+    # 4100 paths make a full block and a short one, 37 steps a short chunk
+    if case == "classical":
+        scen = classical_scenario(steps=37)
+        gain = GainSchedule.from_callable(scen.grid, np.tanh)
+    elif case == "probe":
+        scen = cross_pairing_probe(steps=37)
+        gain = GainSchedule.constant(scen.grid, 0.7)
+    elif case == "normal-flow":
+        scen = normal_flow_scenario(steps=37)
+        gain = riccati_normal_flow(0.0, 1.0, scen.grid).gain()
+    else:   # three atoms, n = m = d = 2
+        scen = _two_atom_matrix_scenario(37, points=((-1.0, 0.5), (1.0, -0.5), (0.2, 0.3)),
+                                         weights=(0.3, 0.5, 0.2))
+        gain = GainSchedule.constant(scen.grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
+    monkeypatch.setenv("MFK_THREADS", threads)
+    ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
+    for name, want in _full_state_ensemble(scen, gain, n_paths, 8).items():
+        assert np.array_equal(getattr(ens, name), want), name
 
 
 class TestStreamedMoments:
