@@ -6,9 +6,10 @@ criterion C7 can report how far each form lies from its oracle
 (``arbitration.csv``): the covariance cross pairing, sigma-bar instead of
 gamma-bar (Monte Carlo); the mixed-kernel derivative density (central
 differences of ``f``); the sensitivity kernel's weights (the
-central-difference cost slope). The adopted kernel derivatives, which only
-that arbitration reads, sit next to their printed form. Every form here is
-O(N) time and memory: the printed gradient is nine running sums, like
+central-difference cost slope). The adopted mixed-kernel derivative,
+which only that arbitration reads, sits next to its printed form; no
+other kernel derivative is kept. Every form here is O(N) time and
+memory: the printed gradient is nine running sums, like
 :func:`~mfkalman.covariance.cost_gradient`, and no kernel triangle is
 built. Values that overflow raise
 :class:`~mfkalman.system_model.NonFiniteError` naming the stage and node,
@@ -31,8 +32,6 @@ from .numerics import cumulative_trapezoid, trapezoid
 from .system_model import BarQuantities, NonFiniteError, Scenario, ScenarioError, check_finite
 
 __all__ = [
-    "phi_direction",
-    "psi_direction",
     "f_direction",
     "f_direction_transcribed",
     "covariance_profile_transcribed",
@@ -79,23 +78,10 @@ def _direction(tb: ScalarTables, i: int, j: int, beta: np.ndarray, rate: np.ndar
     return float(trapezoid(density * beta[ks], tb.grid.dt))
 
 
-def phi_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
-    """Derivative of phi(t_i, t_j) along the gain direction ``beta``: the
-    gain enters the generator H + M as -(C + D) gain."""
-    return _cell("phi_direction", bundle, i, j,
-                 lambda tb: _direction(tb, i, j, beta, tb.C + tb.D, tb.lhm))
-
-
-def psi_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
-    """Derivative of psi(t_i, t_j) along ``beta``: the gain enters H as
-    -C gain."""
-    return _cell("psi_direction", bundle, i, j,
-                 lambda tb: _direction(tb, i, j, beta, tb.C, tb.lh))
-
-
 def f_direction(bundle: KernelBundle, i: int, j: int, beta: np.ndarray) -> float:
     """Adopted derivative of the mixed kernel f = phi - psi at (t_i, t_j)
-    along ``beta``: that of phi minus that of psi."""
+    along ``beta``: that of phi, whose generator H + M holds -(C + D) gain,
+    minus that of psi, whose generator H holds -C gain."""
     return _cell("f_direction", bundle, i, j,
                  lambda tb: (_direction(tb, i, j, beta, tb.C + tb.D, tb.lhm)
                              - _direction(tb, i, j, beta, tb.C, tb.lh)))

@@ -20,19 +20,19 @@ from .gain import optimize_gain
 from .kernels import GainSchedule, kernel_bundle
 from .scenarios import resolve_scenario
 from .simulation import empirical_statistics, simulate_ensemble
-from .system_model import measure_averages
 from .validation import (
     DEFAULT_SEED,
     ValidationSuite,
-    _covariance_rows,
     _dump_kernels,
     _dump_optimizer,
     _gradcheck,
     _meta,
-    _path_rows,
     _rate_residuals,
     _reference,
-    _write_gradcheck,
+    _smooth_directions,
+    _write_covariance,
+    _write_paths,
+    _write_report,
     write_csv,
 )
 
@@ -136,16 +136,16 @@ def _prepare_out(out: str, names: list[str], force: bool) -> Path:
 
 
 def _load(args):
+    """The scenario of ``args``, refused in matrix mode: CSV export
+    supports scalar scenarios."""
     try:
-        return resolve_scenario(args.scenario, steps=args.steps)
+        scenario = resolve_scenario(args.scenario, steps=args.steps)
     except Exception as exc:
         raise CliError("scenario", str(exc)) from exc
-
-
-def _require_scalar(scenario, stage: str):
     if not scenario.scalar_mode:
-        raise CliError(stage, "CSV export supports scalar scenarios; "
-                              "use the library API for matrix systems")
+        raise CliError(args.command, "CSV export supports scalar scenarios; "
+                                     "use the library API for matrix systems")
+    return scenario
 
 
 def _gain_for(args, scenario) -> GainSchedule:
@@ -157,20 +157,12 @@ def _gain_for(args, scenario) -> GainSchedule:
     return ref.gain()
 
 
-def _write_report(path: Path, scenario, seed, lines: list[str]) -> None:
-    header = [f"# {k}={v}" for k, v in _meta(scenario, seed).items()]
-    path.write_text("\n".join(header + lines) + "\n")
-
-
 def _cmd_simulate(args) -> int:
     scenario = _load(args)
-    _require_scalar(scenario, "simulate")
     out = _prepare_out(args.out, ["paths.csv", "statistics.csv"], args.force)
     gain = _gain_for(args, scenario)
     ens = simulate_ensemble(scenario, gain, n_paths=args.paths, seed=args.seed)
-    write_csv(out / "paths.csv", "rep,atom,t,x,y,z,e",
-              _path_rows(scenario, ens, len(ens.x), 1),   # the kept replications
-              _meta(scenario, args.seed, {"n_paths": args.paths}))
+    _write_paths(out / "paths.csv", scenario, ens, args.seed, len(ens.x), 1)  # the kept ones
     st = empirical_statistics(ens)
     t = scenario.grid.nodes.tolist()
     rows = [(a, *row) for a in range(scenario.n_atoms)
@@ -184,7 +176,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_kernels(args) -> int:
     scenario = _load(args)
-    _require_scalar(scenario, "kernels")
     names = ["kernel_phi.csv", "kernel_psi.csv", "kernel_f.csv", "kernels_report.txt"]
     out = _prepare_out(args.out, names, args.force)
     gain = _gain_for(args, scenario)
@@ -201,10 +192,9 @@ def _cmd_kernels(args) -> int:
 
 def _cmd_covariance(args) -> int:
     scenario = _load(args)
-    _require_scalar(scenario, "covariance")
     out = _prepare_out(args.out, ["covariance.csv", "covariance_report.txt"], args.force)
-    rows, worst = _covariance_rows(scenario, _gain_for(args, scenario))
-    write_csv(out / "covariance.csv", "atom,t,K", rows, _meta(scenario, args.seed))
+    worst = _write_covariance(out / "covariance.csv", scenario, _gain_for(args, scenario),
+                              args.seed)
     _write_report(out / "covariance_report.txt", scenario, args.seed, [
         f"rate-consistency relative residual (sup, interior): {worst:.6e}",
     ])
@@ -214,12 +204,11 @@ def _cmd_covariance(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     scenario = _load(args)
-    _require_scalar(scenario, "gradcheck")
     out = _prepare_out(args.out, ["gradcheck.csv", "gradient.csv"], args.force)
     gain = _gain_for(args, scenario)
-    g, rows = _gradcheck(scenario, gain, measure_averages(scenario), args.directions,
-                         args.seed, args.eps)
-    _write_gradcheck(out, scenario, g, rows, args.seed, args.eps)
+    rows = _gradcheck(out, scenario, gain,
+                      _smooth_directions(scenario.grid, args.directions, args.seed),
+                      args.seed, args.eps)
     worst = max(r[3] for r in rows)
     print(f"gradcheck: {len(rows)} directions, max |pairing - fd| = {worst:.3e}")
     return 0
@@ -227,7 +216,6 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_optimize(args) -> int:
     scenario = _load(args)
-    _require_scalar(scenario, "optimize")
     names = ["optimizer_trajectory.csv", "optimizer_gain.csv", "filter.csv",
              "optimizer_report.txt"]
     out = _prepare_out(args.out, names, args.force)

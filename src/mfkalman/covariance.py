@@ -72,7 +72,7 @@ from .kernels import (
     StepPropagators,
     kernel_bundle,
 )
-from .numerics import TimeGrid, trapezoid
+from .numerics import TimeGrid, _integer, trapezoid
 from .system_model import BarQuantities, Scenario, ScenarioError, check_finite
 
 __all__ = [
@@ -109,10 +109,8 @@ class GradientField:
 
 
 def _atom_index(scenario: Scenario, atom) -> int:
-    if not (isinstance(atom, (int, np.integer)) and 0 <= atom < scenario.n_atoms):
-        raise ScenarioError(f"atom index {atom!r} out of range: the measure has "
-                            f"{scenario.n_atoms} atoms")
-    return int(atom)
+    return _integer(atom, ScenarioError, f"atom index {atom!r} out of range: the measure "
+                                         f"has {scenario.n_atoms} atoms", 0, scenario.n_atoms)
 
 
 class _ScalarWeights:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .covariance import GradientField, cost_gradient, trace_cost
 from .kernels import GainSchedule, kernel_bundle
-from .numerics import TimeGrid
+from .numerics import TimeGrid, _integer
 from .system_model import (
     BarQuantities,
     NonFiniteError,
@@ -144,8 +144,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         raise ScenarioError("gain optimization requires a scalar scenario")
     if grad_tol is not None and not 0.0 < grad_tol < np.inf:
         raise ScenarioError(f"grad_tol must be finite and positive, got {grad_tol!r}")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
-        raise ScenarioError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _integer(max_iter, ScenarioError, f"max_iter must be an integer >= 1, got {max_iter!r}", 1)
     if bars is None:
         bars = measure_averages(scenario)
     gain = GainSchedule.constant(scenario.grid, 0.0) if initial_gain is None else initial_gain

@@ -27,8 +27,9 @@ one linear system with generator [[H + M, 0], [M, H]] and transition
 step, are the O(N) tables (:class:`StepPropagators`). Either table is the
 :class:`KernelBundle` that :func:`kernel_bundle` returns, bound to the
 scenario and gain it was built for, and its dense lower triangles are
-generated only when a caller reads them. The kernels' gain derivatives
-serve only the formula arbitration and live in :mod:`mfkalman.arbitration`.
+generated only when a caller reads them. The mixed kernel's gain
+derivative serves only the formula arbitration and lives in
+:mod:`mfkalman.arbitration`.
 """
 
 from __future__ import annotations
@@ -110,13 +111,6 @@ def _exp_differences(x: np.ndarray, i, j) -> np.ndarray:
         return np.exp(np.where(j <= i, x[i] - x[j], -np.inf))
 
 
-def _lower_exp(x: np.ndarray) -> np.ndarray:
-    """(N+1, N+1) array exp(x[i] - x[j]) on j <= i and 0 above the
-    diagonal."""
-    k = np.arange(len(x))
-    return _exp_differences(x, k[:, None], k[None, :])
-
-
 def _running_integral(E: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid of exp(E_i - E_j) y_j over j <= i at every node i.
 
@@ -149,10 +143,10 @@ class KernelBundle:
     read only the O(N) tables of the subclass, :class:`ScalarTables` in
     scalar mode and :class:`StepPropagators` in matrix mode; the dense
     (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built from
-    them on first access and then kept (:meth:`ScalarTables.entries`
-    reads any of their entries without building them). ``scenario`` is
-    the scenario the bundle was built for; the covariance functions
-    refuse any other.
+    them on first access and then kept (:meth:`ScalarTables.entries`, the
+    one other reader, reads any of their entries without building them).
+    ``scenario`` is the scenario the bundle was built for; the covariance
+    functions refuse any other.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule):
@@ -214,18 +208,15 @@ class ScalarTables(KernelBundle):
         with np.errstate(invalid="ignore"):
             return phi, psi, phi - psi
 
-    def f_entry(self, i: int, j: int) -> float:
-        """f(t_i, t_j) for j <= i without building a triangle: bit for bit
-        the entry of :attr:`f`."""
-        return float(self.entries(i, j)[2])
-
     @cached_property
     def phi(self) -> TriangularKernel:
-        return TriangularKernel(self.grid, _lower_exp(self.lhm))
+        k = np.arange(self.grid.n_nodes)
+        return TriangularKernel(self.grid, _exp_differences(self.lhm, k[:, None], k))
 
     @cached_property
     def psi(self) -> TriangularKernel:
-        return TriangularKernel(self.grid, _lower_exp(self.lh))
+        k = np.arange(self.grid.n_nodes)
+        return TriangularKernel(self.grid, _exp_differences(self.lh, k[:, None], k))
 
 
 def _closed_loop_drifts(scenario: Scenario, gain: GainSchedule):

@@ -7,6 +7,7 @@ can be indexed by node pairs without interpolation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,16 @@ __all__ = [
 
 class GridError(ValueError):
     """Invalid grid construction or grid/index mismatch."""
+
+
+def _integer(value, error: type[Exception], message: str, low=-np.inf, high=np.inf) -> int:
+    """``value`` as an ``int`` if it is an integer, numpy's included and a
+    bool not, with low <= value < high; otherwise raise ``error(message)``.
+    The one rule for the package's integer arguments."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral)
+            or not low <= value < high):
+        raise error(message)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -68,9 +79,7 @@ def make_grid(horizon: float, n_steps: int) -> TimeGrid:
     horizon = float(horizon)
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise GridError(f"horizon must be a positive finite number, got {horizon!r}")
-    if int(n_steps) != n_steps or n_steps < 2:
-        raise GridError(f"n_steps must be an integer >= 2, got {n_steps!r}")
-    n_steps = int(n_steps)
+    n_steps = _integer(n_steps, GridError, f"n_steps must be an integer >= 2, got {n_steps!r}", 2)
     nodes = np.linspace(0.0, horizon, n_steps + 1)
     nodes.setflags(write=False)
     return TimeGrid(horizon=horizon, n_steps=n_steps, nodes=nodes, dt=horizon / n_steps)
@@ -119,8 +128,3 @@ class TriangularKernel:
         self.grid = grid
         self.values = values
         self.values.setflags(write=False)
-
-    def diagonal(self) -> np.ndarray:
-        if self.values.ndim == 2:
-            return np.diagonal(self.values)
-        return np.einsum("iiab->iab", self.values)

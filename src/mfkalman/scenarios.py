@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import make_grid
+from .numerics import _integer, make_grid
 from .system_model import (
     InitialMeasure,
     Scenario,
@@ -198,8 +198,7 @@ def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:
                     "cost_weight"})
     if steps is None:
         steps = raw.get("steps", DEFAULT_STEPS)
-        if isinstance(steps, bool) or not isinstance(steps, int):
-            raise ScenarioError(f"steps must be an integer, got {steps!r}")
+        _integer(steps, ScenarioError, f"steps must be an integer, got {steps!r}")
     grid = make_grid(_number(raw.get("horizon", 1.0), "horizon"), steps)
     coeffs = _mapping(raw.get("coefficients", {}), "coefficients", {"A", "B", "C", "D"})
     noise = _mapping(raw.get("noise", {}), "noise", {"Q", "Q0"})

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import GainSchedule, _closed_loop_drifts
-from .numerics import TimeGrid
+from .numerics import TimeGrid, _integer
 from .system_model import Scenario
 
 __all__ = [
@@ -368,8 +367,7 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     and no overflow escapes as a warning.
     """
     for name, value in (("n_paths", n_paths), ("seed", seed)):
-        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
-            raise SimulationError(f"{name} must be an integer, got {value!r}")
+        _integer(value, SimulationError, f"{name} must be an integer, got {value!r}")
     if n_paths < 1:
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
     if seed < 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import TimeGrid
+from .numerics import TimeGrid, _integer
 
 __all__ = [
     "ScenarioError",
@@ -105,10 +105,10 @@ def gauss_hermite_measure(n_nodes: int) -> InitialMeasure:
     The returned atoms integrate polynomials of degree <= 2 n_nodes - 1
     against the standard normal density; weights come normalized.
     """
-    if int(n_nodes) != n_nodes or n_nodes < 1:
-        raise ScenarioError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+    n_nodes = _integer(n_nodes, ScenarioError, f"n_nodes must be a positive integer, "
+                                                f"got {n_nodes!r}", 1)
     # probabilists' Hermite quadrature: weight function exp(-x^2/2)
-    x, w = np.polynomial.hermite_e.hermegauss(int(n_nodes))
+    x, w = np.polynomial.hermite_e.hermegauss(n_nodes)
     return InitialMeasure(points=x[:, None], weights=w / w.sum())
 
 

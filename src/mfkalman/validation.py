@@ -39,6 +39,7 @@ from .covariance import (
 )
 from .gain import optimize_gain, riccati_classical, riccati_normal_flow
 from .kernels import GainSchedule, kernel_bundle
+from .numerics import _integer
 from .scenarios import (
     classical_scenario,
     cross_pairing_probe,
@@ -47,7 +48,7 @@ from .scenarios import (
     scenario_hash,
 )
 from .simulation import SimulationError, empirical_statistics, simulate_ensemble
-from .system_model import Scenario, measure_averages
+from .system_model import Scenario, check_finite, measure_averages
 
 __all__ = ["CriterionResult", "ValidationSuite", "write_csv", "DEFAULT_SEED"]
 
@@ -81,8 +82,7 @@ def write_csv(path: Path, header: str, rows, meta: dict) -> None:
     formats: dict[tuple[type, ...], str] = {}
     try:
         with path.open("w") as f:
-            f.writelines(f"# {key}={value}\n" for key, value in meta.items())
-            f.write(header + "\n")
+            f.write(_comment_rows(meta) + header + "\n")
             for row in rows:
                 row = tuple(row)
                 types = tuple(map(type, row))
@@ -96,6 +96,16 @@ def write_csv(path: Path, header: str, rows, meta: dict) -> None:
         raise
 
 
+def _comment_rows(meta: dict) -> str:
+    """The leading ``# key=value`` rows of every output file."""
+    return "".join(f"# {key}={value}\n" for key, value in meta.items())
+
+
+def _write_report(path: Path, scenario: Scenario, seed: int, lines: list[str]) -> None:
+    """Text report: the metadata rows of :func:`_meta`, then ``lines``."""
+    path.write_text(_comment_rows(_meta(scenario, seed)) + "\n".join(lines) + "\n")
+
+
 def _meta(scenario: Scenario, seed: int, extra: dict | None = None) -> dict:
     return {"scenario_hash": scenario_hash(scenario), "seed": seed,
             "grid": f"T={scenario.grid.horizon:g},N={scenario.grid.n_steps}",
@@ -106,7 +116,12 @@ def _dump_kernels(out: Path, bundle, seed: int) -> None:
     """Lower triangles of phi, psi and f as t,s,value rows, each file
     written from bands of ``_BAND`` rows read from the bundle's O(N) tables
     (:meth:`~mfkalman.kernels.ScalarTables.entries`): no triangle is
-    built."""
+    built. Before any file is written, a row of phi or psi that overflows
+    raises :class:`~mfkalman.system_model.NonFiniteError` naming the first:
+    row i of exp(x[i] - x[j]) peaks at the least x[j], j <= i."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        check_finite("kernel export", np.exp(np.stack(
+            [x - np.minimum.accumulate(x) for x in (bundle.lhm, bundle.lh)], axis=1)))
     labels = ["%.17g" % t for t in bundle.grid.nodes.tolist()]
     meta = _meta(bundle.scenario, seed)
 
@@ -181,29 +196,33 @@ def _smooth_directions(grid, count: int, seed: int) -> list[np.ndarray]:
     return out
 
 
-def _gradcheck(scenario: Scenario, gain: GainSchedule, bars, count: int, seed: int,
-               eps: float):
-    """Gradient density at ``gain`` and, for each of ``count`` smooth
-    directions, the row (direction, pairing, fd_oracle, abs_diff) of its
-    pairing against the central-difference cost slope."""
+def _gradcheck(out: Path, scenario: Scenario, gain: GainSchedule, directions, seed: int,
+               eps: float) -> list[tuple]:
+    """Writes the gradient density at ``gain`` to ``gradient.csv`` and, for
+    each nodal direction, the row (direction, pairing, fd_oracle, abs_diff)
+    of its pairing against the central-difference cost slope of step
+    ``eps`` to ``gradcheck.csv``, with ``eps`` in full; returns the rows."""
+    bars = measure_averages(scenario)
     g = cost_gradient(scenario, kernel_bundle(scenario, gain), bars)
     rows = []
-    for k, beta_vals in enumerate(_smooth_directions(scenario.grid, count, seed)):
+    for k, beta_vals in enumerate(directions):
         beta = GainSchedule(scenario.grid, beta_vals[:, None, None])
         pairing = g.pair(beta_vals)
         fd = fd_cost_slope(scenario, gain, beta, eps, bars)
         rows.append((k, pairing, fd, abs(pairing - fd)))
-    return g, rows
-
-
-def _write_gradcheck(out: Path, scenario: Scenario, g, rows, seed: int, eps: float) -> None:
-    """``gradcheck.csv`` with the rows of :func:`_gradcheck` and the step
-    ``eps`` in full, and ``gradient.csv`` with the (t, g) rows of ``g``."""
     write_csv(out / "gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
               _meta(scenario, seed, {"eps": "%.17g" % eps}))
     write_csv(out / "gradient.csv", "t,g",
               [(float(t), float(v)) for t, v in zip(scenario.grid.nodes, g.values)],
               _meta(scenario, seed))
+    return rows
+
+
+def _write_covariance(path: Path, scenario: Scenario, gain: GainSchedule, seed: int) -> float:
+    """The CSV of :func:`_covariance_rows`; returns their worst residual."""
+    rows, worst = _covariance_rows(scenario, gain)
+    write_csv(path, "atom,t,K", rows, _meta(scenario, seed))
+    return worst
 
 
 def _covariance_rows(scenario: Scenario, gain: GainSchedule):
@@ -222,14 +241,16 @@ def _covariance_rows(scenario: Scenario, gain: GainSchedule):
     return rows, worst
 
 
-def _path_rows(scenario: Scenario, ens, reps: int, stride: int) -> list[tuple]:
+def _write_paths(path: Path, scenario: Scenario, ens, seed: int, reps: int, stride: int) -> None:
     """(rep, atom, t, x, y, z, e) rows of the first ``reps`` kept
-    replications, every atom, at every ``stride``-th node."""
+    replications, every atom, at every ``stride``-th node, with the
+    ensemble's path count in the metadata."""
     nodes = scenario.grid.nodes
-    return [(r, a, float(nodes[j]), float(ens.x[r, a, j, 0]), float(ens.y[r, a, j, 0]),
+    rows = [(r, a, float(nodes[j]), float(ens.x[r, a, j, 0]), float(ens.y[r, a, j, 0]),
              float(ens.z[r, a, j, 0]), float(ens.e[r, a, j, 0]))
             for r in range(reps) for a in range(scenario.n_atoms)
             for j in range(0, len(nodes), stride)]
+    write_csv(path, "rep,atom,t,x,y,z,e", rows, _meta(scenario, seed, {"n_paths": ens.n_paths}))
 
 
 # what the re-run of criterion_determinism executes: argv is (shadow, seed)
@@ -288,10 +309,10 @@ class ValidationSuite:
     """Runs the acceptance criteria and writes the CSV artifacts to ``out_dir``."""
 
     def __init__(self, out_dir: str | Path, seed: int = DEFAULT_SEED):
+        self.seed = _integer(seed, SimulationError, f"seed must be an integer, got {seed!r}")
         if seed < 0:
             raise SimulationError(f"seed must be >= 0, got {seed}")
         self.out = Path(out_dir)
-        self.seed = int(seed)
         self._twin: _Twin | None = None
 
     def criterion_kernels(self) -> CriterionResult:
@@ -342,19 +363,16 @@ class ValidationSuite:
             )
 
         scen = classical_scenario(steps=400)
-        rows = _covariance_rows(scen, GainSchedule.from_callable(scen.grid, np.tanh))[0]
-        write_csv(self.out / "covariance_classical.csv", "atom,t,K", rows,
-                  _meta(scen, self.seed))
+        _write_covariance(self.out / "covariance_classical.csv", scen,
+                          GainSchedule.from_callable(scen.grid, np.tanh), self.seed)
         return CriterionResult("C2", "covariance rate consistency", passed, details)
 
     def criterion_gradient(self) -> CriterionResult:
         """Gradient density against the central-difference cost slope, plus
         the closed-form spot value for the zero-gain benchmark."""
         scen = classical_scenario(steps=400)
-        bars = measure_averages(scen)
-        eps = 1e-4
-        g, rows = _gradcheck(scen, GainSchedule.constant(scen.grid, 0.0), bars, 5,
-                             self.seed + 23, eps)
+        rows = _gradcheck(self.out, scen, GainSchedule.constant(scen.grid, 0.0),
+                          _smooth_directions(scen.grid, 5, self.seed + 23), self.seed, 1e-4)
         passed = True
         details = []
         for k, pairing, _, diff in rows:
@@ -372,7 +390,6 @@ class ValidationSuite:
                           f"(err {spot_err:.2e}, tol 1e-5); fd gap {fd0_diff:.2e}")
         details.append(f"max fd gap over {len(rows)} directions: "
                        f"{max(r[3] for r in rows):.3e}")
-        _write_gradcheck(self.out, scen, g, rows, self.seed, eps)
         return CriterionResult("C3", "gradient correctness", passed, details)
 
     def criterion_classical_reference(self) -> CriterionResult:
@@ -380,7 +397,7 @@ class ValidationSuite:
         optimizer reaching it from zero."""
         details = []
         scen = classical_scenario(steps=200)
-        ref = riccati_classical(0.0, 1.0, 1.0, 1.0, scen.grid)
+        ref = _reference("classical", scen.grid)
         s_err = abs(ref.state[-1] - np.tanh(1.0))
         s_ok = s_err <= 1e-6
         details.append(f"Riccati endpoint error {s_err:.2e} (tol 1e-6)")
@@ -407,7 +424,7 @@ class ValidationSuite:
         on its diagonal up to the quadrature error)."""
         details = []
         scen = normal_flow_scenario(steps=200)
-        ref = riccati_normal_flow(0.0, 1.0, scen.grid)
+        ref = _reference("normal-flow", scen.grid)
         m_err = abs(ref.state[-1] - np.tanh(1.0))
         m_ok = m_err <= 1e-6
         ident = float(np.max(np.abs(ref.mean_variance - ref.state)))
@@ -453,8 +470,7 @@ class ValidationSuite:
             )
         write_csv(self.out / "monte_carlo_stats.csv", "t,mean,var,analytic,z_var,z_mean", rows,
                   _meta(scen, self.seed, {"n_paths": n_paths}))
-        write_csv(self.out / "paths_sample.csv", "rep,atom,t,x,y,z,e",
-                  _path_rows(scen, ens, 5, 20), _meta(scen, self.seed, {"n_paths": n_paths}))
+        _write_paths(self.out / "paths_sample.csv", scen, ens, self.seed, 5, 20)
         return CriterionResult("C6", "Monte Carlo validation", passed, details)
 
     def criterion_arbitration(self) -> CriterionResult:
@@ -500,7 +516,7 @@ class ValidationSuite:
         i, j = rough.grid.n_steps, 0
         up = kernel_bundle(rough, GainSchedule(rough.grid, base_vals + eps * beta_vals))
         dn = kernel_bundle(rough, GainSchedule(rough.grid, base_vals - eps * beta_vals))
-        fd = (up.f_entry(i, j) - dn.f_entry(i, j)) / (2 * eps)
+        fd = (up.entries(i, j)[2] - dn.entries(i, j)[2]) / (2 * eps)
         d_re = abs(f_direction(rb, i, j, beta_vals) - fd)
         d_tr = abs(f_direction_transcribed(rb, i, j, beta_vals) - fd)
         tol_b = 1e-3 * (1.0 + abs(fd))

@@ -95,10 +95,12 @@ def test_transcribed_gradient_memory_linear():
 
 
 def test_arbitration_builds_no_triangle(tmp_path, monkeypatch):
-    def refuse(x):
+    def refuse(bundle):
         raise AssertionError("C7 built a kernel triangle")
 
-    monkeypatch.setattr(kernels, "_lower_exp", refuse)
+    for cls, name in ((kernels.ScalarTables, "phi"), (kernels.ScalarTables, "psi"),
+                      (kernels.KernelBundle, "f")):
+        monkeypatch.setattr(cls, name, property(refuse))
     result = ValidationSuite(tmp_path).criterion_arbitration()
     assert result.passed, result.details
     assert (tmp_path / "arbitration.csv").exists()

@@ -431,3 +431,18 @@ class TestUnstableScenario:
         assert capsys.readouterr().err == (
             "error in stage covariance: covariance_profile: non-finite value at node 143\n")
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_kernels_overflow_exits_1_naming_the_first_row(self, tmp_path, capsys):
+        # it exited 0 with inf and NaN rows in every CSV and nan residuals
+        spec = tmp_path / "unstable.yaml"
+        spec.write_text(_UNSTABLE)
+        scen = load_scenario(spec)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.0))
+        finite = np.isfinite(np.stack([bundle.phi.values, bundle.psi.values, bundle.f.values]))
+        row = int(np.flatnonzero(~finite.all(axis=(0, 2)))[0])
+        out = tmp_path / "out"
+        assert main(["kernels", "--scenario", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error in stage kernels: kernel export: non-finite value at node {row}\n")
+        assert not out.exists()

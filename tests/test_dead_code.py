@@ -1,8 +1,9 @@
-"""No dead private helpers: every module-level ``_private`` name that a
-module of the package defines, and every method of a module-level private
-class, is used somewhere in the package, not only at its own definition.
-A helper the code stopped calling is deleted, not kept alive by the tests
-that import it."""
+"""No dead code: every module-level ``_private`` name that a module of the
+package defines, every method of a module-level private class, and every
+public module-level function that the package does not export, is used
+somewhere in the package, not only at its own definition. A helper the
+code stopped calling is deleted, not kept alive by the tests that import
+it."""
 
 import ast
 from pathlib import Path
@@ -50,4 +51,14 @@ def test_every_private_helper_is_used_in_the_package():
     # a method ``Class.method`` is used when some module reads ``method``
     dead = [f"{module}:{name}" for module, tree in trees.items()
             for name in _private_definitions(tree) if name.rpartition(".")[2] not in used]
+    assert dead == []
+
+
+def test_every_unexported_public_function_is_used_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = {name for tree in trees.values() for name in _references(tree)}
+    dead = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in mfkalman.__all__
+            and node.name not in used]
     assert dead == []

@@ -17,12 +17,7 @@ from mfkalman import (
     measure_averages,
     simulate_ensemble,
 )
-from mfkalman.arbitration import (
-    f_direction,
-    f_direction_transcribed,
-    phi_direction,
-    psi_direction,
-)
+from mfkalman.arbitration import f_direction, f_direction_transcribed
 from mfkalman.kernels import FRAME_SPAN, ScalarTables, StepPropagators, _running_integral
 from mfkalman.scenarios import random_smooth_scenario
 
@@ -58,8 +53,7 @@ class TestPhi:
 
     def test_diagonal_identity(self, rough_pack):
         scen, _, gain, bundle = rough_pack
-        diag = bundle.phi.diagonal()
-        np.testing.assert_allclose(diag, 1.0, atol=0)
+        np.testing.assert_allclose(np.diagonal(bundle.phi.values), 1.0, atol=0)
 
     def test_semigroup(self, rough_pack):
         scen, _, _, bundle = rough_pack
@@ -124,7 +118,7 @@ class TestF:
 
     def test_diagonal_zero(self, rough_pack):
         _, _, _, bundle = rough_pack
-        np.testing.assert_allclose(bundle.f.diagonal(), 0.0, atol=0)
+        np.testing.assert_allclose(np.diagonal(bundle.f.values), 0.0, atol=0)
 
     def test_f_is_phi_minus_psi(self, rough_pack):
         scen, _, gain, _ = rough_pack
@@ -220,7 +214,7 @@ class TestKernelBundle:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("unstable", [False, True], ids=["rough", "unstable"])
-    def test_f_entry_is_the_triangle_entry(self, rough_pack, unstable):
+    def test_entries_cell_is_the_triangle_entry(self, rough_pack, unstable):
         # read from the exponent tables, no triangle built. With A = 20 on
         # [0, 50] exp(int H) leaves float64 range near t = 35: the kernels
         # overflow without a warning, and an entry is NaN where f's is
@@ -232,7 +226,7 @@ class TestKernelBundle:
         bundle = kernel_bundle(scen, gain)
         n = scen.grid.n_steps
         cells = [(n, 0), (n, n), (n // 2, n // 4), (n // 3, 0)]
-        entries = [bundle.f_entry(i, j) for i, j in cells]
+        entries = [bundle.entries(i, j)[2] for i, j in cells]
         assert not {"phi", "psi", "f"} & set(vars(bundle))
         np.testing.assert_array_equal(entries, [bundle.f.values[i, j] for i, j in cells])
         for kernel in (bundle.phi, bundle.psi, bundle.f):
@@ -389,12 +383,13 @@ class TestDerivativeKernels:
     """The adopted kernel derivatives of :mod:`mfkalman.arbitration`."""
 
     def test_constant_case(self):
-        scen = scalar_scenario(steps=50)  # C = 1, zero gain: H = 0, psi = 1
+        # C = D = 1, zero gain: H = M = 0, phi = psi = 1
+        scen = scalar_scenario(steps=50, D=1.0)
         bundle = kernel_bundle(scen, zero_gain(scen))
         beta = np.ones(scen.grid.n_nodes)
         for (i, j) in [(50, 0), (40, 10), (20, 20)]:
-            # the density -C psi = -1 over [t_j, t_i]
-            assert psi_direction(bundle, i, j, beta) == pytest.approx(
+            # the densities -(C + D) phi = -2 and -C psi = -1 over [t_j, t_i]
+            assert f_direction(bundle, i, j, beta) == pytest.approx(
                 -(scen.grid.nodes[i] - scen.grid.nodes[j]), abs=1e-14)
 
     def test_argument_validation(self, rough_pack):
@@ -416,36 +411,21 @@ class TestDerivativeKernels:
             up = kernel_bundle(scen, GainSchedule(scen.grid, gain.scalar + eps * beta))
             dn = kernel_bundle(scen, GainSchedule(scen.grid, gain.scalar - eps * beta))
             for (i, j) in [(scen.grid.n_steps, 0), (150, 40)]:
-                fd_psi = (up.psi.values[i, j] - dn.psi.values[i, j]) / (2 * eps)
-                fd_phi = (up.phi.values[i, j] - dn.phi.values[i, j]) / (2 * eps)
                 fd_f = (up.f.values[i, j] - dn.f.values[i, j]) / (2 * eps)
-                assert psi_direction(bundle, i, j, beta) == pytest.approx(fd_psi, abs=1e-4)
-                assert phi_direction(bundle, i, j, beta) == pytest.approx(fd_phi, abs=1e-4)
                 assert f_direction(bundle, i, j, beta) == pytest.approx(
                     fd_f, abs=1e-4 * (1 + abs(fd_f)))
 
-    @pytest.mark.parametrize("method", ["psi_direction", "phi_direction", "f_direction"])
     @pytest.mark.parametrize("i, j", [(10, 20), (-1, 0), (5, -1), (201, 0)])
-    def test_direction_rejects_indices_off_the_triangle(self, rough_pack, method, i, j):
+    def test_direction_rejects_indices_off_the_triangle(self, rough_pack, i, j):
         scen, _, _, bundle = rough_pack  # N = 200
-        beta = np.ones(scen.grid.n_nodes)
-        direction = {"psi_direction": psi_direction, "phi_direction": phi_direction,
-                     "f_direction": f_direction}[method]
         with pytest.raises(ScenarioError):
-            direction(bundle, i, j, beta)
+            f_direction(bundle, i, j, np.ones(scen.grid.n_nodes))
 
     def test_zero_when_no_coupling(self, classical_pack):
         scen, _, bundle = classical_pack  # M = 0 and D = 0
         beta = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
         for (i, j) in [(100, 0), (80, 20)]:
             assert f_direction(bundle, i, j, beta) == 0.0
-
-    def test_f_direction_is_phi_minus_psi_direction(self, rough_pack):
-        scen, _, _, bundle = rough_pack
-        beta = 0.7 - 0.5 * np.sin(3 * scen.grid.nodes)
-        for (i, j) in [(scen.grid.n_steps, 0), (150, 40), (60, 60)]:
-            assert f_direction(bundle, i, j, beta) == (phi_direction(bundle, i, j, beta)
-                                                       - psi_direction(bundle, i, j, beta))
 
     def test_gateaux_linearity(self, rough_pack):
         scen, _, gain, bundle = rough_pack
@@ -459,8 +439,7 @@ class TestDerivativeKernels:
         assert combo == pytest.approx(split, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("direction", [phi_direction, psi_direction, f_direction,
-                                           f_direction_transcribed],
+    @pytest.mark.parametrize("direction", [f_direction, f_direction_transcribed],
                              ids=lambda fn: fn.__name__)
     def test_overflow_names_function_and_cell_without_warning(self, direction):
         # on [0, 50] at A = 20 the kernels at (50, 0) are e^1000, beyond float64
@@ -484,7 +463,7 @@ class TestDerivativeKernels:
         gain = GainSchedule.constant(grid, np.zeros((2, 2)), 2, 2)
         bundle = kernel_bundle(scen, gain)
         beta = np.ones(grid.n_nodes)
-        for direction in (phi_direction, psi_direction, f_direction, f_direction_transcribed):
+        for direction in (f_direction, f_direction_transcribed):
             with pytest.raises(ScenarioError):
                 direction(bundle, 10, 0, beta)
 

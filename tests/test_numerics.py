@@ -3,6 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfkalman import (
+    GainSchedule,
+    ScenarioError,
+    SimulationError,
+    covariance_profile,
+    drift_profile,
+    gauss_hermite_measure,
+    kernel_bundle,
+    measure_averages,
+    optimize_gain,
+    sensitivity_triangle,
+)
 from mfkalman.numerics import (
     GridError,
     TriangularKernel,
@@ -10,6 +22,8 @@ from mfkalman.numerics import (
     make_grid,
     trapezoid,
 )
+from mfkalman.scenarios import cross_pairing_probe
+from mfkalman.validation import ValidationSuite
 
 
 class TestMakeGrid:
@@ -106,4 +120,41 @@ class TestTriangularKernel:
         vals = np.zeros((4, 4, 2, 2))
         kern = TriangularKernel(grid, vals)
         assert kern.values.shape[2:] == (2, 2)
-        assert kern.diagonal().shape == (4, 2, 2)
+        assert np.einsum("iiab->iab", kern.values).shape == (4, 2, 2)
+
+
+def _atom_reader(read):
+    """``read(scenario, bundle, bars, atom)`` on the two-atom probe."""
+    def call(atom, tmp_path):
+        scen = cross_pairing_probe(20)
+        return read(scen, kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.5)),
+                    measure_averages(scen), atom)
+    return call
+
+
+# one rule for an integer argument: an int or a numpy integer, never a bool
+_INTEGER_ARGUMENTS = {
+    "make_grid": (lambda n, tmp_path: make_grid(1.0, n), GridError, 4),
+    "gauss_hermite_measure": (lambda n, tmp_path: gauss_hermite_measure(n), ScenarioError, 3),
+    "optimize_gain": (lambda n, tmp_path: optimize_gain(cross_pairing_probe(20), max_iter=n),
+                      ScenarioError, 1),
+    "covariance_profile": (_atom_reader(covariance_profile), ScenarioError, 1),
+    "drift_profile": (_atom_reader(drift_profile), ScenarioError, 1),
+    "sensitivity_triangle": (_atom_reader(sensitivity_triangle), ScenarioError, 1),
+    "ValidationSuite": (lambda n, tmp_path: ValidationSuite(tmp_path, seed=n), SimulationError, 1),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 1.0, 1.5, "1", None])
+@pytest.mark.parametrize("site", sorted(_INTEGER_ARGUMENTS))
+def test_integer_argument_rejects_non_integers(tmp_path, site, value):
+    # a bool or an integral float used to pass for 1 at most of these sites
+    call, error, _ = _INTEGER_ARGUMENTS[site]
+    with pytest.raises(error):
+        call(value, tmp_path)
+
+
+@pytest.mark.parametrize("site", sorted(_INTEGER_ARGUMENTS))
+def test_integer_argument_takes_numpy_integers(tmp_path, site):
+    call, _, good = _INTEGER_ARGUMENTS[site]
+    call(np.uint8(good), tmp_path)   # raises nothing
