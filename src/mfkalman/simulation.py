@@ -20,11 +20,12 @@ matrix products; the rows y are stepped only for the replications whose
 trajectories are kept.
 
 Replications are generated in fixed-size blocks, each with its own
-counter-based random stream (Philox keyed by a spawned seed sequence).
-The blocks run in block order on the calling thread. Each block reduces
-the error e = x - z to moments at every node as it goes and folds into
-the running moments as soon as it is done. A block's normal draws come
-in chunks of ``_CHUNK`` steps, one call on its stream per chunk, drawn
+random stream (an SFC64 generator seeded by a spawned seed sequence, so
+the blocks' streams are independent). The blocks run in block order on
+the calling thread. Each block reduces the error e = x - z to moments at
+every node, or at the nodes the caller asks for, as it goes and folds
+into the running moments as soon as it is done. A block's normal draws
+come in chunks of ``_CHUNK`` steps, one call on its stream per chunk, drawn
 in place into a ring of ``_RING`` buffers; with two threads
 (:func:`worker_count`) a single helper thread draws the next chunk while
 the calling thread steps the current one, and with one the calling
@@ -66,6 +67,8 @@ _CHUNK = 8  # steps drawn per call: 512 kB of draws per block for d = 1;
 _RING = 3  # draw buffers: the chunk being stepped, the next one being drawn
            # and a spare
 KEPT_PATHS = 10  # leading replications whose trajectories an ensemble keeps
+_BITGEN = "SFC64"  # numpy.random's bit generator of every block's stream, by
+                  # name: numpy.random (and hashlib) load on first use
 
 
 class SimulationError(RuntimeError):
@@ -101,15 +104,17 @@ class PathEnsemble:
     noise increments.
 
     The error statistics over all ``n_paths`` replications are kept per
-    (atom, node): ``mean`` (k, N+1, n), the centered sums of products
-    ``sum2`` (k, N+1, n, n) and the centered sums of fourth powers of
-    each component ``sum4`` (k, N+1, n). None of these grows with
-    ``n_paths``.
+    atom at the grid nodes ``nodes`` (R,), increasing (every node unless
+    the caller asked for fewer); position r on their node axis is node
+    ``nodes[r]``: ``mean`` (k, R, n), the centered sums of products
+    ``sum2`` (k, R, n, n) and the centered sums of fourth powers of each
+    component ``sum4`` (k, R, n). None of these grows with ``n_paths``.
     """
 
     grid: TimeGrid
     seed: int
     n_paths: int
+    nodes: np.ndarray
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -121,12 +126,13 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class EmpiricalStats:
-    """Cross-replication statistics of the error at every (atom, node)."""
+    """Cross-replication statistics of the error per atom at the nodes of
+    its ensemble: position r on the node axis is node ``ensemble.nodes[r]``."""
 
-    mean: np.ndarray      # (k, N+1, n)
-    cov: np.ndarray       # (k, N+1, n, n)
-    mean_se: np.ndarray   # (k, N+1, n)
-    var_se: np.ndarray    # (k, N+1, n) fourth-moment standard error of the variance
+    mean: np.ndarray      # (k, R, n)
+    cov: np.ndarray       # (k, R, n, n)
+    mean_se: np.ndarray   # (k, R, n)
+    var_se: np.ndarray    # (k, R, n) fourth-moment standard error of the variance
 
 
 def _step_maps(scenario: Scenario, gain: GainSchedule):
@@ -182,35 +188,37 @@ def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
 
 @dataclass
 class _Moments:
-    """Error moments of ``count`` replications at every node, layout
-    (atom, node, ...): mean, centered sum of products, and the centered
-    third and fourth power sums of each component. Node 0 (e = 0) stays
-    zero."""
+    """Error moments of ``count`` replications at R recorded nodes, layout
+    (atom, position, ...): mean, centered sum of products, and the
+    centered third and fourth power sums of each component. A position
+    that is never recorded (node 0, where e = 0) stays zero."""
 
     count: int
-    mean: np.ndarray   # (k, N+1, n)
-    sum2: np.ndarray   # (k, N+1, n, n)
-    sum3: np.ndarray   # (k, N+1, n)
-    sum4: np.ndarray   # (k, N+1, n)
+    mean: np.ndarray   # (k, R, n)
+    sum2: np.ndarray   # (k, R, n, n)
+    sum3: np.ndarray   # (k, R, n)
+    sum4: np.ndarray   # (k, R, n)
 
     @classmethod
     def zeros(cls, k: int, n_nodes: int, n: int, count: int) -> _Moments:
         return cls(count, np.zeros((k, n_nodes, n)), np.zeros((k, n_nodes, n, n)),
                    np.zeros((k, n_nodes, n)), np.zeros((k, n_nodes, n)))
 
-    def record(self, node: int, x: np.ndarray, z: np.ndarray, c: np.ndarray,
+    def record(self, r: int, x: np.ndarray, z: np.ndarray, c: np.ndarray,
                sq: np.ndarray) -> None:
-        """Moments at ``node`` of the error e = x - z of the columns of
-        ``x`` and ``z`` (k, n, count), computed in the caller's arrays
-        ``c`` (e centered) and ``sq`` (c squared) of that shape."""
+        """Moments at position ``r`` of the error e = x - z of the columns
+        of ``x`` and ``z`` (k, n, count), computed in the caller's arrays
+        ``c`` (e centered) and ``sq`` (c squared) of that shape. The mean
+        is ``np.mean``'s sum and division, bit for bit."""
         np.subtract(x, z, out=c)
-        mean = self.mean[:, node]
-        np.mean(c, axis=2, out=mean)
+        mean = self.mean[:, r]
+        np.add.reduce(c, axis=2, out=mean)
+        mean /= self.count
         c -= mean[..., None]
         np.multiply(c, c, out=sq)
-        np.matmul(c, c.transpose(0, 2, 1), out=self.sum2[:, node])
-        np.einsum("uip,uip->ui", sq, c, out=self.sum3[:, node])
-        np.einsum("uip,uip->ui", sq, sq, out=self.sum4[:, node])
+        np.matmul(c, c.transpose(0, 2, 1), out=self.sum2[:, r])
+        np.einsum("uip,uip->ui", sq, c, out=self.sum3[:, r])
+        np.einsum("uip,uip->ui", sq, sq, out=self.sum4[:, r])
 
     def __add__(self, other: _Moments) -> _Moments:
         """Moments of both sets together: each set's sums shifted exactly
@@ -243,7 +251,7 @@ def _draw_chunks(seqs, blocks, steps: int, d: int, ring: list[np.ndarray],
     here, so a helper thread that runs this allocates nothing."""
     slots = itertools.cycle(ring)
     for seq, (_, count) in zip(seqs, blocks):
-        rng = np.random.Generator(np.random.Philox(seq))
+        rng = np.random.Generator(getattr(np.random, _BITGEN)(seq))
         for j in range(0, steps, _CHUNK):
             size = min(_CHUNK, steps - j)
             slot = next(slots)
@@ -294,12 +302,14 @@ class _Work:
 
 
 def _simulate_block(scenario: Scenario, maps, work: _Work, count: int,
-                    chunks: Iterator[np.ndarray], kept: np.ndarray) -> _Moments:
+                    chunks: Iterator[np.ndarray], kept: np.ndarray,
+                    nodes: np.ndarray) -> _Moments:
     """``count`` replications driven by the next draws of ``chunks``,
-    stepped in ``work``: their moments. The states (N+1, atom, 2n + m,
-    keep) of the first ``keep = kept.shape[3]`` go to ``kept``. Overflow
-    is not warned of (the caller's errstate) but seen in the values: a
-    state that is not finite raises at its step."""
+    stepped in ``work``: their moments at ``nodes``. The states (N+1,
+    atom, 2n + m, keep) of the first ``keep = kept.shape[3]`` go to
+    ``kept``, at every node. Overflow is not warned of (the caller's
+    errstate) but seen in the values: a state that is not finite raises
+    at its step, whether or not its node is in ``nodes``."""
     grid = scenario.grid
     k, n, m = scenario.n_atoms, scenario.n, scenario.m
     keep = kept.shape[3]
@@ -319,12 +329,13 @@ def _simulate_block(scenario: Scenario, maps, work: _Work, count: int,
     s[:, n:] = start
     kept[0, :, :2 * n] = s[..., :keep]
     kept[0, :, 2 * n:] = start if m == n else 0.0
-    moments = _Moments.zeros(k, grid.n_nodes, n, count)
+    moments = _Moments.zeros(k, len(nodes), n, count)
+    slot = dict(zip(nodes.tolist(), range(len(nodes))))   # node -> position
 
     for first in range(0, grid.n_steps, _CHUNK):
         for j, xi in enumerate(next(chunks), start=first):
             np.multiply(weights, s, out=nxt)
-            np.sum(nxt, axis=0, out=bars)
+            np.add.reduce(nxt, axis=0, out=bars)
             if keep:   # the observation, from the state at node j
                 np.matmul(own_y[j], kept[j], out=y)
                 y += np.matmul(field_y[j], bars[:, :keep], out=y_field)
@@ -337,34 +348,64 @@ def _simulate_block(scenario: Scenario, maps, work: _Work, count: int,
                 raise SimulationError(
                     f"simulation blew up at node {j + 1} (t = {grid.nodes[j + 1]:g})"
                 )
-            moments.record(j + 1, s[:, :n], s[:, n:], c, sq)
+            if (r := slot.get(j + 1)) is not None:
+                moments.record(r, s[:, :n], s[:, n:], c, sq)
             if keep:
                 kept[j + 1, :, :2 * n] = s[..., :keep]
                 kept[j + 1, :, 2 * n:] = y
     return moments
 
 
+def _requested_nodes(nodes, grid: TimeGrid) -> np.ndarray:
+    """``nodes`` as a read-only integer array: every node of ``grid`` for
+    None, else a non-empty, strictly increasing sequence of integer node
+    indices in [0, N]; anything else raises :class:`SimulationError`."""
+    if nodes is None:
+        picked = list(range(grid.n_nodes))
+    else:
+        try:
+            picked = list(nodes)
+        except TypeError:
+            raise SimulationError(f"nodes must be a sequence of node indices, "
+                                  f"got {nodes!r}") from None
+        if not picked:
+            raise SimulationError("nodes must name at least one node")
+        picked = [_integer(v, SimulationError, f"nodes must be integer node indices in "
+                                               f"[0, {grid.n_steps}], got {v!r}", 0, grid.n_nodes)
+                  for v in picked]
+        if any(b <= a for a, b in zip(picked, picked[1:])):
+            raise SimulationError(f"nodes must be strictly increasing, got {picked}")
+    out = np.array(picked, dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
 def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
-                      seed: int) -> PathEnsemble:
+                      seed: int, nodes=None) -> PathEnsemble:
     """Euler-Maruyama ensemble of the full flow under the given gain.
 
     The drift is evaluated at the left node; the filter increment uses
     the gain times the observation increment of the same step. The
     interaction means are recomputed every step from the current atom
-    values. Every replication enters the streamed error moments; only the
-    first min(n_paths, KEPT_PATHS) keep their trajectories, and only those
-    step their observation. Memory is the step maps (at most
+    values. Every replication enters the streamed error moments, at every
+    node for ``nodes=None`` and otherwise at the strictly increasing node
+    indices ``nodes`` alone (:attr:`PathEnsemble.nodes`); only the first
+    min(n_paths, KEPT_PATHS) keep their trajectories, at every node, and
+    only those step their observation. Memory is the step maps (at most
     N (2n + m)(4n + 2kd) floats), the kept trajectories, a few sets of
-    moments of at most 4 k N n^2 floats each, and a working set allocated
-    once, on the calling thread, before any step: three draw buffers of
-    ``_CHUNK`` steps of normals for one block of up to 4096 paths, and that
-    block's state [x, z] and scratch arrays. Nothing is allocated per chunk or per
-    step, whatever ``n_paths``. Identical seeds give bitwise identical
-    ensembles, whatever ``MFK_THREADS`` is. An ``n_paths`` or ``seed`` that
-    is not an integer (a bool included), a negative seed, a state that is
-    not finite, or error moments that are not finite (a state too large to
-    square) raise :class:`SimulationError` naming the argument or the node,
-    and no overflow escapes as a warning.
+    moments of at most 4 k R n^2 floats each for R nodes, and a working
+    set allocated once, on the calling thread, before any step: three
+    draw buffers of ``_CHUNK`` steps of normals for one block of up to
+    4096 paths, and that block's state [x, z] and scratch arrays. Nothing
+    is allocated per chunk or per step, whatever ``n_paths``. Identical
+    seeds give bitwise identical ensembles, whatever ``MFK_THREADS`` is,
+    and the moments at a node do not depend on which other nodes are
+    asked for. An ``n_paths`` or ``seed`` that is not an integer (a bool
+    included), a negative seed or ``nodes`` that are not as above raise
+    :class:`SimulationError` naming the argument before any work; a
+    state that is not finite, at any node, or error moments that are
+    not finite at a requested node (a state too large to square) raise
+    it naming the node, and no overflow escapes as a warning.
     """
     for name, value in (("n_paths", n_paths), ("seed", seed)):
         _integer(value, SimulationError, f"{name} must be an integer, got {value!r}")
@@ -372,6 +413,7 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
         raise SimulationError(f"n_paths must be >= 1, got {n_paths}")
     if seed < 0:
         raise SimulationError(f"seed must be >= 0, got {seed}")
+    nodes = _requested_nodes(nodes, scenario.grid)
     maps = _step_maps(scenario, gain)
     grid, k, n, m, d = scenario.grid, scenario.n_atoms, scenario.n, scenario.m, scenario.d
 
@@ -388,13 +430,13 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     with _ahead(draws, worker_count() > 1) as chunks, quiet:
         for start, count in blocks:
             moments = _simulate_block(scenario, maps, work, count, chunks,
-                                      kept[..., start:start + count])
+                                      kept[..., start:start + count], nodes)
             total = moments if total is None else total + moments
-    bad = np.zeros(grid.n_nodes, dtype=bool)
+    bad = np.zeros(len(nodes), dtype=bool)
     for arr in (total.mean, total.sum2, total.sum4):
         bad |= ~np.isfinite(arr.reshape(arr.shape[:2] + (-1,))).all(axis=(0, 2))
     if bad.any():
-        j = int(np.argmax(bad))
+        j = int(nodes[np.argmax(bad)])
         raise SimulationError(f"error moments are not finite at node {j} "
                               f"(t = {grid.nodes[j]:g})")
 
@@ -405,12 +447,13 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
                   sum4=total.sum4)
     for arr in arrays.values():
         arr.setflags(write=False)
-    return PathEnsemble(grid=grid, seed=int(seed), n_paths=int(n_paths), **arrays)
+    return PathEnsemble(grid=grid, seed=int(seed), n_paths=int(n_paths), nodes=nodes,
+                        **arrays)
 
 
 def empirical_statistics(ensemble: PathEnsemble) -> EmpiricalStats:
-    """Sample mean and covariance of the error across replications, at
-    every (atom, node).
+    """Sample mean and covariance of the error across replications, per
+    atom at the ensemble's nodes.
 
     The variance standard error uses the fourth-moment estimator
     sqrt((m4 - m2^2 (P-3)/(P-1)) / P) per component.

@@ -55,6 +55,7 @@ __all__ = ["CriterionResult", "ValidationSuite", "write_csv", "DEFAULT_SEED"]
 DEFAULT_SEED = 20240901
 _BAND = 16  # kernel rows read from the O(N) tables at a time by the export
             # and the rate residuals: O(16 N) memory
+_CSV_CHUNK = 1024  # rows formatted by one % operation in write_csv
 
 
 @dataclass
@@ -74,23 +75,34 @@ def write_csv(path: Path, header: str, rows, meta: dict) -> None:
 
     Floats (numpy's float64 included) are printed with 17 significant
     digits so a re-run with the same seed is byte-identical; any other
-    value as ``str``. Each row is formatted by one ``%`` operation, with
-    the format made once per tuple of column types, and written as
-    ``rows`` yields it; a row that raises removes the partial file.
+    value as ``str``. Each row's format follows from its tuple of column
+    types, made anew only where that tuple changes; runs of up to
+    ``_CSV_CHUNK`` consecutive rows of one format are formatted by one
+    ``%`` operation and written as ``rows`` yields them. A row that
+    raises removes the partial file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    formats: dict[tuple[type, ...], str] = {}
     try:
         with path.open("w") as f:
             f.write(_comment_rows(meta) + header + "\n")
+            fmt, types_before, flat, count = "", None, [], 0
             for row in rows:
-                row = tuple(row)
-                types = tuple(map(type, row))
-                fmt = formats.get(types)
-                if fmt is None:
-                    fmt = formats[types] = ",".join(
+                if type(row) is not tuple:
+                    row = tuple(row)
+                types = [*map(type, row)]
+                if types != types_before:
+                    types_before = types
+                    row_fmt = ",".join(
                         "%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
-                f.write(fmt % row)
+                    if row_fmt != fmt:
+                        f.write((fmt * count) % tuple(flat))
+                        fmt, flat, count = row_fmt, [], 0
+                if count == _CSV_CHUNK:
+                    f.write((fmt * count) % tuple(flat))
+                    flat, count = [], 0
+                flat += row
+                count += 1
+            f.write((fmt * count) % tuple(flat))
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -451,16 +463,17 @@ class ValidationSuite:
         bundle = kernel_bundle(scen, gain)
         K = covariance_profile(scen, bundle, bars, 0)
         n_paths = 20000
-        ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=self.seed)
-        st = empirical_statistics(ens)
+        probes = (0.25, 0.5, 1.0)
+        nodes = [scen.grid.index_of(t) for t in probes]
+        ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=self.seed, nodes=nodes)
+        st = empirical_statistics(ens)   # position r is node nodes[r]
         details = []
         passed = True
         rows = []
-        for t_probe in (0.25, 0.5, 1.0):
-            j = scen.grid.index_of(t_probe)
-            mean, var = st.mean[0, j, 0], st.cov[0, j, 0, 0]
-            z_var = (var - K[j]) / st.var_se[0, j, 0]
-            z_mean = mean / st.mean_se[0, j, 0]
+        for r, (t_probe, j) in enumerate(zip(probes, nodes)):
+            mean, var = st.mean[0, r, 0], st.cov[0, r, 0, 0]
+            z_var = (var - K[j]) / st.var_se[0, r, 0]
+            z_mean = mean / st.mean_se[0, r, 0]
             rows.append((t_probe, float(mean), float(var),
                          float(K[j]), float(z_var), float(z_mean)))
             ok = abs(z_var) <= 3.0 and abs(z_mean) <= 3.0
@@ -487,8 +500,9 @@ class ValidationSuite:
         gain = GainSchedule.constant(probe.grid, 0.7)
         bars = measure_averages(probe)
         bundle = kernel_bundle(probe, gain)
-        ens = simulate_ensemble(probe, gain, n_paths=30000, seed=self.seed + 101)
-        st = empirical_statistics(ens)
+        ens = simulate_ensemble(probe, gain, n_paths=30000, seed=self.seed + 101,
+                                nodes=[probe.grid.n_steps])
+        st = empirical_statistics(ens)   # at the final node alone
         worst_adopted = 0.0
         worst_printed = 0.0
         for a in range(probe.n_atoms):

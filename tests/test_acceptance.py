@@ -122,6 +122,24 @@ def test_every_criterion_reports_runtime(validate_run):
         assert "    runtime " in _criterion_block(text, cid), cid
 
 
+def test_validate_simulates_only_the_nodes_it_reads(tmp_path, monkeypatch):
+    # C6 reads the error moments at t = 0.25, 0.5 and 1 of a 200-step
+    # grid, C7(a) at the final node alone; the ensembles record no others
+    requested = []
+    simulate = validation.simulate_ensemble
+
+    def recording(*args, **kwargs):
+        requested.append(list(kwargs.get("nodes")))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(validation, "simulate_ensemble", recording)
+    suite = validation.ValidationSuite(tmp_path)
+    suite.criterion_monte_carlo()
+    assert requested == [[50, 100, 200]]
+    suite.criterion_arbitration()
+    assert requested == [[50, 100, 200], [200]]
+
+
 def _reference_line(row) -> str:
     """A CSV line as the files have it: floats (np.float64 included) as
     f"{x:.17g}", anything else as str."""
@@ -147,6 +165,27 @@ def test_write_csv_matches_reference_formatter(tmp_path):
               {"seed": 2, "n": 4})
     expected = [_reference_line(r) for r in mixed]
     assert path.read_text() == "\n".join(["# seed=2", "# n=4", "a,b,c,d"] + expected) + "\n"
+
+
+def test_write_csv_chunks_keep_the_bytes(tmp_path):
+    # runs of one format longer than a chunk, a change of format inside a
+    # chunk and on its boundary, and a last chunk that is not full
+    chunk = validation._CSV_CHUNK
+    rows = ([(k, k / 7) for k in range(chunk + 3)] + [(k, "x", -k / 3) for k in range(5)]
+            + [(k, k / 7) for k in range(chunk - 5)] + [(k, np.float64(k) / 9)
+                                                         for k in range(2 * chunk + 1)])
+    path = tmp_path / "out.csv"
+    write_csv(path, "h", iter(rows), {"seed": 3})
+    expected = [_reference_line(r) for r in rows]
+    assert path.read_text() == "\n".join(["# seed=3", "h"] + expected) + "\n"
+
+    def failing():   # raises after whole chunks were written
+        yield from rows[:2 * chunk + 1]
+        raise RuntimeError("row failed")
+
+    with pytest.raises(RuntimeError, match="row failed"):
+        write_csv(path, "h", failing(), {"seed": 3})
+    assert not path.exists()
 
 
 def test_write_csv_row_that_raises_leaves_no_file(tmp_path):

@@ -1,7 +1,7 @@
 """``README.md`` against the library as it is. Its ``python`` examples are
 read from source and executed block by block, so that a changed signature
-cannot leave the README stale, and the simulator sizes it quotes are the
-code's constants."""
+cannot leave the README stale, and the simulator sizes and random
+generator it quotes are the code's constants."""
 
 import re
 from pathlib import Path
@@ -28,10 +28,12 @@ _NUMBER_WORDS = {"one": 1, "two": 2, "three": 3, "four": 4, "five": 5}
     ((r"(\d+)-step chunk", r"(\d+) steps at a time"), simulation._CHUNK),
     ((r"first (\d+) replications",), simulation.KEPT_PATHS),
     ((r"(\w+) draw buffers",), simulation._RING),
-], ids=["block", "chunk", "kept", "ring"])
+    ((r"\b(MT19937|PCG64DXSM|PCG64|Philox|SFC64)\b",), simulation._BITGEN),
+], ids=["block", "chunk", "kept", "ring", "generator"])
 def test_simulator_numbers_match_the_code(patterns, value):
-    # every place the README quotes one of these numbers quotes the code's
+    # every place the README quotes one of these numbers, or names a numpy
+    # bit generator, quotes the code's
     text = " ".join(_README.read_text().split())   # one line, so a match may wrap
     found = [m for p in patterns for m in re.findall(p, text)]
     assert found
-    assert {int(_NUMBER_WORDS.get(m, m)) for m in found} == {value}
+    assert {str(_NUMBER_WORDS.get(m, m)) for m in found} == {str(value)}

@@ -437,7 +437,7 @@ def _full_state_ensemble(scen, gain, n_paths: int, seed: int) -> dict:
     blocks = [(b, min(width, n_paths - b)) for b in range(0, n_paths, width)]
     total, kept = None, []
     for seq, (first, count) in zip(np.random.SeedSequence(seed).spawn(len(blocks)), blocks):
-        rng = np.random.Generator(np.random.Philox(seq))
+        rng = np.random.Generator(getattr(np.random, simulation._BITGEN)(seq))
         s = np.empty((k, size, count))
         s[:, :n] = start
         s[:, n:2 * n] = start
@@ -467,6 +467,23 @@ def _full_state_ensemble(scen, gain, n_paths: int, seed: int) -> dict:
     return dict(x=x, y=y, z=z, e=x - z, mean=total.mean, sum2=total.sum2, sum4=total.sum4)
 
 
+def _bitwise_case(case: str, steps: int):
+    """Scenario and gain of the bitwise tests."""
+    if case == "classical":
+        scen = classical_scenario(steps=steps)
+        return scen, GainSchedule.from_callable(scen.grid, np.tanh)
+    if case == "probe":
+        scen = cross_pairing_probe(steps=steps)
+        return scen, GainSchedule.constant(scen.grid, 0.7)
+    if case == "normal-flow":
+        scen = normal_flow_scenario(steps=steps)
+        return scen, riccati_normal_flow(0.0, 1.0, scen.grid).gain()
+    # three atoms, n = m = d = 2
+    scen = _two_atom_matrix_scenario(steps, points=((-1.0, 0.5), (1.0, -0.5), (0.2, 0.3)),
+                                     weights=(0.3, 0.5, 0.2))
+    return scen, GainSchedule.constant(scen.grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("case,n_paths", [
     ("classical", 4100), ("probe", 4100), ("normal-flow", 4100), ("matrix", 4100),
@@ -475,23 +492,79 @@ def test_engine_bitwise_equals_full_state_reference(monkeypatch, threads, case, 
     # x, z and the moments come from the 2n rows [x, z] alone, and y only
     # for the kept replications, in the reference's order of operations;
     # 4100 paths make a full block and a short one, 37 steps a short chunk
-    if case == "classical":
-        scen = classical_scenario(steps=37)
-        gain = GainSchedule.from_callable(scen.grid, np.tanh)
-    elif case == "probe":
-        scen = cross_pairing_probe(steps=37)
-        gain = GainSchedule.constant(scen.grid, 0.7)
-    elif case == "normal-flow":
-        scen = normal_flow_scenario(steps=37)
-        gain = riccati_normal_flow(0.0, 1.0, scen.grid).gain()
-    else:   # three atoms, n = m = d = 2
-        scen = _two_atom_matrix_scenario(37, points=((-1.0, 0.5), (1.0, -0.5), (0.2, 0.3)),
-                                         weights=(0.3, 0.5, 0.2))
-        gain = GainSchedule.constant(scen.grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
+    scen, gain = _bitwise_case(case, 37)
     monkeypatch.setenv("MFK_THREADS", threads)
     ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
     for name, want in _full_state_ensemble(scen, gain, n_paths, 8).items():
         assert np.array_equal(getattr(ens, name), want), name
+
+
+class TestRequestedNodes:
+    """``simulate_ensemble(..., nodes=...)`` records the moments at the
+    requested nodes only: the same bits as those nodes of a full run."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("n_paths", [1, 3, 4100])
+    @pytest.mark.parametrize("case", ["classical", "probe", "normal-flow", "matrix"])
+    def test_moments_equal_those_of_a_full_run(self, monkeypatch, case, n_paths, threads):
+        monkeypatch.setenv("MFK_THREADS", threads)
+        scen, gain = _bitwise_case(case, 37)
+        full = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
+        np.testing.assert_array_equal(full.nodes, np.arange(38))
+        for nodes in ([0, 1, 8, 9, 20, 37], [37], np.array([5, 6])):
+            ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8, nodes=nodes)
+            np.testing.assert_array_equal(ens.nodes, nodes)
+            assert not ens.nodes.flags.writeable
+            for name in ("mean", "sum2", "sum4"):
+                part = getattr(ens, name)
+                assert part.shape[1] == len(nodes)
+                assert np.array_equal(part, getattr(full, name)[:, nodes]), name
+            for name in "xyze":   # the kept trajectories keep every node
+                assert np.array_equal(getattr(ens, name), getattr(full, name)), name
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nodes,message", [
+        (True, "sequence"), (2.0, "sequence"), (np.int64(3), "sequence"),
+        ([True], "integer node indices"), ([np.True_], "integer node indices"),
+        ([1.0], "integer node indices"), ([np.float64(2)], "integer node indices"),
+        (["3"], "integer node indices"), ([-1], "integer node indices"),
+        ([101], r"integer node indices in \[0, 100\], got 101"),
+        ([3, 2], "strictly increasing"), ([2, 2], "strictly increasing"),
+        ([], "at least one node"), (np.array([], dtype=int), "at least one node")],
+        ids=["bool", "float", "scalar", "bool-entry", "numpy-bool-entry", "float-entry",
+             "numpy-float-entry", "string-entry", "negative", "beyond-N", "unsorted",
+             "duplicate", "empty", "empty-array"])
+    def test_bad_nodes_rejected_before_any_work(self, classical_small, monkeypatch, nodes,
+                                                message):
+        def no_work(*args):
+            raise AssertionError("the step maps were built")
+
+        monkeypatch.setattr(simulation, "_step_maps", no_work)
+        gain = GainSchedule.constant(classical_small.grid, 0.0)
+        with pytest.raises(SimulationError, match=f"^nodes must .*{message}"):
+            simulate_ensemble(classical_small, gain, n_paths=4, seed=0, nodes=nodes)
+
+    def test_blowup_named_at_a_node_not_requested(self):
+        scen = scalar_scenario(steps=50, A=1e155, sigma=1.0, gamma=1.0,
+                               measure=dirac_measure(1.0))
+        gain = GainSchedule.constant(scen.grid, 0.0)
+        with pytest.raises(SimulationError, match="blew up at node") as full:
+            simulate_ensemble(scen, gain, n_paths=4, seed=0)
+        with pytest.raises(SimulationError) as last:
+            simulate_ensemble(scen, gain, n_paths=4, seed=0, nodes=[50])
+        assert str(last.value) == str(full.value)
+        assert "node 50 " not in str(last.value)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_moments_name_the_requested_node(self):
+        # fourth powers overflow from node 25 (test_nonfinite_moments_named)
+        scen = build_scenario(make_grid(1.0, 50), measure=dirac_measure(1.0), A=1e5)
+        gain = GainSchedule.constant(scen.grid, 0.0)
+        with pytest.raises(SimulationError,
+                           match=r"error moments are not finite at node 30 \(t = 0\.6\)"):
+            simulate_ensemble(scen, gain, n_paths=4, seed=0, nodes=[10, 30, 50])
+        ens = simulate_ensemble(scen, gain, n_paths=4, seed=0, nodes=[10, 24])
+        assert np.isfinite(ens.sum4).all()
 
 
 class TestStreamedMoments:
