@@ -70,6 +70,7 @@ from .kernels import (
     KernelBundle,
     ScalarTables,
     StepPropagators,
+    _exp_differences,
     kernel_bundle,
 )
 from .numerics import TimeGrid, _integer, trapezoid
@@ -289,8 +290,10 @@ def _kernel_coefficients(tb: ScalarTables, w: _ScalarWeights, mean, dev, cross=N
 def _sensitivity(stage: str, scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
                  atom: int | None) -> np.ndarray:
     """The sensitivity kernel of ``atom`` (averaged when None) on the whole
-    triangle, with at most four triangles alive; a kernel that is not
-    finite raises NonFiniteError naming ``stage``."""
+    triangle, with at most four triangles alive. Its phi and psi triangles
+    are its own, the entries of ``bundle.phi`` and ``bundle.psi`` bit for
+    bit, so the bundle caches neither. A kernel that is not finite raises
+    NonFiniteError naming ``stage``."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     with np.errstate(over="ignore", invalid="ignore"):
         w = _ScalarWeights(scenario, bars, bundle.gain)
@@ -298,7 +301,8 @@ def _sensitivity(stage: str, scenario: Scenario, bundle: KernelBundle, bars: Bar
                      (_atom_terms(tb, w.wbar, *w.atom(atom)),
                       scenario.flat_atom("gamma", atom) - w.gbar))
         (a, b, c), _ = _kernel_coefficients(tb, w, *parts, dg=dg)
-        phi, psi = tb.phi.values, tb.psi.values
+        nodes = np.arange(scenario.grid.n_nodes)
+        phi, psi = (_exp_differences(x, nodes[:, None], nodes) for x in (tb.lhm, tb.lh))
         k, t = phi * phi * a, psi * psi
         k += np.multiply(t, c, out=t)
         if b is not None:

@@ -17,6 +17,7 @@ restricted math namespace.
 from __future__ import annotations
 
 import math
+import types
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +128,15 @@ _EXPR_NAMES = {
 
 
 def _compile_expr(expr: str, args: tuple[str, ...]):
-    """Compile a coefficient expression over the restricted namespace."""
+    """Compile a coefficient expression over the restricted namespace. The
+    names it reads must be those of ``_EXPR_NAMES`` or ``args``, and it
+    may hold no nested code (a lambda, a comprehension or a generator),
+    whose names the check would not see; anything else raises
+    :class:`ScenarioError` before any evaluation."""
     code = compile(expr, "<scenario>", "eval")
+    if any(isinstance(const, types.CodeType) for const in code.co_consts):
+        raise ScenarioError(f"nested code (a lambda or a comprehension) not allowed "
+                            f"in expression {expr!r}")
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in args:
             raise ScenarioError(f"name {name!r} not allowed in expression {expr!r}")

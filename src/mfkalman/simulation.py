@@ -31,9 +31,9 @@ in place into a ring of ``_RING`` buffers; with two threads
 the calling thread steps the current one, and with one the calling
 thread draws them itself. Either way the draws are the same numbers in
 the same order, so results are reproducible bit-for-bit. Every array the
-stepping writes is allocated once, on the calling thread, before the
-first step. Only the first ``KEPT_PATHS`` replications keep their
-trajectories, so memory does not grow with paths times steps.
+stepping writes is allocated per block, on the calling thread, before
+the block's first step. Only the first ``KEPT_PATHS`` replications keep
+their trajectories, so memory does not grow with paths times steps.
 """
 
 from __future__ import annotations
@@ -64,8 +64,9 @@ _BLOCK = 4096  # replications per random stream; fixed so results do not
                # depend on the thread count
 _CHUNK = 8  # steps drawn per call: 512 kB of draws per block for d = 1;
             # 32 steps raised validate's peak RSS
-_RING = 3  # draw buffers: the chunk being stepped, the next one being drawn
-           # and a spare
+_RING = 2  # draw buffers: the chunk being stepped and the next one being
+           # drawn; the caller is done with a chunk before it asks for the
+           # next, and only then is the one after drawn into its buffer
 KEPT_PATHS = 10  # leading replications whose trajectories an ensemble keeps
 _BITGEN = "SFC64"  # numpy.random's bit generator of every block's stream, by
                   # name: numpy.random (and hashlib) load on first use
@@ -237,30 +238,25 @@ class _Moments:
         return _Moments(count, mean, sum2, sum3, sum4)
 
 
-def _draw_chunks(seqs, blocks, steps: int, d: int, ring: list[np.ndarray],
-                 raw: np.ndarray | None) -> Iterator[np.ndarray]:
+def _draw_chunks(seqs, blocks, steps: int, d: int,
+                 ring: list[np.ndarray]) -> Iterator[np.ndarray]:
     """Standard normals of every block in block order, ``_CHUNK`` steps at
-    a time, each as (steps in chunk, 2d, count): per step the state noise
-    rows, then the observation noise rows. One (L, 2, count, d) draw gives
-    the numbers, in order, of 2L successive (count, d) draws.
+    a time, each as (steps in chunk, 2d, count), the layout the stepping
+    reads: per step the state noise rows, then the observation noise
+    rows. A chunk of L steps holds the numbers, in order, of 2L successive
+    (d, count) draws.
 
     The chunks are drawn in place into the flat buffers of ``ring`` in
     turn, so a chunk stays valid until ``len(ring) - 1`` more are drawn.
-    For d > 1 a chunk is drawn into ``raw`` first and transposed into its
-    buffer; for d = 1 the two layouts are the same. Nothing is allocated
-    here, so a helper thread that runs this allocates nothing."""
+    Nothing is allocated here, so a helper thread that runs this
+    allocates nothing."""
     slots = itertools.cycle(ring)
     for seq, (_, count) in zip(seqs, blocks):
         rng = np.random.Generator(getattr(np.random, _BITGEN)(seq))
         for j in range(0, steps, _CHUNK):
-            size = min(_CHUNK, steps - j)
-            slot = next(slots)
-            draws = _head(slot if raw is None else raw, size, 2, count, d)
-            rng.standard_normal(out=draws)
-            chunk = _head(slot, size, 2, d, count)
-            if raw is not None:
-                np.copyto(chunk, draws.transpose(0, 1, 3, 2))
-            yield chunk.reshape(size, 2 * d, count)
+            chunk = _head(next(slots), min(_CHUNK, steps - j), 2 * d, count)
+            rng.standard_normal(out=chunk)
+            yield chunk
 
 
 @contextmanager
@@ -282,34 +278,19 @@ def _ahead(items: Iterator, helper: bool):
         yield prefetched()
 
 
-class _Work:
-    """Every array that stepping a block writes, allocated once, flat, for
-    blocks of up to ``width`` replications of which up to ``keep`` are
-    kept: the state pair, the noise term and its finiteness mask (k, 2n,
-    count), the atom means and their field term (2n, count), the centered
-    error and its square (k, n, count), and the observation step of the
-    kept replications (k, m, keep), its field term (m, keep) and noise
-    term (k, m, keep). A block of ``count`` replications uses the leading
-    part of each, as a contiguous array (:func:`_head`)."""
-
-    def __init__(self, k: int, n: int, m: int, width: int, keep: int):
-        self.s, self.nxt, self.shocks = (np.empty(k * 2 * n * width) for _ in range(3))
-        self.finite = np.empty(k * 2 * n * width, dtype=bool)
-        self.bars, self.fterm = np.empty(2 * n * width), np.empty(2 * n * width)
-        self.c, self.sq = np.empty(k * n * width), np.empty(k * n * width)
-        self.y, self.y_noise = np.empty(k * m * keep), np.empty(k * m * keep)
-        self.y_field = np.empty(m * keep)
-
-
-def _simulate_block(scenario: Scenario, maps, work: _Work, count: int,
-                    chunks: Iterator[np.ndarray], kept: np.ndarray,
-                    nodes: np.ndarray) -> _Moments:
-    """``count`` replications driven by the next draws of ``chunks``,
-    stepped in ``work``: their moments at ``nodes``. The states (N+1,
-    atom, 2n + m, keep) of the first ``keep = kept.shape[3]`` go to
-    ``kept``, at every node. Overflow is not warned of (the caller's
-    errstate) but seen in the values: a state that is not finite raises
-    at its step, whether or not its node is in ``nodes``."""
+def _simulate_block(scenario: Scenario, maps, count: int, chunks: Iterator[np.ndarray],
+                    kept: np.ndarray, nodes: np.ndarray) -> _Moments:
+    """``count`` replications driven by the next draws of ``chunks``: their
+    moments at ``nodes``. The states (N+1, atom, 2n + m, keep) of the
+    first ``keep = kept.shape[3]`` go to ``kept``, at every node. Every
+    array the stepping writes is allocated here, at the block's size,
+    before the first step: the state pair, the noise term and its
+    finiteness mask (k, 2n, count), the atom means and their field term
+    (2n, count), the centered error and its square (k, n, count), and the
+    kept replications' observation step, noise term (k, m, keep) and field
+    term (m, keep). Overflow is not warned of (the caller's errstate) but
+    seen in the values: a state that is not finite raises at its step,
+    whether or not its node is in ``nodes``."""
     grid = scenario.grid
     k, n, m = scenario.n_atoms, scenario.n, scenario.m
     keep = kept.shape[3]
@@ -318,12 +299,12 @@ def _simulate_block(scenario: Scenario, maps, work: _Work, count: int,
     # of the atoms changes no bit
     weights = scenario.measure.weights[:, None, None]
 
-    s, nxt, shocks = (_head(buf, k, 2 * n, count) for buf in (work.s, work.nxt, work.shocks))
-    finite = _head(work.finite, k, 2 * n, count)
-    bars, fterm = _head(work.bars, 2 * n, count), _head(work.fterm, 2 * n, count)
-    c, sq = _head(work.c, k, n, count), _head(work.sq, k, n, count)
-    y, y_noise = _head(work.y, k, m, keep), _head(work.y_noise, k, m, keep)
-    y_field = _head(work.y_field, m, keep)
+    s, nxt, shocks = (np.empty((k, 2 * n, count)) for _ in range(3))
+    finite = np.empty((k, 2 * n, count), dtype=bool)
+    bars, fterm = np.empty((2 * n, count)), np.empty((2 * n, count))
+    c, sq = np.empty((k, n, count)), np.empty((k, n, count))
+    y, y_noise = np.empty((k, m, keep)), np.empty((k, m, keep))
+    y_field = np.empty((m, keep))
     start = scenario.measure.points[:, :, None]
     s[:, :n] = start
     s[:, n:] = start
@@ -393,11 +374,12 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     min(n_paths, KEPT_PATHS) keep their trajectories, at every node, and
     only those step their observation. Memory is the step maps (at most
     N (2n + m)(4n + 2kd) floats), the kept trajectories, a few sets of
-    moments of at most 4 k R n^2 floats each for R nodes, and a working
-    set allocated once, on the calling thread, before any step: three
-    draw buffers of ``_CHUNK`` steps of normals for one block of up to
-    4096 paths, and that block's state [x, z] and scratch arrays. Nothing
-    is allocated per chunk or per step, whatever ``n_paths``. Identical
+    moments of at most 4 k R n^2 floats each for R nodes, two draw
+    buffers of ``_CHUNK`` steps of normals for one block of up to 4096
+    paths, allocated on the calling thread before any step, and one
+    block's state [x, z] and scratch arrays, allocated on the calling
+    thread before the block's first step. Nothing is allocated per chunk
+    or per step, whatever ``n_paths``. Identical
     seeds give bitwise identical ensembles, whatever ``MFK_THREADS`` is,
     and the moments at a node do not depend on which other nodes are
     asked for. An ``n_paths`` or ``seed`` that is not an integer (a bool
@@ -419,17 +401,14 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
 
     blocks = [(b, min(_BLOCK, n_paths - b)) for b in range(0, n_paths, _BLOCK)]
     seqs = np.random.SeedSequence(seed).spawn(len(blocks))
-    width, n_kept = blocks[0][1], min(n_paths, KEPT_PATHS)
-    work = _Work(k, n, m, width, min(width, n_kept))
-    ring = [np.empty(_CHUNK * 2 * d * width) for _ in range(_RING)]
-    raw = np.empty(_CHUNK * 2 * d * width) if d > 1 else None
-    kept = np.empty((grid.n_nodes, k, 2 * n + m, n_kept))
-    draws = _draw_chunks(seqs, blocks, grid.n_steps, d, ring, raw)
+    ring = [np.empty(_CHUNK * 2 * d * blocks[0][1]) for _ in range(_RING)]
+    kept = np.empty((grid.n_nodes, k, 2 * n + m, min(n_paths, KEPT_PATHS)))
+    draws = _draw_chunks(seqs, blocks, grid.n_steps, d, ring)
     total = None
     quiet = np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
     with _ahead(draws, worker_count() > 1) as chunks, quiet:
         for start, count in blocks:
-            moments = _simulate_block(scenario, maps, work, count, chunks,
+            moments = _simulate_block(scenario, maps, count, chunks,
                                       kept[..., start:start + count], nodes)
             total = moments if total is None else total + moments
     bad = np.zeros(len(nodes), dtype=bool)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfkalman import GainSchedule, ScenarioError, kernel_bundle, load_scenario
-from mfkalman import cli
+from mfkalman import cli, scenarios
 from mfkalman.cli import main
 
 
@@ -324,6 +324,35 @@ class TestScenarioFiles:
         spec.write_text("coefficients: {A: \"__import__('os')\"}\n")
         code = main(["simulate", "--scenario", str(spec), "--out", str(tmp_path)])
         assert code != 0
+
+    # nested code has names of its own, which the top-level check never saw
+    _NESTED = ["(lambda: ().__class__)()", "[v.__class__ for v in (t,)]",
+               "abs(v.real for v in (t,))", "{v: v.imag for v in (t,)}[t]"]
+
+    @pytest.mark.parametrize("expr", _NESTED)
+    def test_nested_code_rejected_before_evaluation(self, expr):
+        with pytest.raises(ScenarioError, match="not allowed in expression") as info:
+            scenarios._compile_expr(expr, ("t",))
+        assert repr(expr) in str(info.value)
+
+    @pytest.mark.parametrize("expr", _NESTED)
+    def test_nested_code_rejected_in_scenario_files(self, tmp_path, capsys, expr):
+        spec = tmp_path / "bad.yaml"
+        spec.write_text(f"steps: 10\ncoefficients: {{A: {expr!r}}}\n")
+        with pytest.raises(ScenarioError, match="not allowed in expression"):
+            load_scenario(spec)
+        out = tmp_path / "out"
+        assert main(["covariance", "--scenario", str(spec), "--out", str(out)]) == 1
+        assert "error in stage scenario: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_expression_name_evaluates(self):
+        # each name of the namespace, and both arguments, in one expression
+        names = " + ".join(f"{name}(0.5)" if callable(fn) else name
+                           for name, fn in scenarios._EXPR_NAMES.items())
+        fn = scenarios._compile_expr(f"{names} + u * t", ("u", "t"))
+        want = sum(fn(0.5) if callable(fn) else fn for fn in scenarios._EXPR_NAMES.values())
+        assert fn(2.0, 3.0) == pytest.approx(want + 6.0, rel=1e-15)
 
 
 class _ReadRecorder(argparse.Namespace):

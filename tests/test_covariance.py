@@ -31,7 +31,7 @@ from mfkalman import (
 )
 from mfkalman import covariance
 from mfkalman.arbitration import cost_gradient_transcribed, covariance_profile_transcribed
-from mfkalman.covariance import _averaged_terms, _ScalarWeights
+from mfkalman.covariance import _atom_terms, _averaged_terms, _kernel_coefficients, _ScalarWeights
 from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
@@ -390,6 +390,29 @@ class TestMeanSensitivity:
             expected = 2.0 * (-integral + psi[i, j] ** 2 * g[j])
             got = tri[i, j]
             assert got == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("atom", [None, 0, 1])
+    def test_triangles_cache_no_kernel_on_the_bundle(self, atom):
+        # the triangles build phi and psi for themselves: the caller's
+        # bundle keeps no (N+1)^2 array it did not ask for, and the kernel
+        # is bit for bit the products over the bundle's own phi and psi
+        scen = cross_pairing_probe(120)
+        gain = GainSchedule.constant(scen.grid, 0.7)
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, gain)
+        got = (mean_sensitivity_triangle(scen, bundle, bars) if atom is None
+               else sensitivity_triangle(scen, bundle, bars, atom))
+        assert not {"phi", "psi", "f"} & vars(bundle).keys()
+        w = _ScalarWeights(scen, bars, gain)
+        parts, dg = ((_averaged_terms(bundle, w), None) if atom is None else
+                     (_atom_terms(bundle, w.wbar, *w.atom(atom)),
+                      scen.flat_atom("gamma", atom) - w.gbar))
+        (a, b, c), _ = _kernel_coefficients(bundle, w, *parts, dg=dg)
+        phi, psi = bundle.phi.values, bundle.psi.values
+        want = phi * phi * a + psi * psi * c
+        if b is not None:
+            want += phi * psi * b
+        np.testing.assert_array_equal(got, np.tril(2.0 * want))
 
     def test_triangle_row_equals_row_path_and_atom_sum(self, rough_pack):
         # each triangle against the row-quadrature oracle, its rows against

@@ -314,7 +314,9 @@ class TestDrawAhead:
         for chunk in chunks:
             homes = [b for b in buffers if np.shares_memory(chunk, b)]
             assert len(homes) == 1
-        assert len({id(b) for c in chunks for b in buffers if np.shares_memory(c, b)}) <= 3
+        assert len(buffers) == simulation._RING
+        assert len({id(b) for c in chunks for b in buffers
+                    if np.shares_memory(c, b)}) == simulation._RING
 
     def test_ring_outlasts_the_draw_ahead(self, monkeypatch):
         # the helper fills the next buffer while the caller steps the last
@@ -401,10 +403,11 @@ def _two_atom_matrix_scenario(steps, points=((-1.0, 0.5), (1.0, -0.5)), weights=
 
 
 def _full_state_ensemble(scen, gain, n_paths: int, seed: int) -> dict:
-    """The engine before its fixed working set, kept as the reference of
-    the bitwise test: every replication steps the whole state [x, z, y]
-    by the (2n + m)-square step map, and each chunk of draws is a new
-    array. Returns the arrays of a :class:`PathEnsemble`."""
+    """A full-state engine, the reference of the bitwise test: every
+    replication steps the whole state [x, z, y] by the (2n + m)-square
+    step map, every array is new, and each chunk of draws is drawn as a
+    new (steps in chunk, 2d, count) array. Returns the arrays of a
+    :class:`PathEnsemble`."""
     H, M = _closed_loop_drifts(scen, gain)
     n, m, d, k = scen.n, scen.m, scen.d, scen.n_atoms
     steps, dt = scen.grid.n_steps, scen.grid.dt
@@ -446,8 +449,7 @@ def _full_state_ensemble(scen, gain, n_paths: int, seed: int) -> dict:
         moments = simulation._Moments.zeros(k, scen.grid.n_nodes, n, count)
         states = [s[..., :keep].copy()]
         for j0 in range(0, steps, simulation._CHUNK):
-            draws = rng.standard_normal((min(simulation._CHUNK, steps - j0), 2, count, d))
-            chunk = np.ascontiguousarray(draws.transpose(0, 1, 3, 2)).reshape(-1, 2 * d, count)
+            chunk = rng.standard_normal((min(simulation._CHUNK, steps - j0), 2 * d, count))
             for j, xi in enumerate(chunk, start=j0):
                 bars = (weights * s[:, :2 * n]).sum(axis=0)
                 s = own[j] @ s + field[j] @ bars + noise[j] @ xi
@@ -497,6 +499,17 @@ def test_engine_bitwise_equals_full_state_reference(monkeypatch, threads, case, 
     ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
     for name, want in _full_state_ensemble(scen, gain, n_paths, 8).items():
         assert np.array_equal(getattr(ens, name), want), name
+
+
+@pytest.mark.parametrize("case", ["classical", "matrix"])   # d = 1 and d = 2
+def test_draws_do_not_depend_on_the_chunk_size(monkeypatch, case):
+    # a chunk of L steps is 2L successive (d, count) draws, so cutting the
+    # steps into other chunks hands every step the same normals
+    scen, gain = _bitwise_case(case, 37)
+    want = simulate_ensemble(scen, gain, n_paths=4100, seed=8)
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(simulation, "_CHUNK", chunk)
+        _assert_same_ensemble(simulate_ensemble(scen, gain, n_paths=4100, seed=8), want)
 
 
 class TestRequestedNodes:
