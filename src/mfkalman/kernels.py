@@ -85,8 +85,10 @@ class GainSchedule:
 
     @classmethod
     def from_callable(cls, grid: TimeGrid, fn, n: int = 1, m: int = 1) -> "GainSchedule":
-        """Node samples of ``fn(t)``, scalars read as in :meth:`constant`."""
-        return cls(grid, _stack_values(fn, [(t,) for t in grid.nodes], n, m, "gain({})"))
+        """Node samples of ``fn(t)``, called once per node with the node's
+        ``np.float64``, scalars read as in :meth:`constant`; a value of
+        another shape is named by its node, as in ``gain(0.0) has shape``."""
+        return cls(grid, _stack_values(fn, grid.nodes, n, m, "gain({})"))
 
     @property
     def scalar(self) -> np.ndarray:

@@ -127,24 +127,36 @@ _EXPR_NAMES = {
 }
 
 
-def _compile_expr(expr: str, args: tuple[str, ...]):
-    """Compile a coefficient expression over the restricted namespace. The
-    names it reads must be those of ``_EXPR_NAMES`` or ``args``, and it
-    may hold no nested code (a lambda, a comprehension or a generator),
-    whose names the check would not see; anything else raises
-    :class:`ScenarioError` before any evaluation."""
-    code = compile(expr, "<scenario>", "eval")
+def _compile_expr(expr: str, args: tuple[str, ...], key: str):
+    """Compile the expression of coefficient ``key`` over the restricted
+    namespace. It must parse, the names it reads must be those of
+    ``_EXPR_NAMES`` or ``args``, and it may hold no nested code (a lambda,
+    a comprehension or a generator), whose names the check would not see;
+    anything else raises :class:`ScenarioError` before any evaluation.
+    An evaluation that fails (an overflow, a division by zero, a math
+    domain error, a call of a number) raises :class:`ScenarioError` naming
+    ``key``, the expression and its arguments."""
+    try:
+        code = compile(expr, "<scenario>", "eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ScenarioError(f"{key}: cannot parse expression {expr!r} "
+                            f"({getattr(exc, 'msg', exc)})") from None
     if any(isinstance(const, types.CodeType) for const in code.co_consts):
-        raise ScenarioError(f"nested code (a lambda or a comprehension) not allowed "
+        raise ScenarioError(f"{key}: nested code (a lambda or a comprehension) not allowed "
                             f"in expression {expr!r}")
     for name in code.co_names:
         if name not in _EXPR_NAMES and name not in args:
-            raise ScenarioError(f"name {name!r} not allowed in expression {expr!r}")
+            raise ScenarioError(f"{key}: name {name!r} not allowed in expression {expr!r}")
 
     def fn(*vals):
         scope = dict(_EXPR_NAMES)
         scope.update(zip(args, vals))
-        return float(eval(code, {"__builtins__": {}}, scope))  # noqa: S307
+        try:
+            return float(eval(code, {"__builtins__": {}}, scope))  # noqa: S307
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            at = ", ".join(f"{arg}={val}" for arg, val in zip(args, vals))
+            raise ScenarioError(f"{key}: expression {expr!r} raised {type(exc).__name__} "
+                                f"at {at}: {exc}") from None
 
     return fn
 
@@ -166,7 +178,7 @@ def _number(value, key: str) -> float:
 
 
 def _coeff_from_spec(value, args: tuple[str, ...], key: str):
-    return _compile_expr(value, args) if isinstance(value, str) else _number(value, key)
+    return _compile_expr(value, args, key) if isinstance(value, str) else _number(value, key)
 
 
 # each measure kind: its constructor, and its parameters with the defaults

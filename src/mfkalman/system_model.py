@@ -11,6 +11,7 @@ through weighted sums.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,13 +215,17 @@ def _as_matrix(value, rows: int, cols: int) -> np.ndarray:
     return val * np.eye(rows) if rows == cols else np.full((rows, cols), float(val))
 
 
-def _stack_values(fn, points, rows: int, cols: int, label: str) -> np.ndarray:
-    """(len(points), rows, cols) values of ``fn(*p)`` at every argument
-    tuple ``p`` of ``points``, each read as in :func:`_as_matrix`. The
+def _stack_values(fn, nodes: np.ndarray, rows: int, cols: int, label: str,
+                  *lead) -> np.ndarray:
+    """(len(nodes), rows, cols) values of ``fn(*lead, t)`` at every node t,
+    each read as in :func:`_as_matrix`. ``fn`` is called once per node, in
+    node order, and its arguments are made as the calls happen: ``lead``
+    is passed as given at every node, t is the node's ``np.float64``. The
     values are stacked at once; only when they do not stack to that shape
     (scalars mixed with matrices, or a wrong shape) are they read one by
-    one, so that ``label.format(*p)`` names the first misshapen value."""
-    values = [fn(*p) for p in points]
+    one, so that ``label.format(*lead, t)`` names the first misshapen
+    value."""
+    values = list(map(fn, *map(itertools.repeat, lead), nodes))
     try:
         stacked = np.asarray(values, dtype=float)
     except ValueError:  # ragged: scalars mixed with matrices
@@ -234,36 +239,55 @@ def _stack_values(fn, points, rows: int, cols: int, label: str) -> np.ndarray:
         if stacked.shape == (len(values), rows, cols):
             return stacked
     out = np.empty((len(values), rows, cols))
-    for j, (p, value) in enumerate(zip(points, values)):
+    for j, value in enumerate(values):
         val = _as_matrix(value, rows, cols)
         if val.shape != (rows, cols):
-            raise ScenarioError(
-                f"{label.format(*p)} has shape {val.shape}, expected {(rows, cols)}")
+            raise ScenarioError(f"{label.format(*lead, nodes[j])} has shape {val.shape}, "
+                                f"expected {(rows, cols)}")
         out[j] = val
     return out
 
 
+def _broadcast_constant(value, lead: tuple, rows: int, cols: int, label: str) -> np.ndarray:
+    """A constant read once, as in :func:`_as_matrix`, and copied to every
+    index of the ``lead`` axes; a shape other than (rows, cols) raises
+    :class:`ScenarioError` naming ``label``."""
+    val = _as_matrix(value, rows, cols)
+    if val.shape != (rows, cols):
+        raise ScenarioError(f"{label} has shape {val.shape}, expected {(rows, cols)}")
+    return np.broadcast_to(val, lead + val.shape).copy()
+
+
 def _sample_time_coefficient(value, grid: TimeGrid, rows: int, cols: int,
                              label: str) -> np.ndarray:
-    """(N+1, rows, cols) nodal samples of a constant, matrix or callable of t."""
-    fn = value if callable(value) else lambda t, _c=_as_matrix(value, rows, cols): _c  # noqa: E731
-    samples = _stack_values(fn, [(t,) for t in grid.nodes], rows, cols, label + "({})")
+    """(N+1, rows, cols) nodal samples of a callable of t, called once per
+    node, or of a constant or matrix, read once."""
+    if callable(value):
+        samples = _stack_values(value, grid.nodes, rows, cols, label + "({})")
+    else:
+        samples = _broadcast_constant(value, (grid.n_nodes,), rows, cols, label)
     if not np.all(np.isfinite(samples)):
         raise ScenarioError(f"{label} is not finite at every node")
     return samples
 
 
 def _sample_atom_coefficient(value, measure: InitialMeasure, grid: TimeGrid,
-                             rows: int, cols: int, label: str):
-    """Nodal samples of a per-atom loading sigma(u, t)/gamma(u, t):
-    constant or callable (u, t)."""
-    fn = value if callable(value) else lambda u, t, _c=float(value): _c  # noqa: E731
-    points = [(u.item() if u.size == 1 else u, t)
-              for u in measure.points for t in grid.nodes]
-    samples = _stack_values(fn, points, rows, cols, label + "(u={}, t={})")
+                             rows: int, cols: int, label: str) -> np.ndarray:
+    """(k_atoms, N+1, rows, cols) nodal samples of a per-atom loading
+    sigma(u, t)/gamma(u, t): a callable of (u, t), called once per atom and
+    node with u as a float for a one-component atom and as the atom's row
+    otherwise, or a constant or matrix, read once."""
+    shape = (measure.n_atoms, grid.n_nodes)
+    if callable(value):
+        samples = np.empty(shape + (rows, cols))
+        for k, u in enumerate(measure.points):
+            samples[k] = _stack_values(value, grid.nodes, rows, cols, label + "(u={}, t={})",
+                                       u.item() if u.size == 1 else u)
+    else:
+        samples = _broadcast_constant(value, shape, rows, cols, label)
     if not np.all(np.isfinite(samples)):
         raise ScenarioError(f"{label} is not finite at every atom and node")
-    return samples.reshape(measure.n_atoms, grid.n_nodes, rows, cols)
+    return samples
 
 
 def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
@@ -273,7 +297,12 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
     """Assemble and validate a scenario.
 
     Coefficients may be constants, matrices, or callables of ``t``;
-    ``sigma``/``gamma`` may additionally be callables of ``(u, t)``.
+    ``sigma``/``gamma`` take callables of ``(u, t)`` instead. A constant
+    or a matrix is read once and copied to every node (and atom), with no
+    Python work per node, and one of the wrong shape is named, as in
+    ``A has shape (3, 3)``; a callable is called once per node, or once
+    per atom and node for a loading, and a value of the wrong shape is
+    named by its first node (and atom), as in ``C(0.5) has shape (1, 2)``.
     The state dimension is the measure's, the observation dimension
     defaults to it, and the noise dimension d is read off ``Q``; a scalar
     ``Q0`` is read as v I of that size.
@@ -301,7 +330,7 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
     C_s = _sample_time_coefficient(C, grid, m, n, "C")
     D_s = _sample_time_coefficient(D, grid, m, n, "D")
     Sig_s = _sample_time_coefficient(Sigma, grid, n, n, "Sigma")
-    _check_spd_nodes(Sig_s, grid, "Sigma")
+    _check_spd_nodes(Sig_s if callable(Sigma) else Sig_s[:1], grid, "Sigma")
 
     sig_s = _sample_atom_coefficient(sigma, measure, grid, n, d, "sigma")
     gam_s = _sample_atom_coefficient(gamma, measure, grid, m, d, "gamma")

@@ -275,12 +275,31 @@ class TestScenarioFiles:
         ("noise: [1, 2]", "noise must be a mapping"),
         ("sigma: {a: 1}", "sigma must be a number"),
         ("measure: {kind: discrete}", "measure 'discrete' needs the parameter 'points'"),
+        # expressions that fail to parse or to evaluate: the key, the
+        # expression and, once evaluated, the point where it failed
+        ('coefficients: {A: "1 +"}', r"^A: cannot parse expression '1 \+'"),
+        ('coefficients: {A: "exp(1000 * t)"}',
+         r"^A: expression 'exp\(1000 \* t\)' raised OverflowError at t=0\.71"),
+        ('sigma: "1 / u"',
+         r"^sigma: expression '1 / u' raised ZeroDivisionError at u=0\.0, t=0\.0"),
+        ('cost_weight: "log(t)"',
+         r"^cost_weight: expression 'log\(t\)' raised ValueError at t=0\.0"),
+        ('coefficients: {B: "t(1)"}', r"^B: expression 't\(1\)' raised TypeError at t=0\.0"),
     ])
     def test_bad_file_rejected_naming_key(self, tmp_path, text, match):
         path = tmp_path / "scen.yaml"
         path.write_text(text + "\n")
         with pytest.raises(ScenarioError, match=match):
             load_scenario(path)
+
+    def test_failing_expression_exits_naming_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text('steps: 10\ncoefficients: {A: "exp(1000 * t)"}\n')
+        out = tmp_path / "out"
+        assert main(["covariance", "--scenario", str(path), "--out", str(out)]) == 1
+        assert ("error in stage scenario: A: expression 'exp(1000 * t)' raised OverflowError"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_non_finite_weights_named(self, tmp_path, capsys):
         path = tmp_path / "scen.yaml"
@@ -332,7 +351,7 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("expr", _NESTED)
     def test_nested_code_rejected_before_evaluation(self, expr):
         with pytest.raises(ScenarioError, match="not allowed in expression") as info:
-            scenarios._compile_expr(expr, ("t",))
+            scenarios._compile_expr(expr, ("t",), "A")
         assert repr(expr) in str(info.value)
 
     @pytest.mark.parametrize("expr", _NESTED)
@@ -350,7 +369,7 @@ class TestScenarioFiles:
         # each name of the namespace, and both arguments, in one expression
         names = " + ".join(f"{name}(0.5)" if callable(fn) else name
                            for name, fn in scenarios._EXPR_NAMES.items())
-        fn = scenarios._compile_expr(f"{names} + u * t", ("u", "t"))
+        fn = scenarios._compile_expr(f"{names} + u * t", ("u", "t"), "sigma")
         want = sum(fn(0.5) if callable(fn) else fn for fn in scenarios._EXPR_NAMES.values())
         assert fn(2.0, 3.0) == pytest.approx(want + 6.0, rel=1e-15)
 

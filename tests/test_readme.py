@@ -1,5 +1,6 @@
 """``README.md`` against the library as it is. Its ``python`` examples are
-read from source and executed block by block, so that a changed signature
+read from source and executed block by block, and its ``yaml`` examples
+loaded as scenario files, so that a changed signature or file format
 cannot leave the README stale, and the simulator sizes and random
 generator it quotes are the code's constants."""
 
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mfkalman import simulation
+from mfkalman import load_scenario, simulation
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,6 +19,15 @@ def test_python_examples_run():
     assert blocks
     for k, block in enumerate(blocks):
         exec(compile(block, f"{_README.name}, python block {k}", "exec"), {})
+
+
+def test_yaml_examples_load(tmp_path):
+    blocks = re.findall(r"^```yaml\n(.*?)^```", _README.read_text(), flags=re.M | re.S)
+    assert blocks
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"block{k}.yaml"
+        path.write_text(block)
+        assert load_scenario(path).scalar_mode
 
 
 _NUMBER_WORDS = {"one": 1, "two": 2, "three": 3, "four": 4, "five": 5}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,6 +182,61 @@ class TestBuildScenario:
             assert np.array_equal(getattr(scen, name), expected), name
         gain = GainSchedule.from_callable(GRID, mixed, 2, 2)
         assert np.array_equal(gain.values, per_node(mixed, times, 2, 2))
+        wide, expected = (GainSchedule.from_callable(GRID, lambda t: -t, 2, 3).values,
+                          per_node(lambda t: -t, times, 2, 3))
+        assert np.array_equal(wide, expected)
+        assert np.array_equal(np.signbit(wide), np.signbit(expected))
+
+        # constants, read once and copied: a scalar is v I on a square shape
+        # (so a negative one has -0.0 off the diagonal) and the full matrix
+        # of v otherwise; a matrix is taken as it is, loadings included
+        constants = {"A": (0.3, 2, 2), "B": (-0.5, 2, 2),
+                     "C": (np.arange(6.0).reshape(3, 2), 3, 2), "D": (-0.25, 3, 2),
+                     "Sigma": (np.array([[2.0, 0.5], [0.5, 1.0]]), 2, 2)}
+        loadings = {"sigma": (-0.7, 2, 2),
+                    "gamma": (np.array([[1.0, -0.0], [0.5, 2.0], [-1.0, 0.0]]), 3, 2)}
+        scen = build_scenario(
+            GRID, measure=InitialMeasure([[-1.0, 0.5], [1.0, -0.5]], [0.4, 0.6]), m=3,
+            Q=np.eye(2), Q0=np.eye(2),
+            **{name: c[0] for name, c in {**constants, **loadings}.items()})
+        for name, (value, rows, cols) in constants.items():
+            expected = per_node(lambda t, v=value: v, times, rows, cols)
+            assert np.array_equal(getattr(scen, name), expected), name
+            assert np.array_equal(np.signbit(getattr(scen, name)), np.signbit(expected)), name
+        assert np.signbit(scen.B[:, 0, 1]).all() and np.signbit(scen.B[:, 1, 0]).all()
+        for name, (value, rows, cols) in loadings.items():
+            points = [(u, t) for u in scen.measure.points for t in GRID.nodes]
+            expected = per_node(lambda u, t, v=value: v, points, rows, cols).reshape(2, -1, rows, 2)
+            assert np.array_equal(getattr(scen, name), expected), name
+            assert np.array_equal(np.signbit(getattr(scen, name)), np.signbit(expected)), name
+        classical = build_scenario(GRID, measure=dirac_measure(0.0), A=-1.0, sigma=2, gamma=0.5)
+        for name, value in (("A", -1.0), ("C", 1.0), ("sigma", 2.0), ("gamma", 0.5)):
+            assert np.array_equal(getattr(classical, name),
+                                  np.full(getattr(classical, name).shape, value)), name
+
+    @pytest.mark.parametrize("name, rows", [("A", 2), ("Sigma", 2), ("C", 1), ("sigma", 2),
+                                            ("gamma", 1)])
+    def test_misshapen_constant_named(self, name, rows):
+        with pytest.raises(ScenarioError,
+                           match=rf"^{name} has shape \(3, 3\), expected \({rows}, 2\)"):
+            build_scenario(GRID, measure=dirac_measure([0.0, 0.0]), m=1, Q=np.eye(2),
+                           Q0=np.eye(2), **{name: np.ones((3, 3))})
+
+    def test_callables_called_once_per_point_with_node_types(self):
+        calls = {"A": [], "sigma": []}
+        build_scenario(GRID, measure=InitialMeasure([[-1.0], [1.0]], [0.5, 0.5]),
+                       A=lambda t: calls["A"].append(t) or 0.0,
+                       sigma=lambda u, t: calls["sigma"].append((u, t)) or 1.0)
+        assert calls["A"] == list(GRID.nodes)
+        assert all(type(t) is np.float64 for t in calls["A"])
+        assert calls["sigma"] == [(u, t) for u in (-1.0, 1.0) for t in GRID.nodes]
+        assert all(type(u) is float and type(t) is np.float64 for u, t in calls["sigma"])
+        rows = []
+        build_scenario(GRID, measure=dirac_measure([1.0, 2.0]), Q=np.eye(2), Q0=np.eye(2),
+                       gamma=lambda u, t: rows.append(u) or np.eye(2))
+        assert len(rows) == GRID.n_nodes
+        assert all(isinstance(u, np.ndarray) and u.tolist() == [1.0, 2.0] for u in rows)
+
 
     def test_misshapen_value_named_by_node(self):
         with pytest.raises(ScenarioError, match=r"^C\(0\.5\) has shape \(1, 2\)"):
@@ -190,6 +247,36 @@ class TestBuildScenario:
                            sigma=lambda u, t: u)
         with pytest.raises(ScenarioError, match=r"^gain\(0\.0\) has shape \(1,\)"):
             GainSchedule.from_callable(GRID, lambda t: np.array([t]))
+
+
+class TestBuildMemory:
+    """The Python peak of a build at N = 12800 (tracemalloc): no object per
+    node for a constant, no argument tuple per point for a callable."""
+
+    GRID = make_grid(1.0, 12800)
+
+    @staticmethod
+    def _peak(build):
+        tracemalloc.start()
+        try:
+            scen = build()
+            return tracemalloc.get_traced_memory()[1], scen
+        finally:
+            tracemalloc.stop()
+
+    def test_callable_loadings_stream(self):
+        measure = gauss_hermite_measure(11)
+        peak, _ = self._peak(lambda: build_scenario(self.GRID, measure=measure,
+                                                    sigma=lambda u, t: u, gamma=lambda u, t: u))
+        assert peak <= 8 * 2**20, peak
+
+    def test_constants_cost_their_samples(self):
+        measure = dirac_measure(0.0)
+        peak, scen = self._peak(lambda: build_scenario(self.GRID, measure=measure))
+        returned = sum(getattr(scen, name).nbytes
+                       for name in ("A", "B", "C", "D", "Sigma", "sigma", "gamma"))
+        assert peak <= 1.5 * returned, peak / returned
+
 
 
 class TestMeasureAverages:

@@ -6,6 +6,7 @@ re-run behind."""
 import contextlib
 import io
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import mfkalman
 from mfkalman.cli import main
 from mfkalman.simulation import SimulationError
-from mfkalman.validation import CriterionResult, ValidationSuite, write_csv
+from mfkalman.validation import CriterionResult, ValidationSuite, _Twin, write_csv
 
 SHADOW = ".determinism-recheck"
 
@@ -126,3 +127,21 @@ def test_negative_seed_rejected_before_any_work(tmp_path):
     with pytest.raises(SimulationError, match="seed must be >= 0, got -3"):
         ValidationSuite(tmp_path / "out", seed=-3)
     assert not (tmp_path / "out").exists()
+
+
+def test_rerun_simulates_on_one_thread(tmp_path, monkeypatch):
+    # the re-run's environment, with its command replaced by a report of the
+    # thread count a simulation there would use; this side asks for two
+    class ThreadCount(subprocess.Popen):
+        def __init__(self, args, **kwargs):
+            super().__init__([sys.executable, "-c", "import mfkalman.simulation as s; "
+                              "print(s.worker_count())"], **kwargs)
+
+    monkeypatch.setenv("MFK_THREADS", "2")
+    monkeypatch.setattr(subprocess, "Popen", ThreadCount)
+    twin = _Twin(tmp_path, 0)
+    try:
+        status, out, err = twin.wait()
+    finally:
+        twin.stop()
+    assert (status, out.strip()) == (0, "1"), err
