@@ -87,30 +87,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=_DEFAULT_OUT, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="allow overwriting existing output files")
+        return p
 
     def at_gain(p):
-        common(p)
-        p.add_argument("--gain", choices=("zero", "reference"), default="zero",
-                       help="gain at which to evaluate (reference = closed-form "
-                            "benchmark gain, bundled scenarios only)")
+        common(p).add_argument("--gain", choices=("zero", "reference"), default="zero",
+                               help="gain at which to evaluate (reference = closed-form "
+                                    "benchmark gain, bundled scenarios only)")
+        return p
 
-    p = sub.add_parser("simulate", help="Monte Carlo ensemble and statistics")
-    at_gain(p)
+    p = at_gain(sub.add_parser("simulate", help="Monte Carlo ensemble and statistics"))
     p.add_argument("--paths", type=_int_from(2), default=2000)
 
-    p = sub.add_parser("kernels", help="transition/mixed kernel triangles")
-    at_gain(p)
+    at_gain(sub.add_parser("kernels", help="transition/mixed kernel triangles"))
+    at_gain(sub.add_parser("covariance", help="error covariance per atom and node"))
 
-    p = sub.add_parser("covariance", help="error covariance per atom and node")
-    at_gain(p)
-
-    p = sub.add_parser("gradcheck", help="gradient vs central-difference oracle")
-    at_gain(p)
+    p = at_gain(sub.add_parser("gradcheck", help="gradient vs central-difference oracle"))
     p.add_argument("--eps", type=_positive_float, default=1e-4)
     p.add_argument("--directions", type=_int_from(1), default=5)
 
-    p = sub.add_parser("optimize", help="preconditioned descent to the optimal gain")
-    common(p)
+    p = common(sub.add_parser("optimize", help="preconditioned descent to the optimal gain"))
     p.add_argument("--grad-tol", type=_positive_float, default=None)
     p.add_argument("--max-iter", type=_int_from(1), default=2000)
 

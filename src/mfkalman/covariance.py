@@ -50,10 +50,12 @@ running integrals also use, carry it forward,
     P_0 = 0,  P_{i+1} = R_i (P_i + dt/2 W_i) R_i' + dt/2 W_{i+1},
 
 which is the trapezoid on the transition triangles regrouped by their
-semigroup property: O(N) per atom, no triangle is built. On a 1x1 problem
-both modes give the same profiles and cost to round-off, and a value that
-overflows raises :class:`~mfkalman.system_model.NonFiniteError` naming
-the stage and node in either mode.
+semigroup property: O(N) per atom, no triangle is built. T is the same
+for every atom and P is linear in W, so the cost reads Kbar from one such
+recursion on the measure-averaged W, whatever the atom count. On a 1x1
+problem both modes give the same profiles and cost to round-off, and a
+value that overflows raises :class:`~mfkalman.system_model.NonFiniteError`
+naming the stage and node in either mode.
 
 A bundle or measure averages built for another scenario than the one
 passed raise :class:`ScenarioError`.
@@ -191,32 +193,46 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
             w = _ScalarWeights(scenario, bars, bundle.gain)
             prof = sum(_atom_terms(bundle, w.wbar, *w.atom(i)))
         else:
-            n = scenario.n
-            W = _joint_noise(scenario, bars, bundle.gain, i).sum(axis=1)
-            P = _joint_moments(bundle, W, scenario.grid.dt)[:, n:, n:]
-            prof = 0.5 * (P + P.transpose(0, 2, 1))
+            prof = _atom_moment(scenario, bundle, bars, i)
     check_finite("covariance_profile", prof)
     return prof
 
 
 def _joint_noise(scenario: Scenario, bars: BarQuantities, gain: GainSchedule,
-                 atom: int) -> np.ndarray:
+                 atom: int | None) -> np.ndarray:
     """Matrix mode: the diffusion W = [[m_bar, X'], [X, m_atom]] of
     (mean error, atom error) at every node, split as (N+1, 2, 2n, 2n) into
     W_L (X' zeroed) and W_U (X' alone), which the drift transports
     differently. m_bar pairs the averaged loadings, m_atom the atom's, and
-    X = sigma(u) Q sigma-bar' + (G gamma(u)) Q0 (G gamma-bar)' the two."""
+    X = sigma(u) Q sigma-bar' + (G gamma(u)) Q0 (G gamma-bar)' the two.
+    With ``atom`` None, W is its measure average: m_atom becomes
+    m2 = (sigma Q sigma')-bar + G (gamma Q0 gamma')-bar G', and X becomes
+    m_bar, since the atoms' loadings average to the bars."""
     def pair(x, y):   # of two (sigma, gamma) loadings
         return (np.einsum("jad,de,jbe->jab", x[0], scenario.Q, y[0])
                 + np.einsum("jad,de,jbe->jab", G @ x[1], scenario.Q0, G @ y[1]))
 
     G = gain.values
     bar = (bars.sigma_bar, bars.gamma_bar)
-    own = (scenario.sigma[atom], scenario.gamma[atom])
-    m_bar, m_atom, X = pair(bar, bar), pair(own, own), pair(own, bar)
+    m_bar = pair(bar, bar)
+    if atom is None:
+        X, m_atom = m_bar, bars.sigma2_bar + G @ bars.gamma2_bar @ G.transpose(0, 2, 1)
+    else:
+        own = (scenario.sigma[atom], scenario.gamma[atom])
+        m_atom, X = pair(own, own), pair(own, bar)
     zero = np.zeros_like(X)
     return np.stack([np.block([[m_bar, zero], [X, m_atom]]),
                      np.block([[zero, X.transpose(0, 2, 1)], [zero, zero]])], axis=1)
+
+
+def _atom_moment(scenario: Scenario, tb: StepPropagators, bars: BarQuantities,
+                 atom: int | None) -> np.ndarray:
+    """Matrix mode: the symmetrized atom block of the joint second moment,
+    one atom's K-profile, or with ``atom`` None the averaged Kbar, from
+    one :func:`_joint_moments` pass on the summed :func:`_joint_noise`."""
+    W = _joint_noise(scenario, bars, tb.gain, atom).sum(axis=1)
+    P = _joint_moments(tb, W, scenario.grid.dt)[:, scenario.n:, scenario.n:]
+    return 0.5 * (P + P.transpose(0, 2, 1))
 
 
 def _joint_moments(tb: StepPropagators, W: np.ndarray, dt: float) -> np.ndarray:
@@ -339,26 +355,24 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
 
 def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
     """Cost J: the atom-averaged time integral of trace(Sigma(t) K(u, t)),
-    in scalar mode from the averaged K-profile P_mean + P_dev in O(N)."""
+    that of trace(Sigma Kbar) with Kbar the averaged K-profile, P_mean +
+    P_dev in scalar mode and :func:`_atom_moment` of the averaged system in
+    matrix mode: one O(N) pass whatever the atom count. A Kbar that is not
+    finite raises NonFiniteError naming ``trace_cost``."""
     _checked(scenario, bundle, bars)
-    if scenario.scalar_mode:
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = _ScalarWeights(scenario, bars, bundle.gain)
-            return _cost("trace_cost", scenario, *_averaged_terms(bundle, w))
-    total = 0.0
-    for a in range(scenario.n_atoms):
-        prof = covariance_profile(scenario, bundle, bars, a)
-        traces = np.einsum("jab,jba->j", scenario.Sigma, prof)
-        total += scenario.measure.weights[a] * float(trapezoid(traces, scenario.grid.dt))
-    return total
+    with np.errstate(over="ignore", invalid="ignore"):
+        kbar = (np.add(*_averaged_terms(bundle, _ScalarWeights(scenario, bars, bundle.gain)))
+                if scenario.scalar_mode else _atom_moment(scenario, bundle, bars, None))
+    return _cost("trace_cost", scenario, kbar)
 
 
-def _cost(stage: str, scenario: Scenario, mean: np.ndarray, dev: np.ndarray) -> float:
-    """Scalar-mode J, the trapezoid of Sigma (P_mean + P_dev); a profile
-    that is not finite raises NonFiniteError naming ``stage``."""
-    kbar = mean + dev
+def _cost(stage: str, scenario: Scenario, kbar: np.ndarray) -> float:
+    """J, the trapezoid of trace(Sigma Kbar), from the averaged K-profile
+    of either mode ((N+1,) in scalar mode); one that is not finite raises
+    NonFiniteError naming ``stage``."""
     check_finite(stage, kbar)
-    return float(trapezoid(scenario.flat("Sigma") * kbar, scenario.grid.dt))
+    traces = np.einsum("jab,jba->j", scenario.Sigma, kbar.reshape(scenario.Sigma.shape))
+    return float(trapezoid(traces, scenario.grid.dt))
 
 
 def cost_gradient(scenario: Scenario, bundle: KernelBundle,
@@ -406,7 +420,7 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     g[-1] = 0.0
     check_finite("cost_gradient", g)
     return GradientField(grid=scenario.grid, values=g, curvature=d, diagonal_step=step,
-                         cost=_cost("cost_gradient", scenario, mean, dev))
+                         cost=_cost("cost_gradient", scenario, mean + dev))
 
 
 def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedule,

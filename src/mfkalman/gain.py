@@ -229,9 +229,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
 
 
 def _as_time_fn(value):
-    if callable(value):
-        return value
-    return lambda t, _v=float(value): _v
+    return value if callable(value) else lambda t, _v=float(value): _v
 
 
 def _rk4(rhs, y0: tuple[float, ...], grid: TimeGrid) -> np.ndarray:

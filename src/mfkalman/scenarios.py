@@ -133,9 +133,12 @@ def _compile_expr(expr: str, args: tuple[str, ...], key: str):
     ``_EXPR_NAMES`` or ``args``, and it may hold no nested code (a lambda,
     a comprehension or a generator), whose names the check would not see;
     anything else raises :class:`ScenarioError` before any evaluation.
-    An evaluation that fails (an overflow, a division by zero, a math
-    domain error, a call of a number) raises :class:`ScenarioError` naming
-    ``key``, the expression and its arguments."""
+    It is then compiled once, as a function of ``args`` over that
+    namespace, inside parentheses on lines of their own, which a trailing
+    comment cannot swallow. An evaluation that fails (an overflow, a
+    division by zero, a math domain error, a call of a number) raises
+    :class:`ScenarioError` naming ``key``, the expression and its
+    arguments."""
     try:
         code = compile(expr, "<scenario>", "eval")
     except (SyntaxError, ValueError) as exc:
@@ -148,11 +151,12 @@ def _compile_expr(expr: str, args: tuple[str, ...], key: str):
         if name not in _EXPR_NAMES and name not in args:
             raise ScenarioError(f"{key}: name {name!r} not allowed in expression {expr!r}")
 
+    raw = eval(compile(f"lambda {', '.join(args)}: (\n{expr}\n)", "<scenario>", "eval"),
+               {"__builtins__": {}, **_EXPR_NAMES})  # noqa: S307
+
     def fn(*vals):
-        scope = dict(_EXPR_NAMES)
-        scope.update(zip(args, vals))
         try:
-            return float(eval(code, {"__builtins__": {}}, scope))  # noqa: S307
+            return float(raw(*vals))
         except (ArithmeticError, ValueError, TypeError) as exc:
             at = ", ".join(f"{arg}={val}" for arg, val in zip(args, vals))
             raise ScenarioError(f"{key}: expression {expr!r} raised {type(exc).__name__} "
@@ -241,9 +245,7 @@ def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:
 def resolve_scenario(name_or_path: str, steps: int | None = None) -> Scenario:
     """A bundled scenario name, or a path to a scenario file."""
     if name_or_path in BUILTIN_SCENARIOS:
-        if steps is None:
-            return BUILTIN_SCENARIOS[name_or_path]()
-        return BUILTIN_SCENARIOS[name_or_path](steps=steps)
+        return BUILTIN_SCENARIOS[name_or_path](DEFAULT_STEPS if steps is None else steps)
     if Path(name_or_path).exists():
         return load_scenario(name_or_path, steps=steps)
     raise ScenarioError(

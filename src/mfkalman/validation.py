@@ -19,7 +19,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -75,34 +75,29 @@ def write_csv(path: Path, header: str, rows, meta: dict) -> None:
 
     Floats (numpy's float64 included) are printed with 17 significant
     digits so a re-run with the same seed is byte-identical; any other
-    value as ``str``. Each row's format follows from its tuple of column
-    types, made anew only where that tuple changes; runs of up to
-    ``_CSV_CHUNK`` consecutive rows of one format are formatted by one
-    ``%`` operation and written as ``rows`` yields them. A row that
-    raises removes the partial file.
+    value as ``str``. The first row fixes the file's format; runs of up
+    to ``_CSV_CHUNK`` rows are formatted by one ``%`` operation and
+    written as ``rows`` yields them. A later row of another length, or
+    with a float where the first row has none or the reverse, raises
+    ValueError; a row that raises removes the partial file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
     try:
         with path.open("w") as f:
             f.write(_comment_rows(meta) + header + "\n")
-            fmt, types_before, flat, count = "", None, [], 0
-            for row in rows:
-                if type(row) is not tuple:
-                    row = tuple(row)
-                types = [*map(type, row)]
-                if types != types_before:
-                    types_before = types
-                    row_fmt = ",".join(
-                        "%.17g" if issubclass(t, float) else "%s" for t in types) + "\n"
-                    if row_fmt != fmt:
-                        f.write((fmt * count) % tuple(flat))
-                        fmt, flat, count = row_fmt, [], 0
-                if count == _CSV_CHUNK:
-                    f.write((fmt * count) % tuple(flat))
-                    flat, count = [], 0
-                flat += row
-                count += 1
-            f.write((fmt * count) % tuple(flat))
+            floats = None
+            while chunk := [*islice(rows, _CSV_CHUNK)]:
+                if floats is None:
+                    floats = [isinstance(value, float) for value in chunk[0]]
+                    fmt = ",".join("%.17g" if flt else "%s" for flt in floats) + "\n"
+                width, flat = len(floats), [*chain.from_iterable(chunk)]
+                if {*map(len, chunk)} != {width} or any(
+                        issubclass(kind, float) is not flt for c, flt in enumerate(floats)
+                        for kind in {*map(type, flat[c::width])}):
+                    raise ValueError(f"{path.name}: a row does not fit the columns of the "
+                                     f"first row, {chunk[0]!r}")
+                f.write((fmt * len(chunk)) % tuple(flat))
     except BaseException:
         path.unlink(missing_ok=True)
         raise
@@ -152,10 +147,10 @@ def _dump_optimizer(out: Path, scenario: Scenario, report, seed: int) -> None:
     """Cost/gradient trajectory and final gain of one optimizer run."""
     rows = [(i, J, gn) for i, (J, gn) in enumerate(
         zip(report.cost_trajectory, report.gradient_trajectory))]
-    write_csv(out / "optimizer_trajectory.csv", "iter,J,grad_norm", rows,
+    write_csv(out / "optimizer_trajectory.csv", "iter,J,grad_norm", rows, _meta(scenario, seed))
+    write_csv(out / "optimizer_gain.csv", "t,gain",
+              zip(scenario.grid.nodes.tolist(), report.gain.scalar.tolist()),
               _meta(scenario, seed))
-    rows = [(float(t), float(v)) for t, v in zip(scenario.grid.nodes, report.gain.scalar)]
-    write_csv(out / "optimizer_gain.csv", "t,gain", rows, _meta(scenario, seed))
 
 
 def _rate_residuals(bundle) -> tuple[float, float]:
@@ -225,8 +220,7 @@ def _gradcheck(out: Path, scenario: Scenario, gain: GainSchedule, directions, se
     write_csv(out / "gradcheck.csv", "direction,pairing,fd_oracle,abs_diff", rows,
               _meta(scenario, seed, {"eps": "%.17g" % eps}))
     write_csv(out / "gradient.csv", "t,g",
-              [(float(t), float(v)) for t, v in zip(scenario.grid.nodes, g.values)],
-              _meta(scenario, seed))
+              zip(scenario.grid.nodes.tolist(), g.values.tolist()), _meta(scenario, seed))
     return rows
 
 
@@ -243,13 +237,11 @@ def _covariance_rows(scenario: Scenario, gain: GainSchedule):
     over the atoms."""
     bundle = kernel_bundle(scenario, gain)
     bars = measure_averages(scenario)
-    profiles, worst = [], 0.0
-    for a in range(scenario.n_atoms):
-        profiles.append(covariance_profile(scenario, bundle, bars, a))
-        worst = max(worst, _rate_residual(profiles[a], drift_profile(scenario, bundle, bars, a),
-                                          scenario.grid.dt))
-    rows = ((a, float(t), float(k)) for a, K in enumerate(profiles)
-            for t, k in zip(scenario.grid.nodes, K))
+    profiles = [covariance_profile(scenario, bundle, bars, a) for a in range(scenario.n_atoms)]
+    worst = max(_rate_residual(K, drift_profile(scenario, bundle, bars, a), scenario.grid.dt)
+                for a, K in enumerate(profiles))
+    t = scenario.grid.nodes.tolist()
+    rows = ((a, *row) for a, K in enumerate(profiles) for row in zip(t, K.tolist()))
     return rows, worst
 
 
@@ -257,11 +249,10 @@ def _write_paths(path: Path, scenario: Scenario, ens, seed: int, reps: int, stri
     """(rep, atom, t, x, y, z, e) rows of the first ``reps`` kept
     replications, every atom, at every ``stride``-th node, with the
     ensemble's path count in the metadata."""
-    nodes = scenario.grid.nodes
-    rows = [(r, a, float(nodes[j]), float(ens.x[r, a, j, 0]), float(ens.y[r, a, j, 0]),
-             float(ens.z[r, a, j, 0]), float(ens.e[r, a, j, 0]))
-            for r in range(reps) for a in range(scenario.n_atoms)
-            for j in range(0, len(nodes), stride)]
+    t = scenario.grid.nodes[::stride].tolist()
+    x, y, z, e = (v[:reps, :, ::stride, 0].tolist() for v in (ens.x, ens.y, ens.z, ens.e))
+    rows = ((r, a, *row) for r in range(reps) for a in range(scenario.n_atoms)
+            for row in zip(t, x[r][a], y[r][a], z[r][a], e[r][a]))
     write_csv(path, "rep,atom,t,x,y,z,e", rows, _meta(scenario, seed, {"n_paths": ens.n_paths}))
 
 
@@ -477,8 +468,7 @@ class ValidationSuite:
             mean, var = st.mean[0, r, 0], st.cov[0, r, 0, 0]
             z_var = (var - K[j]) / st.var_se[0, r, 0]
             z_mean = mean / st.mean_se[0, r, 0]
-            rows.append((t_probe, float(mean), float(var),
-                         float(K[j]), float(z_var), float(z_mean)))
+            rows.append((t_probe, *map(float, (mean, var, K[j], z_var, z_mean))))
             ok = abs(z_var) <= 3.0 and abs(z_mean) <= 3.0
             passed = passed and ok
             details.append(

@@ -8,11 +8,13 @@ from mfkalman import (
     InitialMeasure,
     build_scenario,
     classical_scenario,
+    covariance_profile,
     cumulative_trapezoid,
     dirac_measure,
     kernel_bundle,
     make_grid,
     measure_averages,
+    trapezoid,
 )
 from mfkalman.covariance import GradientField, _ScalarWeights
 from mfkalman.scenarios import random_smooth_scenario
@@ -71,6 +73,17 @@ def two_atom_matrix_scenario(steps):
         Sigma=lambda t: np.array([[1.0, 0.2], [0.2, 0.5 + t]]), **_MATRIX_COEFFS)
     gain = GainSchedule.constant(grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
     return scen, measure_averages(scen), gain
+
+
+def per_atom_cost(scenario, bundle, bars):
+    """J as the measure-weighted sum of the atoms' costs, the trapezoid of
+    trace(Sigma K(u, t)) on each atom's ``covariance_profile``: the oracle
+    of ``trace_cost``, which reads the averaged covariance instead."""
+    return sum(weight * trapezoid(np.einsum("jab,jba->j", scenario.Sigma,
+                                            covariance_profile(scenario, bundle, bars, a)
+                                            .reshape(scenario.Sigma.shape)),
+                                  scenario.grid.dt)
+               for a, weight in enumerate(scenario.measure.weights))
 
 
 def sensitivity_quadratures(bundle, w, w_mid, x):

@@ -149,16 +149,22 @@ def _reference_line(row) -> str:
 def test_write_csv_matches_reference_formatter(tmp_path):
     row = (-0.0, 5e-324, 1e300, float("nan"), float("inf"), -float("inf"), 7, "name",
            np.float64(0.1), np.float32(0.1), 1 / 3)
+    # each column of the second row is another type of the same format:
+    # a float kind where the first row has a float, else any other value
+    again = (np.float64(2.5), -1e-300, np.float64(-0.0), 0.5, np.float64(1e300), 1 / 7,
+             True, np.int64(-3), 0.25, "x", np.float64(float("nan")))
     path = tmp_path / "out.csv"
-    write_csv(path, "h", [row, row[::-1]], {"seed": 1})
-    expected = [_reference_line(r) for r in (row, row[::-1])]
+    write_csv(path, "h", [row, again], {"seed": 1})
+    expected = [_reference_line(r) for r in (row, again)]
     assert path.read_text() == "\n".join(["# seed=1", "h"] + expected) + "\n"
 
     # a generator of rows (lists and tuples) in which every column changes
-    # its type from one row to the next
-    cycle = [3, 2.5, True, np.int64(-4), -0.0, np.float32(0.1), float("nan"), "label",
-             float("inf"), False, -float("inf"), np.float64(1 / 3)]
-    mixed = [[cycle[(k + c) % len(cycle)] for c in range(4)] for k in range(2 * len(cycle))]
+    # its type from one row to the next within its format
+    floats = [2.5, np.float64(-0.0), float("nan"), np.float64(1 / 3), -float("inf"),
+              np.float64(float("inf"))]
+    others = [3, True, np.int64(-4), np.float32(0.1), "label", False]
+    mixed = [[(floats if c % 2 else others)[(k + c) % 6] for c in range(4)]
+             for k in range(12)]
     assert all(type(a) is not type(b) for r0, r1 in zip(mixed, mixed[1:])
                for a, b in zip(r0, r1))
     write_csv(path, "a,b,c,d", (r if k % 2 else tuple(r) for k, r in enumerate(mixed)),
@@ -168,12 +174,12 @@ def test_write_csv_matches_reference_formatter(tmp_path):
 
 
 def test_write_csv_chunks_keep_the_bytes(tmp_path):
-    # runs of one format longer than a chunk, a change of format inside a
-    # chunk and on its boundary, and a last chunk that is not full
+    # runs longer than a chunk, a change of float kind inside a chunk and
+    # on its boundary, and a last chunk that is not full
     chunk = validation._CSV_CHUNK
-    rows = ([(k, k / 7) for k in range(chunk + 3)] + [(k, "x", -k / 3) for k in range(5)]
-            + [(k, k / 7) for k in range(chunk - 5)] + [(k, np.float64(k) / 9)
-                                                         for k in range(2 * chunk + 1)])
+    rows = ([(k, k / 7) for k in range(chunk + 3)] + [(k, np.float64(k) / 9)
+                                                      for k in range(chunk - 3)]
+            + [(k, -k / 3) for k in range(2 * chunk + 1)])
     path = tmp_path / "out.csv"
     write_csv(path, "h", iter(rows), {"seed": 3})
     expected = [_reference_line(r) for r in rows]
@@ -196,6 +202,20 @@ def test_write_csv_row_that_raises_leaves_no_file(tmp_path):
     path = tmp_path / "out.csv"
     with pytest.raises(RuntimeError, match="row failed"):
         write_csv(path, "a,b", rows(), {"seed": 1})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["first-chunk", "after-whole-chunks"])
+@pytest.mark.parametrize("misfit", [("x", 2), (1, 2), (1.0, 2.0), (1.0,), (1.0, 2, 3)],
+                         ids=["str-for-float", "int-for-float", "float-for-int", "short",
+                              "long"])
+def test_write_csv_row_that_does_not_fit_raises_and_leaves_no_file(tmp_path, misfit, late):
+    # the first row (float, int) fixes the file's format
+    rows = [(0.5, k) for k in range(2 * validation._CSV_CHUNK + 5 if late else 3)]
+    rows.insert(len(rows) - 2, misfit)
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="does not fit the columns of the first row"):
+        write_csv(path, "a,b", iter(rows), {"seed": 1})
     assert not path.exists()
 
 

@@ -1,4 +1,5 @@
 import argparse
+import json
 
 import numpy as np
 import pytest
@@ -364,6 +365,16 @@ class TestScenarioFiles:
         assert main(["covariance", "--scenario", str(spec), "--out", str(out)]) == 1
         assert "error in stage scenario: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("expr, want", [("2 * t  # ) + (", 0.5),
+                                            ("(t  # ) + (\n + 1)", 1.25)])
+    def test_comment_in_expression_is_ignored(self, tmp_path, expr, want):
+        # the expression is compiled inside parentheses of its own, which
+        # a comment must not swallow
+        assert scenarios._compile_expr(expr, ("t",), "A")(0.25) == want
+        spec = tmp_path / "scen.yaml"
+        spec.write_text(f"steps: 4\ncoefficients: {{A: {json.dumps(expr)}}}\n")
+        assert load_scenario(spec).A[1, 0, 0] == want
 
     def test_every_expression_name_evaluates(self):
         # each name of the namespace, and both arguments, in one expression

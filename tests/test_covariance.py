@@ -7,6 +7,7 @@ import pytest
 
 from mfkalman import (
     GainSchedule,
+    InitialMeasure,
     NonFiniteError,
     ScenarioError,
     build_scenario,
@@ -37,6 +38,7 @@ from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import (
     gradient_from_kernel,
+    per_atom_cost,
     row_sensitivity_triangle,
     row_weights,
     scalar_scenario,
@@ -783,6 +785,53 @@ class TestMatrixJointRecursion:
         assert peak < 4e6
 
 
+def _nonsquare_two_atom_scenario(steps):
+    """(scenario, bars, gain) of a mean-coupled two-atom system with a
+    2-dimensional state, a 1-dimensional observation and 2 noises."""
+    grid = make_grid(1.0, steps)
+    scen = build_scenario(
+        grid, measure=InitialMeasure([[-1.0, 0.5], [1.0, -0.5]], [0.3, 0.7]), m=1,
+        A=np.array([[-0.4, 0.3], [0.2, 0.1]]), B=np.array([[0.5, -0.3], [0.1, -0.2]]),
+        C=np.array([[1.0, 0.4]]), D=lambda t: np.array([[0.3, 0.1 * t]]),
+        sigma=lambda u, t: np.array([[0.9 + 0.2 * u[0], 0.1], [0.0, 1.1 + 0.1 * u[1] * t]]),
+        gamma=lambda u, t: np.array([[1.0 + 0.2 * u[1], 0.1 * u[0]]]),
+        Q=np.array([[1.0, 0.3], [0.3, 0.8]]), Q0=np.eye(2),
+        Sigma=lambda t: np.array([[1.0, 0.2], [0.2, 0.5 + t]]))
+    gain = GainSchedule.constant(grid, np.array([[0.5], [-0.2]]), 2, 1)
+    return scen, measure_averages(scen), gain
+
+
+class TestAveragedMatrixCost:
+    """Matrix-mode J is the trace of Sigma against the atom block of one
+    joint recursion on the measure-averaged diffusion, equal to the
+    measure-weighted sum of the atoms' costs."""
+
+    @pytest.mark.parametrize("build, steps", [(two_atom_matrix_scenario, 50),
+                                              (two_atom_matrix_scenario, 200),
+                                              (_nonsquare_two_atom_scenario, 200)])
+    def test_matches_per_atom_oracle(self, build, steps):
+        scen, bars, gain = build(steps)
+        bundle = kernel_bundle(scen, gain)
+        assert trace_cost(scen, bundle, bars) == pytest.approx(
+            per_atom_cost(scen, bundle, bars), rel=1e-12)
+
+    @pytest.mark.parametrize("build", [
+        lambda: two_atom_matrix_scenario(100)[0],
+        lambda: dataclasses.replace(normal_flow_scenario(100), scalar_mode=False)],
+        ids=["two-atom-2x2", "normal-flow"])
+    def test_one_joint_pass_per_call(self, build, monkeypatch):
+        scen = build()
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.5 * np.eye(scen.n),
+                                                           scen.n, scen.m))
+        calls = []
+        joint_moments = covariance._joint_moments
+        monkeypatch.setattr(covariance, "_joint_moments",
+                            lambda *a: calls.append(1) or joint_moments(*a))
+        trace_cost(scen, bundle, bars)
+        assert len(calls) == 1
+
+
 class TestOneStepRule:
     """Both engines step the transitions by the exponential of the
     trapezoid-averaged generator, so a 1x1 problem run in matrix mode
@@ -790,7 +839,8 @@ class TestOneStepRule:
     stable 2x2 system stays finite."""
 
     @pytest.mark.parametrize("value", [0.5, 300.0, 1e3, 1e5])
-    @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe])
+    @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe,
+                                       normal_flow_scenario])
     def test_matrix_engine_matches_scalar_engine(self, build, value):
         scen = build(steps=200)
         gain = GainSchedule.constant(scen.grid, value)
@@ -804,7 +854,9 @@ class TestOneStepRule:
                                  for a in range(s.n_atoms)])
         assert costs[1] == pytest.approx(costs[0], rel=1e-12)
         for matrix, scalar in zip(profiles[1], profiles[0]):
-            assert _rel(matrix, scalar) <= 1e-12
+            # relative to the atom's own scale; an atom with no noise
+            # (normal-flow's u = 0) must be exactly zero in both
+            assert np.max(np.abs(matrix - scalar)) <= 1e-12 * np.max(np.abs(scalar))
 
     @pytest.mark.filterwarnings("error")
     def test_stiff_two_atom_system_is_finite(self):
@@ -823,8 +875,8 @@ class TestOneStepRule:
                               A=np.array([[20.0, 0.5], [0.0, -1.0]]), Q=np.eye(2))
         bundle = kernel_bundle(scen, GainSchedule.constant(grid, 0.0, 2, 2))
         atom = () if stage is trace_cost else (0,)
-        name = "drift_profile" if stage is drift_profile else "covariance_profile"
-        with pytest.raises(NonFiniteError, match=rf"^{name}: non-finite value at node \d+$"):
+        with pytest.raises(NonFiniteError, match=rf"^{stage.__name__}: non-finite value at "
+                                                 r"node \d+$"):
             stage(scen, bundle, measure_averages(scen), *atom)
         assert not np.all(np.isfinite(bundle.f.values))
 
@@ -837,8 +889,7 @@ class TestOneStepRule:
                               Q=np.eye(2))
         bundle = kernel_bundle(scen, GainSchedule.constant(grid, 1e300, 2, 2))
         assert not np.all(np.isfinite(bundle.H))
-        with pytest.raises(NonFiniteError, match=r"^covariance_profile: non-finite value at "
-                                                 r"node 1$"):
+        with pytest.raises(NonFiniteError, match=r"^trace_cost: non-finite value at node 1$"):
             trace_cost(scen, bundle, measure_averages(scen))
         assert not np.all(np.isfinite(bundle.f.values))
 
