@@ -30,6 +30,9 @@ One atom's profile adds a third running integral, the cross term
 phi psi. The cost gradient pairs each variance with its costate, the
 reverse integral of Sigma phi^2 or Sigma psi^2; so the profiles, the
 cost and the gradient are a few running sums each, O(N) time and memory.
+A scalar bundle keeps its averaged evaluation (the weights, P_mean, P_dev
+and J) for the measure averages it was last evaluated with, so the
+gradient after the cost on the same bundle adds only its two reverse sums.
 Each sum is one running trapezoid, anchored frame by frame
 (:meth:`~mfkalman.kernels.ScalarTables.integral`), so a stable system
 stays finite and accurate on long horizons, and finite on a stiff step
@@ -107,8 +110,15 @@ class GradientField:
     cost: float | None = None
 
     def pair(self, beta: np.ndarray) -> float:
-        """Trapezoid pairing with a nodal direction."""
-        return float(trapezoid(self.values * np.asarray(beta, dtype=float), self.grid.dt))
+        """Trapezoid pairing with a nodal direction: shape (N+1,), finite
+        at every node, else ScenarioError."""
+        beta = np.asarray(beta, dtype=float)
+        if beta.shape != self.values.shape:
+            raise ScenarioError(f"a direction must have shape {self.values.shape}, "
+                                f"got {beta.shape}")
+        if not np.isfinite(beta).all():
+            raise ScenarioError("a direction must be finite at every node")
+        return float(trapezoid(self.values * beta, self.grid.dt))
 
 
 def _atom_index(scenario: Scenario, atom) -> int:
@@ -168,6 +178,37 @@ def _checked(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities | Non
 def _averaged_terms(tb: ScalarTables, w: _ScalarWeights) -> tuple[np.ndarray, np.ndarray]:
     """P_mean and P_dev, the two parts of the averaged K-profile."""
     return tb.integral(w.wbar, 0, 2), tb.integral(w.w2 - w.wbar, 2, 0)
+
+
+@dataclass(frozen=True)
+class _Averaged:
+    """The scalar averaged evaluation at a bundle's gain: the weights,
+    P_mean, P_dev, Kbar = P_mean + P_dev and J (not finite where Kbar is
+    not)."""
+
+    w: _ScalarWeights
+    mean: np.ndarray
+    dev: np.ndarray
+    kbar: np.ndarray
+    cost: float
+
+
+def _averaged(scenario: Scenario, tb: ScalarTables, bars: BarQuantities) -> _Averaged:
+    """The :class:`_Averaged` evaluation of ``tb`` under ``bars``, computed
+    once and kept on the bundle, keyed on the identity of ``bars``: a
+    :func:`cost_gradient` after a :func:`trace_cost` on the same bundle
+    reuses its two forward sums and J. It checks nothing, so each caller
+    checks Kbar under its own stage name."""
+    memo = getattr(tb, "_averaged_memo", None)
+    if memo is not None and memo[0] is bars:
+        return memo[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = _ScalarWeights(scenario, bars, tb.gain)
+        mean, dev = _averaged_terms(tb, w)
+        kbar = mean + dev
+        avg = _Averaged(w, mean, dev, kbar, _trace_integral(scenario, kbar))
+    tb._averaged_memo = (bars, avg)
+    return avg
 
 
 def _atom_terms(tb: ScalarTables, wbar, w_u, x_u) -> tuple[np.ndarray, ...]:
@@ -312,10 +353,13 @@ def _sensitivity(stage: str, scenario: Scenario, bundle: KernelBundle, bars: Bar
     NonFiniteError naming ``stage``."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _ScalarWeights(scenario, bars, bundle.gain)
-        parts, dg = ((_averaged_terms(tb, w), None) if atom is None else
-                     (_atom_terms(tb, w.wbar, *w.atom(atom)),
-                      scenario.flat_atom("gamma", atom) - w.gbar))
+        if atom is None:
+            avg = _averaged(scenario, tb, bars)
+            w, parts, dg = avg.w, (avg.mean, avg.dev), None
+        else:
+            w = _ScalarWeights(scenario, bars, bundle.gain)
+            parts = _atom_terms(tb, w.wbar, *w.atom(atom))
+            dg = scenario.flat_atom("gamma", atom) - w.gbar
         (a, b, c), _ = _kernel_coefficients(tb, w, *parts, dg=dg)
         nodes = np.arange(scenario.grid.n_nodes)
         phi, psi = (_exp_differences(x, nodes[:, None], nodes) for x in (tb.lhm, tb.lh))
@@ -358,19 +402,25 @@ def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) ->
     that of trace(Sigma Kbar) with Kbar the averaged K-profile, P_mean +
     P_dev in scalar mode and :func:`_atom_moment` of the averaged system in
     matrix mode: one O(N) pass whatever the atom count. A Kbar that is not
-    finite raises NonFiniteError naming ``trace_cost``."""
+    finite raises NonFiniteError naming ``trace_cost``.
+
+    In scalar mode the bundle keeps the weights, P_mean, P_dev and J for
+    these ``bars``, so a :func:`cost_gradient` on the same bundle adds only
+    its two reverse sums; matrix mode keeps nothing."""
     _checked(scenario, bundle, bars)
+    if scenario.scalar_mode:
+        avg = _averaged(scenario, bundle, bars)
+        check_finite("trace_cost", avg.kbar)
+        return avg.cost
     with np.errstate(over="ignore", invalid="ignore"):
-        kbar = (np.add(*_averaged_terms(bundle, _ScalarWeights(scenario, bars, bundle.gain)))
-                if scenario.scalar_mode else _atom_moment(scenario, bundle, bars, None))
-    return _cost("trace_cost", scenario, kbar)
+        kbar = _atom_moment(scenario, bundle, bars, None)
+    check_finite("trace_cost", kbar)
+    return _trace_integral(scenario, kbar)
 
 
-def _cost(stage: str, scenario: Scenario, kbar: np.ndarray) -> float:
+def _trace_integral(scenario: Scenario, kbar: np.ndarray) -> float:
     """J, the trapezoid of trace(Sigma Kbar), from the averaged K-profile
-    of either mode ((N+1,) in scalar mode); one that is not finite raises
-    NonFiniteError naming ``stage``."""
-    check_finite(stage, kbar)
+    of either mode ((N+1,) in scalar mode)."""
     traces = np.einsum("jab,jba->j", scenario.Sigma, kbar.reshape(scenario.Sigma.shape))
     return float(trapezoid(traces, scenario.grid.dt))
 
@@ -404,23 +454,26 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     O(dt |H|) relative along directions that do not vanish at the ends.
     P_mean and P_dev also give the field's ``cost``, :func:`trace_cost` to
     the bit, checked after g. g vanishes at the horizon by construction.
-    Scalar mode only."""
+    The forward sums and J are those the bundle keeps: after a
+    :func:`trace_cost` on the same bundle and ``bars`` this adds only the
+    two reverse costates. Scalar mode only."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     sigma = scenario.flat("Sigma")
+    avg = _averaged(scenario, tb, bars)
+    w = avg.w
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _ScalarWeights(scenario, bars, bundle.gain)
-        mean, dev = _averaged_terms(tb, w)
         L_mean = tb.integral(sigma, 0, 2, reverse=True)
         L_dev = tb.integral(sigma, 2, 0, reverse=True)
-        (a_mean, _, a_dev), (l_mean, l_dev) = _kernel_coefficients(tb, w, mean, dev)
+        (a_mean, _, a_dev), (l_mean, l_dev) = _kernel_coefficients(tb, w, avg.mean, avg.dev)
         g = 2.0 * (a_mean * L_mean + a_dev * L_dev)
         d = 2.0 * (l_mean * L_mean + l_dev * L_dev)
         step = np.divide(-(a_mean + a_dev), w.g2q0, out=np.zeros_like(g),
                          where=w.g2q0 > 1e-14)
     g[-1] = 0.0
     check_finite("cost_gradient", g)
+    check_finite("cost_gradient", avg.kbar)
     return GradientField(grid=scenario.grid, values=g, curvature=d, diagonal_step=step,
-                         cost=_cost("cost_gradient", scenario, mean + dev))
+                         cost=avg.cost)
 
 
 def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedule,

@@ -31,6 +31,7 @@ Three structural facts shape the implementation:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,9 @@ class OptimizationReport:
     completion. ``step_sizes`` (the accepted Armijo step) and
     ``line_search_trials`` (cost evaluations it took) are aligned with
     ``cost_trajectory[1:]``; the trials of a failed line search are not
-    recorded; ``iterations`` is their length. ``final_cost`` and the
+    recorded; ``iterations`` is their length. ``iteration_seconds``, also
+    aligned with ``step_sizes``, is each iteration's wall time: its
+    direction, line search and gradient. ``final_cost`` and the
     stationarity residual (over all nodes) are those of the returned gain,
     from its :func:`~mfkalman.covariance.cost_gradient` evaluation: the
     completed last iterate of a converged run, else the last iterate.
@@ -83,6 +86,7 @@ class OptimizationReport:
     gradient_trajectory: list[float]
     step_sizes: list[float]
     line_search_trials: list[int]
+    iteration_seconds: list[float]
     stationarity: float
     iterations: int
     converged: bool
@@ -156,6 +160,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     trajectory = [J]
     steps: list[float] = []
     trials: list[int] = []
+    seconds: list[float] = []
     message = ""
     converged = False
     field = cost_gradient(scenario, bundle, bars)
@@ -165,8 +170,11 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         if grad_trajectory[-1] <= grad_tol:
             converged = True
             break
+        start = time.perf_counter()
         p = _newton_direction(field)
-        slope = field.pair(p)
+        # a direction that is not finite gives no finite candidate gain,
+        # and no step can meet an infinite decrease: every trial is rejected
+        slope = field.pair(p) if np.isfinite(p).all() else -np.inf
         if not slope < 0.0:
             message = "no descent direction"
             break
@@ -196,6 +204,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         trials.append(tried)
         field = cost_gradient(scenario, bundle, bars)
         grad_trajectory.append(float(np.max(np.abs(field.values))))
+        seconds.append(time.perf_counter() - start)
     else:
         message = "iteration limit reached"
 
@@ -220,6 +229,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         gradient_trajectory=grad_trajectory,
         step_sizes=steps,
         line_search_trials=trials,
+        iteration_seconds=seconds,
         stationarity=float(np.max(np.abs(field.values))),
         iterations=len(steps),
         converged=converged,

@@ -16,6 +16,7 @@ from mfkalman import (
     measure_averages,
     trapezoid,
 )
+from mfkalman import kernels
 from mfkalman.covariance import GradientField, _ScalarWeights
 from mfkalman.scenarios import random_smooth_scenario
 
@@ -60,6 +61,16 @@ _MATRIX_COEFFS = {
     "C": lambda t: np.array([[1.0, 0.2], [0.0, 0.8]]),
     "D": lambda t: np.array([[0.3, 0.0], [0.2, 0.1]]),
 }
+
+
+def count_running_integrals(monkeypatch) -> list:
+    """One entry per call of the anchored running sum
+    (``kernels._running_integral``) from here on."""
+    calls = []
+    running = kernels._running_integral
+    monkeypatch.setattr(kernels, "_running_integral",
+                        lambda *a: calls.append(1) or running(*a))
+    return calls
 
 
 def two_atom_matrix_scenario(steps):

@@ -37,6 +37,7 @@ from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import (
+    count_running_integrals,
     gradient_from_kernel,
     per_atom_cost,
     row_sensitivity_triangle,
@@ -511,14 +512,105 @@ class TestGradient:
         *(lambda steps, seed=seed: random_smooth_scenario(seed, steps) for seed in range(1, 9)),
     ], ids=["classical", "normal-flow", "probe"] + [f"random-{k}" for k in range(1, 9)])
     def test_cost_is_trace_cost_to_the_bit(self, build, steps):
+        # and the gradient after trace_cost on one bundle, which reuses
+        # its forward sums, is that of a fresh bundle, bit for bit
         scen = build(steps=steps)
         bars = measure_averages(scen)
         t = scen.grid.nodes
         reference = (riccati_normal_flow(0.0, 1.0, scen.grid).gain_values
                      if build is normal_flow_scenario else np.tanh(t))
         for values in (0.0 * t, reference, 0.4 + 0.2 * np.cos(2 * np.pi * t)):
-            bundle = kernel_bundle(scen, GainSchedule(scen.grid, values))
-            assert cost_gradient(scen, bundle, bars).cost == trace_cost(scen, bundle, bars)
+            gain = GainSchedule(scen.grid, values)
+            bundle = kernel_bundle(scen, gain)
+            J = trace_cost(scen, bundle, bars)
+            after = cost_gradient(scen, bundle, bars)
+            fresh = cost_gradient(scen, kernel_bundle(scen, gain), bars)
+            for name in ("values", "curvature", "diagonal_step"):
+                np.testing.assert_array_equal(getattr(after, name), getattr(fresh, name))
+            assert after.cost == fresh.cost == J
+
+    @pytest.mark.parametrize("beta", [np.ones(1), 1.0, np.ones((101, 1)), np.ones(100)],
+                             ids=["one-node", "scalar", "column", "short"])
+    def test_pair_refuses_a_direction_off_the_nodes(self, classical_pack, beta):
+        scen, bars, bundle = classical_pack
+        g = cost_gradient(scen, bundle, bars)
+        with pytest.raises(ScenarioError, match=r"must have shape \(101,\), got "):
+            g.pair(beta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pair_refuses_a_nonfinite_direction(self, classical_pack, bad):
+        scen, bars, bundle = classical_pack
+        g = cost_gradient(scen, bundle, bars)
+        beta = np.ones(101)
+        beta[50] = bad
+        with pytest.raises(ScenarioError, match="must be finite at every node"):
+            g.pair(beta)
+
+
+class TestAveragedEvaluation:
+    """A scalar bundle keeps the weights, P_mean, P_dev and J it computed
+    for one set of measure averages; cost_gradient after trace_cost on it
+    adds only the two reverse costates."""
+
+    def test_gradient_after_cost_adds_two_sums(self, monkeypatch):
+        scen = cross_pairing_probe(steps=100)
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.3))
+        calls = count_running_integrals(monkeypatch)
+        trace_cost(scen, bundle, bars)
+        assert len(calls) == 2
+        cost_gradient(scen, bundle, bars)
+        assert len(calls) == 4
+        trace_cost(scen, bundle, bars)
+        mean_sensitivity_triangle(scen, bundle, bars)
+        assert len(calls) == 4
+
+    def test_other_measure_averages_are_not_served_the_memo(self, monkeypatch):
+        scen = cross_pairing_probe(steps=100)
+        bars = measure_averages(scen)
+        gain = GainSchedule.constant(scen.grid, 0.3)
+        bundle = kernel_bundle(scen, gain)
+        J = trace_cost(scen, bundle, bars)
+        calls = count_running_integrals(monkeypatch)
+        # equal averages in another object are evaluated afresh
+        assert trace_cost(scen, bundle, measure_averages(scen)) == J
+        assert len(calls) == 2
+        # and averages that differ get their own cost, here and fresh
+        louder = dataclasses.replace(bars, sigma2_bar=2.0 * bars.sigma2_bar)
+        J_louder = trace_cost(scen, bundle, louder)
+        assert J_louder != J
+        assert J_louder == trace_cost(scen, kernel_bundle(scen, gain), louder)
+        fresh = cost_gradient(scen, kernel_bundle(scen, gain), louder)
+        np.testing.assert_array_equal(cost_gradient(scen, bundle, louder).values, fresh.values)
+        assert cost_gradient(scen, bundle, bars).cost == J
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make", [
+        lambda: (_ou_scenario(5.0, steps=400), 0.0),
+        lambda: (classical_scenario(steps=20), 1e200),
+    ], ids=["unstable", "overflowing-gain"])
+    def test_each_caller_names_its_own_stage(self, make):
+        scen, value = make()
+        bars = measure_averages(scen)
+        gain = GainSchedule.constant(scen.grid, value)
+
+        def message(stage, bundle):
+            with pytest.raises(NonFiniteError, match=rf"^{stage.__name__}: non-finite ") as e:
+                stage(scen, bundle, bars)
+            return str(e.value)
+
+        fresh = {stage: message(stage, kernel_bundle(scen, gain))
+                 for stage in (trace_cost, cost_gradient)}
+        for order in ((trace_cost, cost_gradient), (cost_gradient, trace_cost)):
+            bundle = kernel_bundle(scen, gain)
+            for stage in order:
+                assert message(stage, bundle) == fresh[stage]
+
+    def test_matrix_bundle_keeps_nothing(self):
+        scen, bars, bundle = _coupled_matrix_scenario(40)
+        kept = set(vars(bundle))
+        trace_cost(scen, bundle, bars)
+        assert set(vars(bundle)) == kept
 
 
 class TestFdOracle:

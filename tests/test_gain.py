@@ -27,7 +27,7 @@ from mfkalman import gain as gain_module
 from mfkalman.covariance import _ScalarWeights
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
-from conftest import scalar_scenario
+from conftest import count_running_integrals, scalar_scenario
 
 
 def _stationarity(scen, gain):
@@ -436,6 +436,26 @@ class TestOptimizeGain:
         assert len(report.line_search_trials) == report.iterations
         # each accepted step is 1 halved once per failed trial
         assert report.step_sizes == [0.5 ** (t - 1) for t in report.line_search_trials]
+
+    def test_times_each_iteration(self):
+        scen = cross_pairing_probe(steps=200)
+        report = optimize_gain(scen)
+        assert report.iterations > 0
+        assert len(report.iteration_seconds) == len(report.step_sizes)
+        assert all(s > 0.0 for s in report.iteration_seconds)
+        assert optimize_gain(scen, initial_gain=report.gain).iteration_seconds == []
+
+    @pytest.mark.parametrize("build, steps, sums", [(classical_scenario, 400, 20),
+                                                    (cross_pairing_probe, 200, 24)])
+    def test_running_sums_per_run(self, build, steps, sums, monkeypatch):
+        # two forward sums per evaluated gain (the start, each trial and the
+        # completed gain), which a gradient on the same bundle reuses, and
+        # two reverse sums per gradient
+        calls = count_running_integrals(monkeypatch)
+        report = optimize_gain(build(steps=steps))
+        assert report.converged
+        trials = sum(report.line_search_trials)
+        assert len(calls) == 2 * (trials + 2) + 2 * (report.iterations + 2) == sums
 
     @staticmethod
     def _reject_trials(monkeypatch, rejected, nonfinite=False):
