@@ -66,8 +66,6 @@ passed raise :class:`ScenarioError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .kernels import (
@@ -78,7 +76,7 @@ from .kernels import (
     _exp_differences,
     kernel_bundle,
 )
-from .numerics import TimeGrid, _integer, trapezoid
+from .numerics import TimeGrid, _integer, _ReadOnly, trapezoid
 from .system_model import BarQuantities, Scenario, ScenarioError, check_finite
 
 __all__ = [
@@ -93,8 +91,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradientField:
+class GradientField(_ReadOnly):
     """Gradient density g so that the cost derivative along a direction
     beta equals the time integral of g * beta; g vanishes at the horizon.
 
@@ -105,9 +102,15 @@ class GradientField:
 
     grid: TimeGrid
     values: np.ndarray  # (N+1,)
-    curvature: np.ndarray | None = None  # (N+1,), >= 0
-    diagonal_step: np.ndarray | None = None  # (N+1,)
-    cost: float | None = None
+    curvature: np.ndarray | None  # (N+1,), >= 0
+    diagonal_step: np.ndarray | None  # (N+1,)
+    cost: float | None
+
+    def __init__(self, grid: TimeGrid, values: np.ndarray,
+                 curvature: np.ndarray | None = None,
+                 diagonal_step: np.ndarray | None = None, cost: float | None = None):
+        self.__dict__.update(grid=grid, values=values, curvature=curvature,
+                             diagonal_step=diagonal_step, cost=cost)
 
     def pair(self, beta: np.ndarray) -> float:
         """Trapezoid pairing with a nodal direction: shape (N+1,), finite
@@ -180,8 +183,7 @@ def _averaged_terms(tb: ScalarTables, w: _ScalarWeights) -> tuple[np.ndarray, np
     return tb.integral(w.wbar, 0, 2), tb.integral(w.w2 - w.wbar, 2, 0)
 
 
-@dataclass(frozen=True)
-class _Averaged:
+class _Averaged(_ReadOnly):
     """The scalar averaged evaluation at a bundle's gain: the weights,
     P_mean, P_dev, Kbar = P_mean + P_dev and J (not finite where Kbar is
     not)."""
@@ -191,6 +193,10 @@ class _Averaged:
     dev: np.ndarray
     kbar: np.ndarray
     cost: float
+
+    def __init__(self, w: _ScalarWeights, mean: np.ndarray, dev: np.ndarray,
+                 kbar: np.ndarray, cost: float):
+        self.__dict__.update(w=w, mean=mean, dev=dev, kbar=kbar, cost=cost)
 
 
 def _averaged(scenario: Scenario, tb: ScalarTables, bars: BarQuantities) -> _Averaged:

@@ -32,13 +32,12 @@ Three structural facts shape the implementation:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .covariance import GradientField, cost_gradient, trace_cost
 from .kernels import GainSchedule, kernel_bundle
-from .numerics import TimeGrid, _integer
+from .numerics import TimeGrid, _integer, _ReadOnly
 from .system_model import (
     BarQuantities,
     NonFiniteError,
@@ -63,8 +62,7 @@ _CURVATURE_FLOOR = 1e-12  # relative to the largest curvature
 _RICCATI_BLOWUP = 1e8
 
 
-@dataclass(frozen=True)
-class OptimizationReport:
+class OptimizationReport(_ReadOnly):
     """Outcome of a gain optimization run.
 
     ``cost_trajectory`` and ``gradient_trajectory`` (sup over all nodes)
@@ -73,12 +71,17 @@ class OptimizationReport:
     completion. ``step_sizes`` (the accepted Armijo step) and
     ``line_search_trials`` (cost evaluations it took) are aligned with
     ``cost_trajectory[1:]``; the trials of a failed line search are not
-    recorded; ``iterations`` is their length. ``iteration_seconds``, also
-    aligned with ``step_sizes``, is each iteration's wall time: its
-    direction, line search and gradient. ``final_cost`` and the
-    stationarity residual (over all nodes) are those of the returned gain,
-    from its :func:`~mfkalman.covariance.cost_gradient` evaluation: the
-    completed last iterate of a converged run, else the last iterate.
+    recorded; ``iterations`` is their length. ``rejected_trials``, also
+    aligned with ``step_sizes``, lists for each iteration why each of its
+    rejected trials failed, in order: ``"armijo"`` (J did not fall enough)
+    or ``"non-finite cost"`` (:func:`~mfkalman.covariance.trace_cost`
+    raised); a candidate whose gain is not finite is no trial.
+    ``iteration_seconds``, also aligned with ``step_sizes``, is each
+    iteration's wall time: its direction, line search and gradient.
+    ``final_cost`` and the stationarity residual (over all nodes) are
+    those of the returned gain, from its
+    :func:`~mfkalman.covariance.cost_gradient` evaluation: the completed
+    last iterate of a converged run, else the last iterate.
     """
 
     gain: GainSchedule
@@ -91,18 +94,36 @@ class OptimizationReport:
     iterations: int
     converged: bool
     final_cost: float
-    message: str = ""
+    message: str
+    rejected_trials: list[list[str]]
+
+    def __init__(self, gain: GainSchedule, cost_trajectory: list[float],
+                 gradient_trajectory: list[float], step_sizes: list[float],
+                 line_search_trials: list[int], iteration_seconds: list[float],
+                 stationarity: float, iterations: int, converged: bool, final_cost: float,
+                 message: str = "", rejected_trials: list[list[str]] | None = None):
+        self.__dict__.update(gain=gain, cost_trajectory=cost_trajectory,
+                             gradient_trajectory=gradient_trajectory, step_sizes=step_sizes,
+                             line_search_trials=line_search_trials,
+                             iteration_seconds=iteration_seconds, stationarity=stationarity,
+                             iterations=iterations, converged=converged,
+                             final_cost=final_cost, message=message,
+                             rejected_trials=[] if rejected_trials is None else rejected_trials)
 
 
-@dataclass(frozen=True)
-class RiccatiSolution:
+class RiccatiSolution(_ReadOnly):
     """Closed-form reference: Riccati state, implied gain, and (for the
     interacting family) the co-integrated mean error variance."""
 
     grid: TimeGrid
     state: np.ndarray                    # (N+1,)
     gain_values: np.ndarray              # (N+1,)
-    mean_variance: np.ndarray | None = field(default=None)
+    mean_variance: np.ndarray | None
+
+    def __init__(self, grid: TimeGrid, state: np.ndarray, gain_values: np.ndarray,
+                 mean_variance: np.ndarray | None = None):
+        self.__dict__.update(grid=grid, state=state, gain_values=gain_values,
+                             mean_variance=mean_variance)
 
     def gain(self) -> GainSchedule:
         return GainSchedule(self.grid, self.gain_values[:, None, None])
@@ -160,6 +181,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     trajectory = [J]
     steps: list[float] = []
     trials: list[int] = []
+    rejected: list[list[str]] = []
     seconds: list[float] = []
     message = ""
     converged = False
@@ -178,7 +200,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         if not slope < 0.0:
             message = "no descent direction"
             break
-        eta, tried = 1.0, 0
+        eta, tried, reasons = 1.0, 0, []
         while eta >= _STEP_FLOOR:
             # a candidate whose gain or cost is not finite is a rejected
             # trial; its overflows are seen in the values, not as warnings
@@ -191,9 +213,11 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
                     try:
                         J_cand = trace_cost(scenario, cand_bundle, bars)
                     except NonFiniteError:
-                        J_cand = np.inf
-                    if J_cand <= J + _ARMIJO_C1 * eta * slope:
-                        break
+                        reasons.append("non-finite cost")
+                    else:
+                        if J_cand <= J + _ARMIJO_C1 * eta * slope:
+                            break
+                        reasons.append("armijo")
             eta *= _ARMIJO_SHRINK
         else:
             message = "line search step underflow"
@@ -202,6 +226,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         trajectory.append(J)
         steps.append(eta)
         trials.append(tried)
+        rejected.append(reasons)
         field = cost_gradient(scenario, bundle, bars)
         grad_trajectory.append(float(np.max(np.abs(field.values))))
         seconds.append(time.perf_counter() - start)
@@ -235,6 +260,7 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         converged=converged,
         final_cost=J,
         message=message,
+        rejected_trials=rejected,
     )
 
 

@@ -34,12 +34,11 @@ derivative serves only the formula arbitration and lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .numerics import TimeGrid, TriangularKernel, cumulative_trapezoid
+from .numerics import TimeGrid, TriangularKernel, _ReadOnly, cumulative_trapezoid
 from .system_model import Scenario, ScenarioError, _as_matrix, _stack_values
 
 __all__ = [
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GainSchedule:
+class GainSchedule(_ReadOnly):
     """Nodal gain values, read as piecewise-linear between nodes.
 
     This is the control variable of the whole problem: values are
@@ -63,18 +61,18 @@ class GainSchedule:
     grid: TimeGrid
     values: np.ndarray  # (N+1, n, m)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, grid: TimeGrid, values):
+        values = np.asarray(values, dtype=float)
         if values.ndim == 1:
             values = values[:, None, None]
-        if values.ndim != 3 or values.shape[0] != self.grid.n_nodes:
+        if values.ndim != 3 or values.shape[0] != grid.n_nodes:
             raise ScenarioError(
-                f"gain values must be ({self.grid.n_nodes}, n, m), got {values.shape}"
+                f"gain values must be ({grid.n_nodes}, n, m), got {values.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise ScenarioError("gain values must be finite at all nodes")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(grid=grid, values=values)
 
     @classmethod
     def constant(cls, grid: TimeGrid, value, n: int = 1, m: int = 1) -> "GainSchedule":

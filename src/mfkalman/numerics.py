@@ -8,7 +8,6 @@ can be indexed by node pairs without interpolation.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,8 +34,29 @@ def _integer(value, error: type[Exception], message: str, low=-np.inf, high=np.i
     return int(value)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class _Record:
+    """Base of the package's records: plain classes whose ``__init__`` sets
+    their fields in order. Equality and hashing are by identity; the repr
+    names the class and the fields that are not arrays."""
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items()
+                           if not isinstance(value, np.ndarray))
+        return f"{type(self).__name__}({fields})"
+
+
+class _ReadOnly(_Record):
+    """A record whose ``__init__`` writes its fields into ``self.__dict__``;
+    assigning or deleting an attribute afterwards raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class TimeGrid(_ReadOnly):
     """Uniform partition of [0, horizon] into ``n_steps`` intervals.
 
     Nodes are ``t_i = i * dt`` with ``dt = horizon / n_steps``; there are
@@ -45,8 +65,11 @@ class TimeGrid:
 
     horizon: float
     n_steps: int
-    nodes: np.ndarray = field(repr=False)
+    nodes: np.ndarray
     dt: float
+
+    def __init__(self, horizon: float, n_steps: int, nodes: np.ndarray, dt: float):
+        self.__dict__.update(horizon=horizon, n_steps=n_steps, nodes=nodes, dt=dt)
 
     @property
     def n_nodes(self) -> int:
@@ -75,14 +98,21 @@ def make_grid(horizon: float, n_steps: int) -> TimeGrid:
         End time, strictly positive.
     n_steps : int
         Number of sub-intervals, at least 2.
+
+    A step below the smallest normal float64 raises: it is 0 or loses
+    digits, so the nodes would not be i * dt.
     """
     horizon = float(horizon)
     if not np.isfinite(horizon) or horizon <= 0.0:
         raise GridError(f"horizon must be a positive finite number, got {horizon!r}")
     n_steps = _integer(n_steps, GridError, f"n_steps must be an integer >= 2, got {n_steps!r}", 2)
+    dt = horizon / n_steps
+    if dt < np.finfo(float).tiny:
+        raise GridError(f"horizon {horizon!r} over {n_steps} steps gives a step {dt!r} "
+                        f"below the smallest normal float")
     nodes = np.linspace(0.0, horizon, n_steps + 1)
     nodes.setflags(write=False)
-    return TimeGrid(horizon=horizon, n_steps=n_steps, nodes=nodes, dt=horizon / n_steps)
+    return TimeGrid(horizon, n_steps, nodes, dt)
 
 
 def trapezoid(values: np.ndarray, dt: float) -> np.ndarray | float:

@@ -43,12 +43,11 @@ import math
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import GainSchedule, _closed_loop_drifts
-from .numerics import TimeGrid, _integer
+from .numerics import TimeGrid, _integer, _ReadOnly, _Record
 from .system_model import Scenario
 
 __all__ = [
@@ -94,8 +93,7 @@ def worker_count() -> int:
     return 2 if cpus > 1 else 1
 
 
-@dataclass(frozen=True)
-class PathEnsemble:
+class PathEnsemble(_ReadOnly):
     """Monte Carlo replications of the state, observation, filter and error.
 
     ``x``, ``y``, ``z`` and ``e`` hold the trajectories of the first
@@ -124,9 +122,14 @@ class PathEnsemble:
     sum2: np.ndarray
     sum4: np.ndarray
 
+    def __init__(self, grid: TimeGrid, seed: int, n_paths: int, nodes: np.ndarray,
+                 x: np.ndarray, y: np.ndarray, z: np.ndarray, e: np.ndarray,
+                 mean: np.ndarray, sum2: np.ndarray, sum4: np.ndarray):
+        self.__dict__.update(grid=grid, seed=seed, n_paths=n_paths, nodes=nodes, x=x, y=y,
+                             z=z, e=e, mean=mean, sum2=sum2, sum4=sum4)
 
-@dataclass(frozen=True)
-class EmpiricalStats:
+
+class EmpiricalStats(_ReadOnly):
     """Cross-replication statistics of the error per atom at the nodes of
     its ensemble: position r on the node axis is node ``ensemble.nodes[r]``."""
 
@@ -134,6 +137,10 @@ class EmpiricalStats:
     cov: np.ndarray       # (k, R, n, n)
     mean_se: np.ndarray   # (k, R, n)
     var_se: np.ndarray    # (k, R, n) fourth-moment standard error of the variance
+
+    def __init__(self, mean: np.ndarray, cov: np.ndarray, mean_se: np.ndarray,
+                 var_se: np.ndarray):
+        self.__dict__.update(mean=mean, cov=cov, mean_se=mean_se, var_se=var_se)
 
 
 def _step_maps(scenario: Scenario, gain: GainSchedule):
@@ -187,8 +194,7 @@ def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-@dataclass
-class _Moments:
+class _Moments(_Record):
     """Error moments of ``count`` replications at R recorded nodes, layout
     (atom, position, ...): mean, centered sum of products, and the
     centered third and fourth power sums of each component. A position
@@ -199,6 +205,14 @@ class _Moments:
     sum2: np.ndarray   # (k, R, n, n)
     sum3: np.ndarray   # (k, R, n)
     sum4: np.ndarray   # (k, R, n)
+
+    def __init__(self, count: int, mean: np.ndarray, sum2: np.ndarray, sum3: np.ndarray,
+                 sum4: np.ndarray):
+        self.count = count
+        self.mean = mean
+        self.sum2 = sum2
+        self.sum3 = sum3
+        self.sum4 = sum4
 
     @classmethod
     def zeros(cls, k: int, n_nodes: int, n: int, count: int) -> _Moments:

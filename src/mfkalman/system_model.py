@@ -12,11 +12,10 @@ through weighted sums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import TimeGrid, _integer
+from .numerics import TimeGrid, _integer, _ReadOnly
 
 __all__ = [
     "ScenarioError",
@@ -51,20 +50,20 @@ def check_finite(stage: str, array: np.ndarray) -> None:
         raise NonFiniteError(f"{stage}: non-finite value at node {node}")
 
 
-@dataclass(frozen=True)
-class InitialMeasure:
+class InitialMeasure(_ReadOnly):
     """Finite weighted atom set: points (k, n) and positive weights, which
     are normalized to sum to 1."""
 
     points: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if points.shape[0] == 1 and points.shape[1] > 1 and np.asarray(self.points).ndim == 1:
+    def __init__(self, points, weights):
+        given = points
+        points = np.atleast_2d(np.asarray(given, dtype=float))
+        if points.shape[0] == 1 and points.shape[1] > 1 and np.asarray(given).ndim == 1:
             # a flat list of scalar atoms, not one multi-dimensional point
             points = points.T
-        weights = np.asarray(self.weights, dtype=float).ravel()
+        weights = np.asarray(weights, dtype=float).ravel()
         if points.shape[0] != weights.shape[0]:
             raise ScenarioError(
                 f"{points.shape[0]} atoms but {weights.shape[0]} weights"
@@ -82,8 +81,7 @@ class InitialMeasure:
             weights = weights / total
         points.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+        self.__dict__.update(points=points, weights=weights)
 
     @property
     def n_atoms(self) -> int:
@@ -113,8 +111,7 @@ def gauss_hermite_measure(n_nodes: int) -> InitialMeasure:
     return InitialMeasure(points=x[:, None], weights=w / w.sum())
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_ReadOnly):
     """Validated coefficient set on a grid, plus the initial measure.
 
     Every coefficient is held as its samples at the grid nodes, which is
@@ -139,6 +136,14 @@ class Scenario:
     measure: InitialMeasure
     scalar_mode: bool
 
+    def __init__(self, grid: TimeGrid, n: int, m: int, d: int, A: np.ndarray, B: np.ndarray,
+                 C: np.ndarray, D: np.ndarray, Sigma: np.ndarray, sigma: np.ndarray,
+                 gamma: np.ndarray, Q: np.ndarray, Q0: np.ndarray, measure: InitialMeasure,
+                 scalar_mode: bool):
+        self.__dict__.update(grid=grid, n=n, m=m, d=d, A=A, B=B, C=C, D=D, Sigma=Sigma,
+                             sigma=sigma, gamma=gamma, Q=Q, Q0=Q0, measure=measure,
+                             scalar_mode=scalar_mode)
+
     @property
     def n_atoms(self) -> int:
         return self.measure.n_atoms
@@ -156,8 +161,7 @@ class Scenario:
         return getattr(self, name)[atom].reshape(self.grid.n_nodes)
 
 
-@dataclass(frozen=True)
-class BarQuantities:
+class BarQuantities(_ReadOnly):
     """Measure-averaged coefficient fields sampled at grid nodes.
 
     ``sigma2_bar`` and ``gamma2_bar`` carry the noise covariance folded in:
@@ -172,7 +176,13 @@ class BarQuantities:
     gamma_bar: np.ndarray    # (N+1, m, d)
     sigma2_bar: np.ndarray   # (N+1, n, n)
     gamma2_bar: np.ndarray   # (N+1, m, m)
-    scenario: Scenario = field(repr=False, compare=False)
+    scenario: Scenario
+
+    def __init__(self, sigma_bar: np.ndarray, gamma_bar: np.ndarray, sigma2_bar: np.ndarray,
+                 gamma2_bar: np.ndarray, scenario: Scenario):
+        self.__dict__.update(sigma_bar=sigma_bar, gamma_bar=gamma_bar,
+                             sigma2_bar=sigma2_bar, gamma2_bar=gamma2_bar,
+                             scenario=scenario)
 
     def flat(self, name: str) -> np.ndarray:
         return getattr(self, name).reshape(getattr(self, name).shape[0])

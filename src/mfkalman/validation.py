@@ -18,7 +18,6 @@ import shutil
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .covariance import (
 )
 from .gain import optimize_gain, riccati_classical, riccati_normal_flow
 from .kernels import GainSchedule, kernel_bundle
-from .numerics import _integer
+from .numerics import _integer, _Record
 from .scenarios import (
     classical_scenario,
     cross_pairing_probe,
@@ -58,12 +57,20 @@ _BAND = 16  # kernel rows read from the O(N) tables at a time by the export
 _CSV_CHUNK = 1024  # rows formatted by one % operation in write_csv
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(_Record):
+    """One criterion's outcome: its id, title, verdict and detail lines.
+    ``passed`` is reassigned by :meth:`ValidationSuite._timed`."""
+
     cid: str
     title: str
     passed: bool
-    details: list[str] = field(default_factory=list)
+    details: list[str]
+
+    def __init__(self, cid: str, title: str, passed: bool, details: list[str] | None = None):
+        self.cid = cid
+        self.title = title
+        self.passed = passed
+        self.details = [] if details is None else details
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -75,29 +82,39 @@ def write_csv(path: Path, header: str, rows, meta: dict) -> None:
 
     Floats (numpy's float64 included) are printed with 17 significant
     digits so a re-run with the same seed is byte-identical; any other
-    value as ``str``. The first row fixes the file's format; runs of up
-    to ``_CSV_CHUNK`` rows are formatted by one ``%`` operation and
-    written as ``rows`` yields them. A later row of another length, or
-    with a float where the first row has none or the reverse, raises
-    ValueError; a row that raises removes the partial file.
+    value as ``str``. The first row fixes the file's format; each row is
+    flattened and its length checked as it arrives, and runs of up to
+    ``_CSV_CHUNK`` rows are formatted by one ``%`` operation and written
+    as ``rows`` yields them. A later row of another length, or with a
+    float where the first row has none or the reverse, raises ValueError;
+    a row that raises removes the partial file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = iter(rows)
     try:
         with path.open("w") as f:
             f.write(_comment_rows(meta) + header + "\n")
-            floats = None
-            while chunk := [*islice(rows, _CSV_CHUNK)]:
-                if floats is None:
-                    floats = [isinstance(value, float) for value in chunk[0]]
-                    fmt = ",".join("%.17g" if flt else "%s" for flt in floats) + "\n"
-                width, flat = len(floats), [*chain.from_iterable(chunk)]
-                if {*map(len, chunk)} != {width} or any(
-                        issubclass(kind, float) is not flt for c, flt in enumerate(floats)
-                        for kind in {*map(type, flat[c::width])}):
-                    raise ValueError(f"{path.name}: a row does not fit the columns of the "
-                                     f"first row, {chunk[0]!r}")
-                f.write((fmt * len(chunk)) % tuple(flat))
+            first = next(rows, None)
+            if first is None:
+                return
+            floats = [isinstance(value, float) for value in first]
+            fmt = ",".join("%.17g" if flt else "%s" for flt in floats) + "\n"
+            width, rows = len(floats), chain((first,), rows)
+            misfit = f"{path.name}: a row does not fit the columns of the first row, {first!r}"
+            while True:
+                # rows are flattened as they arrive and none is kept, so a
+                # source that reuses its row tuple (zip does) makes only one
+                flat, count = [], 0
+                for count, row in enumerate(islice(rows, _CSV_CHUNK), 1):
+                    if len(row) != width:
+                        raise ValueError(misfit)
+                    flat += row
+                if not count:
+                    break
+                if any(issubclass(kind, float) is not flt for c, flt in enumerate(floats)
+                       for kind in {*map(type, flat[c::width])}):
+                    raise ValueError(misfit)
+                f.write((fmt * count) % tuple(flat))
     except BaseException:
         path.unlink(missing_ok=True)
         raise

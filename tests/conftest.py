@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mfkalman
 from mfkalman import (
     GainSchedule,
     InitialMeasure,
@@ -44,6 +51,29 @@ def rough_pack():
     gain = GainSchedule(scen.grid, gain_vals[:, None, None])
     bars = measure_averages(scen)
     return scen, bars, gain, kernel_bundle(scen, gain)
+
+
+def run_fresh(code: str, *args: str, **env: str) -> list[str]:
+    """The output lines of ``code`` run with ``args`` in a fresh interpreter
+    that imports this ``mfkalman``, with ``env`` added to the environment;
+    a non-zero exit fails the test with its stderr."""
+    src = str(Path(mfkalman.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **env)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def rebuilt(record, **changes):
+    """A new record of ``record``'s class through its public constructor,
+    whose parameters are the record's fields: each field named in
+    ``changes`` takes the given value, every other keeps ``record``'s. A
+    name that is not a field raises TypeError."""
+    cls = type(record)
+    fields = {name: getattr(record, name) for name in inspect.signature(cls).parameters}
+    return cls(**{**fields, **changes})
 
 
 def scalar_scenario(grid=None, steps=100, **kw):

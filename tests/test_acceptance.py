@@ -29,6 +29,8 @@ from mfkalman import (
 from mfkalman.cli import main
 from mfkalman.validation import DEFAULT_SEED, _dump_kernels, _rate_residuals, write_csv
 
+from conftest import run_fresh
+
 
 @pytest.fixture(scope="session")
 def validate_run(tmp_path_factory):
@@ -192,6 +194,26 @@ def test_write_csv_chunks_keep_the_bytes(tmp_path):
     with pytest.raises(RuntimeError, match="row failed"):
         write_csv(path, "h", failing(), {"seed": 3})
     assert not path.exists()
+
+
+_HELD_AFTER_WRITE = """\
+import sys, tracemalloc
+from pathlib import Path
+from mfkalman.validation import write_csv
+labels = [str(k) for k in range(4000)]
+values = [k / 7 for k in range(4000)]
+tracemalloc.start()
+write_csv(Path(sys.argv[1]), "a,b,c", zip(labels, labels, values), {"seed": 1})
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_write_csv_holds_no_run_of_rows(tmp_path):
+    # zip reuses its row tuple once the consumer lets it go; a writer that
+    # held runs of rows left about 2,000 freed tuples (123 KiB) on the
+    # interpreter's tuple free list, so this runs in a fresh interpreter
+    (held,) = run_fresh(_HELD_AFTER_WRITE, str(tmp_path / "rows.csv"))
+    assert int(held) < 8 * 1024
 
 
 def test_write_csv_row_that_raises_leaves_no_file(tmp_path):

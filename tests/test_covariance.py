@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -40,6 +39,7 @@ from conftest import (
     count_running_integrals,
     gradient_from_kernel,
     per_atom_cost,
+    rebuilt,
     row_sensitivity_triangle,
     row_weights,
     scalar_scenario,
@@ -576,7 +576,7 @@ class TestAveragedEvaluation:
         assert trace_cost(scen, bundle, measure_averages(scen)) == J
         assert len(calls) == 2
         # and averages that differ get their own cost, here and fresh
-        louder = dataclasses.replace(bars, sigma2_bar=2.0 * bars.sigma2_bar)
+        louder = rebuilt(bars, sigma2_bar=2.0 * bars.sigma2_bar)
         J_louder = trace_cost(scen, bundle, louder)
         assert J_louder != J
         assert J_louder == trace_cost(scen, kernel_bundle(scen, gain), louder)
@@ -909,7 +909,7 @@ class TestAveragedMatrixCost:
 
     @pytest.mark.parametrize("build", [
         lambda: two_atom_matrix_scenario(100)[0],
-        lambda: dataclasses.replace(normal_flow_scenario(100), scalar_mode=False)],
+        lambda: rebuilt(normal_flow_scenario(100), scalar_mode=False)],
         ids=["two-atom-2x2", "normal-flow"])
     def test_one_joint_pass_per_call(self, build, monkeypatch):
         scen = build()
@@ -937,7 +937,7 @@ class TestOneStepRule:
         scen = build(steps=200)
         gain = GainSchedule.constant(scen.grid, value)
         costs, profiles = [], []
-        for s in (scen, dataclasses.replace(scen, scalar_mode=False)):
+        for s in (scen, rebuilt(scen, scalar_mode=False)):
             bars, bundle = measure_averages(s), kernel_bundle(s, gain)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")

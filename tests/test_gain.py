@@ -312,6 +312,7 @@ class TestOptimizeGain:
         report = optimize_gain(classical_scenario(steps=100))
         assert report.step_sizes[0] == 0.5
         assert report.line_search_trials[0] == 2
+        assert report.rejected_trials[0] == ["non-finite cost"]
         assert report.converged
 
     def test_every_trial_cost_nonfinite_reports_step_underflow(self, monkeypatch):
@@ -320,6 +321,7 @@ class TestOptimizeGain:
         assert report.converged is False
         assert report.message == "line search step underflow"
         assert report.iterations == 0
+        assert report.rejected_trials == []
 
     def test_nonfinite_candidate_gain_rejected_without_a_bundle(self, monkeypatch):
         # an infinite Newton step at one node: every candidate gain is
@@ -339,6 +341,7 @@ class TestOptimizeGain:
             report = optimize_gain(classical_scenario(steps=100))
         assert report.message == "line search step underflow"
         assert report.iterations == 0
+        assert report.rejected_trials == []
         assert counts == {"kernel_bundle": 1, "trace_cost": 1, "cost_gradient": 1}
 
     @pytest.mark.parametrize("grad_tol", [0.0, -1e-5, np.inf, np.nan])
@@ -443,6 +446,9 @@ class TestOptimizeGain:
         assert report.iterations > 0
         assert len(report.iteration_seconds) == len(report.step_sizes)
         assert all(s > 0.0 for s in report.iteration_seconds)
+        # every trial but the accepted last one was rejected
+        assert ([len(reasons) + 1 for reasons in report.rejected_trials]
+                == report.line_search_trials)
         assert optimize_gain(scen, initial_gain=report.gain).iteration_seconds == []
 
     @pytest.mark.parametrize("build, steps, sums", [(classical_scenario, 400, 20),
@@ -479,6 +485,7 @@ class TestOptimizeGain:
         report = optimize_gain(classical_scenario(steps=100))
         assert report.step_sizes[0] == 0.5
         assert report.line_search_trials[0] == 2
+        assert report.rejected_trials[0] == ["armijo"]
         assert report.converged
 
     def test_every_trial_rejected_reports_step_underflow(self, monkeypatch):

@@ -10,7 +10,6 @@ changes every coefficient sampled at them with them. The relations that
 leave the optimum where it is are checked on ``optimize_gain`` too, at
 N = 200 from its default start."""
 
-import dataclasses
 from functools import partial
 
 import numpy as np
@@ -33,6 +32,8 @@ from mfkalman import (
     trace_cost,
 )
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
+
+from conftest import rebuilt
 
 STEPS = 400
 TOL = 1e-12  # relative, in the sup norm
@@ -67,8 +68,7 @@ def _on_atoms(scen, order, weights):
     """``scen`` on its atoms taken in ``order`` (repeats allowed) with
     ``weights``; the loadings sampled at each atom go with it."""
     measure = InitialMeasure(scen.measure.points[order], weights)
-    return dataclasses.replace(scen, measure=measure, sigma=scen.sigma[order],
-                               gamma=scen.gamma[order])
+    return rebuilt(scen, measure=measure, sigma=scen.sigma[order], gamma=scen.gamma[order])
 
 
 def _split_last_atom(scen):
@@ -114,14 +114,14 @@ def test_relabelling_the_atoms(case):
 def test_noise_scaling_scales_cost_gradient_and_kernels(case):
     # K, hence J, g and every sensitivity kernel, is linear in (Q, Q0)
     scen, base = case
-    scaled = dataclasses.replace(scen, Q=3.0 * scen.Q, Q0=3.0 * scen.Q0)
+    scaled = rebuilt(scen, Q=3.0 * scen.Q, Q0=3.0 * scen.Q0)
     _assert_scaled(_run(scaled, scen.n_atoms - 1), base, 3.0)
 
 
 def test_cost_weight_scaling_scales_cost_and_gradient(case):
     # J and g are linear in Sigma; the diagonal condition does not read it
     scen, base = case
-    scaled = dataclasses.replace(scen, Sigma=3.0 * scen.Sigma)
+    scaled = rebuilt(scen, Sigma=3.0 * scen.Sigma)
     gain = GainSchedule.from_callable(scen.grid, _gain)
     bundle, bars = kernel_bundle(scaled, gain), measure_averages(scaled)
     field = cost_gradient(scaled, bundle, bars)
@@ -167,8 +167,8 @@ OPT_RELATIONS = {
     "relabel": lambda scen: _on_atoms(scen, np.arange(scen.n_atoms)[::-1],
                                       scen.measure.weights[::-1]),
     "split": _split_last_atom,
-    "noise": lambda scen: dataclasses.replace(scen, Q=3.0 * scen.Q, Q0=3.0 * scen.Q0),
-    "cost-weight": lambda scen: dataclasses.replace(scen, Sigma=3.0 * scen.Sigma),
+    "noise": lambda scen: rebuilt(scen, Q=3.0 * scen.Q, Q0=3.0 * scen.Q0),
+    "cost-weight": lambda scen: rebuilt(scen, Sigma=3.0 * scen.Sigma),
 }
 
 
@@ -197,5 +197,5 @@ def test_optimizer_relations_keep_the_gain(optimum, relation):
     "Sigma = 1e-6 reports converged at the zero gain after 0 iterations"))
 def test_optimizer_cost_weight_scaling_at_a_small_cost():
     scen = classical_scenario(steps=800)
-    _assert_same_optimum(optimize_gain(dataclasses.replace(scen, Sigma=1e-6 * scen.Sigma)),
+    _assert_same_optimum(optimize_gain(rebuilt(scen, Sigma=1e-6 * scen.Sigma)),
                          optimize_gain(scen))

@@ -48,6 +48,19 @@ class TestMakeGrid:
         with pytest.raises(GridError):
             make_grid(T, N)
 
+    @pytest.mark.parametrize("T,N", [(5e-324, 2), (1e-320, 10)])
+    def test_rejects_a_step_below_the_smallest_normal_float(self, T, N):
+        # 5e-324 / 2 is 0; 1e-320 / 10 is subnormal and node 1 is not dt
+        with pytest.raises(GridError, match=rf"^horizon {T!r} over {N} steps gives a step"):
+            make_grid(T, N)
+
+    def test_smallest_normal_step_is_kept(self):
+        tiny = np.finfo(float).tiny
+        grid = make_grid(2 * tiny, 2)
+        assert grid.dt == tiny
+        assert grid.nodes.tolist() == [0.0, tiny, 2 * tiny]
+        assert grid.index_of(tiny) == 1
+
     def test_index_of(self):
         grid = make_grid(1.0, 100)
         assert grid.index_of(0.25) == 25
