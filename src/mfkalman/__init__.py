@@ -12,7 +12,6 @@ from .covariance import (
     drift_profile,
     fd_cost_slope,
     mean_sensitivity_triangle,
-    sensitivity_triangle,
     trace_cost,
 )
 from .gain import (

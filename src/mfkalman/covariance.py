@@ -39,9 +39,9 @@ stays finite and accurate on long horizons, and finite on a stiff step
 that moves the exponent by hundreds (where the trapezoid gives about dt/2
 times the weight); a value that still overflows (an unstable system)
 raises :class:`ScenarioError` naming the stage and node.
-Each sensitivity kernel is 2 (phi^2 a + phi psi b + psi^2 c)(t, s) with
-coefficients from the same sums; only its triangles, :func:`sensitivity_triangle`
-and :func:`mean_sensitivity_triangle`, are O(N^2).
+The averaged sensitivity kernel is 2 (phi^2 a_mean + psi^2 a_dev)(t, s)
+with coefficients from the same sums; only its triangle,
+:func:`mean_sensitivity_triangle`, is O(N^2).
 
 In matrix mode the mean error and one atom's error form one linear system
 (see :class:`~mfkalman.kernels.StepPropagators`), and K is the atom block
@@ -83,7 +83,6 @@ __all__ = [
     "GradientField",
     "covariance_profile",
     "drift_profile",
-    "sensitivity_triangle",
     "mean_sensitivity_triangle",
     "trace_cost",
     "cost_gradient",
@@ -330,64 +329,17 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     return out
 
 
-def _kernel_coefficients(tb: ScalarTables, w: _ScalarWeights, mean, dev, cross=None, dg=None):
-    """Coefficients (a, b, c) at s of a sensitivity kernel, the semigroup
-    split k2(t, s) = 2 (phi^2 a + phi psi b + psi^2 c)(t, s) of its row
-    quadratures, and the gain loadings (la, lc) of a and c, from one atom's
-    profile parts (:func:`_atom_terms`) and dg = g_u - gbar:
+def _kernel_coefficients(tb: ScalarTables, w: _ScalarWeights, mean, dev):
+    """Coefficients (a_mean, a_dev) at s of the averaged sensitivity
+    kernel, the semigroup split k2(t, s) = 2 (phi^2 a_mean + psi^2 a_dev)(t, s)
+    of its row quadratures, and their gain loadings (l_mean, l_dev), from
+    the parts P_mean and P_dev of :func:`_averaged_terms`:
 
-        a = -(C + D) mean + G la,  b = -(C + D/2) cross + 2 G q0 gbar dg,
-        c = -C dev + G lc,         la = q0 gbar^2,  lc = q0 dg^2.
-
-    Averaged (the parts of :func:`_averaged_terms`, no ``dg``), cross and
-    dg vanish, b is None and lc is g2q0 - q0 gbar^2."""
-    C, D, G = tb.C, tb.D, w.G
-    la = w.q0 * w.gbar**2
-    if dg is None:
-        b, lc = None, w.g2q0 - la
-    else:
-        b, lc = -(C + 0.5 * D) * cross + 2 * G * w.q0 * w.gbar * dg, w.q0 * dg**2
-    return (-(C + D) * mean + G * la, b, -C * dev + G * lc), (la, lc)
-
-
-def _sensitivity(stage: str, scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                 atom: int | None) -> np.ndarray:
-    """The sensitivity kernel of ``atom`` (averaged when None) on the whole
-    triangle, with at most four triangles alive. Its phi and psi triangles
-    are its own, the entries of ``bundle.phi`` and ``bundle.psi`` bit for
-    bit, so the bundle caches neither. A kernel that is not finite raises
-    NonFiniteError naming ``stage``."""
-    tb = _checked(scenario, bundle, bars, scalar=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if atom is None:
-            avg = _averaged(scenario, tb, bars)
-            w, parts, dg = avg.w, (avg.mean, avg.dev), None
-        else:
-            w = _ScalarWeights(scenario, bars, bundle.gain)
-            parts = _atom_terms(tb, w.wbar, *w.atom(atom))
-            dg = scenario.flat_atom("gamma", atom) - w.gbar
-        (a, b, c), _ = _kernel_coefficients(tb, w, *parts, dg=dg)
-        nodes = np.arange(scenario.grid.n_nodes)
-        phi, psi = (_exp_differences(x, nodes[:, None], nodes) for x in (tb.lhm, tb.lh))
-        k, t = phi * phi * a, psi * psi
-        k += np.multiply(t, c, out=t)
-        if b is not None:
-            k += np.multiply(np.multiply(phi, psi, out=t), b, out=t)
-        del t
-        k *= 2.0
-        k = np.tril(k)
-    check_finite(stage, k)
-    return k
-
-
-def sensitivity_triangle(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
-                         atom) -> np.ndarray:
-    """One atom's sensitivity kernel on the whole triangle (scalar mode):
-    (N+1, N+1) array with entry [i, j] = k2(u, t_i, s_j), zero above the
-    diagonal. The derivative of K(u, t_i) with respect to the gain is the
-    trapezoid pairing of row i with the direction over [0, t_i]."""
-    return _sensitivity("sensitivity_triangle", scenario, bundle, bars,
-                        _atom_index(scenario, atom))
+        a_mean = -(C + D) P_mean + G l_mean,  l_mean = q0 gbar^2,
+        a_dev  = -C P_dev + G l_dev,          l_dev  = g2q0 - q0 gbar^2."""
+    l_mean = w.q0 * w.gbar**2
+    l_dev = w.g2q0 - l_mean
+    return (-(tb.C + tb.D) * mean + w.G * l_mean, -tb.C * dev + w.G * l_dev), (l_mean, l_dev)
 
 
 def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
@@ -397,10 +349,24 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
 
     It is 2 phi(t, s)^2 a_mean(s) + 2 psi(t, s)^2 a_dev(s) with the O(N)
     coefficients of :func:`cost_gradient`, so only the triangle itself is
-    O(N^2), and the measure-weighted sum of the atoms'
-    :func:`sensitivity_triangle`. A kernel that overflows raises
-    :class:`NonFiniteError` naming the stage and node."""
-    return _sensitivity("mean_sensitivity_triangle", scenario, bundle, bars, None)
+    O(N^2), built with at most four triangles alive. Its phi and psi
+    triangles are its own, the entries of ``bundle.phi`` and ``bundle.psi``
+    bit for bit, so the bundle caches neither. Scalar mode only; a kernel
+    that overflows raises :class:`NonFiniteError` naming the stage and
+    node."""
+    tb = _checked(scenario, bundle, bars, scalar=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = _averaged(scenario, tb, bars)
+        (a, c), _ = _kernel_coefficients(tb, avg.w, avg.mean, avg.dev)
+        nodes = np.arange(scenario.grid.n_nodes)
+        phi, psi = (_exp_differences(x, nodes[:, None], nodes) for x in (tb.lhm, tb.lh))
+        k, t = phi * phi * a, psi * psi
+        k += np.multiply(t, c, out=t)
+        del t
+        k *= 2.0
+        k = np.tril(k)
+    check_finite("mean_sensitivity_triangle", k)
+    return k
 
 
 def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) -> float:
@@ -470,7 +436,7 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     with np.errstate(over="ignore", invalid="ignore"):
         L_mean = tb.integral(sigma, 0, 2, reverse=True)
         L_dev = tb.integral(sigma, 2, 0, reverse=True)
-        (a_mean, _, a_dev), (l_mean, l_dev) = _kernel_coefficients(tb, w, avg.mean, avg.dev)
+        (a_mean, a_dev), (l_mean, l_dev) = _kernel_coefficients(tb, w, avg.mean, avg.dev)
         g = 2.0 * (a_mean * L_mean + a_dev * L_dev)
         d = 2.0 * (l_mean * L_mean + l_dev * L_dev)
         step = np.divide(-(a_mean + a_dev), w.g2q0, out=np.zeros_like(g),

@@ -184,13 +184,13 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
     rejected: list[list[str]] = []
     seconds: list[float] = []
     message = ""
-    converged = False
     field = cost_gradient(scenario, bundle, bars)
     grad_trajectory = [float(np.max(np.abs(field.values)))]
 
-    for _ in range(max_iter):
-        if grad_trajectory[-1] <= grad_tol:
-            converged = True
+    # the tolerance is tested after every accepted step, the last one too
+    while not (converged := grad_trajectory[-1] <= grad_tol):
+        if len(steps) == max_iter:
+            message = "iteration limit reached"
             break
         start = time.perf_counter()
         p = _newton_direction(field)
@@ -230,8 +230,6 @@ def optimize_gain(scenario: Scenario, *, initial_gain: GainSchedule | None = Non
         field = cost_gradient(scenario, bundle, bars)
         grad_trajectory.append(float(np.max(np.abs(field.values))))
         seconds.append(time.perf_counter() - start)
-    else:
-        message = "iteration limit reached"
 
     if converged:
         completed = gain.scalar.copy()

@@ -24,10 +24,11 @@ of a kernel power against a weight is one anchored running trapezoid
 stable steps. In matrix mode the mean error and the pointwise error form
 one linear system with generator [[H + M, 0], [M, H]] and transition
 [[phi, 0], [f, psi]]; its step maps, one matrix exponential pair per grid
-step, are the O(N) tables (:class:`StepPropagators`). Either table is the
+step, are the O(N) table (:class:`StepPropagators`) that the covariance
+recursion reads, and no matrix triangle is built. Either table is the
 :class:`KernelBundle` that :func:`kernel_bundle` returns, bound to the
-scenario and gain it was built for, and its dense lower triangles are
-generated only when a caller reads them. The mixed kernel's gain
+scenario and gain it was built for; the scalar tables generate their dense
+lower triangles only when a caller reads them. The mixed kernel's gain
 derivative serves only the formula arbitration and lives in
 :mod:`mfkalman.arbitration`.
 """
@@ -62,7 +63,7 @@ class GainSchedule(_ReadOnly):
     values: np.ndarray  # (N+1, n, m)
 
     def __init__(self, grid: TimeGrid, values):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)  # a copy: the caller's array stays theirs
         if values.ndim == 1:
             values = values[:, None, None]
         if values.ndim != 3 or values.shape[0] != grid.n_nodes:
@@ -79,7 +80,7 @@ class GainSchedule(_ReadOnly):
         """The same value at every node; a scalar is read as in
         :func:`~mfkalman.system_model.build_scenario` (v I when n = m)."""
         val = _as_matrix(value, n, m)
-        return cls(grid, np.broadcast_to(val, (grid.n_nodes,) + val.shape).copy())
+        return cls(grid, np.broadcast_to(val, (grid.n_nodes,) + val.shape))
 
     @classmethod
     def from_callable(cls, grid: TimeGrid, fn, n: int = 1, m: int = 1) -> "GainSchedule":
@@ -136,15 +137,13 @@ def _running_integral(E: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
 
 
 class KernelBundle:
-    """Closed-loop drifts and the three kernels of one scenario at one gain.
+    """Closed-loop drifts of one scenario at one gain, the base of its
+    kernel tables.
 
     ``H = A - gain C`` and ``M = B - gain D`` are (N+1, n, n). The cost,
     the covariance and (in scalar mode) the gradient and the optimizer
     read only the O(N) tables of the subclass, :class:`ScalarTables` in
-    scalar mode and :class:`StepPropagators` in matrix mode; the dense
-    (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built from
-    them on first access and then kept (:meth:`ScalarTables.entries`, the
-    one other reader, reads any of their entries without building them).
+    scalar mode and :class:`StepPropagators` in matrix mode.
     ``scenario`` is the scenario the bundle was built for; the covariance
     functions refuse any other.
     """
@@ -154,13 +153,6 @@ class KernelBundle:
         self.grid = scenario.grid
         self.gain = gain
         self.H, self.M = _closed_loop_drifts(scenario, gain)
-
-    @cached_property
-    def f(self) -> TriangularKernel:
-        """phi - psi (variation of constants, see the module docstring);
-        where both overflow it is NaN, without a warning."""
-        with np.errstate(invalid="ignore"):
-            return TriangularKernel(self.grid, self.phi.values - self.psi.values)
 
 
 class ScalarTables(KernelBundle):
@@ -174,9 +166,12 @@ class ScalarTables(KernelBundle):
         phi(t_i, t_j) = exp(lhm[i] - lhm[j])
         f(t_i, t_j)   = phi(t_i, t_j) - psi(t_i, t_j).
 
-    The triangles exponentiate only the differences on and below the
-    diagonal, and :meth:`integral` is the one running integral that the
-    O(N) formulas of the covariance module pair.
+    The dense (N+1) x (N+1) triangles ``phi``, ``psi`` and ``f`` are built
+    on first access and then kept (:meth:`entries`, the one other reader,
+    reads any of their entries without building them); they exponentiate
+    only the differences on and below the diagonal, and :meth:`integral` is
+    the one running integral that the O(N) formulas of the covariance
+    module pair.
     """
 
     def __init__(self, scenario: Scenario, gain: GainSchedule):
@@ -218,6 +213,13 @@ class ScalarTables(KernelBundle):
         k = np.arange(self.grid.n_nodes)
         return TriangularKernel(self.grid, _exp_differences(self.lh, k[:, None], k))
 
+    @cached_property
+    def f(self) -> TriangularKernel:
+        """phi - psi (variation of constants, see the module docstring);
+        where both overflow it is NaN, without a warning."""
+        with np.errstate(invalid="ignore"):
+            return TriangularKernel(self.grid, self.phi.values - self.psi.values)
+
 
 def _closed_loop_drifts(scenario: Scenario, gain: GainSchedule):
     """H = A - gain C and M = B - gain D at every node, shape (N+1, n, n)."""
@@ -249,19 +251,6 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def _chain(R: np.ndarray) -> np.ndarray:
-    """Lower triangle T[i, j] = R[i-1] ... R[j] of (N+1, N+1, k, k), the
-    identity on the diagonal and zero above it, one row per step."""
-    n, k = R.shape[0] + 1, R.shape[1]
-    out = np.zeros((n, n, k, k))
-    out[0, 0] = np.eye(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, Ri in enumerate(R):
-            out[i + 1, : i + 1] = Ri @ out[i, : i + 1]
-            out[i + 1, i + 1] = np.eye(k)
-    return out
-
-
 class StepPropagators(KernelBundle):
     """Matrix-mode bundle: the one-step transition maps of the joint error.
 
@@ -277,8 +266,8 @@ class StepPropagators(KernelBundle):
     the lower block exact for a constant generator by variation of
     constants. Products of such maps keep the form, so f = phi - psi
     between any two nodes. A transition between two nodes is the ordered
-    product of the steps between them; ``phi`` and ``psi`` build those
-    products row by row. On a 1x1 problem the tables agree with
+    product of the steps between them, which the covariance recursion
+    applies one step at a time. On a 1x1 problem the tables agree with
     :class:`ScalarTables` to round-off.
     """
 
@@ -288,19 +277,10 @@ class StepPropagators(KernelBundle):
             HM, H = self.H + self.M, self.H
             Phi, Psi = _expm(0.5 * self.grid.dt * np.stack([HM[:-1] + HM[1:], H[:-1] + H[1:]]))
             self.R = np.block([[Phi, np.zeros_like(Phi)], [Phi - Psi, Psi]])
-        self.n = scenario.n
-
-    @cached_property
-    def phi(self) -> TriangularKernel:
-        return TriangularKernel(self.grid, _chain(self.R[:, : self.n, : self.n]))
-
-    @cached_property
-    def psi(self) -> TriangularKernel:
-        return TriangularKernel(self.grid, _chain(self.R[:, self.n:, self.n:]))
 
 
 def kernel_bundle(scenario: Scenario, gain: GainSchedule) -> KernelBundle:
     """The kernel tables of ``scenario`` at ``gain``: :class:`ScalarTables`
-    in scalar mode, :class:`StepPropagators` in matrix mode, with the
-    triangles deferred to first access."""
+    in scalar mode, with the triangles deferred to first access, and
+    :class:`StepPropagators` in matrix mode."""
     return (ScalarTables if scenario.scalar_mode else StepPropagators)(scenario, gain)

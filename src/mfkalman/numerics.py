@@ -139,22 +139,18 @@ def cumulative_trapezoid(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 class TriangularKernel:
-    """Two-time field G(t_i, s_j) stored on the closed lower triangle j <= i.
+    """Scalar two-time field G(t_i, s_j) stored on the closed lower
+    triangle j <= i.
 
     Entries above the diagonal are never meaningful; they are kept as zeros
-    in a dense array so that rows/columns slice cheaply. Entries may be
-    scalars or square matrices, uniform across all cells.
+    in a dense (N+1, N+1) array so that rows/columns slice cheaply.
     """
 
     def __init__(self, grid: TimeGrid, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         n = grid.n_nodes
-        if values.shape[:2] != (n, n):
-            raise GridError(
-                f"kernel storage must be ({n}, {n}, ...), got {values.shape}"
-            )
-        if values.ndim not in (2, 4) or (values.ndim == 4 and values.shape[2] != values.shape[3]):
-            raise GridError("kernel entries must be scalars or square matrices")
+        if values.shape != (n, n):
+            raise GridError(f"kernel storage must be ({n}, {n}), got {values.shape}")
         self.grid = grid
         self.values = values
         self.values.setflags(write=False)

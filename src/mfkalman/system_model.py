@@ -59,11 +59,12 @@ class InitialMeasure(_ReadOnly):
 
     def __init__(self, points, weights):
         given = points
-        points = np.atleast_2d(np.asarray(given, dtype=float))
+        # copies: freezing them must not freeze or alias the caller's arrays
+        points = np.array(given, dtype=float, ndmin=2)
         if points.shape[0] == 1 and points.shape[1] > 1 and np.asarray(given).ndim == 1:
             # a flat list of scalar atoms, not one multi-dimensional point
             points = points.T
-        weights = np.asarray(weights, dtype=float).ravel()
+        weights = np.array(weights, dtype=float).ravel()
         if points.shape[0] != weights.shape[0]:
             raise ScenarioError(
                 f"{points.shape[0]} atoms but {weights.shape[0]} weights"
@@ -189,7 +190,9 @@ class BarQuantities(_ReadOnly):
 
 
 def _check_spd(mat: np.ndarray, label: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    """``mat`` as a new (k, k) float array, checked symmetric positive
+    definite; the caller's array is not kept."""
+    mat = np.array(mat, dtype=float, ndmin=2)
     if mat.shape[0] != mat.shape[1]:
         raise ScenarioError(f"{label} must be square, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
@@ -345,7 +348,7 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
     sig_s = _sample_atom_coefficient(sigma, measure, grid, n, d, "sigma")
     gam_s = _sample_atom_coefficient(gamma, measure, grid, m, d, "gamma")
 
-    for arr in (A_s, B_s, C_s, D_s, Sig_s, sig_s, gam_s):
+    for arr in (A_s, B_s, C_s, D_s, Sig_s, sig_s, gam_s, Q_arr, Q0_arr):
         arr.setflags(write=False)
 
     return Scenario(

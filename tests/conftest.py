@@ -116,6 +116,32 @@ def two_atom_matrix_scenario(steps):
     return scen, measure_averages(scen), gain
 
 
+def chain(R):
+    """Lower triangle T[i, j] = R[i-1] ... R[j] of (N+1, N+1, k, k) from
+    the step maps R (N, k, k), the identity on the diagonal and zero above
+    it, one row per step."""
+    n, k = R.shape[0] + 1, R.shape[1]
+    out = np.zeros((n, n, k, k))
+    out[0, 0] = np.eye(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, Ri in enumerate(R):
+            out[i + 1, : i + 1] = Ri @ out[i, : i + 1]
+            out[i + 1, i + 1] = np.eye(k)
+    return out
+
+
+def matrix_transitions(bundle):
+    """(phi, psi, f) of a matrix-mode bundle on the whole triangle, each
+    (N+1, N+1, n, n): phi and psi the products of the diagonal blocks of
+    its step maps ``bundle.R``, and f = phi - psi (NaN where both
+    overflow). The O(N^2) matrix-transition oracle of the joint recursion,
+    which builds no triangle."""
+    n = bundle.scenario.n
+    phi, psi = chain(bundle.R[:, :n, :n]), chain(bundle.R[:, n:, n:])
+    with np.errstate(invalid="ignore"):
+        return phi, psi, phi - psi
+
+
 def per_atom_cost(scenario, bundle, bars):
     """J as the measure-weighted sum of the atoms' costs, the trapezoid of
     trace(Sigma K(u, t)) on each atom's ``covariance_profile``: the oracle
@@ -162,9 +188,10 @@ def row_sensitivity_triangle(scenario, bundle, bars, atom=None):
                  - D int (phi f wbar + phi psi x)
                  + G (q0 gbar^2 f^2 + g_point psi^2 + 2 q0 g_cross psi f):
 
-    the O(N^2) oracle of ``sensitivity_triangle``,
-    ``mean_sensitivity_triangle`` and, through :func:`gradient_from_kernel`,
-    ``cost_gradient``, none of which takes a row quadrature."""
+    the O(N^2) oracle of ``mean_sensitivity_triangle`` and, through
+    :func:`gradient_from_kernel`, of ``cost_gradient``, neither of which
+    takes a row quadrature; with ``atom`` given, the only source of one
+    atom's kernel, which the library does not compute."""
     w = _ScalarWeights(scenario, bars, bundle.gain)
     w_mid, x, g_point, g_cross = row_weights(scenario, w, atom)
     f, U1, U2, U3, V1, V2 = sensitivity_quadratures(bundle, w, w_mid, x)

@@ -1,5 +1,6 @@
 """The printed formula variants fail the oracles that the adopted forms
-pass, and criterion C7 reads them in O(N) time and memory."""
+pass, and criterion C7 reads them in O(N) time and memory; no pipeline
+path, C7 or any other, builds a kernel triangle."""
 
 import tracemalloc
 
@@ -14,8 +15,9 @@ from mfkalman import (
     kernel_bundle,
     measure_averages,
     normal_flow_scenario,
+    optimize_gain,
 )
-from mfkalman import kernels
+from mfkalman import cli, kernels
 from mfkalman.arbitration import (
     cost_gradient_transcribed,
     f_direction,
@@ -94,13 +96,46 @@ def test_transcribed_gradient_memory_linear():
     assert not {"phi", "psi", "f"} & set(vars(bundle))
 
 
-def test_arbitration_builds_no_triangle(tmp_path, monkeypatch):
-    def refuse(bundle):
-        raise AssertionError("C7 built a kernel triangle")
+def _criterion(cid, name):
+    def run(tmp_path):
+        result = getattr(ValidationSuite(tmp_path), name)()
+        assert (result.cid, result.passed) == (cid, True), result.details
+        assert cid != "C7" or (tmp_path / "arbitration.csv").exists()
+    return run
 
-    for cls, name in ((kernels.ScalarTables, "phi"), (kernels.ScalarTables, "psi"),
-                      (kernels.KernelBundle, "f")):
-        monkeypatch.setattr(cls, name, property(refuse))
-    result = ValidationSuite(tmp_path).criterion_arbitration()
-    assert result.passed, result.details
-    assert (tmp_path / "arbitration.csv").exists()
+
+def _command(*argv):
+    def run(tmp_path):
+        assert cli.main([*argv, "--steps", "100", "--out", str(tmp_path)]) == 0
+    return run
+
+
+def _optimize(build):
+    def run(tmp_path):
+        assert optimize_gain(build(steps=200)).converged
+    return run
+
+
+# every pipeline path: C1-C7, the subcommands that export and check, and
+# the optimizer on a factored and a mean-coupled scenario
+_PIPELINE = {
+    **{f"C{k}": _criterion(f"C{k}", name)
+       for k, (name, _) in enumerate(ValidationSuite.ARTIFACT_CRITERIA, start=1)},
+    **{command: _command(command) for command in ("kernels", "covariance", "gradcheck",
+                                                  "optimize")},
+    "simulate": _command("simulate", "--paths", "200"),
+    "optimize_gain-classical": _optimize(classical_scenario),
+    "optimize_gain-cross_pairing_probe": _optimize(cross_pairing_probe),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_PIPELINE))
+def test_pipeline_builds_no_triangle(tmp_path, monkeypatch, path):
+    # the dense triangles are for tests and callers that ask for one; the
+    # pipeline reads only the O(N) tables (the kernel export reads entries)
+    def refuse(bundle):
+        raise AssertionError(f"{path} built a kernel triangle")
+
+    for name in ("phi", "psi", "f"):
+        monkeypatch.setattr(kernels.ScalarTables, name, property(refuse))
+    _PIPELINE[path](tmp_path)

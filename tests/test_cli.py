@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from mfkalman import GainSchedule, ScenarioError, kernel_bundle, load_scenario
+from mfkalman import (
+    GainSchedule,
+    ScenarioError,
+    classical_scenario,
+    kernel_bundle,
+    load_scenario,
+    optimize_gain,
+)
 from mfkalman import cli, scenarios
 from mfkalman.cli import main
 
@@ -170,6 +177,14 @@ class TestOptimize:
         assert sorted(p.name for p in out.iterdir()) == [
             "filter.csv", "optimizer_gain.csv", "optimizer_report.txt",
             "optimizer_trajectory.csv"]
+
+    def test_converging_on_the_last_allowed_iteration_exits_0(self, tmp_path, capsys):
+        # the default run on classical N = 200 converges in 3 iterations; with
+        # --max-iter 3 it used to exit 1 with "iteration limit reached"
+        assert optimize_gain(classical_scenario(200)).iterations == 3
+        assert main(["optimize", "--steps", "200", "--max-iter", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert "converged: True" in capsys.readouterr().out
 
     def test_classical_run(self, tmp_path, capsys):
         code = main(["optimize", "--scenario", "classical", "--steps", "150",

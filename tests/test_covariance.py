@@ -25,19 +25,19 @@ from mfkalman import (
     normal_flow_scenario,
     optimize_gain,
     riccati_normal_flow,
-    sensitivity_triangle,
     trace_cost,
     trapezoid,
 )
 from mfkalman import covariance
 from mfkalman.arbitration import cost_gradient_transcribed, covariance_profile_transcribed
-from mfkalman.covariance import _atom_terms, _averaged_terms, _kernel_coefficients, _ScalarWeights
+from mfkalman.covariance import _averaged_terms, _kernel_coefficients, _ScalarWeights
 from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import (
     count_running_integrals,
     gradient_from_kernel,
+    matrix_transitions,
     per_atom_cost,
     rebuilt,
     row_sensitivity_triangle,
@@ -326,7 +326,7 @@ def _kernel_row(tb, w, i, w_mid, x, g_point, g_cross):
 class TestSensitivityKernel:
     def test_zero_gain_closed_form(self, classical_pack):
         scen, bars, bundle = classical_pack
-        row = sensitivity_triangle(scen, bundle, bars, 0)[75, :76]
+        row = row_sensitivity_triangle(scen, bundle, bars, 0)[75, :76]
         np.testing.assert_allclose(row, -2.0 * scen.grid.nodes[:76], atol=1e-13)
 
     def test_no_diffusion_gives_zero(self):
@@ -334,7 +334,7 @@ class TestSensitivityKernel:
         gain = GainSchedule.constant(scen.grid, 0.4)
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, gain)
-        tri = sensitivity_triangle(scen, bundle, bars, 0)
+        tri = mean_sensitivity_triangle(scen, bundle, bars)
         np.testing.assert_allclose(tri, 0.0, atol=1e-15)
 
     def test_matches_fd_of_covariance(self, rough_pack):
@@ -347,7 +347,7 @@ class TestSensitivityKernel:
         for atom in range(2):
             Kp = covariance_profile(scen, up, bars, atom)
             Km = covariance_profile(scen, dn, bars, atom)
-            tri = sensitivity_triangle(scen, bundle, bars, atom)
+            tri = row_sensitivity_triangle(scen, bundle, bars, atom)
             for i in (scen.grid.n_steps, scen.grid.n_steps // 2):
                 fd = (Kp[i] - Km[i]) / (2 * eps)
                 quad = np.trapezoid(tri[i, : i + 1] * beta[: i + 1], dx=dt)
@@ -356,17 +356,13 @@ class TestSensitivityKernel:
     def test_requires_scalar_and_ordering(self, classical_pack, matrix_pack):
         scen, bars, bundle = matrix_pack
         with pytest.raises(ScenarioError, match="scalar mode"):
-            sensitivity_triangle(scen, bundle, bars, 0)
-        with pytest.raises(ScenarioError, match="scalar mode"):
             mean_sensitivity_triangle(scen, bundle, bars)
-        # the kernel lives on s <= t: both triangles are zero above their
-        # diagonal
+        # the kernel lives on s <= t: the triangle is zero above its diagonal
         scen, bars, bundle = classical_pack
         n = scen.grid.n_nodes
-        for tri in (sensitivity_triangle(scen, bundle, bars, 0),
-                    mean_sensitivity_triangle(scen, bundle, bars)):
-            assert tri.shape == (n, n)
-            np.testing.assert_array_equal(tri[np.triu_indices(n, 1)], 0.0)
+        tri = mean_sensitivity_triangle(scen, bundle, bars)
+        assert tri.shape == (n, n)
+        np.testing.assert_array_equal(tri[np.triu_indices(n, 1)], 0.0)
 
 
 class TestMeanSensitivity:
@@ -394,33 +390,25 @@ class TestMeanSensitivity:
             got = tri[i, j]
             assert got == pytest.approx(expected, abs=1e-10)
 
-    @pytest.mark.parametrize("atom", [None, 0, 1])
-    def test_triangles_cache_no_kernel_on_the_bundle(self, atom):
-        # the triangles build phi and psi for themselves: the caller's
-        # bundle keeps no (N+1)^2 array it did not ask for, and the kernel
-        # is bit for bit the products over the bundle's own phi and psi
+    def test_triangle_caches_no_kernel_on_the_bundle(self):
+        # the triangle builds phi and psi for itself: the caller's bundle
+        # keeps no (N+1)^2 array it did not ask for, and the kernel is bit
+        # for bit the products over the bundle's own phi and psi
         scen = cross_pairing_probe(120)
         gain = GainSchedule.constant(scen.grid, 0.7)
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, gain)
-        got = (mean_sensitivity_triangle(scen, bundle, bars) if atom is None
-               else sensitivity_triangle(scen, bundle, bars, atom))
+        got = mean_sensitivity_triangle(scen, bundle, bars)
         assert not {"phi", "psi", "f"} & vars(bundle).keys()
         w = _ScalarWeights(scen, bars, gain)
-        parts, dg = ((_averaged_terms(bundle, w), None) if atom is None else
-                     (_atom_terms(bundle, w.wbar, *w.atom(atom)),
-                      scen.flat_atom("gamma", atom) - w.gbar))
-        (a, b, c), _ = _kernel_coefficients(bundle, w, *parts, dg=dg)
+        (a, c), _ = _kernel_coefficients(bundle, w, *_averaged_terms(bundle, w))
         phi, psi = bundle.phi.values, bundle.psi.values
-        want = phi * phi * a + psi * psi * c
-        if b is not None:
-            want += phi * psi * b
-        np.testing.assert_array_equal(got, np.tril(2.0 * want))
+        np.testing.assert_array_equal(got, np.tril(2.0 * (phi * phi * a + psi * psi * c)))
 
     def test_triangle_row_equals_row_path_and_atom_sum(self, rough_pack):
-        # each triangle against the row-quadrature oracle, its rows against
-        # the row path, and the averaged one against the measure-weighted
-        # sum of the atoms' triangles
+        # the triangle against the row-quadrature oracle and against the
+        # measure-weighted sum of the atoms' oracle triangles, and the rows
+        # of each against the row path
         packs = [rough_pack[:2] + rough_pack[3:]]
         for scen, value in [(cross_pairing_probe(200), 0.7),
                             (classical_scenario(steps=400), np.tanh),
@@ -432,14 +420,14 @@ class TestMeanSensitivity:
             n = scen.grid.n_steps
             w = _ScalarWeights(scen, bars, bundle.gain)
             tri = mean_sensitivity_triangle(scen, bundle, bars)
-            atom_tris = [sensitivity_triangle(scen, bundle, bars, a)
+            atom_tris = [row_sensitivity_triangle(scen, bundle, bars, a)
                          for a in range(scen.n_atoms)]
             np.testing.assert_allclose(
                 tri, sum(wa * t for wa, t in zip(scen.measure.weights, atom_tris)),
                 rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tri, row_sensitivity_triangle(scen, bundle, bars),
+                                       rtol=0, atol=1e-12)
             for atom, t in [(None, tri)] + list(enumerate(atom_tris)):
-                np.testing.assert_allclose(t, row_sensitivity_triangle(scen, bundle, bars, atom),
-                                           rtol=0, atol=1e-12)
                 for i in (n, 3 * n // 4, 3 * n // 5):
                     row = _kernel_row(bundle, w, i, *row_weights(scen, w, atom))
                     np.testing.assert_allclose(t[i, : i + 1], row, rtol=0, atol=1e-12)
@@ -738,7 +726,7 @@ class TestLongHorizon:
         scen = _ou_scenario(-2.0, steps=400, horizon=400.0)
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.3))
-        assert np.all(np.isfinite(sensitivity_triangle(scen, bundle, bars, 0)))
+        assert np.all(np.isfinite(mean_sensitivity_triangle(scen, bundle, bars)))
         for kernel in (bundle.psi, bundle.phi, bundle.f):
             assert np.all(np.isfinite(kernel.values))
 
@@ -788,11 +776,10 @@ class TestLongHorizon:
         with pytest.raises(NonFiniteError, match=r"^cost_gradient_transcribed: non-finite "
                                                  r"value at node 0$"):
             cost_gradient_transcribed(scen, bundle, bars)
-        # and so do the sensitivity triangles
-        for name, stage in (("sensitivity_triangle", lambda *a: sensitivity_triangle(*a, 0)),
-                            ("mean_sensitivity_triangle", mean_sensitivity_triangle)):
-            with pytest.raises(NonFiniteError, match=rf"^{name}: non-finite value at node \d+$"):
-                stage(scen, bundle, bars)
+        # and so does the sensitivity triangle
+        with pytest.raises(NonFiniteError, match=r"^mean_sensitivity_triangle: non-finite "
+                                                 r"value at node \d+$"):
+            mean_sensitivity_triangle(scen, bundle, bars)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("stage", [trace_cost, cost_gradient], ids=lambda fn: fn.__name__)
@@ -849,8 +836,8 @@ class TestMatrixJointRecursion:
             assert _rel(prof, K) <= 1e-12
             assert _rel(drift_profile(scen, bundle, bars, atom), drift) <= 1e-12
             cost += weight * trapezoid(np.einsum("jab,jba->j", scen.Sigma, K), scen.grid.dt)
-        for kernel, oracle in zip((bundle.phi, bundle.psi, bundle.f), triangles):
-            assert _rel(kernel.values, oracle) <= 1e-12
+        for kernel, oracle in zip(matrix_transitions(bundle), triangles):
+            assert _rel(kernel, oracle) <= 1e-12
         assert trace_cost(scen, bundle, bars) == pytest.approx(cost, rel=1e-12)
         np.testing.assert_array_equal(bundle.R[:, :2, 2:], 0.0)
 
@@ -970,7 +957,7 @@ class TestOneStepRule:
         with pytest.raises(NonFiniteError, match=rf"^{stage.__name__}: non-finite value at "
                                                  r"node \d+$"):
             stage(scen, bundle, measure_averages(scen), *atom)
-        assert not np.all(np.isfinite(bundle.f.values))
+        assert not np.all(np.isfinite(matrix_transitions(bundle)[2]))
 
     @pytest.mark.filterwarnings("error")
     def test_nonfinite_generator_raises_without_warning(self):
@@ -983,7 +970,7 @@ class TestOneStepRule:
         assert not np.all(np.isfinite(bundle.H))
         with pytest.raises(NonFiniteError, match=r"^trace_cost: non-finite value at node 1$"):
             trace_cost(scen, bundle, measure_averages(scen))
-        assert not np.all(np.isfinite(bundle.f.values))
+        assert not np.all(np.isfinite(matrix_transitions(bundle)[2]))
 
 
 class TestCheckFinite:
@@ -1002,7 +989,6 @@ _SCALAR_CALLS = {
     "cost_gradient": cost_gradient,
     "covariance_profile": lambda *a: covariance_profile(*a, 0),
     "drift_profile": lambda *a: drift_profile(*a, 0),
-    "sensitivity_triangle": lambda *a: sensitivity_triangle(*a, 0),
     "mean_sensitivity_triangle": mean_sensitivity_triangle,
     "covariance_profile_transcribed": lambda *a: covariance_profile_transcribed(*a, 0),
     "cost_gradient_transcribed": cost_gradient_transcribed,

@@ -422,6 +422,20 @@ class TestOptimizeGain:
         assert report.message == "iteration limit reached"
         assert report.iterations == 3
 
+    @pytest.mark.parametrize("build", [classical_scenario, cross_pairing_probe])
+    def test_converging_on_the_last_allowed_iteration_is_converged(self, build):
+        # the tolerance used to be tested only before a step: on classical
+        # N = 200, max_iter = 3 ended at stationarity 2.3e-7, below grad_tol,
+        # yet reported "iteration limit reached" and skipped the completion
+        scen = build(steps=200)
+        full = optimize_gain(scen)
+        assert full.converged and full.iterations >= 1
+        capped = optimize_gain(scen, max_iter=full.iterations)
+        for name, value in vars(full).items():
+            if name not in ("gain", "iteration_seconds"):
+                assert getattr(capped, name) == value, name
+        np.testing.assert_array_equal(capped.gain.values, full.gain.values)
+
     def test_no_observation_noise_reports_no_descent_direction(self):
         # gamma = 0: the curvature vanishes everywhere and the cost keeps
         # falling as the gain grows, so there is no Newton step to take

@@ -21,7 +21,7 @@ from mfkalman.arbitration import f_direction, f_direction_transcribed
 from mfkalman.kernels import FRAME_SPAN, ScalarTables, StepPropagators, _running_integral
 from mfkalman.scenarios import random_smooth_scenario
 
-from conftest import scalar_scenario
+from conftest import chain, matrix_transitions, scalar_scenario
 
 
 def zero_gain(scen):
@@ -31,9 +31,12 @@ def zero_gain(scen):
 def _defining_quadrature_error(bundle):
     """Largest gap between f and the trapezoid of its defining integral,
     at the cell pairs (t, s) = (1, 0), (3/4, 1/4), (1/2, 0) of a unit
-    horizon; scalar or matrix entries."""
+    horizon; scalar entries from the bundle's triangles, matrix entries
+    from the products of its step maps."""
     n, d = bundle.M.shape[:2]
-    psi, phi, f = (k.values.reshape(n, n, d, d) for k in (bundle.psi, bundle.phi, bundle.f))
+    kernels = ((bundle.phi.values, bundle.psi.values, bundle.f.values) if d == 1
+               else matrix_transitions(bundle))
+    phi, psi, f = (k.reshape(n, n, d, d) for k in kernels)
     steps = n - 1
     worst = 0.0
     for i, j in [(steps, 0), (3 * steps // 4, steps // 4), (steps // 2, 0)]:
@@ -312,31 +315,25 @@ class TestMatrixMode:
         grid, scen2, scalars, c = pair
         gvals = np.array([0.5, 0.2])
         gain2 = GainSchedule.constant(grid, np.diag(gvals), 2, 2)
-        bundle2 = kernel_bundle(scen2, gain2)
+        phi2, psi2, f2 = matrix_transitions(kernel_bundle(scen2, gain2))
         for k in range(2):
             gain1 = GainSchedule.constant(grid, gvals[k])
             b1 = kernel_bundle(scalars[k], gain1)
-            np.testing.assert_allclose(bundle2.psi.values[:, :, k, k],
-                                       b1.psi.values, atol=1e-8)
-            np.testing.assert_allclose(bundle2.phi.values[:, :, k, k],
-                                       b1.phi.values, atol=1e-8)
-            np.testing.assert_allclose(bundle2.f.values[:, :, k, k],
-                                       b1.f.values, atol=1e-8)
+            np.testing.assert_allclose(psi2[:, :, k, k], b1.psi.values, atol=1e-8)
+            np.testing.assert_allclose(phi2[:, :, k, k], b1.phi.values, atol=1e-8)
+            np.testing.assert_allclose(f2[:, :, k, k], b1.f.values, atol=1e-8)
             # off-diagonal blocks stay zero
-            np.testing.assert_allclose(bundle2.psi.values[:, :, k, 1 - k], 0.0,
-                                       atol=1e-12)
-            np.testing.assert_allclose(bundle2.f.values[:, :, k, 1 - k], 0.0,
-                                       atol=1e-12)
+            np.testing.assert_allclose(psi2[:, :, k, 1 - k], 0.0, atol=1e-12)
+            np.testing.assert_allclose(f2[:, :, k, 1 - k], 0.0, atol=1e-12)
 
     def test_rk4_matches_exponential(self, pair):
         grid, scen2, _, _ = pair
         gain2 = GainSchedule.constant(grid, np.zeros((2, 2)), 2, 2)
-        psi = kernel_bundle(scen2, gain2).psi
+        psi = matrix_transitions(kernel_bundle(scen2, gain2))[1]
         # component 0 has constant generator a0 = -0.4
         expected = np.exp(-0.4 * (grid.nodes[:, None] - grid.nodes[None, :]))
         tri = np.tril_indices(grid.n_nodes)
-        np.testing.assert_allclose(psi.values[:, :, 0, 0][tri], expected[tri],
-                                   atol=1e-10)
+        np.testing.assert_allclose(psi[:, :, 0, 0][tri], expected[tri], atol=1e-10)
 
     def test_scalar_valued_coefficient_is_a_multiple_of_identity(self):
         """A callable returning a scalar is read as that multiple of the
@@ -349,15 +346,16 @@ class TestMatrixMode:
                                   gamma=lambda u, t: np.eye(2), Q=np.eye(2), Q0=np.eye(2),
                                   Sigma=lambda t: np.eye(2))
             bundle = kernel_bundle(scen, GainSchedule.constant(grid, 0.0, 2, 2))
-            results.append([bundle.phi.values, bundle.psi.values, bundle.f.values,
-                             covariance_profile(scen, bundle, measure_averages(scen), 0)])
+            results.append([bundle.R, covariance_profile(scen, bundle, measure_averages(scen), 0)])
         for a, b in zip(*results):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(results[0][1][40, 0], np.exp(-0.4) * np.eye(2), atol=1e-9)
+        psi = matrix_transitions(bundle)[1]
+        np.testing.assert_allclose(psi[40, 0], np.exp(-0.4) * np.eye(2), atol=1e-9)
 
     def test_matrix_f_is_phi_minus_psi(self):
-        """Non-diagonal coupled 2x2 system: f is phi - psi, and the
-        trapezoid of its defining integral converges to it at O(dt^2)."""
+        """Non-diagonal coupled 2x2 system: the lower-left block of the
+        joint transition, the product of the step maps, is phi - psi, and
+        the trapezoid of f's defining integral converges to it at O(dt^2)."""
         err = {}
         for steps in (40, 80):
             grid = make_grid(1.0, steps)
@@ -371,9 +369,9 @@ class TestMatrixMode:
                 Q=np.eye(2), Q0=np.eye(2), Sigma=lambda t: np.eye(2))
             gain = GainSchedule.constant(grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
             bundle = kernel_bundle(scen, gain)
-            f = bundle.f.values
-            np.testing.assert_array_equal(f, bundle.phi.values - bundle.psi.values)
-            assert np.max(np.abs(bundle.f.values[:, :, 0, 1])) > 1e-2  # coupled
+            f = matrix_transitions(bundle)[2]
+            np.testing.assert_allclose(chain(bundle.R)[:, :, 2:, :2], f, rtol=0, atol=1e-12)
+            assert np.max(np.abs(f[:, :, 0, 1])) > 1e-2  # coupled
             err[steps] = _defining_quadrature_error(bundle)
         assert err[80] <= 1e-4
         assert err[40] / err[80] >= 3.0

@@ -3,7 +3,7 @@ need no reference solution, so they reach the mean-coupled and matrix
 cases that no closed form covers. Each run takes a scalar scenario at
 N = 400 and the gain 0.4 + 0.2 cos 2 pi t, and reads the cost J, the
 gradient density g, the averaged sensitivity triangle and one atom's
-triangle. The scenarios are the cross-pairing probe (mean coupling, two
+triangle (the per-atom row-quadrature oracle). The scenarios are the cross-pairing probe (mean coupling, two
 atoms), ``classical``, ``normal-flow`` (11 atoms) and
 ``random_smooth_scenario`` seeds 1-8; a relation that changes the atoms
 changes every coefficient sampled at them with them. The relations that
@@ -28,12 +28,11 @@ from mfkalman import (
     measure_averages,
     normal_flow_scenario,
     optimize_gain,
-    sensitivity_triangle,
     trace_cost,
 )
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
-from conftest import rebuilt
+from conftest import rebuilt, row_sensitivity_triangle
 
 STEPS = 400
 TOL = 1e-12  # relative, in the sup norm
@@ -61,7 +60,7 @@ def _run(scen, atom):
     bundle = kernel_bundle(scen, gain)
     return (trace_cost(scen, bundle, bars), cost_gradient(scen, bundle, bars).values,
             mean_sensitivity_triangle(scen, bundle, bars),
-            sensitivity_triangle(scen, bundle, bars, atom))
+            row_sensitivity_triangle(scen, bundle, bars, atom))
 
 
 def _on_atoms(scen, order, weights):

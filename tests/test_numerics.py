@@ -13,7 +13,6 @@ from mfkalman import (
     kernel_bundle,
     measure_averages,
     optimize_gain,
-    sensitivity_triangle,
 )
 from mfkalman.numerics import (
     GridError,
@@ -125,15 +124,9 @@ class TestTriangularKernel:
         grid = make_grid(1.0, 4)
         with pytest.raises(GridError):
             TriangularKernel(grid, np.zeros((3, 3)))
-        with pytest.raises(GridError):
-            TriangularKernel(grid, np.zeros((5, 5, 2, 3)))
-
-    def test_matrix_entries(self):
-        grid = make_grid(1.0, 3)
-        vals = np.zeros((4, 4, 2, 2))
-        kern = TriangularKernel(grid, vals)
-        assert kern.values.shape[2:] == (2, 2)
-        assert np.einsum("iiab->iab", kern.values).shape == (4, 2, 2)
+        for shape in [(5, 5, 2, 3), (5, 5, 2, 2)]:   # entries are scalars only
+            with pytest.raises(GridError):
+                TriangularKernel(grid, np.zeros(shape))
 
 
 def _atom_reader(read):
@@ -153,7 +146,6 @@ _INTEGER_ARGUMENTS = {
                       ScenarioError, 1),
     "covariance_profile": (_atom_reader(covariance_profile), ScenarioError, 1),
     "drift_profile": (_atom_reader(drift_profile), ScenarioError, 1),
-    "sensitivity_triangle": (_atom_reader(sensitivity_triangle), ScenarioError, 1),
     "ValidationSuite": (lambda n, tmp_path: ValidationSuite(tmp_path, seed=n), SimulationError, 1),
 }
 

@@ -3,7 +3,8 @@ whose constructor parameters are its fields, in order. Positional and
 keyword construction agree, defaults hold (a default list is a new list
 per record), the read-only records refuse assignment and deletion with
 AttributeError, equality and hashing are by identity, and the repr names
-the class and the fields that are not arrays."""
+the class and the fields that are not arrays. A record keeps its own
+copy of every array the caller passed."""
 
 import inspect
 
@@ -22,7 +23,9 @@ from mfkalman import (
     Scenario,
     ScenarioError,
     TimeGrid,
+    build_scenario,
     classical_scenario,
+    dirac_measure,
     make_grid,
     measure_averages,
 )
@@ -124,3 +127,35 @@ def test_record_checks_hold_in_both_forms(cls, kwargs):
         cls(*kwargs.values())
     with pytest.raises(ScenarioError):
         cls(**kwargs)
+
+
+def _caller_cases():
+    """case -> (the caller's arrays, the record built from them, the
+    record's fields that hold them)."""
+    flat, cube = np.linspace(0.1, 0.5, 5), np.full((5, 1, 1), 0.5)
+    points, weights = np.array([[-1.0], [1.0]]), np.array([0.25, 0.75])
+    Q, Q0 = np.array([[2.0]]), np.array([[3.0]])
+    return {
+        "GainSchedule-flat": ((flat,), GainSchedule(GRID, flat), ("values",)),
+        "GainSchedule-cube": ((cube,), GainSchedule(GRID, cube), ("values",)),
+        "InitialMeasure": ((points, weights), InitialMeasure(points, weights),
+                           ("points", "weights")),
+        "Scenario": ((Q, Q0), build_scenario(GRID, measure=dirac_measure(0.0), Q=Q, Q0=Q0),
+                     ("Q", "Q0")),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_caller_cases()))
+def test_record_keeps_no_caller_array(case):
+    # a flat gain and the measure's weights were views of the caller's
+    # arrays, a 3-D gain and the atom points were frozen in the caller's
+    # hands, and build_scenario kept the caller's Q and Q0 writeable, so
+    # Q[0, 0] = -5 made the scenario's Q indefinite after its SPD check
+    given, record, fields = _caller_cases()[case]
+    kept = [getattr(record, name).copy() for name in fields]
+    for arr in given:
+        assert arr.flags.writeable
+        arr *= -5.0
+    for name, before in zip(fields, kept):
+        np.testing.assert_array_equal(getattr(record, name), before)
+        assert not getattr(record, name).flags.writeable
