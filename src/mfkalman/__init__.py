@@ -46,6 +46,7 @@ from .simulation import (
     SimulationError,
     empirical_statistics,
     simulate_ensemble,
+    worker_count,
 )
 from .system_model import (
     BarQuantities,

@@ -24,25 +24,17 @@ random stream (an SFC64 generator seeded by a spawned seed sequence, so
 the blocks' streams are independent). The blocks run in block order on
 the calling thread. Each block reduces the error e = x - z to moments at
 every node, or at the nodes the caller asks for, as it goes and folds
-into the running moments as soon as it is done. A block's normal draws
-come in chunks of ``_CHUNK`` steps, one call on its stream per chunk, drawn
-in place into a ring of ``_RING`` buffers; with two threads
-(:func:`worker_count`) a single helper thread draws the next chunk while
-the calling thread steps the current one, and with one the calling
-thread draws them itself. Either way the draws are the same numbers in
-the same order, so results are reproducible bit-for-bit. Every array the
-stepping writes is allocated per block, on the calling thread, before
-the block's first step. Only the first ``KEPT_PATHS`` replications keep
-their trajectories, so memory does not grow with paths times steps.
+into the running moments as soon as it is done. A block draws its
+normals from its own stream ``_CHUNK`` steps at a time, one call per
+chunk, in place into its one draw buffer; the draws are the same numbers
+in the same order whatever the chunk size, so results are reproducible
+bit-for-bit. Every array a block writes, its draw buffer included, is
+allocated before the block's first step. Only the first ``KEPT_PATHS``
+replications keep their trajectories, so memory does not grow with paths
+times steps.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
-import os
-from collections.abc import Iterator
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -59,13 +51,10 @@ __all__ = [
     "worker_count",
 ]
 
-_BLOCK = 4096  # replications per random stream; fixed so results do not
-               # depend on the thread count
+_BLOCK = 4096  # replications per random stream and draw buffer; fixed, so
+               # a seed's draws depend on nothing but n_paths
 _CHUNK = 8  # steps drawn per call: 512 kB of draws per block for d = 1;
             # 32 steps raised validate's peak RSS
-_RING = 2  # draw buffers: the chunk being stepped and the next one being
-           # drawn; the caller is done with a chunk before it asks for the
-           # next, and only then is the one after drawn into its buffer
 KEPT_PATHS = 10  # leading replications whose trajectories an ensemble keeps
 _BITGEN = "SFC64"  # numpy.random's bit generator of every block's stream, by
                   # name: numpy.random (and hashlib) load on first use
@@ -76,21 +65,8 @@ class SimulationError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Threads a simulation uses: 2, the calling thread and one helper
-    that draws the normals ahead of the stepping, when this process may
-    run on two or more CPUs, else 1, the calling thread drawing them
-    itself. MFK_THREADS overrides the CPU count."""
-    env = os.environ.get("MFK_THREADS", "").strip()
-    if env:
-        try:
-            cpus = int(env)
-        except ValueError:
-            raise SimulationError(f"MFK_THREADS must be an integer, got {env!r}") from None
-    elif hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return 2 if cpus > 1 else 1
+    """Threads a simulation uses: 1, the calling thread."""
+    return 1
 
 
 class PathEnsemble(_ReadOnly):
@@ -188,12 +164,6 @@ def _step_maps(scenario: Scenario, gain: GainSchedule):
     return (own, field, noise), (own_y, field_y, noise_y)
 
 
-def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """The leading prod(shape) elements of the flat ``buf`` as a contiguous
-    array of that shape."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
 class _Moments(_Record):
     """Error moments of ``count`` replications at R recorded nodes, layout
     (atom, position, ...): mean, centered sum of products, and the
@@ -252,67 +222,30 @@ class _Moments(_Record):
         return _Moments(count, mean, sum2, sum3, sum4)
 
 
-def _draw_chunks(seqs, blocks, steps: int, d: int,
-                 ring: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """Standard normals of every block in block order, ``_CHUNK`` steps at
-    a time, each as (steps in chunk, 2d, count), the layout the stepping
-    reads: per step the state noise rows, then the observation noise
-    rows. A chunk of L steps holds the numbers, in order, of 2L successive
-    (d, count) draws.
-
-    The chunks are drawn in place into the flat buffers of ``ring`` in
-    turn, so a chunk stays valid until ``len(ring) - 1`` more are drawn.
-    Nothing is allocated here, so a helper thread that runs this
-    allocates nothing."""
-    slots = itertools.cycle(ring)
-    for seq, (_, count) in zip(seqs, blocks):
-        rng = np.random.Generator(getattr(np.random, _BITGEN)(seq))
-        for j in range(0, steps, _CHUNK):
-            chunk = _head(next(slots), min(_CHUNK, steps - j), 2 * d, count)
-            rng.standard_normal(out=chunk)
-            yield chunk
-
-
-@contextmanager
-def _ahead(items: Iterator, helper: bool):
-    """``items`` as an iterator; with ``helper``, one thread makes the
-    next item while the caller works on the current one. The thread is
-    joined on exit, also when the caller raises."""
-    if not helper:
-        yield items
-        return
-    from concurrent.futures import ThreadPoolExecutor  # on first use: its import is not free
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        def prefetched():
-            pending = pool.submit(next, items, None)
-            while (item := pending.result()) is not None:
-                pending = pool.submit(next, items, None)
-                yield item
-        yield prefetched()
-
-
-def _simulate_block(scenario: Scenario, maps, count: int, chunks: Iterator[np.ndarray],
+def _simulate_block(scenario: Scenario, maps, count: int, rng: np.random.Generator,
                     kept: np.ndarray, nodes: np.ndarray) -> _Moments:
-    """``count`` replications driven by the next draws of ``chunks``: their
-    moments at ``nodes``. The states (N+1, atom, 2n + m, keep) of the
-    first ``keep = kept.shape[3]`` go to ``kept``, at every node. Every
-    array the stepping writes is allocated here, at the block's size,
-    before the first step: the state pair, the noise term and its
-    finiteness mask (k, 2n, count), the atom means and their field term
-    (2n, count), the centered error and its square (k, n, count), and the
-    kept replications' observation step, noise term (k, m, keep) and field
-    term (m, keep). Overflow is not warned of (the caller's errstate) but
-    seen in the values: a state that is not finite raises at its step,
-    whether or not its node is in ``nodes``."""
+    """``count`` replications driven by the standard normals of ``rng``:
+    their moments at ``nodes``. The states (N+1, atom, 2n + m, keep) of
+    the first ``keep = kept.shape[3]`` go to ``kept``, at every node.
+    Every array the block writes is allocated here, at the block's size,
+    before the first step: the draw buffer (min(_CHUNK, N), 2d, count),
+    the state pair, the noise term and its finiteness mask (k, 2n, count),
+    the atom means and their field term (2n, count), the centered error
+    and its square (k, n, count), and the kept replications' observation
+    step, noise term (k, m, keep) and field term (m, keep). Each chunk of
+    ``_CHUNK`` steps is one draw into the buffer: per step the state noise
+    rows, then the observation noise rows. Overflow is not warned of (the
+    caller's errstate) but seen in the values: a state that is not finite
+    raises at its step, whether or not its node is in ``nodes``."""
     grid = scenario.grid
-    k, n, m = scenario.n_atoms, scenario.n, scenario.m
+    k, n, m, d = scenario.n_atoms, scenario.n, scenario.m, scenario.d
     keep = kept.shape[3]
     (own, field, noise), (own_y, field_y, noise_y) = maps
     # atom means as exact products summed in atom order: a relabelling
     # of the atoms changes no bit
     weights = scenario.measure.weights[:, None, None]
 
+    draws = np.empty((min(_CHUNK, grid.n_steps), 2 * d, count))
     s, nxt, shocks = (np.empty((k, 2 * n, count)) for _ in range(3))
     finite = np.empty((k, 2 * n, count), dtype=bool)
     bars, fterm = np.empty((2 * n, count)), np.empty((2 * n, count))
@@ -328,7 +261,8 @@ def _simulate_block(scenario: Scenario, maps, count: int, chunks: Iterator[np.nd
     slot = dict(zip(nodes.tolist(), range(len(nodes))))   # node -> position
 
     for first in range(0, grid.n_steps, _CHUNK):
-        for j, xi in enumerate(next(chunks), start=first):
+        chunk = rng.standard_normal(out=draws[:min(_CHUNK, grid.n_steps - first)])
+        for j, xi in enumerate(chunk, start=first):
             np.multiply(weights, s, out=nxt)
             np.add.reduce(nxt, axis=0, out=bars)
             if keep:   # the observation, from the state at node j
@@ -388,20 +322,18 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     min(n_paths, KEPT_PATHS) keep their trajectories, at every node, and
     only those step their observation. Memory is the step maps (at most
     N (2n + m)(4n + 2kd) floats), the kept trajectories, a few sets of
-    moments of at most 4 k R n^2 floats each for R nodes, two draw
-    buffers of ``_CHUNK`` steps of normals for one block of up to 4096
-    paths, allocated on the calling thread before any step, and one
-    block's state [x, z] and scratch arrays, allocated on the calling
-    thread before the block's first step. Nothing is allocated per chunk
-    or per step, whatever ``n_paths``. Identical
-    seeds give bitwise identical ensembles, whatever ``MFK_THREADS`` is,
-    and the moments at a node do not depend on which other nodes are
-    asked for. An ``n_paths`` or ``seed`` that is not an integer (a bool
-    included), a negative seed or ``nodes`` that are not as above raise
-    :class:`SimulationError` naming the argument before any work; a
-    state that is not finite, at any node, or error moments that are
-    not finite at a requested node (a state too large to square) raise
-    it naming the node, and no overflow escapes as a warning.
+    moments of at most 4 k R n^2 floats each for R nodes, and one block's
+    draw buffer of ``_CHUNK`` steps of normals, state [x, z] and scratch
+    arrays, for up to 4096 paths, allocated before the block's first step.
+    Nothing is allocated per chunk or per step, whatever ``n_paths``.
+    Identical seeds give bitwise identical ensembles, and the moments at a
+    node do not depend on which other nodes are asked for. An ``n_paths``
+    or ``seed`` that is not an integer (a bool included), a negative seed
+    or ``nodes`` that are not as above raise :class:`SimulationError`
+    naming the argument before any work; a state that is not finite, at
+    any node, or error moments that are not finite at a requested node (a
+    state too large to square) raise it naming the node, and no overflow
+    escapes as a warning.
     """
     for name, value in (("n_paths", n_paths), ("seed", seed)):
         _integer(value, SimulationError, f"{name} must be an integer, got {value!r}")
@@ -411,18 +343,16 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
         raise SimulationError(f"seed must be >= 0, got {seed}")
     nodes = _requested_nodes(nodes, scenario.grid)
     maps = _step_maps(scenario, gain)
-    grid, k, n, m, d = scenario.grid, scenario.n_atoms, scenario.n, scenario.m, scenario.d
+    grid, k, n, m = scenario.grid, scenario.n_atoms, scenario.n, scenario.m
 
     blocks = [(b, min(_BLOCK, n_paths - b)) for b in range(0, n_paths, _BLOCK)]
     seqs = np.random.SeedSequence(seed).spawn(len(blocks))
-    ring = [np.empty(_CHUNK * 2 * d * blocks[0][1]) for _ in range(_RING)]
     kept = np.empty((grid.n_nodes, k, 2 * n + m, min(n_paths, KEPT_PATHS)))
-    draws = _draw_chunks(seqs, blocks, grid.n_steps, d, ring)
     total = None
-    quiet = np.errstate(over="ignore", invalid="ignore")  # overflow is checked below
-    with _ahead(draws, worker_count() > 1) as chunks, quiet:
-        for start, count in blocks:
-            moments = _simulate_block(scenario, maps, count, chunks,
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        for seq, (start, count) in zip(seqs, blocks):
+            rng = np.random.Generator(getattr(np.random, _BITGEN)(seq))
+            moments = _simulate_block(scenario, maps, count, rng,
                                       kept[..., start:start + count], nodes)
             total = moments if total is None else total + moments
     bad = np.zeros(len(nodes), dtype=bool)

@@ -287,11 +287,8 @@ class _Twin:
     """The artifact pipeline at ``seed`` in a fresh interpreter, writing its
     CSVs into ``out_dir/.determinism-recheck`` (the shadow directory). It
     inherits this process's environment with the package's own parent
-    directory first on ``PYTHONPATH`` and ``MFK_THREADS=1``, so that its
-    simulations draw on one thread while this run keeps its own setting,
-    and C8 also shows that no artifact depends on the thread count; its
-    standard output (the file it imported ``mfkalman`` from) and standard
-    error go to temporary files."""
+    directory first on ``PYTHONPATH``; its standard output (the file it
+    imported ``mfkalman`` from) and standard error go to temporary files."""
 
     def __init__(self, out_dir: Path, seed: int):
         import subprocess  # C8 alone starts a process
@@ -300,8 +297,7 @@ class _Twin:
         self.stdout, self.stderr = tempfile.TemporaryFile(), tempfile.TemporaryFile()
         root = str(Path(__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=root + os.pathsep + path if path else root,
-                   MFK_THREADS="1")
+        env = dict(os.environ, PYTHONPATH=root + os.pathsep + path if path else root)
         self.proc = subprocess.Popen([sys.executable, "-c", _TWIN_CODE, str(shadow), str(seed)],
                                      env=env, stdin=subprocess.DEVNULL,
                                      stdout=self.stdout, stderr=self.stderr)

@@ -53,13 +53,13 @@ def rough_pack():
     return scen, bars, gain, kernel_bundle(scen, gain)
 
 
-def run_fresh(code: str, *args: str, **env: str) -> list[str]:
+def run_fresh(code: str, *args: str) -> list[str]:
     """The output lines of ``code`` run with ``args`` in a fresh interpreter
-    that imports this ``mfkalman``, with ``env`` added to the environment;
-    a non-zero exit fails the test with its stderr."""
+    that imports this ``mfkalman``; a non-zero exit fails the test with its
+    stderr."""
     src = str(Path(mfkalman.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src, **env)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,9 +1,9 @@
 """What a fresh ``import mfkalman, mfkalman.cli`` loads and runs: PyYAML,
-hashlib, the simulation's thread pool and the determinism check's
-``subprocess`` and ``filecmp`` are imported where they are first used, so
-a process that never reads a scenario file, hashes a scenario, runs a
-threaded simulation or re-runs the artifact pipeline does not pay for them;
-and no source is generated and compiled at import (``dataclasses``,
+hashlib and the determinism check's ``subprocess`` and ``filecmp`` are
+imported where they are first used, so a process that never reads a
+scenario file, hashes a scenario or re-runs the artifact pipeline does not
+pay for them; a simulation runs on the calling thread and loads no thread
+pool; and no source is generated and compiled at import (``dataclasses``,
 ``namedtuple`` and other ``exec`` class factories do), so every command
 pays only for the package's own files."""
 
@@ -44,12 +44,10 @@ print(events["compile"], events["exec"], "dataclasses" in sys.modules)
 def test_fresh_import_defers_yaml_hashlib_and_executor(tmp_path):
     spec = tmp_path / "scenario.yaml"
     spec.write_text("horizon: 1.0\nsteps: 10\ncoefficients: {A: -0.5}\n")
-    # two simulation threads, so the helper's executor is imported and used
-    loaded, scenario, simulation = run_fresh(_CODE.format(deferred=DEFERRED), str(spec),
-                                             MFK_THREADS="2")
+    loaded, scenario, simulation = run_fresh(_CODE.format(deferred=DEFERRED), str(spec))
     assert loaded == ""
     assert scenario == "10 16"
-    assert simulation == "20 True"
+    assert simulation == "20 False"   # no thread pool, whatever the CPU count
 
 
 def test_fresh_import_compiles_no_generated_source():

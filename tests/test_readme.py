@@ -30,20 +30,18 @@ def test_yaml_examples_load(tmp_path):
         assert load_scenario(path).scalar_mode
 
 
-_NUMBER_WORDS = {"one": 1, "two": 2, "three": 3, "four": 4, "five": 5}
-
-
 @pytest.mark.parametrize("patterns,value", [
     ((r"(\d+)-path block",), simulation._BLOCK),
     ((r"(\d+)-step chunk", r"(\d+) steps at a time"), simulation._CHUNK),
     ((r"first (\d+) replications",), simulation.KEPT_PATHS),
-    ((r"(\w+) draw buffers",), simulation._RING),
+    # one block's draw buffer for d = 1: _CHUNK steps x 2 x _BLOCK doubles
+    ((r"(\d+) kB for d = 1",), simulation._CHUNK * 2 * simulation._BLOCK * 8 // 1024),
     ((r"\b(MT19937|PCG64DXSM|PCG64|Philox|SFC64)\b",), simulation._BITGEN),
-], ids=["block", "chunk", "kept", "ring", "generator"])
+], ids=["block", "chunk", "kept", "buffer", "generator"])
 def test_simulator_numbers_match_the_code(patterns, value):
     # every place the README quotes one of these numbers, or names a numpy
     # bit generator, quotes the code's
     text = " ".join(_README.read_text().split())   # one line, so a match may wrap
     found = [m for p in patterns for m in re.findall(p, text)]
     assert found
-    assert {str(_NUMBER_WORDS.get(m, m)) for m in found} == {str(value)}
+    assert set(found) == {str(value)}

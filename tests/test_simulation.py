@@ -1,13 +1,11 @@
-import inspect
-import os
 import re
-import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mfkalman
 from mfkalman import (
     GainSchedule,
     InitialMeasure,
@@ -25,7 +23,7 @@ from mfkalman.covariance import covariance_profile
 from mfkalman.gain import riccati_normal_flow
 from mfkalman.kernels import _closed_loop_drifts
 from mfkalman.scenarios import classical_scenario, cross_pairing_probe, normal_flow_scenario
-from mfkalman.simulation import SimulationError, worker_count
+from mfkalman.simulation import SimulationError
 
 from conftest import scalar_scenario
 
@@ -149,16 +147,6 @@ class TestSimulateEnsemble:
         b = simulate_ensemble(classical_small, gain, n_paths=4100, seed=42)
         _assert_same_ensemble(a, b)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        # 101 steps end on a short chunk of draws, and the last block is short
-        scen = classical_scenario(steps=101)
-        gain = GainSchedule.constant(scen.grid, 0.3)
-        monkeypatch.setenv("MFK_THREADS", "1")
-        a = simulate_ensemble(scen, gain, n_paths=8200, seed=9)
-        for threads in ("2", "3"):
-            monkeypatch.setenv("MFK_THREADS", threads)
-            _assert_same_ensemble(a, simulate_ensemble(scen, gain, n_paths=8200, seed=9))
-
     def test_weak_convergence_bias_bounded(self):
         results = {}
         for steps in (100, 400):
@@ -233,11 +221,10 @@ class TestSimulateEnsemble:
             simulate_ensemble(classical_small, mismatched, n_paths=4, seed=0)
 
 
-class TestDrawAhead:
-    """The helper thread that draws the normals ahead of the stepping."""
+class TestDrawBuffer:
+    """Each block draws its normals, one chunk at a time, into one buffer."""
 
-    def test_helper_joined_after_return_and_after_raise(self, classical_small, monkeypatch):
-        monkeypatch.setenv("MFK_THREADS", "2")
+    def test_blowup_named_and_no_thread_started(self, classical_small):
         before = threading.active_count()
         simulate_ensemble(classical_small, GainSchedule.constant(classical_small.grid, 0.3),
                           n_paths=8200, seed=1)
@@ -245,95 +232,54 @@ class TestDrawAhead:
         scen = scalar_scenario(steps=50, A=1e155, sigma=1.0, gamma=1.0,
                                measure=dirac_measure(1.0))
         gain = GainSchedule.constant(scen.grid, 0.0)
-        messages = []
-        for threads in ("2", "1"):
-            monkeypatch.setenv("MFK_THREADS", threads)
-            with pytest.raises(SimulationError, match=r"blew up at node \d+ \(t = ") as info:
-                simulate_ensemble(scen, gain, n_paths=8200, seed=0)
-            messages.append(str(info.value))
-            assert threading.active_count() == before
-        assert messages[0] == messages[1]
+        # the drift alone overflows the state at node 3, whatever the draws
+        with pytest.raises(SimulationError,
+                           match=r"^simulation blew up at node 3 \(t = 0\.06\)$"):
+            simulate_ensemble(scen, gain, n_paths=8200, seed=0)
+        assert threading.active_count() == before
 
-    def test_helper_calls_no_public_function(self, classical_small, monkeypatch):
-        # the benchmark's tracer opens every span on the calling thread
-        callers = set()
-
-        def recording(fn):
-            def wrapper(*args, **kwargs):
-                callers.add(threading.get_ident())
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name, module in list(sys.modules.items()):
-            if name == "mfkalman" or name.startswith("mfkalman."):
-                for attr, fn in list(vars(module).items()):
-                    if (inspect.isfunction(fn) and not attr.startswith("_")
-                            and fn.__module__.startswith("mfkalman")):
-                        monkeypatch.setattr(module, attr, recording(fn))
-        drawers = set()
-        draw_chunks = simulation._draw_chunks
-
-        def recorded_draws(*args):
-            for chunk in draw_chunks(*args):
-                drawers.add(threading.get_ident())
-                yield chunk
-
-        monkeypatch.setattr(simulation, "_draw_chunks", recorded_draws)
-        monkeypatch.setenv("MFK_THREADS", "2")
-        simulation.simulate_ensemble(classical_small,
-                                     GainSchedule.constant(classical_small.grid, 0.3),
-                                     n_paths=4200, seed=3)
-        assert drawers and threading.get_ident() not in drawers
-        assert callers == {threading.get_ident()}
-
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    # 100 steps end on a short chunk; 5 steps are one chunk, shorter than _CHUNK
+    @pytest.mark.parametrize("steps", [100, 5])
     @pytest.mark.parametrize("case", ["classical", "matrix"])   # d = 1 and d = 2
-    def test_draws_live_in_caller_owned_buffers(self, monkeypatch, threads, case):
-        # the buffers are made by the caller before the drawing starts, and
-        # every chunk is drawn into one of them: no array per chunk
+    def test_one_buffer_per_block_made_before_its_first_step(self, monkeypatch, case, steps):
+        # the buffer a block's first draw, before its first step, goes into
+        # is the one every later draw of that block goes into, in place:
+        # no array per chunk
         if case == "classical":
-            scen, value = classical_scenario(steps=100), 0.3
+            scen, value = classical_scenario(steps=steps), 0.3
         else:
-            scen, value = _two_atom_matrix_scenario(100), np.array([[0.5, 0.1], [-0.2, 0.2]])
+            scen, value = _two_atom_matrix_scenario(steps), np.array([[0.5, 0.1], [-0.2, 0.2]])
         gain = GainSchedule.constant(scen.grid, value, scen.n, scen.m)
-        draw_chunks = simulation._draw_chunks
-        calls, chunks = [], []
+        simulate_block = simulation._simulate_block
+        blocks = []   # per block, its count and the out= of each of its draws
 
-        def recorded_draws(*args):
-            calls.append([a for arg in args for a in (arg if isinstance(arg, list) else [arg])
-                          if isinstance(a, np.ndarray)])
-            for chunk in draw_chunks(*args):
-                chunks.append(chunk)
-                yield chunk
+        class Recorded:
+            """``rng``, appending the ``out`` of each draw to ``outs``."""
 
-        monkeypatch.setattr(simulation, "_draw_chunks", recorded_draws)
-        monkeypatch.setenv("MFK_THREADS", threads)
+            def __init__(self, rng, outs):
+                self.rng, self.outs = rng, outs
+
+            def standard_normal(self, *args, **kwargs):
+                self.outs.append(kwargs.get("out"))
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def recorded_block(scenario, maps, count, rng, *rest):
+            blocks.append((count, []))
+            return simulate_block(scenario, maps, count, Recorded(rng, blocks[-1][1]), *rest)
+
+        monkeypatch.setattr(simulation, "_simulate_block", recorded_block)
         simulation.simulate_ensemble(scen, gain, n_paths=4200, seed=3)
-        (buffers,) = calls
-        assert len(chunks) == 2 * 13 > 3
-        for chunk in chunks:
-            homes = [b for b in buffers if np.shares_memory(chunk, b)]
-            assert len(homes) == 1
-        assert len(buffers) == simulation._RING
-        assert len({id(b) for c in chunks for b in buffers
-                    if np.shares_memory(c, b)}) == simulation._RING
-
-    def test_ring_outlasts_the_draw_ahead(self, monkeypatch):
-        # the helper fills the next buffer while the caller steps the last
-        # one; with threads switched as often as the interpreter can, a
-        # chunk rewritten while still in use would change the ensemble
-        scen = classical_scenario(steps=101)
-        gain = GainSchedule.constant(scen.grid, 0.3)
-        monkeypatch.setenv("MFK_THREADS", "1")
-        want = simulate_ensemble(scen, gain, n_paths=8200, seed=2)
-        monkeypatch.setenv("MFK_THREADS", "2")
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = simulate_ensemble(scen, gain, n_paths=8200, seed=2)
-        finally:
-            sys.setswitchinterval(interval)
-        _assert_same_ensemble(got, want)
+        assert [count for count, _ in blocks] == [4096, 104]
+        lengths = {100: [simulation._CHUNK] * 12 + [4], 5: [5]}[steps]
+        buffers = []
+        for count, draws in blocks:
+            assert len(draws) == len(lengths) and all(out is not None for out in draws)
+            buffer = draws[0].base
+            assert buffer.shape == (lengths[0], 2 * scen.d, count)
+            assert all(out.base is buffer for out in draws)
+            assert [len(out) for out in draws] == lengths
+            buffers.append(buffer)
+        assert not np.shares_memory(*buffers)
 
 
 class TestEmpiricalStatistics:
@@ -405,9 +351,9 @@ def _two_atom_matrix_scenario(steps, points=((-1.0, 0.5), (1.0, -0.5)), weights=
 def _full_state_ensemble(scen, gain, n_paths: int, seed: int) -> dict:
     """A full-state engine, the reference of the bitwise test: every
     replication steps the whole state [x, z, y] by the (2n + m)-square
-    step map, every array is new, and each chunk of draws is drawn as a
-    new (steps in chunk, 2d, count) array. Returns the arrays of a
-    :class:`PathEnsemble`."""
+    step map, every array is new, and a block's normals are drawn as one
+    new (N, 2d, count) array, whatever the engine's chunk size. Returns
+    the arrays of a :class:`PathEnsemble`."""
     H, M = _closed_loop_drifts(scen, gain)
     n, m, d, k = scen.n, scen.m, scen.d, scen.n_atoms
     steps, dt = scen.grid.n_steps, scen.grid.dt
@@ -448,20 +394,18 @@ def _full_state_ensemble(scen, gain, n_paths: int, seed: int) -> dict:
         keep = min(max(simulation.KEPT_PATHS - first, 0), count)
         moments = simulation._Moments.zeros(k, scen.grid.n_nodes, n, count)
         states = [s[..., :keep].copy()]
-        for j0 in range(0, steps, simulation._CHUNK):
-            chunk = rng.standard_normal((min(simulation._CHUNK, steps - j0), 2 * d, count))
-            for j, xi in enumerate(chunk, start=j0):
-                bars = (weights * s[:, :2 * n]).sum(axis=0)
-                s = own[j] @ s + field[j] @ bars + noise[j] @ xi
-                e = s[:, :n] - s[:, n:2 * n]
-                mean = e.mean(axis=2)
-                c = e - mean[..., None]
-                sq = c * c
-                moments.mean[:, j + 1] = mean
-                moments.sum2[:, j + 1] = c @ c.transpose(0, 2, 1)
-                moments.sum3[:, j + 1] = np.einsum("uip,uip->ui", sq, c)
-                moments.sum4[:, j + 1] = np.einsum("uip,uip->ui", sq, sq)
-                states.append(s[..., :keep].copy())
+        for j, xi in enumerate(rng.standard_normal((steps, 2 * d, count))):
+            bars = (weights * s[:, :2 * n]).sum(axis=0)
+            s = own[j] @ s + field[j] @ bars + noise[j] @ xi
+            e = s[:, :n] - s[:, n:2 * n]
+            mean = e.mean(axis=2)
+            c = e - mean[..., None]
+            sq = c * c
+            moments.mean[:, j + 1] = mean
+            moments.sum2[:, j + 1] = c @ c.transpose(0, 2, 1)
+            moments.sum3[:, j + 1] = np.einsum("uip,uip->ui", sq, c)
+            moments.sum4[:, j + 1] = np.einsum("uip,uip->ui", sq, sq)
+            states.append(s[..., :keep].copy())
         total = moments if total is None else total + moments
         kept.append(np.stack(states))
     kept = np.concatenate(kept, axis=3)
@@ -486,16 +430,21 @@ def _bitwise_case(case: str, steps: int):
     return scen, GainSchedule.constant(scen.grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+# chunks of one step, of the default size (37 steps end on a short
+# chunk) and longer than the horizon (a buffer of min(_CHUNK, N) steps)
+_CHUNKS = [1, simulation._CHUNK, 64]
+
+
+@pytest.mark.parametrize("chunk", _CHUNKS)
 @pytest.mark.parametrize("case,n_paths", [
     ("classical", 4100), ("probe", 4100), ("normal-flow", 4100), ("matrix", 4100),
     ("matrix", 1), ("probe", 3)])
-def test_engine_bitwise_equals_full_state_reference(monkeypatch, threads, case, n_paths):
+def test_engine_bitwise_equals_full_state_reference(monkeypatch, case, n_paths, chunk):
     # x, z and the moments come from the 2n rows [x, z] alone, and y only
     # for the kept replications, in the reference's order of operations;
-    # 4100 paths make a full block and a short one, 37 steps a short chunk
+    # 4100 paths make a full block and a short one
     scen, gain = _bitwise_case(case, 37)
-    monkeypatch.setenv("MFK_THREADS", threads)
+    monkeypatch.setattr(simulation, "_CHUNK", chunk)
     ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
     for name, want in _full_state_ensemble(scen, gain, n_paths, 8).items():
         assert np.array_equal(getattr(ens, name), want), name
@@ -516,11 +465,11 @@ class TestRequestedNodes:
     """``simulate_ensemble(..., nodes=...)`` records the moments at the
     requested nodes only: the same bits as those nodes of a full run."""
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("chunk", _CHUNKS)
     @pytest.mark.parametrize("n_paths", [1, 3, 4100])
     @pytest.mark.parametrize("case", ["classical", "probe", "normal-flow", "matrix"])
-    def test_moments_equal_those_of_a_full_run(self, monkeypatch, case, n_paths, threads):
-        monkeypatch.setenv("MFK_THREADS", threads)
+    def test_moments_equal_those_of_a_full_run(self, monkeypatch, case, n_paths, chunk):
+        monkeypatch.setattr(simulation, "_CHUNK", chunk)
         scen, gain = _bitwise_case(case, 37)
         full = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
         np.testing.assert_array_equal(full.nodes, np.arange(38))
@@ -700,23 +649,7 @@ def test_memory_does_not_grow_with_paths_times_steps():
     assert peak < 32e6
 
 
-def test_worker_count_follows_cpu_affinity(monkeypatch):
-    monkeypatch.delenv("MFK_THREADS", raising=False)
-    for cpus, expected in ((1, 1), (2, 2), (3, 2), (16, 2)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)),
-                            raising=False)
-        assert worker_count() == expected
-    monkeypatch.setenv("MFK_THREADS", "2")
-    assert worker_count() == 2
-
-
-def test_worker_count_env(monkeypatch):
-    # a simulation runs the caller and at most one helper thread
-    for env, expected in (("0", 1), ("1", 1), ("2", 2), ("8", 2)):
-        monkeypatch.setenv("MFK_THREADS", env)
-        assert worker_count() == expected
-    monkeypatch.setenv("MFK_THREADS", "bogus")
-    with pytest.raises(SimulationError):
-        worker_count()
-    monkeypatch.delenv("MFK_THREADS")
-    assert worker_count() in (1, 2)
+def test_worker_count_is_the_calling_thread():
+    # the benchmark records it with every run: one thread, the caller's
+    assert mfkalman.worker_count is simulation.worker_count
+    assert simulation.worker_count() == 1

@@ -5,6 +5,7 @@ re-run behind."""
 
 import contextlib
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -129,19 +130,29 @@ def test_negative_seed_rejected_before_any_work(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_rerun_simulates_on_one_thread(tmp_path, monkeypatch):
-    # the re-run's environment, with its command replaced by a report of the
-    # thread count a simulation there would use; this side asks for two
-    class ThreadCount(subprocess.Popen):
-        def __init__(self, args, **kwargs):
-            super().__init__([sys.executable, "-c", "import mfkalman.simulation as s; "
-                              "print(s.worker_count())"], **kwargs)
+@pytest.mark.parametrize("pythonpath", [None, "elsewhere"])
+def test_rerun_inherits_this_environment_but_pythonpath(tmp_path, monkeypatch, pythonpath):
+    # the re-run's environment, with its command replaced by one that does
+    # nothing: this one's, with the package root first on PYTHONPATH
+    envs = []
 
-    monkeypatch.setenv("MFK_THREADS", "2")
-    monkeypatch.setattr(subprocess, "Popen", ThreadCount)
+    class Recorded(subprocess.Popen):
+        def __init__(self, args, **kwargs):
+            envs.append(kwargs["env"])
+            super().__init__([sys.executable, "-c", "pass"], **kwargs)
+
+    if pythonpath is None:
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONPATH", pythonpath)
+    monkeypatch.setenv("RERUN_ENV_PROBE", "inherited as is")
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
     twin = _Twin(tmp_path, 0)
     try:
-        status, out, err = twin.wait()
+        status, _, err = twin.wait()
     finally:
         twin.stop()
-    assert (status, out.strip()) == (0, "1"), err
+    assert status == 0, err
+    root = str(Path(mfkalman.__file__).resolve().parents[1])
+    want = root if pythonpath is None else root + os.pathsep + pythonpath
+    assert envs == [dict(os.environ, PYTHONPATH=want)]
