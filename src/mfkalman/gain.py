@@ -1,8 +1,9 @@
 """Gain optimization and closed-form Riccati references.
 
 The optimizer drives the gain to first-order stationarity of the trace
-cost, using the exact gradient density g from the covariance module. The
-first-order optimality target is
+cost, using the gradient density g from the covariance module: the
+quadrature of the continuous density, not dJ/dG of the discrete cost.
+The first-order optimality target is
 
     int_t^T Sigma(s) * (averaged sensitivity kernel)(s, t) ds = 0
     for every t,

@@ -8,6 +8,7 @@ prints the criterion's pass/fail line and supporting detail.
 import collections
 import contextlib
 import io
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -27,9 +28,17 @@ from mfkalman import (
     validation,
 )
 from mfkalman.cli import main
-from mfkalman.validation import DEFAULT_SEED, _dump_kernels, _rate_residuals, write_csv
+from mfkalman.gain import optimize_gain
+from mfkalman.validation import (
+    DEFAULT_SEED,
+    CriterionResult,
+    ValidationSuite,
+    _dump_kernels,
+    _rate_residuals,
+    write_csv,
+)
 
-from conftest import run_fresh
+from conftest import rebuilt, run_fresh
 
 
 @pytest.fixture(scope="session")
@@ -122,6 +131,109 @@ def test_every_criterion_reports_runtime(validate_run):
     _, text, _ = validate_run
     for cid in (f"C{i}" for i in range(1, 9)):
         assert "    runtime " in _criterion_block(text, cid), cid
+
+
+# Every bound of C1-C7 as `validate` prints it, frozen: (criterion, label,
+# kind) -> floor. A "tol" floor may only shrink, a "need >=" bound only grow.
+FROZEN_FLOORS = {
+    ("C1", "semigroup deviation", "tol"): 1e-10,
+    ("C1", "mixed-kernel rate residual", "tol"): 1e-3,
+    ("C2", "classical: rel residual at N=400", "tol"): 2e-2,
+    ("C2", "classical: refinement ratio", "need >="): 3.0,
+    ("C2", "normal-flow: rel residual at N=400", "tol"): 2e-2,
+    ("C2", "normal-flow: refinement ratio", "need >="): 3.0,
+    ("C3", "constant direction: |pairing + 1/3|", "tol"): 1e-5,
+    ("C3", "constant direction: fd gap", "tol"): 1e-5,
+    **{("C3", f"direction {k}: fd gap / (1 + |pairing|)", "tol"): 1e-3 for k in range(5)},
+    ("C4", "Riccati endpoint error", "tol"): 1e-6,
+    ("C4", "optimizer: gain deviation", "tol"): 5e-3,
+    ("C4", "optimizer: stationarity", "tol"): 1e-3,
+    ("C4", "optimizer: largest cost increase", "tol"): 0.0,
+    ("C5", "Riccati endpoint error", "tol"): 1e-6,
+    ("C5", "variance identity gap", "tol"): 1e-6,
+    ("C5", "gradient sup-norm at reference gain", "tol"): 1e-3,
+    ("C5", "diagonal condition step at reference gain", "tol"): 1e-5,
+    **{("C6", f"t={t}: |{moment} z-score|", "tol"): 3.0
+       for t in (0.25, 0.5, 1.0) for moment in ("var", "mean")},
+    ("C7", "covariance-cross-pairing: adopted=rederived, Monte Carlo z", "tol"): 3.0,
+    ("C7", "mixed-kernel-derivative: adopted=rederived, fd gap / (1 + |fd|)", "tol"): 1e-3,
+    ("C7", "sensitivity-scaling: adopted=rederived, cost-slope gap / (1 + |fd|)", "tol"): 1e-3,
+}
+_BOUND = re.compile(r"    (?P<label>.+) \S+ \((?P<kind>tol|need >=) (?P<floor>[^ )]+)\)")
+
+
+def _printed_floors(text: str) -> dict:
+    """(criterion, label, kind) -> floor of every bound line of ``text``."""
+    floors, cid = {}, None
+    for line in text.splitlines():
+        if head := re.match(r"\[(?:PASS|FAIL)\] (C\d):", line):
+            cid = head[1]
+        elif bound := _BOUND.fullmatch(line):
+            key = (cid, bound["label"], bound["kind"])
+            assert key not in floors, f"{key} is printed twice"
+            floors[key] = float(bound["floor"])
+    return floors
+
+
+def test_acceptance_floors_never_loosened(validate_run):
+    printed = _printed_floors(validate_run[1])
+    for key, frozen in FROZEN_FLOORS.items():
+        assert key in printed, f"{key} is no longer checked"
+        if key[2] == "tol":
+            assert printed[key] <= frozen, f"{key} loosened from {frozen:g} to {printed[key]:g}"
+        else:
+            assert printed[key] >= frozen, f"{key} loosened from {frozen:g} to {printed[key]:g}"
+    assert set(printed) <= set(FROZEN_FLOORS), "a new bound: freeze it in FROZEN_FLOORS"
+
+
+def test_check_passes_at_its_floor_and_fails_on_nan_and_inf():
+    res = CriterionResult("C0", "check", True)
+    res.check("upper", 1e-3, 1e-3)
+    res.check("lower", 3.0, 3.0, at_least=True)
+    assert res.passed
+    assert res.details == ["upper 1.000e-03 (tol 0.001)", "lower 3.000e+00 (need >= 3)"]
+    for value, floor, at_least in [(np.nan, 1.0, False), (np.inf, 1.0, False),
+                                   (np.nan, 1.0, True), (-np.inf, 1.0, True),
+                                   (np.nextafter(1.0, 2.0), 1.0, False),
+                                   (np.nextafter(1.0, 0.0), 1.0, True)]:
+        res = CriterionResult("C0", "check", True)
+        res.check("value", value, floor, at_least=at_least)
+        assert not res.passed, (value, floor, at_least)
+        # a failed criterion stays failed after checks that pass
+        res.check("then", 0.0, 1.0)
+        res.check("then", 2.0, 1.0, at_least=True)
+        assert not res.passed, (value, floor, at_least)
+
+
+@pytest.fixture(scope="module")
+def c4_report():
+    """C4's optimizer run, as the criterion makes it."""
+    return optimize_gain(classical_scenario(steps=200), grad_tol=1e-5, max_iter=2000)
+
+
+@pytest.mark.parametrize("change,passed", [
+    ("as-run", True), ("level-last", True),
+    ("rise-first", False), ("rise-last", False), ("nan-first", False), ("nan-middle", False),
+    ("nan-last", False),
+])
+def test_c4_fails_on_a_cost_that_rises_or_is_nan(tmp_path, monkeypatch, c4_report, change,
+                                                 passed):
+    # np.max keeps a NaN wherever it sits in the cost increases; Python's
+    # max keeps one only in the first position
+    cost = list(c4_report.cost_trajectory)
+    assert len(cost) >= 4 and all(b < a for a, b in zip(cost, cost[1:]))
+    if change == "level-last":
+        cost[-1] = cost[-2]
+    elif change == "rise-first":
+        cost[1] = np.nextafter(cost[0], np.inf)   # one ulp above the start
+    elif change == "rise-last":
+        cost[-1] = np.nextafter(cost[-2], np.inf)
+    elif change.startswith("nan"):
+        cost[{"nan-first": 0, "nan-middle": 2, "nan-last": -1}[change]] = np.nan
+    report = rebuilt(c4_report, cost_trajectory=cost)
+    monkeypatch.setattr(validation, "optimize_gain", lambda *args, **kwargs: report)
+    res = ValidationSuite(tmp_path).criterion_classical_reference()
+    assert res.passed is passed, res.details
 
 
 def test_validate_simulates_only_the_nodes_it_reads(tmp_path, monkeypatch):
