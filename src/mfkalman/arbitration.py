@@ -8,10 +8,11 @@ gamma-bar (Monte Carlo); the mixed-kernel derivative density (central
 differences of ``f``); the sensitivity kernel's weights (the
 central-difference cost slope). The adopted mixed-kernel derivative,
 which only that arbitration reads, sits next to its printed form; no
-other kernel derivative is kept. Every form here is O(N) time and
-memory: the printed gradient is nine running sums, like
-:func:`~mfkalman.covariance.cost_gradient`, and no kernel triangle is
-built. Values that overflow raise
+other kernel derivative is kept. The printed forms read the weights and
+P_mean from the bundle's kept evaluation, as the adopted forms do. Every
+form here is O(N) time and memory: the printed gradient is eight running
+sums besides P_mean, like :func:`~mfkalman.covariance.cost_gradient`, and
+no kernel triangle is built. Values that overflow raise
 :class:`~mfkalman.system_model.NonFiniteError` naming the stage and node,
 as the adopted forms do. Scalar mode only.
 """
@@ -25,7 +26,7 @@ from .covariance import (
     _atom_index,
     _atom_terms,
     _checked,
-    _ScalarWeights,
+    _evaluation,
 )
 from .kernels import KernelBundle, ScalarTables, _exp_differences
 from .numerics import cumulative_trapezoid, trapezoid
@@ -48,9 +49,9 @@ def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
     s_u = scenario.flat_atom("sigma", i)
     g_u = scenario.flat_atom("gamma", i)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _ScalarWeights(scenario, bars, bundle.gain)
-        x_p = w.q * w.sbar * s_u + w.G * w.q0 * w.sbar * g_u
-        prof = sum(_atom_terms(tb, w.wbar, w.atom(i)[0], x_p))
+        ev = _evaluation(tb, bars)
+        x_p = ev.q * ev.sbar * s_u + ev.G * ev.q0 * ev.sbar * g_u
+        prof = sum(_atom_terms(tb, ev, ev.atom(i)[0], x_p))
     check_finite("covariance_profile_transcribed", prof)
     return prof
 
@@ -128,22 +129,23 @@ def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,
             + G gq + G g2q0 - sg/2,
 
     and the tail integral against Sigma pairs each with its reverse sum
-    L[p, q]: g = 2 (a L[0, 2] + b L[1, 1] + c L[2, 0]), six forward and
-    three reverse sums, O(N) time and memory. A gradient that overflows
-    raises :class:`NonFiniteError` naming the stage and node."""
+    L[p, q]: g = 2 (a L[0, 2] + b L[1, 1] + c L[2, 0]), six forward sums
+    (F[wbar; 0, 2] is the kept P_mean) and three reverse sums, O(N) time
+    and memory. A gradient that overflows raises :class:`NonFiniteError`
+    naming the stage and node."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     sigma = scenario.flat("Sigma")
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _ScalarWeights(scenario, bars, bundle.gain)
-        C, D, G = tb.C, tb.D, w.G
-        x = w.q * w.sbar**2 + w.q0 * G * w.sbar * w.gbar
-        gq, sg = w.q0 * w.gbar**2, w.q0 * w.sbar * w.gbar
-        a = -0.5 * (C + D) * tb.integral(w.wbar, 0, 2) + G * gq
-        b = ((C + 0.5 * D) * tb.integral(w.wbar, 1, 1) - (2 * C + D) * tb.integral(x, 1, 1)
+        ev = _evaluation(tb, bars)
+        C, D, G = tb.C, tb.D, ev.G
+        x = ev.q * ev.sbar**2 + ev.q0 * G * ev.sbar * ev.gbar
+        gq, sg = ev.q0 * ev.gbar**2, ev.q0 * ev.sbar * ev.gbar
+        a = -0.5 * (C + D) * ev.mean + G * gq
+        b = ((C + 0.5 * D) * tb.integral(ev.wbar, 1, 1) - (2 * C + D) * tb.integral(x, 1, 1)
              - 2 * G * gq + 0.5 * sg)
-        c = (-C * (0.5 * tb.integral(w.wbar, 2, 0) + tb.integral(w.w2, 2, 0)
+        c = (-C * (0.5 * tb.integral(ev.wbar, 2, 0) + tb.integral(ev.w2, 2, 0)
                    - 2 * tb.integral(x, 2, 0))
-             + G * gq + G * w.g2q0 - 0.5 * sg)
+             + G * gq + G * ev.g2q0 - 0.5 * sg)
         g = 2.0 * (a * tb.integral(sigma, 0, 2, reverse=True)
                    + b * tb.integral(sigma, 1, 1, reverse=True)
                    + c * tb.integral(sigma, 2, 0, reverse=True))

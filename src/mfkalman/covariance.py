@@ -26,14 +26,16 @@ w2 - wbar),
     P_mean(t) = int_0^t phi(t, s)^2 wbar(s) ds,
     P_dev(t)  = int_0^t psi(t, s)^2 (w2 - wbar)(s) ds.
 
-One atom's profile adds a third running integral, the cross term
-phi psi. The cost gradient pairs each variance with its costate, the
-reverse integral of Sigma phi^2 or Sigma psi^2; so the profiles, the
-cost and the gradient are a few running sums each, O(N) time and memory.
-A scalar bundle keeps its averaged evaluation (the weights, P_mean, P_dev
-and J) for the measure averages it was last evaluated with, so the
-gradient after the cost on the same bundle adds only its two reverse sums.
-Each sum is one running trapezoid, anchored frame by frame
+One atom's profile is P_mean plus two running integrals of its own, its
+deviation and the cross term phi psi. The cost gradient pairs each
+variance with its costate, the reverse integral of Sigma phi^2 or
+Sigma psi^2; so the profiles, the cost and the gradient are a few running
+sums each, O(N) time and memory. A scalar bundle keeps one evaluation
+record (the weights, P_mean, P_dev, Kbar and J) for the measure averages
+it was last evaluated with, and every scalar quantity reads it: the
+gradient after the cost on the same bundle adds only its two reverse
+sums, and each atom's profile or drift only its own two sums. Each sum
+is one running trapezoid, anchored frame by frame
 (:meth:`~mfkalman.kernels.ScalarTables.integral`), so a stable system
 stays finite and accurate on long horizons, and finite on a stiff step
 that moves the exponent by hundreds (where the trapezoid gives about dt/2
@@ -73,7 +75,6 @@ from .kernels import (
     KernelBundle,
     ScalarTables,
     StepPropagators,
-    _exp_differences,
     kernel_bundle,
 )
 from .numerics import TimeGrid, _integer, _ReadOnly, trapezoid
@@ -128,30 +129,35 @@ def _atom_index(scenario: Scenario, atom) -> int:
                                          f"has {scenario.n_atoms} atoms", 0, scenario.n_atoms)
 
 
-class _ScalarWeights:
-    """Per-scenario scalar weight arrays for the quadrature representation.
-
-    With q = Q, q0 = Q0 (1x1), gain G and loadings s_u = sigma(u, .),
-    g_u = gamma(u, .):
+class _Evaluation:
+    """The scalar averaged evaluation of one bundle under one set of
+    measure averages ``bars``. With q = Q, q0 = Q0 (1x1), gain G and
+    loadings s_u = sigma(u, .), g_u = gamma(u, .), its weights are
 
         wbar = q sbar^2 + G^2 q0 gbar^2        (mean-error diffusion)
         w2   = (sigma Q sigma')-bar + G^2 (gamma Q0 gamma')-bar
         w_u  = q s_u^2 + G^2 q0 g_u^2
         x_u  = q sbar s_u + G^2 q0 gbar g_u    (cross weight)
 
-    The measure averages of w_u and x_u are w2 and wbar.
-    """
+    (the measure averages of w_u and x_u are w2 and wbar), and its values
+    are the two parts of the averaged K-profile, ``mean`` = P_mean and
+    ``dev`` = P_dev, ``kbar`` = P_mean + P_dev and ``cost`` = J (not
+    finite where Kbar is not). It checks nothing, so each reader checks
+    Kbar under its own stage name."""
 
-    def __init__(self, scenario: Scenario, bars: BarQuantities, gain: GainSchedule):
-        self.q = float(scenario.Q[0, 0])
-        self.q0 = float(scenario.Q0[0, 0])
-        self.G = gain.scalar
-        self.sbar = bars.flat("sigma_bar")
-        self.gbar = bars.flat("gamma_bar")
-        self.g2q0 = bars.flat("gamma2_bar")
-        self.wbar = self.q * self.sbar**2 + self.G**2 * self.q0 * self.gbar**2
-        self.w2 = bars.flat("sigma2_bar") + self.G**2 * self.g2q0
-        self.scenario = scenario
+    def __init__(self, tb: ScalarTables, bars: BarQuantities):
+        scenario = self.scenario = tb.scenario
+        self.bars = bars
+        self.q, self.q0 = float(scenario.Q[0, 0]), float(scenario.Q0[0, 0])
+        self.G = tb.gain.scalar
+        self.sbar, self.gbar, self.g2q0 = map(bars.flat, ("sigma_bar", "gamma_bar", "gamma2_bar"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.wbar = self.q * self.sbar**2 + self.G**2 * self.q0 * self.gbar**2
+            self.w2 = bars.flat("sigma2_bar") + self.G**2 * self.g2q0
+            self.mean = tb.integral(self.wbar, 0, 2)
+            self.dev = tb.integral(self.w2 - self.wbar, 2, 0)
+            self.kbar = self.mean + self.dev
+            self.cost = _trace_integral(scenario, self.kbar)
 
     def atom(self, i: int):
         """Pointwise weight w_u and cross weight x_u of one atom."""
@@ -177,53 +183,25 @@ def _checked(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities | Non
     return bundle
 
 
-def _averaged_terms(tb: ScalarTables, w: _ScalarWeights) -> tuple[np.ndarray, np.ndarray]:
-    """P_mean and P_dev, the two parts of the averaged K-profile."""
-    return tb.integral(w.wbar, 0, 2), tb.integral(w.w2 - w.wbar, 2, 0)
+def _evaluation(tb: ScalarTables, bars: BarQuantities) -> _Evaluation:
+    """The :class:`_Evaluation` of ``tb`` under ``bars``, made once and
+    kept on the bundle, keyed on the identity of ``bars``: every scalar
+    quantity of one bundle reads the same weights, forward sums and J."""
+    ev = getattr(tb, "_evaluation", None)
+    if ev is None or ev.bars is not bars:
+        ev = tb._evaluation = _Evaluation(tb, bars)
+    return ev
 
 
-class _Averaged(_ReadOnly):
-    """The scalar averaged evaluation at a bundle's gain: the weights,
-    P_mean, P_dev, Kbar = P_mean + P_dev and J (not finite where Kbar is
-    not)."""
-
-    w: _ScalarWeights
-    mean: np.ndarray
-    dev: np.ndarray
-    kbar: np.ndarray
-    cost: float
-
-    def __init__(self, w: _ScalarWeights, mean: np.ndarray, dev: np.ndarray,
-                 kbar: np.ndarray, cost: float):
-        self.__dict__.update(w=w, mean=mean, dev=dev, kbar=kbar, cost=cost)
-
-
-def _averaged(scenario: Scenario, tb: ScalarTables, bars: BarQuantities) -> _Averaged:
-    """The :class:`_Averaged` evaluation of ``tb`` under ``bars``, computed
-    once and kept on the bundle, keyed on the identity of ``bars``: a
-    :func:`cost_gradient` after a :func:`trace_cost` on the same bundle
-    reuses its two forward sums and J. It checks nothing, so each caller
-    checks Kbar under its own stage name."""
-    memo = getattr(tb, "_averaged_memo", None)
-    if memo is not None and memo[0] is bars:
-        return memo[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = _ScalarWeights(scenario, bars, tb.gain)
-        mean, dev = _averaged_terms(tb, w)
-        kbar = mean + dev
-        avg = _Averaged(w, mean, dev, kbar, _trace_integral(scenario, kbar))
-    tb._averaged_memo = (bars, avg)
-    return avg
-
-
-def _atom_terms(tb: ScalarTables, wbar, w_u, x_u) -> tuple[np.ndarray, ...]:
+def _atom_terms(tb: ScalarTables, ev: _Evaluation, w_u, x_u) -> tuple[np.ndarray, ...]:
     """Mean, deviation and cross parts of one atom's K-profile,
 
         K = int_0^t phi^2 wbar + psi^2 (wbar + w_u - 2 x_u) + 2 phi psi (x_u - wbar),
 
-    the expansion of f^2 wbar + psi^2 w_u + 2 psi f x_u with f = phi - psi."""
-    return (tb.integral(wbar, 0, 2), tb.integral(wbar + w_u - 2 * x_u, 2, 0),
-            2 * tb.integral(x_u - wbar, 1, 1))
+    the expansion of f^2 wbar + psi^2 w_u + 2 psi f x_u with f = phi - psi;
+    the mean part is the evaluation's P_mean."""
+    wbar = ev.wbar
+    return (ev.mean, tb.integral(wbar + w_u - 2 * x_u, 2, 0), 2 * tb.integral(x_u - wbar, 1, 1))
 
 
 def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
@@ -236,8 +214,8 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
     _checked(scenario, bundle, bars)
     with np.errstate(over="ignore", invalid="ignore"):
         if scenario.scalar_mode:
-            w = _ScalarWeights(scenario, bars, bundle.gain)
-            prof = sum(_atom_terms(bundle, w.wbar, *w.atom(i)))
+            ev = _evaluation(bundle, bars)
+            prof = sum(_atom_terms(bundle, ev, *ev.atom(i)))
         else:
             prof = _atom_moment(scenario, bundle, bars, i)
     check_finite("covariance_profile", prof)
@@ -309,10 +287,10 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     _checked(scenario, bundle, bars)
     with np.errstate(over="ignore", invalid="ignore"):
         if scenario.scalar_mode:
-            w = _ScalarWeights(scenario, bars, bundle.gain)
-            w_u, x_u = w.atom(i)
+            ev = _evaluation(bundle, bars)
+            w_u, x_u = ev.atom(i)
             H, M = bundle.H[:, 0, 0], bundle.M[:, 0, 0]
-            mean, dev, cross = _atom_terms(bundle, w.wbar, w_u, x_u)
+            mean, dev, cross = _atom_terms(bundle, ev, w_u, x_u)
             # the mean part is transported by H + M, the deviation by H, and
             # the cross part by their average
             out = 0.5 * w_u + (H + M) * mean + H * dev + (H + 0.5 * M) * cross
@@ -329,17 +307,18 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     return out
 
 
-def _kernel_coefficients(tb: ScalarTables, w: _ScalarWeights, mean, dev):
+def _kernel_coefficients(tb: ScalarTables, ev: _Evaluation):
     """Coefficients (a_mean, a_dev) at s of the averaged sensitivity
     kernel, the semigroup split k2(t, s) = 2 (phi^2 a_mean + psi^2 a_dev)(t, s)
     of its row quadratures, and their gain loadings (l_mean, l_dev), from
-    the parts P_mean and P_dev of :func:`_averaged_terms`:
+    the evaluation's P_mean and P_dev:
 
         a_mean = -(C + D) P_mean + G l_mean,  l_mean = q0 gbar^2,
         a_dev  = -C P_dev + G l_dev,          l_dev  = g2q0 - q0 gbar^2."""
-    l_mean = w.q0 * w.gbar**2
-    l_dev = w.g2q0 - l_mean
-    return (-(tb.C + tb.D) * mean + w.G * l_mean, -tb.C * dev + w.G * l_dev), (l_mean, l_dev)
+    l_mean = ev.q0 * ev.gbar**2
+    l_dev = ev.g2q0 - l_mean
+    return ((-(tb.C + tb.D) * ev.mean + ev.G * l_mean, -tb.C * ev.dev + ev.G * l_dev),
+            (l_mean, l_dev))
 
 
 def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
@@ -348,23 +327,18 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
     with entry [i, j] = mean kernel at (t_i, s_j), zero above the diagonal.
 
     It is 2 phi(t, s)^2 a_mean(s) + 2 psi(t, s)^2 a_dev(s) with the O(N)
-    coefficients of :func:`cost_gradient`, so only the triangle itself is
-    O(N^2), built with at most four triangles alive. Its phi and psi
-    triangles are its own, the entries of ``bundle.phi`` and ``bundle.psi``
-    bit for bit, so the bundle caches neither. Scalar mode only; a kernel
-    that overflows raises :class:`NonFiniteError` naming the stage and
-    node."""
+    coefficients of :func:`cost_gradient`, read from the bundle's kept
+    evaluation, so only the triangle itself is O(N^2). Its phi and psi are
+    read through :meth:`~mfkalman.kernels.ScalarTables.entries`, the
+    entries of ``bundle.phi`` and ``bundle.psi`` bit for bit, so the bundle
+    caches neither. Scalar mode only; a kernel that overflows raises
+    :class:`NonFiniteError` naming the stage and node."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        avg = _averaged(scenario, tb, bars)
-        (a, c), _ = _kernel_coefficients(tb, avg.w, avg.mean, avg.dev)
+        (a, c), _ = _kernel_coefficients(tb, _evaluation(tb, bars))
         nodes = np.arange(scenario.grid.n_nodes)
-        phi, psi = (_exp_differences(x, nodes[:, None], nodes) for x in (tb.lhm, tb.lh))
-        k, t = phi * phi * a, psi * psi
-        k += np.multiply(t, c, out=t)
-        del t
-        k *= 2.0
-        k = np.tril(k)
+        phi, psi, _ = tb.entries(nodes[:, None], nodes)
+        k = np.tril(2.0 * (phi * phi * a + psi * psi * c))
     check_finite("mean_sensitivity_triangle", k)
     return k
 
@@ -376,14 +350,14 @@ def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) ->
     matrix mode: one O(N) pass whatever the atom count. A Kbar that is not
     finite raises NonFiniteError naming ``trace_cost``.
 
-    In scalar mode the bundle keeps the weights, P_mean, P_dev and J for
-    these ``bars``, so a :func:`cost_gradient` on the same bundle adds only
-    its two reverse sums; matrix mode keeps nothing."""
+    In scalar mode the bundle keeps its evaluation for these ``bars``
+    (the weights, P_mean, P_dev and J), so a :func:`cost_gradient` on the
+    same bundle adds only its two reverse sums; matrix mode keeps nothing."""
     _checked(scenario, bundle, bars)
     if scenario.scalar_mode:
-        avg = _averaged(scenario, bundle, bars)
-        check_finite("trace_cost", avg.kbar)
-        return avg.cost
+        ev = _evaluation(bundle, bars)
+        check_finite("trace_cost", ev.kbar)
+        return ev.cost
     with np.errstate(over="ignore", invalid="ignore"):
         kbar = _atom_moment(scenario, bundle, bars, None)
     check_finite("trace_cost", kbar)
@@ -431,21 +405,20 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     two reverse costates. Scalar mode only."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     sigma = scenario.flat("Sigma")
-    avg = _averaged(scenario, tb, bars)
-    w = avg.w
+    ev = _evaluation(tb, bars)
     with np.errstate(over="ignore", invalid="ignore"):
         L_mean = tb.integral(sigma, 0, 2, reverse=True)
         L_dev = tb.integral(sigma, 2, 0, reverse=True)
-        (a_mean, a_dev), (l_mean, l_dev) = _kernel_coefficients(tb, w, avg.mean, avg.dev)
+        (a_mean, a_dev), (l_mean, l_dev) = _kernel_coefficients(tb, ev)
         g = 2.0 * (a_mean * L_mean + a_dev * L_dev)
         d = 2.0 * (l_mean * L_mean + l_dev * L_dev)
-        step = np.divide(-(a_mean + a_dev), w.g2q0, out=np.zeros_like(g),
-                         where=w.g2q0 > 1e-14)
+        step = np.divide(-(a_mean + a_dev), ev.g2q0, out=np.zeros_like(g),
+                         where=ev.g2q0 > 1e-14)
     g[-1] = 0.0
     check_finite("cost_gradient", g)
-    check_finite("cost_gradient", avg.kbar)
+    check_finite("cost_gradient", ev.kbar)
     return GradientField(grid=scenario.grid, values=g, curvature=d, diagonal_step=step,
-                         cost=avg.cost)
+                         cost=ev.cost)
 
 
 def fd_cost_slope(scenario: Scenario, gain0: GainSchedule, direction: GainSchedule,

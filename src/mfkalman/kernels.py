@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import TimeGrid, TriangularKernel, _ReadOnly, cumulative_trapezoid
-from .system_model import Scenario, ScenarioError, _as_matrix, _stack_values
+from .system_model import Scenario, ScenarioError, _samples
 
 __all__ = [
     "GainSchedule",
@@ -77,17 +77,23 @@ class GainSchedule(_ReadOnly):
 
     @classmethod
     def constant(cls, grid: TimeGrid, value, n: int = 1, m: int = 1) -> "GainSchedule":
-        """The same value at every node; a scalar is read as in
-        :func:`~mfkalman.system_model.build_scenario` (v I when n = m)."""
-        val = _as_matrix(value, n, m)
-        return cls(grid, np.broadcast_to(val, (grid.n_nodes,) + val.shape))
+        """The same value at every node, sampled as a constant coefficient
+        of :func:`~mfkalman.system_model.build_scenario` is: a scalar is
+        v I when n = m, and a value of another shape than (n, m) is named
+        now, as in ``gain has shape (3, 3), expected (1, 1)``. A callable
+        is refused (see :meth:`from_callable`)."""
+        if callable(value):
+            raise TypeError("GainSchedule.constant takes a value; use from_callable")
+        return cls(grid, _samples(value, grid, n, m, "gain"))
 
     @classmethod
     def from_callable(cls, grid: TimeGrid, fn, n: int = 1, m: int = 1) -> "GainSchedule":
         """Node samples of ``fn(t)``, called once per node with the node's
         ``np.float64``, scalars read as in :meth:`constant`; a value of
         another shape is named by its node, as in ``gain(0.0) has shape``."""
-        return cls(grid, _stack_values(fn, grid.nodes, n, m, "gain({})"))
+        if not callable(fn):
+            raise TypeError("GainSchedule.from_callable takes a callable; use constant")
+        return cls(grid, _samples(fn, grid, n, m, "gain"))
 
     @property
     def scalar(self) -> np.ndarray:

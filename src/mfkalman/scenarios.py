@@ -135,10 +135,12 @@ def _compile_expr(expr: str, args: tuple[str, ...], key: str):
     anything else raises :class:`ScenarioError` before any evaluation.
     It is then compiled once, as a function of ``args`` over that
     namespace, inside parentheses on lines of their own, which a trailing
-    comment cannot swallow. An evaluation that fails (an overflow, a
-    division by zero, a math domain error, a call of a number) raises
-    :class:`ScenarioError` naming ``key``, the expression and its
-    arguments."""
+    comment cannot swallow; the function first rebinds t to a Python
+    float, whose power overflow and division by zero raise where the
+    node's ``np.float64`` would warn and give an infinity. An evaluation
+    that fails (an overflow, a division by zero, a math domain error, a
+    call of a number) raises :class:`ScenarioError` naming ``key``, the
+    expression and its arguments."""
     try:
         code = compile(expr, "<scenario>", "eval")
     except (SyntaxError, ValueError) as exc:
@@ -151,8 +153,10 @@ def _compile_expr(expr: str, args: tuple[str, ...], key: str):
         if name not in _EXPR_NAMES and name not in args:
             raise ScenarioError(f"{key}: name {name!r} not allowed in expression {expr!r}")
 
-    raw = eval(compile(f"lambda {', '.join(args)}: (\n{expr}\n)", "<scenario>", "eval"),
-               {"__builtins__": {}, **_EXPR_NAMES})  # noqa: S307
+    space = {"__builtins__": {}, "_float": float, **_EXPR_NAMES}
+    exec(compile(f"def raw({', '.join(args)}):\n t = _float(t)\n return (\n{expr}\n)",
+                 "<scenario>", "exec"), space)  # noqa: S102
+    raw = space["raw"]
 
     def fn(*vals):
         try:

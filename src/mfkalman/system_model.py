@@ -52,7 +52,8 @@ def check_finite(stage: str, array: np.ndarray) -> None:
 
 class InitialMeasure(_ReadOnly):
     """Finite weighted atom set: points (k, n) and positive weights, which
-    are normalized to sum to 1."""
+    are normalized to sum to 1 (first divided by the largest when their
+    sum overflows)."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -77,7 +78,11 @@ class InitialMeasure(_ReadOnly):
             raise ScenarioError("atom weights must be strictly positive")
         if not np.all(np.isfinite(points)):
             raise ScenarioError("atom locations must be finite")
-        total = weights.sum()
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not np.isfinite(total):  # a sum past float range: scale by the largest first
+            weights = weights / weights.max()
+            total = weights.sum()
         if abs(total - 1.0) > _WEIGHT_TOL:
             weights = weights / total
         points.setflags(write=False)
@@ -261,45 +266,31 @@ def _stack_values(fn, nodes: np.ndarray, rows: int, cols: int, label: str,
     return out
 
 
-def _broadcast_constant(value, lead: tuple, rows: int, cols: int, label: str) -> np.ndarray:
-    """A constant read once, as in :func:`_as_matrix`, and copied to every
-    index of the ``lead`` axes; a shape other than (rows, cols) raises
-    :class:`ScenarioError` naming ``label``."""
-    val = _as_matrix(value, rows, cols)
-    if val.shape != (rows, cols):
-        raise ScenarioError(f"{label} has shape {val.shape}, expected {(rows, cols)}")
-    return np.broadcast_to(val, lead + val.shape).copy()
-
-
-def _sample_time_coefficient(value, grid: TimeGrid, rows: int, cols: int,
-                             label: str) -> np.ndarray:
-    """(N+1, rows, cols) nodal samples of a callable of t, called once per
-    node, or of a constant or matrix, read once."""
-    if callable(value):
+def _samples(value, grid: TimeGrid, rows: int, cols: int, label: str,
+             measure: InitialMeasure | None = None) -> np.ndarray:
+    """(N+1, rows, cols) nodal samples of a coefficient, or with
+    ``measure`` (k_atoms, N+1, rows, cols) of a per-atom loading. A
+    constant or a matrix is read once, as in :func:`_as_matrix`, and
+    copied to every node (and atom); one of a shape other than (rows, cols)
+    is named by ``label``. A callable of t, or of (u, t) with u a float for
+    a one-component atom and the atom's row otherwise, is read as in
+    :func:`_stack_values`. Samples that are not all finite raise too."""
+    lead = (grid.n_nodes,) if measure is None else (measure.n_atoms, grid.n_nodes)
+    if not callable(value):
+        val = _as_matrix(value, rows, cols)
+        if val.shape != (rows, cols):
+            raise ScenarioError(f"{label} has shape {val.shape}, expected {(rows, cols)}")
+        samples = np.broadcast_to(val, lead + val.shape).copy()
+    elif measure is None:
         samples = _stack_values(value, grid.nodes, rows, cols, label + "({})")
     else:
-        samples = _broadcast_constant(value, (grid.n_nodes,), rows, cols, label)
-    if not np.all(np.isfinite(samples)):
-        raise ScenarioError(f"{label} is not finite at every node")
-    return samples
-
-
-def _sample_atom_coefficient(value, measure: InitialMeasure, grid: TimeGrid,
-                             rows: int, cols: int, label: str) -> np.ndarray:
-    """(k_atoms, N+1, rows, cols) nodal samples of a per-atom loading
-    sigma(u, t)/gamma(u, t): a callable of (u, t), called once per atom and
-    node with u as a float for a one-component atom and as the atom's row
-    otherwise, or a constant or matrix, read once."""
-    shape = (measure.n_atoms, grid.n_nodes)
-    if callable(value):
-        samples = np.empty(shape + (rows, cols))
+        samples = np.empty(lead + (rows, cols))
         for k, u in enumerate(measure.points):
             samples[k] = _stack_values(value, grid.nodes, rows, cols, label + "(u={}, t={})",
                                        u.item() if u.size == 1 else u)
-    else:
-        samples = _broadcast_constant(value, shape, rows, cols, label)
     if not np.all(np.isfinite(samples)):
-        raise ScenarioError(f"{label} is not finite at every atom and node")
+        where = "node" if measure is None else "atom and node"
+        raise ScenarioError(f"{label} is not finite at every {where}")
     return samples
 
 
@@ -316,9 +307,11 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
     ``A has shape (3, 3)``; a callable is called once per node, or once
     per atom and node for a loading, and a value of the wrong shape is
     named by its first node (and atom), as in ``C(0.5) has shape (1, 2)``.
-    The state dimension is the measure's, the observation dimension
-    defaults to it, and the noise dimension d is read off ``Q``; a scalar
-    ``Q0`` is read as v I of that size.
+    Every input is sampled by that one rule (:func:`_samples`), which
+    :class:`~mfkalman.kernels.GainSchedule` shares for the gain. The state
+    dimension is the measure's, the observation dimension defaults to it,
+    and the noise dimension d is read off ``Q``; a scalar ``Q0`` is read
+    as v I of that size.
 
     Raises
     ------
@@ -338,15 +331,14 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
             f"noise covariances must be ({d}, {d}); got Q{Q_arr.shape}, Q0{Q0_arr.shape}"
         )
 
-    A_s = _sample_time_coefficient(A, grid, n, n, "A")
-    B_s = _sample_time_coefficient(B, grid, n, n, "B")
-    C_s = _sample_time_coefficient(C, grid, m, n, "C")
-    D_s = _sample_time_coefficient(D, grid, m, n, "D")
-    Sig_s = _sample_time_coefficient(Sigma, grid, n, n, "Sigma")
+    A_s = _samples(A, grid, n, n, "A")
+    B_s = _samples(B, grid, n, n, "B")
+    C_s = _samples(C, grid, m, n, "C")
+    D_s = _samples(D, grid, m, n, "D")
+    Sig_s = _samples(Sigma, grid, n, n, "Sigma")
     _check_spd_nodes(Sig_s if callable(Sigma) else Sig_s[:1], grid, "Sigma")
-
-    sig_s = _sample_atom_coefficient(sigma, measure, grid, n, d, "sigma")
-    gam_s = _sample_atom_coefficient(gamma, measure, grid, m, d, "gamma")
+    sig_s = _samples(sigma, grid, n, d, "sigma", measure)
+    gam_s = _samples(gamma, grid, m, d, "gamma", measure)
 
     for arr in (A_s, B_s, C_s, D_s, Sig_s, sig_s, gam_s, Q_arr, Q0_arr):
         arr.setflags(write=False)

@@ -24,7 +24,7 @@ from mfkalman import (
     trapezoid,
 )
 from mfkalman import kernels
-from mfkalman.covariance import GradientField, _ScalarWeights
+from mfkalman.covariance import GradientField, _Evaluation
 from mfkalman.scenarios import random_smooth_scenario
 
 
@@ -192,7 +192,7 @@ def row_sensitivity_triangle(scenario, bundle, bars, atom=None):
     :func:`gradient_from_kernel`, of ``cost_gradient``, neither of which
     takes a row quadrature; with ``atom`` given, the only source of one
     atom's kernel, which the library does not compute."""
-    w = _ScalarWeights(scenario, bars, bundle.gain)
+    w = _Evaluation(bundle, bars)
     w_mid, x, g_point, g_cross = row_weights(scenario, w, atom)
     f, U1, U2, U3, V1, V2 = sensitivity_quadratures(bundle, w, w_mid, x)
     psi, G = bundle.psi.values, w.G
@@ -219,7 +219,7 @@ def transcribed_gradient_triangle(scenario, bundle, bars):
     the whole triangle, its row quadratures taken on the bundle's kernel
     triangles: half weight on the mean-transport terms, the sigma-bar cross
     weight and the boundary cross term 1/2 q0 sbar gbar psi f. O(N^2)."""
-    w = _ScalarWeights(scenario, bars, bundle.gain)
+    w = _Evaluation(bundle, bars)
     x_p = w.q * w.sbar**2 + w.q0 * w.G * w.sbar * w.gbar
     f, U1, U2, U3, V1, V2 = sensitivity_quadratures(bundle, w, w.w2, x_p)
     psi = bundle.psi.values

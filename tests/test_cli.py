@@ -301,6 +301,13 @@ class TestScenarioFiles:
         ('cost_weight: "log(t)"',
          r"^cost_weight: expression 'log\(t\)' raised ValueError at t=0\.0"),
         ('coefficients: {B: "t(1)"}', r"^B: expression 't\(1\)' raised TypeError at t=0\.0"),
+        # arithmetic on the node raises too, where it warned on np.float64
+        ('horizon: 100\ncoefficients: {A: "t**1000"}',
+         r"^A: expression 't\*\*1000' raised OverflowError at t=2\.25"),
+        ('coefficients: {A: "1/(t-t)"}',
+         r"^A: expression '1/\(t-t\)' raised ZeroDivisionError at t=0\.0"),
+        ('sigma: "u/(t-t)"',
+         r"^sigma: expression 'u/\(t-t\)' raised ZeroDivisionError at u=0\.0, t=0\.0"),
     ])
     def test_bad_file_rejected_naming_key(self, tmp_path, text, match):
         path = tmp_path / "scen.yaml"
@@ -316,6 +323,21 @@ class TestScenarioFiles:
         assert ("error in stage scenario: A: expression 'exp(1000 * t)' raised OverflowError"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_weights_whose_sum_overflows(self, tmp_path):
+        # they were normalized to zeros, so that with mean coupling the atom
+        # at 0 had K = 0 at every node; they now give the measure of equal
+        # unit weights, and the same file
+        written = {}
+        for weight in ("1.0e+308", "1.0"):
+            path, out = tmp_path / f"{weight}.yaml", tmp_path / weight
+            path.write_text(f"steps: 10\ncoefficients: {{B: 1.0}}\nsigma: u\nmeasure: {{kind: "
+                            f"discrete, points: [0.0, 1.0], weights: [{weight}, {weight}]}}\n")
+            assert main(["covariance", "--scenario", str(path), "--out", str(out)]) == 0
+            written[weight] = (out / "covariance.csv").read_text()
+        assert written["1.0e+308"] == written["1.0"]
+        _, _, rows = read_csv(tmp_path / "1.0e+308" / "covariance.csv")
+        assert max(float(K) for atom, _, K in rows if atom == "0") > 0.0
 
     def test_non_finite_weights_named(self, tmp_path, capsys):
         path = tmp_path / "scen.yaml"

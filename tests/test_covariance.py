@@ -30,7 +30,7 @@ from mfkalman import (
 )
 from mfkalman import covariance
 from mfkalman.arbitration import cost_gradient_transcribed, covariance_profile_transcribed
-from mfkalman.covariance import _averaged_terms, _kernel_coefficients, _ScalarWeights
+from mfkalman.covariance import _Evaluation, _kernel_coefficients
 from mfkalman.kernels import FRAME_SPAN
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
@@ -76,7 +76,7 @@ def _quadrature_cost(scen, gain):
     exponential is formed, so nothing overflows. O(N^2)."""
     bars = measure_averages(scen)
     tb = kernel_bundle(scen, gain)
-    w = _ScalarWeights(scen, bars, gain)
+    w = _Evaluation(tb, bars)
     n, dt = scen.grid.n_nodes, scen.grid.dt
     low = np.tri(n, dtype=bool)
     psi = np.exp(np.where(low, tb.lh[:, None] - tb.lh[None, :], -np.inf))
@@ -94,7 +94,7 @@ def _exact_factored(mp, scen, gain):
     float evaluation must match it however far the exponentials range."""
     bars = measure_averages(scen)
     tb = kernel_bundle(scen, gain)
-    w = _ScalarWeights(scen, bars, gain)
+    w = _Evaluation(tb, bars)
     dt = mp.mpf(scen.grid.dt)
     n = scen.grid.n_nodes
 
@@ -260,7 +260,7 @@ class TestErrorCovariance:
         gain = GainSchedule.from_callable(scen.grid, lambda t: 0.4 + 0.2 * np.cos(2 * np.pi * t))
         bars = measure_averages(scen)
         bundle = kernel_bundle(scen, gain)
-        kbar = sum(_averaged_terms(bundle, _ScalarWeights(scen, bars, gain)))
+        kbar = _Evaluation(bundle, bars).kbar
         atoms = sum(wa * covariance_profile(scen, bundle, bars, a)
                     for a, wa in enumerate(scen.measure.weights))
         np.testing.assert_allclose(atoms, kbar, rtol=0, atol=1e-13 * np.max(np.abs(kbar)))
@@ -400,8 +400,7 @@ class TestMeanSensitivity:
         bundle = kernel_bundle(scen, gain)
         got = mean_sensitivity_triangle(scen, bundle, bars)
         assert not {"phi", "psi", "f"} & vars(bundle).keys()
-        w = _ScalarWeights(scen, bars, gain)
-        (a, c), _ = _kernel_coefficients(bundle, w, *_averaged_terms(bundle, w))
+        (a, c), _ = _kernel_coefficients(bundle, _Evaluation(bundle, bars))
         phi, psi = bundle.phi.values, bundle.psi.values
         np.testing.assert_array_equal(got, np.tril(2.0 * (phi * phi * a + psi * psi * c)))
 
@@ -418,7 +417,7 @@ class TestMeanSensitivity:
             packs.append((scen, measure_averages(scen), kernel_bundle(scen, gain)))
         for scen, bars, bundle in packs:
             n = scen.grid.n_steps
-            w = _ScalarWeights(scen, bars, bundle.gain)
+            w = _Evaluation(bundle, bars)
             tri = mean_sensitivity_triangle(scen, bundle, bars)
             atom_tris = [row_sensitivity_triangle(scen, bundle, bars, a)
                          for a in range(scen.n_atoms)]
@@ -552,6 +551,22 @@ class TestAveragedEvaluation:
         trace_cost(scen, bundle, bars)
         mean_sensitivity_triangle(scen, bundle, bars)
         assert len(calls) == 4
+
+    def test_atom_profiles_read_the_kept_mean(self, monkeypatch):
+        # C2's pass: each atom's profile and drift add their own two sums to
+        # the evaluation's two, and the cost after them adds none (66 and 2
+        # when every profile and drift ran its own P_mean)
+        scen = normal_flow_scenario(steps=50)
+        bars = measure_averages(scen)
+        bundle = kernel_bundle(scen, GainSchedule.from_callable(scen.grid, np.tanh))
+        calls = count_running_integrals(monkeypatch)
+        for atom in range(scen.n_atoms):
+            covariance_profile(scen, bundle, bars, atom)
+            drift_profile(scen, bundle, bars, atom)
+        assert len(calls) <= 46
+        profiles = len(calls)
+        trace_cost(scen, bundle, bars)
+        assert len(calls) == profiles
 
     def test_other_measure_averages_are_not_served_the_memo(self, monkeypatch):
         scen = cross_pairing_probe(steps=100)

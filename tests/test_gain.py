@@ -24,7 +24,7 @@ from mfkalman import (
     trapezoid,
 )
 from mfkalman import gain as gain_module
-from mfkalman.covariance import _ScalarWeights
+from mfkalman.covariance import _Evaluation
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import count_running_integrals, scalar_scenario
@@ -47,7 +47,7 @@ def _diagonal_update_by_rows(scenario, bars, values, nodes, sweeps):
     for _ in range(sweeps):
         gain = GainSchedule(scenario.grid, out[:, None, None])
         tb = kernel_bundle(scenario, gain)
-        w = _ScalarWeights(scenario, bars, gain)
+        w = _Evaluation(tb, bars)
         for j in nodes:
             if w.g2q0[j] <= 1e-14:
                 continue
@@ -535,6 +535,18 @@ def test_converged_from_minus_ten_reaches_optimum(build, steps):
     optimum = optimize_gain(scen).final_cost
     report = optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, -10.0))
     assert not report.converged or report.final_cost <= 1.01 * optimum
+
+
+@pytest.mark.xfail(strict=True, reason="the first full Newton step takes the gain 670 off tanh "
+                   "at the last nodes, where the gradient density's slope has the opposite "
+                   "sign to that of the discrete cost, and the line search underflows")
+def test_minus_three_start_converges_on_classical():
+    # converged=False, "line search step underflow", after 1 iteration at
+    # J = 105.4, 243 times the best 0.4338; N = 800 and 3200 converge
+    scen = classical_scenario(steps=200)
+    best = optimize_gain(scen, grad_tol=1e-9, max_iter=50).final_cost
+    report = optimize_gain(scen, initial_gain=GainSchedule.constant(scen.grid, -3.0))
+    assert report.converged and report.final_cost <= 1.01 * best
 
 
 def _iterations(scen) -> int:

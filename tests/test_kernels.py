@@ -493,6 +493,18 @@ class TestGainSchedule:
         np.testing.assert_array_equal(GainSchedule.constant(grid, 0.5, 2, 2).values[3],
                                       0.5 * np.eye(2))
 
+    def test_misshapen_constant_named_when_built(self):
+        # it was accepted here and refused only by kernel_bundle
+        with pytest.raises(ScenarioError, match=r"^gain has shape \(3, 3\), expected \(1, 1\)$"):
+            GainSchedule.constant(make_grid(1.0, 10), np.ones((3, 3)))
+
+    def test_constructors_refuse_the_other_kind_of_value(self):
+        grid = make_grid(1.0, 10)
+        with pytest.raises(TypeError):
+            GainSchedule.constant(grid, np.tanh)
+        with pytest.raises(TypeError):
+            GainSchedule.from_callable(grid, 0.5)
+
     def test_grid_mismatch_detected(self):
         scen = scalar_scenario(steps=50)
         other = GainSchedule.constant(make_grid(1.0, 49), 0.0)

@@ -29,7 +29,6 @@ from mfkalman import (
     make_grid,
     measure_averages,
 )
-from mfkalman.covariance import _Averaged
 from mfkalman.simulation import _Moments
 from mfkalman.validation import CriterionResult
 
@@ -52,7 +51,6 @@ RECORDS = {
     GainSchedule: ([GRID, ARR], {}),
     GradientField: ([GRID, ARR, ARR + 1, ARR + 2, 3.0],
                     {"curvature": None, "diagonal_step": None, "cost": None}),
-    _Averaged: ([object(), ARR, ARR + 1, ARR + 2, 3.0], {}),
     OptimizationReport: ([GainSchedule(GRID, ARR), [2.0, 1.0], [0.5, 0.1], [1.0], [2],
                           [0.01], 0.1, 1, True, 1.0, "done", [["armijo"]]],
                          {"message": "", "rejected_trials": []}),

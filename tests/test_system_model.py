@@ -46,6 +46,15 @@ class TestMeasures:
         mu = InitialMeasure([[-1.0], [1.0]], [2.0, 2.0])
         np.testing.assert_allclose(mu.weights, [0.5, 0.5])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights, normalized", [([1e308, 1e308], [0.5, 0.5]),
+                                                     ([1e308, 1.0], [1.0, 1e-308])])
+    def test_huge_weights_normalize_without_warning(self, weights, normalized):
+        # the first sum overflowed, with a warning, and the weights became
+        # zeros; the second is finite and keeps its bits
+        mu = InitialMeasure([[0.0], [1.0]], weights)
+        np.testing.assert_array_equal(mu.weights, normalized)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("weights", [[np.nan, 0.5], [np.inf, 1.0], [1.0, -np.inf]])
     def test_rejects_non_finite_weights(self, weights):
