@@ -47,27 +47,16 @@ DEFAULT_STEPS = 400
 
 
 def classical_scenario(steps: int = DEFAULT_STEPS) -> Scenario:
-    """Unit-coefficient filtering benchmark on [0, 1]: A=B=D=0,
-    C=sigma=gamma=1, point mass at zero."""
-    return build_scenario(
-        make_grid(1.0, steps),
-        measure=dirac_measure(0.0),
-        A=0.0, B=0.0, C=1.0, D=0.0,
-        sigma=1.0, gamma=1.0,
-        Q=1.0, Q0=1.0, Sigma=1.0,
-    )
+    """Unit-coefficient filtering benchmark on [0, 1]: build_scenario's
+    defaults (A=B=D=0, C=sigma=gamma=1) and a point mass at zero."""
+    return build_scenario(make_grid(1.0, steps), measure=dirac_measure(0.0))
 
 
 def normal_flow_scenario(steps: int = DEFAULT_STEPS) -> Scenario:
     """Interacting benchmark on [0, 1]: loadings sigma(u,t) = gamma(u,t) = u
     with a standard normal initial law via 11 Gauss-Hermite atoms."""
-    return build_scenario(
-        make_grid(1.0, steps),
-        measure=gauss_hermite_measure(11),
-        A=0.0, B=0.0, C=1.0, D=0.0,
-        sigma=lambda u, t: u, gamma=lambda u, t: u,
-        Q=1.0, Q0=1.0, Sigma=1.0,
-    )
+    return build_scenario(make_grid(1.0, steps), measure=gauss_hermite_measure(11),
+                          sigma=lambda u, t: u, gamma=lambda u, t: u)
 
 
 def cross_pairing_probe(steps: int = 200) -> Scenario:
@@ -80,10 +69,9 @@ def cross_pairing_probe(steps: int = 200) -> Scenario:
     return build_scenario(
         make_grid(1.0, steps),
         measure=InitialMeasure([[-1.0], [1.0]], [0.5, 0.5]),
-        A=0.2, B=0.5, C=1.0, D=0.3,
+        A=0.2, B=0.5, D=0.3,
         sigma=lambda u, t: 1.0 + 0.25 * u,
         gamma=lambda u, t: 0.6 + 0.2 * u,
-        Q=1.0, Q0=1.0, Sigma=1.0,
     )
 
 
@@ -111,7 +99,6 @@ def random_smooth_scenario(seed: int, steps: int = 200) -> Scenario:
         D=trig(c[5], 0.0, c[6], 1.0, 2 * math.pi),
         sigma=lambda u, t: s_off + 0.25 * u,
         gamma=lambda u, t: g_off + 0.2 * u,
-        Q=1.0, Q0=1.0, Sigma=1.0,
     )
 
 
@@ -185,8 +172,19 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
+def _numbers(value, key: str):
+    """A number or a (nested) list of them, entry by entry by :func:`_number`'s
+    rule; an entry is named by its index, as in ``weights[0]``."""
+    if isinstance(value, list):
+        return [_numbers(entry, f"{key}[{i}]") for i, entry in enumerate(value)]
+    return _number(value, key)
+
+
 def _coeff_from_spec(value, args: tuple[str, ...], key: str):
-    return _compile_expr(value, args, key) if isinstance(value, str) else _number(value, key)
+    """An expression in ``args`` or, with no ``args`` or no string, a number."""
+    if args and isinstance(value, str):
+        return _compile_expr(value, args, key)
+    return _number(value, key)
 
 
 # each measure kind: its constructor, and its parameters with the defaults
@@ -197,6 +195,8 @@ _MEASURE_PARAMS = {"dirac": (dirac_measure, {"x0": 0.0}),
 
 
 def _measure_from_spec(spec):
+    """The measure of a file's ``measure`` mapping: ``n_nodes`` a positive
+    integer, every other parameter read by :func:`_numbers`."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     make, defaults = _MEASURE_PARAMS.get(kind, (None, {})) if isinstance(kind, str) else (None, {})
     params = {**defaults, **_mapping(spec, "measure", {"kind", *defaults})}
@@ -206,7 +206,11 @@ def _measure_from_spec(spec):
     missing = [key for key, value in params.items() if value is None]
     if missing:
         raise ScenarioError(f"measure {kind!r} needs the parameter {missing[0]!r}")
-    return make(**params)
+    where = f"measure {kind!r}"
+    return make(**{key: _integer(value, ScenarioError, f"{where} {key} must be a positive "
+                                                       f"integer, got {value!r}", 1)
+                   if key == "n_nodes" else _numbers(value, f"{where} {key}")
+                   for key, value in params.items()})
 
 
 def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:
@@ -215,9 +219,12 @@ def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:
     Recognized keys: ``horizon``, ``steps``, ``measure`` (kind plus
     parameters), ``coefficients`` (A, B, C, D as numbers or expressions in
     t), ``sigma``/``gamma`` (numbers or expressions in u and t), ``noise``
-    (Q, Q0) and ``cost_weight`` (Sigma). ``steps`` may be overridden. An
-    unknown key, a missing measure parameter or a value of the wrong type
-    raises :class:`ScenarioError` naming the key.
+    (Q, Q0) and ``cost_weight`` (Sigma). ``steps`` may be overridden. A
+    file without ``horizon``, ``steps`` or ``measure`` has 1, ``DEFAULT_STEPS``
+    and a point mass at 0; any other value it leaves out is
+    :func:`build_scenario`'s default. An unknown key, a missing measure
+    parameter or a value of the wrong type raises :class:`ScenarioError`
+    naming the key (and the measure kind, for a measure parameter).
     """
     import yaml  # on first use, like hashlib below: an import of mfkalman loads neither
 
@@ -230,20 +237,15 @@ def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:
     grid = make_grid(_number(raw.get("horizon", 1.0), "horizon"), steps)
     coeffs = _mapping(raw.get("coefficients", {}), "coefficients", {"A", "B", "C", "D"})
     noise = _mapping(raw.get("noise", {}), "noise", {"Q", "Q0"})
-
-    def time_coeff(name, default):
-        return _coeff_from_spec(coeffs.get(name, default), ("t",), name)
-
-    return build_scenario(
-        grid,
-        measure=_measure_from_spec(raw.get("measure", {"kind": "dirac"})),
-        A=time_coeff("A", 0.0), B=time_coeff("B", 0.0),
-        C=time_coeff("C", 1.0), D=time_coeff("D", 0.0),
-        sigma=_coeff_from_spec(raw.get("sigma", 1.0), ("u", "t"), "sigma"),
-        gamma=_coeff_from_spec(raw.get("gamma", 1.0), ("u", "t"), "gamma"),
-        Q=_number(noise.get("Q", 1.0), "Q"), Q0=_number(noise.get("Q0", 1.0), "Q0"),
-        Sigma=_coeff_from_spec(raw.get("cost_weight", 1.0), ("t",), "cost_weight"),
-    )
+    measure = _measure_from_spec(raw.get("measure", {"kind": "dirac"}))
+    # build_scenario's name of each value, in reading order: where the file
+    # holds it, its key and its expression's arguments (none: a number)
+    read = {**{key: (coeffs, key, ("t",)) for key in "ABCD"},
+            "sigma": (raw, "sigma", ("u", "t")), "gamma": (raw, "gamma", ("u", "t")),
+            "Q": (noise, "Q", ()), "Q0": (noise, "Q0", ()), "Sigma": (raw, "cost_weight", ("t",))}
+    return build_scenario(grid, measure=measure, **{
+        name: _coeff_from_spec(where[key], args, key)
+        for name, (where, key, args) in read.items() if key in where})
 
 
 def resolve_scenario(name_or_path: str, steps: int | None = None) -> Scenario:

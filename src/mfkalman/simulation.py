@@ -24,14 +24,12 @@ random stream (an SFC64 generator seeded by a spawned seed sequence, so
 the blocks' streams are independent). The blocks run in block order on
 the calling thread. Each block reduces the error e = x - z to moments at
 every node, or at the nodes the caller asks for, as it goes and folds
-into the running moments as soon as it is done. A block draws its
-normals from its own stream ``_CHUNK`` steps at a time, one call per
-chunk, in place into its one draw buffer; the draws are the same numbers
-in the same order whatever the chunk size, so results are reproducible
-bit-for-bit. Every array a block writes, its draw buffer included, is
-allocated before the block's first step. Only the first ``KEPT_PATHS``
-replications keep their trajectories, so memory does not grow with paths
-times steps.
+into the running moments as soon as it is done. A block draws each
+step's normals from its own stream by one call, in place into its one
+draw buffer, so results are reproducible bit-for-bit. Every array a
+block writes, its draw buffer included, is allocated before the block's
+first step. Only the first ``KEPT_PATHS`` replications keep their
+trajectories, so memory does not grow with paths times steps.
 """
 
 from __future__ import annotations
@@ -53,8 +51,6 @@ __all__ = [
 
 _BLOCK = 4096  # replications per random stream and draw buffer; fixed, so
                # a seed's draws depend on nothing but n_paths
-_CHUNK = 8  # steps drawn per call: 512 kB of draws per block for d = 1;
-            # 32 steps raised validate's peak RSS
 KEPT_PATHS = 10  # leading replications whose trajectories an ensemble keeps
 _BITGEN = "SFC64"  # numpy.random's bit generator of every block's stream, by
                   # name: numpy.random (and hashlib) load on first use
@@ -228,15 +224,15 @@ def _simulate_block(scenario: Scenario, maps, count: int, rng: np.random.Generat
     their moments at ``nodes``. The states (N+1, atom, 2n + m, keep) of
     the first ``keep = kept.shape[3]`` go to ``kept``, at every node.
     Every array the block writes is allocated here, at the block's size,
-    before the first step: the draw buffer (min(_CHUNK, N), 2d, count),
-    the state pair, the noise term and its finiteness mask (k, 2n, count),
-    the atom means and their field term (2n, count), the centered error
-    and its square (k, n, count), and the kept replications' observation
-    step, noise term (k, m, keep) and field term (m, keep). Each chunk of
-    ``_CHUNK`` steps is one draw into the buffer: per step the state noise
-    rows, then the observation noise rows. Overflow is not warned of (the
-    caller's errstate) but seen in the values: a state that is not finite
-    raises at its step, whether or not its node is in ``nodes``."""
+    before the first step: the draw buffer (2d, count), the state pair,
+    the noise term and its finiteness mask (k, 2n, count), the atom means
+    and their field term (2n, count), the centered error and its square
+    (k, n, count), and the kept replications' observation step, noise
+    term (k, m, keep) and field term (m, keep). Each step is one draw into
+    the buffer: the state noise rows, then the observation noise rows.
+    Overflow is not warned of (the caller's errstate) but seen in the
+    values: a state that is not finite raises at its step, whether or not
+    its node is in ``nodes``."""
     grid = scenario.grid
     k, n, m, d = scenario.n_atoms, scenario.n, scenario.m, scenario.d
     keep = kept.shape[3]
@@ -245,7 +241,7 @@ def _simulate_block(scenario: Scenario, maps, count: int, rng: np.random.Generat
     # of the atoms changes no bit
     weights = scenario.measure.weights[:, None, None]
 
-    draws = np.empty((min(_CHUNK, grid.n_steps), 2 * d, count))
+    xi = np.empty((2 * d, count))
     s, nxt, shocks = (np.empty((k, 2 * n, count)) for _ in range(3))
     finite = np.empty((k, 2 * n, count), dtype=bool)
     bars, fterm = np.empty((2 * n, count)), np.empty((2 * n, count))
@@ -260,28 +256,26 @@ def _simulate_block(scenario: Scenario, maps, count: int, rng: np.random.Generat
     moments = _Moments.zeros(k, len(nodes), n, count)
     slot = dict(zip(nodes.tolist(), range(len(nodes))))   # node -> position
 
-    for first in range(0, grid.n_steps, _CHUNK):
-        chunk = rng.standard_normal(out=draws[:min(_CHUNK, grid.n_steps - first)])
-        for j, xi in enumerate(chunk, start=first):
-            np.multiply(weights, s, out=nxt)
-            np.add.reduce(nxt, axis=0, out=bars)
-            if keep:   # the observation, from the state at node j
-                np.matmul(own_y[j], kept[j], out=y)
-                y += np.matmul(field_y[j], bars[:, :keep], out=y_field)
-                y += np.matmul(noise_y[j], xi[:, :keep], out=y_noise)
-            np.matmul(own[j], s, out=nxt)
-            nxt += np.matmul(field[j], bars, out=fterm)
-            nxt += np.matmul(noise[j], xi, out=shocks)
-            s, nxt = nxt, s
-            if not np.isfinite(s, out=finite).all():
-                raise SimulationError(
-                    f"simulation blew up at node {j + 1} (t = {grid.nodes[j + 1]:g})"
-                )
-            if (r := slot.get(j + 1)) is not None:
-                moments.record(r, s[:, :n], s[:, n:], c, sq)
-            if keep:
-                kept[j + 1, :, :2 * n] = s[..., :keep]
-                kept[j + 1, :, 2 * n:] = y
+    for j in range(grid.n_steps):
+        rng.standard_normal(out=xi)
+        np.multiply(weights, s, out=nxt)
+        np.add.reduce(nxt, axis=0, out=bars)
+        if keep:   # the observation, from the state at node j
+            np.matmul(own_y[j], kept[j], out=y)
+            y += np.matmul(field_y[j], bars[:, :keep], out=y_field)
+            y += np.matmul(noise_y[j], xi[:, :keep], out=y_noise)
+        np.matmul(own[j], s, out=nxt)
+        nxt += np.matmul(field[j], bars, out=fterm)
+        nxt += np.matmul(noise[j], xi, out=shocks)
+        s, nxt = nxt, s
+        if not np.isfinite(s, out=finite).all():
+            raise SimulationError(f"simulation blew up at node {j + 1} "
+                                  f"(t = {grid.nodes[j + 1]:g})")
+        if (r := slot.get(j + 1)) is not None:
+            moments.record(r, s[:, :n], s[:, n:], c, sq)
+        if keep:
+            kept[j + 1, :, :2 * n] = s[..., :keep]
+            kept[j + 1, :, 2 * n:] = y
     return moments
 
 
@@ -323,17 +317,17 @@ def simulate_ensemble(scenario: Scenario, gain: GainSchedule, n_paths: int,
     only those step their observation. Memory is the step maps (at most
     N (2n + m)(4n + 2kd) floats), the kept trajectories, a few sets of
     moments of at most 4 k R n^2 floats each for R nodes, and one block's
-    draw buffer of ``_CHUNK`` steps of normals, state [x, z] and scratch
-    arrays, for up to 4096 paths, allocated before the block's first step.
-    Nothing is allocated per chunk or per step, whatever ``n_paths``.
-    Identical seeds give bitwise identical ensembles, and the moments at a
-    node do not depend on which other nodes are asked for. An ``n_paths``
-    or ``seed`` that is not an integer (a bool included), a negative seed
-    or ``nodes`` that are not as above raise :class:`SimulationError`
-    naming the argument before any work; a state that is not finite, at
-    any node, or error moments that are not finite at a requested node (a
-    state too large to square) raise it naming the node, and no overflow
-    escapes as a warning.
+    draw buffer of one step's normals, state [x, z] and scratch arrays,
+    for up to 4096 paths, allocated before the block's first step.
+    Nothing is allocated per step, whatever ``n_paths``. Identical seeds
+    give bitwise identical ensembles, and the moments at a node do not
+    depend on which other nodes are asked for. An ``n_paths`` or ``seed``
+    that is not an integer (a bool included), a negative seed or ``nodes``
+    that are not as above raise :class:`SimulationError` naming the
+    argument before any work; a state that is not finite, at any node, or
+    error moments that are not finite at a requested node (a state too
+    large to square) raise it naming the node, and no overflow escapes as
+    a warning.
     """
     for name, value in (("n_paths", n_paths), ("seed", seed)):
         _integer(value, SimulationError, f"{name} must be an integer, got {value!r}")

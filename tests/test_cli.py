@@ -1,5 +1,6 @@
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +8,19 @@ import pytest
 from mfkalman import (
     GainSchedule,
     ScenarioError,
+    build_scenario,
     classical_scenario,
+    dirac_measure,
     kernel_bundle,
     load_scenario,
+    make_grid,
     optimize_gain,
+    scenario_hash,
 )
-from mfkalman import cli, scenarios
+from mfkalman import __version__, cli, scenarios
 from mfkalman.cli import main
+
+from conftest import run_fresh
 
 
 def read_csv(path):
@@ -29,6 +36,20 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return meta, header, rows
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11 on
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["scripts"]["mfkalman"] == "mfkalman.cli:main"
+    assert project["version"] == __version__
+
+
+def test_module_prints_version_in_fresh_interpreter():
+    # what ``python -m mfkalman.cli --version`` runs
+    code = "import runpy; runpy.run_module('mfkalman.cli', run_name='__main__', alter_sys=True)"
+    assert run_fresh(code, "--version") == ["mfkalman 0.1.0"]
 
 
 class TestSimulate:
@@ -272,6 +293,14 @@ class TestScenarioFiles:
         else:
             np.testing.assert_array_equal(atoms, points)
 
+    def test_file_defaults_are_build_scenarios(self, tmp_path):
+        # a file that sets nothing is the file format's grid and point mass
+        # with every other value left to build_scenario
+        path = tmp_path / "scen.yaml"
+        path.write_text("{}\n")
+        want = build_scenario(make_grid(1.0, 400), measure=dirac_measure(0.0))
+        assert scenario_hash(load_scenario(path)) == scenario_hash(want)
+
     def test_unknown_measure_kind_rejected(self, tmp_path):
         path = tmp_path / "scen.yaml"
         path.write_text("measure: {kind: uniform}\n")
@@ -291,6 +320,20 @@ class TestScenarioFiles:
         ("noise: [1, 2]", "noise must be a mapping"),
         ("sigma: {a: 1}", "sigma must be a number"),
         ("measure: {kind: discrete}", "measure 'discrete' needs the parameter 'points'"),
+        # measure parameters, entry by entry, by the rule of the other keys
+        ("measure: {kind: discrete, points: [0.0, 1.0], weights: [abc, 1.0]}",
+         r"^measure 'discrete' weights\[0\] must be a number, got 'abc'$"),
+        ("measure: {kind: discrete, points: [0.0, 1.0], weights: [0.5, true]}",
+         r"^measure 'discrete' weights\[1\] must be a number, got True$"),
+        ("measure: {kind: discrete, points: [[0.0], [\"1.0\"]], weights: [0.5, 0.5]}",
+         r"^measure 'discrete' points\[1\]\[0\] must be a number, got '1\.0'$"),
+        ('measure: {kind: dirac, x0: "0.5"}', r"^measure 'dirac' x0 must be a number, got '0\.5'$"),
+        ("measure: {kind: dirac, x0: [0.0, null]}",
+         r"^measure 'dirac' x0\[1\] must be a number, got None$"),
+        ('measure: {kind: gauss_hermite, n_nodes: "5"}',
+         r"^measure 'gauss_hermite' n_nodes must be a positive integer, got '5'$"),
+        ("measure: {kind: gauss_hermite, n_nodes: 0}",
+         r"^measure 'gauss_hermite' n_nodes must be a positive integer, got 0$"),
         # expressions that fail to parse or to evaluate: the key, the
         # expression and, once evaluated, the point where it failed
         ('coefficients: {A: "1 +"}', r"^A: cannot parse expression '1 \+'"),
@@ -322,6 +365,16 @@ class TestScenarioFiles:
         assert main(["covariance", "--scenario", str(path), "--out", str(out)]) == 1
         assert ("error in stage scenario: A: expression 'exp(1000 * t)' raised OverflowError"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_bad_measure_parameter_exits_naming_kind_and_key(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("measure: {kind: discrete, points: [0.0, 1.0], weights: [abc, 1.0]}\n")
+        out = tmp_path / "out"
+        assert main(["covariance", "--scenario", str(path), "--steps", "10",
+                     "--out", str(out)]) == 1
+        assert ("error in stage scenario: measure 'discrete' weights[0] must be a number, "
+                "got 'abc'" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_weights_whose_sum_overflows(self, tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mfkalman import load_scenario, simulation
+from mfkalman import load_scenario, scenario_hash, simulation
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,14 +30,22 @@ def test_yaml_examples_load(tmp_path):
         assert load_scenario(path).scalar_mode
 
 
+def test_yaml_example_keeps_its_hash(tmp_path):
+    # the scenario the first example file describes, pinned: a change in
+    # how a file is read shows here
+    block = re.search(r"^```yaml\n(.*?)^```", _README.read_text(), flags=re.M | re.S)[1]
+    path = tmp_path / "example.yaml"
+    path.write_text(block)
+    assert scenario_hash(load_scenario(path)) == "8a683c5aa3b283c3"
+
+
 @pytest.mark.parametrize("patterns,value", [
     ((r"(\d+)-path block",), simulation._BLOCK),
-    ((r"(\d+)-step chunk", r"(\d+) steps at a time"), simulation._CHUNK),
     ((r"first (\d+) replications",), simulation.KEPT_PATHS),
-    # one block's draw buffer for d = 1: _CHUNK steps x 2 x _BLOCK doubles
-    ((r"(\d+) kB for d = 1",), simulation._CHUNK * 2 * simulation._BLOCK * 8 // 1024),
+    # one block's draw buffer for d = 1: one step's 2 x _BLOCK doubles
+    ((r"(\d+) kB for d = 1",), 2 * simulation._BLOCK * 8 // 1024),
     ((r"\b(MT19937|PCG64DXSM|PCG64|Philox|SFC64)\b",), simulation._BITGEN),
-], ids=["block", "chunk", "kept", "buffer", "generator"])
+], ids=["block", "kept", "buffer", "generator"])
 def test_simulator_numbers_match_the_code(patterns, value):
     # every place the README quotes one of these numbers, or names a numpy
     # bit generator, quotes the code's

@@ -222,7 +222,7 @@ class TestSimulateEnsemble:
 
 
 class TestDrawBuffer:
-    """Each block draws its normals, one chunk at a time, into one buffer."""
+    """Each block draws its normals, one step at a time, into one buffer."""
 
     def test_blowup_named_and_no_thread_started(self, classical_small):
         before = threading.active_count()
@@ -238,13 +238,12 @@ class TestDrawBuffer:
             simulate_ensemble(scen, gain, n_paths=8200, seed=0)
         assert threading.active_count() == before
 
-    # 100 steps end on a short chunk; 5 steps are one chunk, shorter than _CHUNK
     @pytest.mark.parametrize("steps", [100, 5])
     @pytest.mark.parametrize("case", ["classical", "matrix"])   # d = 1 and d = 2
     def test_one_buffer_per_block_made_before_its_first_step(self, monkeypatch, case, steps):
-        # the buffer a block's first draw, before its first step, goes into
-        # is the one every later draw of that block goes into, in place:
-        # no array per chunk
+        # the (2d, count) buffer a block's first draw, before its first
+        # step, goes into is the one each later step's draw of that block
+        # goes into, in place: no array per step
         if case == "classical":
             scen, value = classical_scenario(steps=steps), 0.3
         else:
@@ -270,14 +269,12 @@ class TestDrawBuffer:
         monkeypatch.setattr(simulation, "_simulate_block", recorded_block)
         simulation.simulate_ensemble(scen, gain, n_paths=4200, seed=3)
         assert [count for count, _ in blocks] == [4096, 104]
-        lengths = {100: [simulation._CHUNK] * 12 + [4], 5: [5]}[steps]
         buffers = []
         for count, draws in blocks:
-            assert len(draws) == len(lengths) and all(out is not None for out in draws)
-            buffer = draws[0].base
-            assert buffer.shape == (lengths[0], 2 * scen.d, count)
-            assert all(out.base is buffer for out in draws)
-            assert [len(out) for out in draws] == lengths
+            assert len(draws) == steps
+            buffer = draws[0]
+            assert isinstance(buffer, np.ndarray) and buffer.shape == (2 * scen.d, count)
+            assert all(out is buffer for out in draws)
             buffers.append(buffer)
         assert not np.shares_memory(*buffers)
 
@@ -352,8 +349,8 @@ def _full_state_ensemble(scen, gain, n_paths: int, seed: int) -> dict:
     """A full-state engine, the reference of the bitwise test: every
     replication steps the whole state [x, z, y] by the (2n + m)-square
     step map, every array is new, and a block's normals are drawn as one
-    new (N, 2d, count) array, whatever the engine's chunk size. Returns
-    the arrays of a :class:`PathEnsemble`."""
+    new (N, 2d, count) array, where the engine draws one step at a time.
+    Returns the arrays of a :class:`PathEnsemble`."""
     H, M = _closed_loop_drifts(scen, gain)
     n, m, d, k = scen.n, scen.m, scen.d, scen.n_atoms
     steps, dt = scen.grid.n_steps, scen.grid.dt
@@ -430,46 +427,26 @@ def _bitwise_case(case: str, steps: int):
     return scen, GainSchedule.constant(scen.grid, np.array([[0.5, 0.1], [-0.2, 0.2]]), 2, 2)
 
 
-# chunks of one step, of the default size (37 steps end on a short
-# chunk) and longer than the horizon (a buffer of min(_CHUNK, N) steps)
-_CHUNKS = [1, simulation._CHUNK, 64]
-
-
-@pytest.mark.parametrize("chunk", _CHUNKS)
 @pytest.mark.parametrize("case,n_paths", [
     ("classical", 4100), ("probe", 4100), ("normal-flow", 4100), ("matrix", 4100),
     ("matrix", 1), ("probe", 3)])
-def test_engine_bitwise_equals_full_state_reference(monkeypatch, case, n_paths, chunk):
+def test_engine_bitwise_equals_full_state_reference(case, n_paths):
     # x, z and the moments come from the 2n rows [x, z] alone, and y only
     # for the kept replications, in the reference's order of operations;
     # 4100 paths make a full block and a short one
     scen, gain = _bitwise_case(case, 37)
-    monkeypatch.setattr(simulation, "_CHUNK", chunk)
     ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
     for name, want in _full_state_ensemble(scen, gain, n_paths, 8).items():
         assert np.array_equal(getattr(ens, name), want), name
-
-
-@pytest.mark.parametrize("case", ["classical", "matrix"])   # d = 1 and d = 2
-def test_draws_do_not_depend_on_the_chunk_size(monkeypatch, case):
-    # a chunk of L steps is 2L successive (d, count) draws, so cutting the
-    # steps into other chunks hands every step the same normals
-    scen, gain = _bitwise_case(case, 37)
-    want = simulate_ensemble(scen, gain, n_paths=4100, seed=8)
-    for chunk in (1, 5, 64):
-        monkeypatch.setattr(simulation, "_CHUNK", chunk)
-        _assert_same_ensemble(simulate_ensemble(scen, gain, n_paths=4100, seed=8), want)
 
 
 class TestRequestedNodes:
     """``simulate_ensemble(..., nodes=...)`` records the moments at the
     requested nodes only: the same bits as those nodes of a full run."""
 
-    @pytest.mark.parametrize("chunk", _CHUNKS)
     @pytest.mark.parametrize("n_paths", [1, 3, 4100])
     @pytest.mark.parametrize("case", ["classical", "probe", "normal-flow", "matrix"])
-    def test_moments_equal_those_of_a_full_run(self, monkeypatch, case, n_paths, chunk):
-        monkeypatch.setattr(simulation, "_CHUNK", chunk)
+    def test_moments_equal_those_of_a_full_run(self, case, n_paths):
         scen, gain = _bitwise_case(case, 37)
         full = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
         np.testing.assert_array_equal(full.nodes, np.arange(38))
@@ -647,6 +624,22 @@ def test_memory_does_not_grow_with_paths_times_steps():
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_c7_size_ensemble_peak():
+    # C7's ensemble: one block's arrays, its one step of draws (64 kB)
+    # among them, and the kept trajectories, about 0.95 MB; a draw buffer
+    # of 8 steps (512 kB) would pass the bound
+    scen = cross_pairing_probe(200)
+    gain = GainSchedule.constant(scen.grid, 0.7)
+    simulate_ensemble(scen, gain, n_paths=2, seed=0, nodes=[200])   # lazy imports
+    tracemalloc.start()
+    try:
+        simulate_ensemble(scen, gain, n_paths=30000, seed=0, nodes=[200])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1e6
 
 
 def test_worker_count_is_the_calling_thread():
