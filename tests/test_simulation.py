@@ -434,6 +434,25 @@ def test_engine_bitwise_equals_full_state_reference(case, n_paths):
     # x, z and the moments come from the 2n rows [x, z] alone, and y only
     # for the kept replications, in the reference's order of operations;
     # 4100 paths make a full block and a short one
+    _assert_bitwise_equals_reference(case, n_paths)
+
+
+# other cuts of the paths into blocks, each block its own stream: many
+# full blocks and a short one (64, 1000), a short block of one path
+# (4099), blocks of one path (1), and the kept replications spread over
+# several blocks (2, 4, 5)
+@pytest.mark.parametrize("case,n_paths,block", [
+    ("classical", 4100, 64), ("probe", 4100, 64), ("normal-flow", 4100, 64),
+    ("matrix", 4100, 64), ("classical", 4100, 1000), ("probe", 4100, 1000),
+    ("normal-flow", 4100, 1000), ("matrix", 4100, 4099), ("matrix", 1, 1),
+    ("probe", 3, 2), ("probe", 12, 5), ("matrix", 25, 4)])
+def test_engine_bitwise_equals_full_state_reference_at_other_blocks(
+        monkeypatch, case, n_paths, block):
+    monkeypatch.setattr(simulation, "_BLOCK", block)
+    _assert_bitwise_equals_reference(case, n_paths)
+
+
+def _assert_bitwise_equals_reference(case, n_paths):
     scen, gain = _bitwise_case(case, 37)
     ens = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
     for name, want in _full_state_ensemble(scen, gain, n_paths, 8).items():
@@ -447,6 +466,22 @@ class TestRequestedNodes:
     @pytest.mark.parametrize("n_paths", [1, 3, 4100])
     @pytest.mark.parametrize("case", ["classical", "probe", "normal-flow", "matrix"])
     def test_moments_equal_those_of_a_full_run(self, case, n_paths):
+        self._assert_equal_to_full_run(case, n_paths)
+
+    # the moments of the requested nodes, merged over other cuts into
+    # blocks: blocks of one path, a full block and a short one, the kept
+    # replications over several blocks, many full blocks, a short block of
+    # one path and a block wider than the paths
+    @pytest.mark.parametrize("n_paths,block", [
+        (3, 1), (3, 2), (25, 4), (4100, 64), (4100, 4099), (1, 4100)])
+    @pytest.mark.parametrize("case", ["classical", "probe", "normal-flow", "matrix"])
+    def test_moments_equal_those_of_a_full_run_at_other_blocks(
+            self, monkeypatch, case, n_paths, block):
+        monkeypatch.setattr(simulation, "_BLOCK", block)
+        self._assert_equal_to_full_run(case, n_paths)
+
+    @staticmethod
+    def _assert_equal_to_full_run(case, n_paths):
         scen, gain = _bitwise_case(case, 37)
         full = simulate_ensemble(scen, gain, n_paths=n_paths, seed=8)
         np.testing.assert_array_equal(full.nodes, np.arange(38))
