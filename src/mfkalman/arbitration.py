@@ -14,7 +14,7 @@ form here is O(N) time and memory: the printed gradient is eight running
 sums besides P_mean, like :func:`~mfkalman.covariance.cost_gradient`, and
 no kernel triangle is built. Values that overflow raise
 :class:`~mfkalman.system_model.NonFiniteError` naming the stage and node,
-as the adopted forms do. Scalar mode only.
+as the adopted forms do. Scalar tables only.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ def covariance_profile_transcribed(scenario: Scenario, bundle: KernelBundle,
     x_u' = q sbar s_u + G q0 sbar g_u."""
     i = _atom_index(scenario, atom)
     tb = _checked(scenario, bundle, bars, scalar=True)
-    s_u = scenario.flat_atom("sigma", i)
-    g_u = scenario.flat_atom("gamma", i)
+    s_u, g_u = scenario.sigma[i].ravel(), scenario.gamma[i].ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         ev = _evaluation(tb, bars)
         x_p = ev.q * ev.sbar * s_u + ev.G * ev.q0 * ev.sbar * g_u
@@ -134,7 +133,7 @@ def cost_gradient_transcribed(scenario: Scenario, bundle: KernelBundle,
     and memory. A gradient that overflows raises :class:`NonFiniteError`
     naming the stage and node."""
     tb = _checked(scenario, bundle, bars, scalar=True)
-    sigma = scenario.flat("Sigma")
+    sigma = scenario.Sigma.ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         ev = _evaluation(tb, bars)
         C, D, G = tb.C, tb.D, ev.G

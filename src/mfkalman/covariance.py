@@ -62,8 +62,9 @@ problem both modes give the same profiles and cost to round-off, and a
 value that overflows raises :class:`~mfkalman.system_model.NonFiniteError`
 naming the stage and node in either mode.
 
-A bundle or measure averages built for another scenario than the one
-passed raise :class:`ScenarioError`.
+The bundle's type picks the mode, so ``StepPropagators(scenario, gain)``
+runs a 1x1 problem in matrix mode; a bundle or measure averages built for
+another scenario than the one passed raise :class:`ScenarioError`.
 """
 
 from __future__ import annotations
@@ -150,10 +151,11 @@ class _Evaluation:
         self.bars = bars
         self.q, self.q0 = float(scenario.Q[0, 0]), float(scenario.Q0[0, 0])
         self.G = tb.gain.scalar
-        self.sbar, self.gbar, self.g2q0 = map(bars.flat, ("sigma_bar", "gamma_bar", "gamma2_bar"))
+        self.sbar, self.gbar, self.g2q0 = (bars.sigma_bar.ravel(), bars.gamma_bar.ravel(),
+                                           bars.gamma2_bar.ravel())
         with np.errstate(over="ignore", invalid="ignore"):
             self.wbar = self.q * self.sbar**2 + self.G**2 * self.q0 * self.gbar**2
-            self.w2 = bars.flat("sigma2_bar") + self.G**2 * self.g2q0
+            self.w2 = bars.sigma2_bar.ravel() + self.G**2 * self.g2q0
             self.mean = tb.integral(self.wbar, 0, 2)
             self.dev = tb.integral(self.w2 - self.wbar, 2, 0)
             self.kbar = self.mean + self.dev
@@ -161,8 +163,7 @@ class _Evaluation:
 
     def atom(self, i: int):
         """Pointwise weight w_u and cross weight x_u of one atom."""
-        s_u = self.scenario.flat_atom("sigma", i)
-        g_u = self.scenario.flat_atom("gamma", i)
+        s_u, g_u = self.scenario.sigma[i].ravel(), self.scenario.gamma[i].ravel()
         w_u = self.q * s_u**2 + self.G**2 * self.q0 * g_u**2
         x_u = self.q * self.sbar * s_u + self.G**2 * self.q0 * self.gbar * g_u
         return w_u, x_u
@@ -171,15 +172,14 @@ class _Evaluation:
 def _checked(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities | None,
              scalar: bool = False) -> KernelBundle:
     """The guard of every function taking a bundle: the bundle and the
-    measure averages must be built for this very ``scenario``, and the
-    bundle must be the tables of its mode (scalar mode when ``scalar``)."""
+    measure averages must be built for this very ``scenario``, and with
+    ``scalar`` (no matrix form) the bundle must be the scalar tables."""
     if bundle.scenario is not scenario:
         raise ScenarioError("the kernel bundle was built for another scenario")
     if bars is not None and bars.scenario is not scenario:
         raise ScenarioError("the measure averages were computed for another scenario")
-    scalar = scalar or scenario.scalar_mode
-    if not isinstance(bundle, ScalarTables if scalar else StepPropagators):
-        raise ScenarioError(f"this operation requires {'scalar' if scalar else 'matrix'} mode")
+    if scalar and not isinstance(bundle, ScalarTables):
+        raise ScenarioError("this operation requires scalar mode: a ScalarTables bundle")
     return bundle
 
 
@@ -208,12 +208,12 @@ def covariance_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuanti
                        atom) -> np.ndarray:
     """K(u, t_j) at every node for one atom.
 
-    Scalar mode returns shape (N+1,); matrix mode (N+1, n, n).
+    The scalar tables give shape (N+1,), the step propagators (N+1, n, n).
     """
     i = _atom_index(scenario, atom)
     _checked(scenario, bundle, bars)
     with np.errstate(over="ignore", invalid="ignore"):
-        if scenario.scalar_mode:
+        if isinstance(bundle, ScalarTables):
             ev = _evaluation(bundle, bars)
             prof = sum(_atom_terms(bundle, ev, *ev.atom(i)))
         else:
@@ -273,8 +273,8 @@ def _joint_moments(tb: StepPropagators, W: np.ndarray, dt: float) -> np.ndarray:
 
 def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
                   atom) -> np.ndarray:
-    """Drift at every node: (N+1,) in scalar mode, (N+1, n, n) in matrix
-    mode; zero at node 0.
+    """Drift at every node: (N+1,) from the scalar tables, (N+1, n, n)
+    from the step propagators; zero at node 0.
 
     It carries the instantaneous diffusion boundary (half of
     sigma Q sigma' + gain gamma Q0 gamma' gain') and transports each
@@ -286,7 +286,7 @@ def drift_profile(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities,
     i = _atom_index(scenario, atom)
     _checked(scenario, bundle, bars)
     with np.errstate(over="ignore", invalid="ignore"):
-        if scenario.scalar_mode:
+        if isinstance(bundle, ScalarTables):
             ev = _evaluation(bundle, bars)
             w_u, x_u = ev.atom(i)
             H, M = bundle.H[:, 0, 0], bundle.M[:, 0, 0]
@@ -331,7 +331,7 @@ def mean_sensitivity_triangle(scenario: Scenario, bundle: KernelBundle,
     evaluation, so only the triangle itself is O(N^2). Its phi and psi are
     read through :meth:`~mfkalman.kernels.ScalarTables.entries`, the
     entries of ``bundle.phi`` and ``bundle.psi`` bit for bit, so the bundle
-    caches neither. Scalar mode only; a kernel that overflows raises
+    caches neither. Scalar tables only; a kernel that overflows raises
     :class:`NonFiniteError` naming the stage and node."""
     tb = _checked(scenario, bundle, bars, scalar=True)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -354,7 +354,7 @@ def trace_cost(scenario: Scenario, bundle: KernelBundle, bars: BarQuantities) ->
     (the weights, P_mean, P_dev and J), so a :func:`cost_gradient` on the
     same bundle adds only its two reverse sums; matrix mode keeps nothing."""
     _checked(scenario, bundle, bars)
-    if scenario.scalar_mode:
+    if isinstance(bundle, ScalarTables):
         ev = _evaluation(bundle, bars)
         check_finite("trace_cost", ev.kbar)
         return ev.cost
@@ -402,9 +402,9 @@ def cost_gradient(scenario: Scenario, bundle: KernelBundle,
     the bit, checked after g. g vanishes at the horizon by construction.
     The forward sums and J are those the bundle keeps: after a
     :func:`trace_cost` on the same bundle and ``bars`` this adds only the
-    two reverse costates. Scalar mode only."""
+    two reverse costates. Scalar tables only."""
     tb = _checked(scenario, bundle, bars, scalar=True)
-    sigma = scenario.flat("Sigma")
+    sigma = scenario.Sigma.ravel()
     ev = _evaluation(tb, bars)
     with np.errstate(over="ignore", invalid="ignore"):
         L_mean = tb.integral(sigma, 0, 2, reverse=True)

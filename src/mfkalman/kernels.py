@@ -184,8 +184,7 @@ class ScalarTables(KernelBundle):
         if not scenario.scalar_mode:
             raise ScenarioError("scalar kernel tables require a scalar scenario")
         super().__init__(scenario, gain)
-        self.C = scenario.flat("C")
-        self.D = scenario.flat("D")
+        self.C, self.D = scenario.C.ravel(), scenario.D.ravel()
         H, M = self.H[:, 0, 0], self.M[:, 0, 0]
         self.lh = cumulative_trapezoid(H, self.grid.dt)
         self.lhm = cumulative_trapezoid(H + M, self.grid.dt)
@@ -286,7 +285,8 @@ class StepPropagators(KernelBundle):
 
 
 def kernel_bundle(scenario: Scenario, gain: GainSchedule) -> KernelBundle:
-    """The kernel tables of ``scenario`` at ``gain``: :class:`ScalarTables`
-    in scalar mode, with the triangles deferred to first access, and
-    :class:`StepPropagators` in matrix mode."""
+    """The kernel tables of ``scenario`` at ``gain``, the one place that
+    picks the engine: :class:`ScalarTables` when n = m = d = 1 (with the
+    triangles deferred to first access), :class:`StepPropagators` otherwise.
+    Every function taking a bundle dispatches on its type."""
     return (ScalarTables if scenario.scalar_mode else StepPropagators)(scenario, gain)

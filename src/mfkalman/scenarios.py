@@ -196,7 +196,8 @@ _MEASURE_PARAMS = {"dirac": (dirac_measure, {"x0": 0.0}),
 
 def _measure_from_spec(spec):
     """The measure of a file's ``measure`` mapping: ``n_nodes`` a positive
-    integer, every other parameter read by :func:`_numbers`."""
+    integer, every other parameter read by :func:`_numbers`; an error
+    names the measure kind."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     make, defaults = _MEASURE_PARAMS.get(kind, (None, {})) if isinstance(kind, str) else (None, {})
     params = {**defaults, **_mapping(spec, "measure", {"kind", *defaults})}
@@ -206,11 +207,13 @@ def _measure_from_spec(spec):
     missing = [key for key, value in params.items() if value is None]
     if missing:
         raise ScenarioError(f"measure {kind!r} needs the parameter {missing[0]!r}")
-    where = f"measure {kind!r}"
-    return make(**{key: _integer(value, ScenarioError, f"{where} {key} must be a positive "
-                                                       f"integer, got {value!r}", 1)
-                   if key == "n_nodes" else _numbers(value, f"{where} {key}")
-                   for key, value in params.items()})
+    try:
+        return make(**{key: _integer(value, ScenarioError, f"{key} must be a positive "
+                                                           f"integer, got {value!r}", 1)
+                       if key == "n_nodes" else _numbers(value, key)
+                       for key, value in params.items()})
+    except ScenarioError as exc:  # a parameter's or the measure's own check
+        raise ScenarioError(f"measure {kind!r} {exc}") from None
 
 
 def load_scenario(path: str | Path, steps: int | None = None) -> Scenario:

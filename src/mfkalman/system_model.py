@@ -50,28 +50,38 @@ def check_finite(stage: str, array: np.ndarray) -> None:
         raise NonFiniteError(f"{stage}: non-finite value at node {node}")
 
 
+def _float_array(value, key: str) -> np.ndarray:
+    """``value`` as a new float array, or a ScenarioError naming ``key``."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{key} must be a regular array of numbers, got {value!r}") from None
+
+
 class InitialMeasure(_ReadOnly):
     """Finite weighted atom set: points (k, n) and positive weights, which
     are normalized to sum to 1 (first divided by the largest when their
-    sum overflows)."""
+    sum overflows). Points given as a number or a flat list are scalar
+    atoms, any others must be (k, n) with k, n >= 1; weights are a number
+    or a flat list."""
 
     points: np.ndarray
     weights: np.ndarray
 
     def __init__(self, points, weights):
-        given = points
         # copies: freezing them must not freeze or alias the caller's arrays
-        points = np.array(given, dtype=float, ndmin=2)
-        if points.shape[0] == 1 and points.shape[1] > 1 and np.asarray(given).ndim == 1:
-            # a flat list of scalar atoms, not one multi-dimensional point
-            points = points.T
-        weights = np.array(weights, dtype=float).ravel()
+        points = _float_array(points, "points")
+        if points.ndim > 2 or points.size == 0:
+            raise ScenarioError(f"points must have shape (k, n) with k, n >= 1, "
+                                f"got {points.shape}")
+        points = points.reshape(-1, 1) if points.ndim < 2 else points
+        weights = np.atleast_1d(_float_array(weights, "weights"))
+        if weights.ndim > 1:
+            raise ScenarioError(f"weights must be a number or a flat list, got {weights.shape}")
         if points.shape[0] != weights.shape[0]:
             raise ScenarioError(
                 f"{points.shape[0]} atoms but {weights.shape[0]} weights"
             )
-        if points.shape[0] < 1:
-            raise ScenarioError("measure needs at least one atom")
         if not np.all(np.isfinite(weights)):
             raise ScenarioError("atom weights must be finite")
         if np.any(weights <= 0.0):
@@ -99,9 +109,11 @@ class InitialMeasure(_ReadOnly):
 
 
 def dirac_measure(x0) -> InitialMeasure:
-    """Unit mass at the single point ``x0``."""
-    return InitialMeasure(points=np.atleast_1d(np.asarray(x0, dtype=float))[None, :],
-                          weights=np.array([1.0]))
+    """Unit mass at the single point ``x0``, a number or a flat list."""
+    x0 = _float_array(x0, "x0")
+    if x0.ndim > 1 or x0.size < 1:
+        raise ScenarioError(f"x0 must be a number or a non-empty flat list, got {x0.shape}")
+    return InitialMeasure(points=x0.reshape(1, -1), weights=np.array([1.0]))
 
 
 def gauss_hermite_measure(n_nodes: int) -> InitialMeasure:
@@ -122,8 +134,6 @@ class Scenario(_ReadOnly):
 
     Every coefficient is held as its samples at the grid nodes, which is
     all the kernels, the covariance and the simulation read.
-    ``scalar_mode`` is set exactly when n = m = d = 1, which is where the
-    gain optimizer operates.
     """
 
     grid: TimeGrid
@@ -140,31 +150,21 @@ class Scenario(_ReadOnly):
     Q: np.ndarray          # (d, d)
     Q0: np.ndarray         # (d, d)
     measure: InitialMeasure
-    scalar_mode: bool
 
     def __init__(self, grid: TimeGrid, n: int, m: int, d: int, A: np.ndarray, B: np.ndarray,
                  C: np.ndarray, D: np.ndarray, Sigma: np.ndarray, sigma: np.ndarray,
-                 gamma: np.ndarray, Q: np.ndarray, Q0: np.ndarray, measure: InitialMeasure,
-                 scalar_mode: bool):
+                 gamma: np.ndarray, Q: np.ndarray, Q0: np.ndarray, measure: InitialMeasure):
         self.__dict__.update(grid=grid, n=n, m=m, d=d, A=A, B=B, C=C, D=D, Sigma=Sigma,
-                             sigma=sigma, gamma=gamma, Q=Q, Q0=Q0, measure=measure,
-                             scalar_mode=scalar_mode)
+                             sigma=sigma, gamma=gamma, Q=Q, Q0=Q0, measure=measure)
 
     @property
     def n_atoms(self) -> int:
         return self.measure.n_atoms
 
-    # flat views for the scalar fast paths -------------------------------
-    def flat(self, name: str) -> np.ndarray:
-        """(N+1,) view of a nodal coefficient; scalar mode only."""
-        if not self.scalar_mode:
-            raise ScenarioError("flat coefficient views require scalar mode")
-        return getattr(self, name).reshape(self.grid.n_nodes)
-
-    def flat_atom(self, name: str, atom: int) -> np.ndarray:
-        if not self.scalar_mode:
-            raise ScenarioError("flat coefficient views require scalar mode")
-        return getattr(self, name)[atom].reshape(self.grid.n_nodes)
+    @property
+    def scalar_mode(self) -> bool:
+        """n = m = d = 1: the scalar tables' and the gain optimizer's domain."""
+        return self.n == self.m == self.d == 1
 
 
 class BarQuantities(_ReadOnly):
@@ -189,9 +189,6 @@ class BarQuantities(_ReadOnly):
         self.__dict__.update(sigma_bar=sigma_bar, gamma_bar=gamma_bar,
                              sigma2_bar=sigma2_bar, gamma2_bar=gamma2_bar,
                              scenario=scenario)
-
-    def flat(self, name: str) -> np.ndarray:
-        return getattr(self, name).reshape(getattr(self, name).shape[0])
 
 
 def _check_spd(mat: np.ndarray, label: str) -> np.ndarray:
@@ -348,7 +345,6 @@ def build_scenario(grid: TimeGrid, *, measure: InitialMeasure,
         A=A_s, B=B_s, C=C_s, D=D_s, Sigma=Sig_s,
         sigma=sig_s, gamma=gam_s, Q=Q_arr, Q0=Q0_arr,
         measure=measure,
-        scalar_mode=(n == 1 and m == 1 and d == 1),
     )
 
 

@@ -175,7 +175,7 @@ def row_weights(scenario, w, atom=None):
     or with ``atom`` None their measure averages w2, wbar, g2q0, gbar^2."""
     if atom is None:
         return w.w2, w.wbar, w.g2q0, w.gbar**2
-    g_u = scenario.flat_atom("gamma", atom)
+    g_u = scenario.gamma[atom].ravel()
     return (*w.atom(atom), w.q0 * g_u**2, w.gbar * g_u)
 
 
@@ -206,7 +206,7 @@ def gradient_from_kernel(scenario, kb2):
     """Gradient density from an averaged sensitivity triangle: the
     trapezoid of Sigma times each column over its rows i >= j, the O(N^2)
     oracle of ``cost_gradient`` and ``cost_gradient_transcribed``."""
-    W = scenario.flat("Sigma")[:, None] * kb2
+    W = scenario.Sigma.ravel()[:, None] * kb2
     n = scenario.grid.n_steps
     col_sums = W.sum(axis=0) - 0.5 * W[n, :] - 0.5 * np.diag(W)
     g = col_sums * scenario.grid.dt

@@ -328,6 +328,25 @@ class TestScenarioFiles:
         ("measure: {kind: discrete, points: [[0.0], [\"1.0\"]], weights: [0.5, 0.5]}",
          r"^measure 'discrete' points\[1\]\[0\] must be a number, got '1\.0'$"),
         ('measure: {kind: dirac, x0: "0.5"}', r"^measure 'dirac' x0 must be a number, got '0\.5'$"),
+        # measure shapes: one rule, a number or a flat list is scalar atoms
+        # and anything else (k, n) with k, n >= 1, named by kind and key
+        ("measure: {kind: dirac, x0: []}",
+         r"^measure 'dirac' x0 must be a number or a non-empty flat list, got \(0,\)$"),
+        ("measure: {kind: dirac, x0: [[0.0, 1.0]]}",
+         r"^measure 'dirac' x0 must be a number or a non-empty flat list, got \(1, 2\)$"),
+        ("measure: {kind: discrete, points: [], weights: []}",
+         r"^measure 'discrete' points must have shape \(k, n\) with k, n >= 1, got \(0,\)$"),
+        ("measure: {kind: discrete, points: [[[0.0]], [[1.0]]], weights: [0.5, 0.5]}",
+         r"^measure 'discrete' points must have shape \(k, n\) with k, n >= 1, "
+         r"got \(2, 1, 1\)$"),
+        ("measure: {kind: discrete, points: [[0.0], [1.0, 2.0]], weights: [0.5, 0.5]}",
+         r"^measure 'discrete' points must be a regular array of numbers, "
+         r"got \[\[0\.0\], \[1\.0, 2\.0\]\]$"),
+        ("measure: {kind: discrete, points: [0.0, 1.0], weights: [[1.0], [1.0]]}",
+         r"^measure 'discrete' weights must be a number or a flat list, got \(2, 1\)$"),
+        ("measure: {kind: discrete, points: [0.0, 1.0], weights: [[1.0], [1.0, 2.0]]}",
+         r"^measure 'discrete' weights must be a regular array of numbers, "
+         r"got \[\[1\.0\], \[1\.0, 2\.0\]\]$"),
         ("measure: {kind: dirac, x0: [0.0, null]}",
          r"^measure 'dirac' x0\[1\] must be a number, got None$"),
         ('measure: {kind: gauss_hermite, n_nodes: "5"}',

@@ -1,9 +1,12 @@
+import ast
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfkalman
 from mfkalman import (
     GainSchedule,
     InitialMeasure,
@@ -29,9 +32,14 @@ from mfkalman import (
     trapezoid,
 )
 from mfkalman import covariance
-from mfkalman.arbitration import cost_gradient_transcribed, covariance_profile_transcribed
+from mfkalman.arbitration import (
+    cost_gradient_transcribed,
+    covariance_profile_transcribed,
+    f_direction,
+    f_direction_transcribed,
+)
 from mfkalman.covariance import _Evaluation, _kernel_coefficients
-from mfkalman.kernels import FRAME_SPAN
+from mfkalman.kernels import FRAME_SPAN, StepPropagators
 from mfkalman.scenarios import cross_pairing_probe, random_smooth_scenario
 
 from conftest import (
@@ -84,7 +92,7 @@ def _quadrature_cost(scen, gain):
     f = phi - psi
     rows = (f**2 + 2 * psi * f) * w.wbar + psi**2 * w.w2
     kbar = [trapezoid(rows[i, :i + 1], dt) for i in range(n)]
-    return float(trapezoid(scen.flat("Sigma") * np.array(kbar), dt))
+    return float(trapezoid(scen.Sigma.ravel() * np.array(kbar), dt))
 
 
 def _exact_factored(mp, scen, gain):
@@ -111,7 +119,7 @@ def _exact_factored(mp, scen, gain):
 
     H, M, C, D, G = arr(tb.H[:, 0, 0]), arr(tb.M[:, 0, 0]), arr(tb.C), arr(tb.D), arr(gain.scalar)
     wbar, w2, gbar, g2q0, sig = (arr(w.wbar), arr(w.w2), arr(w.gbar), arr(w.g2q0),
-                                 arr(scen.flat("Sigma")))
+                                 arr(scen.Sigma.ravel()))
     q0 = mp.mpf(w.q0)
     epsi2 = [mp.exp(2 * v) for v in run(H)]
     ephi2 = [mp.exp(2 * v) for v in run([h + m for h, m in zip(H, M)])]
@@ -911,13 +919,13 @@ class TestAveragedMatrixCost:
 
     @pytest.mark.parametrize("build", [
         lambda: two_atom_matrix_scenario(100)[0],
-        lambda: rebuilt(normal_flow_scenario(100), scalar_mode=False)],
+        lambda: normal_flow_scenario(100)],
         ids=["two-atom-2x2", "normal-flow"])
     def test_one_joint_pass_per_call(self, build, monkeypatch):
         scen = build()
         bars = measure_averages(scen)
-        bundle = kernel_bundle(scen, GainSchedule.constant(scen.grid, 0.5 * np.eye(scen.n),
-                                                           scen.n, scen.m))
+        bundle = StepPropagators(scen, GainSchedule.constant(scen.grid, 0.5 * np.eye(scen.n),
+                                                             scen.n, scen.m))
         calls = []
         joint_moments = covariance._joint_moments
         monkeypatch.setattr(covariance, "_joint_moments",
@@ -938,19 +946,35 @@ class TestOneStepRule:
     def test_matrix_engine_matches_scalar_engine(self, build, value):
         scen = build(steps=200)
         gain = GainSchedule.constant(scen.grid, value)
+        bars = measure_averages(scen)
         costs, profiles = [], []
-        for s in (scen, rebuilt(scen, scalar_mode=False)):
-            bars, bundle = measure_averages(s), kernel_bundle(s, gain)
+        for bundle in (kernel_bundle(scen, gain), StepPropagators(scen, gain)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                costs.append(trace_cost(s, bundle, bars))
-                profiles.append([covariance_profile(s, bundle, bars, a).reshape(-1)
-                                 for a in range(s.n_atoms)])
+                costs.append(trace_cost(scen, bundle, bars))
+                profiles.append([covariance_profile(scen, bundle, bars, a).reshape(-1)
+                                 for a in range(scen.n_atoms)])
         assert costs[1] == pytest.approx(costs[0], rel=1e-12)
         for matrix, scalar in zip(profiles[1], profiles[0]):
             # relative to the atom's own scale; an atom with no noise
             # (normal-flow's u = 0) must be exactly zero in both
             assert np.max(np.abs(matrix - scalar)) <= 1e-12 * np.max(np.abs(scalar))
+
+    @pytest.mark.parametrize("value", [0.5, 30.0])
+    @pytest.mark.parametrize("build", [classical_scenario, normal_flow_scenario,
+                                       cross_pairing_probe,
+                                       lambda steps: random_smooth_scenario(3, steps)],
+                             ids=["classical", "normal-flow", "probe", "rs3"])
+    def test_matrix_drift_matches_scalar_drift(self, build, value):
+        # the matrix drift was refused for a scalar scenario's bars; it
+        # transports the same moments, 3.2e-14 relative at most here
+        scen = build(steps=200)
+        bars, gain = measure_averages(scen), GainSchedule.constant(scen.grid, value)
+        for a in range(scen.n_atoms):
+            scalar = drift_profile(scen, kernel_bundle(scen, gain), bars, a)
+            matrix = drift_profile(scen, StepPropagators(scen, gain), bars, a)
+            assert matrix.shape == (scen.grid.n_nodes, 1, 1)
+            assert np.max(np.abs(matrix.ravel() - scalar)) <= 1e-12 * np.max(np.abs(scalar))
 
     @pytest.mark.filterwarnings("error")
     def test_stiff_two_atom_system_is_finite(self):
@@ -986,6 +1010,45 @@ class TestOneStepRule:
         with pytest.raises(NonFiniteError, match=r"^trace_cost: non-finite value at node 1$"):
             trace_cost(scen, bundle, measure_averages(scen))
         assert not np.all(np.isfinite(matrix_transitions(bundle)[2]))
+
+
+class TestEngineSwitch:
+    """The bundle's type is the engine: ``kernel_bundle`` alone reads the
+    scenario's dimensions to pick it, and the operations with only a
+    scalar form refuse step propagators."""
+
+    @pytest.mark.parametrize("stage", [
+        cost_gradient, mean_sensitivity_triangle, cost_gradient_transcribed,
+        lambda s, b, bars: covariance_profile_transcribed(s, b, bars, 0),
+        lambda s, b, bars: f_direction(b, 10, 0, np.ones(s.grid.n_nodes)),
+        lambda s, b, bars: f_direction_transcribed(b, 10, 0, np.ones(s.grid.n_nodes))],
+        ids=["cost_gradient", "mean_sensitivity_triangle", "cost_gradient_transcribed",
+             "covariance_profile_transcribed", "f_direction", "f_direction_transcribed"])
+    def test_scalar_only_stages_refuse_step_propagators(self, stage):
+        scen = classical_scenario(steps=20)
+        bundle = StepPropagators(scen, GainSchedule.constant(scen.grid, 0.5))
+        with pytest.raises(ScenarioError, match="requires scalar mode: a ScalarTables bundle"):
+            stage(scen, bundle, measure_averages(scen))
+
+    def test_scalar_mode_is_read_only_where_the_engine_is_picked(self):
+        # covariance read it four times, to dispatch and in _checked, and
+        # the flat views of Scenario and BarQuantities checked it again
+        reads, flat_calls = [], []
+        for path in sorted(Path(mfkalman.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for member in top.body if isinstance(top, ast.ClassDef) else [top]:
+                    where = getattr(top, "name", "<module>")
+                    if member is not top:
+                        where += "." + getattr(member, "name", "<body>")
+                    for node in ast.walk(member):
+                        if isinstance(node, ast.Attribute) and node.attr == "scalar_mode":
+                            reads.append(f"{path.stem}.{where}")
+                        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                                and node.func.attr in ("flat", "flat_atom")):
+                            flat_calls.append(f"{path.stem}:{node.lineno}")
+        assert sorted(reads) == ["cli._load", "gain.optimize_gain",
+                                 "kernels.ScalarTables.__init__", "kernels.kernel_bundle"]
+        assert flat_calls == []
 
 
 class TestCheckFinite:

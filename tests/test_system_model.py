@@ -70,9 +70,42 @@ class TestMeasures:
         with pytest.raises(ScenarioError, match="atom locations must be finite"):
             InitialMeasure([[0.0], [bad]], [0.5, 0.5])
 
-    def test_rejects_no_atoms(self):
-        with pytest.raises(ScenarioError, match="measure needs at least one atom"):
-            InitialMeasure(np.zeros((0, 1)), [])
+    @pytest.mark.parametrize("points, shape", [
+        # no atom ([] was read as one atom of no component), atoms of no
+        # component and an axis too many (both were accepted, as
+        # 0-dimensional and as scalar atoms)
+        (np.zeros((0, 1)), r"\(0, 1\)"), ([], r"\(0,\)"),
+        (np.zeros((2, 0)), r"\(2, 0\)"), (np.zeros((2, 1, 1)), r"\(2, 1, 1\)"),
+    ], ids=["no-atom", "empty-list", "no-component", "extra-axis"])
+    def test_rejects_misshapen_points(self, points, shape):
+        weights = np.ones(len(points))
+        with pytest.raises(ScenarioError, match=rf"^points must have shape \(k, n\) with "
+                                                rf"k, n >= 1, got {shape}$"):
+            InitialMeasure(points, weights)
+
+    def test_rejects_ragged_points(self):
+        # numpy's "inhomogeneous shape" message named no argument
+        with pytest.raises(ScenarioError, match=r"^points must be a regular array of numbers, "
+                                                r"got \[\[0\.0\], \[1\.0, 2\.0\]\]$"):
+            InitialMeasure([[0.0], [1.0, 2.0]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("points, shape", [(0.5, (1, 1)), ([0.0, 1.0], (2, 1)),
+                                               ([[0.0, 1.0]], (1, 2)),
+                                               ([[0.0], [1.0]], (2, 1))],
+                             ids=["number", "flat-list", "one-row", "one-column"])
+    def test_a_number_or_a_flat_list_is_scalar_atoms(self, points, shape):
+        weights = np.ones(shape[0])
+        assert InitialMeasure(points, weights).points.shape == shape
+
+    @pytest.mark.parametrize("x0, shape", [([], r"\(0,\)"), ([[0.0, 1.0]], r"\(1, 2\)"),
+                                           (np.zeros((1, 1)), r"\(1, 1\)")],
+                             ids=["empty", "nested", "matrix"])
+    def test_dirac_needs_one_point(self, x0, shape):
+        # [] gave a 0-dimensional scenario and [[0.0, 1.0]] points of shape
+        # (1, 1, 2), run as a scalar scenario
+        with pytest.raises(ScenarioError, match=rf"^x0 must be a number or a non-empty flat "
+                                                rf"list, got {shape}$"):
+            dirac_measure(x0)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ScenarioError):
@@ -115,13 +148,6 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError,
                            match=f"{name} is not finite at every atom and node"):
             build_scenario(GRID, measure=dirac_measure(0.0), **loading)
-
-    def test_flat_views_need_scalar_mode(self):
-        scen = build_scenario(GRID, measure=dirac_measure([0.0, 0.0]))
-        with pytest.raises(ScenarioError, match="flat coefficient views require scalar mode"):
-            scen.flat("Sigma")
-        with pytest.raises(ScenarioError, match="flat coefficient views require scalar mode"):
-            scen.flat_atom("sigma", 0)
 
     def test_scalar_observation_noise_is_multiple_of_identity(self):
         scen = build_scenario(GRID, measure=dirac_measure([0.0, 0.0]), Q=np.eye(2), Q0=0.5)
@@ -293,23 +319,23 @@ class TestMeasureAverages:
         scen = build_scenario(GRID, measure=gauss_hermite_measure(11),
                               sigma=lambda u, t: u, gamma=lambda u, t: u)
         bars = measure_averages(scen)
-        assert np.max(np.abs(bars.flat("sigma_bar"))) < 1e-12
-        assert np.max(np.abs(bars.flat("gamma_bar"))) < 1e-12
-        np.testing.assert_allclose(bars.flat("sigma2_bar"), 1.0, atol=1e-12)
-        np.testing.assert_allclose(bars.flat("gamma2_bar"), 1.0, atol=1e-12)
+        assert np.max(np.abs(bars.sigma_bar.ravel())) < 1e-12
+        assert np.max(np.abs(bars.gamma_bar.ravel())) < 1e-12
+        np.testing.assert_allclose(bars.sigma2_bar.ravel(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(bars.gamma2_bar.ravel(), 1.0, atol=1e-12)
 
     def test_dirac_average_is_loading(self):
         scen = build_scenario(GRID, measure=dirac_measure(3.0),
                               sigma=lambda u, t: 1.0 + t, gamma=1.0)
         bars = measure_averages(scen)
-        np.testing.assert_allclose(bars.flat("sigma_bar"), 1.0 + GRID.nodes)
+        np.testing.assert_allclose(bars.sigma_bar.ravel(), 1.0 + GRID.nodes)
 
     def test_two_atom_average(self):
         scen = build_scenario(GRID, measure=InitialMeasure([[-1.0], [1.0]], [0.5, 0.5]),
                               sigma=lambda u, t: u, gamma=1.0)
         bars = measure_averages(scen)
-        np.testing.assert_allclose(bars.flat("sigma_bar"), 0.0, atol=1e-15)
-        np.testing.assert_allclose(bars.flat("sigma2_bar"), 1.0, atol=1e-15)
+        np.testing.assert_allclose(bars.sigma_bar.ravel(), 0.0, atol=1e-15)
+        np.testing.assert_allclose(bars.sigma2_bar.ravel(), 1.0, atol=1e-15)
 
     def test_scaling_linearity(self):
         base = build_scenario(GRID, measure=gauss_hermite_measure(7),
@@ -317,8 +343,8 @@ class TestMeasureAverages:
         doubled = build_scenario(GRID, measure=gauss_hermite_measure(7),
                                  sigma=lambda u, t: 2.0 * (u + 0.3), gamma=1.0)
         b1, b2 = measure_averages(base), measure_averages(doubled)
-        np.testing.assert_allclose(b2.flat("sigma_bar"), 2.0 * b1.flat("sigma_bar"))
-        np.testing.assert_allclose(b2.flat("sigma2_bar"), 4.0 * b1.flat("sigma2_bar"))
+        np.testing.assert_allclose(b2.sigma_bar.ravel(), 2.0 * b1.sigma_bar.ravel())
+        np.testing.assert_allclose(b2.sigma2_bar.ravel(), 4.0 * b1.sigma2_bar.ravel())
 
     def test_psd_of_averaged_squares(self):
         scen = build_scenario(GRID, measure=gauss_hermite_measure(5),
